@@ -14,14 +14,13 @@ from .channel import (
     apply_channel,
     dynamical_from_kraus,
     is_unital,
-    maximally_entangled_state,
     reshuffle,
     superoperator_from_kraus,
 )
-from .entropy import EntropyParams, EntropyValue, map_entropy, q_log, receiver_entropy
-from .matcore import Spectrum, hermitian_eigenvalues, kron, partial_trace, singular_values, vec
+from .entropy import EntropyParams, map_entropy, q_log, receiver_entropy
+from .matcore import Spectrum, hermitian_eigenvalues, partial_trace, singular_values, vec
 from .sampler import SamplerConfig, named_channel, sample_channel
-from .spectra import InequalityReport, NormOrder, schatten_antinorm, schatten_norm
+from .spectra import InequalityReport, schatten_antinorm, schatten_norm
 from .tradeoff import (
     TradeoffReport,
     evaluate_tradeoff,
@@ -35,10 +34,8 @@ __version__ = "0.1.0"
 __all__ = [
     "DynamicalMatrix",
     "EntropyParams",
-    "EntropyValue",
     "InequalityReport",
     "KrausChannel",
-    "NormOrder",
     "SamplerConfig",
     "Spectrum",
     "SuperoperatorMatrix",
@@ -49,10 +46,8 @@ __all__ = [
     "gamma_kappa",
     "hermitian_eigenvalues",
     "is_unital",
-    "kron",
     "lower_bound",
     "map_entropy",
-    "maximally_entangled_state",
     "named_channel",
     "partial_trace",
     "profile_channel",

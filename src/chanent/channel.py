@@ -3,16 +3,17 @@
 A channel on a ``d``-dimensional system is stored only as its Kraus
 operators; the dynamical (Choi-type) matrix ``D`` and the superoperator
 matrix ``K`` are derived views, never mutated in place.  Under the row-major
-``vec`` convention of :mod:`chanent.matcore` the closed forms are
+``vec`` convention of :mod:`chanent.matcore`
 
-* ``D = sum_i vec(A_i) vec(A_i)^dag``  (Hermitian, PSD, trace ``d``), and
-* ``K = sum_i A_i (x) conj(A_i)``      (acts as ``vec(out) = K vec(in)``),
+* ``D = sum_i vec(A_i) vec(A_i)^dag``  (Hermitian, PSD, trace ``d``), built
+  as one product of the stacked ``vec(A_i)``, and
+* ``K = reshuffle(D)``, which equals ``sum_i A_i (x) conj(A_i)`` and acts as
+  ``vec(out) = K vec(in)``,
 
-and the two are connected entrywise by the reshuffling permutation
-``K[a*d+b, m*d+n] = D[a*d+m, b*d+n]``, an involution that preserves the
-multiset of entries and hence the Frobenius norm.  Each closed form is
-paired with an independent route (tensor-state construction for ``D``,
-direct channel application for ``K``) kept here as test oracles.
+where the reshuffling permutation ``K[a*d+b, m*d+n] = D[a*d+m, b*d+n]`` is an
+involution that preserves the multiset of entries and hence the Frobenius
+norm.  Independent routes to both matrices (the Kronecker loop for ``K``,
+the entangled-input construction for ``D``) live in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -33,15 +34,11 @@ __all__ = [
     "KrausChannel",
     "DynamicalMatrix",
     "SuperoperatorMatrix",
-    "maximally_entangled_state",
     "dynamical_from_kraus",
-    "dynamical_via_entangled_input",
     "superoperator_from_kraus",
     "reshuffle",
     "apply_channel",
-    "apply_channel_via_dynamical",
     "is_unital",
-    "kraus_gram",
     "dynamical_spectrum",
     "superoperator_spectrum",
     "channel_to_json",
@@ -109,26 +106,9 @@ class DynamicalMatrix:
     dim: int
     matrix: np.ndarray
 
-    def validate(self) -> None:
-        """Check the four structural invariants, raising on failure.
-
-        Hermitian within ``HERM_TOL``; PSD after clamping; trace ``d``; and
-        the partial trace over the principal (first) factor equals I, which
-        is trace preservation seen from this representation.
-        """
-        d = self.dim
-        tol = matcore.eig_tol(d * d)
-        spec = matcore.hermitian_eigenvalues(self.matrix)
-        matcore.clamp_spectrum(spec.values, neg_tol=tol)
-        tr = float(np.trace(self.matrix).real)
-        if abs(tr - d) > tol:
-            raise ValueError(f"trace {tr!r} differs from dim {d} beyond {tol:.1e}")
-        reduced = matcore.partial_trace(self.matrix, d, "first")
-        dev = float(np.abs(reduced - np.eye(d)).max())
-        if dev > TP_TOL:
-            raise NotTracePreservingError(
-                f"partial trace over the principal system deviates from I by {dev:.3e}"
-            )
+    def superoperator(self) -> "SuperoperatorMatrix":
+        """The superoperator matrix of the same channel, ``reshuffle(D)``."""
+        return SuperoperatorMatrix(self.dim, reshuffle(self.matrix, self.dim))
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,49 +119,24 @@ class SuperoperatorMatrix:
     matrix: np.ndarray
 
 
-def maximally_entangled_state(d: int) -> np.ndarray:
-    """Unit vector ``(1/sqrt(d)) * sum_nu |nu> (x) |nu>`` of length ``d**2``."""
-    return np.eye(d, dtype=complex).reshape(-1) / np.sqrt(d)
-
-
 def dynamical_from_kraus(ch: KrausChannel) -> DynamicalMatrix:
-    """Dynamical matrix via the closed form ``sum_i vec(A_i) vec(A_i)^dag``."""
-    d = ch.dim
-    out = np.zeros((d * d, d * d), dtype=complex)
-    for a in ch.kraus_ops:
-        v = matcore.vec(a)
-        out += np.outer(v, v.conj())
-    return DynamicalMatrix(d, out)
+    """Dynamical matrix ``sum_i vec(A_i) vec(A_i)^dag`` as ``V^T conj(V)``.
 
-
-def dynamical_via_entangled_input(ch: KrausChannel) -> DynamicalMatrix:
-    """Dynamical matrix by literally acting on the maximally entangled state.
-
-    ``d * (channel (x) id)(|phi+><phi+|)``; independent route kept as the
-    test oracle for :func:`dynamical_from_kraus`.
+    Row ``i`` of ``V`` is ``vec(A_i)``, so the sum over Kraus operators is
+    one matrix product.
     """
     d = ch.dim
-    phi = maximally_entangled_state(d)
-    rho = np.outer(phi, phi.conj())
-    ident = np.eye(d, dtype=complex)
-    out = np.zeros_like(rho)
-    for a in ch.kraus_ops:
-        big = np.kron(a, ident)
-        out += big @ rho @ big.conj().T
-    return DynamicalMatrix(d, d * out)
+    v = np.stack(ch.kraus_ops).reshape(len(ch.kraus_ops), d * d)
+    return DynamicalMatrix(d, v.T @ v.conj())
 
 
 def superoperator_from_kraus(ch: KrausChannel) -> SuperoperatorMatrix:
-    """Superoperator matrix ``sum_i A_i (x) conj(A_i)``.
+    """Superoperator matrix ``sum_i A_i (x) conj(A_i)``, as ``reshuffle(D)``.
 
     Unique matrix with ``vec(channel(X)) = K vec(X)`` under the row-major
     ``vec`` convention.
     """
-    d = ch.dim
-    out = np.zeros((d * d, d * d), dtype=complex)
-    for a in ch.kraus_ops:
-        out += np.kron(a, a.conj())
-    return SuperoperatorMatrix(d, out)
+    return dynamical_from_kraus(ch).superoperator()
 
 
 def reshuffle(m, d: int) -> np.ndarray:
@@ -207,37 +162,9 @@ def apply_channel(ch: KrausChannel, x) -> np.ndarray:
     return out
 
 
-def apply_channel_via_dynamical(dyn: DynamicalMatrix, x) -> np.ndarray:
-    """Channel action recovered from the dynamical matrix.
-
-    ``Tr_second(D (I (x) X^T))``; independent route kept as the test oracle
-    for :func:`apply_channel`.
-    """
-    d = dyn.dim
-    m = matcore.as_matrix(x)
-    if m.shape != (d, d):
-        raise DimensionMismatchError(f"input has shape {m.shape}, expected {(d, d)}")
-    prod = dyn.matrix @ np.kron(np.eye(d, dtype=complex), m.T)
-    return matcore.partial_trace(prod, d, "second")
-
-
 def is_unital(ch: KrausChannel, tol: float = UNITAL_TOL) -> bool:
     """True iff the channel maps the identity to itself within ``tol``."""
     return ch.unital_defect() <= tol
-
-
-def kraus_gram(ch: KrausChannel) -> np.ndarray:
-    """Gram matrix ``G[i, j] = trace(A_i^dag A_j)`` of the Kraus set.
-
-    Its nonzero eigenvalues coincide with the nonzero eigenvalues of the
-    dynamical matrix, giving an independent route to the Choi spectrum.
-    """
-    k = len(ch.kraus_ops)
-    g = np.empty((k, k), dtype=complex)
-    for i, a in enumerate(ch.kraus_ops):
-        for j, b in enumerate(ch.kraus_ops):
-            g[i, j] = np.sum(a.conj() * b)
-    return g
 
 
 def dynamical_spectrum(dyn: DynamicalMatrix) -> Spectrum:

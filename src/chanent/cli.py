@@ -27,8 +27,6 @@ import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-import numpy as np
-
 from . import channel as chmod
 from . import matcore, sampler, spectra
 from .entropy import EntropyParams
@@ -39,9 +37,6 @@ __all__ = ["SweepConfig", "ConfigError", "run_sweep", "run_inequality_suite", "m
 
 DEFAULT_SEED = 20250101
 DEFAULT_OUT = "chanent-out"
-
-# Stable family codes for seed derivation; independent of config order.
-FAMILY_CODES = {"cptp": 0, "unitary-mixture": 1, "unistochastic": 2}
 
 CSV_COLUMNS = [
     "channel_id",
@@ -94,31 +89,59 @@ def validate_config(cfg: SweepConfig) -> SweepConfig:
     if not cfg.families:
         raise ConfigError("families must be nonempty")
     for fam in cfg.families:
-        if fam not in FAMILY_CODES and not fam.startswith("named:"):
+        if fam not in sampler.FAMILY_CODES and not fam.startswith("named:"):
             raise ConfigError(f"unknown family {fam!r}")
     if cfg.samples_per_family < 1:
         raise ConfigError(f"samples_per_family must be >= 1, got {cfg.samples_per_family}")
     if not cfg.q_grid or not cfg.s_grid:
         raise ConfigError("q_grid and s_grid must be nonempty")
     for q in cfg.q_grid:
-        if not (float(q) > 0.0):
-            raise ConfigError(f"entropy order q must be > 0, got {q}")
+        if not (math.isfinite(float(q)) and float(q) > 0.0):
+            raise ConfigError(f"entropy order q must be finite and > 0, got {q}")
     for s in cfg.s_grid:
-        if math.isnan(float(s)):
+        if not math.isfinite(float(s)):
             raise ConfigError(f"entropy order s must be finite, got {s}")
     return cfg
 
 
+# Expected JSON type of each config-file key, and of its members if any.
+_NUMBER = (int, float)
+_CONFIG_TYPES = {
+    "dims": (list, int, "a list of integers"),
+    "families": (list, str, "a list of strings"),
+    "samples_per_family": (int, None, "an integer"),
+    "q_grid": (list, _NUMBER, "a list of numbers"),
+    "s_grid": (list, _NUMBER, "a list of numbers"),
+    "seed": (int, None, "an integer"),
+    "tolerances": (dict, _NUMBER, "an object of numbers"),
+}
+
+
+def _is(value, kind) -> bool:
+    # bool is an int subclass, but true/false is no count, seed or order
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 def config_from_file(path) -> SweepConfig:
-    with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh)
-    known = {f for f in SweepConfig.__dataclass_fields__}
-    unknown = set(raw) - known
+    try:
+        with open(path, encoding="utf-8") as fh:
+            raw = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"could not read config file {str(path)!r}: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError("a config file must hold one JSON object")
+    unknown = set(raw) - set(_CONFIG_TYPES)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    for key in ("dims", "families", "q_grid", "s_grid"):
-        if key in raw:
-            raw[key] = tuple(raw[key])
+    for key, value in raw.items():
+        kind, member, expected = _CONFIG_TYPES[key]
+        ok = _is(value, kind)
+        if ok and member is not None:
+            ok = all(_is(v, member) for v in (value.values() if kind is dict else value))
+        if not ok:
+            raise ConfigError(f"config key {key!r} must be {expected}, got {value!r}")
+        if kind is list:
+            raw[key] = tuple(value)
     return SweepConfig(**raw)
 
 
@@ -186,25 +209,6 @@ def _serialize_counterexample(out_dir: Path, ch, report: TradeoffReport, family:
     return path
 
 
-def _sweep_channels(cfg: SweepConfig, channel_path):
-    """Yield (family, dim, channel_id, channel) in canonical row order."""
-    if channel_path is not None:
-        ch = chmod.load_channel(channel_path)
-        yield "file", ch.dim, Path(channel_path).stem, ch
-        return
-    for dim in cfg.dims:
-        for family in cfg.families:
-            code = FAMILY_CODES.get(family, 99)
-            for index in range(cfg.samples_per_family):
-                scfg = sampler.SamplerConfig(
-                    dim=int(dim),
-                    kraus_count=sampler.default_kraus_count(family, int(dim)),
-                    seed=sampler.derive_seed(cfg.seed, code, int(dim), index),
-                    family=family,
-                )
-                yield family, int(dim), f"{family}-d{dim}-{index:04d}", sampler.sample_channel(scfg)
-
-
 def run_sweep(cfg: SweepConfig, out_dir, channel_path=None) -> int:
     """Evaluate the trade-off grid and write report.csv / summary.json."""
     out = Path(out_dir)
@@ -212,8 +216,13 @@ def run_sweep(cfg: SweepConfig, out_dir, channel_path=None) -> int:
     rows: list[dict] = []
     stats: dict[str, dict] = {}
     violation_info = None
+    if channel_path is not None:
+        ch = chmod.load_channel(channel_path)
+        channels = [("file", ch.dim, Path(channel_path).stem, ch)]
+    else:
+        channels = sampler.population(cfg.seed, cfg.dims, cfg.families, cfg.samples_per_family)
 
-    for family, dim, channel_id, ch in _sweep_channels(cfg, channel_path):
+    for family, dim, channel_id, ch in channels:
         profile = profile_channel(ch, channel_id)
         fam_stats = stats.setdefault(
             family, {"rows": 0, "min_gap": math.inf, "saturation_count": 0}
@@ -268,36 +277,6 @@ def run_sweep(cfg: SweepConfig, out_dir, channel_path=None) -> int:
     return 0
 
 
-def _psd_matrices(cfg: SweepConfig, code: int):
-    for dim in cfg.dims:
-        for index in range(cfg.samples_per_family):
-            rng = np.random.default_rng(sampler.derive_seed(cfg.seed, code, int(dim), index))
-            g = sampler.ginibre(int(dim), rng)
-            yield f"psd-d{dim}-{index:04d}", g @ g.conj().T
-
-
-def _general_matrices(cfg: SweepConfig, code: int):
-    for dim in cfg.dims:
-        for index in range(cfg.samples_per_family):
-            rng = np.random.default_rng(sampler.derive_seed(cfg.seed, code, int(dim), index))
-            yield f"mat-d{dim}-{index:04d}", sampler.ginibre(int(dim), rng)
-
-
-def _suite_channels(cfg: SweepConfig):
-    families = [f for f in cfg.families if f in FAMILY_CODES]
-    for family in families:
-        code = FAMILY_CODES[family]
-        for dim in cfg.dims:
-            for index in range(cfg.samples_per_family):
-                scfg = sampler.SamplerConfig(
-                    dim=int(dim),
-                    kraus_count=sampler.default_kraus_count(family, int(dim)),
-                    seed=sampler.derive_seed(cfg.seed, 100 + code, int(dim), index),
-                    family=family,
-                )
-                yield family, f"{family}-d{dim}-{index:04d}", sampler.sample_channel(scfg)
-
-
 def run_inequality_suite(cfg: SweepConfig, out_dir, only=None, matrix_path=None) -> int:
     """Run the norm/anti-norm checks; write summary.json with min slack."""
     out = Path(out_dir)
@@ -311,6 +290,13 @@ def run_inequality_suite(cfg: SweepConfig, out_dir, only=None, matrix_path=None)
     if matrix_path is not None:
         with open(matrix_path, encoding="utf-8") as fh:
             injected = [(Path(matrix_path).stem, matcore.matrix_from_json(json.load(fh)))]
+
+    def cases(kind: str, stream: int) -> list:
+        """The injected matrix, or Ginibre matrices ``G`` ("mat") or ``G G^dag`` ("psd")."""
+        if injected is not None:
+            return injected
+        pop = sampler.ginibre_population(cfg.seed, cfg.dims, cfg.samples_per_family, stream)
+        return [(f"{kind}-d{d}-{i:04d}", g @ g.conj().T if kind == "psd" else g) for d, i, g in pop]
 
     anti_orders = [float(q) for q in cfg.q_grid if 0.0 < float(q) < 1.0] or [0.5]
     order_pairs = [(0.2, 0.8), (1.0 / 3.0, 0.5), (0.5, 1.0)]
@@ -333,27 +319,26 @@ def run_inequality_suite(cfg: SweepConfig, out_dir, only=None, matrix_path=None)
 
     try:
         if "prop1" in selected:
-            cases = injected if injected is not None else list(_psd_matrices(cfg, 201))
-            for label, x in cases:
+            for label, x in cases("psd", 201):
                 for q in cfg.q_grid:
                     record("prop1", label, spectra.check_prop1(x, float(q)), matcore.matrix_to_json(x))
         if "21in" in selected:
-            cases = injected if injected is not None else list(_general_matrices(cfg, 202))
-            for label, x in cases:
+            for label, x in cases("mat", 202):
                 record("21in", label, spectra.check_two_inf_one(x), matcore.matrix_to_json(x))
         if "npqr" in selected:
-            cases = injected if injected is not None else list(_psd_matrices(cfg, 203))
-            for label, x in cases:
+            for label, x in cases("psd", 203):
                 for p, q in order_pairs:
                     record("npqr", label, spectra.check_antinorm_monotonicity(x, p, q))
         if "sups" in selected:
-            cases = injected if injected is not None else list(_psd_matrices(cfg, 204))
-            partners = injected if injected is not None else list(_psd_matrices(cfg, 205))
-            for (label, x), (_, y) in zip(cases, partners):
+            for (label, x), (_, y) in zip(cases("psd", 204), cases("psd", 205)):
                 for q in anti_orders:
                     record("sups", label, spectra.check_superadditivity(x, y, float(q)))
         if injected is None and ("upkp" in selected or "cbn0" in selected):
-            for family, label, ch in _suite_channels(cfg):
+            families = [f for f in cfg.families if f in sampler.FAMILY_CODES]
+            suite = sampler.population(
+                cfg.seed, cfg.dims, families, cfg.samples_per_family, stream=100
+            )
+            for _, _, label, ch in suite:
                 if "upkp" in selected:
                     record("upkp", label, spectra.check_superop_norm_bound(ch), chmod.channel_to_json(ch))
                 if "cbn0" in selected:
@@ -364,6 +349,11 @@ def run_inequality_suite(cfg: SweepConfig, out_dir, only=None, matrix_path=None)
             ce = out / "counterexamples"
             ce.mkdir(parents=True, exist_ok=True)
             _write_json(ce / f"{injected[0][0]}.json", matcore.matrix_to_json(injected[0][1]))
+    if not results and failure is None:
+        raise ConfigError(
+            f"no check ran for {', '.join(selected)}: the channel checks (upkp, cbn0) "
+            "need a sampler family and no --matrix"
+        )
 
     summary = {
         "mode": "inequalities",

@@ -31,7 +31,6 @@ from .matcore import Spectrum
 __all__ = [
     "LIMIT_EPS",
     "EntropyParams",
-    "EntropyValue",
     "q_log",
     "entropy_from_spectrum",
     "map_entropy",
@@ -51,8 +50,10 @@ class EntropyParams:
     s: float
 
     def __post_init__(self):
-        if not (self.q > 0.0) or math.isnan(self.s):
-            raise DomainError(f"entropy orders need q > 0 and finite s, got q={self.q}, s={self.s}")
+        if not (math.isfinite(self.q) and self.q > 0.0 and math.isfinite(self.s)):
+            raise DomainError(
+                f"entropy orders need finite q > 0 and finite s, got q={self.q}, s={self.s}"
+            )
 
     @property
     def von_neumann_limit(self) -> bool:
@@ -61,26 +62,6 @@ class EntropyParams:
     @property
     def renyi_limit(self) -> bool:
         return abs(self.s) <= LIMIT_EPS
-
-    @property
-    def family(self) -> str:
-        """Which member of the two-parameter family these orders select."""
-        if self.von_neumann_limit:
-            return "von-neumann-limit"
-        if self.renyi_limit:
-            return "renyi-limit"
-        if self.s == 1.0:
-            return "tsallis"
-        return "unified"
-
-
-@dataclass(frozen=True)
-class EntropyValue:
-    """An entropy together with the family label and orders it came from."""
-
-    value: float
-    family: str
-    params: EntropyParams
 
 
 def q_log(x: float, q: float) -> float:
@@ -94,7 +75,7 @@ def q_log(x: float, q: float) -> float:
     return math.expm1((1.0 - q) * math.log(x)) / (1.0 - q)
 
 
-def entropy_from_spectrum(spectrum: Spectrum, normalizer: float, params: EntropyParams) -> EntropyValue:
+def entropy_from_spectrum(spectrum: Spectrum, normalizer: float, params: EntropyParams) -> float:
     """Unified entropy of ``spectrum.values / normalizer``.
 
     Shared kernel behind the map and receiver entropies; ``normalizer`` is
@@ -115,10 +96,10 @@ def entropy_from_spectrum(spectrum: Spectrum, normalizer: float, params: Entropy
             value = log_a / (1.0 - params.q)
         else:
             value = math.expm1(params.s * log_a) / ((1.0 - params.q) * params.s)
-    return EntropyValue(value + 0.0, params.family, params)  # +0.0 drops a -0.0 sign
+    return value + 0.0  # +0.0 drops a -0.0 sign
 
 
-def map_entropy(dyn: chmod.DynamicalMatrix, params: EntropyParams) -> EntropyValue:
+def map_entropy(dyn: chmod.DynamicalMatrix, params: EntropyParams) -> float:
     """Entropy of the clamped dynamical-matrix spectrum over weight ``d``.
 
     Zero for every ``(q, s)`` on unitary channels (rank-1 spectrum) and
@@ -128,7 +109,7 @@ def map_entropy(dyn: chmod.DynamicalMatrix, params: EntropyParams) -> EntropyVal
     return entropy_from_spectrum(spec, float(dyn.dim), params)
 
 
-def receiver_entropy(sup: chmod.SuperoperatorMatrix, params: EntropyParams) -> EntropyValue:
+def receiver_entropy(sup: chmod.SuperoperatorMatrix, params: EntropyParams) -> float:
     """Entropy of the superoperator singular values over their own sum.
 
     The normalizer is the trace norm of the superoperator matrix; guarded

@@ -36,7 +36,6 @@ __all__ = [
     "as_matrix",
     "hermitian_eigenvalues",
     "singular_values",
-    "kron",
     "partial_trace",
     "vec",
     "clamp_spectrum",
@@ -112,11 +111,6 @@ def singular_values(x) -> Spectrum:
     m = as_matrix(x)
     vals = np.linalg.svd(m, compute_uv=False)
     return Spectrum(vals, "singular-values")
-
-
-def kron(a, b) -> np.ndarray:
-    """Kronecker product with ``out[i*rB + k, j*cB + l] = A[i, j] * B[k, l]``."""
-    return np.kron(as_matrix(a), as_matrix(b))
 
 
 def partial_trace(x, d: int, subsystem: str = "second") -> np.ndarray:

@@ -6,7 +6,8 @@ sampler derives one child stream per Kraus index from ``SamplerConfig.seed``
 (mixtures use one extra stream for the weights), so identical configs yield
 bit-identical channels.  Harnesses that draw many samples derive per-sample
 seeds with :func:`derive_seed`, i.e. ``SeedSequence([base_seed, *indices])``,
-which keeps parallel sampling order-independent.
+which keeps parallel sampling order-independent.  :func:`population` and
+:func:`ginibre_population` are the only places that address samples this way.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .errors import (
 )
 
 __all__ = [
+    "FAMILY_CODES",
     "SamplerConfig",
     "derive_seed",
     "default_kraus_count",
@@ -35,6 +37,8 @@ __all__ = [
     "unistochastic_from_unitary",
     "named_channel",
     "sample_channel",
+    "population",
+    "ginibre_population",
 ]
 
 # Normalizer condition number above this triggers a resample; Ginibre
@@ -42,7 +46,8 @@ __all__ = [
 COND_LIMIT = 1e12
 RESAMPLE_ATTEMPTS = 8
 
-FAMILIES = ("cptp", "unitary-mixture", "unistochastic")
+# Stable family codes for seed derivation; independent of config order.
+FAMILY_CODES = {"cptp": 0, "unitary-mixture": 1, "unistochastic": 2}
 
 
 @dataclass(frozen=True)
@@ -224,3 +229,37 @@ def sample_channel(cfg: SamplerConfig) -> KrausChannel:
         param = float(parts[2]) if len(parts) > 2 else None
         return named_channel(parts[1], cfg.dim, param)
     raise UnknownChannelError(f"unknown sampler family {cfg.family!r}")
+
+
+def population(seed: int, dims, families, count: int, stream: int = 0):
+    """Yield ``(family, dim, channel_id, channel)`` in ``(dim, family, index)`` order.
+
+    Sample ``index`` of ``family`` at ``dim`` is drawn with the default Kraus
+    count from ``derive_seed(seed, stream + code, dim, index)``, where
+    ``code`` is the family's entry in :data:`FAMILY_CODES`; harnesses keep
+    their populations apart by ``stream``.
+    """
+    for dim in dims:
+        d = int(dim)
+        for family in families:
+            code = stream + FAMILY_CODES.get(family, 99)  # 99: the named channels
+            for index in range(count):
+                cfg = SamplerConfig(
+                    dim=d,
+                    kraus_count=default_kraus_count(family, d),
+                    seed=derive_seed(seed, code, d, index),
+                    family=family,
+                )
+                yield family, d, f"{family}-d{d}-{index:04d}", sample_channel(cfg)
+
+
+def ginibre_population(seed: int, dims, count: int, stream: int):
+    """Yield ``(dim, index, G)`` Ginibre matrices in ``(dim, index)`` order.
+
+    Matrix ``index`` at ``dim`` is drawn from ``derive_seed(seed, stream,
+    dim, index)``.
+    """
+    for dim in dims:
+        d = int(dim)
+        for index in range(count):
+            yield d, index, ginibre(d, np.random.default_rng(derive_seed(seed, stream, d, index)))

@@ -25,7 +25,6 @@ from .errors import InvalidOrderError, InvalidSpectrumError, NotPositiveError
 
 __all__ = [
     "STRICT_POS_TOL",
-    "NormOrder",
     "InequalityReport",
     "schatten_norm",
     "schatten_antinorm",
@@ -57,18 +56,6 @@ def _regime(q: float) -> str:
     if q < 0.0:
         return _ANTINORM_STRICT
     raise InvalidOrderError("order q = 0 has no norm or anti-norm regime")
-
-
-@dataclass(frozen=True)
-class NormOrder:
-    """A Schatten order ``q`` together with its regime classification."""
-
-    q: float
-    regime: str
-
-    @classmethod
-    def of(cls, q: float) -> "NormOrder":
-        return cls(float(q), _regime(float(q)))
 
 
 @dataclass(frozen=True)
@@ -116,16 +103,16 @@ def schatten_norm(x, q: float) -> float:
     return _power_mean_root(sv[sv > 0], q)
 
 
-def schatten_antinorm(x, q: float) -> float:
-    """Schatten q-anti-norm of a positive matrix, ``q < 1`` and ``q != 0``.
+def _order_spectrum(x, q: float) -> np.ndarray:
+    """The spectrum order ``q`` acts on, ready for power sums.
 
-    For ``0 < q < 1`` the input must be PSD (tiny negative eigenvalues are
-    clamped, zeros contribute nothing); for ``q < 0`` it must be strictly
-    positive with smallest eigenvalue above ``STRICT_POS_TOL``.
+    Singular values for norm orders; for anti-norm orders the eigenvalues,
+    clamped for ``0 < q < 1`` and required above ``STRICT_POS_TOL`` for
+    ``q < 0``.
     """
     regime = _regime(q)
     if regime == _NORM:
-        raise InvalidOrderError(f"Schatten anti-norm needs q < 1 (q != 0), got {q}")
+        return matcore.singular_values(x).values
     eig = matcore.hermitian_eigenvalues(x)
     if regime == _ANTINORM_STRICT:
         lo = float(eig.values.min())
@@ -134,27 +121,26 @@ def schatten_antinorm(x, q: float) -> float:
                 f"q < 0 anti-norm needs a strictly positive matrix; "
                 f"min eigenvalue {lo:.3e} <= {STRICT_POS_TOL:.1e}"
             )
-        return _power_mean_root(eig.values, q)
-    vals = matcore.clamp_spectrum(eig.values, neg_tol=matcore.eig_tol(len(eig)))
+        return eig.values
+    return matcore.clamp_spectrum(eig.values, neg_tol=matcore.eig_tol(len(eig)))
+
+
+def schatten_antinorm(x, q: float) -> float:
+    """Schatten q-anti-norm of a positive matrix, ``q < 1`` and ``q != 0``.
+
+    For ``0 < q < 1`` the input must be PSD (tiny negative eigenvalues are
+    clamped, zeros contribute nothing); for ``q < 0`` it must be strictly
+    positive with smallest eigenvalue above ``STRICT_POS_TOL``.
+    """
+    if _regime(q) == _NORM:
+        raise InvalidOrderError(f"Schatten anti-norm needs q < 1 (q != 0), got {q}")
+    vals = _order_spectrum(x, q)
     return _power_mean_root(vals[vals > 0], q)
 
 
 def schatten(x, q: float) -> float:
     """Norm or anti-norm of ``x`` at order ``q``, dispatched by regime."""
     return schatten_norm(x, q) if _regime(q) == _NORM else schatten_antinorm(x, q)
-
-
-def _regime_spectrum(x, q: float) -> np.ndarray:
-    """Positive spectrum appropriate for order ``q`` (singular or eigen)."""
-    if _regime(q) == _NORM:
-        return matcore.singular_values(x).values
-    eig = matcore.hermitian_eigenvalues(x)
-    if _regime(q) == _ANTINORM_STRICT:
-        lo = float(eig.values.min())
-        if lo <= STRICT_POS_TOL:
-            raise NotPositiveError(f"min eigenvalue {lo:.3e} not strictly positive")
-        return eig.values
-    return matcore.clamp_spectrum(eig.values, neg_tol=matcore.eig_tol(len(eig)))
 
 
 def check_prop1(x, q: float) -> InequalityReport:
@@ -166,7 +152,7 @@ def check_prop1(x, q: float) -> InequalityReport:
     regime, positive input).  Passes when the direction holds with relative
     slack above ``-1e-9``; flat spectra saturate it exactly.
     """
-    vals = _regime_spectrum(x, q)
+    vals = _order_spectrum(x, q)
     pos = vals[vals > 0]
     if pos.size == 0:
         raise InvalidSpectrumError("matrix is zero; the interpolation is undefined")
@@ -232,7 +218,7 @@ def check_norm_product_chain(ch: chmod.KrausChannel) -> InequalityReport:
     representations share their entries up to reshuffling.
     """
     dyn = chmod.dynamical_from_kraus(ch)
-    sup = chmod.superoperator_from_kraus(ch)
+    sup = dyn.superoperator()
     ratio = (
         schatten_norm(dyn.matrix, 1.0)
         / schatten_norm(dyn.matrix, 2.0)

@@ -14,8 +14,9 @@ the ``q -> 1`` limit value (``kappa = 1``) without asserting it as a theorem:
 
 The auxiliary minimizations behind the bound, over the planar regions
 ``{0 <= x, y <= 1, x y <= a}`` and ``{x, y >= 1, x y >= b}``, have closed
-forms ``1 - a`` and ``2 (sqrt(b) - 1)``; brute-force grid searches over the
-same regions are kept alongside as oracles.
+forms ``1 - a`` and ``2 (sqrt(b) - 1)``; those closed forms, their
+grid-search oracles and the check of the norm-ratio preconditions live in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -40,12 +41,6 @@ __all__ = [
     "TradeoffReport",
     "evaluate_profile",
     "evaluate_tradeoff",
-    "domain_min_low",
-    "domain_min_high",
-    "grid_domain_min_low",
-    "grid_domain_min_high",
-    "ProofDomainPoint",
-    "proof_domain_point",
 ]
 
 # Gap below which a report is flagged as saturating its bound; separates
@@ -106,13 +101,12 @@ class ChannelProfile:
 def profile_channel(ch: chmod.KrausChannel, channel_id: str = "") -> ChannelProfile:
     """Extract the two spectra and the unital flag of a channel."""
     dyn = chmod.dynamical_from_kraus(ch)
-    sup = chmod.superoperator_from_kraus(ch)
     return ChannelProfile(
         channel_id=channel_id,
         dim=ch.dim,
         unital=chmod.is_unital(ch),
         choi_spectrum=chmod.dynamical_spectrum(dyn),
-        superop_spectrum=chmod.superoperator_spectrum(sup),
+        superop_spectrum=chmod.superoperator_spectrum(dyn.superoperator()),
     )
 
 
@@ -148,10 +142,10 @@ def evaluate_profile(
     below ``-gap_tol`` outside the ``q = 1`` band; such a failure is either
     a tolerance problem or a genuine bug and must never be ignored.
     """
-    m = entropy_from_spectrum(profile.choi_spectrum, float(profile.dim), params).value
+    m = entropy_from_spectrum(profile.choi_spectrum, float(profile.dim), params)
     r = entropy_from_spectrum(
         profile.superop_spectrum, float(np.sum(profile.superop_spectrum.values)), params
-    ).value
+    )
     bound_all = lower_bound(profile.dim, params, unital=False)
     bound_unital = lower_bound(profile.dim, params, unital=True) if profile.unital else None
     applicable = bound_unital if bound_unital is not None else bound_all
@@ -178,97 +172,3 @@ def evaluate_profile(
 def evaluate_tradeoff(ch: chmod.KrausChannel, params: EntropyParams, channel_id: str = "") -> TradeoffReport:
     """Profile a channel and evaluate one grid cell."""
     return evaluate_profile(profile_channel(ch, channel_id), params)
-
-
-def domain_min_low(a: float) -> float:
-    """Minimum of ``2 - x - y`` over ``0 <= x, y <= 1`` with ``x y <= a``.
-
-    Equals ``1 - a`` for ``0 < a < 1``: the minimum sits on the hyperbola
-    ``x y = a`` between ``(a, 1)`` and ``(1, a)``.
-    """
-    if not (0.0 < a < 1.0):
-        raise DomainError(f"low-domain minimum needs 0 < a < 1, got {a}")
-    return 1.0 - a
-
-
-def domain_min_high(b: float) -> float:
-    """Minimum of ``x + y - 2`` over ``x, y >= 1`` with ``x y >= b``.
-
-    Equals ``2 (sqrt(b) - 1)`` for ``b > 1`` by the arithmetic-geometric
-    mean inequality along ``x y = b``.
-    """
-    if not (b > 1.0):
-        raise DomainError(f"high-domain minimum needs b > 1, got {b}")
-    return 2.0 * (math.sqrt(b) - 1.0)
-
-
-def grid_domain_min_low(a: float, points: int = 1000) -> float:
-    """Brute-force oracle for :func:`domain_min_low`.
-
-    Evaluates ``2 - x - y`` on a ``(points+1)**2`` grid of the unit square
-    restricted to ``x y <= a``; within twice the grid resolution of the
-    closed form.
-    """
-    if not (0.0 < a < 1.0):
-        raise DomainError(f"low-domain minimum needs 0 < a < 1, got {a}")
-    xs = np.linspace(0.0, 1.0, points + 1)
-    gx, gy = np.meshgrid(xs, xs, indexing="ij")
-    feasible = gx * gy <= a
-    return float(np.min((2.0 - gx - gy)[feasible]))
-
-
-def grid_domain_min_high(b: float, points: int = 1000) -> float:
-    """Brute-force oracle for :func:`domain_min_high`.
-
-    The minimum lies on ``x y = b`` inside ``[1, b] x [1, b]``, so gridding
-    that square suffices; resolution is ``(b - 1)/points``.
-    """
-    if not (b > 1.0):
-        raise DomainError(f"high-domain minimum needs b > 1, got {b}")
-    xs = np.linspace(1.0, b, points + 1)
-    gx, gy = np.meshgrid(xs, xs, indexing="ij")
-    feasible = gx * gy >= b
-    return float(np.min((gx + gy - 2.0)[feasible]))
-
-
-@dataclass(frozen=True)
-class ProofDomainPoint:
-    """Where one channel's norm-ratio pair lands relative to a bound domain.
-
-    ``x`` and ``y`` are the q-norm to trace-norm ratio powers of the
-    dynamical matrix and of ``|K|``; the bound's derivation confines them to
-    the low region (``x, y <= 1``, ``x y <= bound_param``) or the high one
-    (``x, y >= 1``, ``x y >= bound_param``) according to the sign of
-    ``(1-q) s``.
-    """
-
-    x: float
-    y: float
-    domain: str
-    bound_param: float
-    in_domain: bool
-
-
-def proof_domain_point(profile: ChannelProfile, params: EntropyParams) -> ProofDomainPoint:
-    """Diagnostic: check the norm-ratio preconditions behind the bound."""
-    q, s = params.q, params.s
-    gamma, kappa = gamma_kappa(q, s)  # raises on the limit rows
-    del gamma
-
-    def ratio_power(values: np.ndarray) -> float:
-        pos = values[values > 0]
-        norm_q = float(pos.max()) * float(np.sum((pos / pos.max()) ** q)) ** (1.0 / q)
-        return math.exp(q * s * (math.log(norm_q) - math.log(float(np.sum(pos)))))
-
-    x = ratio_power(profile.choi_spectrum.values)
-    y = ratio_power(profile.superop_spectrum.values)
-    factor = 2.0 if profile.unital else 1.0
-    param = float(profile.dim) ** (factor * s * kappa * (1.0 - q))
-    tol = 1e-9
-    if (1.0 - q) * s > 0.0:
-        domain = "high"
-        inside = x >= 1.0 - tol and y >= 1.0 - tol and x * y >= param * (1.0 - tol)
-    else:
-        domain = "low"
-        inside = x <= 1.0 + tol and y <= 1.0 + tol and x * y <= param * (1.0 + tol)
-    return ProofDomainPoint(x=x, y=y, domain=domain, bound_param=param, in_domain=inside)

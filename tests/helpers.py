@@ -21,20 +21,3 @@ def random_density(rng, d):
 
 def random_unitary(rng, d):
     return sampler.haar_unitary(d, rng)
-
-
-def sample_population(base_seed, dims, families, count):
-    """Channels in a fixed order: (family, dim, index, channel)."""
-    out = []
-    for family in families:
-        code = {"cptp": 0, "unitary-mixture": 1, "unistochastic": 2}[family]
-        for d in dims:
-            for i in range(count):
-                cfg = sampler.SamplerConfig(
-                    dim=d,
-                    kraus_count=sampler.default_kraus_count(family, d),
-                    seed=sampler.derive_seed(base_seed, code, d, i),
-                    family=family,
-                )
-                out.append((family, d, i, sampler.sample_channel(cfg)))
-    return out

@@ -7,13 +7,17 @@ even without ``-s``).  Tolerances are pinned here and nowhere else.
 import math
 
 import numpy as np
+import oracles
 import pytest
-from helpers import complex_gaussian, sample_population
+from helpers import complex_gaussian
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chanent import channel as chmod
 from chanent import cli, matcore, sampler, spectra, tradeoff
 from chanent.entropy import EntropyParams, entropy_from_spectrum, uniform_entropy
 from chanent.matcore import Spectrum
+from chanent.sampler import population
 
 Q_GRID = (0.3, 0.5, 0.9, 1.1, 1.5, 2.0, 3.0, 5.0)
 S_GRID = (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0)
@@ -23,6 +27,9 @@ DIMS = (2, 3, 4)
 CPTP_PER_DIM = 200
 MIXTURE_PER_DIM = 200
 UNISTOCHASTIC_PER_DIM = 100
+# criterion 6 compares D and K with their oracles on every family up to d = 16
+ROUTE_DIMS = (2, 3, 4, 8, 16)
+ROUTE_SEEDS = 2
 
 _CACHE = {}
 
@@ -36,19 +43,18 @@ def _verdict(capsys, ok, label):
 def cptp_population():
     if "cptp" not in _CACHE:
         _CACHE["cptp"] = [
-            (fam, d, i, ch, tradeoff.profile_channel(ch, f"{fam}-d{d}-{i:04d}"))
-            for fam, d, i, ch in sample_population(1001, DIMS, ("cptp",), CPTP_PER_DIM)
+            (fam, d, cid, ch, tradeoff.profile_channel(ch, cid))
+            for fam, d, cid, ch in population(1001, DIMS, ("cptp",), CPTP_PER_DIM)
         ]
     return _CACHE["cptp"]
 
 
 def unital_population():
     if "unital" not in _CACHE:
-        pop = sample_population(1002, DIMS, ("unitary-mixture",), MIXTURE_PER_DIM)
-        pop += sample_population(1003, DIMS, ("unistochastic",), UNISTOCHASTIC_PER_DIM)
+        pop = list(population(1002, DIMS, ("unitary-mixture",), MIXTURE_PER_DIM))
+        pop += population(1003, DIMS, ("unistochastic",), UNISTOCHASTIC_PER_DIM)
         _CACHE["unital"] = [
-            (fam, d, i, ch, tradeoff.profile_channel(ch, f"{fam}-d{d}-{i:04d}"))
-            for fam, d, i, ch in pop
+            (fam, d, cid, ch, tradeoff.profile_channel(ch, cid)) for fam, d, cid, ch in pop
         ]
     return _CACHE["unital"]
 
@@ -75,8 +81,8 @@ def test_criterion_1_tradeoff_bound_all_channels(capsys):
 def test_criterion_2_tradeoff_bound_unital_channels(capsys):
     """Entropic sum >= the sharper unital bound on mixture/unistochastic samples."""
     min_gap = math.inf
-    for fam, d, i, _, profile in unital_population():
-        assert profile.unital, (fam, d, i)
+    for _, _, cid, _, profile in unital_population():
+        assert profile.unital, cid
         for params in GRID:
             rep = tradeoff.evaluate_profile(profile, params)
             assert rep.bound_unital is not None
@@ -150,21 +156,21 @@ def test_criterion_5_norm_chain_suite(capsys):
     population = cptp_population() + unital_population()
     min_slack = math.inf
     min_unital_ratio = math.inf
-    for fam, d, i, ch, profile in population:
+    for _, d, cid, ch, profile in population:
         dyn = chmod.dynamical_from_kraus(ch)
         sup = chmod.superoperator_from_kraus(ch)
         for m in (dyn.matrix, sup.matrix):
             rep = spectra.check_two_inf_one(m)
-            assert rep.passed, (fam, d, i)
+            assert rep.passed, cid
             min_slack = min(min_slack, rep.slack)
         rep = spectra.check_superop_norm_bound(ch)
-        assert rep.passed, (fam, d, i)
+        assert rep.passed, cid
         min_slack = min(min_slack, rep.slack)
         rep = spectra.check_norm_product_chain(ch)
-        assert rep.passed, (fam, d, i)
+        assert rep.passed, cid
         min_slack = min(min_slack, rep.slack)
         if profile.unital:
-            assert rep.lhs >= d - 1e-9, (fam, d, i, rep)
+            assert rep.lhs >= d - 1e-9, (cid, rep)
             min_unital_ratio = min(min_unital_ratio, rep.lhs / d)
     ok = min_slack >= -1e-9
     _verdict(
@@ -177,18 +183,32 @@ def test_criterion_5_norm_chain_suite(capsys):
 
 def test_criterion_6_oracle_equivalences(capsys):
     """Independent computation routes agree at their stated tolerances."""
-    population = cptp_population()[::10] + unital_population()[::10]
-    worst_reshuffle = 0.0
+    worst = {"D": 0.0, "K": 0.0}
+    routes = []
+
+    # one channel per family and dimension for each hypothesis-drawn seed
+    @settings(max_examples=ROUTE_SEEDS, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(min_value=0, max_value=2**63 - 1))
+    def representation_routes(seed):
+        for fam, d, _, ch in population(seed, ROUTE_DIMS, tuple(sampler.FAMILY_CODES), 1):
+            dyn = chmod.dynamical_from_kraus(ch)
+            sup = chmod.superoperator_from_kraus(ch)
+            d_err = np.abs(dyn.matrix - oracles.dynamical_via_entangled_input(ch)).max()
+            k_err = np.abs(sup.matrix - oracles.superoperator_via_kron(ch)).max()
+            worst["D"] = max(worst["D"], float(d_err))
+            worst["K"] = max(worst["K"], float(k_err))
+            routes.append((fam, d, len(ch.kraus_ops)))
+
+    representation_routes()
+    assert ("cptp", 16, 256) in routes
+
+    channels = cptp_population()[::10] + unital_population()[::10]
     worst_spec = 0.0
     worst_entropy = 0.0
-    for _, d, _, ch, _ in population:
+    for _, d, _, ch, _ in channels:
         dyn = chmod.dynamical_from_kraus(ch)
-        sup = chmod.superoperator_from_kraus(ch)
-        worst_reshuffle = max(
-            worst_reshuffle, float(np.abs(chmod.reshuffle(dyn.matrix, d) - sup.matrix).max())
-        )
         choi_vals = matcore.hermitian_eigenvalues(dyn.matrix).values
-        gram_vals = matcore.hermitian_eigenvalues(chmod.kraus_gram(ch)).values
+        gram_vals = matcore.hermitian_eigenvalues(oracles.kraus_gram(ch)).values
         width = max(choi_vals.size, gram_vals.size)
         lhs = np.sort(np.pad(choi_vals, (0, width - choi_vals.size)))
         rhs = np.sort(np.pad(gram_vals, (0, width - gram_vals.size)))
@@ -199,8 +219,8 @@ def test_criterion_6_oracle_equivalences(capsys):
         )
         choi_spec = chmod.dynamical_spectrum(dyn)
         for params in GRID:
-            via_choi = entropy_from_spectrum(choi_spec, float(d), params).value
-            via_gram = entropy_from_spectrum(gram_spec, float(d), params).value
+            via_choi = entropy_from_spectrum(choi_spec, float(d), params)
+            via_gram = entropy_from_spectrum(gram_spec, float(d), params)
             # tolerance scale max(|lhs|, |rhs|, 1): reduces to the absolute
             # tolerance wherever the entropy is of order one
             scale = max(abs(via_choi), abs(via_gram), 1.0)
@@ -209,14 +229,15 @@ def test_criterion_6_oracle_equivalences(capsys):
     worst_grid = 0.0
     for _ in range(10):
         a = float(rng.uniform(0.05, 0.95))
-        worst_grid = max(worst_grid, abs(tradeoff.grid_domain_min_low(a) - tradeoff.domain_min_low(a)))
+        worst_grid = max(worst_grid, abs(oracles.grid_domain_min_low(a) - oracles.domain_min_low(a)))
         b = float(rng.uniform(1.05, 4.0))
         points = max(1000, int(math.ceil((b - 1.0) / 1e-3)))
         worst_grid = max(
-            worst_grid, abs(tradeoff.grid_domain_min_high(b, points) - tradeoff.domain_min_high(b))
+            worst_grid, abs(oracles.grid_domain_min_high(b, points) - oracles.domain_min_high(b))
         )
     ok = (
-        worst_reshuffle <= 1e-12
+        worst["D"] <= 1e-12
+        and worst["K"] <= 1e-12
         and worst_spec <= 1e-9
         and worst_entropy <= 1e-9
         and worst_grid <= 2e-3
@@ -225,7 +246,9 @@ def test_criterion_6_oracle_equivalences(capsys):
         capsys,
         ok,
         "criterion 6: oracle equivalences -- "
-        f"reshuffle vs superoperator {worst_reshuffle:.2e} <= 1e-12; "
+        f"D vs entangled input {worst['D']:.2e} <= 1e-12 and "
+        f"K vs Kronecker loop {worst['K']:.2e} <= 1e-12 on {len(routes)} channels, "
+        f"d in {set(ROUTE_DIMS)}; "
         f"Choi vs Gram spectra {worst_spec:.2e} <= 1e-9; "
         f"entropy via Choi vs Gram {worst_entropy:.2e} <= 1e-9; "
         f"domain minima vs grid {worst_grid:.2e} <= 2e-3",
@@ -243,18 +266,18 @@ def test_criterion_7_limit_continuity(capsys):
         )
         for spec, norm in pairs:
             for q in (0.3, 2.0, 5.0):
-                base = entropy_from_spectrum(spec, norm, EntropyParams(q, 0.0)).value
+                base = entropy_from_spectrum(spec, norm, EntropyParams(q, 0.0))
                 for eps, tol in worst:
                     for sign in (1.0, -1.0):
-                        near = entropy_from_spectrum(spec, norm, EntropyParams(q, sign * eps)).value
+                        near = entropy_from_spectrum(spec, norm, EntropyParams(q, sign * eps))
                         worst[(eps, tol)] = max(worst[(eps, tol)], abs(near - base))
             for s in (-1.0, 0.0, 1.0):
-                base = entropy_from_spectrum(spec, norm, EntropyParams(1.0, s)).value
+                base = entropy_from_spectrum(spec, norm, EntropyParams(1.0, s))
                 for eps, tol in worst:
                     for sign in (1.0, -1.0):
                         near = entropy_from_spectrum(
                             spec, norm, EntropyParams(1.0 + sign * eps, s)
-                        ).value
+                        )
                         worst[(eps, tol)] = max(worst[(eps, tol)], abs(near - base))
     ok = all(w <= tol for (eps, tol), w in worst.items())
     detail = "; ".join(f"eps={eps:g}: {w:.2e} <= {tol:g}" for (eps, tol), w in sorted(worst.items()))
@@ -270,8 +293,8 @@ def test_criterion_8_rank_upper_bounds(capsys):
         rank_choi = int(np.count_nonzero(choi.values))
         rank_sup = int(np.count_nonzero(sup.values))
         for params in GRID:
-            m = entropy_from_spectrum(choi, float(d), params).value
-            r = entropy_from_spectrum(sup, norm, params).value
+            m = entropy_from_spectrum(choi, float(d), params)
+            r = entropy_from_spectrum(sup, norm, params)
             worst = max(worst, m - uniform_entropy(rank_choi, params))
             worst = max(worst, r - uniform_entropy(rank_sup, params))
             assert m <= uniform_entropy(d * d, params) + 1e-9

@@ -1,10 +1,17 @@
 import numpy as np
+import oracles
 import pytest
-from helpers import random_density, random_unitary, sample_population
+from helpers import random_density, random_unitary
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chanent import channel as chmod
 from chanent import matcore, sampler
 from chanent.errors import DimensionMismatchError, NotTracePreservingError
+from chanent.sampler import population
+
+ROUTE_DIMS = (2, 3, 4, 8, 16)
+FAMILIES = tuple(sampler.FAMILY_CODES)
 
 
 def identity_channel(d=2):
@@ -36,7 +43,7 @@ class TestKrausChannel:
 class TestMaximallyEntangledState:
     @pytest.mark.parametrize("d", [2, 3, 5])
     def test_definition(self, d):
-        phi = chmod.maximally_entangled_state(d)
+        phi = oracles.maximally_entangled_state(d)
         assert abs(np.linalg.norm(phi) - 1.0) <= 1e-14
         expected = np.zeros(d * d, dtype=complex)
         for nu in range(d):
@@ -67,15 +74,14 @@ class TestDynamicalMatrix:
         np.testing.assert_allclose(spec.values[1:], 0.0, atol=1e-12)
 
     def test_matches_entangled_state_route(self):
-        for _, _, _, ch in sample_population(901, (2, 3), ("cptp", "unitary-mixture"), 4):
+        for _, _, _, ch in population(901, (2, 3), ("cptp", "unitary-mixture"), 4):
             closed = chmod.dynamical_from_kraus(ch)
-            literal = chmod.dynamical_via_entangled_input(ch)
-            np.testing.assert_allclose(closed.matrix, literal.matrix, atol=1e-12)
+            literal = oracles.dynamical_via_entangled_input(ch)
+            np.testing.assert_allclose(closed.matrix, literal, atol=1e-12)
 
     def test_invariants_hold_for_samples(self):
-        pop = sample_population(902, (2, 3), ("cptp", "unitary-mixture", "unistochastic"), 4)
-        for _, _, _, ch in pop:
-            chmod.dynamical_from_kraus(ch).validate()
+        for _, _, _, ch in population(902, (2, 3), FAMILIES, 4):
+            oracles.check_dynamical_invariants(chmod.dynamical_from_kraus(ch))
 
 
 class TestSuperoperatorMatrix:
@@ -99,7 +105,7 @@ class TestSuperoperatorMatrix:
 
     def test_action_on_vectorized_operators(self):
         rng = np.random.default_rng(31)
-        for _, _, _, ch in sample_population(903, (2, 3), ("cptp",), 2):
+        for _, _, _, ch in population(903, (2, 3), ("cptp",), 2):
             sup = chmod.superoperator_from_kraus(ch)
             for _ in range(100):
                 x = rng.normal(size=(ch.dim, ch.dim)) + 1j * rng.normal(size=(ch.dim, ch.dim))
@@ -128,10 +134,11 @@ class TestReshuffle:
         assert abs(np.linalg.norm(chmod.reshuffle(m, 4)) - np.linalg.norm(m)) <= 1e-12
 
     def test_connects_the_representations(self):
-        for _, _, _, ch in sample_population(904, (2, 3), ("cptp", "unistochastic"), 3):
-            dyn = chmod.dynamical_from_kraus(ch)
-            sup = chmod.superoperator_from_kraus(ch)
-            assert np.abs(chmod.reshuffle(dyn.matrix, ch.dim) - sup.matrix).max() <= 1e-12
+        # the paper's identity K = reshuffle(D), between the two oracle routes
+        for _, _, _, ch in population(904, (2, 3), ("cptp", "unistochastic"), 3):
+            dyn = oracles.dynamical_via_entangled_input(ch)
+            sup = oracles.superoperator_via_kron(ch)
+            assert np.abs(chmod.reshuffle(dyn, ch.dim) - sup).max() <= 1e-12
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
@@ -152,18 +159,18 @@ class TestApplyChannel:
         )
 
     def test_output_trace_one_on_maximally_mixed(self):
-        for _, d, _, ch in sample_population(905, (2, 3), ("cptp",), 5):
+        for _, d, _, ch in population(905, (2, 3), ("cptp",), 5):
             out = chmod.apply_channel(ch, np.eye(d) / d)
             assert abs(np.trace(out).real - 1.0) <= 1e-12
 
     def test_matches_dynamical_route(self):
         rng = np.random.default_rng(53)
-        for _, d, _, ch in sample_population(906, (2, 3), ("cptp", "unitary-mixture"), 2):
+        for _, d, _, ch in population(906, (2, 3), ("cptp", "unitary-mixture"), 2):
             dyn = chmod.dynamical_from_kraus(ch)
             for _ in range(25):
                 rho = random_density(rng, d)
                 direct = chmod.apply_channel(ch, rho)
-                via_dyn = chmod.apply_channel_via_dynamical(dyn, rho)
+                via_dyn = oracles.apply_channel_via_dynamical(dyn, rho)
                 assert np.abs(direct - via_dyn).max() <= 1e-10
 
     def test_dimension_mismatch(self):
@@ -189,15 +196,31 @@ class TestIsUnital:
 
 class TestKrausGram:
     def test_matches_choi_spectrum(self):
-        pop = sample_population(907, (2, 3), ("cptp", "unitary-mixture", "unistochastic"), 4)
-        pop.append(("named", 2, 0, sampler.named_channel("amplitude-damping", 2, 0.3)))
+        pop = list(population(907, (2, 3), FAMILIES, 4))
+        pop.append(("named", 2, "amplitude-damping", sampler.named_channel("amplitude-damping", 2, 0.3)))
         for _, d, _, ch in pop:
             choi = matcore.hermitian_eigenvalues(chmod.dynamical_from_kraus(ch).matrix).values
-            gram = matcore.hermitian_eigenvalues(chmod.kraus_gram(ch)).values
+            gram = matcore.hermitian_eigenvalues(oracles.kraus_gram(ch)).values
             width = max(choi.size, gram.size)
             lhs = np.sort(np.pad(choi, (0, width - choi.size)))
             rhs = np.sort(np.pad(gram, (0, width - gram.size)))
             np.testing.assert_allclose(lhs, rhs, atol=1e-9)
+
+
+class TestOracleRoutes:
+    """D and K against their independent routes, up to d = 16 with k = 256."""
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("d", ROUTE_DIMS)
+    @settings(max_examples=3, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**63 - 1))
+    def test_d_and_k_match_oracles(self, d, family, seed):
+        (_, _, _, ch), = population(seed, (d,), (family,), 1)
+        assert len(ch.kraus_ops) == sampler.default_kraus_count(family, d)
+        dyn = chmod.dynamical_from_kraus(ch)
+        sup = chmod.superoperator_from_kraus(ch)
+        assert np.abs(dyn.matrix - oracles.dynamical_via_entangled_input(ch)).max() <= 1e-12
+        assert np.abs(sup.matrix - oracles.superoperator_via_kron(ch)).max() <= 1e-12
 
 
 class TestChannelJson:

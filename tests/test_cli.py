@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from chanent import cli, matcore, sampler
 from chanent.channel import save_channel
@@ -86,6 +87,32 @@ class TestSweep:
         assert "typo_key" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("flag, value", [("--q", "inf"), ("--q", "2,nan"), ("--s", "inf"), ("--s", "-inf,1")])
+    def test_rejects_non_finite_orders(self, tmp_path, capsys, flag, value):
+        out = str(tmp_path / "x")
+        code = cli.main(["sweep", f"{flag}={value}", "--dims", "2", "--samples", "1", "--out", out])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "finite" in err
+
+    @pytest.mark.parametrize(
+        "key, value", [("samples_per_family", "3"), ("dims", 3), ("q_grid", [2.0, "3"]), ("seed", True)]
+    )
+    def test_rejects_mistyped_config_value(self, tmp_path, capsys, key, value):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({key: value}))
+        assert cli.main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and repr(key) in err
+
+    def test_rejects_unreadable_config(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text("{not json")
+        assert cli.main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "x")]) == 2
+        assert cli.main(["sweep", "--config", str(tmp_path / "missing.json")]) == 2
+        assert capsys.readouterr().err.count("config error:") == 2
+
+
 class TestInequalities:
     def test_default_small_run(self, tmp_path):
         out = tmp_path / "iq"
@@ -139,3 +166,21 @@ class TestInequalities:
         assert summary["failure"]["kind"] == "NotPositiveError"
         assert (out / "counterexamples" / "faulty.json").exists()
         assert "NotPositiveError" in capsys.readouterr().err
+
+    def test_channel_check_on_matrix_file_is_a_config_error(self, tmp_path, capsys):
+        mat_path = tmp_path / "m.json"
+        mat_path.write_text(json.dumps(matcore.matrix_to_json(np.eye(2))))
+        out = tmp_path / "none"
+        code = cli.main(["inequalities", "--matrix", str(mat_path), "--only", "upkp", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error: no check ran")
+        assert not (out / "summary.json").exists()
+
+    def test_channel_check_without_sampler_family_is_a_config_error(self, tmp_path, capsys):
+        out = tmp_path / "none"
+        code = cli.main(
+            ["inequalities", "--only", "cbn0", "--family", "named:identity", "--out", str(out)]
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error: no check ran")
+        assert not (out / "summary.json").exists()

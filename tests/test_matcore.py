@@ -71,30 +71,6 @@ class TestSingularValues:
             np.testing.assert_allclose(sv, ev, atol=1e-9)
 
 
-class TestKron:
-    def test_identities(self):
-        np.testing.assert_array_equal(matcore.kron(np.eye(2), np.eye(2)), np.eye(4))
-
-    def test_diagonal(self):
-        np.testing.assert_allclose(
-            matcore.kron(np.diag([1.0, 2.0]), np.diag([3.0, 4.0])), np.diag([3.0, 4.0, 6.0, 8.0])
-        )
-
-    def test_pauli_x_with_identity(self):
-        out = matcore.kron(PAULI_X, np.eye(2))
-        expected = np.zeros((4, 4))
-        expected[0:2, 2:4] = np.eye(2)
-        expected[2:4, 0:2] = np.eye(2)
-        np.testing.assert_array_equal(out, expected)
-
-    def test_index_contract(self):
-        rng = np.random.default_rng(11)
-        a = complex_gaussian(rng, (2, 3))
-        b = complex_gaussian(rng, (4, 2))
-        out = matcore.kron(a, b)
-        assert abs(out[1 * 4 + 2, 2 * 2 + 1] - a[1, 2] * b[2, 1]) <= 1e-15
-
-
 class TestPartialTrace:
     def test_identity_second(self):
         np.testing.assert_allclose(matcore.partial_trace(np.eye(4), 2, "second"), 2 * np.eye(2))
@@ -103,7 +79,7 @@ class TestPartialTrace:
         rng = np.random.default_rng(3)
         a = complex_gaussian(rng, (3, 3))
         b = complex_gaussian(rng, (3, 3))
-        big = matcore.kron(a, b)
+        big = np.kron(a, b)
         np.testing.assert_allclose(
             matcore.partial_trace(big, 3, "second"), a * np.trace(b), atol=1e-12
         )

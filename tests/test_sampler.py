@@ -1,4 +1,5 @@
 import numpy as np
+import oracles
 import pytest
 from helpers import random_density
 
@@ -55,7 +56,7 @@ class TestSampleUnitaryMixture:
         cfg = sampler.SamplerConfig(2, 1, 55, "unitary-mixture")
         ch = sampler.sample_unitary_mixture(cfg)
         dyn = chmod.dynamical_from_kraus(ch)
-        assert abs(map_entropy(dyn, EntropyParams(2.0, 1.0)).value) <= 1e-12
+        assert abs(map_entropy(dyn, EntropyParams(2.0, 1.0))) <= 1e-12
 
     def test_deterministic(self):
         cfg = sampler.SamplerConfig(2, 3, 999, "unitary-mixture")
@@ -129,7 +130,7 @@ class TestNamedChannels:
         ch = sampler.named_channel("amplitude-damping", 2, g)
         assert not chmod.is_unital(ch)
         # Gram matrix is diag(2 - g, g), so the Choi spectrum is {2-g, g, 0, 0}
-        gram = chmod.kraus_gram(ch)
+        gram = oracles.kraus_gram(ch)
         np.testing.assert_allclose(gram, np.diag([2 - g, g]), atol=1e-14)
         spec = chmod.dynamical_spectrum(chmod.dynamical_from_kraus(ch))
         np.testing.assert_allclose(spec.values, [2 - g, g, 0.0, 0.0], atol=1e-12)
@@ -171,3 +172,36 @@ class TestDispatchAndSeeds:
         b = sampler.derive_seed(42, 0, 2, 7)
         c = sampler.derive_seed(42, 0, 2, 8)
         assert a == b and a != c
+
+
+class TestPopulation:
+    def test_order_ids_and_seeds(self):
+        pop = list(sampler.population(5, (3, 2), ("unistochastic", "cptp"), 2, stream=100))
+        assert [cid for _, _, cid, _ in pop] == [
+            "unistochastic-d3-0000",
+            "unistochastic-d3-0001",
+            "cptp-d3-0000",
+            "cptp-d3-0001",
+            "unistochastic-d2-0000",
+            "unistochastic-d2-0001",
+            "cptp-d2-0000",
+            "cptp-d2-0001",
+        ]
+        family, d, _, ch = pop[3]
+        cfg = sampler.SamplerConfig(3, 9, sampler.derive_seed(5, 100 + 0, 3, 1), "cptp")
+        for a, b in zip(ch.kraus_ops, sampler.sample_channel(cfg).kraus_ops):
+            np.testing.assert_array_equal(a, b)
+        assert (family, d, len(ch.kraus_ops)) == ("cptp", 3, 9)
+
+    def test_named_family(self):
+        (family, d, cid, ch), = sampler.population(1, (2,), ("named:identity",), 1)
+        assert (family, d, cid) == ("named:identity", 2, "named:identity-d2-0000")
+        np.testing.assert_array_equal(ch.kraus_ops[0], np.eye(2))
+
+    def test_ginibre_population(self):
+        pop = list(sampler.ginibre_population(5, (2, 3), 2, stream=201))
+        assert [(d, i, g.shape) for d, i, g in pop] == [
+            (2, 0, (2, 2)), (2, 1, (2, 2)), (3, 0, (3, 3)), (3, 1, (3, 3))
+        ]
+        rng = np.random.default_rng(sampler.derive_seed(5, 201, 3, 1))
+        np.testing.assert_array_equal(pop[3][2], sampler.ginibre(3, rng))

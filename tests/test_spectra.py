@@ -2,23 +2,26 @@ import math
 
 import numpy as np
 import pytest
-from helpers import complex_gaussian, random_psd, random_unitary, sample_population
+from helpers import complex_gaussian, random_psd, random_unitary
 
 from chanent import channel as chmod
 from chanent import sampler, spectra
 from chanent.errors import InvalidOrderError, InvalidSpectrumError, NotPositiveError
+from chanent.sampler import population
 
 
 class TestNormOrder:
     def test_regimes(self):
-        assert spectra.NormOrder.of(1.0).regime == "norm"
-        assert spectra.NormOrder.of(math.inf).regime == "norm"
-        assert spectra.NormOrder.of(0.5).regime == "antinorm-psd"
-        assert spectra.NormOrder.of(-1.0).regime == "antinorm-strict"
+        # an order's regime picks the norm (q >= 1) or the anti-norm (q < 1)
+        x = np.diag([1.0, 4.0])
+        assert spectra.schatten(x, 1.0) == spectra.schatten_norm(x, 1.0)
+        assert spectra.schatten(x, math.inf) == spectra.schatten_norm(x, math.inf)
+        assert spectra.schatten(x, 0.5) == spectra.schatten_antinorm(x, 0.5)
+        assert spectra.schatten(x, -1.0) == spectra.schatten_antinorm(x, -1.0)
 
     def test_zero_rejected(self):
         with pytest.raises(InvalidOrderError):
-            spectra.NormOrder.of(0.0)
+            spectra.schatten(np.eye(2), 0.0)
 
 
 class TestSchattenNorm:
@@ -37,7 +40,7 @@ class TestSchattenNorm:
         assert abs(spectra.schatten_norm(x, 2.0) - entry_form) <= 1e-12 * entry_form
 
     def test_trace_norm_of_dynamical_matrix_is_dim(self):
-        for _, d, _, ch in sample_population(908, (2, 3, 4), ("cptp", "unitary-mixture"), 3):
+        for _, d, _, ch in population(908, (2, 3, 4), ("cptp", "unitary-mixture"), 3):
             dyn = chmod.dynamical_from_kraus(ch)
             assert abs(spectra.schatten_norm(dyn.matrix, 1.0) - d) <= 1e-10 * d
 
@@ -221,7 +224,7 @@ class TestCheckSuperadditivity:
 
 class TestCheckNormProductChain:
     def test_bound_per_family(self):
-        pop = sample_population(910, (2, 3), ("cptp", "unitary-mixture", "unistochastic"), 4)
+        pop = population(910, (2, 3), ("cptp", "unitary-mixture", "unistochastic"), 4)
         for family, d, _, ch in pop:
             rep = spectra.check_norm_product_chain(ch)
             assert rep.passed, (family, d, rep)

@@ -1,13 +1,14 @@
 import math
 
 import numpy as np
+import oracles
 import pytest
-from helpers import sample_population
 
 from chanent import sampler, tradeoff
 from chanent.entropy import EntropyParams, q_log
 from chanent.errors import BoundViolation, DomainError
 from chanent.matcore import Spectrum
+from chanent.sampler import population
 
 Q_GRID = (0.3, 0.5, 0.9, 1.0, 1.1, 1.5, 2.0, 3.0, 5.0)
 S_GRID = (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0)
@@ -119,7 +120,7 @@ class TestEvaluate:
 class TestSuites:
     def test_all_channel_bound_on_cptp_samples(self):
         min_gap = math.inf
-        for _, _, _, ch in sample_population(917, (2, 3), ("cptp",), 20):
+        for _, _, _, ch in population(917, (2, 3), ("cptp",), 20):
             profile = tradeoff.profile_channel(ch)
             for q in Q_GRID:
                 for s in S_GRID:
@@ -128,7 +129,7 @@ class TestSuites:
         assert min_gap >= -1e-9
 
     def test_unital_bound_on_unital_samples(self):
-        pop = sample_population(918, (2, 3), ("unitary-mixture", "unistochastic"), 10)
+        pop = population(918, (2, 3), ("unitary-mixture", "unistochastic"), 10)
         for _, _, _, ch in pop:
             profile = tradeoff.profile_channel(ch)
             assert profile.unital
@@ -138,38 +139,38 @@ class TestSuites:
                     assert rep.gap >= -1e-9
 
     def test_proof_domain_preconditions(self):
-        for _, _, _, ch in sample_population(919, (2, 3), ("cptp", "unitary-mixture"), 5):
+        for _, _, _, ch in population(919, (2, 3), ("cptp", "unitary-mixture"), 5):
             profile = tradeoff.profile_channel(ch)
             for q in Q_GRID:
                 for s in S_GRID:
                     if abs(q - 1.0) <= 1e-8 or s == 0.0:
                         continue
-                    point = tradeoff.proof_domain_point(profile, EntropyParams(q, s))
+                    point = oracles.proof_domain_point(profile, EntropyParams(q, s))
                     assert point.in_domain, (q, s, point)
 
 
 class TestDomainMinima:
     def test_closed_forms(self):
-        assert tradeoff.domain_min_low(0.25) == pytest.approx(0.75)
-        assert tradeoff.domain_min_high(4.0) == pytest.approx(2.0)
+        assert oracles.domain_min_low(0.25) == pytest.approx(0.75)
+        assert oracles.domain_min_high(4.0) == pytest.approx(2.0)
 
     def test_domain_errors(self):
         for bad in (0.0, 1.0, -0.5):
             with pytest.raises(DomainError):
-                tradeoff.domain_min_low(bad)
+                oracles.domain_min_low(bad)
         for bad in (1.0, 0.5):
             with pytest.raises(DomainError):
-                tradeoff.domain_min_high(bad)
+                oracles.domain_min_high(bad)
 
     def test_grid_oracle_low(self):
-        assert abs(tradeoff.grid_domain_min_low(0.37) - 0.63) <= 2e-3
+        assert abs(oracles.grid_domain_min_low(0.37) - 0.63) <= 2e-3
 
     def test_grid_oracle_random(self):
         rng = np.random.default_rng(920)
         for _ in range(5):
             a = float(rng.uniform(0.05, 0.95))
-            assert abs(tradeoff.grid_domain_min_low(a) - (1 - a)) <= 2e-3
+            assert abs(oracles.grid_domain_min_low(a) - (1 - a)) <= 2e-3
             b = float(rng.uniform(1.05, 4.0))
             points = max(1000, int(math.ceil((b - 1.0) / 1e-3)))
-            got = tradeoff.grid_domain_min_high(b, points=points)
+            got = oracles.grid_domain_min_high(b, points=points)
             assert abs(got - 2 * (math.sqrt(b) - 1)) <= 2e-3
