@@ -15,23 +15,37 @@ Runs are deterministic end to end: per-sample seeds derive from the base
 seed and the sample address, and output rows are ordered by
 (dimension, family, sample, q, s) regardless of evaluation order, so a
 repeated run reproduces ``report.csv`` byte for byte.
+
+A sweep evaluates each channel's whole grid in one array pass against bounds
+tabulated once per dimension, and formats the strings that do not change
+from row to row (channel columns, orders, bounds) once.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import math
 import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
+import numpy as np
+
 from . import channel as chmod
 from . import matcore, sampler, spectra
-from .entropy import EntropyParams
-from .errors import BoundViolation
-from .tradeoff import GAP_TOL, SAT_TOL, TradeoffReport, evaluate_profile, profile_channel
+from .errors import BoundViolation, DomainError
+from .tradeoff import (
+    GAP_TOL,
+    SAT_TOL,
+    BoundTable,
+    TradeoffReport,
+    bound_table,
+    evaluate_profile,
+    profile_channel,
+)
 
 __all__ = ["SweepConfig", "ConfigError", "run_sweep", "run_inequality_suite", "main"]
 
@@ -55,6 +69,8 @@ CSV_COLUMNS = [
 ]
 
 CHECK_NAMES = ("prop1", "21in", "upkp", "npqr", "sups", "cbn0")
+# The checks that run on sampled channels rather than on matrices.
+CHANNEL_CHECKS = ("upkp", "cbn0")
 
 
 class ConfigError(ValueError):
@@ -145,40 +161,58 @@ def config_from_file(path) -> SweepConfig:
     return SweepConfig(**raw)
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(float(value))  # plain-float repr is the shortest round-trip form
-    return str(value)
+def _load_input(load, path, what: str):
+    """``load(path)``, with an unreadable, malformed or invalid file as a ConfigError."""
+    try:
+        return load(path)
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise ConfigError(f"could not load {what} file {str(path)!r}: {exc}") from exc
 
 
-def _row(report: TradeoffReport, family: str, dim: int, unital: bool) -> dict:
-    return {
-        "channel_id": report.channel_id,
-        "family": family,
-        "dim": dim,
-        "unital": unital,
-        "q": report.params.q,
-        "s": report.params.s,
-        "map_entropy": report.map_value,
-        "receiver_entropy": report.receiver_value,
-        "sum": report.map_value + report.receiver_value,
-        "bound_all": report.bound_all,
-        "bound_unital": report.bound_unital,
-        "gap": report.gap,
-        "saturated": report.saturated,
-    }
+def _load_matrix(path):
+    with open(path, encoding="utf-8") as fh:
+        return matcore.matrix_from_json(json.load(fh))
 
 
-def _write_csv(path: Path, rows: list[dict]) -> None:
+def _bound_cells(bounds: BoundTable) -> tuple[list, list]:
+    """Per cell, the row strings ``(q, s, bound_all, bound_unital)`` fixed by the table.
+
+    One list for non-unital channels (empty unital bound), one for unital ones.
+    """
+    orders = [(repr(q), repr(s)) for q in bounds.q.tolist() for s in bounds.s.tolist()]
+    bound_all = [repr(b) for b in bounds.all_channels.ravel().tolist()]
+    bound_unital = [repr(b) for b in bounds.unital.ravel().tolist()]
+    plain = [(q, s, b, "") for (q, s), b in zip(orders, bound_all)]
+    unital = [(q, s, b, u) for (q, s), b, u in zip(orders, bound_all, bound_unital)]
+    return plain, unital
+
+
+_BOOL = {False: "false", True: "true"}
+
+
+def _write_csv(path: Path, blocks: list) -> None:
+    """Write report.csv from per-channel blocks ``(prefix, cells, grid, count)``.
+
+    ``prefix`` holds the channel columns, ``cells`` the per-cell strings of
+    :func:`_bound_cells`, and the first ``count`` cells of ``grid`` in
+    row-major order are written; only the entropies, sum and gap are
+    formatted per row.
+    """
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
-        for row in rows:
-            writer.writerow([_fmt(row[col]) for col in CSV_COLUMNS])
+        for prefix, cells, grid, count in blocks:
+            values = zip(
+                cells,
+                grid.map_values.ravel().tolist(),
+                grid.receiver_values.ravel().tolist(),
+                grid.gap.ravel().tolist(),
+                grid.saturated.ravel().tolist(),
+            )
+            writer.writerows(
+                [*prefix, q, s, repr(m), repr(r), repr(m + r), b_all, b_unital, repr(g), _BOOL[sat]]
+                for (q, s, b_all, b_unital), m, r, g, sat in itertools.islice(values, count)
+            )
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -213,50 +247,60 @@ def run_sweep(cfg: SweepConfig, out_dir, channel_path=None) -> int:
     """Evaluate the trade-off grid and write report.csv / summary.json."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    rows: list[dict] = []
-    stats: dict[str, dict] = {}
-    violation_info = None
     if channel_path is not None:
-        ch = chmod.load_channel(channel_path)
+        ch = _load_input(chmod.load_channel, channel_path, "channel")
         channels = [("file", ch.dim, Path(channel_path).stem, ch)]
     else:
         channels = sampler.population(cfg.seed, cfg.dims, cfg.families, cfg.samples_per_family)
 
+    tables: dict[int, tuple] = {}  # dim -> (bounds, non-unital cells, unital cells, limit flags)
+    blocks = []
+    stats: dict[str, dict] = {}
+    totals = {"rows": 0, "min_gap": math.inf, "saturation_count": 0, "limit_rows": 0}
+    violation_info = None
     for family, dim, channel_id, ch in channels:
         profile = profile_channel(ch, channel_id)
+        if dim not in tables:
+            bounds = bound_table(dim, cfg.q_grid, cfg.s_grid)
+            limit = np.repeat(bounds.limit_rows, bounds.s.size)
+            tables[dim] = (bounds, *_bound_cells(bounds), limit)
+        bounds, plain_cells, unital_cells, limit = tables[dim]
         fam_stats = stats.setdefault(
             family, {"rows": 0, "min_gap": math.inf, "saturation_count": 0}
         )
-        for q in cfg.q_grid:
-            for s in cfg.s_grid:
-                params = EntropyParams(float(q), float(s))
-                try:
-                    report = evaluate_profile(
-                        profile, params, sat_tol=cfg.sat_tol(), gap_tol=cfg.gap_tol()
-                    )
-                except BoundViolation as exc:
-                    path = _serialize_counterexample(out, ch, exc.report, family)
-                    rows.append(_row(exc.report, family, dim, profile.unital))
-                    violation_info = {"message": str(exc), "counterexample": path.name}
-                    break
-                rows.append(_row(report, family, dim, profile.unital))
-                fam_stats["rows"] += 1
-                fam_stats["min_gap"] = min(fam_stats["min_gap"], report.gap)
-                fam_stats["saturation_count"] += int(report.saturated)
-            if violation_info:
-                break
+        try:
+            grid = evaluate_profile(profile, bounds, sat_tol=cfg.sat_tol(), gap_tol=cfg.gap_tol())
+            count = passed = grid.gap.size
+        except BoundViolation as exc:
+            grid = exc.grid
+            passed = exc.cell[0] * bounds.s.size + exc.cell[1]
+            count = passed + 1
+            path = _serialize_counterexample(out, ch, exc.report, family)
+            violation_info = {"message": str(exc), "counterexample": path.name}
+        except DomainError as exc:
+            raise ConfigError(str(exc)) from exc
+        gaps = grid.gap.ravel()
+        saturated = grid.saturated.ravel()
+        # the violating row is written and counted in the totals, not per family
+        for st, n in ((fam_stats, passed), (totals, count)):
+            if n:
+                st["rows"] += n
+                st["min_gap"] = min(st["min_gap"], float(gaps[:n].min()))
+                st["saturation_count"] += int(saturated[:n].sum())
+        totals["limit_rows"] += int(limit[:count].sum())
+        prefix = (channel_id, family, str(dim), _BOOL[profile.unital])
+        blocks.append((prefix, unital_cells if profile.unital else plain_cells, grid, count))
         if violation_info:
             break
 
-    _write_csv(out / "report.csv", rows)
-    gaps = [row["gap"] for row in rows]
+    _write_csv(out / "report.csv", blocks)
     summary = {
         "mode": "sweep",
-        "rows": len(rows),
-        "min_gap": min(gaps) if gaps else None,
+        "rows": totals["rows"],
+        "min_gap": totals["min_gap"],
         "violations": 1 if violation_info else 0,
-        "saturation_count": sum(1 for row in rows if row["saturated"]),
-        "limit_rows": sum(1 for row in rows if EntropyParams(row["q"], row["s"]).von_neumann_limit),
+        "saturation_count": totals["saturation_count"],
+        "limit_rows": totals["limit_rows"],
         "per_family": {
             fam: {
                 "rows": st["rows"],
@@ -273,7 +317,7 @@ def run_sweep(cfg: SweepConfig, out_dir, channel_path=None) -> int:
     if violation_info:
         print(f"BOUND VIOLATION: {violation_info['message']}", file=sys.stderr)
         return 1
-    print(f"sweep ok: {len(rows)} rows, min gap {summary['min_gap']!r} -> {out}")
+    print(f"sweep ok: {totals['rows']} rows, min gap {summary['min_gap']!r} -> {out}")
     return 0
 
 
@@ -288,8 +332,16 @@ def run_inequality_suite(cfg: SweepConfig, out_dir, only=None, matrix_path=None)
 
     injected = None
     if matrix_path is not None:
-        with open(matrix_path, encoding="utf-8") as fh:
-            injected = [(Path(matrix_path).stem, matcore.matrix_from_json(json.load(fh)))]
+        injected = [(Path(matrix_path).stem, _load_input(_load_matrix, matrix_path, "matrix"))]
+    families = [f for f in cfg.families if f in sampler.FAMILY_CODES]
+    # A selected channel check that cannot run is an error, unless --matrix
+    # was asked for: it runs the matrix checks only, and some of those run.
+    skipped = [n for n in selected if n in CHANNEL_CHECKS and (injected is not None or not families)]
+    if skipped and (injected is None or len(skipped) == len(selected)):
+        raise ConfigError(
+            f"no check ran for {', '.join(skipped)}: the channel checks (upkp, cbn0) "
+            "need a sampler family and no --matrix"
+        )
 
     def cases(kind: str, stream: int) -> list:
         """The injected matrix, or Ginibre matrices ``G`` ("mat") or ``G G^dag`` ("psd")."""
@@ -333,8 +385,7 @@ def run_inequality_suite(cfg: SweepConfig, out_dir, only=None, matrix_path=None)
             for (label, x), (_, y) in zip(cases("psd", 204), cases("psd", 205)):
                 for q in anti_orders:
                     record("sups", label, spectra.check_superadditivity(x, y, float(q)))
-        if injected is None and ("upkp" in selected or "cbn0" in selected):
-            families = [f for f in cfg.families if f in sampler.FAMILY_CODES]
+        if injected is None and any(n in selected for n in CHANNEL_CHECKS):
             suite = sampler.population(
                 cfg.seed, cfg.dims, families, cfg.samples_per_family, stream=100
             )
@@ -349,12 +400,6 @@ def run_inequality_suite(cfg: SweepConfig, out_dir, only=None, matrix_path=None)
             ce = out / "counterexamples"
             ce.mkdir(parents=True, exist_ok=True)
             _write_json(ce / f"{injected[0][0]}.json", matcore.matrix_to_json(injected[0][1]))
-    if not results and failure is None:
-        raise ConfigError(
-            f"no check ran for {', '.join(selected)}: the channel checks (upkp, cbn0) "
-            "need a sampler family and no --matrix"
-        )
-
     summary = {
         "mode": "inequalities",
         "checks": {

@@ -2,19 +2,23 @@
 
 The map entropy is the ``(q, s)``-entropy of the dynamical-matrix spectrum
 normalized by ``d`` (its trace); the receiver entropy is the same functional
-of the superoperator singular values normalized by their sum.  Both delegate
-to one kernel on a normalized weight vector ``w``:
+of the superoperator singular values normalized by their sum.  Both come from
+one kernel, :func:`entropy_grid`, on a normalized weight vector ``w``:
 
 * ``s != 0, q != 1``:  ``(A**s - 1) / ((1-q) s)`` with ``A = sum_j w_j**q``,
 * ``s = 0`` (Renyi):   ``ln(A) / (1-q)``,
 * ``q = 1`` (von Neumann/Shannon, any ``s``):  ``-sum_j w_j ln w_j``.
 
-Inside a band of half-width ``LIMIT_EPS`` around ``s = 0`` and ``q = 1`` the
-closed-form limits replace the generic expression, which loses all precision
-there to cancellation; outside the band ``(A**s - 1)/s`` is evaluated as
-``expm1(s ln A)/s`` to keep ~12 digits right up to the band edge.  Zero
-weights contribute nothing for every ``q > 0`` (continuity convention);
-``q <= 0`` is rejected.
+The kernel evaluates a whole ``(q, s)`` grid at once: ``ln A`` once per
+``q`` from the ``(n_q, n_w)`` power matrix ``w**q``, then the ``s``
+dependence by broadcasting.  Inside a band of half-width ``LIMIT_EPS`` around
+``s = 0`` and ``q = 1`` the closed-form limits replace the generic
+expression, which loses all precision there to cancellation; outside the
+band ``(A**s - 1)/s`` is evaluated as ``expm1(s ln A)/s`` to keep ~12 digits
+right up to the band edge.  Zero weights contribute nothing for every
+``q > 0`` (continuity convention); ``q <= 0`` is rejected.  Cells whose value
+does not fit a double (``|s|`` or ``q`` so large that ``A**s`` overflows or
+``A`` underflows) come out as ``inf`` or ``nan``, for the caller to check.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ __all__ = [
     "LIMIT_EPS",
     "EntropyParams",
     "q_log",
+    "entropy_grid",
     "entropy_from_spectrum",
     "map_entropy",
     "receiver_entropy",
@@ -75,12 +80,13 @@ def q_log(x: float, q: float) -> float:
     return math.expm1((1.0 - q) * math.log(x)) / (1.0 - q)
 
 
-def entropy_from_spectrum(spectrum: Spectrum, normalizer: float, params: EntropyParams) -> float:
-    """Unified entropy of ``spectrum.values / normalizer``.
+def entropy_grid(spectrum: Spectrum, normalizer: float, q_grid, s_grid) -> np.ndarray:
+    """Unified entropies of ``spectrum.values / normalizer`` on the grid ``q_grid x s_grid``.
 
-    Shared kernel behind the map and receiver entropies; ``normalizer`` is
-    the total weight of the spectrum (the dynamical-matrix trace ``d`` in
-    the map case, the singular-value sum in the receiver case).
+    Returns the ``(len(q_grid), len(s_grid))`` array, cell ``[i, j]`` at
+    ``(q_grid[i], s_grid[j])``.  ``normalizer`` is the total weight of the
+    spectrum (the dynamical-matrix trace ``d`` in the map case, the
+    singular-value sum in the receiver case).
     """
     vals = np.asarray(spectrum.values, dtype=float)
     if vals.size == 0 or float(vals.min()) < 0.0:
@@ -88,15 +94,24 @@ def entropy_from_spectrum(spectrum: Spectrum, normalizer: float, params: Entropy
     w = vals[vals > 0.0] / normalizer
     if w.size == 0:
         raise InvalidSpectrumError("spectrum carries no weight")
-    if params.von_neumann_limit:
-        value = float(-np.sum(w * np.log(w)))
-    else:
-        log_a = math.log(float(np.sum(w**params.q)))
-        if params.renyi_limit:
-            value = log_a / (1.0 - params.q)
-        else:
-            value = math.expm1(params.s * log_a) / ((1.0 - params.q) * params.s)
+    q = np.asarray(q_grid, dtype=float).reshape(-1, 1)
+    s = np.asarray(s_grid, dtype=float).reshape(1, -1)
+    if not ((q > 0.0).all() and np.isfinite(q).all() and np.isfinite(s).all()):
+        raise DomainError(f"entropy orders need finite q > 0 and finite s, got q={q_grid}, s={s_grid}")
+    # The cells a limit form replaces divide by zero here, and out-of-range
+    # orders overflow; both are left to IEEE arithmetic.
+    with np.errstate(all="ignore"):
+        log_a = np.log((w**q).sum(axis=1, keepdims=True))
+        value = np.where(
+            np.abs(s) <= LIMIT_EPS, log_a / (1.0 - q), np.expm1(s * log_a) / ((1.0 - q) * s)
+        )
+        value = np.where(np.abs(q - 1.0) <= LIMIT_EPS, -(w * np.log(w)).sum(), value)
     return value + 0.0  # +0.0 drops a -0.0 sign
+
+
+def entropy_from_spectrum(spectrum: Spectrum, normalizer: float, params: EntropyParams) -> float:
+    """Unified entropy of ``spectrum.values / normalizer`` at one ``(q, s)``."""
+    return float(entropy_grid(spectrum, normalizer, (params.q,), (params.s,))[0, 0])
 
 
 def map_entropy(dyn: chmod.DynamicalMatrix, params: EntropyParams) -> float:

@@ -64,9 +64,12 @@ class BoundViolation(RuntimeError):
     """A trade-off lower bound failed beyond tolerance.
 
     Carries the offending report so the counterexample can be serialized;
-    this is never swallowed silently.
+    this is never swallowed silently.  A grid evaluation also passes the
+    whole grid and the ``(i, j)`` index of the offending cell in it.
     """
 
-    def __init__(self, message, report):
+    def __init__(self, message, report, grid=None, cell=None):
         super().__init__(message)
         self.report = report
+        self.grid = grid
+        self.cell = cell

@@ -12,6 +12,11 @@ derivation excludes ``q = 1`` exactly, so on that row the evaluator reports
 the ``q -> 1`` limit value (``kappa = 1``) without asserting it as a theorem:
 :class:`BoundViolation` is raised only off the ``q = 1`` band.
 
+A channel is evaluated on a whole ``(q, s)`` grid at once: the bounds of
+one dimension are tabulated once (:func:`bound_table`), and
+:func:`evaluate_profile` computes the map and receiver entropies and the gap
+of every cell of that table in one array pass.
+
 The auxiliary minimizations behind the bound, over the planar regions
 ``{0 <= x, y <= 1, x y <= a}`` and ``{x, y >= 1, x y >= b}``, have closed
 forms ``1 - a`` and ``2 (sqrt(b) - 1)``; those closed forms, their
@@ -27,8 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import channel as chmod
-from .entropy import LIMIT_EPS, EntropyParams, entropy_from_spectrum
-from .errors import BoundViolation, DomainError
+from .entropy import LIMIT_EPS, EntropyParams, entropy_grid
+from .errors import BoundViolation, DimensionMismatchError, DomainError
 from .matcore import Spectrum
 
 __all__ = [
@@ -36,9 +41,12 @@ __all__ = [
     "GAP_TOL",
     "gamma_kappa",
     "lower_bound",
+    "BoundTable",
+    "bound_table",
     "ChannelProfile",
     "profile_channel",
     "TradeoffReport",
+    "GridReport",
     "evaluate_profile",
     "evaluate_tradeoff",
 ]
@@ -88,6 +96,48 @@ def lower_bound(d: int, params: EntropyParams, unital: bool) -> float:
 
 
 @dataclass(frozen=True, eq=False)
+class BoundTable:
+    """Both lower bounds of one dimension on every cell of a ``(q, s)`` grid.
+
+    ``all_channels[i, j]`` and ``unital[i, j]`` are :func:`lower_bound` at
+    ``(q[i], s[j])``; ``limit_rows[i]`` marks the ``q = 1`` band, where the
+    bound is reported but not asserted.
+    """
+
+    dim: int
+    q: np.ndarray
+    s: np.ndarray
+    all_channels: np.ndarray
+    unital: np.ndarray
+
+    @property
+    def limit_rows(self) -> np.ndarray:
+        return np.abs(self.q - 1.0) <= LIMIT_EPS
+
+
+def bound_table(d: int, q_grid, s_grid) -> BoundTable:
+    """Tabulate :func:`lower_bound` for dimension ``d`` on ``q_grid x s_grid``.
+
+    A bound too large for a double (huge ``|s|``) is stored as ``+inf``, its
+    true sign, so the evaluation reports the cell instead of overflowing.
+    """
+    q = np.array(q_grid, dtype=float)
+    s = np.array(s_grid, dtype=float)
+    cells = [EntropyParams(qi, si) for qi in q.tolist() for si in s.tolist()]
+
+    def table(unital: bool) -> np.ndarray:
+        values = []
+        for params in cells:
+            try:
+                values.append(lower_bound(d, params, unital))
+            except OverflowError:
+                values.append(math.inf)
+        return np.array(values).reshape(q.size, s.size)
+
+    return BoundTable(d, q, s, table(False), table(True))
+
+
+@dataclass(frozen=True, eq=False)
 class ChannelProfile:
     """Everything the grid evaluation needs, computed once per channel."""
 
@@ -130,45 +180,85 @@ class TradeoffReport:
     saturated: bool
 
 
+@dataclass(frozen=True, eq=False)
+class GridReport:
+    """One channel evaluated on every cell of a :class:`BoundTable`.
+
+    The arrays are ``(n_q, n_s)``, laid out like the table; ``gap`` is
+    measured against the unital bound for unital channels and against the
+    all-channels bound otherwise.
+    """
+
+    profile: ChannelProfile
+    bounds: BoundTable
+    map_values: np.ndarray
+    receiver_values: np.ndarray
+    gap: np.ndarray
+    saturated: np.ndarray
+
+    def report(self, i: int, j: int) -> TradeoffReport:
+        """The cell at ``(q[i], s[j])`` as a :class:`TradeoffReport`."""
+        b = self.bounds
+        return TradeoffReport(
+            channel_id=self.profile.channel_id,
+            params=EntropyParams(float(b.q[i]), float(b.s[j])),
+            map_value=float(self.map_values[i, j]),
+            receiver_value=float(self.receiver_values[i, j]),
+            bound_all=float(b.all_channels[i, j]),
+            bound_unital=float(b.unital[i, j]) if self.profile.unital else None,
+            gap=float(self.gap[i, j]),
+            saturated=bool(self.saturated[i, j]),
+        )
+
+
 def evaluate_profile(
     profile: ChannelProfile,
-    params: EntropyParams,
+    bounds: BoundTable,
     sat_tol: float = SAT_TOL,
     gap_tol: float = GAP_TOL,
-) -> TradeoffReport:
-    """Entropic sum, applicable bound(s) and gap for one grid cell.
+) -> GridReport:
+    """Entropic sums, applicable bounds and gaps on every cell of ``bounds``.
 
-    Raises :class:`BoundViolation` carrying the full report if the gap drops
-    below ``-gap_tol`` outside the ``q = 1`` band; such a failure is either
-    a tolerance problem or a genuine bug and must never be ignored.
+    Raises :class:`DomainError` naming the first cell, in ``(q, s)``
+    row-major order, whose entropy or gap is not finite.  Raises
+    :class:`BoundViolation` carrying the report of the first cell whose gap
+    drops below ``-gap_tol`` outside the ``q = 1`` band, and the whole grid;
+    such a failure is either a tolerance problem or a genuine bug and must
+    never be ignored.
     """
-    m = entropy_from_spectrum(profile.choi_spectrum, float(profile.dim), params)
-    r = entropy_from_spectrum(
-        profile.superop_spectrum, float(np.sum(profile.superop_spectrum.values)), params
+    if bounds.dim != profile.dim:
+        raise DimensionMismatchError(f"bound table for d={bounds.dim}, channel has d={profile.dim}")
+    m = entropy_grid(profile.choi_spectrum, float(profile.dim), bounds.q, bounds.s)
+    r = entropy_grid(
+        profile.superop_spectrum, float(np.sum(profile.superop_spectrum.values)), bounds.q, bounds.s
     )
-    bound_all = lower_bound(profile.dim, params, unital=False)
-    bound_unital = lower_bound(profile.dim, params, unital=True) if profile.unital else None
-    applicable = bound_unital if bound_unital is not None else bound_all
-    gap = (m + r) - applicable
-    report = TradeoffReport(
-        channel_id=profile.channel_id,
-        params=params,
-        map_value=m,
-        receiver_value=r,
-        bound_all=bound_all,
-        bound_unital=bound_unital,
-        gap=gap,
-        saturated=gap <= sat_tol,
-    )
-    if gap < -gap_tol and not params.von_neumann_limit:
-        raise BoundViolation(
-            f"entropic sum fell {-gap:.3e} below the bound on channel "
-            f"{profile.channel_id!r} at q={params.q}, s={params.s}",
-            report,
+    applicable = bounds.unital if profile.unital else bounds.all_channels
+    with np.errstate(invalid="ignore"):  # inf - inf; reported below
+        gap = (m + r) - applicable
+    non_finite = ~np.isfinite(gap)
+    if non_finite.any():
+        i, j = np.argwhere(non_finite)[0]
+        raise DomainError(
+            f"entropy or gap is not finite at q={float(bounds.q[i])}, s={float(bounds.s[j])} on "
+            f"channel {profile.channel_id!r}: map {float(m[i, j])}, receiver {float(r[i, j])}, "
+            f"bound {float(applicable[i, j])}"
         )
-    return report
+    grid = GridReport(profile, bounds, m, r, gap, gap <= sat_tol)
+    violated = (gap < -gap_tol) & ~bounds.limit_rows[:, None]
+    if violated.any():
+        i, j = np.argwhere(violated)[0]
+        report = grid.report(i, j)
+        raise BoundViolation(
+            f"entropic sum fell {-report.gap:.3e} below the bound on channel "
+            f"{profile.channel_id!r} at q={report.params.q}, s={report.params.s}",
+            report,
+            grid=grid,
+            cell=(int(i), int(j)),
+        )
+    return grid
 
 
 def evaluate_tradeoff(ch: chmod.KrausChannel, params: EntropyParams, channel_id: str = "") -> TradeoffReport:
     """Profile a channel and evaluate one grid cell."""
-    return evaluate_profile(profile_channel(ch, channel_id), params)
+    bounds = bound_table(ch.dim, (params.q,), (params.s,))
+    return evaluate_profile(profile_channel(ch, channel_id), bounds).report(0, 0)

@@ -3,8 +3,9 @@
 Each oracle computes a quantity a second way, by construction rather than by
 the closed form the library uses: ``D`` by acting on the maximally entangled
 state, ``K`` by the Kronecker loop, the channel action from ``D``, the Choi
-spectrum from the Kraus Gram matrix, and the bound's auxiliary domain minima
-by grid search.  None of them is used by ``src/chanent``.
+spectrum from the Kraus Gram matrix, the ``(q, s)``-entropy one cell at a
+time in scalar arithmetic, and the bound's auxiliary domain minima by grid
+search.  None of them is used by ``src/chanent``.
 """
 
 import math
@@ -14,7 +15,8 @@ import numpy as np
 
 from chanent import matcore
 from chanent.channel import TP_TOL
-from chanent.errors import DomainError, NotTracePreservingError
+from chanent.entropy import LIMIT_EPS
+from chanent.errors import DomainError, InvalidSpectrumError, NotTracePreservingError
 from chanent.spectra import _power_mean_root
 from chanent.tradeoff import gamma_kappa
 
@@ -89,6 +91,30 @@ def check_dynamical_invariants(dyn):
         raise NotTracePreservingError(
             f"partial trace over the principal system deviates from I by {dev:.3e}"
         )
+
+
+def entropy_per_cell(spectrum, normalizer, params):
+    """Unified entropy of ``spectrum.values / normalizer`` at one cell, in scalar arithmetic.
+
+    The per-cell route the grid kernel replaced: the same closed forms on the
+    same ``LIMIT_EPS`` bands, with ``math`` functions on one ``(q, s)`` at a
+    time, so it raises ``OverflowError`` where the grid gives ``inf``.
+    """
+    vals = np.asarray(spectrum.values, dtype=float)
+    if vals.size == 0 or float(vals.min()) < 0.0:
+        raise InvalidSpectrumError("spectrum must be nonempty and nonnegative")
+    w = vals[vals > 0.0] / normalizer
+    if w.size == 0:
+        raise InvalidSpectrumError("spectrum carries no weight")
+    if abs(params.q - 1.0) <= LIMIT_EPS:
+        value = float(-np.sum(w * np.log(w)))
+    else:
+        log_a = math.log(float(np.sum(w**params.q)))
+        if abs(params.s) <= LIMIT_EPS:
+            value = log_a / (1.0 - params.q)
+        else:
+            value = math.expm1(params.s * log_a) / ((1.0 - params.q) * params.s)
+    return value + 0.0  # +0.0 drops a -0.0 sign
 
 
 def domain_min_low(a):

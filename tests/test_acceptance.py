@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from chanent import channel as chmod
 from chanent import cli, matcore, sampler, spectra, tradeoff
-from chanent.entropy import EntropyParams, entropy_from_spectrum, uniform_entropy
+from chanent.entropy import EntropyParams, entropy_from_spectrum, entropy_grid, uniform_entropy
 from chanent.matcore import Spectrum
 from chanent.sampler import population
 
@@ -59,16 +59,21 @@ def unital_population():
     return _CACHE["unital"]
 
 
+def bound_tables():
+    """The bounds of every dimension on the criteria's order grid."""
+    return {d: tradeoff.bound_table(d, Q_GRID, S_GRID) for d in DIMS}
+
+
 def test_criterion_1_tradeoff_bound_all_channels(capsys):
     """Entropic sum >= the all-channels bound on every CPTP sample and cell."""
     min_gap = math.inf
     cells = 0
-    for _, _, _, _, profile in cptp_population():
-        for params in GRID:
-            rep = tradeoff.evaluate_profile(profile, params)  # raises on violation
-            gap_all = rep.map_value + rep.receiver_value - rep.bound_all
-            min_gap = min(min_gap, gap_all)
-            cells += 1
+    tables = bound_tables()
+    for _, d, _, _, profile in cptp_population():
+        grid = tradeoff.evaluate_profile(profile, tables[d])  # raises on violation
+        gap_all = grid.map_values + grid.receiver_values - tables[d].all_channels
+        min_gap = min(min_gap, float(gap_all.min()))
+        cells += gap_all.size
     ok = min_gap >= -1e-9
     _verdict(
         capsys,
@@ -81,12 +86,11 @@ def test_criterion_1_tradeoff_bound_all_channels(capsys):
 def test_criterion_2_tradeoff_bound_unital_channels(capsys):
     """Entropic sum >= the sharper unital bound on mixture/unistochastic samples."""
     min_gap = math.inf
-    for _, _, cid, _, profile in unital_population():
-        assert profile.unital, cid
-        for params in GRID:
-            rep = tradeoff.evaluate_profile(profile, params)
-            assert rep.bound_unital is not None
-            min_gap = min(min_gap, rep.gap)
+    tables = bound_tables()
+    for _, d, cid, _, profile in unital_population():
+        assert profile.unital, cid  # so the gap is measured against the unital bound
+        grid = tradeoff.evaluate_profile(profile, tables[d])
+        min_gap = min(min_gap, float(grid.gap.min()))
     ok = min_gap >= -1e-9
     _verdict(
         capsys,
@@ -100,13 +104,14 @@ def test_criterion_3_saturation(capsys):
     """Identity and completely depolarizing channels meet 2 ln d exactly at s=0."""
     worst = 0.0
     for d in DIMS:
+        bounds = tradeoff.bound_table(d, (0.5, 1.5, 2.0), (0.0,))
+        assert np.abs(bounds.unital - 2 * math.log(d)).max() <= 1e-15
         for name in ("identity", "completely-depolarizing"):
             profile = tradeoff.profile_channel(sampler.named_channel(name, d), name)
-            for q in (0.5, 1.5, 2.0):
-                rep = tradeoff.evaluate_profile(profile, EntropyParams(q, 0.0))
-                assert rep.bound_unital == pytest.approx(2 * math.log(d), abs=1e-15)
-                worst = max(worst, abs(rep.gap))
-                assert rep.saturated
+            assert profile.unital  # so the gap is measured against 2 ln d
+            grid = tradeoff.evaluate_profile(profile, bounds)
+            worst = max(worst, float(np.abs(grid.gap).max()))
+            assert grid.saturated.all()
     ok = worst <= 1e-9
     _verdict(
         capsys,
@@ -218,13 +223,12 @@ def test_criterion_6_oracle_equivalences(capsys):
             "eigenvalues-hermitian",
         )
         choi_spec = chmod.dynamical_spectrum(dyn)
-        for params in GRID:
-            via_choi = entropy_from_spectrum(choi_spec, float(d), params)
-            via_gram = entropy_from_spectrum(gram_spec, float(d), params)
-            # tolerance scale max(|lhs|, |rhs|, 1): reduces to the absolute
-            # tolerance wherever the entropy is of order one
-            scale = max(abs(via_choi), abs(via_gram), 1.0)
-            worst_entropy = max(worst_entropy, abs(via_choi - via_gram) / scale)
+        via_choi = entropy_grid(choi_spec, float(d), Q_GRID, S_GRID)
+        via_gram = entropy_grid(gram_spec, float(d), Q_GRID, S_GRID)
+        # tolerance scale max(|lhs|, |rhs|, 1): reduces to the absolute
+        # tolerance wherever the entropy is of order one
+        scale = np.maximum(np.maximum(np.abs(via_choi), np.abs(via_gram)), 1.0)
+        worst_entropy = max(worst_entropy, float((np.abs(via_choi - via_gram) / scale).max()))
     rng = np.random.default_rng(1006)
     worst_grid = 0.0
     for _ in range(10):
@@ -287,18 +291,24 @@ def test_criterion_7_limit_continuity(capsys):
 def test_criterion_8_rank_upper_bounds(capsys):
     """Both entropies stay below the flat-spectrum value at the effective rank."""
     worst = -math.inf
+    flat = {}  # rank -> uniform_entropy on the grid
+
+    def flat_grid(n):
+        if n not in flat:
+            flat[n] = np.array([uniform_entropy(n, p) for p in GRID]).reshape(len(Q_GRID), len(S_GRID))
+        return flat[n]
+
     for _, d, _, _, profile in cptp_population() + unital_population():
         choi, sup = profile.choi_spectrum, profile.superop_spectrum
         norm = float(np.sum(sup.values))
         rank_choi = int(np.count_nonzero(choi.values))
         rank_sup = int(np.count_nonzero(sup.values))
-        for params in GRID:
-            m = entropy_from_spectrum(choi, float(d), params)
-            r = entropy_from_spectrum(sup, norm, params)
-            worst = max(worst, m - uniform_entropy(rank_choi, params))
-            worst = max(worst, r - uniform_entropy(rank_sup, params))
-            assert m <= uniform_entropy(d * d, params) + 1e-9
-            assert r <= uniform_entropy(d * d, params) + 1e-9
+        m = entropy_grid(choi, float(d), Q_GRID, S_GRID)
+        r = entropy_grid(sup, norm, Q_GRID, S_GRID)
+        worst = max(worst, float((m - flat_grid(rank_choi)).max()))
+        worst = max(worst, float((r - flat_grid(rank_sup)).max()))
+        assert (m <= flat_grid(d * d) + 1e-9).all()
+        assert (r <= flat_grid(d * d) + 1e-9).all()
     ok = worst <= 1e-9
     _verdict(
         capsys, ok, f"criterion 8: rank upper bounds, worst excess {worst:.3e} <= 1e-9"

@@ -113,6 +113,61 @@ class TestSweep:
         assert capsys.readouterr().err.count("config error:") == 2
 
 
+    def test_violation_writes_rows_up_to_the_violating_cell(self, tmp_path, capsys):
+        # a gap tolerance of -10 turns every non-limit cell into a violation;
+        # the q = 1 row is exempt, so the first violation is the third cell
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"tolerances": {"gap": -10}}))
+        out = tmp_path / "viol"
+        code = cli.main(
+            ["sweep", "--config", str(cfg_path), "--dims", "2", "--family", "cptp", "--samples", "2",
+             "--q", "1,2", "--s", "0,1", "--out", str(out)]
+        )
+        assert code == 1
+        assert "BOUND VIOLATION" in capsys.readouterr().err
+        _, rows = read_csv_rows(out / "report.csv")
+        assert [(row["q"], row["s"]) for row in rows] == [("1.0", "0.0"), ("1.0", "1.0"), ("2.0", "0.0")]
+        assert len({row["channel_id"] for row in rows}) == 1
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["violations"] == 1 and summary["rows"] == 3 and summary["limit_rows"] == 2
+        assert summary["per_family"]["cptp"]["rows"] == 2  # the violating row is not counted
+        name = summary["violation"]["counterexample"]
+        assert name == rows[0]["channel_id"] + ".json"
+        assert (out / "counterexamples" / name).exists()
+
+    @pytest.mark.parametrize("flag, value, cell", [("--s", "1e6", "q=0.3, s=1000000.0"),
+                                                   ("--q", "1000", "q=1000.0, s=-2.0")])
+    def test_non_finite_cell_is_a_config_error(self, tmp_path, capsys, flag, value, cell):
+        out = tmp_path / "x"
+        code = cli.main(["sweep", "--dims", "2", "--samples", "1", flag, value, "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "not finite" in err
+        assert cell in err and "cptp-d2-0000" in err
+        assert not (out / "report.csv").exists()
+
+    def test_missing_channel_file_is_a_config_error(self, tmp_path, capsys):
+        code = cli.main(["sweep", "--channel", str(tmp_path / "nope.json"), "--out", str(tmp_path / "x")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "nope.json" in err
+
+    def test_non_tp_channel_file_is_a_config_error(self, tmp_path, capsys):
+        ch_path = tmp_path / "nontp.json"
+        ch_path.write_text(json.dumps({"dim": 2, "kraus": [matcore.matrix_to_json(1.1 * np.eye(2))]}))
+        code = cli.main(["sweep", "--channel", str(ch_path), "--out", str(tmp_path / "x")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "trace-preservation" in err
+
+    @pytest.mark.parametrize("text", ["{not json", '{"dim": 2}', "[1, 2]"])
+    def test_malformed_channel_file_is_a_config_error(self, tmp_path, capsys, text):
+        ch_path = tmp_path / "bad.json"
+        ch_path.write_text(text)
+        assert cli.main(["sweep", "--channel", str(ch_path), "--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+
+
 class TestInequalities:
     def test_default_small_run(self, tmp_path):
         out = tmp_path / "iq"
@@ -184,3 +239,33 @@ class TestInequalities:
         assert code == 2
         assert capsys.readouterr().err.startswith("config error: no check ran")
         assert not (out / "summary.json").exists()
+
+    def test_silently_skipped_channel_checks_are_a_config_error(self, tmp_path, capsys):
+        out = tmp_path / "none"
+        code = cli.main(
+            ["inequalities", "--dims", "2", "--samples", "2", "--family", "named:identity", "--out", str(out)]
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error: no check ran for upkp, cbn0")
+        assert not (out / "summary.json").exists()
+
+    def test_matrix_file_runs_the_matrix_checks_only(self, tmp_path):
+        mat_path = tmp_path / "m.json"
+        mat_path.write_text(json.dumps(matcore.matrix_to_json(np.diag([2.0, 1.0]))))
+        out = tmp_path / "mat"
+        assert cli.main(["inequalities", "--matrix", str(mat_path), "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert set(summary["checks"]) == {"prop1", "21in", "npqr", "sups"}
+
+    def test_missing_matrix_file_is_a_config_error(self, tmp_path, capsys):
+        code = cli.main(["inequalities", "--matrix", str(tmp_path / "nope.json"), "--out", str(tmp_path / "x")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "nope.json" in err
+
+    @pytest.mark.parametrize("text", ["{not json", '{"rows": 2}'])
+    def test_malformed_matrix_file_is_a_config_error(self, tmp_path, capsys, text):
+        mat_path = tmp_path / "bad.json"
+        mat_path.write_text(text)
+        assert cli.main(["inequalities", "--matrix", str(mat_path), "--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err.startswith("config error:")

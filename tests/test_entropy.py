@@ -6,7 +6,7 @@ import pytest
 
 from chanent import channel as chmod
 from chanent import entropy as ent
-from chanent import matcore, sampler
+from chanent import matcore, sampler, tradeoff
 from chanent.errors import DomainError, InvalidSpectrumError
 from chanent.matcore import Spectrum
 from chanent.sampler import population
@@ -220,3 +220,67 @@ class TestUniformEntropy:
         assert ent.uniform_entropy(1, ent.EntropyParams(0.7, 2.0)) == 0.0
         with pytest.raises(DomainError):
             ent.uniform_entropy(0, ent.EntropyParams(0.7, 2.0))
+
+
+def _rel_err(got, want):
+    """Relative error floored at magnitude 1, cell by cell."""
+    return np.abs(got - want) / np.maximum(np.maximum(np.abs(got), np.abs(want)), 1.0)
+
+
+class TestGridKernel:
+    # the default grid plus cells just outside the q = 1 and s = 0 bands
+    Q = Q_GRID + (1.0 - 1e-7, 1.0 + 1e-7)
+    S = S_GRID + (-1e-7, 1e-7)
+
+    @pytest.mark.parametrize("d", [2, 3, 8])
+    def test_matches_scalar_oracle_cell_by_cell(self, d):
+        pop = population(921, (d,), tuple(sampler.FAMILY_CODES), 3)
+        for _, _, cid, ch in pop:
+            choi, sup = _channel_spectra(ch)
+            for spec, norm in ((choi, float(d)), (sup, float(np.sum(sup.values)))):
+                grid = ent.entropy_grid(spec, norm, self.Q, self.S)
+                assert grid.shape == (len(self.Q), len(self.S))
+                oracle = np.array(
+                    [[oracles.entropy_per_cell(spec, norm, ent.EntropyParams(q, s)) for s in self.S]
+                     for q in self.Q]
+                )
+                assert _rel_err(grid, oracle).max() <= 1e-12, cid
+
+    def test_scalar_entry_points_are_grid_cells(self):
+        ch = sampler.named_channel("amplitude-damping", 2, 0.4)
+        dyn = chmod.dynamical_from_kraus(ch)
+        sup = dyn.superoperator()
+        spec = chmod.superoperator_spectrum(sup)
+        choi_grid = ent.entropy_grid(chmod.dynamical_spectrum(dyn), 2.0, self.Q, self.S)
+        sup_grid = ent.entropy_grid(spec, float(np.sum(spec.values)), self.Q, self.S)
+        for i, q in enumerate(self.Q):
+            for j, s in enumerate(self.S):
+                params = ent.EntropyParams(q, s)
+                # equal up to the last bits numpy's vectorized pow may differ in
+                assert _rel_err(ent.map_entropy(dyn, params), choi_grid[i, j]) <= 1e-14
+                assert _rel_err(ent.receiver_entropy(sup, params), sup_grid[i, j]) <= 1e-14
+
+    @pytest.mark.parametrize("d", [2, 3, 8])
+    def test_bound_table_matches_lower_bound(self, d):
+        table = tradeoff.bound_table(d, self.Q, self.S)
+        for i, q in enumerate(self.Q):
+            for j, s in enumerate(self.S):
+                params = ent.EntropyParams(q, s)
+                for unital, got in ((False, table.all_channels), (True, table.unital)):
+                    want = tradeoff.lower_bound(d, params, unital)
+                    assert _rel_err(got[i, j], want) <= 1e-12
+        assert table.limit_rows.tolist() == [abs(q - 1.0) <= ent.LIMIT_EPS for q in self.Q]
+
+    def test_out_of_range_cells_are_not_finite(self):
+        # the scalar oracle raises OverflowError here; the grid leaves the
+        # cells non-finite for the trade-off evaluation to report
+        spec = Spectrum(np.array([0.5, 0.3, 0.2]), "eigenvalues-hermitian")
+        grid = ent.entropy_grid(spec, 1.0, (0.3, 2.0), (1e6,))
+        assert grid[0, 0] == math.inf and np.isfinite(grid[1, 0])
+        with pytest.raises(OverflowError):
+            oracles.entropy_per_cell(spec, 1.0, ent.EntropyParams(0.3, 1e6))
+
+    @pytest.mark.parametrize("q, s", [((0.0, 2.0), (1.0,)), ((2.0,), (math.nan,)), ((math.inf,), (1.0,))])
+    def test_rejects_bad_orders(self, q, s):
+        with pytest.raises(DomainError):
+            ent.entropy_grid(Spectrum(np.array([0.5, 0.5])), 1.0, q, s)

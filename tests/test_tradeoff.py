@@ -108,35 +108,36 @@ class TestEvaluate:
         assert rep.gap > 0 and not rep.saturated
 
     def test_violation_raises_with_report(self):
+        # every cell fails; the first one off the q = 1 row is reported
+        bounds = tradeoff.bound_table(2, (1.0, 2.0), (0.0, 1.0))
         with pytest.raises(BoundViolation) as err:
-            tradeoff.evaluate_profile(_fake_profile(), EntropyParams(2.0, 0.0))
+            tradeoff.evaluate_profile(_fake_profile(), bounds)
         assert err.value.report.gap < -1e-9
+        assert err.value.cell == (1, 0) and err.value.report.params == EntropyParams(2.0, 0.0)
+        assert err.value.grid.gap[1, 0] == err.value.report.gap
 
     def test_limit_row_records_instead_of_raising(self):
-        rep = tradeoff.evaluate_profile(_fake_profile(), EntropyParams(1.0, 0.0))
-        assert rep.gap < -1e-9  # recorded, not asserted, on the q = 1 row
+        grid = tradeoff.evaluate_profile(_fake_profile(), tradeoff.bound_table(2, (1.0,), (0.0,)))
+        assert grid.report(0, 0).gap < -1e-9  # recorded, not asserted, on the q = 1 row
 
 
 class TestSuites:
     def test_all_channel_bound_on_cptp_samples(self):
         min_gap = math.inf
-        for _, _, _, ch in population(917, (2, 3), ("cptp",), 20):
-            profile = tradeoff.profile_channel(ch)
-            for q in Q_GRID:
-                for s in S_GRID:
-                    rep = tradeoff.evaluate_profile(profile, EntropyParams(q, s))
-                    min_gap = min(min_gap, rep.gap)
+        tables = {d: tradeoff.bound_table(d, Q_GRID, S_GRID) for d in (2, 3)}
+        for _, d, _, ch in population(917, (2, 3), ("cptp",), 20):
+            grid = tradeoff.evaluate_profile(tradeoff.profile_channel(ch), tables[d])
+            min_gap = min(min_gap, float(grid.gap.min()))
         assert min_gap >= -1e-9
 
     def test_unital_bound_on_unital_samples(self):
+        tables = {d: tradeoff.bound_table(d, Q_GRID, S_GRID) for d in (2, 3)}
         pop = population(918, (2, 3), ("unitary-mixture", "unistochastic"), 10)
-        for _, _, _, ch in pop:
+        for _, d, _, ch in pop:
             profile = tradeoff.profile_channel(ch)
             assert profile.unital
-            for q in Q_GRID:
-                for s in S_GRID:
-                    rep = tradeoff.evaluate_profile(profile, EntropyParams(q, s))
-                    assert rep.gap >= -1e-9
+            grid = tradeoff.evaluate_profile(profile, tables[d])
+            assert grid.gap.min() >= -1e-9
 
     def test_proof_domain_preconditions(self):
         for _, _, _, ch in population(919, (2, 3), ("cptp", "unitary-mixture"), 5):
