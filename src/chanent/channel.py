@@ -142,13 +142,14 @@ def superoperator_from_kraus(ch: KrausChannel) -> SuperoperatorMatrix:
 def reshuffle(m, d: int) -> np.ndarray:
     """Reshuffling permutation ``out[a*d+b, m*d+n] = in[a*d+m, b*d+n]``.
 
-    An involution on ``d**2 x d**2`` matrices; maps the dynamical matrix to
-    the superoperator matrix and back.
+    An involution on ``d**2 x d**2`` matrices, applied to each matrix of a
+    stack; maps the dynamical matrix to the superoperator matrix and back.
     """
-    x = matcore.as_matrix(m)
-    if x.shape != (d * d, d * d):
-        raise DimensionMismatchError(f"expected shape {(d * d, d * d)}, got {x.shape}")
-    return x.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
+    x = matcore.as_matrices(m)
+    if x.shape[-2:] != (d * d, d * d):
+        raise DimensionMismatchError(f"expected shape {(d * d, d * d)}, got {x.shape[-2:]}")
+    lead = x.shape[:-2]
+    return x.reshape(*lead, d, d, d, d).swapaxes(-3, -2).reshape(*lead, d * d, d * d)
 
 
 def apply_channel(ch: KrausChannel, x) -> np.ndarray:

@@ -19,6 +19,13 @@ repeated run reproduces ``report.csv`` byte for byte.
 A sweep evaluates each channel's whole grid in one array pass against bounds
 tabulated once per dimension, and formats the strings that do not change
 from row to row (channel columns, orders, bounds) once.
+
+The inequality suite stacks each population per dimension, at most
+``STACK_SIZE`` inputs to a stack, and runs each check once per stack at all
+of its orders; the two channel checks share one
+:class:`~chanent.spectra.ChannelStack` per stack.  The first failure is
+named in the order of a loop over inputs with the orders inside, and only
+that input is serialized.
 """
 
 from __future__ import annotations
@@ -71,6 +78,10 @@ CSV_COLUMNS = [
 CHECK_NAMES = ("prop1", "21in", "upkp", "npqr", "sups", "cbn0")
 # The checks that run on sampled channels rather than on matrices.
 CHANNEL_CHECKS = ("upkp", "cbn0")
+# Most inputs the inequality suite checks in one stack: enough that the
+# per-call overhead is spread thin, few enough that memory stays flat in the
+# number of samples.
+STACK_SIZE = 128
 
 
 class ConfigError(ValueError):
@@ -159,6 +170,13 @@ def config_from_file(path) -> SweepConfig:
         if kind is list:
             raw[key] = tuple(value)
     return SweepConfig(**raw)
+
+
+def _stacked(items, key):
+    """Consecutive runs of ``items`` with one ``key``, cut into lists of at most STACK_SIZE."""
+    for _, group in itertools.groupby(items, key=key):
+        while chunk := list(itertools.islice(group, STACK_SIZE)):
+            yield chunk
 
 
 def _load_input(load, path, what: str):
@@ -332,7 +350,7 @@ def run_inequality_suite(cfg: SweepConfig, out_dir, only=None, matrix_path=None)
 
     injected = None
     if matrix_path is not None:
-        injected = [(Path(matrix_path).stem, _load_input(_load_matrix, matrix_path, "matrix"))]
+        injected = (Path(matrix_path).stem, _load_input(_load_matrix, matrix_path, "matrix"))
     families = [f for f in cfg.families if f in sampler.FAMILY_CODES]
     # A selected channel check that cannot run is an error, unless --matrix
     # was asked for: it runs the matrix checks only, and some of those run.
@@ -343,63 +361,84 @@ def run_inequality_suite(cfg: SweepConfig, out_dir, only=None, matrix_path=None)
             "need a sampler family and no --matrix"
         )
 
-    def cases(kind: str, stream: int) -> list:
-        """The injected matrix, or Ginibre matrices ``G`` ("mat") or ``G G^dag`` ("psd")."""
+    def stacks(kind: str, stream: int):
+        """Labels and stacks of the injected matrix, or of same-dimension Ginibre
+        matrices ``G`` ("mat") or ``G G^dag`` ("psd")."""
         if injected is not None:
-            return injected
+            yield [injected[0]], injected[1][None]
+            return
         pop = sampler.ginibre_population(cfg.seed, cfg.dims, cfg.samples_per_family, stream)
-        return [(f"{kind}-d{d}-{i:04d}", g @ g.conj().T if kind == "psd" else g) for d, i, g in pop]
+        for chunk in _stacked(pop, key=lambda item: item[0]):
+            g = np.stack([g for _, _, g in chunk])
+            labels = [f"{kind}-d{d}-{i:04d}" for d, i, _ in chunk]
+            yield labels, g @ g.conj().swapaxes(-2, -1) if kind == "psd" else g
 
     anti_orders = [float(q) for q in cfg.q_grid if 0.0 < float(q) < 1.0] or [0.5]
     order_pairs = [(0.2, 0.8), (1.0 / 3.0, 0.5), (0.5, 1.0)]
     results: dict[str, dict] = {}
     failure = None
 
-    def record(name: str, label, report: spectra.InequalityReport, payload=None):
+    def record(name: str, labels, batch: spectra.InequalityBatch, payload):
+        """Fold one batch into the results; ``payload(i)`` serializes input ``i``
+        if it is the run's first failure."""
         nonlocal failure
         entry = results.setdefault(name, {"count": 0, "min_slack": math.inf, "passed": True})
-        entry["count"] += 1
-        entry["min_slack"] = min(entry["min_slack"], report.slack)
-        if not report.passed:
+        entry["count"] += batch.passed.size
+        # a NaN entry fails its check; the minimum leaves it out
+        entry["min_slack"] = min(entry["min_slack"], float(np.fmin.reduce(batch.slack, axis=None)))
+        first = batch.first_failure()
+        if first is not None:
             entry["passed"] = False
             if failure is None:
+                label = labels[first[0]]
                 failure = {"check": name, "input": label, "kind": "inequality-failed"}
-                if payload is not None:
-                    ce = out / "counterexamples"
-                    ce.mkdir(parents=True, exist_ok=True)
-                    _write_json(ce / f"{label}.json", payload)
+                ce = out / "counterexamples"
+                ce.mkdir(parents=True, exist_ok=True)
+                _write_json(ce / f"{label}.json", payload(first[0]))
 
     try:
         if "prop1" in selected:
-            for label, x in cases("psd", 201):
-                for q in cfg.q_grid:
-                    record("prop1", label, spectra.check_prop1(x, float(q)), matcore.matrix_to_json(x))
+            for labels, x in stacks("psd", 201):
+                batch = spectra.check_prop1(x, [float(q) for q in cfg.q_grid])
+                record("prop1", labels, batch, lambda i: matcore.matrix_to_json(x[i]))
         if "21in" in selected:
-            for label, x in cases("mat", 202):
-                record("21in", label, spectra.check_two_inf_one(x), matcore.matrix_to_json(x))
+            for labels, x in stacks("mat", 202):
+                batch = spectra.check_two_inf_one(x)
+                record("21in", labels, batch, lambda i: matcore.matrix_to_json(x[i]))
         if "npqr" in selected:
-            for label, x in cases("psd", 203):
-                for p, q in order_pairs:
-                    record("npqr", label, spectra.check_antinorm_monotonicity(x, p, q))
+            ps, qs = zip(*order_pairs)
+            for labels, x in stacks("psd", 203):
+                batch = spectra.check_antinorm_monotonicity(x, ps, qs)
+                record("npqr", labels, batch, lambda i: matcore.matrix_to_json(x[i]))
         if "sups" in selected:
-            for (label, x), (_, y) in zip(cases("psd", 204), cases("psd", 205)):
-                for q in anti_orders:
-                    record("sups", label, spectra.check_superadditivity(x, y, float(q)))
+            for (labels, x), (_, y) in zip(stacks("psd", 204), stacks("psd", 205)):
+                batch = spectra.check_superadditivity(x, y, anti_orders)
+                record("sups", labels, batch, lambda i: {
+                    "x": matcore.matrix_to_json(x[i]), "y": matcore.matrix_to_json(y[i])
+                })
         if injected is None and any(n in selected for n in CHANNEL_CHECKS):
             suite = sampler.population(
                 cfg.seed, cfg.dims, families, cfg.samples_per_family, stream=100
             )
-            for _, _, label, ch in suite:
-                if "upkp" in selected:
-                    record("upkp", label, spectra.check_superop_norm_bound(ch), chmod.channel_to_json(ch))
-                if "cbn0" in selected:
-                    record("cbn0", label, spectra.check_norm_product_chain(ch), chmod.channel_to_json(ch))
+            checks = (
+                ("upkp", spectra.check_superop_norm_bound),
+                ("cbn0", spectra.check_norm_product_chain),
+            )
+            for chunk in _stacked(suite, key=lambda item: item[1]):
+                labels, chs = zip(*((label, ch) for _, _, label, ch in chunk))
+                stack = spectra.stack_channels(chs)
+                batches = [(name, check(stack)) for name, check in checks if name in selected]
+                # upkp then cbn0 ran channel by channel: the first failure
+                # named is the earlier channel's, upkp's on a tie
+                batches.sort(key=lambda nb: (nb[1].first_failure() or (math.inf,))[0])
+                for name, batch in batches:
+                    record(name, labels, batch, lambda i: chmod.channel_to_json(chs[i]))
     except Exception as exc:  # noqa: BLE001 - provenance belongs in the report
         failure = {"check": "error", "kind": type(exc).__name__, "message": str(exc)}
         if injected is not None:
             ce = out / "counterexamples"
             ce.mkdir(parents=True, exist_ok=True)
-            _write_json(ce / f"{injected[0][0]}.json", matcore.matrix_to_json(injected[0][1]))
+            _write_json(ce / f"{injected[0]}.json", matcore.matrix_to_json(injected[1]))
     summary = {
         "mode": "inequalities",
         "checks": {

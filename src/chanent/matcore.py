@@ -12,6 +12,13 @@ correct relative to them.
 Spectra are returned with multiplicity, sorted descending; ties keep the
 backend order (entropies are symmetric functions of the spectrum, so the
 order is cosmetic).
+
+The spectral functions (:func:`hermitian_eigenvalues`, :func:`singular_values`,
+:func:`clamp_spectrum`) and :func:`partial_trace` also take a stack of
+same-shape matrices ``(n, m, m)`` and return one result per matrix, with one
+LAPACK call for the whole stack.  Every check on a stack (Hermiticity, the
+PSD clamp) is made per matrix, and the first matrix that fails it raises the
+error a single-matrix call on it would raise.
 """
 
 from __future__ import annotations
@@ -34,6 +41,7 @@ __all__ = [
     "Spectrum",
     "eig_tol",
     "as_matrix",
+    "as_matrices",
     "hermitian_eigenvalues",
     "singular_values",
     "partial_trace",
@@ -73,7 +81,8 @@ class Spectrum:
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
 
     def __len__(self) -> int:
-        return int(self.values.size)
+        """Entries per spectrum (per matrix, for the spectra of a stack)."""
+        return int(self.values.shape[-1]) if self.values.ndim else 0
 
 
 def as_matrix(x) -> np.ndarray:
@@ -84,49 +93,65 @@ def as_matrix(x) -> np.ndarray:
     return m
 
 
+def as_matrices(x) -> np.ndarray:
+    """Coerce input to a complex matrix (2-D) or a stack of matrices (3-D)."""
+    m = np.asarray(x, dtype=complex)
+    if m.ndim not in (2, 3):
+        raise DimensionMismatchError(
+            f"expected a 2-D matrix or a 3-D stack of matrices, got ndim={m.ndim}"
+        )
+    return m
+
+
 def _require_square(x: np.ndarray) -> np.ndarray:
-    if x.shape[0] != x.shape[1]:
-        raise NonSquareError(f"expected a square matrix, got shape {x.shape}")
+    if x.shape[-2] != x.shape[-1]:
+        raise NonSquareError(f"expected a square matrix, got shape {x.shape[-2:]}")
     return x
 
 
+def _first_row_above(row_values: np.ndarray, limit: float) -> float:
+    """The first of the per-matrix values that exceeds ``limit``."""
+    flat = row_values.reshape(-1)
+    return float(flat[np.flatnonzero(flat > limit)[0]])
+
+
 def hermitian_eigenvalues(x) -> Spectrum:
-    """Eigenvalues of a Hermitian matrix, descending.
+    """Eigenvalues of a Hermitian matrix, or of each matrix of a stack, descending.
 
     The input is symmetrized as ``(X + X^dag)/2`` before decomposition;
     deviations above ``HERM_TOL`` (max entry) are rejected instead of
     silently averaged away.
     """
-    m = _require_square(as_matrix(x))
-    dev = np.abs(m - m.conj().T).max() if m.size else 0.0
-    if dev > HERM_TOL:
-        raise NotHermitianError(f"Hermiticity deviation {dev:.3e} exceeds {HERM_TOL:.1e}")
-    sym = (m + m.conj().T) / 2.0
-    vals = np.linalg.eigvalsh(sym)[::-1]
+    m = _require_square(as_matrices(x))
+    adj = m.conj().swapaxes(-2, -1)
+    dev = np.abs(m - adj)
+    if m.size and dev.max() > HERM_TOL:
+        worst = _first_row_above(dev.max(axis=(-2, -1)), HERM_TOL)
+        raise NotHermitianError(f"Hermiticity deviation {worst:.3e} exceeds {HERM_TOL:.1e}")
+    vals = np.linalg.eigvalsh((m + adj) / 2.0)[..., ::-1]
     return Spectrum(vals, "eigenvalues-hermitian")
 
 
 def singular_values(x) -> Spectrum:
-    """Singular values, descending (eigenvalues of ``sqrt(X^dag X)``)."""
-    m = as_matrix(x)
-    vals = np.linalg.svd(m, compute_uv=False)
+    """Singular values of a matrix, or of each matrix of a stack, descending."""
+    vals = np.linalg.svd(as_matrices(x), compute_uv=False)
     return Spectrum(vals, "singular-values")
 
 
 def partial_trace(x, d: int, subsystem: str = "second") -> np.ndarray:
-    """Trace out one tensor factor of a ``d**2 x d**2`` matrix.
+    """Trace out one tensor factor of a ``d**2 x d**2`` matrix, or of each matrix of a stack.
 
     ``subsystem="first"`` traces the leading factor (index ``mu`` of the
     composite ``mu*d + nu``), ``"second"`` the trailing one.
     """
-    m = as_matrix(x)
-    if m.shape != (d * d, d * d):
-        raise DimensionMismatchError(f"expected shape {(d * d, d * d)}, got {m.shape}")
-    t = m.reshape(d, d, d, d)
+    m = as_matrices(x)
+    if m.shape[-2:] != (d * d, d * d):
+        raise DimensionMismatchError(f"expected shape {(d * d, d * d)}, got {m.shape[-2:]}")
+    t = m.reshape(*m.shape[:-2], d, d, d, d)
     if subsystem == "first":
-        return np.einsum("ijik->jk", t)
+        return np.einsum("...ijik->...jk", t)
     if subsystem == "second":
-        return np.einsum("ijkj->ik", t)
+        return np.einsum("...ijkj->...ik", t)
     raise ValueError(f"subsystem must be 'first' or 'second', got {subsystem!r}")
 
 
@@ -141,20 +166,19 @@ def vec(x) -> np.ndarray:
 
 
 def clamp_spectrum(values, neg_tol: float, zero_rel: float = ZERO_REL_TOL) -> np.ndarray:
-    """Clamp a PSD-intended spectrum.
+    """Clamp a PSD-intended spectrum, or each row of a stack of spectra.
 
     Entries below ``-neg_tol`` raise :class:`NotPositiveError`; remaining
-    entries smaller than ``zero_rel`` times the largest entry (noise from
-    rank-deficient decompositions, negative or positive) become exactly 0.
+    entries smaller than ``zero_rel`` times the largest entry of their
+    spectrum (noise from rank-deficient decompositions, negative or positive)
+    become exactly 0.
     """
     vals = np.asarray(values, dtype=float)
-    lo = vals.min() if vals.size else 0.0
-    if lo < -neg_tol:
+    if vals.size and vals.min() < -neg_tol:
+        lo = -_first_row_above(-vals.min(axis=-1), neg_tol)
         raise NotPositiveError(f"eigenvalue {lo:.6e} below -{neg_tol:.1e}")
-    out = vals.copy()
-    cutoff = zero_rel * max(out.max(initial=0.0), 0.0)
-    out[out < max(cutoff, 0.0)] = 0.0
-    return out
+    cutoff = zero_rel * vals.max(axis=-1, keepdims=True, initial=0.0)
+    return np.where(vals < cutoff, 0.0, vals)
 
 
 def matrix_to_json(x) -> dict:

@@ -4,8 +4,9 @@ Each oracle computes a quantity a second way, by construction rather than by
 the closed form the library uses: ``D`` by acting on the maximally entangled
 state, ``K`` by the Kronecker loop, the channel action from ``D``, the Choi
 spectrum from the Kraus Gram matrix, the ``(q, s)``-entropy one cell at a
-time in scalar arithmetic, and the bound's auxiliary domain minima by grid
-search.  None of them is used by ``src/chanent``.
+time in scalar arithmetic, the norm-inequality checks one input and one
+order at a time, and the bound's auxiliary domain minima by grid search.
+None of them is used by ``src/chanent``.
 """
 
 import math
@@ -13,11 +14,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from chanent import channel as chmod
 from chanent import matcore
 from chanent.channel import TP_TOL
 from chanent.entropy import LIMIT_EPS
-from chanent.errors import DomainError, InvalidSpectrumError, NotTracePreservingError
-from chanent.spectra import _power_mean_root
+from chanent.errors import (
+    DomainError,
+    InvalidOrderError,
+    InvalidSpectrumError,
+    NotPositiveError,
+    NotTracePreservingError,
+)
+from chanent.spectra import STRICT_POS_TOL, InequalityReport
 from chanent.tradeoff import gamma_kappa
 
 
@@ -187,7 +195,7 @@ def proof_domain_point(profile, params):
 
     def ratio_power(values):
         pos = values[values > 0]
-        norm_q = _power_mean_root(pos, q)
+        norm_q = power_mean_root(pos, q)
         return math.exp(q * s * (math.log(norm_q) - math.log(float(np.sum(pos)))))
 
     x = ratio_power(profile.choi_spectrum.values)
@@ -202,3 +210,114 @@ def proof_domain_point(profile, params):
         domain = "low"
         inside = x <= 1.0 + tol and y <= 1.0 + tol and x * y <= param * (1.0 + tol)
     return ProofDomainPoint(x=x, y=y, domain=domain, bound_param=param, in_domain=inside)
+
+
+# The norm-inequality checks one input and one order at a time, each input
+# decomposed again for every order it is checked at.
+
+
+def _report(lhs, rhs, direction, passed):
+    scale = max(abs(lhs), abs(rhs), 1.0)
+    slack = (rhs - lhs) / scale if direction == "<=" else (lhs - rhs) / scale
+    return InequalityReport(float(lhs), float(rhs), float(slack), bool(passed), direction)
+
+
+def power_mean_root(values, q):
+    """``(sum v**q)**(1/q)`` over positive values, scaled so no power overflows."""
+    if values.size == 0:
+        return 0.0
+    m = float(values.max() if q > 0 else values.min())
+    total = float(np.sum((values / m) ** q))
+    return m * total ** (1.0 / q)
+
+
+def order_spectrum(x, q):
+    """Singular values for ``q >= 1``; clamped eigenvalues for ``0 < q < 1``;
+    eigenvalues above ``STRICT_POS_TOL`` for ``q < 0``."""
+    if q != q or q == 0.0:
+        raise InvalidOrderError(f"order q = {q} has no norm or anti-norm regime")
+    if q >= 1.0:
+        return matcore.singular_values(x).values
+    eig = matcore.hermitian_eigenvalues(x)
+    if q < 0.0:
+        lo = float(eig.values.min())
+        if lo <= STRICT_POS_TOL:
+            raise NotPositiveError(
+                f"q < 0 anti-norm needs a strictly positive matrix; "
+                f"min eigenvalue {lo:.3e} <= {STRICT_POS_TOL:.1e}"
+            )
+        return eig.values
+    return matcore.clamp_spectrum(eig.values, neg_tol=matcore.eig_tol(len(eig)))
+
+
+def schatten(x, q):
+    """Norm (``q >= 1``) or anti-norm (``q < 1``) of one matrix."""
+    vals = order_spectrum(x, q)
+    if q == math.inf:
+        return float(vals[0]) if vals.size else 0.0
+    if q == 1.0:
+        return float(np.sum(vals))
+    return power_mean_root(vals[vals > 0], q)
+
+
+def check_prop1(x, q):
+    vals = order_spectrum(x, q)
+    pos = vals[vals > 0]
+    if pos.size == 0:
+        raise InvalidSpectrumError("matrix is zero; the interpolation is undefined")
+    n1 = float(np.sum(pos))
+    n2sq = float(np.sum(pos**2))
+    lhs = float(np.sum(pos**q))
+    rhs = n2sq ** (q - 1.0) * n1 ** (2.0 - q)
+    direction = "<=" if 1.0 <= q <= 2.0 else ">="
+    ok = (rhs - lhs if direction == "<=" else lhs - rhs) / max(abs(lhs), abs(rhs), 1.0) >= -1e-9
+    return _report(lhs, rhs, direction, ok)
+
+
+def check_two_inf_one(x):
+    sv = matcore.singular_values(x).values
+    lhs = float(np.sqrt(np.sum(sv**2)))
+    rhs = float(np.sqrt(sv[0] * np.sum(sv))) if sv.size else 0.0
+    return _report(lhs, rhs, "<=", lhs <= rhs + 1e-10)
+
+
+def check_superop_norm_bound(ch):
+    """The bound with ``channel(I/d)`` from the Kraus operators and ``K`` built anew."""
+    d = ch.dim
+    k_inf = schatten(chmod.superoperator_from_kraus(ch).matrix, math.inf)
+    out = chmod.apply_channel(ch, np.eye(d, dtype=complex) / d)
+    bound = math.sqrt(d) * math.sqrt(schatten(out, math.inf))
+    passed = k_inf <= bound + 1e-10
+    if chmod.is_unital(ch):
+        bound = min(bound, 1.0)
+        passed = passed and k_inf <= 1.0 + 1e-10
+    return _report(k_inf, bound, "<=", passed)
+
+
+def check_antinorm_monotonicity(x, p, q):
+    if not (0.0 < p < q):
+        raise InvalidOrderError(f"monotonicity check needs 0 < p < q, got p={p}, q={q}")
+    lhs = schatten(x, q)
+    rhs = schatten(x, p)
+    return _report(lhs, rhs, "<=", lhs <= rhs + 1e-10)
+
+
+def check_superadditivity(x, y, q):
+    if q >= 1.0:
+        raise InvalidOrderError(f"superadditivity is an anti-norm property, got q={q}")
+    lhs = schatten(np.asarray(x) + np.asarray(y), q)
+    rhs = schatten(x, q) + schatten(y, q)
+    return _report(lhs, rhs, ">=", lhs >= rhs - 1e-10)
+
+
+def check_norm_product_chain(ch):
+    dyn = chmod.dynamical_from_kraus(ch)
+    sup = dyn.superoperator()
+    ratio = (
+        schatten(dyn.matrix, 1.0)
+        / schatten(dyn.matrix, 2.0)
+        * schatten(sup.matrix, 1.0)
+        / schatten(sup.matrix, 2.0)
+    )
+    bound = float(ch.dim) if chmod.is_unital(ch) else math.sqrt(ch.dim)
+    return _report(ratio, bound, ">=", ratio >= bound - 1e-9)

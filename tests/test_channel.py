@@ -237,3 +237,10 @@ class TestChannelJson:
         obj = {"dim": 2, "kraus": [matcore.matrix_to_json(np.eye(2) * 0.5)]}
         with pytest.raises(NotTracePreservingError):
             chmod.channel_from_json(obj)
+
+
+def test_reshuffle_acts_on_each_matrix_of_a_stack():
+    stack = np.arange(3 * 81, dtype=float).reshape(3, 9, 9)
+    got = chmod.reshuffle(stack, 3)
+    for i, m in enumerate(stack):
+        np.testing.assert_array_equal(got[i], chmod.reshuffle(m, 3))

@@ -1,9 +1,11 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from chanent import cli, matcore, sampler
+from chanent import channel as chmod
+from chanent import cli, matcore, sampler, spectra
 from chanent.channel import save_channel
 
 
@@ -168,6 +170,38 @@ class TestSweep:
         assert capsys.readouterr().err.startswith("config error:")
 
 
+def failing_at(check, entries):
+    """``check`` with the given ``(input, order)`` entries of each batch marked failed."""
+
+    def wrapped(*args):
+        batch = check(*args)
+        passed = batch.passed.copy()
+        for i, j in entries:
+            passed[i, j] = False
+        return dataclasses.replace(batch, passed=passed)
+
+    return wrapped
+
+
+def failing_on(check, entries):
+    """``check`` with the entries ``(matrix, order)`` marked failed wherever that matrix is an input."""
+
+    def wrapped(x, *rest):
+        batch = check(x, *rest)
+        passed = batch.passed.copy()
+        for m, j in entries:
+            passed[(x == m).all(axis=(1, 2)), j] = False
+        return dataclasses.replace(batch, passed=passed)
+
+    return wrapped
+
+
+def ginibre_matrix(stream, d, index, psd=True):
+    pop = sampler.ginibre_population(cli.DEFAULT_SEED, (d,), index + 1, stream)
+    g = list(pop)[index][2]
+    return g @ g.conj().T if psd else g
+
+
 class TestInequalities:
     def test_default_small_run(self, tmp_path):
         out = tmp_path / "iq"
@@ -269,3 +303,78 @@ class TestInequalities:
         mat_path.write_text(text)
         assert cli.main(["inequalities", "--matrix", str(mat_path), "--out", str(tmp_path / "x")]) == 2
         assert capsys.readouterr().err.startswith("config error:")
+
+    def test_large_q_cell_is_finite(self, tmp_path):
+        # every w**600 of this channel's receiver spectrum underflows
+        out = tmp_path / "large-q"
+        code = cli.main(["sweep", "--dims", "2", "--samples", "1", "--q", "600", "--s", "0", "--out", str(out)])
+        assert code == 0
+        _, rows = read_csv_rows(out / "report.csv")
+        assert [row["channel_id"] for row in rows][1] == "unitary-mixture-d2-0000"
+        for row in rows:
+            assert np.isfinite(float(row["map_entropy"])) and np.isfinite(float(row["receiver_entropy"]))
+
+
+class TestInequalityFailures:
+    """What the suite reports when a check fails on some inputs of a stack."""
+
+    @staticmethod
+    def run(tmp_path, *flags):
+        out = tmp_path / "fail"
+        code = cli.main(["inequalities", "--dims", "2", "--samples", "10", *flags, "--out", str(out)])
+        summary = json.loads((out / "summary.json").read_text())
+        files = sorted(p.name for p in (out / "counterexamples").iterdir())
+        return code, summary, files, out / "counterexamples"
+
+    @pytest.mark.parametrize("stack_size", [cli.STACK_SIZE, 4])
+    @pytest.mark.parametrize("entries, first", [([(7, 0), (3, 2)], 3), ([(9, 1)], 9)])
+    def test_npqr_failure_names_the_first_input_and_writes_its_matrix(
+        self, tmp_path, monkeypatch, stack_size, entries, first
+    ):
+        marks = [(ginibre_matrix(203, 2, i), j) for i, j in entries]
+        check = failing_on(spectra.check_antinorm_monotonicity, marks)
+        monkeypatch.setattr(spectra, "check_antinorm_monotonicity", check)
+        monkeypatch.setattr(cli, "STACK_SIZE", stack_size)
+        code, summary, files, ce = self.run(tmp_path, "--only", "npqr")
+        assert code == 1
+        label = f"psd-d2-{first:04d}"
+        assert summary["failure"] == {"check": "npqr", "input": label, "kind": "inequality-failed"}
+        assert summary["checks"]["npqr"]["count"] == 30 and not summary["checks"]["npqr"]["passed"]
+        assert files == [f"{label}.json"]
+        written = matcore.matrix_from_json(json.loads((ce / files[0]).read_text()))
+        np.testing.assert_array_equal(written, ginibre_matrix(203, 2, first))
+
+    def test_sups_failure_writes_both_operands(self, tmp_path, monkeypatch):
+        marks = [(ginibre_matrix(204, 2, 4), 1)]
+        monkeypatch.setattr(spectra, "check_superadditivity", failing_on(spectra.check_superadditivity, marks))
+        code, summary, files, ce = self.run(tmp_path, "--only", "sups")
+        assert code == 1 and summary["failure"]["input"] == "psd-d2-0004"
+        payload = json.loads((ce / "psd-d2-0004.json").read_text())
+        assert set(payload) == {"x", "y"}
+        np.testing.assert_array_equal(matcore.matrix_from_json(payload["x"]), ginibre_matrix(204, 2, 4))
+        np.testing.assert_array_equal(matcore.matrix_from_json(payload["y"]), ginibre_matrix(205, 2, 4))
+
+    @pytest.mark.parametrize("upkp, cbn0, named", [(5, 2, "cbn0"), (4, 4, "upkp"), (1, 6, "upkp")])
+    def test_channel_failure_is_the_first_in_channel_order(self, tmp_path, monkeypatch, upkp, cbn0, named):
+        # the channel checks ran upkp, then cbn0, on one channel after another
+        monkeypatch.setattr(
+            spectra, "check_superop_norm_bound", failing_at(spectra.check_superop_norm_bound, [(upkp, 0)])
+        )
+        monkeypatch.setattr(
+            spectra, "check_norm_product_chain", failing_at(spectra.check_norm_product_chain, [(cbn0, 0)])
+        )
+        code, summary, files, ce = self.run(tmp_path, "--family", "cptp")
+        index = min(upkp, cbn0)
+        assert code == 1
+        assert summary["failure"] == {"check": named, "input": f"cptp-d2-{index:04d}", "kind": "inequality-failed"}
+        assert files == [f"cptp-d2-{index:04d}.json"]
+        assert chmod.channel_from_json(json.loads((ce / files[0]).read_text())).dim == 2
+
+    def test_passing_run_builds_no_payloads(self, tmp_path, monkeypatch):
+        calls = []
+        for module, name in ((matcore, "matrix_to_json"), (chmod, "channel_to_json")):
+            original = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *a, _f=original, _n=name: calls.append(_n) or _f(*a))
+        out = tmp_path / "ok"
+        assert cli.main(["inequalities", "--dims", "2", "--samples", "3", "--out", str(out)]) == 0
+        assert calls == []

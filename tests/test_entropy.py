@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import oracles
 import pytest
@@ -284,3 +285,29 @@ class TestGridKernel:
     def test_rejects_bad_orders(self, q, s):
         with pytest.raises(DomainError):
             ent.entropy_grid(Spectrum(np.array([0.5, 0.5])), 1.0, q, s)
+
+
+class TestLargeOrders:
+    """At large q every w**q may underflow; ln A then comes from the scaled form."""
+
+    @staticmethod
+    def _reference(w, q, s):
+        with mpmath.workdps(50):
+            log_a = mpmath.log(mpmath.fsum(mpmath.mpf(x) ** q for x in w))
+            value = log_a / (1 - q) if s == 0 else mpmath.expm1(s * log_a) / ((1 - q) * s)
+            return float(value)
+
+    def test_matches_mpmath(self):
+        q_grid, s_grid = (100.0, 600.0), (0.0, 1.0)
+        underflows = 0
+        for _, d, cid, ch in population(941, (2, 3), tuple(sampler.FAMILY_CODES), 4):
+            choi, sup = _channel_spectra(ch)
+            for spec, norm in ((choi, float(d)), (sup, float(np.sum(sup.values)))):
+                grid = ent.entropy_grid(spec, norm, q_grid, s_grid)
+                w = spec.values[spec.values > 0] / norm
+                underflows += float(np.sum(w**600.0)) < np.finfo(float).tiny
+                want = np.array([[self._reference(w, q, s) for s in s_grid] for q in q_grid])
+                assert np.isfinite(grid).all(), cid
+                assert (np.abs(grid - want) / np.abs(want)).max() <= 1e-14, cid
+        assert underflows  # the population reaches the scaled form
+

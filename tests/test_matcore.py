@@ -161,3 +161,58 @@ class TestMatrixJson:
     def test_length_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             matcore.matrix_from_json({"rows": 2, "cols": 2, "re": [1.0], "im": [0.0]})
+
+
+class TestStacks:
+    """A stack (n, m, m) gives each matrix's result, and is checked matrix by matrix."""
+
+    @staticmethod
+    def _psd_stack(seed, n=6, m=3):
+        g = complex_gaussian(np.random.default_rng(seed), (n, m, m))
+        return g @ g.conj().swapaxes(-2, -1)
+
+    def test_spectra_match_per_matrix_calls(self):
+        x = self._psd_stack(171)
+        eig = matcore.hermitian_eigenvalues(x).values
+        sv = matcore.singular_values(x).values
+        assert eig.shape == sv.shape == (6, 3)
+        for i, m in enumerate(x):
+            np.testing.assert_array_equal(eig[i], matcore.hermitian_eigenvalues(m).values)
+            np.testing.assert_array_equal(sv[i], matcore.singular_values(m).values)
+        assert len(matcore.hermitian_eigenvalues(x)) == 3
+
+    def test_hermiticity_checked_per_matrix(self):
+        x = self._psd_stack(173)
+        x[0] *= 1e6  # a large matrix with rounding-level asymmetry still passes
+        bad = np.eye(3)
+        bad[0, 1] = 1e-3
+        x[4] = bad
+        with pytest.raises(NotHermitianError) as stacked:
+            matcore.hermitian_eigenvalues(x)
+        with pytest.raises(NotHermitianError) as single:
+            matcore.hermitian_eigenvalues(bad)
+        assert str(stacked.value) == str(single.value)
+
+    def test_non_square_stack_names_the_matrix_shape(self):
+        with pytest.raises(NonSquareError, match=r"\(2, 3\)"):
+            matcore.hermitian_eigenvalues(np.ones((4, 2, 3)))
+
+    def test_clamp_per_row(self):
+        rows = np.array([[2.0, 1e-13, -1e-12], [1e-20, 0.0, -1e-30], [5.0, 3e-16, 1.0]])
+        out = matcore.clamp_spectrum(rows, neg_tol=1e-9)
+        for got, row in zip(out, rows):
+            np.testing.assert_array_equal(got, matcore.clamp_spectrum(row, neg_tol=1e-9))
+        rows[2, 2] = -1e-3
+        with pytest.raises(NotPositiveError, match="-1.000000e-03"):
+            matcore.clamp_spectrum(rows, neg_tol=1e-9)
+
+    def test_partial_trace_per_matrix(self):
+        x = complex_gaussian(np.random.default_rng(179), (3, 9, 9))
+        for sub in ("first", "second"):
+            got = matcore.partial_trace(x, 3, sub)
+            for i, m in enumerate(x):
+                np.testing.assert_array_equal(got[i], matcore.partial_trace(m, 3, sub))
+
+    def test_rejects_other_ranks(self):
+        with pytest.raises(DimensionMismatchError):
+            matcore.singular_values(np.ones((2, 2, 2, 2)))

@@ -1,12 +1,20 @@
 import math
 
 import numpy as np
+import oracles
 import pytest
 from helpers import complex_gaussian, random_psd, random_unitary
 
 from chanent import channel as chmod
-from chanent import sampler, spectra
-from chanent.errors import InvalidOrderError, InvalidSpectrumError, NotPositiveError
+from chanent import cli, sampler, spectra
+from chanent.errors import (
+    DimensionMismatchError,
+    InvalidOrderError,
+    InvalidSpectrumError,
+    NonSquareError,
+    NotHermitianError,
+    NotPositiveError,
+)
 from chanent.sampler import population
 
 
@@ -232,3 +240,156 @@ class TestCheckNormProductChain:
                 assert rep.lhs >= d - 1e-9
             else:
                 assert rep.lhs >= math.sqrt(d) - 1e-9
+
+
+# The suite's own population: the CLI's default seed and sample count.
+SUITE = cli.SweepConfig()
+MONOTONICITY_PAIRS = ((0.2, 0.8), (1.0 / 3.0, 0.5), (0.5, 1.0))
+
+
+def _ginibre_stack(d, stream, count=SUITE.samples_per_family):
+    pop = sampler.ginibre_population(SUITE.seed, (d,), count, stream)
+    return np.stack([g for _, _, g in pop])
+
+
+def _psd_stack(d, stream, count=SUITE.samples_per_family):
+    g = _ginibre_stack(d, stream, count)
+    return g @ g.conj().swapaxes(-2, -1)
+
+
+def _rank_deficient_stack(seed, d=4, rank=2, count=20):
+    g = complex_gaussian(np.random.default_rng(seed), (count, d, rank))
+    return g @ g.conj().swapaxes(-2, -1)
+
+
+def _psd_cases():
+    """(stack, full rank) for the default suite dimensions, d = 4, and a rank-2 stack."""
+    cases = [pytest.param(_psd_stack(d, 201), True, id=f"d{d}") for d in (2, 3)]
+    cases.append(pytest.param(_psd_stack(4, 201, 20), True, id="d4"))
+    cases.append(pytest.param(_rank_deficient_stack(931), False, id="rank-deficient"))
+    return cases
+
+
+def _assert_matches(batch, oracle):
+    """Slack within 1e-12 relative (floored at 1) and equal verdicts, entry by entry."""
+    assert batch.slack.shape == (len(oracle), len(oracle[0]))
+    for i, row in enumerate(oracle):
+        for j, rep in enumerate(row):
+            got = batch.report(i, j)
+            assert abs(got.slack - rep.slack) <= 1e-12 * max(abs(got.slack), abs(rep.slack), 1.0), (i, j)
+            assert got.passed == rep.passed and got.direction == rep.direction, (i, j)
+
+
+class TestBatchedChecksMatchOracles:
+    @pytest.mark.parametrize("x, full_rank", _psd_cases())
+    def test_prop1(self, x, full_rank):
+        orders = SUITE.q_grid + ((-0.5,) if full_rank else ())
+        batch = spectra.check_prop1(x, orders)
+        _assert_matches(batch, [[oracles.check_prop1(m, q) for q in orders] for m in x])
+
+    @pytest.mark.parametrize("d, count", [(2, 50), (3, 50), (4, 20)])
+    def test_two_inf_one(self, d, count):
+        x = _ginibre_stack(d, 202, count)
+        _assert_matches(spectra.check_two_inf_one(x), [[oracles.check_two_inf_one(m)] for m in x])
+
+    @pytest.mark.parametrize("x, full_rank", _psd_cases())
+    def test_antinorm_monotonicity(self, x, full_rank):
+        ps, qs = zip(*MONOTONICITY_PAIRS)
+        batch = spectra.check_antinorm_monotonicity(x, ps, qs)
+        oracle = [[oracles.check_antinorm_monotonicity(m, p, q) for p, q in MONOTONICITY_PAIRS] for m in x]
+        _assert_matches(batch, oracle)
+
+    @pytest.mark.parametrize("x, full_rank", _psd_cases())
+    def test_superadditivity(self, x, full_rank):
+        y = x[::-1] + 0.0  # a different partner for every input
+        orders = (0.3, 0.5, 0.9) + ((-0.5,) if full_rank else ())
+        batch = spectra.check_superadditivity(x, y, orders)
+        oracle = [[oracles.check_superadditivity(a, b, q) for q in orders] for a, b in zip(x, y)]
+        _assert_matches(batch, oracle)
+
+    @pytest.mark.parametrize("d, count", [(2, 50), (3, 50), (4, 10)])
+    def test_channel_checks(self, d, count):
+        chs = [ch for _, _, _, ch in population(SUITE.seed, (d,), SUITE.families, count, stream=100)]
+        stack = spectra.stack_channels(chs)
+        _assert_matches(
+            spectra.check_superop_norm_bound(stack), [[oracles.check_superop_norm_bound(ch)] for ch in chs]
+        )
+        _assert_matches(
+            spectra.check_norm_product_chain(stack), [[oracles.check_norm_product_chain(ch)] for ch in chs]
+        )
+
+    def test_one_input_at_one_order_is_a_report(self):
+        x = np.diag([1.0, 4.0])
+        assert isinstance(spectra.check_prop1(x, 1.5), spectra.InequalityReport)
+        assert isinstance(spectra.check_prop1(x[None], 1.5), spectra.InequalityBatch)
+        assert spectra.check_prop1(x, [1.5, 3.0]).slack.shape == (1, 2)
+        ch = sampler.named_channel("identity", 2)
+        assert isinstance(spectra.check_norm_product_chain(ch), spectra.InequalityReport)
+        assert spectra.check_norm_product_chain([ch, ch]).slack.shape == (2, 1)
+
+    def test_stack_channels_needs_one_dimension(self):
+        with pytest.raises(DimensionMismatchError):
+            spectra.stack_channels([sampler.named_channel("identity", d) for d in (2, 3)])
+
+
+def _first_error(fn):
+    """``(class, message)`` of the error ``fn()`` raises."""
+    with pytest.raises(Exception) as info:
+        fn()
+    return type(info.value), str(info.value)
+
+
+class TestBatchErrorsMatchTheLoop:
+    """A stack with one input a check cannot take raises what the per-input loop raised first."""
+
+    @staticmethod
+    def _loop(check, inputs, orders):
+        def run():
+            for args in inputs:
+                for order in orders:
+                    check(*args, *order)
+        return run
+
+    @pytest.mark.parametrize(
+        "bad, error",
+        [(np.array([[1.0, 1.0], [0.0, 1.0]]), NotHermitianError), (-np.eye(2), NotPositiveError)],
+        ids=["non-hermitian", "negative-definite"],
+    )
+    def test_matrix_checks(self, bad, error):
+        x = _psd_stack(2, 201, 6)
+        x[2] = bad
+        cases = [
+            (spectra.check_prop1, oracles.check_prop1, (x,), (SUITE.q_grid,), [(q,) for q in SUITE.q_grid]),
+            (spectra.check_antinorm_monotonicity, oracles.check_antinorm_monotonicity, (x,),
+             tuple(zip(*MONOTONICITY_PAIRS)), MONOTONICITY_PAIRS),
+            (spectra.check_superadditivity, oracles.check_superadditivity, (x, x[::-1] + 0.0),
+             ((0.3, 0.5),), [(0.3,), (0.5,)]),
+        ]
+        for batched, oracle, stacks, batch_orders, loop_orders in cases:
+            want = _first_error(self._loop(oracle, list(zip(*stacks)), loop_orders))
+            got = _first_error(lambda: batched(*stacks, *batch_orders))
+            assert want[0] is error and got == want, batched.__name__
+
+    def test_strictly_positive_order(self):
+        x = _psd_stack(2, 201, 6)
+        x[3] = np.diag([1.0, 0.0])
+        want = _first_error(self._loop(oracles.check_prop1, [(m,) for m in x], [(-0.5,)]))
+        assert want[0] is NotPositiveError
+        assert _first_error(lambda: spectra.check_prop1(x, [-0.5])) == want
+
+    def test_non_square_anti_norm_order(self):
+        x = _ginibre_stack(3, 202, 4)[:, :2, :]
+        want = _first_error(self._loop(oracles.check_prop1, [(m,) for m in x], [(0.5,)]))
+        assert want[0] is NonSquareError
+        assert _first_error(lambda: spectra.check_prop1(x, [0.5, 2.0])) == want
+
+
+class TestFirstFailure:
+    def test_first_failing_input_is_named(self):
+        passed = np.ones((10, 3), dtype=bool)
+        passed[7, 0] = passed[3, 2] = False
+        zeros = np.zeros((10, 3))
+        batch = spectra.InequalityBatch(zeros, zeros, zeros, passed, ("<=",) * 3)
+        assert batch.first_failure() == (3, 2)
+        passed[:] = True
+        assert batch.first_failure() is None
