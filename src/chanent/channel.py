@@ -89,19 +89,33 @@ class KrausChannel:
             )
 
     def tp_defect(self) -> float:
-        """Max-entry deviation of ``sum_i A_i^dag A_i`` from the identity."""
-        acc = sum(a.conj().T @ a for a in self.kraus_ops)
-        return float(np.abs(acc - np.eye(self.dim)).max())
+        """Max-entry deviation of ``sum_i A_i^dag A_i`` from the identity.
+
+        The sum is one product: the operators stacked vertically, ``(k d, d)``,
+        times their adjoint.
+        """
+        a = np.concatenate(self.kraus_ops)
+        return float(np.abs(a.conj().T @ a - np.eye(self.dim)).max())
 
     def unital_defect(self) -> float:
-        """Max-entry deviation of ``sum_i A_i A_i^dag`` from the identity."""
-        acc = sum(a @ a.conj().T for a in self.kraus_ops)
-        return float(np.abs(acc - np.eye(self.dim)).max())
+        """Max-entry deviation of ``sum_i A_i A_i^dag`` from the identity.
+
+        The sum is one product: the operators side by side, ``(d, k d)``, times
+        their adjoint.
+        """
+        a = np.concatenate(self.kraus_ops, axis=1)
+        return float(np.abs(a @ a.conj().T - np.eye(self.dim)).max())
 
 
 @dataclass(frozen=True, eq=False)
 class DynamicalMatrix:
-    """The ``d**2 x d**2`` dynamical matrix of a channel (trace ``d``)."""
+    """The ``d**2 x d**2`` dynamical matrix of a channel (trace ``d``).
+
+    ``matrix`` may also hold the ``(n, d**2, d**2)`` stack of ``n``
+    same-dimension channels; every function of this module that takes a
+    :class:`DynamicalMatrix` or :class:`SuperoperatorMatrix` then acts on each
+    matrix of the stack.
+    """
 
     dim: int
     matrix: np.ndarray
@@ -113,21 +127,36 @@ class DynamicalMatrix:
 
 @dataclass(frozen=True, eq=False)
 class SuperoperatorMatrix:
-    """The ``d**2 x d**2`` superoperator matrix (generally non-Hermitian)."""
+    """The ``d**2 x d**2`` superoperator matrix (generally non-Hermitian), or a stack of them."""
 
     dim: int
     matrix: np.ndarray
 
 
-def dynamical_from_kraus(ch: KrausChannel) -> DynamicalMatrix:
+def dynamical_from_kraus(channels) -> DynamicalMatrix:
     """Dynamical matrix ``sum_i vec(A_i) vec(A_i)^dag`` as ``V^T conj(V)``.
 
     Row ``i`` of ``V`` is ``vec(A_i)``, so the sum over Kraus operators is
-    one matrix product.
+    one matrix product.  A sequence of same-dimension channels gives their
+    stack of dynamical matrices ``(n, d**2, d**2)`` from one batched product;
+    a channel with fewer Kraus operators than the others is padded with zero
+    operators, which add nothing.
     """
-    d = ch.dim
-    v = np.stack(ch.kraus_ops).reshape(len(ch.kraus_ops), d * d)
-    return DynamicalMatrix(d, v.T @ v.conj())
+    single = isinstance(channels, KrausChannel)
+    chs = [channels] if single else list(channels)
+    if not chs:
+        raise ValueError("a channel stack needs at least one channel")
+    d = chs[0].dim
+    if any(ch.dim != d for ch in chs):
+        raise DimensionMismatchError(
+            f"a channel stack needs one dimension, got {sorted({ch.dim for ch in chs})}"
+        )
+    v = np.zeros((len(chs), max(len(ch.kraus_ops) for ch in chs), d, d), dtype=complex)
+    for row, ch in zip(v, chs):
+        row[: len(ch.kraus_ops)] = ch.kraus_ops
+    v = v.reshape(len(chs), -1, d * d)
+    dyn = v.swapaxes(-2, -1) @ v.conj()
+    return DynamicalMatrix(d, dyn[0] if single else dyn)
 
 
 def superoperator_from_kraus(ch: KrausChannel) -> SuperoperatorMatrix:
@@ -169,14 +198,14 @@ def is_unital(ch: KrausChannel, tol: float = UNITAL_TOL) -> bool:
 
 
 def dynamical_spectrum(dyn: DynamicalMatrix) -> Spectrum:
-    """Clamped eigenvalue spectrum of the dynamical matrix, descending."""
+    """Clamped eigenvalue spectrum of the dynamical matrix, descending; one row per matrix of a stack."""
     spec = matcore.hermitian_eigenvalues(dyn.matrix)
     vals = matcore.clamp_spectrum(spec.values, neg_tol=matcore.eig_tol(dyn.dim**2))
     return Spectrum(vals, "eigenvalues-hermitian")
 
 
 def superoperator_spectrum(sup: SuperoperatorMatrix) -> Spectrum:
-    """Cleaned singular-value spectrum of the superoperator matrix."""
+    """Cleaned singular-value spectrum of the superoperator matrix; one row per matrix of a stack."""
     spec = matcore.singular_values(sup.matrix)
     vals = matcore.clamp_spectrum(spec.values, neg_tol=matcore.eig_tol(sup.dim**2))
     return Spectrum(vals, "singular-values")

@@ -16,22 +16,31 @@ seed and the sample address, and output rows are ordered by
 (dimension, family, sample, q, s) regardless of evaluation order, so a
 repeated run reproduces ``report.csv`` byte for byte.
 
-A sweep evaluates each channel's whole grid in one array pass against bounds
-tabulated once per dimension, and formats the strings that do not change
-from row to row (channel columns, orders, bounds) once.
+Both harnesses draw their population one sample at a time and evaluate it
+in stacks of consecutive same-dimension inputs, at most ``STACK_SIZE``
+inputs and ``STACK_ENTRIES`` matrix entries to a stack.
 
-The inequality suite stacks each population per dimension, at most
-``STACK_SIZE`` inputs to a stack, and runs each check once per stack at all
-of its orders; the two channel checks share one
-:class:`~chanent.spectra.ChannelStack` per stack.  The first failure is
-named in the order of a loop over inputs with the orders inside, and only
-that input is serialized.
+A sweep stacks the channels of one (dimension, family): one batched build of
+``D``, one ``eigvalsh``, one ``svd`` and one grid pass per stack, against
+bounds tabulated once per dimension.  Its first error is the one a loop over
+the channels would meet first; a violation on a channel inside a stack
+writes every row of the channels before it.  ``report.csv`` is written
+channel by channel, each row one pre-formatted line: the channel columns go
+through :mod:`csv` once per channel (a ``--channel`` file name may need
+quoting), the orders and bounds are formatted once per dimension, and only
+the entropies, sum and gap once per row.
+
+The inequality suite runs each check once per stack at all of its orders;
+the two channel checks share one :class:`~chanent.spectra.ChannelStack` per
+stack.  The first failure is named in the order of a loop over inputs with
+the orders inside, and only that input is serialized.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import io
 import itertools
 import json
 import math
@@ -78,10 +87,15 @@ CSV_COLUMNS = [
 CHECK_NAMES = ("prop1", "21in", "upkp", "npqr", "sups", "cbn0")
 # The checks that run on sampled channels rather than on matrices.
 CHANNEL_CHECKS = ("upkp", "cbn0")
-# Most inputs the inequality suite checks in one stack: enough that the
-# per-call overhead is spread thin, few enough that memory stays flat in the
-# number of samples.
+# Most inputs one stack holds, in the sweep and in the inequality suite:
+# enough that the per-call overhead is spread thin, few enough that memory
+# stays flat in the number of samples.
 STACK_SIZE = 128
+# Most matrix entries one stack holds, counted per input as the entries of
+# one input matrix (d**2) or of one channel's dynamical matrix (d**4): 128
+# channels per stack up to d = 4, 16 at d = 8 and one at d = 16, where a
+# stack of four would hold about 20 MB of D, K and decomposition workspace.
+STACK_ENTRIES = 2**16
 
 
 class ConfigError(ValueError):
@@ -172,10 +186,12 @@ def config_from_file(path) -> SweepConfig:
     return SweepConfig(**raw)
 
 
-def _stacked(items, key):
-    """Consecutive runs of ``items`` with one ``key``, cut into lists of at most STACK_SIZE."""
-    for _, group in itertools.groupby(items, key=key):
-        while chunk := list(itertools.islice(group, STACK_SIZE)):
+def _stacked(items, key, entries):
+    """Consecutive runs of ``items`` with one ``key``, cut into lists of at most
+    STACK_SIZE items and STACK_ENTRIES entries, ``entries(key)`` per item."""
+    for k, group in itertools.groupby(items, key=key):
+        size = max(1, min(STACK_SIZE, STACK_ENTRIES // entries(k)))
+        while chunk := list(itertools.islice(group, size)):
             yield chunk
 
 
@@ -193,44 +209,48 @@ def _load_matrix(path):
 
 
 def _bound_cells(bounds: BoundTable) -> tuple[list, list]:
-    """Per cell, the row strings ``(q, s, bound_all, bound_unital)`` fixed by the table.
+    """Per cell, the row text fixed by the table: ``("q,s,", ",bound_all,bound_unital,")``.
 
     One list for non-unital channels (empty unital bound), one for unital ones.
     """
-    orders = [(repr(q), repr(s)) for q in bounds.q.tolist() for s in bounds.s.tolist()]
-    bound_all = [repr(b) for b in bounds.all_channels.ravel().tolist()]
-    bound_unital = [repr(b) for b in bounds.unital.ravel().tolist()]
-    plain = [(q, s, b, "") for (q, s), b in zip(orders, bound_all)]
-    unital = [(q, s, b, u) for (q, s), b, u in zip(orders, bound_all, bound_unital)]
+    orders = [f"{q!r},{s!r}," for q in bounds.q.tolist() for s in bounds.s.tolist()]
+    bound_all = bounds.all_channels.ravel().tolist()
+    bound_unital = bounds.unital.ravel().tolist()
+    plain = [(qs, f",{b!r},,") for qs, b in zip(orders, bound_all)]
+    unital = [(qs, f",{b!r},{u!r},") for qs, b, u in zip(orders, bound_all, bound_unital)]
     return plain, unital
 
 
 _BOOL = {False: "false", True: "true"}
 
 
-def _write_csv(path: Path, blocks: list) -> None:
-    """Write report.csv from per-channel blocks ``(prefix, cells, grid, count)``.
+def _csv_prefix(fields) -> str:
+    """The channel columns of a row as ``csv`` writes them, and the comma after them."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow(fields)
+    return buf.getvalue().removesuffix("\r\n") + ","
 
-    ``prefix`` holds the channel columns, ``cells`` the per-cell strings of
-    :func:`_bound_cells`, and the first ``count`` cells of ``grid`` in
-    row-major order are written; only the entropies, sum and gap are
-    formatted per row.
+
+def _write_csv(path: Path, blocks: list) -> None:
+    """Write report.csv from per-channel blocks ``(prefix, cells, values, count)``.
+
+    ``prefix`` holds the channel columns, ``cells`` the per-cell text of
+    :func:`_bound_cells`, ``values`` the channel's map entropies, receiver
+    entropies, gaps and saturation flags in row-major cell order, and the
+    first ``count`` cells are written.  Each row is one line of text with the
+    line ending ``csv`` writes; only the entropies, sum and gap are formatted
+    per row, and each channel's lines go to the file in one write.
     """
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_COLUMNS)
-        for prefix, cells, grid, count in blocks:
-            values = zip(
-                cells,
-                grid.map_values.ravel().tolist(),
-                grid.receiver_values.ravel().tolist(),
-                grid.gap.ravel().tolist(),
-                grid.saturated.ravel().tolist(),
-            )
-            writer.writerows(
-                [*prefix, q, s, repr(m), repr(r), repr(m + r), b_all, b_unital, repr(g), _BOOL[sat]]
-                for (q, s, b_all, b_unital), m, r, g, sat in itertools.islice(values, count)
-            )
+        csv.writer(fh).writerow(CSV_COLUMNS)
+        for prefix, cells, (m, r, g, sat), count in blocks:
+            lead = _csv_prefix(prefix)
+            fh.write("".join([
+                f"{lead}{qs}{mv!r},{rv!r},{mv + rv!r}{b}{gv!r},{_BOOL[sv]}\r\n"
+                for (qs, b), mv, rv, gv, sv in zip(
+                    cells[:count], m.tolist(), r.tolist(), g.tolist(), sat.tolist()
+                )
+            ]))
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -276,24 +296,31 @@ def run_sweep(cfg: SweepConfig, out_dir, channel_path=None) -> int:
     stats: dict[str, dict] = {}
     totals = {"rows": 0, "min_gap": math.inf, "saturation_count": 0, "limit_rows": 0}
     violation_info = None
-    for family, dim, channel_id, ch in channels:
-        profile = profile_channel(ch, channel_id)
+    # one stack per (family, dim) run of the population, cut to size
+    for chunk in _stacked(channels, key=lambda item: item[:2], entries=lambda key: key[1] ** 4):
+        family, dim = chunk[0][:2]
+        ids = [channel_id for _, _, channel_id, _ in chunk]
+        profile = profile_channel([ch for *_, ch in chunk], ids)
         if dim not in tables:
             bounds = bound_table(dim, cfg.q_grid, cfg.s_grid)
             limit = np.repeat(bounds.limit_rows, bounds.s.size)
             tables[dim] = (bounds, *_bound_cells(bounds), limit)
         bounds, plain_cells, unital_cells, limit = tables[dim]
+        cells = limit.size
         fam_stats = stats.setdefault(
             family, {"rows": 0, "min_gap": math.inf, "saturation_count": 0}
         )
+        # rows are counted over the stack's cells in row order: every cell of
+        # the channels that pass, and on a violation the cells up to it
         try:
             grid = evaluate_profile(profile, bounds, sat_tol=cfg.sat_tol(), gap_tol=cfg.gap_tol())
             count = passed = grid.gap.size
         except BoundViolation as exc:
             grid = exc.grid
-            passed = exc.cell[0] * bounds.s.size + exc.cell[1]
+            k, i, j = exc.cell
+            passed = k * cells + i * bounds.s.size + j
             count = passed + 1
-            path = _serialize_counterexample(out, ch, exc.report, family)
+            path = _serialize_counterexample(out, chunk[k][3], exc.report, family)
             violation_info = {"message": str(exc), "counterexample": path.name}
         except DomainError as exc:
             raise ConfigError(str(exc)) from exc
@@ -305,9 +332,19 @@ def run_sweep(cfg: SweepConfig, out_dir, channel_path=None) -> int:
                 st["rows"] += n
                 st["min_gap"] = min(st["min_gap"], float(gaps[:n].min()))
                 st["saturation_count"] += int(saturated[:n].sum())
-        totals["limit_rows"] += int(limit[:count].sum())
-        prefix = (channel_id, family, str(dim), _BOOL[profile.unital])
-        blocks.append((prefix, unital_cells if profile.unital else plain_cells, grid, count))
+        totals["limit_rows"] += int(np.tile(limit, len(chunk))[:count].sum())
+        values = [
+            a.reshape(len(chunk), cells)
+            for a in (grid.map_values, grid.receiver_values, grid.gap, grid.saturated)
+        ]
+        for k, channel_id in enumerate(ids[: -(-count // cells)]):
+            unital = bool(profile.unital[k])
+            blocks.append((
+                (channel_id, family, str(dim), _BOOL[unital]),
+                unital_cells if unital else plain_cells,
+                [v[k] for v in values],
+                min(cells, count - k * cells),
+            ))
         if violation_info:
             break
 
@@ -368,7 +405,7 @@ def run_inequality_suite(cfg: SweepConfig, out_dir, only=None, matrix_path=None)
             yield [injected[0]], injected[1][None]
             return
         pop = sampler.ginibre_population(cfg.seed, cfg.dims, cfg.samples_per_family, stream)
-        for chunk in _stacked(pop, key=lambda item: item[0]):
+        for chunk in _stacked(pop, key=lambda item: item[0], entries=lambda d: d * d):
             g = np.stack([g for _, _, g in chunk])
             labels = [f"{kind}-d{d}-{i:04d}" for d, i, _ in chunk]
             yield labels, g @ g.conj().swapaxes(-2, -1) if kind == "psd" else g
@@ -424,7 +461,7 @@ def run_inequality_suite(cfg: SweepConfig, out_dir, only=None, matrix_path=None)
                 ("upkp", spectra.check_superop_norm_bound),
                 ("cbn0", spectra.check_norm_product_chain),
             )
-            for chunk in _stacked(suite, key=lambda item: item[1]):
+            for chunk in _stacked(suite, key=lambda item: item[1], entries=lambda d: d**4):
                 labels, chs = zip(*((label, ch) for _, _, label, ch in chunk))
                 stack = spectra.stack_channels(chs)
                 batches = [(name, check(stack)) for name, check in checks if name in selected]

@@ -84,20 +84,37 @@ def q_log(x: float, q: float) -> float:
     return math.expm1((1.0 - q) * math.log(x)) / (1.0 - q)
 
 
-def entropy_grid(spectrum: Spectrum, normalizer: float, q_grid, s_grid) -> np.ndarray:
+def entropy_grid(spectrum: Spectrum, normalizer, q_grid, s_grid) -> np.ndarray:
     """Unified entropies of ``spectrum.values / normalizer`` on the grid ``q_grid x s_grid``.
 
     Returns the ``(len(q_grid), len(s_grid))`` array, cell ``[i, j]`` at
     ``(q_grid[i], s_grid[j])``.  ``normalizer`` is the total weight of the
     spectrum (the dynamical-matrix trace ``d`` in the map case, the
-    singular-value sum in the receiver case).
+    singular-value sum in the receiver case).  A stack of ``n`` spectra
+    ``(n, m)`` takes one normalizer or one per row and gives
+    ``(n, len(q_grid), len(s_grid))``; shorter spectra are padded with zeros,
+    which carry no weight.  When all rows have their zeros in the same places
+    (descending spectra of one rank), each row's result equals the
+    one-spectrum call exactly; a row with more zeros than others is summed in
+    another grouping and may differ from that call by rounding, which the
+    generic form amplifies by ``1/|q-1|`` next to the ``q = 1`` band.
     """
     vals = np.asarray(spectrum.values, dtype=float)
     if vals.size == 0 or float(vals.min()) < 0.0:
         raise InvalidSpectrumError("spectrum must be nonempty and nonnegative")
-    w = vals[vals > 0.0] / normalizer
-    if w.size == 0:
+    rows = np.atleast_2d(vals)
+    pos = rows > 0.0
+    if not pos.any(axis=-1).all():
         raise InvalidSpectrumError("spectrum carries no weight")
+    # Zero weights stay in place: 0**q = 0 for every q > 0, and the q = 1 term
+    # masks w ln w there.  Entries zero in every row are dropped, so a single
+    # spectrum, or a stack of equal rank, is summed over its nonzero weights
+    # alone, in the same order as without the padding.  compress keeps each
+    # row contiguous (a boolean-index copy is column-major), which keeps the
+    # row sums below pairwise, as for one spectrum.
+    keep = pos.any(axis=0)
+    w = (rows.compress(keep, axis=-1) / np.reshape(normalizer, (-1, 1)))[:, None, :]
+    pos = pos.compress(keep, axis=-1)[:, None, :]
     q = np.asarray(q_grid, dtype=float).reshape(-1, 1)
     s = np.asarray(s_grid, dtype=float).reshape(1, -1)
     if not ((q > 0.0).all() and np.isfinite(q).all() and np.isfinite(s).all()):
@@ -105,7 +122,7 @@ def entropy_grid(spectrum: Spectrum, normalizer: float, q_grid, s_grid) -> np.nd
     # The cells a limit form replaces divide by zero here, and out-of-range
     # orders overflow; both are left to IEEE arithmetic.
     with np.errstate(all="ignore"):
-        a = (w**q).sum(axis=1, keepdims=True)
+        a = (w**q).sum(axis=-1, keepdims=True)
         log_a = np.log(a)
         # Once w_max**q drops below the smallest normal double, A loses its
         # digits and then underflows to 0 (large q).  There ln A is taken in
@@ -114,14 +131,16 @@ def entropy_grid(spectrum: Spectrum, normalizer: float, q_grid, s_grid) -> np.nd
         # 0.3 to 100), and near q = 1 the scaled form's two O(1) terms cancel.
         small = a < _TINY
         if small.any():
-            w_max = w.max()
-            scaled = q * np.log(w_max) + np.log(((w / w_max) ** q).sum(axis=1, keepdims=True))
+            w_max = w.max(axis=-1, keepdims=True)
+            scaled = q * np.log(w_max) + np.log(((w / w_max) ** q).sum(axis=-1, keepdims=True))
             log_a = np.where(small, scaled, log_a)
         value = np.where(
             np.abs(s) <= LIMIT_EPS, log_a / (1.0 - q), np.expm1(s * log_a) / ((1.0 - q) * s)
         )
-        value = np.where(np.abs(q - 1.0) <= LIMIT_EPS, -(w * np.log(w)).sum(), value)
-    return value + 0.0  # +0.0 drops a -0.0 sign
+        shannon = -np.where(pos, w * np.log(w), 0.0).sum(axis=-1, keepdims=True)
+        value = np.where(np.abs(q - 1.0) <= LIMIT_EPS, shannon, value)
+    value = value + 0.0  # +0.0 drops a -0.0 sign
+    return value[0] if vals.ndim == 1 else value
 
 
 def entropy_from_spectrum(spectrum: Spectrum, normalizer: float, params: EntropyParams) -> float:

@@ -5,7 +5,9 @@ singular values for ``q >= 1`` (including ``q = inf`` as the spectral norm)
 and an anti-norm of the eigenvalues of a positive matrix for ``q < 1``
 (``q != 0``): superadditive instead of subadditive.  ``0 < q < 1`` needs PSD
 input with the ``0**q = 0`` convention; ``q < 0`` needs a strictly positive
-matrix, since negative powers amplify spectral noise without bound.
+matrix, since negative powers amplify spectral noise without bound.  The
+orders ``-inf`` and NaN are rejected everywhere, and the checkers take finite
+orders only.
 
 Every checker takes one input (a matrix, or a channel) or a stack of them
 ``(n, m, m)`` (a sequence of same-dimension channels, or a
@@ -30,7 +32,6 @@ import numpy as np
 from . import channel as chmod
 from . import matcore
 from .errors import (
-    DimensionMismatchError,
     InvalidOrderError,
     InvalidSpectrumError,
     NotPositiveError,
@@ -65,6 +66,8 @@ _ANTINORM_STRICT = "antinorm-strict"
 def _regime(q: float) -> str:
     if q != q:  # NaN
         raise InvalidOrderError("order q must not be NaN")
+    if q == -math.inf:
+        raise InvalidOrderError("order q = -inf has no anti-norm")
     if q >= 1.0 or q == math.inf:
         return _NORM
     if 0.0 < q < 1.0:
@@ -143,8 +146,14 @@ def _stack(x) -> tuple[np.ndarray, bool]:
 
 
 def _orders(q) -> tuple[list, bool]:
-    """The orders in ``q`` as a list, and whether ``q`` was one order."""
+    """The orders in ``q`` as a list, and whether ``q`` was one order.
+
+    The checks compare finite powers of norms, so an infinite order is
+    rejected; NaN is left to :func:`_regime`.
+    """
     arr = np.asarray(q, dtype=float)
+    if np.isinf(arr).any():
+        raise InvalidOrderError(f"inequality checks need finite orders, got {q}")
     return arr.reshape(-1).tolist(), arr.ndim == 0
 
 
@@ -298,19 +307,15 @@ class ChannelStack:
 
 
 def stack_channels(channels) -> ChannelStack:
-    """Build ``D`` per channel and decompose the ``D``, ``K`` and ``channel(I/d)`` stacks."""
+    """Build the ``D`` stack in one product and decompose the ``D``, ``K`` and ``channel(I/d)`` stacks."""
     chs = list(channels)
-    if not chs:
-        raise ValueError("a channel stack needs at least one channel")
-    d = chs[0].dim
-    if any(ch.dim != d for ch in chs):
-        raise DimensionMismatchError(f"a channel stack needs one dimension, got {sorted({c.dim for c in chs})}")
-    dyn = np.stack([chmod.dynamical_from_kraus(ch).matrix for ch in chs])
-    output = matcore.partial_trace(dyn, d, "second") / d
+    dyn = chmod.dynamical_from_kraus(chs)
+    d = dyn.dim
+    output = matcore.partial_trace(dyn.matrix, d, "second") / d
     return ChannelStack(
         dim=d,
-        dynamical_sv=matcore.singular_values(dyn).values,
-        superop_sv=matcore.singular_values(chmod.reshuffle(dyn, d)).values,
+        dynamical_sv=matcore.singular_values(dyn.matrix).values,
+        superop_sv=matcore.singular_values(dyn.superoperator().matrix).values,
         output_norm=matcore.singular_values(output).values[:, 0],
         unital=np.array([chmod.is_unital(ch) for ch in chs]),
     )

@@ -15,7 +15,9 @@ the ``q -> 1`` limit value (``kappa = 1``) without asserting it as a theorem:
 A channel is evaluated on a whole ``(q, s)`` grid at once: the bounds of
 one dimension are tabulated once (:func:`bound_table`), and
 :func:`evaluate_profile` computes the map and receiver entropies and the gap
-of every cell of that table in one array pass.
+of every cell of that table in one array pass.  A stack of same-dimension
+channels is profiled with one decomposition per spectrum for the whole stack
+(:func:`profile_channel` on a list) and evaluated in one pass as well.
 
 The auxiliary minimizations behind the bound, over the planar regions
 ``{0 <= x, y <= 1, x y <= a}`` and ``{x, y >= 1, x y >= b}``, have closed
@@ -139,22 +141,55 @@ def bound_table(d: int, q_grid, s_grid) -> BoundTable:
 
 @dataclass(frozen=True, eq=False)
 class ChannelProfile:
-    """Everything the grid evaluation needs, computed once per channel."""
+    """Everything the grid evaluation needs, computed once per channel.
 
-    channel_id: str
+    A profile of one channel has a string ``channel_id``, a bool ``unital``
+    and 1-D spectra; a profile of a stack of ``n`` same-dimension channels
+    has a tuple of ``n`` ids, an ``(n,)`` bool array and ``(n, d**2)``
+    spectra, row ``k`` belonging to channel ``k``.
+    """
+
+    channel_id: str | tuple
     dim: int
-    unital: bool
+    unital: bool | np.ndarray
     choi_spectrum: Spectrum
     superop_spectrum: Spectrum
 
+    @property
+    def stacked(self) -> bool:
+        return self.choi_spectrum.values.ndim == 2
 
-def profile_channel(ch: chmod.KrausChannel, channel_id: str = "") -> ChannelProfile:
-    """Extract the two spectra and the unital flag of a channel."""
-    dyn = chmod.dynamical_from_kraus(ch)
+    def channel(self, k: int) -> "ChannelProfile":
+        """The profile of channel ``k`` of a stack."""
+        return ChannelProfile(
+            self.channel_id[k],
+            self.dim,
+            bool(self.unital[k]),
+            Spectrum(self.choi_spectrum.values[k], self.choi_spectrum.kind),
+            Spectrum(self.superop_spectrum.values[k], self.superop_spectrum.kind),
+        )
+
+
+def profile_channel(channels, channel_id="") -> ChannelProfile:
+    """Extract the two spectra and the unital flag of a channel, or of each of a stack.
+
+    ``channels`` is one channel, with its id in ``channel_id``, or a sequence
+    of same-dimension channels, with one id each in ``channel_id`` (all empty
+    by default).  A stack's dynamical matrices come from one batched product
+    and each spectrum from one decomposition of the whole stack.
+    """
+    if isinstance(channels, chmod.KrausChannel):
+        dyn, unital = chmod.dynamical_from_kraus(channels), chmod.is_unital(channels)
+    else:
+        chs = list(channels)
+        channel_id = tuple(channel_id) if channel_id else ("",) * len(chs)
+        if len(channel_id) != len(chs):
+            raise ValueError(f"{len(chs)} channels but {len(channel_id)} channel ids")
+        dyn, unital = chmod.dynamical_from_kraus(chs), np.array([chmod.is_unital(ch) for ch in chs])
     return ChannelProfile(
         channel_id=channel_id,
-        dim=ch.dim,
-        unital=chmod.is_unital(ch),
+        dim=dyn.dim,
+        unital=unital,
         choi_spectrum=chmod.dynamical_spectrum(dyn),
         superop_spectrum=chmod.superoperator_spectrum(dyn.superoperator()),
     )
@@ -182,11 +217,12 @@ class TradeoffReport:
 
 @dataclass(frozen=True, eq=False)
 class GridReport:
-    """One channel evaluated on every cell of a :class:`BoundTable`.
+    """One channel, or a stack of them, evaluated on every cell of a :class:`BoundTable`.
 
-    The arrays are ``(n_q, n_s)``, laid out like the table; ``gap`` is
-    measured against the unital bound for unital channels and against the
-    all-channels bound otherwise.
+    The arrays are ``(n_q, n_s)``, laid out like the table, for one channel
+    and ``(n, n_q, n_s)`` for a stack; ``gap`` is measured against the
+    unital bound for unital channels and against the all-channels bound
+    otherwise.
     """
 
     profile: ChannelProfile
@@ -196,8 +232,19 @@ class GridReport:
     gap: np.ndarray
     saturated: np.ndarray
 
+    def channel(self, k: int) -> "GridReport":
+        """The grid of channel ``k`` of a stack."""
+        return GridReport(
+            self.profile.channel(k),
+            self.bounds,
+            self.map_values[k],
+            self.receiver_values[k],
+            self.gap[k],
+            self.saturated[k],
+        )
+
     def report(self, i: int, j: int) -> TradeoffReport:
-        """The cell at ``(q[i], s[j])`` as a :class:`TradeoffReport`."""
+        """The cell at ``(q[i], s[j])`` of a one-channel grid as a :class:`TradeoffReport`."""
         b = self.bounds
         return TradeoffReport(
             channel_id=self.profile.channel_id,
@@ -219,43 +266,52 @@ def evaluate_profile(
 ) -> GridReport:
     """Entropic sums, applicable bounds and gaps on every cell of ``bounds``.
 
-    Raises :class:`DomainError` naming the first cell, in ``(q, s)``
-    row-major order, whose entropy or gap is not finite.  Raises
-    :class:`BoundViolation` carrying the report of the first cell whose gap
-    drops below ``-gap_tol`` outside the ``q = 1`` band, and the whole grid;
-    such a failure is either a tolerance problem or a genuine bug and must
-    never be ignored.
+    A stacked profile is evaluated in one array pass, and its errors are
+    those of evaluating its channels one after the other: the first channel
+    with a non-finite cell or a violation decides, and within it a
+    non-finite cell comes first.  Raises :class:`DomainError` naming the
+    first cell, in ``(q, s)`` row-major order, whose entropy or gap is not
+    finite.  Raises :class:`BoundViolation` carrying the report of the first
+    cell whose gap drops below ``-gap_tol`` outside the ``q = 1`` band, the
+    whole grid and the cell's index in it (``(i, j)``, or ``(k, i, j)`` on
+    channel ``k`` of a stack); such a failure is either a tolerance problem
+    or a genuine bug and must never be ignored.
     """
     if bounds.dim != profile.dim:
         raise DimensionMismatchError(f"bound table for d={bounds.dim}, channel has d={profile.dim}")
+    sup = profile.superop_spectrum
     m = entropy_grid(profile.choi_spectrum, float(profile.dim), bounds.q, bounds.s)
-    r = entropy_grid(
-        profile.superop_spectrum, float(np.sum(profile.superop_spectrum.values)), bounds.q, bounds.s
-    )
-    applicable = bounds.unital if profile.unital else bounds.all_channels
+    r = entropy_grid(sup, np.sum(sup.values, axis=-1), bounds.q, bounds.s)
+    unital = np.asarray(profile.unital)[..., None, None]
+    applicable = np.where(unital, bounds.unital, bounds.all_channels)
     with np.errstate(invalid="ignore"):  # inf - inf; reported below
         gap = (m + r) - applicable
-    non_finite = ~np.isfinite(gap)
-    if non_finite.any():
-        i, j = np.argwhere(non_finite)[0]
+    grid = GridReport(profile, bounds, m, r, gap, gap <= sat_tol)
+    cells = bounds.q.size * bounds.s.size
+    non_finite = ~np.isfinite(gap).reshape(-1, cells)
+    violated = ((gap < -gap_tol) & ~bounds.limit_rows[:, None]).reshape(-1, cells)
+    failing = np.flatnonzero(non_finite.any(axis=1) | violated.any(axis=1))
+    if not failing.size:
+        return grid
+    k = int(failing[0])
+    one = grid.channel(k) if profile.stacked else grid
+    if non_finite[k].any():
+        i, j = divmod(int(np.argmax(non_finite[k])), bounds.s.size)
+        bound = (bounds.unital if one.profile.unital else bounds.all_channels)[i, j]
         raise DomainError(
             f"entropy or gap is not finite at q={float(bounds.q[i])}, s={float(bounds.s[j])} on "
-            f"channel {profile.channel_id!r}: map {float(m[i, j])}, receiver {float(r[i, j])}, "
-            f"bound {float(applicable[i, j])}"
+            f"channel {one.profile.channel_id!r}: map {float(one.map_values[i, j])}, "
+            f"receiver {float(one.receiver_values[i, j])}, bound {float(bound)}"
         )
-    grid = GridReport(profile, bounds, m, r, gap, gap <= sat_tol)
-    violated = (gap < -gap_tol) & ~bounds.limit_rows[:, None]
-    if violated.any():
-        i, j = np.argwhere(violated)[0]
-        report = grid.report(i, j)
-        raise BoundViolation(
-            f"entropic sum fell {-report.gap:.3e} below the bound on channel "
-            f"{profile.channel_id!r} at q={report.params.q}, s={report.params.s}",
-            report,
-            grid=grid,
-            cell=(int(i), int(j)),
-        )
-    return grid
+    i, j = divmod(int(np.argmax(violated[k])), bounds.s.size)
+    report = one.report(i, j)
+    raise BoundViolation(
+        f"entropic sum fell {-report.gap:.3e} below the bound on channel "
+        f"{report.channel_id!r} at q={report.params.q}, s={report.params.s}",
+        report,
+        grid=grid,
+        cell=(k, i, j) if profile.stacked else (i, j),
+    )
 
 
 def evaluate_tradeoff(ch: chmod.KrausChannel, params: EntropyParams, channel_id: str = "") -> TradeoffReport:

@@ -10,8 +10,6 @@ import numpy as np
 import oracles
 import pytest
 from helpers import complex_gaussian
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from chanent import channel as chmod
 from chanent import cli, matcore, sampler, spectra, tradeoff
@@ -29,7 +27,8 @@ MIXTURE_PER_DIM = 200
 UNISTOCHASTIC_PER_DIM = 100
 # criterion 6 compares D and K with their oracles on every family up to d = 16
 ROUTE_DIMS = (2, 3, 4, 8, 16)
-ROUTE_SEEDS = 2
+# fixed population seeds: the margin printed must not move with unrelated edits
+ROUTE_SEEDS = (1010, 1011)
 
 _CACHE = {}
 
@@ -191,10 +190,8 @@ def test_criterion_6_oracle_equivalences(capsys):
     worst = {"D": 0.0, "K": 0.0}
     routes = []
 
-    # one channel per family and dimension for each hypothesis-drawn seed
-    @settings(max_examples=ROUTE_SEEDS, deadline=None, derandomize=True, database=None)
-    @given(seed=st.integers(min_value=0, max_value=2**63 - 1))
-    def representation_routes(seed):
+    # one channel per family and dimension for each seed
+    for seed in ROUTE_SEEDS:
         for fam, d, _, ch in population(seed, ROUTE_DIMS, tuple(sampler.FAMILY_CODES), 1):
             dyn = chmod.dynamical_from_kraus(ch)
             sup = chmod.superoperator_from_kraus(ch)
@@ -203,8 +200,6 @@ def test_criterion_6_oracle_equivalences(capsys):
             worst["D"] = max(worst["D"], float(d_err))
             worst["K"] = max(worst["K"], float(k_err))
             routes.append((fam, d, len(ch.kraus_ops)))
-
-    representation_routes()
     assert ("cptp", 16, 256) in routes
 
     channels = cptp_population()[::10] + unital_population()[::10]

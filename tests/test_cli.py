@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 
@@ -170,6 +171,73 @@ class TestSweep:
         assert capsys.readouterr().err.startswith("config error:")
 
 
+class TestStackedSweep:
+    """A sweep over stacks of channels writes what a sweep over stacks of one writes."""
+
+    ARGS = ["sweep", "--dims", "2,3", "--samples", "5", "--seed", "13"]
+
+    @staticmethod
+    def run_both(tmp_path, monkeypatch, capsys, args):
+        """Exit code, stderr and every output file's bytes, stacked and one channel at a time."""
+        results = []
+        for stack_size in (cli.STACK_SIZE, 1):
+            monkeypatch.setattr(cli, "STACK_SIZE", stack_size)
+            out = tmp_path / f"stack{stack_size}"
+            code = cli.main([*args, "--out", str(out)])
+            files = {p.relative_to(out).as_posix(): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+            results.append((code, capsys.readouterr().err, files))
+        assert results[0] == results[1]
+        return results[0]
+
+    def test_passing_sweep(self, tmp_path, monkeypatch, capsys):
+        code, _, files = self.run_both(tmp_path, monkeypatch, capsys, self.ARGS)
+        assert code == 0 and set(files) == {"report.csv", "summary.json"}
+
+    def test_violation_inside_a_stack(self, tmp_path, monkeypatch, capsys):
+        # the gap tolerance that makes the first violation fall on a channel
+        # that is not the first of its (dim, family) stack
+        assert cli.main([*self.ARGS, "--out", str(tmp_path / "ok")]) == 0
+        _, rows = read_csv_rows(tmp_path / "ok" / "report.csv")
+        ids, gaps = [], {}
+        for row in rows:
+            if row["q"] != "1.0":
+                ids += [row["channel_id"]] if row["channel_id"] not in gaps else []
+                gaps[row["channel_id"]] = min(gaps.get(row["channel_id"], np.inf), float(row["gap"]))
+        running = [min(gaps[c] for c in ids[: k + 1]) for k in range(len(ids))]
+        k = next(k for k in range(1, len(ids)) if running[k] < running[k - 1] and k % 5)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"tolerances": {"gap": -(running[k] + running[k - 1]) / 2}}))
+        code, err, files = self.run_both(tmp_path, monkeypatch, capsys, [*self.ARGS, "--config", str(cfg_path)])
+        assert code == 1 and "BOUND VIOLATION" in err and ids[k] in err
+        assert f"counterexamples/{ids[k]}.json" in files
+        written = [line.split(",")[0] for line in files["report.csv"].decode().splitlines()[1:]]
+        assert written[-1] == ids[k] and written[0] == ids[0] and ids[k - 1] in written
+
+    @pytest.mark.parametrize("flag, value", [("--s", "1e6"), ("--q", "1000")])
+    def test_config_errors(self, tmp_path, monkeypatch, capsys, flag, value):
+        code, err, files = self.run_both(tmp_path, monkeypatch, capsys, [*self.ARGS, flag, value])
+        assert code == 2 and "not finite" in err and "cptp-d2-0000" in err
+        assert "report.csv" not in files
+
+    def test_channel_file_stem_is_csv_quoted(self, tmp_path, monkeypatch, capsys):
+        ch_path = tmp_path / 'ad,"0.3".json'
+        save_channel(sampler.named_channel("amplitude-damping", 2, 0.3), ch_path)
+        code, _, files = self.run_both(tmp_path, monkeypatch, capsys, ["sweep", "--channel", str(ch_path)])
+        assert code == 0
+        lines = files["report.csv"].decode().split("\r\n")
+        assert lines[1].startswith('"ad,""0.3""",file,2,false,0.3,-2.0,')
+        assert next(csv.reader(lines[1:2]))[0] == 'ad,"0.3"'
+
+    def test_stacks_are_cut_by_dimension_family_and_size(self, tmp_path, monkeypatch):
+        sizes = []
+        original = cli.profile_channel
+        monkeypatch.setattr(cli, "profile_channel", lambda chs, ids: sizes.append(len(chs)) or original(chs, ids))
+        monkeypatch.setattr(cli, "STACK_SIZE", 4)
+        args = ["sweep", "--dims", "2", "--samples", "5", "--family", "cptp,unitary-mixture"]
+        assert cli.main([*args, "--q", "2", "--s", "0", "--out", str(tmp_path / "x")]) == 0
+        assert sizes == [4, 1, 4, 1]
+
+
 def failing_at(check, entries):
     """``check`` with the given ``(input, order)`` entries of each batch marked failed."""
 
@@ -313,6 +381,29 @@ class TestInequalities:
         assert [row["channel_id"] for row in rows][1] == "unitary-mixture-d2-0000"
         for row in rows:
             assert np.isfinite(float(row["map_entropy"])) and np.isfinite(float(row["receiver_entropy"]))
+
+
+class TestInequalityStacks:
+    """The suite's stacks hold at most STACK_SIZE inputs and STACK_ENTRIES matrix entries."""
+
+    @pytest.mark.parametrize("d, samples, sizes", [
+        (2, 130, [128, 2]), (4, 130, [128, 2]), (8, 17, [16, 1]), (16, 2, [1, 1]),
+    ])
+    def test_channel_stacks(self, tmp_path, monkeypatch, d, samples, sizes):
+        seen = []
+        original = spectra.stack_channels
+        monkeypatch.setattr(spectra, "stack_channels", lambda chs: seen.append(len(chs)) or original(chs))
+        args = ["inequalities", "--dims", str(d), "--samples", str(samples), "--family", "cptp", "--only", "upkp"]
+        assert cli.main([*args, "--out", str(tmp_path / "x")]) == 0
+        assert seen == sizes
+
+    def test_matrix_stacks_stay_at_stack_size(self, tmp_path, monkeypatch):
+        seen = []
+        original = spectra.check_prop1
+        monkeypatch.setattr(spectra, "check_prop1", lambda x, q: seen.append(len(x)) or original(x, q))
+        args = ["inequalities", "--dims", "16", "--samples", "130", "--only", "prop1"]
+        assert cli.main([*args, "--out", str(tmp_path / "x")]) == 0
+        assert seen == [128, 2]
 
 
 class TestInequalityFailures:

@@ -287,6 +287,56 @@ class TestGridKernel:
             ent.entropy_grid(Spectrum(np.array([0.5, 0.5])), 1.0, q, s)
 
 
+    @staticmethod
+    def _padded_stack(d):
+        """Map and receiver spectra of every family at ``d`` as ``(n, d**2)`` stacks, with
+        rank-deficient rows (unitary mixtures, named channels) zero-padded, and their normalizers."""
+        chs = [ch for *_, ch in population(922, (d,), tuple(sampler.FAMILY_CODES), 2)]
+        chs += [sampler.named_channel("identity", d), sampler.named_channel("dephasing", d, 0.5)]
+        choi, sup = zip(*(_channel_spectra(ch) for ch in chs))
+        choi = np.stack([c.values for c in choi])
+        sup = np.stack([c.values for c in sup])
+        return ((choi, np.full(len(chs), float(d))), (sup, sup.sum(axis=-1)))
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_stack_rows_match_single_spectra_and_oracle(self, d):
+        # On the sweep's grid.  Where zero padding regroups a row's pairwise
+        # sum (rank 4 of 16 at d = 4), the row differs from the single call by
+        # rounding, which the generic form amplifies by 1/|q - 1|: up to 2e-9
+        # at the band-edge cells q = 1 +- 1e-7 of self.Q.
+        stacks = self._padded_stack(d)
+        assert (stacks[0][0] == 0.0).any()  # some map spectra are zero-padded
+        for values, norms in stacks:
+            grid = ent.entropy_grid(Spectrum(values), norms, Q_GRID, S_GRID)
+            assert grid.shape == (len(values), len(Q_GRID), len(S_GRID))
+            for row, norm, got in zip(values, norms, grid):
+                single = ent.entropy_grid(Spectrum(row), norm, Q_GRID, S_GRID)
+                oracle = np.array(
+                    [[oracles.entropy_per_cell(Spectrum(row), norm, params) for params in grid_params()]]
+                ).reshape(single.shape)
+                assert _rel_err(got, single).max() <= 1e-12
+                assert _rel_err(got, oracle).max() <= 1e-12
+
+    def test_stack_takes_large_orders_row_by_row(self):
+        # at q = 600 each row switches to the scaled form with its own w_max
+        values, norms = self._padded_stack(3)[0]
+        grid = ent.entropy_grid(Spectrum(values), norms, (2.0, 600.0), (0.0, 1.0))
+        assert np.isfinite(grid).all()
+        for row, norm, got in zip(values, norms, grid):
+            single = ent.entropy_grid(Spectrum(row), norm, (2.0, 600.0), (0.0, 1.0))
+            assert _rel_err(got, single).max() <= 1e-12
+
+    def test_stack_of_one_is_the_single_spectrum(self):
+        spec = Spectrum(np.array([0.5, 0.3, 0.2, 0.0]))
+        single = ent.entropy_grid(spec, 1.0, self.Q, self.S)
+        stacked = ent.entropy_grid(Spectrum(spec.values[None]), np.array([1.0]), self.Q, self.S)
+        np.testing.assert_array_equal(stacked, single[None])
+
+    def test_stack_with_an_empty_row_is_rejected(self):
+        with pytest.raises(InvalidSpectrumError):
+            ent.entropy_grid(Spectrum(np.array([[0.5, 0.5], [0.0, 0.0]])), 1.0, self.Q, self.S)
+
+
 class TestLargeOrders:
     """At large q every w**q may underflow; ln A then comes from the scaled form."""
 

@@ -32,6 +32,34 @@ class TestNormOrder:
             spectra.schatten(np.eye(2), 0.0)
 
 
+class TestInfiniteOrders:
+    """q = inf is the spectral norm and nothing else; the checks take finite orders."""
+
+    X = np.diag([1.0, 4.0])
+
+    @pytest.mark.parametrize("check", [
+        lambda x, q: spectra.check_prop1(x, q),
+        lambda x, q: spectra.check_prop1(x, [2.0, q]),
+        lambda x, q: spectra.check_antinorm_monotonicity(x, 0.5, q),
+        lambda x, q: spectra.check_antinorm_monotonicity(x, q, 0.5),
+        lambda x, q: spectra.check_superadditivity(x, x, q),
+    ])
+    @pytest.mark.parametrize("q", [math.inf, -math.inf])
+    def test_checks_reject_infinite_orders(self, check, q):
+        with pytest.raises(InvalidOrderError):
+            check(self.X, q)
+
+    def test_antinorm_rejects_minus_inf(self):
+        for fn in (spectra.schatten_antinorm, spectra.schatten):
+            with pytest.raises(InvalidOrderError):
+                fn(self.X, -math.inf)
+        with pytest.raises(InvalidOrderError):
+            spectra.schatten_norm(self.X, -math.inf)
+
+    def test_spectral_norm_stays(self):
+        assert spectra.schatten_norm(self.X, math.inf) == 4.0
+
+
 class TestSchattenNorm:
     def test_frobenius_of_identity(self):
         assert abs(spectra.schatten_norm(np.eye(4), 2.0) - 2.0) <= 1e-14

@@ -6,7 +6,7 @@ import pytest
 
 from chanent import sampler, tradeoff
 from chanent.entropy import EntropyParams, q_log
-from chanent.errors import BoundViolation, DomainError
+from chanent.errors import BoundViolation, DimensionMismatchError, DomainError
 from chanent.matcore import Spectrum
 from chanent.sampler import population
 
@@ -119,6 +119,69 @@ class TestEvaluate:
     def test_limit_row_records_instead_of_raising(self):
         grid = tradeoff.evaluate_profile(_fake_profile(), tradeoff.bound_table(2, (1.0,), (0.0,)))
         assert grid.report(0, 0).gap < -1e-9  # recorded, not asserted, on the q = 1 row
+
+
+def _stacked_profile(*rows):
+    """A stack profile from one-channel profiles, ids "a", "b", ... in order."""
+    return tradeoff.ChannelProfile(
+        tuple("abcdefgh"[: len(rows)]),
+        rows[0].dim,
+        np.array([p.unital for p in rows]),
+        Spectrum(np.stack([p.choi_spectrum.values for p in rows]), rows[0].choi_spectrum.kind),
+        Spectrum(np.stack([p.superop_spectrum.values for p in rows]), rows[0].superop_spectrum.kind),
+    )
+
+
+class TestStackedEvaluate:
+    def test_stack_equals_channel_by_channel(self):
+        bounds = {d: tradeoff.bound_table(d, Q_GRID, S_GRID) for d in (2, 3)}
+        for family in sampler.FAMILY_CODES:
+            for d in (2, 3):
+                pop = list(population(923, (d,), (family,), 6))
+                ids = [cid for _, _, cid, _ in pop]
+                stack = tradeoff.profile_channel([ch for *_, ch in pop], ids)
+                assert stack.stacked and stack.channel_id == tuple(ids)
+                grid = tradeoff.evaluate_profile(stack, bounds[d])
+                assert grid.gap.shape == (len(pop), len(Q_GRID), len(S_GRID))
+                for k, (_, _, cid, ch) in enumerate(pop):
+                    one = tradeoff.profile_channel(ch, cid)
+                    assert not one.stacked and one.unital == stack.unital[k]
+                    np.testing.assert_array_equal(stack.choi_spectrum.values[k], one.choi_spectrum.values)
+                    np.testing.assert_array_equal(stack.superop_spectrum.values[k], one.superop_spectrum.values)
+                    single = tradeoff.evaluate_profile(one, bounds[d])
+                    for name in ("map_values", "receiver_values", "gap", "saturated"):
+                        np.testing.assert_array_equal(getattr(grid.channel(k), name), getattr(single, name))
+
+    def test_violation_names_the_first_failing_channel(self):
+        good = tradeoff.profile_channel(sampler.named_channel("depolarizing", 2, 0.5))
+        stack = _stacked_profile(good, _fake_profile(), _fake_profile())
+        bounds = tradeoff.bound_table(2, (1.0, 2.0), (0.0, 1.0))
+        with pytest.raises(BoundViolation) as err:
+            tradeoff.evaluate_profile(stack, bounds)
+        assert err.value.cell == (1, 1, 0) and err.value.report.channel_id == "b"
+        assert err.value.grid.gap.shape == (3, 2, 2)
+        assert err.value.grid.gap[1, 1, 0] == err.value.report.gap
+
+    def test_non_finite_channel_before_a_violating_one(self):
+        good = tradeoff.profile_channel(sampler.named_channel("depolarizing", 2, 0.5))
+        broken = tradeoff.ChannelProfile(
+            "x", 2, False, Spectrum(np.array([np.inf, 0.0, 0.0, 0.0])), good.superop_spectrum
+        )
+        with pytest.raises(DomainError, match="channel 'b'"):
+            tradeoff.evaluate_profile(
+                _stacked_profile(good, broken, _fake_profile()), tradeoff.bound_table(2, Q_GRID, S_GRID)
+            )
+
+    def test_non_finite_cell_outranks_an_earlier_violation_of_its_channel(self):
+        # cell (0, 0) violates; cell (1, 1) has an infinite bound
+        bounds = tradeoff.bound_table(2, (2.0, 0.3), (0.0, 1e6))
+        assert np.isinf(bounds.unital[1, 1])
+        with pytest.raises(DomainError, match=r"q=0\.3, s=1000000\.0 on channel 'a'"):
+            tradeoff.evaluate_profile(_stacked_profile(_fake_profile(), _fake_profile()), bounds)
+
+    def test_mixed_dimensions_rejected(self):
+        with pytest.raises(DimensionMismatchError):
+            tradeoff.profile_channel([sampler.named_channel("identity", 2), sampler.named_channel("identity", 3)])
 
 
 class TestSuites:
