@@ -55,6 +55,18 @@ UNITAL_TOL = 1e-10
 MAX_DIM = 16
 
 
+def _tp_defects(a: np.ndarray) -> np.ndarray:
+    """Max-entry deviation of ``a^dag a`` from the identity, for ``a`` or each of a stack."""
+    return np.abs(a.conj().swapaxes(-2, -1) @ a - np.eye(a.shape[-1])).max(axis=(-2, -1))
+
+
+def _require_tp(defect: float) -> None:
+    if defect > TP_TOL:
+        raise NotTracePreservingError(
+            f"trace-preservation defect {defect:.3e} exceeds {TP_TOL:.1e}"
+        )
+
+
 @dataclass(frozen=True, eq=False)
 class KrausChannel:
     """A channel as a finite list of ``d x d`` Kraus operators.
@@ -82,11 +94,32 @@ class KrausChannel:
                 )
             ops.append(m)
         object.__setattr__(self, "kraus_ops", tuple(ops))
-        defect = self.tp_defect()
-        if defect > TP_TOL:
-            raise NotTracePreservingError(
-                f"trace-preservation defect {defect:.3e} exceeds {TP_TOL:.1e}"
-            )
+        _require_tp(self.tp_defect())
+
+    @classmethod
+    def from_stack(cls, ops) -> list["KrausChannel"]:
+        """One channel per row of the ``(n, k, d, d)`` array ``ops`` of Kraus sets.
+
+        Validates what construction validates, with one trace-preservation
+        check for the whole stack; the first channel over ``TP_TOL`` raises.
+        """
+        ops = np.asarray(ops, dtype=complex)
+        if ops.ndim != 4 or ops.shape[-2] != ops.shape[-1]:
+            raise DimensionMismatchError(f"expected an (n, k, d, d) Kraus stack, got shape {ops.shape}")
+        n, k, d, _ = ops.shape
+        if not (2 <= d <= MAX_DIM):
+            raise DimensionMismatchError(f"system dimension must be in [2, {MAX_DIM}], got {d}")
+        if not k:
+            raise ValueError("a channel needs at least one Kraus operator")
+        for defect in _tp_defects(ops.reshape(n, k * d, d)).tolist():
+            _require_tp(defect)
+        channels = []
+        for row in ops:
+            ch = cls.__new__(cls)
+            object.__setattr__(ch, "dim", d)
+            object.__setattr__(ch, "kraus_ops", tuple(row))
+            channels.append(ch)
+        return channels
 
     def tp_defect(self) -> float:
         """Max-entry deviation of ``sum_i A_i^dag A_i`` from the identity.
@@ -94,8 +127,7 @@ class KrausChannel:
         The sum is one product: the operators stacked vertically, ``(k d, d)``,
         times their adjoint.
         """
-        a = np.concatenate(self.kraus_ops)
-        return float(np.abs(a.conj().T @ a - np.eye(self.dim)).max())
+        return float(_tp_defects(np.concatenate(self.kraus_ops)))
 
     def unital_defect(self) -> float:
         """Max-entry deviation of ``sum_i A_i A_i^dag`` from the identity.

@@ -16,9 +16,10 @@ seed and the sample address, and output rows are ordered by
 (dimension, family, sample, q, s) regardless of evaluation order, so a
 repeated run reproduces ``report.csv`` byte for byte.
 
-Both harnesses draw their population one sample at a time and evaluate it
-in stacks of consecutive same-dimension inputs, at most ``STACK_SIZE``
-inputs and ``STACK_ENTRIES`` matrix entries to a stack.
+Both harnesses draw their population in stacks (see :mod:`chanent.sampler`)
+of consecutive indices of one dimension, and one family for channels, and
+evaluate each stack as drawn: at most ``STACK_SIZE`` inputs and
+``STACK_ENTRIES`` matrix entries to a stack.
 
 A sweep stacks the channels of one (dimension, family): one batched build of
 ``D``, one ``eigvalsh``, one ``svd`` and one grid pass per stack, against
@@ -41,7 +42,6 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import itertools
 import json
 import math
 import sys
@@ -52,7 +52,7 @@ import numpy as np
 
 from . import channel as chmod
 from . import matcore, sampler, spectra
-from .errors import BoundViolation, DomainError
+from .errors import BoundViolation, DomainError, ParamOutOfRangeError, UnknownChannelError
 from .tradeoff import (
     GAP_TOL,
     SAT_TOL,
@@ -130,8 +130,16 @@ def validate_config(cfg: SweepConfig) -> SweepConfig:
     if not cfg.families:
         raise ConfigError("families must be nonempty")
     for fam in cfg.families:
-        if fam not in sampler.FAMILY_CODES and not fam.startswith("named:"):
+        if fam.startswith("named:"):
+            for d in cfg.dims:  # a named family is one channel per dimension: build it now
+                try:
+                    sampler.named_family_channel(fam, int(d))
+                except (UnknownChannelError, ParamOutOfRangeError) as exc:
+                    raise ConfigError(f"family {fam!r} at dimension {d}: {exc}") from exc
+        elif fam not in sampler.FAMILY_CODES:
             raise ConfigError(f"unknown family {fam!r}")
+    if cfg.seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {cfg.seed}")
     if cfg.samples_per_family < 1:
         raise ConfigError(f"samples_per_family must be >= 1, got {cfg.samples_per_family}")
     if not cfg.q_grid or not cfg.s_grid:
@@ -186,13 +194,9 @@ def config_from_file(path) -> SweepConfig:
     return SweepConfig(**raw)
 
 
-def _stacked(items, key, entries):
-    """Consecutive runs of ``items`` with one ``key``, cut into lists of at most
-    STACK_SIZE items and STACK_ENTRIES entries, ``entries(key)`` per item."""
-    for k, group in itertools.groupby(items, key=key):
-        size = max(1, min(STACK_SIZE, STACK_ENTRIES // entries(k)))
-        while chunk := list(itertools.islice(group, size)):
-            yield chunk
+def _stack_size(entries: int) -> int:
+    """Most inputs of ``entries`` matrix entries each that one stack holds."""
+    return max(1, min(STACK_SIZE, STACK_ENTRIES // entries))
 
 
 def _load_input(load, path, what: str):
@@ -287,20 +291,19 @@ def run_sweep(cfg: SweepConfig, out_dir, channel_path=None) -> int:
     out.mkdir(parents=True, exist_ok=True)
     if channel_path is not None:
         ch = _load_input(chmod.load_channel, channel_path, "channel")
-        channels = [("file", ch.dim, Path(channel_path).stem, ch)]
+        stacks = [("file", ch.dim, [Path(channel_path).stem], [ch])]
     else:
-        channels = sampler.population(cfg.seed, cfg.dims, cfg.families, cfg.samples_per_family)
+        stacks = sampler.population(
+            cfg.seed, cfg.dims, cfg.families, cfg.samples_per_family, size=lambda d: _stack_size(d**4)
+        )
 
     tables: dict[int, tuple] = {}  # dim -> (bounds, non-unital cells, unital cells, limit flags)
     blocks = []
     stats: dict[str, dict] = {}
     totals = {"rows": 0, "min_gap": math.inf, "saturation_count": 0, "limit_rows": 0}
     violation_info = None
-    # one stack per (family, dim) run of the population, cut to size
-    for chunk in _stacked(channels, key=lambda item: item[:2], entries=lambda key: key[1] ** 4):
-        family, dim = chunk[0][:2]
-        ids = [channel_id for _, _, channel_id, _ in chunk]
-        profile = profile_channel([ch for *_, ch in chunk], ids)
+    for family, dim, ids, chs in stacks:
+        profile = profile_channel(chs, ids)
         if dim not in tables:
             bounds = bound_table(dim, cfg.q_grid, cfg.s_grid)
             limit = np.repeat(bounds.limit_rows, bounds.s.size)
@@ -320,7 +323,7 @@ def run_sweep(cfg: SweepConfig, out_dir, channel_path=None) -> int:
             k, i, j = exc.cell
             passed = k * cells + i * bounds.s.size + j
             count = passed + 1
-            path = _serialize_counterexample(out, chunk[k][3], exc.report, family)
+            path = _serialize_counterexample(out, chs[k], exc.report, family)
             violation_info = {"message": str(exc), "counterexample": path.name}
         except DomainError as exc:
             raise ConfigError(str(exc)) from exc
@@ -332,9 +335,9 @@ def run_sweep(cfg: SweepConfig, out_dir, channel_path=None) -> int:
                 st["rows"] += n
                 st["min_gap"] = min(st["min_gap"], float(gaps[:n].min()))
                 st["saturation_count"] += int(saturated[:n].sum())
-        totals["limit_rows"] += int(np.tile(limit, len(chunk))[:count].sum())
+        totals["limit_rows"] += int(np.tile(limit, len(chs))[:count].sum())
         values = [
-            a.reshape(len(chunk), cells)
+            a.reshape(len(chs), cells)
             for a in (grid.map_values, grid.receiver_values, grid.gap, grid.saturated)
         ]
         for k, channel_id in enumerate(ids[: -(-count // cells)]):
@@ -404,10 +407,11 @@ def run_inequality_suite(cfg: SweepConfig, out_dir, only=None, matrix_path=None)
         if injected is not None:
             yield [injected[0]], injected[1][None]
             return
-        pop = sampler.ginibre_population(cfg.seed, cfg.dims, cfg.samples_per_family, stream)
-        for chunk in _stacked(pop, key=lambda item: item[0], entries=lambda d: d * d):
-            g = np.stack([g for _, _, g in chunk])
-            labels = [f"{kind}-d{d}-{i:04d}" for d, i, _ in chunk]
+        pop = sampler.ginibre_population(
+            cfg.seed, cfg.dims, cfg.samples_per_family, stream, size=lambda d: _stack_size(d * d)
+        )
+        for d, indices, g in pop:
+            labels = [f"{kind}-d{d}-{i:04d}" for i in indices]
             yield labels, g @ g.conj().swapaxes(-2, -1) if kind == "psd" else g
 
     anti_orders = [float(q) for q in cfg.q_grid if 0.0 < float(q) < 1.0] or [0.5]
@@ -455,14 +459,14 @@ def run_inequality_suite(cfg: SweepConfig, out_dir, only=None, matrix_path=None)
                 })
         if injected is None and any(n in selected for n in CHANNEL_CHECKS):
             suite = sampler.population(
-                cfg.seed, cfg.dims, families, cfg.samples_per_family, stream=100
+                cfg.seed, cfg.dims, families, cfg.samples_per_family, stream=100,
+                size=lambda d: _stack_size(d**4),
             )
             checks = (
                 ("upkp", spectra.check_superop_norm_bound),
                 ("cbn0", spectra.check_norm_product_chain),
             )
-            for chunk in _stacked(suite, key=lambda item: item[1], entries=lambda d: d**4):
-                labels, chs = zip(*((label, ch) for _, _, label, ch in chunk))
+            for _, _, labels, chs in suite:
                 stack = spectra.stack_channels(chs)
                 batches = [(name, check(stack)) for name, check in checks if name in selected]
                 # upkp then cbn0 ran channel by channel: the first failure

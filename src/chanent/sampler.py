@@ -8,11 +8,36 @@ bit-identical channels.  Harnesses that draw many samples derive per-sample
 seeds with :func:`derive_seed`, i.e. ``SeedSequence([base_seed, *indices])``,
 which keeps parallel sampling order-independent.  :func:`population` and
 :func:`ginibre_population` are the only places that address samples this way.
+
+Samples are drawn in stacks of consecutive indices of one dimension (and
+family), and a single sample is a stack of one; the contract holds bit for
+bit per sample, while each fixed cost is paid once per stack:
+
+* seeding: every derived seed and every stream state of a stack comes from
+  one vectorized ``uint32`` pass of numpy's published ``SeedSequence``
+  algorithm (entropy pool mixing, then ``generate_state``), one pass per
+  entropy word count, followed by PCG64's seeding step in integer
+  arithmetic;
+* streams: each stream is one PCG64 state set on a generator local to the
+  call and one ``standard_normal((2, d, d))`` draw, the numbers numpy's two
+  ``normal((d, d))`` calls of a ``default_rng`` on that stream give;
+* algebra: the QR with its phase fix, the normalizer sum and ``eigh``, the
+  inverse square root and the Kraus products run once per stack, and
+  :meth:`~chanent.channel.KrausChannel.from_stack` checks trace
+  preservation for the whole stack;
+* resampling: a cptp sample whose normalizer fails ``COND_LIMIT`` is drawn
+  again from its attempt-1, attempt-2, ... streams, with the other failures
+  of its stack.
+
+numpy's own ``SeedSequence`` and ``default_rng`` are the test oracle for the
+seeding, and the per-sample samplers in ``tests/oracles.py`` for the
+channels and matrices.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,13 +54,12 @@ __all__ = [
     "SamplerConfig",
     "derive_seed",
     "default_kraus_count",
-    "ginibre",
-    "haar_unitary",
     "sample_cptp",
     "sample_unitary_mixture",
     "sample_unistochastic",
     "unistochastic_from_unitary",
     "named_channel",
+    "named_family_channel",
     "sample_channel",
     "population",
     "ginibre_population",
@@ -48,6 +72,18 @@ RESAMPLE_ATTEMPTS = 8
 
 # Stable family codes for seed derivation; independent of config order.
 FAMILY_CODES = {"cptp": 0, "unitary-mixture": 1, "unistochastic": 2}
+
+# numpy's SeedSequence (numpy/random/bit_generator.pyx): pool size, hash and
+# mix constants, all arithmetic modulo 2**32.
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_XSHIFT = np.uint32(16)
+# PCG64's 128-bit LCG multiplier (numpy/random/src/pcg64/pcg64.h).
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
 
 
 @dataclass(frozen=True)
@@ -68,10 +104,161 @@ class SamplerConfig:
             raise ParamOutOfRangeError(f"kraus_count must be >= 1, got {self.kraus_count}")
 
 
+def _words(value) -> list[int]:
+    """A non-negative integer as ``SeedSequence`` reads it: little-endian 32-bit words, at least one."""
+    value = operator.index(value)
+    if value < 0:
+        raise ValueError("expected non-negative integer")
+    words = [value & _MASK32]
+    while value := value >> 32:
+        words.append(value & _MASK32)
+    return words
+
+
+def _word_groups(values, pad: int = 0):
+    """Yield ``(rows, words)``: the positions in ``values`` of one word count and
+    their ``(len(rows), n)`` uint32 words, zero-padded to at least ``pad`` words."""
+    values = [operator.index(v) for v in values]
+    if values and min(values) < 0:
+        raise ValueError("expected non-negative integer")
+    if values and max(values) >> 64:  # only a caller's own seed is this large: one at a time
+        for row, value in enumerate(values):
+            words = _words(value)
+            yield [row], np.array([words + [0] * (pad - len(words))], dtype=np.uint32)
+        return
+    v = np.array(values, dtype=np.uint64)
+    words = np.zeros((v.size, max(pad, 2)), dtype=np.uint32)
+    words[:, 0], words[:, 1] = v & np.uint64(_MASK32), v >> np.uint64(32)
+    counts = np.maximum(np.where(words[:, 1] != 0, 2, 1), pad)
+    for n in sorted(set(counts.tolist())):
+        rows = np.flatnonzero(counts == n)
+        yield rows, words[rows, :n]
+
+
+def _hash_consts(init: int, mult: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The xor and multiply constants of SeedSequence's next ``count`` hashes, as uint32 columns."""
+    h = [init]
+    for _ in range(count):
+        h.append(h[-1] * mult & _MASK32)
+    h = np.array(h, dtype=np.uint32)[:, None]
+    return h[:-1], h[1:]
+
+
+def _hash(value, consts):
+    x, m = consts
+    value = (value ^ x) * m
+    return value ^ (value >> _XSHIFT)
+
+
+def _mix(x, y):
+    r = x * np.uint32(_MIX_MULT_L) - y * np.uint32(_MIX_MULT_R)
+    return r ^ (r >> _XSHIFT)
+
+
+def _seed_states(entropy: np.ndarray, n_words: int) -> np.ndarray:
+    """``SeedSequence(row).generate_state(n_words)`` for each row of the uint32 ``entropy``.
+
+    numpy's pool mixing and output hashing, over all rows at once; the hash
+    constants do not depend on the data, so the hashes of one pool word into
+    the three others, and of one extra entropy word into all four, are one
+    array operation each.  Returns ``(rows, n_words)`` uint32.
+    """
+    n = entropy.shape[1]
+    x, m = _hash_consts(_INIT_A, _MULT_A, _POOL_SIZE**2 + _POOL_SIZE * max(0, n - _POOL_SIZE))
+    pool = np.zeros((_POOL_SIZE, entropy.shape[0]), dtype=np.uint32)
+    pool[: min(n, _POOL_SIZE)] = entropy.T[:_POOL_SIZE]
+    pool = _hash(pool, (x[:_POOL_SIZE], m[:_POOL_SIZE]))
+    c = _POOL_SIZE
+    for src in range(_POOL_SIZE):
+        dst = [i for i in range(_POOL_SIZE) if i != src]
+        pool[dst] = _mix(pool[dst], _hash(pool[src], (x[c : c + 3], m[c : c + 3])))
+        c += 3
+    for src in range(_POOL_SIZE, n):
+        pool = _mix(pool, _hash(entropy[:, src], (x[c : c + _POOL_SIZE], m[c : c + _POOL_SIZE])))
+        c += _POOL_SIZE
+    out = _hash(pool[np.arange(n_words) % _POOL_SIZE], _hash_consts(_INIT_B, _MULT_B, n_words))
+    return out.T
+
+
+def _uint64(words: np.ndarray) -> np.ndarray:
+    """Little-endian pairs of uint32 words as uint64, as ``generate_state(n, np.uint64)`` joins them."""
+    w = words.astype(np.uint64)
+    return w[..., 0::2] | (w[..., 1::2] << np.uint64(32))
+
+
+def _derive_seeds(prefix, indices) -> np.ndarray:
+    """``derive_seed(*prefix, index)`` for each of ``indices``, as uint64."""
+    head = np.array([w for v in prefix for w in _words(v)], dtype=np.uint32)
+    seeds = np.empty(len(indices), dtype=np.uint64)
+    for rows, words in _word_groups(indices):
+        entropy = np.concatenate([np.broadcast_to(head, (len(rows), head.size)), words], axis=1)
+        seeds[rows] = _uint64(_seed_states(entropy, 2))[:, 0]
+    return seeds
+
+
 def derive_seed(base_seed: int, *indices: int) -> int:
     """Collision-free 64-bit seed for a sample addressed by ``indices``."""
-    ss = np.random.SeedSequence([int(base_seed), *[int(i) for i in indices]])
-    return int(ss.generate_state(1, np.uint64)[0])
+    *prefix, last = (base_seed, *indices)
+    return int(_derive_seeds(prefix, [last])[0])
+
+
+def _stream_states(seeds, keys) -> list[tuple[int, int]]:
+    """PCG64 ``(state, inc)`` of ``SeedSequence(seed, spawn_key=key)`` for each seed, then each key.
+
+    A nonempty spawn key pads the seed's words to the pool size, as
+    ``SeedSequence`` does, so that a spawned stream never meets a root one.
+    """
+    key_words = np.array([[w for v in key for w in _words(v)] for key in keys], dtype=np.uint32)
+    k = len(keys)
+    words = np.empty((len(seeds), k, 8), dtype=np.uint32)
+    for rows, seed_words in _word_groups(seeds, _POOL_SIZE if key_words.size else 0):
+        entropy = np.concatenate([
+            np.repeat(seed_words, k, axis=0),
+            np.tile(key_words, (len(seed_words), 1)),
+        ], axis=1)
+        words[rows] = _seed_states(entropy, 8).reshape(len(seed_words), k, 8)
+    # PCG64's seeding (pcg64_set_seed): the 128-bit seed and increment are
+    # words (0, 1) and (2, 3), high word first; srandom sets inc = 2 * incr + 1
+    # and state = (inc + seed) * MULT + inc, two steps of the LCG from 0
+    states = []
+    for s_hi, s_lo, i_hi, i_lo in _uint64(words).reshape(-1, 4).tolist():
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+        states.append((((s_hi << 64 | s_lo) + inc) * _PCG_MULT + inc & _MASK128, inc))
+    return states
+
+
+def _generators(states):
+    """One generator, set to each PCG64 ``(state, inc)`` in turn."""
+    bits = np.random.PCG64(0)
+    gen = np.random.Generator(bits)
+    for state, inc in states:
+        bits.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        yield gen
+
+
+def _ginibre(gens, shape) -> np.ndarray:
+    """One ``shape + (d, d)`` stack of complex Ginibre matrices, a matrix per generator."""
+    *lead, d = shape
+    z = np.empty((*lead, 2, d, d))
+    for row, gen in zip(z.reshape(-1, 2, d, d), gens):
+        gen.standard_normal(out=row)
+    return z[..., 0, :, :] + 1j * z[..., 1, :, :]
+
+
+def _haar(g: np.ndarray) -> np.ndarray:
+    """Haar-distributed unitaries via QR of a stack of Ginibre matrices.
+
+    The R-diagonal phases are pushed into Q; without that correction the QR
+    sign convention skews the distribution.
+    """
+    q, r = np.linalg.qr(g)
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (diag / np.abs(diag))[..., None, :]
 
 
 def default_kraus_count(family: str, dim: int) -> int:
@@ -81,20 +268,63 @@ def default_kraus_count(family: str, dim: int) -> int:
     return dim * dim
 
 
-def ginibre(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Square matrix of i.i.d. standard complex Gaussian entries."""
-    return rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+def _cptp_ops(seeds, d: int, k: int) -> np.ndarray:
+    """Kraus stacks ``(n, k, d, d)`` of normalized Ginibre sets, resampling singular normalizers."""
+    ops = np.empty((len(seeds), k, d, d), dtype=complex)
+    todo = np.arange(len(seeds))
+    for attempt in range(RESAMPLE_ATTEMPTS):
+        states = _stream_states([seeds[i] for i in todo], [(attempt, i) for i in range(k)])
+        g = _ginibre(_generators(states), (len(todo), k, d))
+        normalizer = sum((g.conj().swapaxes(-2, -1) @ g).swapaxes(0, 1))
+        vals, vecs = np.linalg.eigh(normalizer)
+        ratio = np.divide(vals[:, -1], vals[:, 0], out=np.zeros(len(todo)), where=vals[:, 0] > 0.0)
+        bad = (vals[:, 0] <= 0.0) | (ratio > COND_LIMIT)
+        good = ~bad
+        vecs = vecs[good]
+        inv_sqrt = (vecs / np.sqrt(vals[good])[:, None, :]) @ vecs.conj().swapaxes(-2, -1)
+        ops[todo[good]] = g[good] @ inv_sqrt[:, None]
+        todo = todo[bad]
+        if not todo.size:
+            return ops
+    raise SingularNormalizerError(
+        f"normalizer stayed ill-conditioned after {RESAMPLE_ATTEMPTS} attempts (seed {seeds[todo[0]]})"
+    )
 
 
-def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed unitary via QR of a Ginibre matrix.
+def _unitary_mixture_ops(seeds, d: int, k: int) -> np.ndarray:
+    """Kraus stacks ``sqrt(p_i) U_i``: Haar unitaries, flat-Dirichlet weights from stream ``k``."""
+    gens = _generators(_stream_states(seeds, [(i,) for i in range(k + 1)]))
+    z = np.empty((len(seeds), k, 2, d, d))
+    weights = np.empty((len(seeds), k))
+    alpha = np.ones(k)
+    for row, w in zip(z, weights):
+        for matrix, gen in zip(row, gens):
+            gen.standard_normal(out=matrix)
+        w[:] = next(gens).dirichlet(alpha)
+    unitaries = _haar(z[..., 0, :, :] + 1j * z[..., 1, :, :])
+    return np.sqrt(weights)[..., None, None] * unitaries
 
-    The R-diagonal phases are pushed into Q; without that correction the QR
-    sign convention skews the distribution.
-    """
-    q, r = np.linalg.qr(ginibre(dim, rng))
-    diag = np.diagonal(r)
-    return q * (diag / np.abs(diag))
+
+def _unistochastic_ops(u: np.ndarray, d: int) -> np.ndarray:
+    """Kraus stacks ``A_(e,f) = (I (x) <e|) u (I (x) |f>) / sqrt(d)`` of a stack of composite unitaries."""
+    t = u.reshape(-1, d, d, d, d).transpose(0, 2, 4, 1, 3)
+    return t.reshape(-1, d * d, d, d) / math.sqrt(d)
+
+
+def _sample_stack(family: str, d: int, kraus_count: int, seeds) -> list[KrausChannel]:
+    """One channel per seed, all of ``family`` at dimension ``d``."""
+    if family == "cptp":
+        ops = _cptp_ops(seeds, d, kraus_count)
+    elif family == "unitary-mixture":
+        ops = _unitary_mixture_ops(seeds, d, kraus_count)
+    elif family == "unistochastic":
+        gens = _generators(_stream_states(seeds, [(0,)]))
+        ops = _unistochastic_ops(_haar(_ginibre(gens, (len(seeds), d * d))), d)
+    elif family.startswith("named:"):
+        return [named_family_channel(family, d)] * len(seeds)
+    else:
+        raise UnknownChannelError(f"unknown sampler family {family!r}")
+    return KrausChannel.from_stack(ops)
 
 
 def sample_cptp(cfg: SamplerConfig) -> KrausChannel:
@@ -106,19 +336,7 @@ def sample_cptp(cfg: SamplerConfig) -> KrausChannel:
     numerically singular normalizer is resampled from a sibling stream up
     to ``RESAMPLE_ATTEMPTS`` times.
     """
-    d, k = cfg.dim, cfg.kraus_count
-    for attempt in range(RESAMPLE_ATTEMPTS):
-        root = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(attempt,))
-        gs = [ginibre(d, np.random.default_rng(s)) for s in root.spawn(k)]
-        normalizer = sum(g.conj().T @ g for g in gs)
-        vals, vecs = np.linalg.eigh(normalizer)
-        if vals[0] <= 0.0 or vals[-1] / vals[0] > COND_LIMIT:
-            continue
-        inv_sqrt = (vecs / np.sqrt(vals)) @ vecs.conj().T
-        return KrausChannel(d, tuple(g @ inv_sqrt for g in gs))
-    raise SingularNormalizerError(
-        f"normalizer stayed ill-conditioned after {RESAMPLE_ATTEMPTS} attempts (seed {cfg.seed})"
-    )
+    return _sample_stack("cptp", cfg.dim, cfg.kraus_count, [cfg.seed])[0]
 
 
 def sample_unitary_mixture(cfg: SamplerConfig) -> KrausChannel:
@@ -127,11 +345,7 @@ def sample_unitary_mixture(cfg: SamplerConfig) -> KrausChannel:
     Kraus operators ``sqrt(p_i) U_i``; unital because each ``U_i U_i^dag``
     is the identity regardless of the weights.
     """
-    d, k = cfg.dim, cfg.kraus_count
-    streams = np.random.SeedSequence(cfg.seed).spawn(k + 1)
-    unitaries = [haar_unitary(d, np.random.default_rng(s)) for s in streams[:k]]
-    weights = np.random.default_rng(streams[k]).dirichlet(np.ones(k))
-    return KrausChannel(d, tuple(math.sqrt(p) * u for p, u in zip(weights, unitaries)))
+    return _sample_stack("unitary-mixture", cfg.dim, cfg.kraus_count, [cfg.seed])[0]
 
 
 def unistochastic_from_unitary(u: np.ndarray, d: int) -> KrausChannel:
@@ -143,16 +357,12 @@ def unistochastic_from_unitary(u: np.ndarray, d: int) -> KrausChannel:
     ``rho -> Tr_env[u (rho (x) I/d) u^dag]``.  Trace-preserving and unital
     for any unitary ``u``.
     """
-    t = np.asarray(u, dtype=complex).reshape(d, d, d, d)
-    ops = tuple(t[:, e, :, f] / math.sqrt(d) for e in range(d) for f in range(d))
-    return KrausChannel(d, ops)
+    return KrausChannel.from_stack(_unistochastic_ops(np.asarray(u, dtype=complex), d))[0]
 
 
 def sample_unistochastic(cfg: SamplerConfig) -> KrausChannel:
     """Random unistochastic channel from a Haar unitary on the composite."""
-    stream = np.random.SeedSequence(cfg.seed).spawn(1)[0]
-    u = haar_unitary(cfg.dim * cfg.dim, np.random.default_rng(stream))
-    return unistochastic_from_unitary(u, cfg.dim)
+    return _sample_stack("unistochastic", cfg.dim, cfg.kraus_count, [cfg.seed])[0]
 
 
 def _basis_matrix(d: int, mu: int, nu: int) -> np.ndarray:
@@ -216,50 +426,66 @@ def named_channel(name: str, d: int, param: float | None = None) -> KrausChannel
     raise UnknownChannelError(f"unknown named channel {name!r}")
 
 
+def named_family_channel(family: str, d: int) -> KrausChannel:
+    """The channel a ``named:<name>[:<param>]`` family stands for at dimension ``d``.
+
+    A parameter that is not a number is a :class:`ParamOutOfRangeError`.
+    """
+    _, name, *rest = family.split(":")
+    param = None
+    if rest:
+        try:
+            param = float(rest[0])
+        except ValueError:
+            raise ParamOutOfRangeError(
+                f"parameter {rest[0]!r} of channel {name!r} is not a number"
+            ) from None
+    return named_channel(name, d, param)
+
+
 def sample_channel(cfg: SamplerConfig) -> KrausChannel:
     """Dispatch a config to its family sampler."""
-    if cfg.family == "cptp":
-        return sample_cptp(cfg)
-    if cfg.family == "unitary-mixture":
-        return sample_unitary_mixture(cfg)
-    if cfg.family == "unistochastic":
-        return sample_unistochastic(cfg)
-    if cfg.family.startswith("named:"):
-        parts = cfg.family.split(":")
-        param = float(parts[2]) if len(parts) > 2 else None
-        return named_channel(parts[1], cfg.dim, param)
-    raise UnknownChannelError(f"unknown sampler family {cfg.family!r}")
+    return _sample_stack(cfg.family, cfg.dim, cfg.kraus_count, [cfg.seed])[0]
 
 
-def population(seed: int, dims, families, count: int, stream: int = 0):
-    """Yield ``(family, dim, channel_id, channel)`` in ``(dim, family, index)`` order.
+def _cuts(count: int, size) -> list[range]:
+    """``range(count)`` cut into consecutive ranges of at most ``size`` (at least one)."""
+    size = max(1, size)
+    return [range(start, min(start + size, count)) for start in range(0, count, size)]
+
+
+def population(seed: int, dims, families, count: int, stream: int = 0, size=None):
+    """Yield ``(family, dim, channel_ids, channels)`` stacks in ``(dim, family, index)`` order.
 
     Sample ``index`` of ``family`` at ``dim`` is drawn with the default Kraus
     count from ``derive_seed(seed, stream + code, dim, index)``, where
     ``code`` is the family's entry in :data:`FAMILY_CODES`; harnesses keep
-    their populations apart by ``stream``.
+    their populations apart by ``stream``.  A stack holds consecutive
+    indices of one ``(dim, family)``, at most ``size(dim)`` of them (all
+    ``count`` by default); a named family repeats its one channel.
     """
     for dim in dims:
         d = int(dim)
         for family in families:
             code = stream + FAMILY_CODES.get(family, 99)  # 99: the named channels
-            for index in range(count):
-                cfg = SamplerConfig(
-                    dim=d,
-                    kraus_count=default_kraus_count(family, d),
-                    seed=derive_seed(seed, code, d, index),
-                    family=family,
-                )
-                yield family, d, f"{family}-d{d}-{index:04d}", sample_channel(cfg)
+            for indices in _cuts(count, count if size is None else size(d)):
+                seeds = indices
+                if family in FAMILY_CODES:
+                    seeds = _derive_seeds((seed, code, d), indices).tolist()
+                ids = [f"{family}-d{d}-{index:04d}" for index in indices]
+                yield family, d, ids, _sample_stack(family, d, default_kraus_count(family, d), seeds)
 
 
-def ginibre_population(seed: int, dims, count: int, stream: int):
-    """Yield ``(dim, index, G)`` Ginibre matrices in ``(dim, index)`` order.
+def ginibre_population(seed: int, dims, count: int, stream: int, size=None):
+    """Yield ``(dim, indices, G)`` stacks of Ginibre matrices in ``(dim, index)`` order.
 
-    Matrix ``index`` at ``dim`` is drawn from ``derive_seed(seed, stream,
-    dim, index)``.
+    Matrix ``index`` at ``dim`` is the complex Ginibre matrix of
+    ``default_rng(derive_seed(seed, stream, dim, index))``, its real parts
+    drawn before its imaginary parts; ``G`` stacks the matrices of
+    ``indices``, at most ``size(dim)`` of them (all ``count`` by default).
     """
     for dim in dims:
         d = int(dim)
-        for index in range(count):
-            yield d, index, ginibre(d, np.random.default_rng(derive_seed(seed, stream, d, index)))
+        for indices in _cuts(count, count if size is None else size(d)):
+            states = _stream_states(_derive_seeds((seed, stream, d), indices).tolist(), [()])
+            yield d, indices, _ginibre(_generators(states), (len(indices), d))

@@ -1,6 +1,7 @@
 """Shared generators for the test suite (all seeded, all deterministic)."""
 
 import numpy as np
+import oracles
 
 from chanent import sampler
 
@@ -20,4 +21,11 @@ def random_density(rng, d):
 
 
 def random_unitary(rng, d):
-    return sampler.haar_unitary(d, rng)
+    return oracles.haar_unitary(d, rng)
+
+
+def population(*args, **kwargs):
+    """``sampler.population`` one channel at a time: ``(family, dim, channel_id, channel)``."""
+    for family, d, ids, chs in sampler.population(*args, **kwargs):
+        for channel_id, ch in zip(ids, chs):
+            yield family, d, channel_id, ch

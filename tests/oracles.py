@@ -5,8 +5,9 @@ the closed form the library uses: ``D`` by acting on the maximally entangled
 state, ``K`` by the Kronecker loop, the channel action from ``D``, the Choi
 spectrum from the Kraus Gram matrix, the ``(q, s)``-entropy one cell at a
 time in scalar arithmetic, the norm-inequality checks one input and one
-order at a time, and the bound's auxiliary domain minima by grid search.
-None of them is used by ``src/chanent``.
+order at a time, the bound's auxiliary domain minima by grid search, and
+the samplers one sample, one ``SeedSequence`` and one ``default_rng`` at a
+time.  None of them is used by ``src/chanent``.
 """
 
 import math
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from chanent import channel as chmod
-from chanent import matcore
+from chanent import matcore, sampler
 from chanent.channel import TP_TOL
 from chanent.entropy import LIMIT_EPS
 from chanent.errors import (
@@ -24,6 +25,8 @@ from chanent.errors import (
     InvalidSpectrumError,
     NotPositiveError,
     NotTracePreservingError,
+    SingularNormalizerError,
+    UnknownChannelError,
 )
 from chanent.spectra import STRICT_POS_TOL, InequalityReport
 from chanent.tradeoff import gamma_kappa
@@ -321,3 +324,102 @@ def check_norm_product_chain(ch):
     )
     bound = float(ch.dim) if chmod.is_unital(ch) else math.sqrt(ch.dim)
     return _report(ratio, bound, ">=", ratio >= bound - 1e-9)
+
+
+# The samplers one sample at a time: each seed a numpy SeedSequence, each
+# stream its own default_rng, each matrix its own QR, eigh and products.
+
+
+def derive_seed(base_seed, *indices):
+    """``SeedSequence([base_seed, *indices])``, first 64-bit word."""
+    ss = np.random.SeedSequence([int(base_seed), *[int(i) for i in indices]])
+    return int(ss.generate_state(1, np.uint64)[0])
+
+
+def ginibre(dim, rng):
+    """Square matrix of i.i.d. standard complex Gaussian entries."""
+    return rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+
+
+def haar_unitary(dim, rng):
+    """Haar unitary: QR of a Ginibre matrix, R-diagonal phases pushed into Q."""
+    q, r = np.linalg.qr(ginibre(dim, rng))
+    diag = np.diagonal(r)
+    return q * (diag / np.abs(diag))
+
+
+def sample_cptp(cfg):
+    """Normalized Ginibre Kraus set, resampled from sibling streams while singular."""
+    d, k = cfg.dim, cfg.kraus_count
+    for attempt in range(sampler.RESAMPLE_ATTEMPTS):
+        root = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(attempt,))
+        gs = [ginibre(d, np.random.default_rng(s)) for s in root.spawn(k)]
+        normalizer = sum(g.conj().T @ g for g in gs)
+        vals, vecs = np.linalg.eigh(normalizer)
+        if vals[0] <= 0.0 or vals[-1] / vals[0] > sampler.COND_LIMIT:
+            continue
+        inv_sqrt = (vecs / np.sqrt(vals)) @ vecs.conj().T
+        return chmod.KrausChannel(d, tuple(g @ inv_sqrt for g in gs))
+    raise SingularNormalizerError(
+        f"normalizer stayed ill-conditioned after {sampler.RESAMPLE_ATTEMPTS} attempts (seed {cfg.seed})"
+    )
+
+
+def sample_unitary_mixture(cfg):
+    """Haar unitaries weighted by a flat Dirichlet draw from stream ``k``."""
+    d, k = cfg.dim, cfg.kraus_count
+    streams = np.random.SeedSequence(cfg.seed).spawn(k + 1)
+    unitaries = [haar_unitary(d, np.random.default_rng(s)) for s in streams[:k]]
+    weights = np.random.default_rng(streams[k]).dirichlet(np.ones(k))
+    return chmod.KrausChannel(d, tuple(math.sqrt(p) * u for p, u in zip(weights, unitaries)))
+
+
+def unistochastic_from_unitary(u, d):
+    """Environment contractions ``(I (x) <e|) u (I (x) |f>) / sqrt(d)``, one at a time."""
+    t = np.asarray(u, dtype=complex).reshape(d, d, d, d)
+    ops = tuple(t[:, e, :, f] / math.sqrt(d) for e in range(d) for f in range(d))
+    return chmod.KrausChannel(d, ops)
+
+
+def sample_unistochastic(cfg):
+    """Unistochastic channel of a Haar unitary on the composite."""
+    stream = np.random.SeedSequence(cfg.seed).spawn(1)[0]
+    u = haar_unitary(cfg.dim * cfg.dim, np.random.default_rng(stream))
+    return unistochastic_from_unitary(u, cfg.dim)
+
+
+def sample_channel(cfg):
+    """Dispatch a config to its one-sample sampler."""
+    if cfg.family == "cptp":
+        return sample_cptp(cfg)
+    if cfg.family == "unitary-mixture":
+        return sample_unitary_mixture(cfg)
+    if cfg.family == "unistochastic":
+        return sample_unistochastic(cfg)
+    if cfg.family.startswith("named:"):
+        parts = cfg.family.split(":")
+        param = float(parts[2]) if len(parts) > 2 else None
+        return sampler.named_channel(parts[1], cfg.dim, param)
+    raise UnknownChannelError(f"unknown sampler family {cfg.family!r}")
+
+
+def population(seed, dims, families, count, stream=0):
+    """``(family, dim, channel_id, channel)`` one sample at a time, in population order."""
+    for d in dims:
+        for family in families:
+            code = stream + sampler.FAMILY_CODES.get(family, 99)
+            for index in range(count):
+                cfg = sampler.SamplerConfig(
+                    dim=d,
+                    kraus_count=sampler.default_kraus_count(family, d),
+                    seed=derive_seed(seed, code, d, index),
+                    family=family,
+                )
+                yield family, d, f"{family}-d{d}-{index:04d}", sample_channel(cfg)
+
+
+def ginibre_population(seed, dims, count, stream):
+    """``(dim, index, G)`` one Ginibre matrix at a time, in population order."""
+    for d in dims:
+        for index in range(count):
+            yield d, index, ginibre(d, np.random.default_rng(derive_seed(seed, stream, d, index)))

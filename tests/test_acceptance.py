@@ -9,13 +9,12 @@ import math
 import numpy as np
 import oracles
 import pytest
-from helpers import complex_gaussian
+from helpers import complex_gaussian, population
 
 from chanent import channel as chmod
 from chanent import cli, matcore, sampler, spectra, tradeoff
 from chanent.entropy import EntropyParams, entropy_from_spectrum, entropy_grid, uniform_entropy
 from chanent.matcore import Spectrum
-from chanent.sampler import population
 
 Q_GRID = (0.3, 0.5, 0.9, 1.1, 1.5, 2.0, 3.0, 5.0)
 S_GRID = (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0)
@@ -140,7 +139,7 @@ def test_criterion_4_norm_interpolation_suite(capsys):
         rng = np.random.default_rng(sampler.derive_seed(1005, n))
         c = float(rng.uniform(0.1, 3.0))
         rank = int(rng.integers(1, n + 1))
-        u = sampler.haar_unitary(n, rng)
+        u = oracles.haar_unitary(n, rng)
         proj = (u[:, :rank] * c) @ u[:, :rank].conj().T
         for x in (c * np.eye(n), proj):
             for q in orders:

@@ -1,14 +1,13 @@
 import numpy as np
 import oracles
 import pytest
-from helpers import random_density, random_unitary
+from helpers import population, random_density, random_unitary
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chanent import channel as chmod
 from chanent import matcore, sampler
 from chanent.errors import DimensionMismatchError, NotTracePreservingError
-from chanent.sampler import population
 
 ROUTE_DIMS = (2, 3, 4, 8, 16)
 FAMILIES = tuple(sampler.FAMILY_CODES)
@@ -38,6 +37,37 @@ class TestKrausChannel:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             chmod.KrausChannel(2, ())
+
+
+class TestFromStack:
+    """One channel per row of a Kraus stack, validated as construction validates."""
+
+    def test_rows_become_channels(self):
+        chs = [ch for *_, ch in oracles.population(951, (3,), ("cptp",), 4)]
+        ops = np.stack([np.stack(ch.kraus_ops) for ch in chs])
+        for got, want in zip(chmod.KrausChannel.from_stack(ops), chs):
+            assert got.dim == 3 and isinstance(got.kraus_ops, tuple)
+            assert all(np.array_equal(a, b) for a, b in zip(got.kraus_ops, want.kraus_ops))
+            assert got.tp_defect() == want.tp_defect()
+
+    def test_every_channel_is_checked(self):
+        ops = np.stack([np.eye(2)[None] for _ in range(5)]).astype(complex)
+        ops[3] *= 1 + 1e-6
+        with pytest.raises(NotTracePreservingError) as got:
+            chmod.KrausChannel.from_stack(ops)
+        with pytest.raises(NotTracePreservingError) as want:
+            chmod.KrausChannel(2, tuple(ops[3]))
+        assert str(got.value) == str(want.value)
+
+    def test_rejects_bad_shapes(self):
+        with pytest.raises(DimensionMismatchError):
+            chmod.KrausChannel.from_stack(np.ones((2, 2, 2)))
+        with pytest.raises(DimensionMismatchError):
+            chmod.KrausChannel.from_stack(np.ones((2, 1, 2, 3)))
+        with pytest.raises(DimensionMismatchError):
+            chmod.KrausChannel.from_stack(np.ones((2, 1, 1, 1)))
+        with pytest.raises(ValueError):
+            chmod.KrausChannel.from_stack(np.ones((2, 0, 2, 2)))
 
 
 class TestMaximallyEntangledState:

@@ -115,6 +115,33 @@ class TestSweep:
         assert cli.main(["sweep", "--config", str(tmp_path / "missing.json")]) == 2
         assert capsys.readouterr().err.count("config error:") == 2
 
+    @pytest.mark.parametrize("command", ["sweep", "inequalities"])
+    def test_rejects_negative_seed(self, tmp_path, capsys, command):
+        out = tmp_path / "x"
+        assert cli.main([command, "--dims", "2", "--samples", "1", "--seed", "-1", "--out", str(out)]) == 2
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"seed": -5}))
+        assert cli.main([command, "--config", str(cfg_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("config error: seed must be >= 0") == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("family, dims", [
+        ("named:bogus", "2"),
+        ("named:depolarizing:2.0", "2"),
+        ("named:depolarizing:abc", "2"),
+        ("named:amplitude-damping:0.3", "3"),
+    ])
+    def test_rejects_bad_named_family(self, tmp_path, capsys, family, dims):
+        # checked before any sampling: a passing family first writes nothing either
+        out = tmp_path / "x"
+        args = ["--dims", dims, "--samples", "1", "--family", f"cptp,{family}", "--out", str(out)]
+        assert cli.main(["sweep", *args]) == 2
+        assert cli.main(["inequalities", *args]) == 2
+        err = capsys.readouterr().err
+        assert err.count("config error:") == 2 and family in err
+        assert not out.exists()
+
 
     def test_violation_writes_rows_up_to_the_violating_cell(self, tmp_path, capsys):
         # a gap tolerance of -10 turns every non-limit cell into a violation;
@@ -265,8 +292,8 @@ def failing_on(check, entries):
 
 
 def ginibre_matrix(stream, d, index, psd=True):
-    pop = sampler.ginibre_population(cli.DEFAULT_SEED, (d,), index + 1, stream)
-    g = list(pop)[index][2]
+    (_, _, g), = sampler.ginibre_population(cli.DEFAULT_SEED, (d,), index + 1, stream)
+    g = g[index]
     return g @ g.conj().T if psd else g
 
 

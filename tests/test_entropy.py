@@ -4,13 +4,13 @@ import mpmath
 import numpy as np
 import oracles
 import pytest
+from helpers import population
 
 from chanent import channel as chmod
 from chanent import entropy as ent
 from chanent import matcore, sampler, tradeoff
 from chanent.errors import DomainError, InvalidSpectrumError
 from chanent.matcore import Spectrum
-from chanent.sampler import population
 
 Q_GRID = (0.3, 0.5, 0.9, 1.0, 1.1, 1.5, 2.0, 3.0, 5.0)
 S_GRID = (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0)
@@ -127,7 +127,7 @@ class TestReceiverEntropy:
 
     def test_unitary_channel_is_maximal(self):
         rng = np.random.default_rng(101)
-        u = sampler.haar_unitary(3, rng)
+        u = oracles.haar_unitary(3, rng)
         sup = chmod.superoperator_from_kraus(chmod.KrausChannel(3, (u,)))
         got = ent.receiver_entropy(sup, ent.EntropyParams(0.5, 0.0))
         assert got == pytest.approx(2 * math.log(3), abs=1e-10)

@@ -2,11 +2,13 @@ import numpy as np
 import oracles
 import pytest
 from helpers import random_density
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chanent import channel as chmod
 from chanent import sampler
 from chanent.entropy import EntropyParams, map_entropy
-from chanent.errors import ParamOutOfRangeError, UnknownChannelError
+from chanent.errors import ParamOutOfRangeError, SingularNormalizerError, UnknownChannelError
 
 
 class TestSampleCptp:
@@ -177,31 +179,168 @@ class TestDispatchAndSeeds:
 class TestPopulation:
     def test_order_ids_and_seeds(self):
         pop = list(sampler.population(5, (3, 2), ("unistochastic", "cptp"), 2, stream=100))
-        assert [cid for _, _, cid, _ in pop] == [
-            "unistochastic-d3-0000",
-            "unistochastic-d3-0001",
-            "cptp-d3-0000",
-            "cptp-d3-0001",
-            "unistochastic-d2-0000",
-            "unistochastic-d2-0001",
-            "cptp-d2-0000",
-            "cptp-d2-0001",
+        assert [(fam, d, ids) for fam, d, ids, _ in pop] == [
+            ("unistochastic", 3, ["unistochastic-d3-0000", "unistochastic-d3-0001"]),
+            ("cptp", 3, ["cptp-d3-0000", "cptp-d3-0001"]),
+            ("unistochastic", 2, ["unistochastic-d2-0000", "unistochastic-d2-0001"]),
+            ("cptp", 2, ["cptp-d2-0000", "cptp-d2-0001"]),
         ]
-        family, d, _, ch = pop[3]
+        ch = pop[1][3][1]
         cfg = sampler.SamplerConfig(3, 9, sampler.derive_seed(5, 100 + 0, 3, 1), "cptp")
         for a, b in zip(ch.kraus_ops, sampler.sample_channel(cfg).kraus_ops):
             np.testing.assert_array_equal(a, b)
-        assert (family, d, len(ch.kraus_ops)) == ("cptp", 3, 9)
+        assert len(ch.kraus_ops) == 9
+
+    def test_stacks_are_cut_by_size(self):
+        pop = sampler.population(5, (2, 3), ("cptp",), 5, size=lambda d: 4 if d == 2 else 5)
+        assert [(d, len(ids), len(chs)) for _, d, ids, chs in pop] == [(2, 4, 4), (2, 1, 1), (3, 5, 5)]
 
     def test_named_family(self):
-        (family, d, cid, ch), = sampler.population(1, (2,), ("named:identity",), 1)
-        assert (family, d, cid) == ("named:identity", 2, "named:identity-d2-0000")
-        np.testing.assert_array_equal(ch.kraus_ops[0], np.eye(2))
+        (family, d, ids, chs), = sampler.population(1, (2,), ("named:identity",), 1)
+        assert (family, d, ids) == ("named:identity", 2, ["named:identity-d2-0000"])
+        np.testing.assert_array_equal(chs[0].kraus_ops[0], np.eye(2))
 
     def test_ginibre_population(self):
         pop = list(sampler.ginibre_population(5, (2, 3), 2, stream=201))
-        assert [(d, i, g.shape) for d, i, g in pop] == [
-            (2, 0, (2, 2)), (2, 1, (2, 2)), (3, 0, (3, 3)), (3, 1, (3, 3))
-        ]
+        assert [(d, list(i), g.shape) for d, i, g in pop] == [(2, [0, 1], (2, 2, 2)), (3, [0, 1], (2, 3, 3))]
         rng = np.random.default_rng(sampler.derive_seed(5, 201, 3, 1))
-        np.testing.assert_array_equal(pop[3][2], sampler.ginibre(3, rng))
+        np.testing.assert_array_equal(pop[1][2][1], oracles.ginibre(3, rng))
+
+
+# Seeds at the word boundaries of SeedSequence's integer coercion: one word,
+# the largest one-word value, two words, three words, and five words (more
+# than the pool holds, so no zero padding under a spawn key).
+EDGE_SEEDS = (0, 2**32 - 1, 2**32, 2**64 + 3, 2**130 + 7)
+FAMILIES = tuple(sampler.FAMILY_CODES)
+CUTS = (1, 7, 128)
+
+
+def assert_same_channels(got, want):
+    """Same ids and bit-identical Kraus operators, channel by channel."""
+    assert [g[:-1] for g in got] == [w[:-1] for w in want]
+    for (*_, a), (*_, b) in zip(got, want):
+        assert len(a.kraus_ops) == len(b.kraus_ops)
+        assert all(np.array_equal(x, y) for x, y in zip(a.kraus_ops, b.kraus_ops))
+
+
+def stacked(seed, d, family, count, cut, stream=0):
+    """The stacked population one channel at a time, and its stack sizes."""
+    stacks = list(sampler.population(seed, (d,), (family,), count, stream=stream, size=lambda _: cut))
+    flat = [(fam, dim, cid, ch) for fam, dim, ids, chs in stacks for cid, ch in zip(ids, chs)]
+    return flat, [len(chs) for *_, chs in stacks]
+
+
+class TestStreamContract:
+    """Stacked sampling against numpy's SeedSequence / default_rng and the per-sample oracles, bit for bit."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        rows=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=9).flatmap(
+            lambda row: st.lists(st.lists(st.integers(0, 2**32 - 1), min_size=len(row), max_size=len(row)),
+                                 min_size=1, max_size=5).map(lambda rows: [row, *rows])
+        ),
+        n_words=st.integers(1, 9),
+    )
+    def test_seed_states_match_seed_sequence(self, rows, n_words):
+        got = sampler._seed_states(np.array(rows, dtype=np.uint32), n_words)
+        for row, words in zip(rows, got):
+            want = np.random.SeedSequence(np.array(row, dtype=np.uint32)).generate_state(n_words)
+            np.testing.assert_array_equal(words, want)
+
+    @pytest.mark.parametrize("seed", EDGE_SEEDS)
+    def test_edge_seeds(self, seed):
+        self.check_seed(seed)
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**160))
+    def test_drawn_seeds(self, seed):
+        self.check_seed(seed)
+
+    @staticmethod
+    def check_seed(seed):
+        # derived seeds: the seed first, then as an index
+        for indices in ((), (0,), (3, 2, 7), (1, 2**32 - 1), (5, 2**32), (seed,)):
+            assert sampler.derive_seed(seed, *indices) == oracles.derive_seed(seed, *indices)
+        prefix = (seed, 1, 3)
+        indices = [0, 1, 2**32 - 1, 2**32, 2**40 + 5, 9]
+        np.testing.assert_array_equal(
+            sampler._derive_seeds(prefix, indices), [oracles.derive_seed(*prefix, i) for i in indices]
+        )
+        # stream states and draws, root and spawned
+        for keys in ([()], [(0,), (1,), (2,)], [(0, 0), (0, 5), (3, 1)]):
+            states = sampler._stream_states([seed, 11], keys)
+            gens = sampler._generators(states)
+            pairs = iter(states)
+            for s in (seed, 11):
+                for key in keys:
+                    rng = np.random.default_rng(np.random.SeedSequence(s, spawn_key=key))
+                    assert rng.bit_generator.state["state"] == dict(zip(("state", "inc"), next(pairs)))
+                    np.testing.assert_array_equal(
+                        next(gens).standard_normal((2, 3, 3)), rng.normal(size=(2, 3, 3))
+                    )
+
+    @pytest.mark.parametrize("seed", EDGE_SEEDS)
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_one_sample_matches_oracle(self, family, seed):
+        for d in (2, 3):
+            k = sampler.default_kraus_count(family, d)
+            cfg = sampler.SamplerConfig(d, k, seed, family)
+            assert_same_channels([(sampler.sample_channel(cfg),)], [(oracles.sample_channel(cfg),)])
+
+    @pytest.mark.parametrize("d, count", [(2, 9), (3, 9), (4, 9), (8, 8), (16, 2)])
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_stacks_match_oracle(self, family, d, count):
+        seed = EDGE_SEEDS[(d + len(family)) % len(EDGE_SEEDS)]
+        want = list(oracles.population(seed, (d,), (family,), count, stream=100))
+        for cut in CUTS:
+            got, sizes = stacked(seed, d, family, count, cut, stream=100)
+            assert sizes == [min(cut, count - i) for i in range(0, count, cut)]
+            assert_same_channels(got, want)
+
+    @settings(max_examples=6, deadline=None)
+    @given(seed=st.integers(0, 2**64 - 1), cut=st.sampled_from(CUTS))
+    def test_drawn_population_matches_oracle(self, seed, cut):
+        for family in FAMILIES:
+            got, _ = stacked(seed, 3, family, 8, cut)
+            assert_same_channels(got, list(oracles.population(seed, (3,), (family,), 8)))
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 8, 16])
+    def test_ginibre_stacks_match_oracle(self, d):
+        for seed in EDGE_SEEDS[:4]:
+            want = np.stack([g for *_, g in oracles.ginibre_population(seed, (d,), 9, 202)])
+            for cut in CUTS:
+                stacks = list(sampler.ginibre_population(seed, (d,), 9, 202, size=lambda _: cut))
+                assert [list(i) for _, i, _ in stacks] == [list(range(j, min(j + cut, 9))) for j in range(0, 9, cut)]
+                np.testing.assert_array_equal(np.concatenate([g for *_, g in stacks]), want)
+
+    @pytest.mark.parametrize("cut", CUTS)
+    def test_resampled_cptp_matches_oracle(self, monkeypatch, cut):
+        # a condition limit near the upper quartile of the d = 2 normalizers:
+        # some samples of each stack resample once or more, none runs out
+        unpatched, _ = stacked(31, 2, "cptp", 20, cut)
+        monkeypatch.setattr(sampler, "COND_LIMIT", 2.8)
+        got, _ = stacked(31, 2, "cptp", 20, cut)
+        assert_same_channels(got, list(oracles.population(31, (2,), ("cptp",), 20)))
+        moved = sum(not np.array_equal(a[3].kraus_ops[0], b[3].kraus_ops[0]) for a, b in zip(got, unpatched))
+        assert 0 < moved < 20
+
+    def test_exhausted_resampling_raises_as_the_oracle(self, monkeypatch):
+        monkeypatch.setattr(sampler, "COND_LIMIT", 1.0)
+        cfg = sampler.SamplerConfig(2, 4, oracles.derive_seed(31, 0, 2, 0), "cptp")
+        with pytest.raises(SingularNormalizerError) as want:
+            oracles.sample_channel(cfg)
+        with pytest.raises(SingularNormalizerError) as got:
+            stacked(31, 2, "cptp", 3, 7)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("call", [
+        lambda: sampler.derive_seed(-1),
+        lambda: sampler.derive_seed(3, 0, -2),
+        lambda: sampler.sample_channel(sampler.SamplerConfig(2, 4, -5, "cptp")),
+        lambda: next(sampler.population(-1, (2,), ("cptp",), 1)),
+    ])
+    def test_negative_entropy_raises_as_seed_sequence(self, call):
+        with pytest.raises(ValueError, match="expected non-negative integer"):
+            np.random.SeedSequence(-1)
+        with pytest.raises(ValueError, match="expected non-negative integer"):
+            call()

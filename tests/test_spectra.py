@@ -3,7 +3,7 @@ import math
 import numpy as np
 import oracles
 import pytest
-from helpers import complex_gaussian, random_psd, random_unitary
+from helpers import complex_gaussian, population, random_psd, random_unitary
 
 from chanent import channel as chmod
 from chanent import cli, sampler, spectra
@@ -15,7 +15,6 @@ from chanent.errors import (
     NotHermitianError,
     NotPositiveError,
 )
-from chanent.sampler import population
 
 
 class TestNormOrder:
@@ -276,8 +275,8 @@ MONOTONICITY_PAIRS = ((0.2, 0.8), (1.0 / 3.0, 0.5), (0.5, 1.0))
 
 
 def _ginibre_stack(d, stream, count=SUITE.samples_per_family):
-    pop = sampler.ginibre_population(SUITE.seed, (d,), count, stream)
-    return np.stack([g for _, _, g in pop])
+    (_, _, g), = sampler.ginibre_population(SUITE.seed, (d,), count, stream)
+    return g
 
 
 def _psd_stack(d, stream, count=SUITE.samples_per_family):

@@ -3,12 +3,12 @@ import math
 import numpy as np
 import oracles
 import pytest
+from helpers import population
 
 from chanent import sampler, tradeoff
 from chanent.entropy import EntropyParams, q_log
 from chanent.errors import BoundViolation, DimensionMismatchError, DomainError
 from chanent.matcore import Spectrum
-from chanent.sampler import population
 
 Q_GRID = (0.3, 0.5, 0.9, 1.0, 1.1, 1.5, 2.0, 3.0, 5.0)
 S_GRID = (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0)
