@@ -14,6 +14,13 @@ where the reshuffling permutation ``K[a*d+b, m*d+n] = D[a*d+m, b*d+n]`` is an
 involution that preserves the multiset of entries and hence the Frobenius
 norm.  Independent routes to both matrices (the Kronecker loop for ``K``,
 the entangled-input construction for ``D``) live in ``tests/oracles.py``.
+
+One tolerance decides both numerical predicates: a channel is admitted as
+trace preserving iff its TP defect (max entry of ``sum_i A_i^dag A_i - I``)
+is at most ``TP_TOL``, and it is unital iff its unital defect (max entry of
+``sum_i A_i A_i^dag - I``) is at most the same ``TP_TOL``.  A channel whose
+Kraus set carries a rounding-level scale error is then both TP and unital,
+and is held to the sharper unital bound.
 """
 
 from __future__ import annotations
@@ -29,7 +36,6 @@ from .matcore import Spectrum
 
 __all__ = [
     "TP_TOL",
-    "UNITAL_TOL",
     "MAX_DIM",
     "KrausChannel",
     "DynamicalMatrix",
@@ -47,11 +53,10 @@ __all__ = [
     "load_channel",
 ]
 
-# Max-entry tolerance on sum_i A_i^dag A_i - I.  Sampler normalization is
-# exact to rounding, so anything larger is a genuinely non-TP input.
+# Max-entry tolerance on sum_i A_i^dag A_i - I, and on sum_i A_i A_i^dag - I
+# for the unital predicate.  Sampler normalization is exact to rounding, so
+# anything larger is a genuinely non-TP (or non-unital) input.
 TP_TOL = 1e-8
-# Max-entry tolerance on sum_i A_i A_i^dag - I for the unital predicate.
-UNITAL_TOL = 1e-10
 MAX_DIM = 16
 
 
@@ -224,9 +229,12 @@ def apply_channel(ch: KrausChannel, x) -> np.ndarray:
     return out
 
 
-def is_unital(ch: KrausChannel, tol: float = UNITAL_TOL) -> bool:
-    """True iff the channel maps the identity to itself within ``tol``."""
-    return ch.unital_defect() <= tol
+def is_unital(ch: KrausChannel) -> bool:
+    """True iff the channel maps the identity to itself within ``TP_TOL``.
+
+    That is the tolerance the channel was admitted at as trace preserving.
+    """
+    return ch.unital_defect() <= TP_TOL
 
 
 def dynamical_spectrum(dyn: DynamicalMatrix) -> Spectrum:

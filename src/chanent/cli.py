@@ -150,6 +150,12 @@ def validate_config(cfg: SweepConfig) -> SweepConfig:
     for s in cfg.s_grid:
         if not math.isfinite(float(s)):
             raise ConfigError(f"entropy order s must be finite, got {s}")
+    # a repeated entry would evaluate, and write, the same rows twice
+    for key in ("dims", "families", "q_grid", "s_grid"):
+        values = getattr(cfg, key)
+        repeated = [v for i, v in enumerate(values) if v in values[:i]]
+        if repeated:
+            raise ConfigError(f"{key} repeats {repeated[0]!r}")
     return cfg
 
 

@@ -1,16 +1,18 @@
 """Lower bounds on the sum of the map and receiver entropies.
 
 For system dimension ``d`` and orders ``q > 0``, ``s``, the entropic sum is
-bounded below by ``(gamma/s) q_log_q(d**(s*kappa/gamma))`` over all channels
-and by the same expression with ``2*s*kappa/gamma`` over unital ones, where
+bounded below by ``(gamma/s) q_log_q(d**(f s kappa/gamma))``, with ``f = 1``
+over all channels and ``f = 2`` over unital ones, where
 
 * ``gamma`` is 1 when ``(1-q) s < 0`` and 2 when it is positive, and
 * ``kappa`` is 1 for ``q <= 2`` and ``q / (2 (q-1))`` beyond.
 
-The ``s = 0`` limits are ``kappa ln d`` and ``2 kappa ln d``.  The bound's
-derivation excludes ``q = 1`` exactly, so on that row the evaluator reports
-the ``q -> 1`` limit value (``kappa = 1``) without asserting it as a theorem:
-:class:`BoundViolation` is raised only off the ``q = 1`` band.
+Written as ``f kappa ln d exprel((1-q) s f kappa ln d / gamma)`` this is one
+expression on every cell: ``gamma`` drops out where the argument is 0, the
+``s = 0`` row gives ``f kappa ln d`` and the ``q = 1`` row ``f ln d``.  The
+bound's derivation excludes ``q = 1`` exactly, so on that row (to within
+``LIMIT_EPS``) the evaluator reports the limit value without asserting it as
+a theorem: :class:`BoundViolation` is raised only off the ``q = 1`` rows.
 
 A channel is evaluated on a whole ``(q, s)`` grid at once: the bounds of
 one dimension are tabulated once (:func:`bound_table`), and
@@ -34,13 +36,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import channel as chmod
-from .entropy import LIMIT_EPS, EntropyParams, entropy_grid
+from .entropy import EntropyParams, entropy_grid, exprel
 from .errors import BoundViolation, DimensionMismatchError, DomainError
 from .matcore import Spectrum
 
 __all__ = [
     "SAT_TOL",
     "GAP_TOL",
+    "LIMIT_EPS",
     "gamma_kappa",
     "lower_bound",
     "BoundTable",
@@ -58,21 +61,29 @@ __all__ = [
 SAT_TOL = 1e-7
 # Negative gap beyond this is a bound violation, not rounding.
 GAP_TOL = 1e-9
+# Half-width of the q = 1 rows, whose bound is reported but not asserted.
+LIMIT_EPS = 1e-8
 
 
-def _kappa(q: float) -> float:
-    # Both branches give 1 at q = 2.
-    return 1.0 if q <= 2.0 else q / (2.0 * (q - 1.0))
-
-
-def gamma_kappa(q: float, s: float) -> tuple[int, float]:
-    """The piecewise bound exponents ``(gamma, kappa)`` for orders off the limits."""
-    if not (q > 0.0):
+def gamma_kappa(q, s) -> tuple:
+    """The piecewise bound exponents ``(gamma, kappa)`` at orders ``q > 0``, ``s``; elementwise on arrays."""
+    q, s = np.asarray(q, dtype=float), np.asarray(s, dtype=float)
+    if not (q > 0.0).all():
         raise DomainError(f"need q > 0, got {q}")
-    if abs(q - 1.0) <= LIMIT_EPS or abs(s) <= LIMIT_EPS:
-        raise DomainError(f"gamma is undefined on the limit rows q=1 / s=0 (q={q}, s={s})")
-    gamma = 1 if (1.0 - q) * s < 0.0 else 2
-    return gamma, _kappa(q)
+    gamma = np.where((1.0 - q) * s < 0.0, 1.0, 2.0)
+    # Both branches of kappa give 1 at q = 2; the maximum only keeps the
+    # unused branch from dividing by zero at q = 1.
+    kappa = np.where(q <= 2.0, 1.0, q / (2.0 * np.maximum(q - 1.0, 1.0)))
+    return gamma[()], kappa[()]
+
+
+def _bounds(d: int, q, s, unital: bool):
+    """:func:`lower_bound` elementwise on broadcast arrays ``q``, ``s``."""
+    if d < 2:
+        raise DomainError(f"need dimension d >= 2, got {d}")
+    gamma, kappa = gamma_kappa(q, s)
+    scale = (2.0 if unital else 1.0) * kappa * math.log(d)
+    return scale * exprel((1.0 - q) * s * scale / gamma)
 
 
 def lower_bound(d: int, params: EntropyParams, unital: bool) -> float:
@@ -80,21 +91,10 @@ def lower_bound(d: int, params: EntropyParams, unital: bool) -> float:
 
     Unital channels get the sharper bound with the doubled exponent.  On the
     ``s = 0`` row this is ``kappa ln d`` (``2 kappa ln d`` unital); on the
-    ``q = 1`` row, the limit value with ``kappa = 1``.
+    ``q = 1`` row, the limit value ``ln d`` (``2 ln d``).  A bound too large
+    for a double (huge ``|s|``) is ``+inf``, its true sign.
     """
-    if d < 2:
-        raise DomainError(f"need dimension d >= 2, got {d}")
-    factor = 2.0 if unital else 1.0
-    log_d = math.log(d)
-    if params.von_neumann_limit:
-        return factor * log_d
-    kappa = _kappa(params.q)
-    if params.renyi_limit:
-        return factor * kappa * log_d
-    gamma, _ = gamma_kappa(params.q, params.s)
-    exponent = factor * params.s * kappa / gamma
-    # (gamma/s) * q_log(d**exponent) with the inner power folded into expm1.
-    return gamma / params.s * math.expm1((1.0 - params.q) * exponent * log_d) / (1.0 - params.q)
+    return float(_bounds(d, params.q, params.s, unital))
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,7 +102,7 @@ class BoundTable:
     """Both lower bounds of one dimension on every cell of a ``(q, s)`` grid.
 
     ``all_channels[i, j]`` and ``unital[i, j]`` are :func:`lower_bound` at
-    ``(q[i], s[j])``; ``limit_rows[i]`` marks the ``q = 1`` band, where the
+    ``(q[i], s[j])``; ``limit_rows[i]`` marks the ``q = 1`` rows, where the
     bound is reported but not asserted.
     """
 
@@ -118,25 +118,10 @@ class BoundTable:
 
 
 def bound_table(d: int, q_grid, s_grid) -> BoundTable:
-    """Tabulate :func:`lower_bound` for dimension ``d`` on ``q_grid x s_grid``.
-
-    A bound too large for a double (huge ``|s|``) is stored as ``+inf``, its
-    true sign, so the evaluation reports the cell instead of overflowing.
-    """
+    """Tabulate :func:`lower_bound` for dimension ``d`` on ``q_grid x s_grid``, in one array pass."""
     q = np.array(q_grid, dtype=float)
     s = np.array(s_grid, dtype=float)
-    cells = [EntropyParams(qi, si) for qi in q.tolist() for si in s.tolist()]
-
-    def table(unital: bool) -> np.ndarray:
-        values = []
-        for params in cells:
-            try:
-                values.append(lower_bound(d, params, unital))
-            except OverflowError:
-                values.append(math.inf)
-        return np.array(values).reshape(q.size, s.size)
-
-    return BoundTable(d, q, s, table(False), table(True))
+    return BoundTable(d, q, s, _bounds(d, q[:, None], s, False), _bounds(d, q[:, None], s, True))
 
 
 @dataclass(frozen=True, eq=False)
@@ -279,9 +264,8 @@ def evaluate_profile(
     """
     if bounds.dim != profile.dim:
         raise DimensionMismatchError(f"bound table for d={bounds.dim}, channel has d={profile.dim}")
-    sup = profile.superop_spectrum
-    m = entropy_grid(profile.choi_spectrum, float(profile.dim), bounds.q, bounds.s)
-    r = entropy_grid(sup, np.sum(sup.values, axis=-1), bounds.q, bounds.s)
+    m = entropy_grid(profile.choi_spectrum, bounds.q, bounds.s)
+    r = entropy_grid(profile.superop_spectrum, bounds.q, bounds.s)
     unital = np.asarray(profile.unital)[..., None, None]
     applicable = np.where(unital, bounds.unital, bounds.all_channels)
     with np.errstate(invalid="ignore"):  # inf - inf; reported below

@@ -3,6 +3,7 @@
 import numpy as np
 import oracles
 
+from chanent import channel as chmod
 from chanent import sampler
 
 
@@ -29,3 +30,13 @@ def population(*args, **kwargs):
     for family, d, ids, chs in sampler.population(*args, **kwargs):
         for channel_id, ch in zip(ids, chs):
             yield family, d, channel_id, ch
+
+
+def noisy_depolarizing():
+    """depolarizing(0.3) at d = 3 with its Kraus set scaled by ``1 + 4.5e-9``.
+
+    Trace preserving and unital only up to 9.0e-9, inside ``TP_TOL``: its
+    ``D`` has trace ``3 (1 + 9e-9)``, not 3.
+    """
+    ch = sampler.named_channel("depolarizing", 3, 0.3)
+    return chmod.KrausChannel(3, tuple(a * (1.0 + 4.5e-9) for a in ch.kraus_ops))

@@ -4,21 +4,21 @@ Each oracle computes a quantity a second way, by construction rather than by
 the closed form the library uses: ``D`` by acting on the maximally entangled
 state, ``K`` by the Kronecker loop, the channel action from ``D``, the Choi
 spectrum from the Kraus Gram matrix, the ``(q, s)``-entropy one cell at a
-time in scalar arithmetic, the norm-inequality checks one input and one
-order at a time, the bound's auxiliary domain minima by grid search, and
-the samplers one sample, one ``SeedSequence`` and one ``default_rng`` at a
-time.  None of them is used by ``src/chanent``.
+time from its definition in 60-digit arithmetic, the norm-inequality checks
+one input and one order at a time, the bound's auxiliary domain minima by
+grid search, and the samplers one sample, one ``SeedSequence`` and one
+``default_rng`` at a time.  None of them is used by ``src/chanent``.
 """
 
 import math
 from dataclasses import dataclass
 
+import mpmath
 import numpy as np
 
 from chanent import channel as chmod
 from chanent import matcore, sampler
 from chanent.channel import TP_TOL
-from chanent.entropy import LIMIT_EPS
 from chanent.errors import (
     DomainError,
     InvalidOrderError,
@@ -29,7 +29,7 @@ from chanent.errors import (
     UnknownChannelError,
 )
 from chanent.spectra import STRICT_POS_TOL, InequalityReport
-from chanent.tradeoff import gamma_kappa
+from chanent.tradeoff import LIMIT_EPS, gamma_kappa
 
 
 def maximally_entangled_state(d):
@@ -104,28 +104,40 @@ def check_dynamical_invariants(dyn):
         )
 
 
-def entropy_per_cell(spectrum, normalizer, params):
-    """Unified entropy of ``spectrum.values / normalizer`` at one cell, in scalar arithmetic.
+def entropy_mp(values, q_grid, s_grid, dps=60):
+    """Unified entropies of ``values`` over their sum on ``q_grid x s_grid``, from the definition.
 
-    The per-cell route the grid kernel replaced: the same closed forms on the
-    same ``LIMIT_EPS`` bands, with ``math`` functions on one ``(q, s)`` at a
-    time, so it raises ``OverflowError`` where the grid gives ``inf``.
+    ``(A**s - 1)/((1-q) s)`` with ``A = sum p**q``, Renyi ``ln A/(1-q)`` at
+    ``s = 0`` and Shannon at ``q = 1``, in ``dps``-digit arithmetic: the
+    cancellation next to ``q = 1`` and ``s = 0`` costs digits the working
+    precision has to spare, so each cell is exact to double precision
+    relative to ``max(|value|, 1)``, and ``inf`` where it exceeds the double
+    range.  A stack ``(n, m)`` gives one ``(len(q_grid), len(s_grid))`` grid
+    per row.
     """
-    vals = np.asarray(spectrum.values, dtype=float)
-    if vals.size == 0 or float(vals.min()) < 0.0:
-        raise InvalidSpectrumError("spectrum must be nonempty and nonnegative")
-    w = vals[vals > 0.0] / normalizer
-    if w.size == 0:
-        raise InvalidSpectrumError("spectrum carries no weight")
-    if abs(params.q - 1.0) <= LIMIT_EPS:
-        value = float(-np.sum(w * np.log(w)))
-    else:
-        log_a = math.log(float(np.sum(w**params.q)))
-        if abs(params.s) <= LIMIT_EPS:
-            value = log_a / (1.0 - params.q)
-        else:
-            value = math.expm1(params.s * log_a) / ((1.0 - params.q) * params.s)
-    return value + 0.0  # +0.0 drops a -0.0 sign
+    rows = np.atleast_2d(values)
+    out = np.empty((len(rows), len(q_grid), len(s_grid)))
+    with mpmath.workdps(dps):
+        for k, row in enumerate(rows):
+            w = [mpmath.mpf(float(v)) for v in row if v > 0.0]
+            if not w:
+                raise InvalidSpectrumError("spectrum carries no weight")
+            total = mpmath.fsum(w)
+            p = [v / total for v in w]
+            for i, q in enumerate(map(mpmath.mpf, q_grid)):
+                if q == 1:
+                    shannon = -mpmath.fsum(v * mpmath.log(v) for v in p)
+                else:
+                    log_a = mpmath.log(mpmath.fsum(v**q for v in p))
+                for j, s in enumerate(map(mpmath.mpf, s_grid)):
+                    if q == 1:
+                        out[k, i, j] = float(shannon)
+                    elif s == 0:
+                        out[k, i, j] = float(log_a / (1 - q))
+                    else:
+                        out[k, i, j] = float(mpmath.expm1(s * log_a) / ((1 - q) * s))
+    out += 0.0  # drops a -0.0 sign
+    return out[0] if np.ndim(values) == 1 else out
 
 
 def domain_min_low(a):
@@ -194,7 +206,9 @@ class ProofDomainPoint:
 def proof_domain_point(profile, params):
     """Check the norm-ratio preconditions behind the bound for one profile."""
     q, s = params.q, params.s
-    _, kappa = gamma_kappa(q, s)  # raises on the limit rows
+    if abs(q - 1.0) <= LIMIT_EPS or abs(s) <= LIMIT_EPS:
+        raise DomainError(f"the bound's proof excludes the limit rows q=1 / s=0 (q={q}, s={s})")
+    _, kappa = gamma_kappa(q, s)
 
     def ratio_power(values):
         pos = values[values > 0]

@@ -13,7 +13,7 @@ from helpers import complex_gaussian, population
 
 from chanent import channel as chmod
 from chanent import cli, matcore, sampler, spectra, tradeoff
-from chanent.entropy import EntropyParams, entropy_from_spectrum, entropy_grid, uniform_entropy
+from chanent.entropy import EntropyParams, entropy_grid, uniform_entropy
 from chanent.matcore import Spectrum
 
 Q_GRID = (0.3, 0.5, 0.9, 1.1, 1.5, 2.0, 3.0, 5.0)
@@ -217,8 +217,8 @@ def test_criterion_6_oracle_equivalences(capsys):
             "eigenvalues-hermitian",
         )
         choi_spec = chmod.dynamical_spectrum(dyn)
-        via_choi = entropy_grid(choi_spec, float(d), Q_GRID, S_GRID)
-        via_gram = entropy_grid(gram_spec, float(d), Q_GRID, S_GRID)
+        via_choi = entropy_grid(choi_spec, Q_GRID, S_GRID)
+        via_gram = entropy_grid(gram_spec, Q_GRID, S_GRID)
         # tolerance scale max(|lhs|, |rhs|, 1): reduces to the absolute
         # tolerance wherever the entropy is of order one
         scale = np.maximum(np.maximum(np.abs(via_choi), np.abs(via_gram)), 1.0)
@@ -257,25 +257,22 @@ def test_criterion_7_limit_continuity(capsys):
     """Entropies vary linearly through the s = 0 and q = 1 limit rows."""
     population = cptp_population()[::40] + unital_population()[::60]
     worst = {(1e-4, 1e-2): 0.0, (1e-6, 1e-4): 0.0}
-    for _, d, _, _, profile in population:
-        pairs = (
-            (profile.choi_spectrum, float(d)),
-            (profile.superop_spectrum, float(np.sum(profile.superop_spectrum.values))),
-        )
-        for spec, norm in pairs:
+    def entropy(spec, params):
+        return float(entropy_grid(spec, (params.q,), (params.s,))[0, 0])
+
+    for _, _, _, _, profile in population:
+        for spec in (profile.choi_spectrum, profile.superop_spectrum):
             for q in (0.3, 2.0, 5.0):
-                base = entropy_from_spectrum(spec, norm, EntropyParams(q, 0.0))
+                base = entropy(spec, EntropyParams(q, 0.0))
                 for eps, tol in worst:
                     for sign in (1.0, -1.0):
-                        near = entropy_from_spectrum(spec, norm, EntropyParams(q, sign * eps))
+                        near = entropy(spec, EntropyParams(q, sign * eps))
                         worst[(eps, tol)] = max(worst[(eps, tol)], abs(near - base))
             for s in (-1.0, 0.0, 1.0):
-                base = entropy_from_spectrum(spec, norm, EntropyParams(1.0, s))
+                base = entropy(spec, EntropyParams(1.0, s))
                 for eps, tol in worst:
                     for sign in (1.0, -1.0):
-                        near = entropy_from_spectrum(
-                            spec, norm, EntropyParams(1.0 + sign * eps, s)
-                        )
+                        near = entropy(spec, EntropyParams(1.0 + sign * eps, s))
                         worst[(eps, tol)] = max(worst[(eps, tol)], abs(near - base))
     ok = all(w <= tol for (eps, tol), w in worst.items())
     detail = "; ".join(f"eps={eps:g}: {w:.2e} <= {tol:g}" for (eps, tol), w in sorted(worst.items()))
@@ -294,11 +291,10 @@ def test_criterion_8_rank_upper_bounds(capsys):
 
     for _, d, _, _, profile in cptp_population() + unital_population():
         choi, sup = profile.choi_spectrum, profile.superop_spectrum
-        norm = float(np.sum(sup.values))
         rank_choi = int(np.count_nonzero(choi.values))
         rank_sup = int(np.count_nonzero(sup.values))
-        m = entropy_grid(choi, float(d), Q_GRID, S_GRID)
-        r = entropy_grid(sup, norm, Q_GRID, S_GRID)
+        m = entropy_grid(choi, Q_GRID, S_GRID)
+        r = entropy_grid(sup, Q_GRID, S_GRID)
         worst = max(worst, float((m - flat_grid(rank_choi)).max()))
         worst = max(worst, float((r - flat_grid(rank_sup)).max()))
         assert (m <= flat_grid(d * d) + 1e-9).all()

@@ -1,7 +1,7 @@
 import numpy as np
 import oracles
 import pytest
-from helpers import population, random_density, random_unitary
+from helpers import noisy_depolarizing, population, random_density, random_unitary
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -222,6 +222,19 @@ class TestIsUnital:
         assert not chmod.is_unital(ch)
         # sum A A^dag = diag(1 + g, 1 - g)
         assert abs(ch.unital_defect() - 0.5) <= 1e-12
+
+    def test_tp_noisy_channel_is_unital(self):
+        # unital within TP_TOL, the tolerance the channel was admitted at
+        ch = noisy_depolarizing()
+        assert 5e-9 < ch.unital_defect() <= chmod.TP_TOL
+        assert chmod.is_unital(ch)
+
+    @pytest.mark.parametrize("g, unital", [(5e-9, True), (2e-8, False)])
+    def test_unital_tolerance_is_tp_tol(self, g, unital):
+        # amplitude damping has unital defect g and is exactly TP
+        ch = sampler.named_channel("amplitude-damping", 2, g)
+        assert ch.tp_defect() <= 1e-15
+        assert chmod.is_unital(ch) is unital
 
 
 class TestKrausGram:

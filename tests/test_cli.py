@@ -126,6 +126,31 @@ class TestSweep:
         assert err.count("config error: seed must be >= 0") == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag, key", [
+        ("--family=cptp,cptp", "families"),
+        ("--family=cptp,named:identity,cptp", "families"),
+        ("--dims=2,2", "dims"),
+        ("--q=2,2", "q_grid"),
+        ("--q=0.5,2,2.0", "q_grid"),
+        ("--s=0,-0", "s_grid"),
+    ])
+    def test_rejects_repeated_entries(self, tmp_path, capsys, flag, key):
+        # a repeated entry would write every one of its rows twice
+        out = tmp_path / "x"
+        args = ["--dims", "2", "--samples", "3", flag, "--out", str(out)]
+        assert cli.main(["sweep", *args]) == 2
+        if key != "s_grid":  # inequalities has no --s
+            assert cli.main(["inequalities", *args]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: {key} repeats" in err
+        assert not out.exists()
+
+    def test_rejects_repeated_entries_in_a_config_file(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"dims": [3, 2, 3], "samples_per_family": 1}))
+        assert cli.main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "x")]) == 2
+        assert "config error: dims repeats 3" in capsys.readouterr().err
+
     @pytest.mark.parametrize("family, dims", [
         ("named:bogus", "2"),
         ("named:depolarizing:2.0", "2"),

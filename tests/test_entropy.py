@@ -1,10 +1,9 @@
 import math
 
-import mpmath
 import numpy as np
 import oracles
 import pytest
-from helpers import population
+from helpers import noisy_depolarizing, population
 
 from chanent import channel as chmod
 from chanent import entropy as ent
@@ -20,6 +19,11 @@ def grid_params():
     return [ent.EntropyParams(q, s) for q in Q_GRID for s in S_GRID]
 
 
+def entropy_cell(spec, params):
+    """The kernel at one ``(q, s)``: a 1x1 grid."""
+    return float(ent.entropy_grid(spec, (params.q,), (params.s,))[0, 0])
+
+
 class TestEntropyParams:
     def test_rejects_bad_orders(self):
         with pytest.raises(DomainError):
@@ -28,16 +32,6 @@ class TestEntropyParams:
             ent.EntropyParams(-2.0, 1.0)
         with pytest.raises(DomainError):
             ent.EntropyParams(1.0, float("nan"))
-
-    def test_family_labels(self):
-        # the two limit rows of the (q, s) family; elsewhere neither applies
-        assert ent.EntropyParams(2.0, 0.0).renyi_limit
-        assert not ent.EntropyParams(2.0, 0.0).von_neumann_limit
-        assert ent.EntropyParams(1.0, 1.0).von_neumann_limit
-        assert not ent.EntropyParams(1.0, 1.0).renyi_limit
-        for q, s in ((2.0, 1.0), (2.0, 0.5), (1.0 + 1e-6, 1e-6)):
-            assert not ent.EntropyParams(q, s).renyi_limit
-            assert not ent.EntropyParams(q, s).von_neumann_limit
 
     @pytest.mark.parametrize("q, s", [(math.inf, 1.0), (2.0, math.inf), (2.0, -math.inf)])
     def test_rejects_infinite_orders(self, q, s):
@@ -68,25 +62,25 @@ class TestEntropyFromSpectrum:
     def test_flat_distribution_renyi(self):
         spec = Spectrum(np.full(6, 0.25), "singular-values")
         for q in (0.3, 2.0, 5.0):
-            got = ent.entropy_from_spectrum(spec, 1.5, ent.EntropyParams(q, 0.0))
+            got = entropy_cell(spec, ent.EntropyParams(q, 0.0))
             assert got == pytest.approx(math.log(6), abs=1e-12)
 
     def test_point_mass_is_zero(self):
         spec = Spectrum(np.array([3.0, 0.0, 0.0]), "eigenvalues-hermitian")
         for params in grid_params():
-            assert abs(ent.entropy_from_spectrum(spec, 3.0, params)) <= 1e-14
+            assert abs(entropy_cell(spec, params)) <= 1e-14
 
     def test_tsallis_two(self):
         # 1 - sum p**2 at q = 2, s = 1
         spec = Spectrum(np.array([0.75, 0.25]), "eigenvalues-hermitian")
-        got = ent.entropy_from_spectrum(spec, 1.0, ent.EntropyParams(2.0, 1.0))
+        got = entropy_cell(spec, ent.EntropyParams(2.0, 1.0))
         assert got == pytest.approx(3.0 / 8.0, abs=1e-15)
 
     def test_rejects_bad_spectra(self):
         with pytest.raises(InvalidSpectrumError):
-            ent.entropy_from_spectrum(Spectrum(np.array([-1.0, 2.0])), 1.0, ent.EntropyParams(2, 1))
+            entropy_cell(Spectrum(np.array([-1.0, 2.0])), ent.EntropyParams(2, 1))
         with pytest.raises(InvalidSpectrumError):
-            ent.entropy_from_spectrum(Spectrum(np.zeros(3)), 1.0, ent.EntropyParams(2, 1))
+            entropy_cell(Spectrum(np.zeros(3)), ent.EntropyParams(2, 1))
 
 
 class TestMapEntropy:
@@ -141,55 +135,45 @@ def _channel_spectra(ch):
 
 class TestLimitConsistency:
     def test_s_limit_shrinks_linearly(self):
-        for _, d, _, ch in population(911, (2, 3), ("cptp",), 3):
-            choi, sup = _channel_spectra(ch)
-            norm = float(np.sum(sup.values))
-            for q in (0.3, 2.0, 5.0):
-                for spec, w in ((choi, float(d)), (sup, norm)):
-                    at_zero = ent.entropy_from_spectrum(spec, w, ent.EntropyParams(q, 0.0))
+        for _, _, _, ch in population(911, (2, 3), ("cptp",), 3):
+            for spec in _channel_spectra(ch):
+                for q in (0.3, 2.0, 5.0):
+                    at_zero = entropy_cell(spec, ent.EntropyParams(q, 0.0))
                     for eps, tol in ((1e-4, 1e-2), (1e-6, 1e-4)):
                         for sign in (1.0, -1.0):
-                            near = ent.entropy_from_spectrum(
-                                spec, w, ent.EntropyParams(q, sign * eps)
-                            )
+                            near = entropy_cell(spec, ent.EntropyParams(q, sign * eps))
                             assert abs(near - at_zero) <= tol
 
     def test_q_limit_matches_von_neumann(self):
-        for _, d, _, ch in population(912, (2, 3), ("cptp",), 3):
-            choi, sup = _channel_spectra(ch)
-            norm = float(np.sum(sup.values))
-            for s in (-1.0, 0.0, 1.0):
-                for spec, w in ((choi, float(d)), (sup, norm)):
-                    vn = ent.entropy_from_spectrum(spec, w, ent.EntropyParams(1.0, s))
+        for _, _, _, ch in population(912, (2, 3), ("cptp",), 3):
+            for spec in _channel_spectra(ch):
+                for s in (-1.0, 0.0, 1.0):
+                    vn = entropy_cell(spec, ent.EntropyParams(1.0, s))
                     for eps, tol in ((1e-4, 1e-2), (1e-6, 1e-4)):
                         for sign in (1.0, -1.0):
-                            near = ent.entropy_from_spectrum(
-                                spec, w, ent.EntropyParams(1.0 + sign * eps, s)
-                            )
+                            near = entropy_cell(spec, ent.EntropyParams(1.0 + sign * eps, s))
                             assert abs(near - vn) <= tol
 
 
 class TestBoundsAndOracles:
     def test_nonnegative_on_samples(self):
         pop = population(913, (2, 3), ("cptp", "unitary-mixture", "unistochastic"), 3)
-        for _, d, _, ch in pop:
+        for _, _, _, ch in pop:
             choi, sup = _channel_spectra(ch)
-            norm = float(np.sum(sup.values))
             for params in grid_params():
-                assert ent.entropy_from_spectrum(choi, float(d), params) >= -1e-10
-                assert ent.entropy_from_spectrum(sup, norm, params) >= -1e-10
+                assert entropy_cell(choi, params) >= -1e-10
+                assert entropy_cell(sup, params) >= -1e-10
 
     def test_rank_upper_bound(self):
         pop = list(population(914, (2, 3), ("cptp", "unitary-mixture"), 3))
         pop.append(("named", 2, "dephasing", sampler.named_channel("dephasing", 2, 0.4)))
         for _, d, _, ch in pop:
             choi, sup = _channel_spectra(ch)
-            norm = float(np.sum(sup.values))
             rank_choi = int(np.count_nonzero(choi.values))
             rank_sup = int(np.count_nonzero(sup.values))
             for params in grid_params():
-                m = ent.entropy_from_spectrum(choi, float(d), params)
-                r = ent.entropy_from_spectrum(sup, norm, params)
+                m = entropy_cell(choi, params)
+                r = entropy_cell(sup, params)
                 assert m <= ent.uniform_entropy(rank_choi, params) + 1e-9
                 assert r <= ent.uniform_entropy(rank_sup, params) + 1e-9
                 assert m <= ent.uniform_entropy(d * d, params) + 1e-9
@@ -205,7 +189,7 @@ class TestBoundsAndOracles:
             gram_spec = Spectrum(gram_vals, "eigenvalues-hermitian")
             for params in grid_params():
                 via_choi = ent.map_entropy(dyn, params)
-                via_gram = ent.entropy_from_spectrum(gram_spec, float(d), params)
+                via_gram = entropy_cell(gram_spec, params)
                 scale = max(abs(via_choi), abs(via_gram), 1.0)
                 assert abs(via_choi - via_gram) <= 1e-9 * scale
 
@@ -214,7 +198,7 @@ class TestUniformEntropy:
     def test_limits_agree_with_kernel(self):
         spec = Spectrum(np.ones(5), "singular-values")
         for params in grid_params():
-            kernel = ent.entropy_from_spectrum(spec, 5.0, params)
+            kernel = entropy_cell(spec, params)
             assert ent.uniform_entropy(5, params) == pytest.approx(kernel, rel=1e-12, abs=1e-12)
 
     def test_single_outcome(self):
@@ -228,8 +212,17 @@ def _rel_err(got, want):
     return np.abs(got - want) / np.maximum(np.maximum(np.abs(got), np.abs(want)), 1.0)
 
 
+def _padded_stack(d):
+    """Map and receiver spectra of every family at ``d`` as two ``(n, d**2)`` stacks, with
+    rank-deficient rows (unitary mixtures, named channels) zero-padded."""
+    chs = [ch for *_, ch in population(922, (d,), tuple(sampler.FAMILY_CODES), 2)]
+    chs += [sampler.named_channel("identity", d), sampler.named_channel("dephasing", d, 0.5)]
+    choi, sup = zip(*(_channel_spectra(ch) for ch in chs))
+    return np.stack([c.values for c in choi]), np.stack([c.values for c in sup])
+
+
 class TestGridKernel:
-    # the default grid plus cells just outside the q = 1 and s = 0 bands
+    # the default grid plus cells next to the q = 1 and s = 0 rows
     Q = Q_GRID + (1.0 - 1e-7, 1.0 + 1e-7)
     S = S_GRID + (-1e-7, 1e-7)
 
@@ -237,23 +230,17 @@ class TestGridKernel:
     def test_matches_scalar_oracle_cell_by_cell(self, d):
         pop = population(921, (d,), tuple(sampler.FAMILY_CODES), 3)
         for _, _, cid, ch in pop:
-            choi, sup = _channel_spectra(ch)
-            for spec, norm in ((choi, float(d)), (sup, float(np.sum(sup.values)))):
-                grid = ent.entropy_grid(spec, norm, self.Q, self.S)
+            for spec in _channel_spectra(ch):
+                grid = ent.entropy_grid(spec, self.Q, self.S)
                 assert grid.shape == (len(self.Q), len(self.S))
-                oracle = np.array(
-                    [[oracles.entropy_per_cell(spec, norm, ent.EntropyParams(q, s)) for s in self.S]
-                     for q in self.Q]
-                )
-                assert _rel_err(grid, oracle).max() <= 1e-12, cid
+                assert _rel_err(grid, oracles.entropy_mp(spec.values, self.Q, self.S)).max() <= 1e-12, cid
 
     def test_scalar_entry_points_are_grid_cells(self):
         ch = sampler.named_channel("amplitude-damping", 2, 0.4)
         dyn = chmod.dynamical_from_kraus(ch)
         sup = dyn.superoperator()
-        spec = chmod.superoperator_spectrum(sup)
-        choi_grid = ent.entropy_grid(chmod.dynamical_spectrum(dyn), 2.0, self.Q, self.S)
-        sup_grid = ent.entropy_grid(spec, float(np.sum(spec.values)), self.Q, self.S)
+        choi_grid = ent.entropy_grid(chmod.dynamical_spectrum(dyn), self.Q, self.S)
+        sup_grid = ent.entropy_grid(chmod.superoperator_spectrum(sup), self.Q, self.S)
         for i, q in enumerate(self.Q):
             for j, s in enumerate(self.S):
                 params = ent.EntropyParams(q, s)
@@ -270,94 +257,119 @@ class TestGridKernel:
                 for unital, got in ((False, table.all_channels), (True, table.unital)):
                     want = tradeoff.lower_bound(d, params, unital)
                     assert _rel_err(got[i, j], want) <= 1e-12
-        assert table.limit_rows.tolist() == [abs(q - 1.0) <= ent.LIMIT_EPS for q in self.Q]
+        assert table.limit_rows.tolist() == [abs(q - 1.0) <= tradeoff.LIMIT_EPS for q in self.Q]
 
     def test_out_of_range_cells_are_not_finite(self):
-        # the scalar oracle raises OverflowError here; the grid leaves the
-        # cells non-finite for the trade-off evaluation to report
+        # the true value exceeds the double range; the grid leaves the cell
+        # non-finite for the trade-off evaluation to report
         spec = Spectrum(np.array([0.5, 0.3, 0.2]), "eigenvalues-hermitian")
-        grid = ent.entropy_grid(spec, 1.0, (0.3, 2.0), (1e6,))
+        grid = ent.entropy_grid(spec, (0.3, 2.0), (1e6,))
         assert grid[0, 0] == math.inf and np.isfinite(grid[1, 0])
-        with pytest.raises(OverflowError):
-            oracles.entropy_per_cell(spec, 1.0, ent.EntropyParams(0.3, 1e6))
+        np.testing.assert_array_equal(oracles.entropy_mp(spec.values, (0.3,), (1e6,)), [[math.inf]])
 
     @pytest.mark.parametrize("q, s", [((0.0, 2.0), (1.0,)), ((2.0,), (math.nan,)), ((math.inf,), (1.0,))])
     def test_rejects_bad_orders(self, q, s):
         with pytest.raises(DomainError):
-            ent.entropy_grid(Spectrum(np.array([0.5, 0.5])), 1.0, q, s)
-
-
-    @staticmethod
-    def _padded_stack(d):
-        """Map and receiver spectra of every family at ``d`` as ``(n, d**2)`` stacks, with
-        rank-deficient rows (unitary mixtures, named channels) zero-padded, and their normalizers."""
-        chs = [ch for *_, ch in population(922, (d,), tuple(sampler.FAMILY_CODES), 2)]
-        chs += [sampler.named_channel("identity", d), sampler.named_channel("dephasing", d, 0.5)]
-        choi, sup = zip(*(_channel_spectra(ch) for ch in chs))
-        choi = np.stack([c.values for c in choi])
-        sup = np.stack([c.values for c in sup])
-        return ((choi, np.full(len(chs), float(d))), (sup, sup.sum(axis=-1)))
+            ent.entropy_grid(Spectrum(np.array([0.5, 0.5])), q, s)
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_stack_rows_match_single_spectra_and_oracle(self, d):
-        # On the sweep's grid.  Where zero padding regroups a row's pairwise
-        # sum (rank 4 of 16 at d = 4), the row differs from the single call by
-        # rounding, which the generic form amplifies by 1/|q - 1|: up to 2e-9
-        # at the band-edge cells q = 1 +- 1e-7 of self.Q.
-        stacks = self._padded_stack(d)
-        assert (stacks[0][0] == 0.0).any()  # some map spectra are zero-padded
-        for values, norms in stacks:
-            grid = ent.entropy_grid(Spectrum(values), norms, Q_GRID, S_GRID)
-            assert grid.shape == (len(values), len(Q_GRID), len(S_GRID))
-            for row, norm, got in zip(values, norms, grid):
-                single = ent.entropy_grid(Spectrum(row), norm, Q_GRID, S_GRID)
-                oracle = np.array(
-                    [[oracles.entropy_per_cell(Spectrum(row), norm, params) for params in grid_params()]]
-                ).reshape(single.shape)
-                assert _rel_err(got, single).max() <= 1e-12
-                assert _rel_err(got, oracle).max() <= 1e-12
+        # Next to q = 1 and s = 0 as well.  Where zero padding regroups a row's
+        # pairwise sum (rank 4 of 16 at d = 4), the row differs from the
+        # single call by rounding, and no formula amplifies it.
+        stacks = _padded_stack(d)
+        assert (stacks[0] == 0.0).any()  # some map spectra are zero-padded
+        for values in stacks:
+            grid = ent.entropy_grid(Spectrum(values), self.Q, self.S)
+            assert grid.shape == (len(values), len(self.Q), len(self.S))
+            for row, got, want in zip(values, grid, oracles.entropy_mp(values, self.Q, self.S)):
+                single = ent.entropy_grid(Spectrum(row), self.Q, self.S)
+                assert _rel_err(got, single).max() <= 1e-14
+                assert _rel_err(got, want).max() <= 1e-12
 
     def test_stack_takes_large_orders_row_by_row(self):
         # at q = 600 each row switches to the scaled form with its own w_max
-        values, norms = self._padded_stack(3)[0]
-        grid = ent.entropy_grid(Spectrum(values), norms, (2.0, 600.0), (0.0, 1.0))
+        values = _padded_stack(3)[0]
+        grid = ent.entropy_grid(Spectrum(values), (2.0, 600.0), (0.0, 1.0))
         assert np.isfinite(grid).all()
-        for row, norm, got in zip(values, norms, grid):
-            single = ent.entropy_grid(Spectrum(row), norm, (2.0, 600.0), (0.0, 1.0))
+        for row, got in zip(values, grid):
+            single = ent.entropy_grid(Spectrum(row), (2.0, 600.0), (0.0, 1.0))
             assert _rel_err(got, single).max() <= 1e-12
 
     def test_stack_of_one_is_the_single_spectrum(self):
         spec = Spectrum(np.array([0.5, 0.3, 0.2, 0.0]))
-        single = ent.entropy_grid(spec, 1.0, self.Q, self.S)
-        stacked = ent.entropy_grid(Spectrum(spec.values[None]), np.array([1.0]), self.Q, self.S)
+        single = ent.entropy_grid(spec, self.Q, self.S)
+        stacked = ent.entropy_grid(Spectrum(spec.values[None]), self.Q, self.S)
         np.testing.assert_array_equal(stacked, single[None])
 
     def test_stack_with_an_empty_row_is_rejected(self):
         with pytest.raises(InvalidSpectrumError):
-            ent.entropy_grid(Spectrum(np.array([[0.5, 0.5], [0.0, 0.0]])), 1.0, self.Q, self.S)
+            ent.entropy_grid(Spectrum(np.array([[0.5, 0.5], [0.0, 0.0]])), self.Q, self.S)
+
+
+class TestAccuracy:
+    """The kernel within ``BOUND`` of the 60-digit oracle (relative, floored at 1)
+    on and next to the q = 1 and s = 0 rows, with no band that switches formulas."""
+
+    BOUND = 1e-13
+    Q = tuple(1.0 + e for e in (0.0, 1e-12, -1e-12, 1e-9, 2e-8, -1e-7, 1e-4, -0.5, 0.1, 1.0, 4.0)) + (
+        0.05, 30.0, 100.0,
+    )
+    S = (0.0, 1e-12, -1e-12, -1e-9, 2e-8, 1e-4, -0.5, 1.0, -1.0, 2.0)
+
+    def _worst(self, values):
+        grid = ent.entropy_grid(Spectrum(values), self.Q, self.S)
+        return float(_rel_err(grid, oracles.entropy_mp(values, self.Q, self.S)).max())
+
+    def test_sampled_spectra_of_every_family(self):
+        worst = 0.0
+        for _, _, _, ch in population(951, (2, 3, 4), tuple(sampler.FAMILY_CODES), 4):
+            for spec in _channel_spectra(ch):
+                worst = max(worst, self._worst(spec.values))
+        assert worst <= self.BOUND
+
+    def test_mixed_rank_stack(self):
+        choi, sup = _padded_stack(3)
+        assert len(set(np.count_nonzero(choi, axis=-1).tolist())) > 1  # mixed ranks
+        assert max(self._worst(choi), self._worst(sup)) <= self.BOUND
+
+    def test_tp_noisy_channel(self):
+        # Each entropy normalizes by its own sum, so the scaled Kraus set has
+        # the entropies of the exact one; a normalizer of d would read the map
+        # entropy as 0.6844 instead of 1.1344 at q = 1 + 2e-8, s = 0.
+        noisy, exact = noisy_depolarizing(), sampler.named_channel("depolarizing", 3, 0.3)
+        assert 5e-9 < noisy.tp_defect() <= chmod.TP_TOL
+        for spec, ref in zip(_channel_spectra(noisy), _channel_spectra(exact)):
+            assert self._worst(spec.values) <= self.BOUND
+            grid = ent.entropy_grid(spec, self.Q, self.S)
+            assert _rel_err(grid, ent.entropy_grid(ref, self.Q, self.S)).max() <= self.BOUND
+        dyn = chmod.dynamical_from_kraus(noisy)
+        assert ent.map_entropy(dyn, ent.EntropyParams(1.0 + 2e-8, 0.0)) == pytest.approx(1.1344, abs=1e-4)
 
 
 class TestLargeOrders:
     """At large q every w**q may underflow; ln A then comes from the scaled form."""
 
-    @staticmethod
-    def _reference(w, q, s):
-        with mpmath.workdps(50):
-            log_a = mpmath.log(mpmath.fsum(mpmath.mpf(x) ** q for x in w))
-            value = log_a / (1 - q) if s == 0 else mpmath.expm1(s * log_a) / ((1 - q) * s)
-            return float(value)
-
     def test_matches_mpmath(self):
         q_grid, s_grid = (100.0, 600.0), (0.0, 1.0)
         underflows = 0
-        for _, d, cid, ch in population(941, (2, 3), tuple(sampler.FAMILY_CODES), 4):
-            choi, sup = _channel_spectra(ch)
-            for spec, norm in ((choi, float(d)), (sup, float(np.sum(sup.values)))):
-                grid = ent.entropy_grid(spec, norm, q_grid, s_grid)
-                w = spec.values[spec.values > 0] / norm
+        for _, _, cid, ch in population(941, (2, 3), tuple(sampler.FAMILY_CODES), 4):
+            for spec in _channel_spectra(ch):
+                grid = ent.entropy_grid(spec, q_grid, s_grid)
+                w = spec.values[spec.values > 0] / np.sum(spec.values)
                 underflows += float(np.sum(w**600.0)) < np.finfo(float).tiny
-                want = np.array([[self._reference(w, q, s) for s in s_grid] for q in q_grid])
+                want = oracles.entropy_mp(spec.values, q_grid, s_grid)
                 assert np.isfinite(grid).all(), cid
                 assert (np.abs(grid - want) / np.abs(want)).max() <= 1e-14, cid
         assert underflows  # the population reaches the scaled form
 
+    def test_extreme_orders(self):
+        # at huge q, (q - 1) ln p overflows for the smaller weights, whose
+        # terms the kernel does not need below A = 1/2; at q near 0,
+        # exprel((q - 1) ln p) overflows for a subnormal weight
+        for values, q_grid in (
+            (np.array([0.5, 0.3, 0.2, 1e-300]), (1e10, 1e300, 1.7e308)),
+            (np.array([0.7, 0.3, 5e-324]), (0.01, 0.04, 0.3)),
+        ):
+            grid = ent.entropy_grid(Spectrum(values), q_grid, (0.0, 1.0))
+            assert _rel_err(grid, oracles.entropy_mp(values, q_grid, (0.0, 1.0))).max() <= 1e-15

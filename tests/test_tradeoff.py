@@ -1,15 +1,17 @@
 import math
 
+import mpmath
 import numpy as np
 import oracles
 import pytest
-from helpers import population
+from helpers import noisy_depolarizing, population
 
 from chanent import sampler, tradeoff
 from chanent.entropy import EntropyParams, q_log
 from chanent.errors import BoundViolation, DimensionMismatchError, DomainError
 from chanent.matcore import Spectrum
 
+# the default sweep grid
 Q_GRID = (0.3, 0.5, 0.9, 1.0, 1.1, 1.5, 2.0, 3.0, 5.0)
 S_GRID = (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0)
 
@@ -26,11 +28,12 @@ class TestGammaKappa:
         gamma, kappa = tradeoff.gamma_kappa(2.0, -1.0)
         assert gamma == 2 and kappa == 1.0
 
-    def test_limit_rows_rejected(self):
+    def test_elementwise_on_arrays(self):
+        gamma, kappa = tradeoff.gamma_kappa(np.array([[0.5], [1.0], [3.0]]), np.array([-1.0, 0.0, 1.0]))
+        np.testing.assert_array_equal(gamma, [[1, 2, 2], [2, 2, 2], [2, 2, 1]])
+        np.testing.assert_array_equal(kappa, [[1.0], [1.0], [0.75]])
         with pytest.raises(DomainError):
-            tradeoff.gamma_kappa(1.0, 1.0)
-        with pytest.raises(DomainError):
-            tradeoff.gamma_kappa(2.0, 0.0)
+            tradeoff.gamma_kappa(np.array([0.5, 0.0]), 1.0)
 
 
 class TestLowerBound:
@@ -67,6 +70,24 @@ class TestLowerBound:
         direct = gamma * q_log(3.0 ** (factor * kappa / gamma), q)
         got = tradeoff.lower_bound(3, EntropyParams(q, 1.0), unital=unital)
         assert got == pytest.approx(direct, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("d", [2, 3, 16])
+    def test_matches_paper_formula_next_to_the_limit_rows(self, d):
+        # (gamma/s) q_log(d**(f s kappa/gamma)) in 60 digits, where the
+        # cancellation next to q = 1 and s = 0 costs no double digits
+        qs = (1.0 - 1e-12, 1.0 + 1e-9, 1.0 - 1e-7, 1.0 + 1e-4, 0.5, 2.0, 3.0, 5.0)
+        ss = (1e-12, -1e-12, 1e-9, -1e-7, 1e-4, 0.5, -1.0, 2.0)
+        for q in qs:
+            for s in ss:
+                gamma = 1 if (1.0 - q) * s < 0.0 else 2
+                kappa = 1.0 if q <= 2.0 else q / (2.0 * (q - 1.0))
+                for unital, factor in ((False, 1), (True, 2)):
+                    with mpmath.workdps(60):
+                        mq, ms = mpmath.mpf(q), mpmath.mpf(s)
+                        x = mpmath.mpf(d) ** (factor * ms * kappa / gamma)
+                        want = float(gamma / ms * (x ** (1 - mq) - 1) / (1 - mq))
+                    got = tradeoff.lower_bound(d, EntropyParams(q, s), unital)
+                    assert got == pytest.approx(want, rel=1e-14), (q, s, unital)
 
     @pytest.mark.parametrize("q", [0.3, 2.0, 5.0])
     def test_renyi_specialization_is_the_s_limit(self, q):
@@ -115,6 +136,16 @@ class TestEvaluate:
         assert err.value.report.gap < -1e-9
         assert err.value.cell == (1, 0) and err.value.report.params == EntropyParams(2.0, 0.0)
         assert err.value.grid.gap[1, 0] == err.value.report.gap
+
+    def test_tp_noisy_channel_is_held_to_the_unital_bound(self):
+        # unital defect 9.0e-9, inside TP_TOL: the sharper bound applies
+        bounds = tradeoff.bound_table(3, Q_GRID, S_GRID)
+        profile = tradeoff.profile_channel(noisy_depolarizing(), "noisy")
+        assert profile.unital
+        grid = tradeoff.evaluate_profile(profile, bounds)
+        np.testing.assert_array_equal(grid.gap, grid.map_values + grid.receiver_values - bounds.unital)
+        assert grid.report(6, 5).bound_unital is not None  # (q, s) = (2, 1)
+        assert grid.gap[~bounds.limit_rows].min() == pytest.approx(0.119, abs=5e-4)
 
     def test_limit_row_records_instead_of_raising(self):
         grid = tradeoff.evaluate_profile(_fake_profile(), tradeoff.bound_table(2, (1.0,), (0.0,)))
