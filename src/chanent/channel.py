@@ -15,12 +15,32 @@ involution that preserves the multiset of entries and hence the Frobenius
 norm.  Independent routes to both matrices (the Kronecker loop for ``K``,
 the entangled-input construction for ``D``) live in ``tests/oracles.py``.
 
+Each spectrum is taken from the smallest real problem that has it:
+
+* The map spectrum (eigenvalues of ``D = V^T conj(V)``, row ``i`` of ``V``
+  being ``vec(A_i)``): when a channel, or a stack, has ``k < d**2`` Kraus
+  operators, the nonzero eigenvalues are those of the ``k x k`` Gram matrix
+  ``conj(V) V^T``, padded with exact zeros to ``d**2``; otherwise one
+  ``eigvalsh`` of ``D``.
+* The receiver spectrum (singular values of ``K``): ``D`` is Hermitian, so
+  ``conj(K) = F K F`` with ``F`` the swap ``a*d+b -> b*d+a``.  The unitary
+  ``T = (I + iF)/sqrt(2)`` then makes ``T K T^dag = Re K - Im(F K)`` real,
+  with the singular values of ``K``, and one real SVD of that matrix
+  replaces the complex SVD of ``K``.  A ``K`` whose ``conj(K) - F K F``
+  exceeds ``HERM_TOL`` in some entry is not Hermiticity preserving and is
+  rejected with :class:`~chanent.errors.NotHermitianError`.
+
+The complex ``svd(K)`` and the dense ``eigvalsh(D)`` are the reference
+routes in ``tests/oracles.py``.
+
 One tolerance decides both numerical predicates: a channel is admitted as
 trace preserving iff its TP defect (max entry of ``sum_i A_i^dag A_i - I``)
 is at most ``TP_TOL``, and it is unital iff its unital defect (max entry of
 ``sum_i A_i A_i^dag - I``) is at most the same ``TP_TOL``.  A channel whose
 Kraus set carries a rounding-level scale error is then both TP and unital,
-and is held to the sharper unital bound.
+and is held to the sharper unital bound.  With row-major ``vec``,
+``sum_i A_i A_i^dag = Tr_2 D``, so the unital defect of a whole stack is one
+reduction on the ``D`` stack the harnesses build anyway.
 """
 
 from __future__ import annotations
@@ -44,6 +64,7 @@ __all__ = [
     "superoperator_from_kraus",
     "reshuffle",
     "apply_channel",
+    "unital_defect",
     "is_unital",
     "dynamical_spectrum",
     "superoperator_spectrum",
@@ -60,9 +81,14 @@ TP_TOL = 1e-8
 MAX_DIM = 16
 
 
+def _identity_defects(m: np.ndarray) -> np.ndarray:
+    """Max-entry deviation of ``m``, or of each matrix of a stack, from the identity."""
+    return np.abs(m - np.eye(m.shape[-1])).max(axis=(-2, -1))
+
+
 def _tp_defects(a: np.ndarray) -> np.ndarray:
     """Max-entry deviation of ``a^dag a`` from the identity, for ``a`` or each of a stack."""
-    return np.abs(a.conj().swapaxes(-2, -1) @ a - np.eye(a.shape[-1])).max(axis=(-2, -1))
+    return _identity_defects(a.conj().swapaxes(-2, -1) @ a)
 
 
 def _require_tp(defect: float) -> None:
@@ -134,15 +160,6 @@ class KrausChannel:
         """
         return float(_tp_defects(np.concatenate(self.kraus_ops)))
 
-    def unital_defect(self) -> float:
-        """Max-entry deviation of ``sum_i A_i A_i^dag`` from the identity.
-
-        The sum is one product: the operators side by side, ``(d, k d)``, times
-        their adjoint.
-        """
-        a = np.concatenate(self.kraus_ops, axis=1)
-        return float(np.abs(a @ a.conj().T - np.eye(self.dim)).max())
-
 
 @dataclass(frozen=True, eq=False)
 class DynamicalMatrix:
@@ -156,6 +173,9 @@ class DynamicalMatrix:
 
     dim: int
     matrix: np.ndarray
+    # The (k, d**2) rows vec(A_i) that D = V^T conj(V) was built from, or
+    # their (n, k, d**2) stack; None for a D given as a matrix.
+    kraus: np.ndarray | None = None
 
     def superoperator(self) -> "SuperoperatorMatrix":
         """The superoperator matrix of the same channel, ``reshuffle(D)``."""
@@ -193,7 +213,7 @@ def dynamical_from_kraus(channels) -> DynamicalMatrix:
         row[: len(ch.kraus_ops)] = ch.kraus_ops
     v = v.reshape(len(chs), -1, d * d)
     dyn = v.swapaxes(-2, -1) @ v.conj()
-    return DynamicalMatrix(d, dyn[0] if single else dyn)
+    return DynamicalMatrix(d, dyn[0], v[0]) if single else DynamicalMatrix(d, dyn, v)
 
 
 def superoperator_from_kraus(ch: KrausChannel) -> SuperoperatorMatrix:
@@ -211,11 +231,16 @@ def reshuffle(m, d: int) -> np.ndarray:
     An involution on ``d**2 x d**2`` matrices, applied to each matrix of a
     stack; maps the dynamical matrix to the superoperator matrix and back.
     """
+    t = _blocks(m, d)
+    return t.swapaxes(-3, -2).reshape(*t.shape[:-4], d * d, d * d)
+
+
+def _blocks(m, d: int) -> np.ndarray:
+    """A ``d**2 x d**2`` matrix, or each of a stack, as the 4-index view ``[a, b, m, n]``."""
     x = matcore.as_matrices(m)
     if x.shape[-2:] != (d * d, d * d):
         raise DimensionMismatchError(f"expected shape {(d * d, d * d)}, got {x.shape[-2:]}")
-    lead = x.shape[:-2]
-    return x.reshape(*lead, d, d, d, d).swapaxes(-3, -2).reshape(*lead, d * d, d * d)
+    return x.reshape(*x.shape[:-2], d, d, d, d)
 
 
 def apply_channel(ch: KrausChannel, x) -> np.ndarray:
@@ -229,25 +254,59 @@ def apply_channel(ch: KrausChannel, x) -> np.ndarray:
     return out
 
 
-def is_unital(ch: KrausChannel) -> bool:
+def unital_defect(x):
+    """Max-entry deviation of ``sum_i A_i A_i^dag = Tr_2 D`` from the identity.
+
+    ``x`` is a channel or its :class:`DynamicalMatrix`; a stack of dynamical
+    matrices gives an ``(n,)`` array, one defect per matrix.
+    """
+    dyn = dynamical_from_kraus(x) if isinstance(x, KrausChannel) else x
+    defects = _identity_defects(matcore.partial_trace(dyn.matrix, dyn.dim, "second"))
+    return float(defects) if defects.ndim == 0 else defects
+
+
+def is_unital(x):
     """True iff the channel maps the identity to itself within ``TP_TOL``.
 
     That is the tolerance the channel was admitted at as trace preserving.
+    ``x`` is a channel or its :class:`DynamicalMatrix`; a stack of dynamical
+    matrices gives an ``(n,)`` bool array.
     """
-    return ch.unital_defect() <= TP_TOL
+    return unital_defect(x) <= TP_TOL
 
 
 def dynamical_spectrum(dyn: DynamicalMatrix) -> Spectrum:
-    """Clamped eigenvalue spectrum of the dynamical matrix, descending; one row per matrix of a stack."""
-    spec = matcore.hermitian_eigenvalues(dyn.matrix)
-    vals = matcore.clamp_spectrum(spec.values, neg_tol=matcore.eig_tol(dyn.dim**2))
-    return Spectrum(vals, "eigenvalues-hermitian")
+    """Clamped eigenvalue spectrum of the dynamical matrix, descending; one row per matrix of a stack.
+
+    With ``k < d**2`` Kraus rows behind ``D``, from the ``k x k`` Gram matrix
+    ``conj(V) V^T``, padded with zeros; otherwise from ``D`` itself.
+    """
+    n = dyn.dim**2
+    v = dyn.kraus
+    if v is not None and v.shape[-2] < n:
+        vals = matcore.hermitian_eigenvalues(v.conj() @ v.swapaxes(-2, -1)).values
+        vals = np.concatenate([vals, np.zeros(vals.shape[:-1] + (n - vals.shape[-1],))], axis=-1)
+    else:
+        vals = matcore.hermitian_eigenvalues(dyn.matrix).values
+    return Spectrum(matcore.clamp_spectrum(vals, neg_tol=matcore.eig_tol(n)), "eigenvalues-hermitian")
 
 
 def superoperator_spectrum(sup: SuperoperatorMatrix) -> Spectrum:
-    """Cleaned singular-value spectrum of the superoperator matrix; one row per matrix of a stack."""
-    spec = matcore.singular_values(sup.matrix)
-    vals = matcore.clamp_spectrum(spec.values, neg_tol=matcore.eig_tol(sup.dim**2))
+    """Cleaned singular-value spectrum of the superoperator matrix; one row per matrix of a stack.
+
+    Taken by one real SVD of ``Re K - Im(F K)``; raises
+    :class:`~chanent.errors.NotHermitianError` when ``conj(K) - F K F``
+    exceeds ``HERM_TOL`` in some entry, that is when ``K`` does not come
+    from a Hermitian ``D``.
+    """
+    d = sup.dim
+    k = _blocks(sup.matrix, d)  # k[a, b, m, n] = K[a*d+b, m*d+n]
+    lead = k.shape[:-4]
+    fkf = k.swapaxes(-4, -3).swapaxes(-2, -1)
+    matcore.require_hermitian(np.abs(k.conj() - fkf).reshape(*lead, d * d, d * d))
+    real = (k.real - k.swapaxes(-4, -3).imag).reshape(*lead, d * d, d * d)
+    spec = matcore.singular_values(real)
+    vals = matcore.clamp_spectrum(spec.values, neg_tol=matcore.eig_tol(d * d))
     return Spectrum(vals, "singular-values")
 
 

@@ -2,7 +2,9 @@
 
 Conventions
 -----------
-Operators are plain complex ``numpy`` arrays.  Vectorization is ROW-major:
+Operators are plain complex ``numpy`` arrays; a real input to the spectral
+functions stays real, so its decomposition runs in real arithmetic.
+Vectorization is ROW-major:
 ``vec(|mu><nu|) = |mu> (x) |nu>``, i.e. ``vec(X) = X.reshape(-1)``.  Composite
 indices on a two-factor space are laid out as ``(mu, nu) -> mu*d + nu`` with
 the principal system first.  These two choices are canonical for the whole
@@ -42,6 +44,7 @@ __all__ = [
     "eig_tol",
     "as_matrix",
     "as_matrices",
+    "require_hermitian",
     "hermitian_eigenvalues",
     "singular_values",
     "partial_trace",
@@ -94,8 +97,9 @@ def as_matrix(x) -> np.ndarray:
 
 
 def as_matrices(x) -> np.ndarray:
-    """Coerce input to a complex matrix (2-D) or a stack of matrices (3-D)."""
-    m = np.asarray(x, dtype=complex)
+    """Coerce input to a matrix (2-D) or a stack of matrices (3-D), real if it is real, else complex."""
+    m = np.asarray(x)
+    m = m.astype(float if np.isrealobj(m) else complex, copy=False)
     if m.ndim not in (2, 3):
         raise DimensionMismatchError(
             f"expected a 2-D matrix or a 3-D stack of matrices, got ndim={m.ndim}"
@@ -115,6 +119,18 @@ def _first_row_above(row_values: np.ndarray, limit: float) -> float:
     return float(flat[np.flatnonzero(flat > limit)[0]])
 
 
+def require_hermitian(deviation: np.ndarray) -> None:
+    """Raise :class:`NotHermitianError` if an entry of ``deviation`` exceeds ``HERM_TOL``.
+
+    ``deviation`` is the entrywise deviation from Hermiticity of a matrix, or
+    of each matrix of a stack; the error names the first matrix over the
+    tolerance, with its max entry.
+    """
+    if deviation.size and deviation.max() > HERM_TOL:
+        worst = _first_row_above(deviation.max(axis=(-2, -1)), HERM_TOL)
+        raise NotHermitianError(f"Hermiticity deviation {worst:.3e} exceeds {HERM_TOL:.1e}")
+
+
 def hermitian_eigenvalues(x) -> Spectrum:
     """Eigenvalues of a Hermitian matrix, or of each matrix of a stack, descending.
 
@@ -124,16 +140,16 @@ def hermitian_eigenvalues(x) -> Spectrum:
     """
     m = _require_square(as_matrices(x))
     adj = m.conj().swapaxes(-2, -1)
-    dev = np.abs(m - adj)
-    if m.size and dev.max() > HERM_TOL:
-        worst = _first_row_above(dev.max(axis=(-2, -1)), HERM_TOL)
-        raise NotHermitianError(f"Hermiticity deviation {worst:.3e} exceeds {HERM_TOL:.1e}")
+    require_hermitian(np.abs(m - adj))
     vals = np.linalg.eigvalsh((m + adj) / 2.0)[..., ::-1]
     return Spectrum(vals, "eigenvalues-hermitian")
 
 
 def singular_values(x) -> Spectrum:
-    """Singular values of a matrix, or of each matrix of a stack, descending."""
+    """Singular values of a matrix, or of each matrix of a stack, descending.
+
+    A real input is decomposed in real arithmetic.
+    """
     vals = np.linalg.svd(as_matrices(x), compute_uv=False)
     return Spectrum(vals, "singular-values")
 

@@ -296,28 +296,33 @@ class ChannelStack:
 
     Built by :func:`stack_channels`, so that :func:`check_superop_norm_bound`
     and :func:`check_norm_product_chain` share one build of ``D`` per
-    channel, one ``is_unital`` per channel and one decomposition per stack.
+    channel, and one unital reduction and one decomposition per stack.
     """
 
     dim: int
-    dynamical_sv: np.ndarray  # (n, d**2) singular values of each D
+    dynamical_sv: np.ndarray  # (n, d**2) spectrum of each D, PSD: its singular values
     superop_sv: np.ndarray  # (n, d**2) singular values of each K = reshuffle(D)
     output_norm: np.ndarray  # (n,) spectral norm of each channel(I/d) = Tr_2(D)/d
     unital: np.ndarray  # (n,) bool
 
 
 def stack_channels(channels) -> ChannelStack:
-    """Build the ``D`` stack in one product and decompose the ``D``, ``K`` and ``channel(I/d)`` stacks."""
-    chs = list(channels)
-    dyn = chmod.dynamical_from_kraus(chs)
+    """Build the ``D`` stack in one product and take the spectra of the ``D``, ``K`` and ``channel(I/d)`` stacks.
+
+    The spectra of ``D`` and ``K`` come from the routes of
+    :func:`~chanent.channel.dynamical_spectrum` and
+    :func:`~chanent.channel.superoperator_spectrum`; ``channel(I/d)`` is PSD,
+    so its spectral norm is its largest eigenvalue.
+    """
+    dyn = chmod.dynamical_from_kraus(list(channels))
     d = dyn.dim
     output = matcore.partial_trace(dyn.matrix, d, "second") / d
     return ChannelStack(
         dim=d,
-        dynamical_sv=matcore.singular_values(dyn.matrix).values,
-        superop_sv=matcore.singular_values(dyn.superoperator().matrix).values,
-        output_norm=matcore.singular_values(output).values[:, 0],
-        unital=np.array([chmod.is_unital(ch) for ch in chs]),
+        dynamical_sv=chmod.dynamical_spectrum(dyn).values,
+        superop_sv=chmod.superoperator_spectrum(dyn.superoperator()).values,
+        output_norm=matcore.hermitian_eigenvalues(output).values[:, 0],
+        unital=chmod.is_unital(dyn),
     )
 
 
@@ -335,13 +340,18 @@ def check_superop_norm_bound(channels) -> InequalityReport | InequalityBatch:
 
     ``|K|_inf <= sqrt(d) * |channel(I/d)|_inf**(1/2)`` for every channel;
     unital channels must additionally satisfy ``|K|_inf <= 1``.  The report
-    compares against the sharper applicable right-hand side.
+    compares against the sharper applicable right-hand side.  Both
+    comparisons allow a relative slack of ``TP_TOL``: a Kraus set scaled by
+    ``1 + eps``, admitted while its TP defect ``~2 eps`` is within
+    ``TP_TOL``, scales ``K`` by ``(1 + eps)**2`` and the all-channel
+    right-hand side by ``1 + eps``.
     """
     st, single = _channel_stack(channels)
     k_inf = st.superop_sv[:, :1]
     unital = st.unital[:, None]
     bound = math.sqrt(st.dim) * np.sqrt(st.output_norm[:, None])
-    passed = (k_inf <= bound + 1e-10) & (~unital | (k_inf <= 1.0 + 1e-10))
+    slack = 1.0 + chmod.TP_TOL
+    passed = (k_inf <= bound * slack) & (~unital | (k_inf <= slack))
     rhs = np.where(unital, np.minimum(bound, 1.0), bound)
     return _result(_batch(k_inf, rhs, ("<=",), passed), single)
 

@@ -160,21 +160,22 @@ def profile_channel(channels, channel_id="") -> ChannelProfile:
 
     ``channels`` is one channel, with its id in ``channel_id``, or a sequence
     of same-dimension channels, with one id each in ``channel_id`` (all empty
-    by default).  A stack's dynamical matrices come from one batched product
-    and each spectrum from one decomposition of the whole stack.
+    by default).  A stack's dynamical matrices come from one batched product,
+    its unital flags from one reduction of them and each spectrum from one
+    decomposition of the whole stack.
     """
     if isinstance(channels, chmod.KrausChannel):
-        dyn, unital = chmod.dynamical_from_kraus(channels), chmod.is_unital(channels)
+        dyn = chmod.dynamical_from_kraus(channels)
     else:
         chs = list(channels)
         channel_id = tuple(channel_id) if channel_id else ("",) * len(chs)
         if len(channel_id) != len(chs):
             raise ValueError(f"{len(chs)} channels but {len(channel_id)} channel ids")
-        dyn, unital = chmod.dynamical_from_kraus(chs), np.array([chmod.is_unital(ch) for ch in chs])
+        dyn = chmod.dynamical_from_kraus(chs)
     return ChannelProfile(
         channel_id=channel_id,
         dim=dyn.dim,
-        unital=unital,
+        unital=chmod.is_unital(dyn),
         choi_spectrum=chmod.dynamical_spectrum(dyn),
         superop_spectrum=chmod.superoperator_spectrum(dyn.superoperator()),
     )

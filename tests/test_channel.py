@@ -1,13 +1,13 @@
 import numpy as np
 import oracles
 import pytest
-from helpers import noisy_depolarizing, population, random_density, random_unitary
+from helpers import complex_gaussian, noisy_depolarizing, population, random_density, random_unitary
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chanent import channel as chmod
 from chanent import matcore, sampler
-from chanent.errors import DimensionMismatchError, NotTracePreservingError
+from chanent.errors import DimensionMismatchError, NotHermitianError, NotTracePreservingError
 
 ROUTE_DIMS = (2, 3, 4, 8, 16)
 FAMILIES = tuple(sampler.FAMILY_CODES)
@@ -221,12 +221,12 @@ class TestIsUnital:
         ch = sampler.named_channel("amplitude-damping", 2, 0.5)
         assert not chmod.is_unital(ch)
         # sum A A^dag = diag(1 + g, 1 - g)
-        assert abs(ch.unital_defect() - 0.5) <= 1e-12
+        assert abs(chmod.unital_defect(ch) - 0.5) <= 1e-12
 
     def test_tp_noisy_channel_is_unital(self):
         # unital within TP_TOL, the tolerance the channel was admitted at
         ch = noisy_depolarizing()
-        assert 5e-9 < ch.unital_defect() <= chmod.TP_TOL
+        assert 5e-9 < chmod.unital_defect(ch) <= chmod.TP_TOL
         assert chmod.is_unital(ch)
 
     @pytest.mark.parametrize("g, unital", [(5e-9, True), (2e-8, False)])
@@ -236,18 +236,116 @@ class TestIsUnital:
         assert ch.tp_defect() <= 1e-15
         assert chmod.is_unital(ch) is unital
 
+    @pytest.mark.parametrize("d", ROUTE_DIMS)
+    def test_stacked_defects_match_single_and_kraus_side(self, d):
+        # Tr_2 D = sum_i A_i A_i^dag: one reduction on the D stack
+        for family in FAMILIES:
+            chs = [ch for *_, ch in population(961, (d,), (family,), 3)]
+            stacked = chmod.unital_defect(chmod.dynamical_from_kraus(chs))
+            assert stacked.shape == (3,)
+            for defect, ch in zip(stacked, chs):
+                assert abs(defect - chmod.unital_defect(ch)) <= 1e-15
+                assert abs(defect - oracles.unital_defect_via_kraus(ch)) <= 1e-15
+            flags = chmod.is_unital(chmod.dynamical_from_kraus(chs))
+            assert flags.tolist() == [chmod.is_unital(ch) for ch in chs] == [family != "cptp"] * 3
+
 
 class TestKrausGram:
     def test_matches_choi_spectrum(self):
         pop = list(population(907, (2, 3), FAMILIES, 4))
         pop.append(("named", 2, "amplitude-damping", sampler.named_channel("amplitude-damping", 2, 0.3)))
         for _, d, _, ch in pop:
-            choi = matcore.hermitian_eigenvalues(chmod.dynamical_from_kraus(ch).matrix).values
-            gram = matcore.hermitian_eigenvalues(oracles.kraus_gram(ch)).values
-            width = max(choi.size, gram.size)
-            lhs = np.sort(np.pad(choi, (0, width - choi.size)))
-            rhs = np.sort(np.pad(gram, (0, width - gram.size)))
-            np.testing.assert_allclose(lhs, rhs, atol=1e-9)
+            # the library takes k < d**2 spectra from the Kraus Gram matrix
+            dyn = chmod.dynamical_from_kraus(ch)
+            gram = chmod.dynamical_spectrum(dyn).values
+            np.testing.assert_allclose(gram, oracles.dynamical_eigenvalues(dyn), atol=1e-9)
+
+
+def _assert_spectra_close(got, want):
+    """Within 1e-13 of the largest entry of each spectrum."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    scale = np.abs(want).max(axis=-1, keepdims=True)
+    assert (np.abs(got - want) <= 1e-13 * scale).all(), float((np.abs(got - want) / scale).max())
+
+
+def _assert_routes_match_oracles(dyn):
+    """The map spectrum against a dense eigvalsh of D, the receiver spectrum against a complex svd of K."""
+    sup = dyn.superoperator()
+    _assert_spectra_close(chmod.dynamical_spectrum(dyn).values, oracles.dynamical_eigenvalues(dyn))
+    _assert_spectra_close(chmod.superoperator_spectrum(sup).values, oracles.superoperator_singular_values(sup))
+
+
+class TestSpectrumRoutes:
+    """The Kraus Gram route to eig(D) and the real-form route to svd(K), against the dense complex routes."""
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("d", ROUTE_DIMS)
+    def test_families(self, d, family):
+        chs = [ch for *_, ch in population(971, (d,), (family,), 3)]
+        dyn = chmod.dynamical_from_kraus(chs)
+        # unitary mixtures (k = d) take the Gram route, the other families (k = d**2) eigvalsh(D)
+        assert (dyn.kraus.shape[-2] < d * d) == (family == "unitary-mixture")
+        _assert_routes_match_oracles(dyn)
+        # the stack's rows are the single channels' spectra
+        stacked = (chmod.dynamical_spectrum(dyn).values, chmod.superoperator_spectrum(dyn.superoperator()).values)
+        for k, ch in enumerate(chs):
+            one = chmod.dynamical_from_kraus(ch)
+            _assert_spectra_close(stacked[0][k], chmod.dynamical_spectrum(one).values)
+            _assert_spectra_close(stacked[1][k], chmod.superoperator_spectrum(one.superoperator()).values)
+
+    @pytest.mark.parametrize(
+        "name, d, param",
+        [
+            ("identity", 2, None),  # k = 1: a 1 x 1 Gram matrix
+            ("identity", 3, None),
+            ("unitary", 3, 0.7),
+            ("amplitude-damping", 2, 0.3),
+            ("dephasing", 3, 0.6),
+            ("depolarizing", 3, 0.3),  # k = d**2 + 1: eigvalsh(D)
+            ("completely-depolarizing", 3, None),
+        ],
+    )
+    def test_named_channels(self, name, d, param):
+        _assert_routes_match_oracles(chmod.dynamical_from_kraus(sampler.named_channel(name, d, param)))
+
+    def test_tp_noisy_channel(self):
+        _assert_routes_match_oracles(chmod.dynamical_from_kraus(noisy_depolarizing()))
+
+    def test_padded_mixed_kraus_stack(self):
+        # k = 1, 4 and 3 at d = 3: the stack is padded to k = 4 < d**2 zero operators
+        (*_, mixture), = population(973, (3,), ("unitary-mixture",), 1)
+        chs = [sampler.named_channel("identity", 3), sampler.named_channel("dephasing", 3, 0.4), mixture]
+        dyn = chmod.dynamical_from_kraus(chs)
+        assert dyn.kraus.shape == (3, 4, 9)
+        _assert_routes_match_oracles(dyn)
+        stacked = chmod.dynamical_spectrum(dyn).values
+        for row, ch in zip(stacked, chs):
+            _assert_spectra_close(row, chmod.dynamical_spectrum(chmod.dynamical_from_kraus(ch)).values)
+
+    def test_gram_spectrum_is_padded_with_exact_zeros(self):
+        spec = chmod.dynamical_spectrum(chmod.dynamical_from_kraus(sampler.named_channel("unitary", 3, 0.7)))
+        assert spec.values.shape == (9,)
+        assert spec.values[0] == pytest.approx(3.0, abs=1e-13)
+        assert not spec.values[1:].any()
+
+    def test_non_hermiticity_preserving_superoperator_is_rejected(self):
+        rng = np.random.default_rng(977)
+        not_hermitian = complex_gaussian(rng, (9, 9))
+        with pytest.raises(NotHermitianError):
+            chmod.superoperator_spectrum(chmod.SuperoperatorMatrix(3, chmod.reshuffle(not_hermitian, 3)))
+        # checked matrix by matrix in a stack, with the error a single call raises
+        good = chmod.dynamical_from_kraus(sampler.named_channel("dephasing", 3, 0.4)).matrix
+        bad = good + 1e-6j * np.eye(9)  # Hermiticity deviation 2e-6 on the diagonal
+        stack = chmod.reshuffle(np.stack([good, good, bad]), 3)
+        with pytest.raises(NotHermitianError) as stacked:
+            chmod.superoperator_spectrum(chmod.SuperoperatorMatrix(3, stack))
+        with pytest.raises(NotHermitianError) as single:
+            chmod.superoperator_spectrum(chmod.SuperoperatorMatrix(3, stack[2]))
+        assert str(stacked.value) == str(single.value)
+        # a rounding-level deviation is accepted
+        noisy = good + 1e-12j * np.eye(9)
+        chmod.superoperator_spectrum(chmod.SuperoperatorMatrix(3, chmod.reshuffle(noisy, 3)))
 
 
 class TestOracleRoutes:

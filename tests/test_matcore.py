@@ -213,6 +213,19 @@ class TestStacks:
             for i, m in enumerate(x):
                 np.testing.assert_array_equal(got[i], matcore.partial_trace(m, 3, sub))
 
+    def test_real_input_stays_real(self):
+        x = np.random.default_rng(181).normal(size=(3, 5, 5))
+        assert matcore.as_matrices(x).dtype == np.float64
+        assert matcore.as_matrices(x.astype(np.float32)).dtype == np.float64
+        assert matcore.as_matrices([[1, 2], [3, 4]]).dtype == np.float64
+        assert matcore.as_matrices(x + 0j).dtype == np.complex128
+        real = matcore.singular_values(x).values
+        np.testing.assert_allclose(real, np.linalg.svd(x + 0j, compute_uv=False), rtol=1e-14, atol=1e-14)
+        sym = x + x.swapaxes(-2, -1)
+        np.testing.assert_allclose(
+            matcore.hermitian_eigenvalues(sym).values, matcore.hermitian_eigenvalues(sym + 0j).values, atol=1e-13
+        )
+
     def test_rejects_other_ranks(self):
         with pytest.raises(DimensionMismatchError):
             matcore.singular_values(np.ones((2, 2, 2, 2)))

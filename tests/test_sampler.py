@@ -51,7 +51,7 @@ class TestSampleUnitaryMixture:
         for k in (1, 3, 6):
             cfg = sampler.SamplerConfig(3, k, sampler.derive_seed(3, 1, 3, k), "unitary-mixture")
             ch = sampler.sample_unitary_mixture(cfg)
-            assert ch.unital_defect() <= 1e-10
+            assert chmod.unital_defect(ch) <= 1e-10
             assert ch.tp_defect() <= 1e-10
 
     def test_single_unitary_has_zero_map_entropy(self):
@@ -75,7 +75,7 @@ class TestSampleUnistochastic:
             ch = sampler.sample_unistochastic(cfg)
             assert len(ch.kraus_ops) == d * d
             assert ch.tp_defect() <= 1e-10
-            assert ch.unital_defect() <= 1e-10
+            assert chmod.unital_defect(ch) <= 1e-10
 
     def test_trivial_coupling_is_identity_channel(self):
         rng = np.random.default_rng(5)
@@ -131,10 +131,10 @@ class TestNamedChannels:
         g = 0.5
         ch = sampler.named_channel("amplitude-damping", 2, g)
         assert not chmod.is_unital(ch)
-        # Gram matrix is diag(2 - g, g), so the Choi spectrum is {2-g, g, 0, 0}
-        gram = oracles.kraus_gram(ch)
-        np.testing.assert_allclose(gram, np.diag([2 - g, g]), atol=1e-14)
-        spec = chmod.dynamical_spectrum(chmod.dynamical_from_kraus(ch))
+        # Gram matrix conj(V) V^T is diag(2 - g, g), so the Choi spectrum is {2-g, g, 0, 0}
+        dyn = chmod.dynamical_from_kraus(ch)
+        np.testing.assert_allclose(dyn.kraus.conj() @ dyn.kraus.T, np.diag([2 - g, g]), atol=1e-14)
+        spec = chmod.dynamical_spectrum(dyn)
         np.testing.assert_allclose(spec.values, [2 - g, g, 0.0, 0.0], atol=1e-12)
 
     def test_unitary_rotation(self):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import oracles
 import pytest
-from helpers import complex_gaussian, population, random_psd, random_unitary
+from helpers import complex_gaussian, noisy_depolarizing, population, random_psd, random_unitary
 
 from chanent import channel as chmod
 from chanent import cli, sampler, spectra
@@ -203,6 +203,37 @@ class TestCheckSuperopNormBound:
     def test_completely_depolarizing_saturates(self):
         rep = spectra.check_superop_norm_bound(sampler.named_channel("completely-depolarizing", 2))
         assert rep.passed and abs(rep.slack) <= 1e-10
+
+    def test_tp_noisy_depolarizing_passes(self):
+        # admitted within TP_TOL with its Kraus set scaled by 1 + 4.5e-9:
+        # |K|_inf = (1 + 4.5e-9)**2 against the unital bound 1
+        ch = noisy_depolarizing()
+        rep = spectra.check_superop_norm_bound(ch)
+        assert rep.lhs == pytest.approx(1.0 + 9e-9, abs=1e-12)
+        assert rep.passed and oracles.check_superop_norm_bound(ch).passed
+
+    def test_tp_noisy_unitary_passes(self):
+        # the bound is tight on a unitary channel, so any scale error reaches it
+        u = sampler.named_channel("unitary", 3, 0.7).kraus_ops[0]
+        ch = chmod.KrausChannel(3, (u * (1.0 + 4.5e-9),))
+        rep = spectra.check_superop_norm_bound(ch)
+        assert rep.lhs > 1.0 + 8e-9
+        assert rep.passed and oracles.check_superop_norm_bound(ch).passed
+
+    @pytest.mark.parametrize("excess, passed", [(0.5e-8, True), (2e-8, False)])
+    def test_relative_slack_is_tp_tol(self, excess, passed):
+        def stack(k_inf, unital):
+            return spectra.ChannelStack(
+                dim=4,
+                dynamical_sv=np.ones((1, 16)),
+                superop_sv=np.full((1, 16), k_inf),
+                output_norm=np.array([0.5]),  # all-channel bound sqrt(4 * 0.5)
+                unital=np.array([unital]),
+            )
+
+        unital = spectra.check_superop_norm_bound(stack(1.0 + excess, True))
+        plain = spectra.check_superop_norm_bound(stack(math.sqrt(2.0) * (1.0 + excess), False))
+        assert unital.passed.tolist() == plain.passed.tolist() == [[passed]]
 
     def test_random_nonunital_holds_with_slack(self):
         cfg = sampler.SamplerConfig(3, 9, sampler.derive_seed(909, 0, 3, 0), "cptp")
