@@ -14,6 +14,7 @@ from .channel import (
     apply_channel,
     dynamical_from_kraus,
     is_unital,
+    profile_channel,
     reshuffle,
     superoperator_from_kraus,
 )
@@ -26,7 +27,6 @@ from .tradeoff import (
     evaluate_tradeoff,
     gamma_kappa,
     lower_bound,
-    profile_channel,
 )
 
 __version__ = "0.1.0"

@@ -40,7 +40,13 @@ is at most ``TP_TOL``, and it is unital iff its unital defect (max entry of
 Kraus set carries a rounding-level scale error is then both TP and unital,
 and is held to the sharper unital bound.  With row-major ``vec``,
 ``sum_i A_i A_i^dag = Tr_2 D``, so the unital defect of a whole stack is one
-reduction on the ``D`` stack the harnesses build anyway.
+reduction on its ``D`` stack.
+
+:func:`profile_channel` is the one place that turns channels into what both
+harnesses read: for a stack of same-dimension channels (one channel is a
+stack of one) it builds ``D`` in one batched product, takes ``K``, both
+spectra with one decomposition each, and ``Tr_2 D`` with one reduction, from
+which the unital flags are read.
 """
 
 from __future__ import annotations
@@ -68,6 +74,8 @@ __all__ = [
     "is_unital",
     "dynamical_spectrum",
     "superoperator_spectrum",
+    "ChannelProfile",
+    "profile_channel",
     "channel_to_json",
     "channel_from_json",
     "save_channel",
@@ -87,12 +95,17 @@ def _identity_defects(m: np.ndarray) -> np.ndarray:
 
 
 def _tp_defects(a: np.ndarray) -> np.ndarray:
-    """Max-entry deviation of ``a^dag a`` from the identity, for ``a`` or each of a stack."""
-    return _identity_defects(a.conj().swapaxes(-2, -1) @ a)
+    """Max-entry deviation of ``a^dag a`` from the identity, for ``a`` or each of a stack.
+
+    Entries too large for ``a^dag a`` give an inf or NaN defect, which no
+    tolerance admits.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _identity_defects(a.conj().swapaxes(-2, -1) @ a)
 
 
 def _require_tp(defect: float) -> None:
-    if defect > TP_TOL:
+    if not defect <= TP_TOL:  # a NaN defect is no evidence of trace preservation
         raise NotTracePreservingError(
             f"trace-preservation defect {defect:.3e} exceeds {TP_TOL:.1e}"
         )
@@ -308,6 +321,48 @@ def superoperator_spectrum(sup: SuperoperatorMatrix) -> Spectrum:
     spec = matcore.singular_values(real)
     vals = matcore.clamp_spectrum(spec.values, neg_tol=matcore.eig_tol(d * d))
     return Spectrum(vals, "singular-values")
+
+
+@dataclass(frozen=True, eq=False)
+class ChannelProfile:
+    """What the trade-off grid and the channel checks read, for a stack of ``n`` channels.
+
+    ``channel_id`` is a tuple of ``n`` ids and ``unital`` an ``(n,)`` bool
+    array; the spectra are ``(n, d**2)`` and ``tr2`` is the ``(n, d, d)``
+    stack of ``Tr_2 D = sum_i A_i A_i^dag``, the image of the identity.  Row
+    ``k`` of each belongs to channel ``k``.
+    """
+
+    channel_id: tuple
+    dim: int
+    unital: np.ndarray
+    choi_spectrum: Spectrum
+    superop_spectrum: Spectrum
+    tr2: np.ndarray
+
+
+def profile_channel(channels, channel_id=()) -> ChannelProfile:
+    """Profile a sequence of same-dimension channels, one channel being a stack of one.
+
+    ``channel_id`` holds one id per channel (all empty by default).  The
+    dynamical matrices come from one batched product, ``Tr_2 D`` from one
+    reduction of them, the unital flags from ``Tr_2 D`` and each spectrum
+    from one decomposition of the whole stack.
+    """
+    chs = list(channels)
+    ids = tuple(channel_id) or ("",) * len(chs)
+    if len(ids) != len(chs):
+        raise ValueError(f"{len(chs)} channels but {len(ids)} channel ids")
+    dyn = dynamical_from_kraus(chs)
+    tr2 = matcore.partial_trace(dyn.matrix, dyn.dim, "second")
+    return ChannelProfile(
+        channel_id=ids,
+        dim=dyn.dim,
+        unital=_identity_defects(tr2) <= TP_TOL,
+        choi_spectrum=dynamical_spectrum(dyn),
+        superop_spectrum=superoperator_spectrum(dyn.superoperator()),
+        tr2=tr2,
+    )
 
 
 def channel_to_json(ch: KrausChannel) -> dict:

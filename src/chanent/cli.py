@@ -21,20 +21,24 @@ of consecutive indices of one dimension, and one family for channels, and
 evaluate each stack as drawn: at most ``STACK_SIZE`` inputs and
 ``STACK_ENTRIES`` matrix entries to a stack.
 
-A sweep stacks the channels of one (dimension, family): one batched build of
-``D``, one ``eigvalsh``, one ``svd`` and one grid pass per stack, against
-bounds tabulated once per dimension.  Its first error is the one a loop over
-the channels would meet first; a violation on a channel inside a stack
-writes every row of the channels before it.  ``report.csv`` is written
+Both harnesses profile each channel stack with
+:func:`~chanent.channel.profile_channel`: one batched build of ``D``, one
+decomposition per spectrum and one ``Tr_2 D`` per stack.
+
+A sweep stacks the channels of one (dimension, family) and evaluates each
+profile in one grid pass, against bounds tabulated once per dimension.  Its
+first error is the one a loop over the channels would meet first; a
+violation on a channel inside a stack writes every row of the channels
+before it.  ``report.csv`` is written
 channel by channel, each row one pre-formatted line: the channel columns go
 through :mod:`csv` once per channel (a ``--channel`` file name may need
 quoting), the orders and bounds are formatted once per dimension, and only
 the entropies, sum and gap once per row.
 
 The inequality suite runs each check once per stack at all of its orders;
-the two channel checks share one :class:`~chanent.spectra.ChannelStack` per
-stack.  The first failure is named in the order of a loop over inputs with
-the orders inside, and only that input is serialized.
+the two channel checks share one profile per stack.  The first failure is
+named in the order of a loop over inputs with the orders inside, and only
+that input is serialized.
 """
 
 from __future__ import annotations
@@ -52,6 +56,7 @@ import numpy as np
 
 from . import channel as chmod
 from . import matcore, sampler, spectra
+from .channel import profile_channel
 from .errors import BoundViolation, DomainError, ParamOutOfRangeError, UnknownChannelError
 from .tradeoff import (
     GAP_TOL,
@@ -60,7 +65,6 @@ from .tradeoff import (
     TradeoffReport,
     bound_table,
     evaluate_profile,
-    profile_channel,
 )
 
 __all__ = ["SweepConfig", "ConfigError", "run_sweep", "run_inequality_suite", "main"]
@@ -84,6 +88,7 @@ CSV_COLUMNS = [
     "saturated",
 ]
 
+TOLERANCE_KEYS = ("gap", "saturation")
 CHECK_NAMES = ("prop1", "21in", "upkp", "npqr", "sups", "cbn0")
 # The checks that run on sampled channels rather than on matrices.
 CHANNEL_CHECKS = ("upkp", "cbn0")
@@ -140,6 +145,14 @@ def validate_config(cfg: SweepConfig) -> SweepConfig:
             raise ConfigError(f"unknown family {fam!r}")
     if cfg.seed < 0:
         raise ConfigError(f"seed must be >= 0, got {cfg.seed}")
+    unknown = set(cfg.tolerances) - set(TOLERANCE_KEYS)
+    if unknown:
+        raise ConfigError(
+            f"unknown tolerance keys: {sorted(unknown)}; choose from {', '.join(TOLERANCE_KEYS)}"
+        )
+    for key, value in cfg.tolerances.items():
+        if not (math.isfinite(float(value)) and float(value) >= 0.0):
+            raise ConfigError(f"tolerance {key!r} must be finite and >= 0, got {value!r}")
     if cfg.samples_per_family < 1:
         raise ConfigError(f"samples_per_family must be >= 1, got {cfg.samples_per_family}")
     if not cfg.q_grid or not cfg.s_grid:
@@ -473,8 +486,8 @@ def run_inequality_suite(cfg: SweepConfig, out_dir, only=None, matrix_path=None)
                 ("cbn0", spectra.check_norm_product_chain),
             )
             for _, _, labels, chs in suite:
-                stack = spectra.stack_channels(chs)
-                batches = [(name, check(stack)) for name, check in checks if name in selected]
+                profile = profile_channel(chs, labels)
+                batches = [(name, check(profile)) for name, check in checks if name in selected]
                 # upkp then cbn0 ran channel by channel: the first failure
                 # named is the earlier channel's, upkp's on a tie
                 batches.sort(key=lambda nb: (nb[1].first_failure() or (math.inf,))[0])

@@ -65,7 +65,8 @@ class BoundViolation(RuntimeError):
 
     Carries the offending report so the counterexample can be serialized;
     this is never swallowed silently.  A grid evaluation also passes the
-    whole grid and the ``(i, j)`` index of the offending cell in it.
+    whole grid and the ``(k, i, j)`` index of the offending cell in it:
+    channel ``k`` of the stack, at ``(q[i], s[j])``.
     """
 
     def __init__(self, message, report, grid=None, cell=None):

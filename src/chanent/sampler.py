@@ -429,7 +429,7 @@ def named_channel(name: str, d: int, param: float | None = None) -> KrausChannel
 def named_family_channel(family: str, d: int) -> KrausChannel:
     """The channel a ``named:<name>[:<param>]`` family stands for at dimension ``d``.
 
-    A parameter that is not a number is a :class:`ParamOutOfRangeError`.
+    A parameter that is not a finite number is a :class:`ParamOutOfRangeError`.
     """
     _, name, *rest = family.split(":")
     param = None
@@ -437,9 +437,9 @@ def named_family_channel(family: str, d: int) -> KrausChannel:
         try:
             param = float(rest[0])
         except ValueError:
-            raise ParamOutOfRangeError(
-                f"parameter {rest[0]!r} of channel {name!r} is not a number"
-            ) from None
+            param = math.nan
+        if not math.isfinite(param):
+            raise ParamOutOfRangeError(f"parameter {rest[0]!r} of channel {name!r} is not a finite number")
     return named_channel(name, d, param)
 
 

@@ -10,15 +10,17 @@ orders ``-inf`` and NaN are rejected everywhere, and the checkers take finite
 orders only.
 
 Every checker takes one input (a matrix, or a channel) or a stack of them
-``(n, m, m)`` (a sequence of same-dimension channels, or a
-:class:`ChannelStack`), and one order or a list of them.  Each input's
-spectrum is computed once, with one LAPACK call for the whole stack, and
-shared by all of its orders.  One input at one order gives an
+``(n, m, m)`` (a sequence of same-dimension channels, or their
+:class:`~chanent.channel.ChannelProfile`), and one order or a list of them.
+Each input's spectrum is computed once, with one LAPACK call for the whole
+stack, and shared by all of its orders; the channel checks read the spectra
+and ``Tr_2 D`` of the profile.  One input at one order gives an
 :class:`InequalityReport`; anything else gives an :class:`InequalityBatch` of
 ``(n_inputs, n_orders)`` arrays.  ``slack`` is signed in the passing
 direction and relative to ``max(|lhs|, |rhs|, 1)``, so one tolerance
-convention covers all magnitudes.  An input the check cannot take raises
-the error the single-input call on it raises; with several such inputs, the
+convention covers all magnitudes; an entry whose slack is not finite (both
+sides infinite, say) fails.  An input the check cannot take raises the
+error the single-input call on it raises; with several such inputs, the
 error named may come from a later input than the first.
 """
 
@@ -41,8 +43,6 @@ __all__ = [
     "STRICT_POS_TOL",
     "InequalityReport",
     "InequalityBatch",
-    "ChannelStack",
-    "stack_channels",
     "schatten_norm",
     "schatten_antinorm",
     "schatten",
@@ -125,14 +125,19 @@ class InequalityBatch:
 
 
 def _batch(lhs, rhs, directions, passed) -> InequalityBatch:
-    """Columns ``(n, k)`` of one check; ``passed`` is the verdict or a function of the slack."""
+    """Columns ``(n, k)`` of one check; ``passed`` is the verdict or a function of the slack.
+
+    An entry whose slack is not finite fails whatever the verdict says.
+    """
     lhs, rhs = np.asarray(lhs, dtype=float), np.asarray(rhs, dtype=float)
     scale = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1.0)
     le = np.array([d == "<=" for d in directions])
-    slack = np.where(le, rhs - lhs, lhs - rhs) / scale
+    with np.errstate(invalid="ignore"):  # inf - inf: a NaN slack, failed below
+        slack = np.where(le, rhs - lhs, lhs - rhs) / scale
     if callable(passed):
         passed = passed(slack)
-    return InequalityBatch(lhs, rhs, slack, np.asarray(passed, dtype=bool), tuple(directions))
+    passed = np.asarray(passed, dtype=bool) & np.isfinite(slack)
+    return InequalityBatch(lhs, rhs, slack, passed, tuple(directions))
 
 
 def _result(batch: InequalityBatch, single: bool) -> InequalityReport | InequalityBatch:
@@ -274,8 +279,9 @@ def check_prop1(x, q) -> InequalityReport | InequalityBatch:
             raise InvalidSpectrumError("matrix is zero; the interpolation is undefined")
         n1 = pos.sum(axis=-1)
         n2sq = (pos**2).sum(axis=-1)
-        lhs.append((pos**order).sum(axis=-1))
-        rhs.append(n2sq ** (order - 1.0) * n1 ** (2.0 - order))
+        with np.errstate(over="ignore", invalid="ignore"):  # a side beyond a double fails in _batch
+            lhs.append((pos**order).sum(axis=-1))
+            rhs.append(n2sq ** (order - 1.0) * n1 ** (2.0 - order))
     directions = ["<=" if 1.0 <= order <= 2.0 else ">=" for order in orders]
     batch = _batch(np.stack(lhs, axis=1), np.stack(rhs, axis=1), directions, lambda s: s >= -1e-9)
     return _result(batch, single and one_order)
@@ -290,49 +296,12 @@ def check_two_inf_one(x) -> InequalityReport | InequalityBatch:
     return _result(_batch(lhs, rhs, ("<=",), lhs <= rhs + 1e-10), single)
 
 
-@dataclass(frozen=True, eq=False)
-class ChannelStack:
-    """Same-dimension channels with the spectra both channel checks read.
-
-    Built by :func:`stack_channels`, so that :func:`check_superop_norm_bound`
-    and :func:`check_norm_product_chain` share one build of ``D`` per
-    channel, and one unital reduction and one decomposition per stack.
-    """
-
-    dim: int
-    dynamical_sv: np.ndarray  # (n, d**2) spectrum of each D, PSD: its singular values
-    superop_sv: np.ndarray  # (n, d**2) singular values of each K = reshuffle(D)
-    output_norm: np.ndarray  # (n,) spectral norm of each channel(I/d) = Tr_2(D)/d
-    unital: np.ndarray  # (n,) bool
-
-
-def stack_channels(channels) -> ChannelStack:
-    """Build the ``D`` stack in one product and take the spectra of the ``D``, ``K`` and ``channel(I/d)`` stacks.
-
-    The spectra of ``D`` and ``K`` come from the routes of
-    :func:`~chanent.channel.dynamical_spectrum` and
-    :func:`~chanent.channel.superoperator_spectrum`; ``channel(I/d)`` is PSD,
-    so its spectral norm is its largest eigenvalue.
-    """
-    dyn = chmod.dynamical_from_kraus(list(channels))
-    d = dyn.dim
-    output = matcore.partial_trace(dyn.matrix, d, "second") / d
-    return ChannelStack(
-        dim=d,
-        dynamical_sv=chmod.dynamical_spectrum(dyn).values,
-        superop_sv=chmod.superoperator_spectrum(dyn.superoperator()).values,
-        output_norm=matcore.hermitian_eigenvalues(output).values[:, 0],
-        unital=chmod.is_unital(dyn),
-    )
-
-
-def _channel_stack(channels) -> tuple[ChannelStack, bool]:
-    """``channels`` as a :class:`ChannelStack`, and whether it was one channel."""
-    if isinstance(channels, ChannelStack):
+def _profile(channels) -> tuple[chmod.ChannelProfile, bool]:
+    """``channels`` as a :class:`~chanent.channel.ChannelProfile`, and whether it was one channel."""
+    if isinstance(channels, chmod.ChannelProfile):
         return channels, False
-    if isinstance(channels, chmod.KrausChannel):
-        return stack_channels([channels]), True
-    return stack_channels(channels), False
+    single = isinstance(channels, chmod.KrausChannel)
+    return chmod.profile_channel([channels] if single else channels), single
 
 
 def check_superop_norm_bound(channels) -> InequalityReport | InequalityBatch:
@@ -344,12 +313,15 @@ def check_superop_norm_bound(channels) -> InequalityReport | InequalityBatch:
     comparisons allow a relative slack of ``TP_TOL``: a Kraus set scaled by
     ``1 + eps``, admitted while its TP defect ``~2 eps`` is within
     ``TP_TOL``, scales ``K`` by ``(1 + eps)**2`` and the all-channel
-    right-hand side by ``1 + eps``.
+    right-hand side by ``1 + eps``.  ``channel(I/d) = Tr_2(D)/d`` is PSD, so
+    its spectral norm is its largest eigenvalue.
     """
-    st, single = _channel_stack(channels)
-    k_inf = st.superop_sv[:, :1]
-    unital = st.unital[:, None]
-    bound = math.sqrt(st.dim) * np.sqrt(st.output_norm[:, None])
+    profile, single = _profile(channels)
+    d = profile.dim
+    k_inf = profile.superop_spectrum.values[:, :1]
+    unital = profile.unital[:, None]
+    output_norm = matcore.hermitian_eigenvalues(profile.tr2 / d).values[:, :1]
+    bound = math.sqrt(d) * np.sqrt(output_norm)
     slack = 1.0 + chmod.TP_TOL
     passed = (k_inf <= bound * slack) & (~unital | (k_inf <= slack))
     rhs = np.where(unital, np.minimum(bound, 1.0), bound)
@@ -408,10 +380,11 @@ def check_norm_product_chain(channels) -> InequalityReport | InequalityBatch:
     ``>= d`` for unital ones; the two Frobenius norms agree because the
     representations share their entries up to reshuffling.
     """
-    st, single = _channel_stack(channels)
-    d_sv, k_sv = st.dynamical_sv, st.superop_sv
+    profile, single = _profile(channels)
+    # D is PSD, so its eigenvalues are its singular values
+    d_sv, k_sv = profile.choi_spectrum.values, profile.superop_spectrum.values
     ratio = (
         d_sv.sum(axis=-1) / _power_mean_root(d_sv, 2.0) * k_sv.sum(axis=-1) / _power_mean_root(k_sv, 2.0)
     )[:, None]
-    bound = np.where(st.unital, float(st.dim), math.sqrt(st.dim))[:, None]
+    bound = np.where(profile.unital, float(profile.dim), math.sqrt(profile.dim))[:, None]
     return _result(_batch(ratio, bound, (">=",), ratio >= bound - 1e-9), single)

@@ -14,12 +14,13 @@ bound's derivation excludes ``q = 1`` exactly, so on that row (to within
 ``LIMIT_EPS``) the evaluator reports the limit value without asserting it as
 a theorem: :class:`BoundViolation` is raised only off the ``q = 1`` rows.
 
-A channel is evaluated on a whole ``(q, s)`` grid at once: the bounds of
+Channels are evaluated on a whole ``(q, s)`` grid at once: the bounds of
 one dimension are tabulated once (:func:`bound_table`), and
 :func:`evaluate_profile` computes the map and receiver entropies and the gap
-of every cell of that table in one array pass.  A stack of same-dimension
-channels is profiled with one decomposition per spectrum for the whole stack
-(:func:`profile_channel` on a list) and evaluated in one pass as well.
+of every cell of that table, for every channel of a
+:class:`~chanent.channel.ChannelProfile` stack, in one array pass.
+:func:`evaluate_tradeoff` profiles one channel, as a stack of one, and
+evaluates one cell.
 
 The auxiliary minimizations behind the bound, over the planar regions
 ``{0 <= x, y <= 1, x y <= a}`` and ``{x, y >= 1, x y >= b}``, have closed
@@ -38,7 +39,6 @@ import numpy as np
 from . import channel as chmod
 from .entropy import EntropyParams, entropy_grid, exprel
 from .errors import BoundViolation, DimensionMismatchError, DomainError
-from .matcore import Spectrum
 
 __all__ = [
     "SAT_TOL",
@@ -48,8 +48,6 @@ __all__ = [
     "lower_bound",
     "BoundTable",
     "bound_table",
-    "ChannelProfile",
-    "profile_channel",
     "TradeoffReport",
     "GridReport",
     "evaluate_profile",
@@ -70,10 +68,12 @@ def gamma_kappa(q, s) -> tuple:
     q, s = np.asarray(q, dtype=float), np.asarray(s, dtype=float)
     if not (q > 0.0).all():
         raise DomainError(f"need q > 0, got {q}")
-    gamma = np.where((1.0 - q) * s < 0.0, 1.0, 2.0)
+    with np.errstate(over="ignore"):  # only the product's sign is read
+        gamma = np.where((1.0 - q) * s < 0.0, 1.0, 2.0)
     # Both branches of kappa give 1 at q = 2; the maximum only keeps the
-    # unused branch from dividing by zero at q = 1.
-    kappa = np.where(q <= 2.0, 1.0, q / (2.0 * np.maximum(q - 1.0, 1.0)))
+    # unused branch from dividing by zero at q = 1.  Halving last keeps a
+    # huge q from overflowing.
+    kappa = np.where(q <= 2.0, 1.0, q / np.maximum(q - 1.0, 1.0) / 2.0)
     return gamma[()], kappa[()]
 
 
@@ -83,7 +83,8 @@ def _bounds(d: int, q, s, unital: bool):
         raise DomainError(f"need dimension d >= 2, got {d}")
     gamma, kappa = gamma_kappa(q, s)
     scale = (2.0 if unital else 1.0) * kappa * math.log(d)
-    return scale * exprel((1.0 - q) * s * scale / gamma)
+    with np.errstate(over="ignore"):  # an exponent beyond a double is +-inf, exprel's limits
+        return scale * exprel((1.0 - q) * s * scale / gamma)
 
 
 def lower_bound(d: int, params: EntropyParams, unital: bool) -> float:
@@ -125,63 +126,6 @@ def bound_table(d: int, q_grid, s_grid) -> BoundTable:
 
 
 @dataclass(frozen=True, eq=False)
-class ChannelProfile:
-    """Everything the grid evaluation needs, computed once per channel.
-
-    A profile of one channel has a string ``channel_id``, a bool ``unital``
-    and 1-D spectra; a profile of a stack of ``n`` same-dimension channels
-    has a tuple of ``n`` ids, an ``(n,)`` bool array and ``(n, d**2)``
-    spectra, row ``k`` belonging to channel ``k``.
-    """
-
-    channel_id: str | tuple
-    dim: int
-    unital: bool | np.ndarray
-    choi_spectrum: Spectrum
-    superop_spectrum: Spectrum
-
-    @property
-    def stacked(self) -> bool:
-        return self.choi_spectrum.values.ndim == 2
-
-    def channel(self, k: int) -> "ChannelProfile":
-        """The profile of channel ``k`` of a stack."""
-        return ChannelProfile(
-            self.channel_id[k],
-            self.dim,
-            bool(self.unital[k]),
-            Spectrum(self.choi_spectrum.values[k], self.choi_spectrum.kind),
-            Spectrum(self.superop_spectrum.values[k], self.superop_spectrum.kind),
-        )
-
-
-def profile_channel(channels, channel_id="") -> ChannelProfile:
-    """Extract the two spectra and the unital flag of a channel, or of each of a stack.
-
-    ``channels`` is one channel, with its id in ``channel_id``, or a sequence
-    of same-dimension channels, with one id each in ``channel_id`` (all empty
-    by default).  A stack's dynamical matrices come from one batched product,
-    its unital flags from one reduction of them and each spectrum from one
-    decomposition of the whole stack.
-    """
-    if isinstance(channels, chmod.KrausChannel):
-        dyn = chmod.dynamical_from_kraus(channels)
-    else:
-        chs = list(channels)
-        channel_id = tuple(channel_id) if channel_id else ("",) * len(chs)
-        if len(channel_id) != len(chs):
-            raise ValueError(f"{len(chs)} channels but {len(channel_id)} channel ids")
-        dyn = chmod.dynamical_from_kraus(chs)
-    return ChannelProfile(
-        channel_id=channel_id,
-        dim=dyn.dim,
-        unital=chmod.is_unital(dyn),
-        choi_spectrum=chmod.dynamical_spectrum(dyn),
-        superop_spectrum=chmod.superoperator_spectrum(dyn.superoperator()),
-    )
-
-
-@dataclass(frozen=True, eq=False)
 class TradeoffReport:
     """One cell of the trade-off evaluation.
 
@@ -203,72 +147,59 @@ class TradeoffReport:
 
 @dataclass(frozen=True, eq=False)
 class GridReport:
-    """One channel, or a stack of them, evaluated on every cell of a :class:`BoundTable`.
+    """A stack of ``n`` channels evaluated on every cell of a :class:`BoundTable`.
 
-    The arrays are ``(n_q, n_s)``, laid out like the table, for one channel
-    and ``(n, n_q, n_s)`` for a stack; ``gap`` is measured against the
-    unital bound for unital channels and against the all-channels bound
-    otherwise.
+    The arrays are ``(n, n_q, n_s)``, channel ``k``'s laid out like the table
+    at index ``k``; ``gap`` is measured against the unital bound for unital
+    channels and against the all-channels bound otherwise.
     """
 
-    profile: ChannelProfile
+    profile: chmod.ChannelProfile
     bounds: BoundTable
     map_values: np.ndarray
     receiver_values: np.ndarray
     gap: np.ndarray
     saturated: np.ndarray
 
-    def channel(self, k: int) -> "GridReport":
-        """The grid of channel ``k`` of a stack."""
-        return GridReport(
-            self.profile.channel(k),
-            self.bounds,
-            self.map_values[k],
-            self.receiver_values[k],
-            self.gap[k],
-            self.saturated[k],
-        )
-
-    def report(self, i: int, j: int) -> TradeoffReport:
-        """The cell at ``(q[i], s[j])`` of a one-channel grid as a :class:`TradeoffReport`."""
+    def report(self, k: int, i: int, j: int) -> TradeoffReport:
+        """The cell at ``(q[i], s[j])`` of channel ``k`` as a :class:`TradeoffReport`."""
         b = self.bounds
         return TradeoffReport(
-            channel_id=self.profile.channel_id,
+            channel_id=self.profile.channel_id[k],
             params=EntropyParams(float(b.q[i]), float(b.s[j])),
-            map_value=float(self.map_values[i, j]),
-            receiver_value=float(self.receiver_values[i, j]),
+            map_value=float(self.map_values[k, i, j]),
+            receiver_value=float(self.receiver_values[k, i, j]),
             bound_all=float(b.all_channels[i, j]),
-            bound_unital=float(b.unital[i, j]) if self.profile.unital else None,
-            gap=float(self.gap[i, j]),
-            saturated=bool(self.saturated[i, j]),
+            bound_unital=float(b.unital[i, j]) if self.profile.unital[k] else None,
+            gap=float(self.gap[k, i, j]),
+            saturated=bool(self.saturated[k, i, j]),
         )
 
 
 def evaluate_profile(
-    profile: ChannelProfile,
+    profile: chmod.ChannelProfile,
     bounds: BoundTable,
     sat_tol: float = SAT_TOL,
     gap_tol: float = GAP_TOL,
 ) -> GridReport:
     """Entropic sums, applicable bounds and gaps on every cell of ``bounds``.
 
-    A stacked profile is evaluated in one array pass, and its errors are
-    those of evaluating its channels one after the other: the first channel
-    with a non-finite cell or a violation decides, and within it a
-    non-finite cell comes first.  Raises :class:`DomainError` naming the
-    first cell, in ``(q, s)`` row-major order, whose entropy or gap is not
-    finite.  Raises :class:`BoundViolation` carrying the report of the first
-    cell whose gap drops below ``-gap_tol`` outside the ``q = 1`` band, the
-    whole grid and the cell's index in it (``(i, j)``, or ``(k, i, j)`` on
-    channel ``k`` of a stack); such a failure is either a tolerance problem
-    or a genuine bug and must never be ignored.
+    The stack is evaluated in one array pass, and its errors are those of
+    evaluating its channels one after the other: the first channel with a
+    non-finite cell or a violation decides, and within it a non-finite cell
+    comes first.  Raises :class:`DomainError` naming the first cell, in
+    ``(q, s)`` row-major order, whose entropy or gap is not finite.  Raises
+    :class:`BoundViolation` carrying the report of the first cell whose gap
+    drops below ``-gap_tol`` outside the ``q = 1`` band, the whole grid and
+    the cell's index ``(k, i, j)`` in it, on channel ``k``; such a failure
+    is either a tolerance problem or a genuine bug and must never be
+    ignored.
     """
     if bounds.dim != profile.dim:
         raise DimensionMismatchError(f"bound table for d={bounds.dim}, channel has d={profile.dim}")
     m = entropy_grid(profile.choi_spectrum, bounds.q, bounds.s)
     r = entropy_grid(profile.superop_spectrum, bounds.q, bounds.s)
-    unital = np.asarray(profile.unital)[..., None, None]
-    applicable = np.where(unital, bounds.unital, bounds.all_channels)
+    applicable = np.where(profile.unital[:, None, None], bounds.unital, bounds.all_channels)
     with np.errstate(invalid="ignore"):  # inf - inf; reported below
         gap = (m + r) - applicable
     grid = GridReport(profile, bounds, m, r, gap, gap <= sat_tol)
@@ -279,27 +210,27 @@ def evaluate_profile(
     if not failing.size:
         return grid
     k = int(failing[0])
-    one = grid.channel(k) if profile.stacked else grid
     if non_finite[k].any():
         i, j = divmod(int(np.argmax(non_finite[k])), bounds.s.size)
-        bound = (bounds.unital if one.profile.unital else bounds.all_channels)[i, j]
+        report = grid.report(k, i, j)
+        bound = report.bound_all if report.bound_unital is None else report.bound_unital
         raise DomainError(
-            f"entropy or gap is not finite at q={float(bounds.q[i])}, s={float(bounds.s[j])} on "
-            f"channel {one.profile.channel_id!r}: map {float(one.map_values[i, j])}, "
-            f"receiver {float(one.receiver_values[i, j])}, bound {float(bound)}"
+            f"entropy or gap is not finite at q={report.params.q}, s={report.params.s} on "
+            f"channel {report.channel_id!r}: map {report.map_value}, "
+            f"receiver {report.receiver_value}, bound {bound}"
         )
     i, j = divmod(int(np.argmax(violated[k])), bounds.s.size)
-    report = one.report(i, j)
+    report = grid.report(k, i, j)
     raise BoundViolation(
         f"entropic sum fell {-report.gap:.3e} below the bound on channel "
         f"{report.channel_id!r} at q={report.params.q}, s={report.params.s}",
         report,
         grid=grid,
-        cell=(k, i, j) if profile.stacked else (i, j),
+        cell=(k, i, j),
     )
 
 
 def evaluate_tradeoff(ch: chmod.KrausChannel, params: EntropyParams, channel_id: str = "") -> TradeoffReport:
-    """Profile a channel and evaluate one grid cell."""
+    """Profile a channel, as a stack of one, and evaluate one grid cell."""
     bounds = bound_table(ch.dim, (params.q,), (params.s,))
-    return evaluate_profile(profile_channel(ch, channel_id), bounds).report(0, 0)
+    return evaluate_profile(chmod.profile_channel([ch], (channel_id,)), bounds).report(0, 0, 0)

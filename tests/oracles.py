@@ -209,8 +209,8 @@ class ProofDomainPoint:
     in_domain: bool
 
 
-def proof_domain_point(profile, params):
-    """Check the norm-ratio preconditions behind the bound for one profile."""
+def proof_domain_point(profile, k, params):
+    """Check the norm-ratio preconditions behind the bound for channel ``k`` of a profile."""
     q, s = params.q, params.s
     if abs(q - 1.0) <= LIMIT_EPS or abs(s) <= LIMIT_EPS:
         raise DomainError(f"the bound's proof excludes the limit rows q=1 / s=0 (q={q}, s={s})")
@@ -221,9 +221,9 @@ def proof_domain_point(profile, params):
         norm_q = power_mean_root(pos, q)
         return math.exp(q * s * (math.log(norm_q) - math.log(float(np.sum(pos)))))
 
-    x = ratio_power(profile.choi_spectrum.values)
-    y = ratio_power(profile.superop_spectrum.values)
-    factor = 2.0 if profile.unital else 1.0
+    x = ratio_power(profile.choi_spectrum.values[k])
+    y = ratio_power(profile.superop_spectrum.values[k])
+    factor = 2.0 if profile.unital[k] else 1.0
     param = float(profile.dim) ** (factor * s * kappa * (1.0 - q))
     tol = 1e-9
     if (1.0 - q) * s > 0.0:

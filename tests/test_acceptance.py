@@ -41,7 +41,7 @@ def _verdict(capsys, ok, label):
 def cptp_population():
     if "cptp" not in _CACHE:
         _CACHE["cptp"] = [
-            (fam, d, cid, ch, tradeoff.profile_channel(ch, cid))
+            (fam, d, cid, ch, chmod.profile_channel([ch], [cid]))
             for fam, d, cid, ch in population(1001, DIMS, ("cptp",), CPTP_PER_DIM)
         ]
     return _CACHE["cptp"]
@@ -52,7 +52,7 @@ def unital_population():
         pop = list(population(1002, DIMS, ("unitary-mixture",), MIXTURE_PER_DIM))
         pop += population(1003, DIMS, ("unistochastic",), UNISTOCHASTIC_PER_DIM)
         _CACHE["unital"] = [
-            (fam, d, cid, ch, tradeoff.profile_channel(ch, cid)) for fam, d, cid, ch in pop
+            (fam, d, cid, ch, chmod.profile_channel([ch], [cid])) for fam, d, cid, ch in pop
         ]
     return _CACHE["unital"]
 
@@ -86,7 +86,7 @@ def test_criterion_2_tradeoff_bound_unital_channels(capsys):
     min_gap = math.inf
     tables = bound_tables()
     for _, d, cid, _, profile in unital_population():
-        assert profile.unital, cid  # so the gap is measured against the unital bound
+        assert profile.unital[0], cid  # so the gap is measured against the unital bound
         grid = tradeoff.evaluate_profile(profile, tables[d])
         min_gap = min(min_gap, float(grid.gap.min()))
     ok = min_gap >= -1e-9
@@ -105,8 +105,8 @@ def test_criterion_3_saturation(capsys):
         bounds = tradeoff.bound_table(d, (0.5, 1.5, 2.0), (0.0,))
         assert np.abs(bounds.unital - 2 * math.log(d)).max() <= 1e-15
         for name in ("identity", "completely-depolarizing"):
-            profile = tradeoff.profile_channel(sampler.named_channel(name, d), name)
-            assert profile.unital  # so the gap is measured against 2 ln d
+            profile = chmod.profile_channel([sampler.named_channel(name, d)], [name])
+            assert profile.unital[0]  # so the gap is measured against 2 ln d
             grid = tradeoff.evaluate_profile(profile, bounds)
             worst = max(worst, float(np.abs(grid.gap).max()))
             assert grid.saturated.all()
@@ -172,7 +172,7 @@ def test_criterion_5_norm_chain_suite(capsys):
         rep = spectra.check_norm_product_chain(ch)
         assert rep.passed, cid
         min_slack = min(min_slack, rep.slack)
-        if profile.unital:
+        if profile.unital[0]:
             assert rep.lhs >= d - 1e-9, (cid, rep)
             min_unital_ratio = min(min_unital_ratio, rep.lhs / d)
     ok = min_slack >= -1e-9
@@ -257,7 +257,7 @@ def test_criterion_7_limit_continuity(capsys):
     population = cptp_population()[::40] + unital_population()[::60]
     worst = {(1e-4, 1e-2): 0.0, (1e-6, 1e-4): 0.0}
     def entropy(spec, params):
-        return float(entropy_grid(spec, (params.q,), (params.s,))[0, 0])
+        return float(entropy_grid(spec, (params.q,), (params.s,))[0, 0, 0])
 
     for _, _, _, _, profile in population:
         for spec in (profile.choi_spectrum, profile.superop_spectrum):

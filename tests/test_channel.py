@@ -26,6 +26,16 @@ class TestKrausChannel:
         with pytest.raises(NotTracePreservingError):
             chmod.KrausChannel(2, (np.eye(2) / 2,))
 
+    @pytest.mark.parametrize("entry, defect", [(np.nan, "nan"), (1e155, "inf")])
+    def test_rejects_non_finite_defects(self, entry, defect):
+        # a NaN defect is not above TP_TOL either, so it must not pass as TP;
+        # entries whose products overflow give an inf defect, and no warning
+        ops = np.full((1, 1, 2, 2), entry, dtype=complex)
+        with pytest.raises(NotTracePreservingError, match=f"defect {defect}"):
+            chmod.KrausChannel(2, tuple(ops[0]))
+        with pytest.raises(NotTracePreservingError, match=f"defect {defect}"):
+            chmod.KrausChannel.from_stack(ops)
+
     def test_rejects_bad_dimensions(self):
         with pytest.raises(DimensionMismatchError):
             chmod.KrausChannel(1, (np.eye(1),))

@@ -89,6 +89,29 @@ class TestSweep:
         assert cli.main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "x")]) == 2
         assert "typo_key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tolerances, named", [
+        ({"gapp": 1.0}, "unknown tolerance keys: ['gapp']"),
+        ({"gap": float("nan")}, "tolerance 'gap' must be finite and >= 0, got nan"),
+        ({"saturation": float("inf")}, "tolerance 'saturation' must be finite and >= 0, got inf"),
+        ({"gap": -1.0}, "tolerance 'gap' must be finite and >= 0, got -1.0"),
+    ])
+    def test_rejects_bad_tolerances(self, tmp_path, capsys, tolerances, named):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"tolerances": tolerances}))
+        out = tmp_path / "x"
+        for command in ("sweep", "inequalities"):
+            args = [command, "--config", str(cfg_path), "--dims", "2", "--samples", "1", "--out", str(out)]
+            assert cli.main(args) == 2
+        assert capsys.readouterr().err.count(f"config error: {named}") == 2
+        assert not out.exists()
+
+    def test_rejects_nan_channel_file(self, tmp_path, capsys):
+        ch_path = tmp_path / "nan.json"
+        ch_path.write_text(json.dumps({"dim": 2, "kraus": [matcore.matrix_to_json(np.full((2, 2), np.nan))]}))
+        assert cli.main(["sweep", "--channel", str(ch_path), "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "defect nan" in err
+
 
     @pytest.mark.parametrize("flag, value", [("--q", "inf"), ("--q", "2,nan"), ("--s", "inf"), ("--s", "-inf,1")])
     def test_rejects_non_finite_orders(self, tmp_path, capsys, flag, value):
@@ -156,6 +179,8 @@ class TestSweep:
         ("named:depolarizing:2.0", "2"),
         ("named:depolarizing:abc", "2"),
         ("named:amplitude-damping:0.3", "3"),
+        ("named:unitary:inf", "2"),
+        ("named:unitary:nan", "2"),
     ])
     def test_rejects_bad_named_family(self, tmp_path, capsys, family, dims):
         # checked before any sampling: a passing family first writes nothing either
@@ -168,14 +193,14 @@ class TestSweep:
         assert not out.exists()
 
 
-    def test_violation_writes_rows_up_to_the_violating_cell(self, tmp_path, capsys):
-        # a gap tolerance of -10 turns every non-limit cell into a violation;
-        # the q = 1 row is exempt, so the first violation is the third cell
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({"tolerances": {"gap": -10}}))
+    def test_violation_writes_rows_up_to_the_violating_cell(self, tmp_path, capsys, monkeypatch):
+        # a gap tolerance of -10, which no config may set, turns every
+        # non-limit cell into a violation; the q = 1 row is exempt, so the
+        # first violation is the third cell
+        monkeypatch.setattr(cli, "GAP_TOL", -10.0)
         out = tmp_path / "viol"
         code = cli.main(
-            ["sweep", "--config", str(cfg_path), "--dims", "2", "--family", "cptp", "--samples", "2",
+            ["sweep", "--dims", "2", "--family", "cptp", "--samples", "2",
              "--q", "1,2", "--s", "0,1", "--out", str(out)]
         )
         assert code == 1
@@ -257,9 +282,9 @@ class TestStackedSweep:
                 gaps[row["channel_id"]] = min(gaps.get(row["channel_id"], np.inf), float(row["gap"]))
         running = [min(gaps[c] for c in ids[: k + 1]) for k in range(len(ids))]
         k = next(k for k in range(1, len(ids)) if running[k] < running[k - 1] and k % 5)
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({"tolerances": {"gap": -(running[k] + running[k - 1]) / 2}}))
-        code, err, files = self.run_both(tmp_path, monkeypatch, capsys, [*self.ARGS, "--config", str(cfg_path)])
+        # a negative tolerance, which no config may set
+        monkeypatch.setattr(cli, "GAP_TOL", -(running[k] + running[k - 1]) / 2)
+        code, err, files = self.run_both(tmp_path, monkeypatch, capsys, self.ARGS)
         assert code == 1 and "BOUND VIOLATION" in err and ids[k] in err
         assert f"counterexamples/{ids[k]}.json" in files
         written = [line.split(",")[0] for line in files["report.csv"].decode().splitlines()[1:]]
@@ -424,6 +449,15 @@ class TestInequalities:
         assert cli.main(["inequalities", "--matrix", str(mat_path), "--out", str(tmp_path / "x")]) == 2
         assert capsys.readouterr().err.startswith("config error:")
 
+    def test_non_finite_slack_fails_the_run(self, tmp_path, capsys):
+        # at q = 1e-300 both sides of sups overflow, and their slack is NaN
+        out = tmp_path / "tiny-q"
+        code = cli.main(["inequalities", "--dims", "2", "--samples", "1", "--q", "1e-300", "--out", str(out)])
+        assert code == 1 and "INEQUALITY SUITE FAILED" in capsys.readouterr().err
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["failure"] == {"check": "sups", "input": "psd-d2-0000", "kind": "inequality-failed"}
+        assert not summary["checks"]["sups"]["passed"]
+
     def test_large_q_cell_is_finite(self, tmp_path):
         # every w**600 of this channel's receiver spectrum underflows
         out = tmp_path / "large-q"
@@ -443,8 +477,8 @@ class TestInequalityStacks:
     ])
     def test_channel_stacks(self, tmp_path, monkeypatch, d, samples, sizes):
         seen = []
-        original = spectra.stack_channels
-        monkeypatch.setattr(spectra, "stack_channels", lambda chs: seen.append(len(chs)) or original(chs))
+        original = cli.profile_channel
+        monkeypatch.setattr(cli, "profile_channel", lambda chs, ids: seen.append(len(chs)) or original(chs, ids))
         args = ["inequalities", "--dims", str(d), "--samples", str(samples), "--family", "cptp", "--only", "upkp"]
         assert cli.main([*args, "--out", str(tmp_path / "x")]) == 0
         assert seen == sizes
@@ -456,6 +490,20 @@ class TestInequalityStacks:
         args = ["inequalities", "--dims", "16", "--samples", "130", "--only", "prop1"]
         assert cli.main([*args, "--out", str(tmp_path / "x")]) == 0
         assert seen == [128, 2]
+
+
+class TestOneProfilePerStack:
+    """Both harnesses take ``Tr_2 D`` once per channel stack, in ``profile_channel``."""
+
+    @pytest.mark.parametrize("command", ["sweep", "inequalities"])
+    def test_one_partial_trace_per_stack(self, tmp_path, monkeypatch, command):
+        sizes = []
+        original = matcore.partial_trace
+        monkeypatch.setattr(matcore, "partial_trace", lambda x, *a: sizes.append(len(x)) or original(x, *a))
+        monkeypatch.setattr(cli, "STACK_SIZE", 2)
+        args = [command, "--dims", "2,3", "--samples", "3", "--family", "cptp,unitary-mixture"]
+        assert cli.main([*args, "--out", str(tmp_path / "x")]) == 0
+        assert sizes == [2, 1] * 4  # two stacks per (dim, family)
 
 
 class TestInequalityFailures:

@@ -15,6 +15,7 @@ from chanent.errors import (
     NotHermitianError,
     NotPositiveError,
 )
+from chanent.matcore import Spectrum
 
 
 class TestNormOrder:
@@ -223,12 +224,13 @@ class TestCheckSuperopNormBound:
     @pytest.mark.parametrize("excess, passed", [(0.5e-8, True), (2e-8, False)])
     def test_relative_slack_is_tp_tol(self, excess, passed):
         def stack(k_inf, unital):
-            return spectra.ChannelStack(
+            return chmod.ChannelProfile(
+                channel_id=("",),
                 dim=4,
-                dynamical_sv=np.ones((1, 16)),
-                superop_sv=np.full((1, 16), k_inf),
-                output_norm=np.array([0.5]),  # all-channel bound sqrt(4 * 0.5)
                 unital=np.array([unital]),
+                choi_spectrum=Spectrum(np.ones((1, 16))),
+                superop_spectrum=Spectrum(np.full((1, 16), k_inf)),
+                tr2=np.diag([2.0, 1.0, 0.5, 0.5])[None],  # all-channel bound sqrt(4 * 2 / 4)
             )
 
         unital = spectra.check_superop_norm_bound(stack(1.0 + excess, True))
@@ -368,7 +370,7 @@ class TestBatchedChecksMatchOracles:
     @pytest.mark.parametrize("d, count", [(2, 50), (3, 50), (4, 10)])
     def test_channel_checks(self, d, count):
         chs = [ch for _, _, _, ch in population(SUITE.seed, (d,), SUITE.families, count, stream=100)]
-        stack = spectra.stack_channels(chs)
+        stack = chmod.profile_channel(chs)
         _assert_matches(
             spectra.check_superop_norm_bound(stack), [[oracles.check_superop_norm_bound(ch)] for ch in chs]
         )
@@ -385,9 +387,11 @@ class TestBatchedChecksMatchOracles:
         assert isinstance(spectra.check_norm_product_chain(ch), spectra.InequalityReport)
         assert spectra.check_norm_product_chain([ch, ch]).slack.shape == (2, 1)
 
-    def test_stack_channels_needs_one_dimension(self):
-        with pytest.raises(DimensionMismatchError):
-            spectra.stack_channels([sampler.named_channel("identity", d) for d in (2, 3)])
+    def test_channel_checks_need_one_dimension(self):
+        chs = [sampler.named_channel("identity", d) for d in (2, 3)]
+        for check in (spectra.check_superop_norm_bound, spectra.check_norm_product_chain):
+            with pytest.raises(DimensionMismatchError):
+                check(chs)
 
 
 def _first_error(fn):
@@ -451,3 +455,11 @@ class TestFirstFailure:
         assert batch.first_failure() == (3, 2)
         passed[:] = True
         assert batch.first_failure() is None
+
+    def test_non_finite_slack_fails(self):
+        # at q = 1e-300 both sides overflow to inf; their slack is NaN
+        batch = spectra.check_superadditivity(np.eye(2), np.eye(2), [1e-300, 0.5])
+        assert np.isnan(batch.slack[0, 0]) and batch.lhs[0, 0] == batch.rhs[0, 0] == math.inf
+        assert batch.passed.tolist() == [[False, True]] and batch.first_failure() == (0, 0)
+        # at q = 1e300 the power sums of prop1 overflow, without a warning
+        assert not spectra.check_prop1(np.diag([2.0, 1.0]), 1e300).passed

@@ -6,6 +6,7 @@ import oracles
 import pytest
 from helpers import noisy_depolarizing, population
 
+from chanent import channel as chmod
 from chanent import sampler, tradeoff
 from chanent.entropy import EntropyParams, q_log
 from chanent.errors import BoundViolation, DimensionMismatchError, DomainError
@@ -34,6 +35,13 @@ class TestGammaKappa:
         np.testing.assert_array_equal(kappa, [[1.0], [1.0], [0.75]])
         with pytest.raises(DomainError):
             tradeoff.gamma_kappa(np.array([0.5, 0.0]), 1.0)
+
+    def test_huge_orders_do_not_overflow(self):
+        # kappa -> 1/2 as q -> inf, and only the sign of (1 - q) s is read
+        assert tradeoff.gamma_kappa(1.7e308, 1e300) == (1, 0.5)
+        # an exponent beyond a double: the bound is its limit, +inf or 0
+        assert tradeoff.lower_bound(2, EntropyParams(1e10, -1e300), unital=False) == math.inf
+        assert tradeoff.lower_bound(2, EntropyParams(1e10, 1e300), unital=False) == 0.0
 
 
 class TestLowerBound:
@@ -101,9 +109,9 @@ class TestLowerBound:
 def _fake_profile(dim=2, unital=True):
     # Not realizable by any channel: both representations rank one, so the
     # entropic sum is 0 and every bound fails.  Exercises the error path.
-    choi = Spectrum(np.array([float(dim)] + [0.0] * (dim * dim - 1)), "eigenvalues-hermitian")
-    sup = Spectrum(np.array([1.0] + [0.0] * (dim * dim - 1)), "singular-values")
-    return tradeoff.ChannelProfile("fake", dim, unital, choi, sup)
+    choi = Spectrum(np.array([[float(dim)] + [0.0] * (dim * dim - 1)]), "eigenvalues-hermitian")
+    sup = Spectrum(np.array([[1.0] + [0.0] * (dim * dim - 1)]), "singular-values")
+    return chmod.ChannelProfile(("fake",), dim, np.array([unital]), choi, sup, np.eye(dim)[None])
 
 
 class TestEvaluate:
@@ -134,32 +142,33 @@ class TestEvaluate:
         with pytest.raises(BoundViolation) as err:
             tradeoff.evaluate_profile(_fake_profile(), bounds)
         assert err.value.report.gap < -1e-9
-        assert err.value.cell == (1, 0) and err.value.report.params == EntropyParams(2.0, 0.0)
-        assert err.value.grid.gap[1, 0] == err.value.report.gap
+        assert err.value.cell == (0, 1, 0) and err.value.report.params == EntropyParams(2.0, 0.0)
+        assert err.value.grid.gap[0, 1, 0] == err.value.report.gap
 
     def test_tp_noisy_channel_is_held_to_the_unital_bound(self):
         # unital defect 9.0e-9, inside TP_TOL: the sharper bound applies
         bounds = tradeoff.bound_table(3, Q_GRID, S_GRID)
-        profile = tradeoff.profile_channel(noisy_depolarizing(), "noisy")
-        assert profile.unital
+        profile = chmod.profile_channel([noisy_depolarizing()], ["noisy"])
+        assert profile.unital[0]
         grid = tradeoff.evaluate_profile(profile, bounds)
         np.testing.assert_array_equal(grid.gap, grid.map_values + grid.receiver_values - bounds.unital)
-        assert grid.report(6, 5).bound_unital is not None  # (q, s) = (2, 1)
-        assert grid.gap[~bounds.limit_rows].min() == pytest.approx(0.119, abs=5e-4)
+        assert grid.report(0, 6, 5).bound_unital is not None  # (q, s) = (2, 1)
+        assert grid.gap[0][~bounds.limit_rows].min() == pytest.approx(0.119, abs=5e-4)
 
     def test_limit_row_records_instead_of_raising(self):
         grid = tradeoff.evaluate_profile(_fake_profile(), tradeoff.bound_table(2, (1.0,), (0.0,)))
-        assert grid.report(0, 0).gap < -1e-9  # recorded, not asserted, on the q = 1 row
+        assert grid.report(0, 0, 0).gap < -1e-9  # recorded, not asserted, on the q = 1 row
 
 
 def _stacked_profile(*rows):
-    """A stack profile from one-channel profiles, ids "a", "b", ... in order."""
-    return tradeoff.ChannelProfile(
+    """One profile from profiles of one channel each, ids "a", "b", ... in order."""
+    return chmod.ChannelProfile(
         tuple("abcdefgh"[: len(rows)]),
         rows[0].dim,
-        np.array([p.unital for p in rows]),
-        Spectrum(np.stack([p.choi_spectrum.values for p in rows]), rows[0].choi_spectrum.kind),
-        Spectrum(np.stack([p.superop_spectrum.values for p in rows]), rows[0].superop_spectrum.kind),
+        np.concatenate([p.unital for p in rows]),
+        Spectrum(np.concatenate([p.choi_spectrum.values for p in rows]), rows[0].choi_spectrum.kind),
+        Spectrum(np.concatenate([p.superop_spectrum.values for p in rows]), rows[0].superop_spectrum.kind),
+        np.concatenate([p.tr2 for p in rows]),
     )
 
 
@@ -170,21 +179,22 @@ class TestStackedEvaluate:
             for d in (2, 3):
                 pop = list(population(923, (d,), (family,), 6))
                 ids = [cid for _, _, cid, _ in pop]
-                stack = tradeoff.profile_channel([ch for *_, ch in pop], ids)
-                assert stack.stacked and stack.channel_id == tuple(ids)
+                stack = chmod.profile_channel([ch for *_, ch in pop], ids)
+                assert stack.channel_id == tuple(ids)
                 grid = tradeoff.evaluate_profile(stack, bounds[d])
                 assert grid.gap.shape == (len(pop), len(Q_GRID), len(S_GRID))
                 for k, (_, _, cid, ch) in enumerate(pop):
-                    one = tradeoff.profile_channel(ch, cid)
-                    assert not one.stacked and one.unital == stack.unital[k]
-                    np.testing.assert_array_equal(stack.choi_spectrum.values[k], one.choi_spectrum.values)
-                    np.testing.assert_array_equal(stack.superop_spectrum.values[k], one.superop_spectrum.values)
+                    one = chmod.profile_channel([ch], [cid])
+                    assert one.channel_id == (cid,) and one.unital.tolist() == [stack.unital[k]]
+                    np.testing.assert_array_equal(stack.choi_spectrum.values[k], one.choi_spectrum.values[0])
+                    np.testing.assert_array_equal(stack.superop_spectrum.values[k], one.superop_spectrum.values[0])
+                    np.testing.assert_array_equal(stack.tr2[k], one.tr2[0])
                     single = tradeoff.evaluate_profile(one, bounds[d])
                     for name in ("map_values", "receiver_values", "gap", "saturated"):
-                        np.testing.assert_array_equal(getattr(grid.channel(k), name), getattr(single, name))
+                        np.testing.assert_array_equal(getattr(grid, name)[k], getattr(single, name)[0])
 
     def test_violation_names_the_first_failing_channel(self):
-        good = tradeoff.profile_channel(sampler.named_channel("depolarizing", 2, 0.5))
+        good = chmod.profile_channel([sampler.named_channel("depolarizing", 2, 0.5)])
         stack = _stacked_profile(good, _fake_profile(), _fake_profile())
         bounds = tradeoff.bound_table(2, (1.0, 2.0), (0.0, 1.0))
         with pytest.raises(BoundViolation) as err:
@@ -194,9 +204,10 @@ class TestStackedEvaluate:
         assert err.value.grid.gap[1, 1, 0] == err.value.report.gap
 
     def test_non_finite_channel_before_a_violating_one(self):
-        good = tradeoff.profile_channel(sampler.named_channel("depolarizing", 2, 0.5))
-        broken = tradeoff.ChannelProfile(
-            "x", 2, False, Spectrum(np.array([np.inf, 0.0, 0.0, 0.0])), good.superop_spectrum
+        good = chmod.profile_channel([sampler.named_channel("depolarizing", 2, 0.5)])
+        broken = chmod.ChannelProfile(
+            ("x",), 2, np.array([False]), Spectrum(np.array([[np.inf, 0.0, 0.0, 0.0]])),
+            good.superop_spectrum, good.tr2,
         )
         with pytest.raises(DomainError, match="channel 'b'"):
             tradeoff.evaluate_profile(
@@ -212,7 +223,7 @@ class TestStackedEvaluate:
 
     def test_mixed_dimensions_rejected(self):
         with pytest.raises(DimensionMismatchError):
-            tradeoff.profile_channel([sampler.named_channel("identity", 2), sampler.named_channel("identity", 3)])
+            chmod.profile_channel([sampler.named_channel("identity", 2), sampler.named_channel("identity", 3)])
 
 
 class TestSuites:
@@ -220,7 +231,7 @@ class TestSuites:
         min_gap = math.inf
         tables = {d: tradeoff.bound_table(d, Q_GRID, S_GRID) for d in (2, 3)}
         for _, d, _, ch in population(917, (2, 3), ("cptp",), 20):
-            grid = tradeoff.evaluate_profile(tradeoff.profile_channel(ch), tables[d])
+            grid = tradeoff.evaluate_profile(chmod.profile_channel([ch]), tables[d])
             min_gap = min(min_gap, float(grid.gap.min()))
         assert min_gap >= -1e-9
 
@@ -228,19 +239,19 @@ class TestSuites:
         tables = {d: tradeoff.bound_table(d, Q_GRID, S_GRID) for d in (2, 3)}
         pop = population(918, (2, 3), ("unitary-mixture", "unistochastic"), 10)
         for _, d, _, ch in pop:
-            profile = tradeoff.profile_channel(ch)
-            assert profile.unital
+            profile = chmod.profile_channel([ch])
+            assert profile.unital[0]
             grid = tradeoff.evaluate_profile(profile, tables[d])
             assert grid.gap.min() >= -1e-9
 
     def test_proof_domain_preconditions(self):
         for _, _, _, ch in population(919, (2, 3), ("cptp", "unitary-mixture"), 5):
-            profile = tradeoff.profile_channel(ch)
+            profile = chmod.profile_channel([ch])
             for q in Q_GRID:
                 for s in S_GRID:
                     if abs(q - 1.0) <= 1e-8 or s == 0.0:
                         continue
-                    point = oracles.proof_domain_point(profile, EntropyParams(q, s))
+                    point = oracles.proof_domain_point(profile, 0, EntropyParams(q, s))
                     assert point.in_domain, (q, s, point)
 
 
