@@ -2,8 +2,14 @@
 
 A channel on a ``d``-dimensional system is stored only as its Kraus
 operators; the dynamical (Choi-type) matrix ``D`` and the superoperator
-matrix ``K`` are derived views, never mutated in place.  Under the row-major
-``vec`` convention of :mod:`chanent.matcore`
+matrix ``K`` are derived views, never mutated in place.  One channel is a
+:class:`KrausChannel`; a stack of ``n`` same-dimension channels is their
+``(n, k, d, d)`` Kraus array, validated by :func:`check_kraus_stack` (one
+trace-preservation check for the whole stack) and built from channel
+objects, zero-padded, by :func:`stack_kraus`.  The harnesses keep the arrays
+the sampler draws and make a :class:`KrausChannel` only for a channel that
+leaves them (a counterexample).  Under the row-major ``vec`` convention of
+:mod:`chanent.matcore`
 
 * ``D = sum_i vec(A_i) vec(A_i)^dag``  (Hermitian, PSD, trace ``d``), built
   as one product of the stacked ``vec(A_i)``, and
@@ -43,10 +49,10 @@ and is held to the sharper unital bound.  With row-major ``vec``,
 reduction on its ``D`` stack.
 
 :func:`profile_channel` is the one place that turns channels into what both
-harnesses read: for a stack of same-dimension channels (one channel is a
-stack of one) it builds ``D`` in one batched product, takes ``K``, both
-spectra with one decomposition each, and ``Tr_2 D`` with one reduction, from
-which the unital flags are read.
+harnesses read: for the Kraus array of a stack of same-dimension channels
+(one channel is a stack of one) it builds ``D`` in one batched product,
+takes ``K``, both spectra with one decomposition each, and ``Tr_2 D`` with
+one reduction, from which the unital flags are read.
 """
 
 from __future__ import annotations
@@ -64,6 +70,8 @@ __all__ = [
     "TP_TOL",
     "MAX_DIM",
     "KrausChannel",
+    "check_kraus_stack",
+    "stack_kraus",
     "DynamicalMatrix",
     "SuperoperatorMatrix",
     "dynamical_from_kraus",
@@ -140,31 +148,6 @@ class KrausChannel:
         object.__setattr__(self, "kraus_ops", tuple(ops))
         _require_tp(self.tp_defect())
 
-    @classmethod
-    def from_stack(cls, ops) -> list["KrausChannel"]:
-        """One channel per row of the ``(n, k, d, d)`` array ``ops`` of Kraus sets.
-
-        Validates what construction validates, with one trace-preservation
-        check for the whole stack; the first channel over ``TP_TOL`` raises.
-        """
-        ops = np.asarray(ops, dtype=complex)
-        if ops.ndim != 4 or ops.shape[-2] != ops.shape[-1]:
-            raise DimensionMismatchError(f"expected an (n, k, d, d) Kraus stack, got shape {ops.shape}")
-        n, k, d, _ = ops.shape
-        if not (2 <= d <= MAX_DIM):
-            raise DimensionMismatchError(f"system dimension must be in [2, {MAX_DIM}], got {d}")
-        if not k:
-            raise ValueError("a channel needs at least one Kraus operator")
-        for defect in _tp_defects(ops.reshape(n, k * d, d)).tolist():
-            _require_tp(defect)
-        channels = []
-        for row in ops:
-            ch = cls.__new__(cls)
-            object.__setattr__(ch, "dim", d)
-            object.__setattr__(ch, "kraus_ops", tuple(row))
-            channels.append(ch)
-        return channels
-
     def tp_defect(self) -> float:
         """Max-entry deviation of ``sum_i A_i^dag A_i`` from the identity.
 
@@ -172,6 +155,46 @@ class KrausChannel:
         times their adjoint.
         """
         return float(_tp_defects(np.concatenate(self.kraus_ops)))
+
+
+def check_kraus_stack(ops) -> np.ndarray:
+    """The ``(n, k, d, d)`` array ``ops`` of Kraus sets as complex, validated.
+
+    Validates what :class:`KrausChannel` construction validates for each
+    row, with one trace-preservation check for the whole stack; the first
+    channel over ``TP_TOL`` raises.
+    """
+    ops = np.asarray(ops, dtype=complex)
+    if ops.ndim != 4 or ops.shape[-2] != ops.shape[-1]:
+        raise DimensionMismatchError(f"expected an (n, k, d, d) Kraus stack, got shape {ops.shape}")
+    n, k, d, _ = ops.shape
+    if not (2 <= d <= MAX_DIM):
+        raise DimensionMismatchError(f"system dimension must be in [2, {MAX_DIM}], got {d}")
+    if not k:
+        raise ValueError("a channel needs at least one Kraus operator")
+    for defect in _tp_defects(ops.reshape(n, k * d, d)).tolist():
+        _require_tp(defect)
+    return ops
+
+
+def stack_kraus(channels) -> np.ndarray:
+    """The ``(n, k, d, d)`` Kraus array of a sequence of same-dimension channels.
+
+    A channel with fewer Kraus operators than the most of any is padded with
+    zero operators, which add nothing to ``D`` or ``K``.
+    """
+    chs = list(channels)
+    if not chs:
+        raise ValueError("a channel stack needs at least one channel")
+    d = chs[0].dim
+    if any(ch.dim != d for ch in chs):
+        raise DimensionMismatchError(
+            f"a channel stack needs one dimension, got {sorted({ch.dim for ch in chs})}"
+        )
+    ops = np.zeros((len(chs), max(len(ch.kraus_ops) for ch in chs), d, d), dtype=complex)
+    for row, ch in zip(ops, chs):
+        row[: len(ch.kraus_ops)] = ch.kraus_ops
+    return ops
 
 
 @dataclass(frozen=True, eq=False)
@@ -203,28 +226,19 @@ class SuperoperatorMatrix:
     matrix: np.ndarray
 
 
-def dynamical_from_kraus(channels) -> DynamicalMatrix:
+def dynamical_from_kraus(ops) -> DynamicalMatrix:
     """Dynamical matrix ``sum_i vec(A_i) vec(A_i)^dag`` as ``V^T conj(V)``.
 
     Row ``i`` of ``V`` is ``vec(A_i)``, so the sum over Kraus operators is
-    one matrix product.  A sequence of same-dimension channels gives their
-    stack of dynamical matrices ``(n, d**2, d**2)`` from one batched product;
-    a channel with fewer Kraus operators than the others is padded with zero
-    operators, which add nothing.
+    one matrix product.  ``ops`` is a :class:`KrausChannel`, or the
+    ``(n, k, d, d)`` Kraus array of ``n`` same-dimension channels, which
+    gives their stack of dynamical matrices ``(n, d**2, d**2)`` from one
+    batched product.
     """
-    single = isinstance(channels, KrausChannel)
-    chs = [channels] if single else list(channels)
-    if not chs:
-        raise ValueError("a channel stack needs at least one channel")
-    d = chs[0].dim
-    if any(ch.dim != d for ch in chs):
-        raise DimensionMismatchError(
-            f"a channel stack needs one dimension, got {sorted({ch.dim for ch in chs})}"
-        )
-    v = np.zeros((len(chs), max(len(ch.kraus_ops) for ch in chs), d, d), dtype=complex)
-    for row, ch in zip(v, chs):
-        row[: len(ch.kraus_ops)] = ch.kraus_ops
-    v = v.reshape(len(chs), -1, d * d)
+    single = isinstance(ops, KrausChannel)
+    a = np.stack(ops.kraus_ops)[None] if single else np.asarray(ops)
+    n, k, d, _ = a.shape
+    v = a.reshape(n, k, d * d)
     dyn = v.swapaxes(-2, -1) @ v.conj()
     return DynamicalMatrix(d, dyn[0], v[0]) if single else DynamicalMatrix(d, dyn, v)
 
@@ -341,19 +355,19 @@ class ChannelProfile:
     tr2: np.ndarray
 
 
-def profile_channel(channels, channel_id=()) -> ChannelProfile:
-    """Profile a sequence of same-dimension channels, one channel being a stack of one.
+def profile_channel(ops, channel_id=()) -> ChannelProfile:
+    """Profile the ``(n, k, d, d)`` Kraus array of ``n`` same-dimension channels.
 
     ``channel_id`` holds one id per channel (all empty by default).  The
     dynamical matrices come from one batched product, ``Tr_2 D`` from one
     reduction of them, the unital flags from ``Tr_2 D`` and each spectrum
-    from one decomposition of the whole stack.
+    from one decomposition of the whole stack.  :func:`stack_kraus` gives
+    the array of a list of channels; one channel is a stack of one.
     """
-    chs = list(channels)
-    ids = tuple(channel_id) or ("",) * len(chs)
-    if len(ids) != len(chs):
-        raise ValueError(f"{len(chs)} channels but {len(ids)} channel ids")
-    dyn = dynamical_from_kraus(chs)
+    ids = tuple(channel_id) or ("",) * len(ops)
+    if len(ids) != len(ops):
+        raise ValueError(f"{len(ops)} channels but {len(ids)} channel ids")
+    dyn = dynamical_from_kraus(ops)
     tr2 = matcore.partial_trace(dyn.matrix, dyn.dim, "second")
     return ChannelProfile(
         channel_id=ids,

@@ -21,9 +21,10 @@ of consecutive indices of one dimension, and one family for channels, and
 evaluate each stack as drawn: at most ``STACK_SIZE`` inputs and
 ``STACK_ENTRIES`` matrix entries to a stack.
 
-Both harnesses profile each channel stack with
-:func:`~chanent.channel.profile_channel`: one batched build of ``D``, one
-decomposition per spectrum and one ``Tr_2 D`` per stack.
+Both harnesses profile each channel stack, the Kraus array it was drawn
+as, with :func:`~chanent.channel.profile_channel`: one batched build of
+``D``, one decomposition per spectrum and one ``Tr_2 D`` per stack.  A
+:class:`~chanent.channel.KrausChannel` is made only for a counterexample.
 
 A sweep stacks the channels of one (dimension, family) and evaluates each
 profile in one grid pass, against bounds tabulated once per dimension.  Its
@@ -310,7 +311,7 @@ def run_sweep(cfg: SweepConfig, out_dir, channel_path=None) -> int:
     out.mkdir(parents=True, exist_ok=True)
     if channel_path is not None:
         ch = _load_input(chmod.load_channel, channel_path, "channel")
-        stacks = [("file", ch.dim, [Path(channel_path).stem], [ch])]
+        stacks = [("file", ch.dim, [Path(channel_path).stem], chmod.stack_kraus([ch]))]
     else:
         stacks = sampler.population(
             cfg.seed, cfg.dims, cfg.families, cfg.samples_per_family, size=lambda d: _stack_size(d**4)
@@ -321,8 +322,8 @@ def run_sweep(cfg: SweepConfig, out_dir, channel_path=None) -> int:
     stats: dict[str, dict] = {}
     totals = {"rows": 0, "min_gap": math.inf, "saturation_count": 0, "limit_rows": 0}
     violation_info = None
-    for family, dim, ids, chs in stacks:
-        profile = profile_channel(chs, ids)
+    for family, dim, ids, ops in stacks:
+        profile = profile_channel(ops, ids)
         if dim not in tables:
             bounds = bound_table(dim, cfg.q_grid, cfg.s_grid)
             limit = np.repeat(bounds.limit_rows, bounds.s.size)
@@ -342,7 +343,7 @@ def run_sweep(cfg: SweepConfig, out_dir, channel_path=None) -> int:
             k, i, j = exc.cell
             passed = k * cells + i * bounds.s.size + j
             count = passed + 1
-            path = _serialize_counterexample(out, chs[k], exc.report, family)
+            path = _serialize_counterexample(out, chmod.KrausChannel(dim, tuple(ops[k])), exc.report, family)
             violation_info = {"message": str(exc), "counterexample": path.name}
         except DomainError as exc:
             raise ConfigError(str(exc)) from exc
@@ -354,9 +355,9 @@ def run_sweep(cfg: SweepConfig, out_dir, channel_path=None) -> int:
                 st["rows"] += n
                 st["min_gap"] = min(st["min_gap"], float(gaps[:n].min()))
                 st["saturation_count"] += int(saturated[:n].sum())
-        totals["limit_rows"] += int(np.tile(limit, len(chs))[:count].sum())
+        totals["limit_rows"] += int(np.tile(limit, len(ids))[:count].sum())
         values = [
-            a.reshape(len(chs), cells)
+            a.reshape(len(ids), cells)
             for a in (grid.map_values, grid.receiver_values, grid.gap, grid.saturated)
         ]
         for k, channel_id in enumerate(ids[: -(-count // cells)]):
@@ -444,7 +445,8 @@ def run_inequality_suite(cfg: SweepConfig, out_dir, only=None, matrix_path=None)
         nonlocal failure
         entry = results.setdefault(name, {"count": 0, "min_slack": math.inf, "passed": True})
         entry["count"] += batch.passed.size
-        # a NaN entry fails its check; the minimum leaves it out
+        # a NaN entry fails its check; the minimum leaves it out, and a check
+        # with no finite slack reports none
         entry["min_slack"] = min(entry["min_slack"], float(np.fmin.reduce(batch.slack, axis=None)))
         first = batch.first_failure()
         if first is not None:
@@ -485,14 +487,15 @@ def run_inequality_suite(cfg: SweepConfig, out_dir, only=None, matrix_path=None)
                 ("upkp", spectra.check_superop_norm_bound),
                 ("cbn0", spectra.check_norm_product_chain),
             )
-            for _, _, labels, chs in suite:
-                profile = profile_channel(chs, labels)
+            for _, d, labels, ops in suite:
+                profile = profile_channel(ops, labels)
                 batches = [(name, check(profile)) for name, check in checks if name in selected]
                 # upkp then cbn0 ran channel by channel: the first failure
                 # named is the earlier channel's, upkp's on a tie
                 batches.sort(key=lambda nb: (nb[1].first_failure() or (math.inf,))[0])
                 for name, batch in batches:
-                    record(name, labels, batch, lambda i: chmod.channel_to_json(chs[i]))
+                    record(name, labels, batch,
+                           lambda i: chmod.channel_to_json(chmod.KrausChannel(d, tuple(ops[i]))))
     except Exception as exc:  # noqa: BLE001 - provenance belongs in the report
         failure = {"check": "error", "kind": type(exc).__name__, "message": str(exc)}
         if injected is not None:
@@ -504,7 +507,7 @@ def run_inequality_suite(cfg: SweepConfig, out_dir, only=None, matrix_path=None)
         "checks": {
             name: {
                 "count": entry["count"],
-                "min_slack": entry["min_slack"],
+                "min_slack": entry["min_slack"] if math.isfinite(entry["min_slack"]) else None,
                 "passed": entry["passed"],
             }
             for name, entry in sorted(results.items())

@@ -11,23 +11,33 @@ which keeps parallel sampling order-independent.  :func:`population` and
 
 Samples are drawn in stacks of consecutive indices of one dimension (and
 family), and a single sample is a stack of one; the contract holds bit for
-bit per sample, while each fixed cost is paid once per stack:
+bit per sample, while each fixed cost is paid once per population or once
+per stack:
 
-* seeding: every derived seed and every stream state of a stack comes from
-  one vectorized ``uint32`` pass of numpy's published ``SeedSequence``
-  algorithm (entropy pool mixing, then ``generate_state``), one pass per
-  entropy word count, followed by PCG64's seeding step in integer
-  arithmetic;
+* seeding: a population's derived seeds come from one vectorized ``uint32``
+  pass of numpy's published ``SeedSequence`` algorithm (entropy pool
+  mixing, then ``generate_state``), one pass per entropy word count, and
+  each stack's stream states from one more such pass, followed by PCG64's
+  seeding step in integer arithmetic; the algorithm's hash constants are
+  tabulated once per length;
 * streams: each stream is one PCG64 state set on a generator local to the
-  call and one ``standard_normal((2, d, d))`` draw, the numbers numpy's two
-  ``normal((d, d))`` calls of a ``default_rng`` on that stream give;
+  call and one draw into the stack: ``standard_normal((2, d, d))`` for a
+  Ginibre matrix, the numbers numpy's two ``normal((d, d))`` calls of a
+  ``default_rng`` on that stream give, and ``standard_exponential(k)`` for
+  mixture weights; one multiplication of the weight stack by the
+  reciprocals of its sequential row sums, as numpy's ``dirichlet``
+  normalizes, then gives the numbers ``dirichlet(np.ones(k))`` gives;
 * algebra: the QR with its phase fix, the normalizer sum and ``eigh``, the
   inverse square root and the Kraus products run once per stack, and
-  :meth:`~chanent.channel.KrausChannel.from_stack` checks trace
-  preservation for the whole stack;
+  :func:`~chanent.channel.check_kraus_stack` checks trace preservation for
+  the whole stack;
 * resampling: a cptp sample whose normalizer fails ``COND_LIMIT`` is drawn
   again from its attempt-1, attempt-2, ... streams, with the other failures
   of its stack.
+
+A stack stays the ``(n, k, d, d)`` Kraus array it is drawn as; only the
+one-sample samplers (:func:`sample_channel` and the family samplers) wrap
+their row in a :class:`~chanent.channel.KrausChannel`.
 
 numpy's own ``SeedSequence`` and ``default_rng`` are the test oracle for the
 seeding, and the per-sample samplers in ``tests/oracles.py`` for the
@@ -36,13 +46,14 @@ channels and matrices.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channel import KrausChannel
+from .channel import KrausChannel, check_kraus_stack
 from .errors import (
     ParamOutOfRangeError,
     SingularNormalizerError,
@@ -117,16 +128,22 @@ def _words(value) -> list[int]:
 
 def _word_groups(values, pad: int = 0):
     """Yield ``(rows, words)``: the positions in ``values`` of one word count and
-    their ``(len(rows), n)`` uint32 words, zero-padded to at least ``pad`` words."""
-    values = [operator.index(v) for v in values]
-    if values and min(values) < 0:
-        raise ValueError("expected non-negative integer")
-    if values and max(values) >> 64:  # only a caller's own seed is this large: one at a time
-        for row, value in enumerate(values):
-            words = _words(value)
-            yield [row], np.array([words + [0] * (pad - len(words))], dtype=np.uint32)
-        return
-    v = np.array(values, dtype=np.uint64)
+    their ``(len(rows), n)`` uint32 words, zero-padded to at least ``pad`` words.
+
+    ``values`` are integers, or a uint64 array of derived seeds, taken as is.
+    """
+    if isinstance(values, np.ndarray) and values.dtype == np.uint64:
+        v = values
+    else:
+        values = [operator.index(v) for v in values]
+        if values and min(values) < 0:
+            raise ValueError("expected non-negative integer")
+        if values and max(values) >> 64:  # only a caller's own seed is this large: one at a time
+            for row, value in enumerate(values):
+                words = _words(value)
+                yield [row], np.array([words + [0] * (pad - len(words))], dtype=np.uint32)
+            return
+        v = np.array(values, dtype=np.uint64)
     words = np.zeros((v.size, max(pad, 2)), dtype=np.uint32)
     words[:, 0], words[:, 1] = v & np.uint64(_MASK32), v >> np.uint64(32)
     counts = np.maximum(np.where(words[:, 1] != 0, 2, 1), pad)
@@ -135,12 +152,17 @@ def _word_groups(values, pad: int = 0):
         yield rows, words[rows, :n]
 
 
+@functools.cache
 def _hash_consts(init: int, mult: int, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """The xor and multiply constants of SeedSequence's next ``count`` hashes, as uint32 columns."""
+    """The xor and multiply constants of SeedSequence's next ``count`` hashes, as read-only uint32 columns.
+
+    Tabulated once per ``count``: the table does not depend on the data.
+    """
     h = [init]
     for _ in range(count):
         h.append(h[-1] * mult & _MASK32)
     h = np.array(h, dtype=np.uint32)[:, None]
+    h.setflags(write=False)
     return h[:-1], h[1:]
 
 
@@ -296,11 +318,13 @@ def _unitary_mixture_ops(seeds, d: int, k: int) -> np.ndarray:
     gens = _generators(_stream_states(seeds, [(i,) for i in range(k + 1)]))
     z = np.empty((len(seeds), k, 2, d, d))
     weights = np.empty((len(seeds), k))
-    alpha = np.ones(k)
     for row, w in zip(z, weights):
         for matrix, gen in zip(row, gens):
             gen.standard_normal(out=matrix)
-        w[:] = next(gens).dirichlet(alpha)
+        next(gens).standard_exponential(out=w)
+    # numpy's dirichlet at alpha = 1: standard_gamma(1) is standard_exponential,
+    # and each row is multiplied by the reciprocal of its sequential sum
+    weights *= 1.0 / np.cumsum(weights, axis=1)[:, -1:]
     unitaries = _haar(z[..., 0, :, :] + 1j * z[..., 1, :, :])
     return np.sqrt(weights)[..., None, None] * unitaries
 
@@ -311,8 +335,11 @@ def _unistochastic_ops(u: np.ndarray, d: int) -> np.ndarray:
     return t.reshape(-1, d * d, d, d) / math.sqrt(d)
 
 
-def _sample_stack(family: str, d: int, kraus_count: int, seeds) -> list[KrausChannel]:
-    """One channel per seed, all of ``family`` at dimension ``d``."""
+def _sample_stack(family: str, d: int, kraus_count: int, seeds) -> np.ndarray:
+    """The ``(n, k, d, d)`` Kraus array of one channel per seed, all of ``family`` at dimension ``d``.
+
+    A named family is its one channel's Kraus array, broadcast to ``n`` rows.
+    """
     if family == "cptp":
         ops = _cptp_ops(seeds, d, kraus_count)
     elif family == "unitary-mixture":
@@ -321,10 +348,16 @@ def _sample_stack(family: str, d: int, kraus_count: int, seeds) -> list[KrausCha
         gens = _generators(_stream_states(seeds, [(0,)]))
         ops = _unistochastic_ops(_haar(_ginibre(gens, (len(seeds), d * d))), d)
     elif family.startswith("named:"):
-        return [named_family_channel(family, d)] * len(seeds)
+        ops = np.stack(named_family_channel(family, d).kraus_ops)
+        return np.broadcast_to(ops, (len(seeds), *ops.shape))
     else:
         raise UnknownChannelError(f"unknown sampler family {family!r}")
-    return KrausChannel.from_stack(ops)
+    return check_kraus_stack(ops)
+
+
+def sample_channel(cfg: SamplerConfig) -> KrausChannel:
+    """Dispatch a config to its family sampler: one channel, drawn as a stack of one."""
+    return KrausChannel(cfg.dim, tuple(_sample_stack(cfg.family, cfg.dim, cfg.kraus_count, [cfg.seed])[0]))
 
 
 def sample_cptp(cfg: SamplerConfig) -> KrausChannel:
@@ -336,7 +369,7 @@ def sample_cptp(cfg: SamplerConfig) -> KrausChannel:
     numerically singular normalizer is resampled from a sibling stream up
     to ``RESAMPLE_ATTEMPTS`` times.
     """
-    return _sample_stack("cptp", cfg.dim, cfg.kraus_count, [cfg.seed])[0]
+    return sample_channel(replace(cfg, family="cptp"))
 
 
 def sample_unitary_mixture(cfg: SamplerConfig) -> KrausChannel:
@@ -345,7 +378,7 @@ def sample_unitary_mixture(cfg: SamplerConfig) -> KrausChannel:
     Kraus operators ``sqrt(p_i) U_i``; unital because each ``U_i U_i^dag``
     is the identity regardless of the weights.
     """
-    return _sample_stack("unitary-mixture", cfg.dim, cfg.kraus_count, [cfg.seed])[0]
+    return sample_channel(replace(cfg, family="unitary-mixture"))
 
 
 def unistochastic_from_unitary(u: np.ndarray, d: int) -> KrausChannel:
@@ -357,12 +390,12 @@ def unistochastic_from_unitary(u: np.ndarray, d: int) -> KrausChannel:
     ``rho -> Tr_env[u (rho (x) I/d) u^dag]``.  Trace-preserving and unital
     for any unitary ``u``.
     """
-    return KrausChannel.from_stack(_unistochastic_ops(np.asarray(u, dtype=complex), d))[0]
+    return KrausChannel(d, tuple(_unistochastic_ops(np.asarray(u, dtype=complex), d)[0]))
 
 
 def sample_unistochastic(cfg: SamplerConfig) -> KrausChannel:
     """Random unistochastic channel from a Haar unitary on the composite."""
-    return _sample_stack("unistochastic", cfg.dim, cfg.kraus_count, [cfg.seed])[0]
+    return sample_channel(replace(cfg, family="unistochastic"))
 
 
 def _basis_matrix(d: int, mu: int, nu: int) -> np.ndarray:
@@ -443,11 +476,6 @@ def named_family_channel(family: str, d: int) -> KrausChannel:
     return named_channel(name, d, param)
 
 
-def sample_channel(cfg: SamplerConfig) -> KrausChannel:
-    """Dispatch a config to its family sampler."""
-    return _sample_stack(cfg.family, cfg.dim, cfg.kraus_count, [cfg.seed])[0]
-
-
 def _cuts(count: int, size) -> list[range]:
     """``range(count)`` cut into consecutive ranges of at most ``size`` (at least one)."""
     size = max(1, size)
@@ -455,25 +483,28 @@ def _cuts(count: int, size) -> list[range]:
 
 
 def population(seed: int, dims, families, count: int, stream: int = 0, size=None):
-    """Yield ``(family, dim, channel_ids, channels)`` stacks in ``(dim, family, index)`` order.
+    """Yield ``(family, dim, channel_ids, ops)`` stacks in ``(dim, family, index)`` order.
 
     Sample ``index`` of ``family`` at ``dim`` is drawn with the default Kraus
     count from ``derive_seed(seed, stream + code, dim, index)``, where
     ``code`` is the family's entry in :data:`FAMILY_CODES`; harnesses keep
-    their populations apart by ``stream``.  A stack holds consecutive
-    indices of one ``(dim, family)``, at most ``size(dim)`` of them (all
-    ``count`` by default); a named family repeats its one channel.
+    their populations apart by ``stream``.  ``ops`` is the ``(n, k, d, d)``
+    Kraus array of a stack of consecutive indices of one ``(dim, family)``,
+    at most ``size(dim)`` of them (all ``count`` by default), checked for
+    trace preservation; a named family repeats its one channel's Kraus
+    array.  A population's seeds are derived once, and sliced per stack.
     """
     for dim in dims:
         d = int(dim)
         for family in families:
             code = stream + FAMILY_CODES.get(family, 99)  # 99: the named channels
+            seeds = range(count)
+            if family in FAMILY_CODES:
+                seeds = _derive_seeds((seed, code, d), seeds)
             for indices in _cuts(count, count if size is None else size(d)):
-                seeds = indices
-                if family in FAMILY_CODES:
-                    seeds = _derive_seeds((seed, code, d), indices).tolist()
                 ids = [f"{family}-d{d}-{index:04d}" for index in indices]
-                yield family, d, ids, _sample_stack(family, d, default_kraus_count(family, d), seeds)
+                stack = seeds[indices.start : indices.stop]
+                yield family, d, ids, _sample_stack(family, d, default_kraus_count(family, d), stack)
 
 
 def ginibre_population(seed: int, dims, count: int, stream: int, size=None):
@@ -483,9 +514,11 @@ def ginibre_population(seed: int, dims, count: int, stream: int, size=None):
     ``default_rng(derive_seed(seed, stream, dim, index))``, its real parts
     drawn before its imaginary parts; ``G`` stacks the matrices of
     ``indices``, at most ``size(dim)`` of them (all ``count`` by default).
+    The seeds of one dimension are derived once, and sliced per stack.
     """
     for dim in dims:
         d = int(dim)
+        seeds = _derive_seeds((seed, stream, d), range(count))
         for indices in _cuts(count, count if size is None else size(d)):
-            states = _stream_states(_derive_seeds((seed, stream, d), indices).tolist(), [()])
+            states = _stream_states(seeds[indices.start : indices.stop], [()])
             yield d, indices, _ginibre(_generators(states), (len(indices), d))

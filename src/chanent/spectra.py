@@ -124,16 +124,24 @@ class InequalityBatch:
         return divmod(int(failed[0]), self.passed.shape[1]) if failed.size else None
 
 
-def _batch(lhs, rhs, directions, passed) -> InequalityBatch:
+def _batch(lhs, rhs, directions, passed, log_ratio=None) -> InequalityBatch:
     """Columns ``(n, k)`` of one check; ``passed`` is the verdict or a function of the slack.
 
-    An entry whose slack is not finite fails whatever the verdict says.
+    ``log_ratio``, if given, holds ``ln(rhs/lhs)`` of positive sides, and
+    gives the slack of the entries where a side is not finite: the larger
+    side, beyond a double, is then the scale.  An entry whose slack is not
+    finite fails whatever the verdict says.
     """
     lhs, rhs = np.asarray(lhs, dtype=float), np.asarray(rhs, dtype=float)
     scale = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1.0)
     le = np.array([d == "<=" for d in directions])
     with np.errstate(invalid="ignore"):  # inf - inf: a NaN slack, failed below
         slack = np.where(le, rhs - lhs, lhs - rhs) / scale
+    if log_ratio is not None:
+        # (lhs - rhs)/max(lhs, rhs) = sign(ln(rhs/lhs)) expm1(-|ln(rhs/lhs)|)
+        scaled = np.sign(log_ratio) * np.expm1(-np.abs(log_ratio))
+        plain = np.isfinite(lhs) & np.isfinite(rhs)
+        slack = np.where(plain, slack, np.where(le, -scaled, scaled))
     if callable(passed):
         passed = passed(slack)
     passed = np.asarray(passed, dtype=bool) & np.isfinite(slack)
@@ -171,12 +179,19 @@ def _power_mean_root(values: np.ndarray, q: float) -> np.ndarray:
     """
     pos = values > 0
     with np.errstate(all="ignore"):  # the entries it divides badly are masked out
-        if q > 0:
-            m = values.max(axis=-1, keepdims=True)
-        else:
-            m = np.where(pos, values, np.inf).min(axis=-1, keepdims=True)
+        m = _extreme(values, q)
         total = np.where(pos, (values / m) ** q, 0.0).sum(axis=-1)
         return m[..., 0] * total ** (1.0 / q)
+
+
+def _extreme(values: np.ndarray, q: float) -> np.ndarray:
+    """Per row, the positive entry that scales every ``q``-th power into (0, 1].
+
+    The largest for ``q > 0``, the smallest for ``q < 0``; as a column.
+    """
+    if q > 0:
+        return values.max(axis=-1, keepdims=True)
+    return np.where(values > 0, values, np.inf).min(axis=-1, keepdims=True)
 
 
 class _Spectra:
@@ -267,11 +282,17 @@ def check_prop1(x, q) -> InequalityReport | InequalityBatch:
     and ``lhs >= rhs`` for ``q >= 2`` as well as for ``q < 1`` (anti-norm
     regime, positive input).  Passes when the direction holds with relative
     slack above ``-1e-9``; flat spectra saturate it exactly.
+
+    Where a side is not a finite double (a large order, say), the sides are
+    compared through the spectrum ``mu`` scaled by its largest entry (its
+    smallest for ``q < 0``): both have degree ``q``, so ``ln(rhs/lhs) =
+    (q-1) ln sum mu**2 + (2-q) ln sum mu - ln sum mu**q``, where each sum of
+    ``mu**q`` lies in ``[1, n]``.
     """
     stack, single = _stack(x)
     orders, one_order = _orders(q)
     spectra = _Spectra(stack)
-    lhs, rhs = [], []
+    lhs, rhs, log_ratio = [], [], []
     for order in orders:
         vals = spectra.for_order(order)
         pos = np.where(vals > 0, vals, 0.0)
@@ -279,11 +300,18 @@ def check_prop1(x, q) -> InequalityReport | InequalityBatch:
             raise InvalidSpectrumError("matrix is zero; the interpolation is undefined")
         n1 = pos.sum(axis=-1)
         n2sq = (pos**2).sum(axis=-1)
-        with np.errstate(over="ignore", invalid="ignore"):  # a side beyond a double fails in _batch
+        with np.errstate(over="ignore", invalid="ignore"):  # a side beyond a double is compared scaled
             lhs.append((pos**order).sum(axis=-1))
             rhs.append(n2sq ** (order - 1.0) * n1 ** (2.0 - order))
+        log_ratio.append(np.zeros(len(pos)))
+        if not (np.isfinite(lhs[-1]) & np.isfinite(rhs[-1])).all():
+            mu = pos / _extreme(pos, order)
+            with np.errstate(over="ignore"):
+                a, b, c = (np.log((mu**p).sum(axis=-1)) for p in (2.0, 1.0, order))
+            log_ratio[-1] = order * (a - b) + (2.0 * b - a - c)
     directions = ["<=" if 1.0 <= order <= 2.0 else ">=" for order in orders]
-    batch = _batch(np.stack(lhs, axis=1), np.stack(rhs, axis=1), directions, lambda s: s >= -1e-9)
+    lhs, rhs, log_ratio = (np.stack(side, axis=1) for side in (lhs, rhs, log_ratio))
+    batch = _batch(lhs, rhs, directions, lambda s: s >= -1e-9, log_ratio)
     return _result(batch, single and one_order)
 
 
@@ -301,7 +329,7 @@ def _profile(channels) -> tuple[chmod.ChannelProfile, bool]:
     if isinstance(channels, chmod.ChannelProfile):
         return channels, False
     single = isinstance(channels, chmod.KrausChannel)
-    return chmod.profile_channel([channels] if single else channels), single
+    return chmod.profile_channel(chmod.stack_kraus([channels] if single else channels)), single
 
 
 def check_superop_norm_bound(channels) -> InequalityReport | InequalityBatch:

@@ -233,4 +233,4 @@ def evaluate_profile(
 def evaluate_tradeoff(ch: chmod.KrausChannel, params: EntropyParams, channel_id: str = "") -> TradeoffReport:
     """Profile a channel, as a stack of one, and evaluate one grid cell."""
     bounds = bound_table(ch.dim, (params.q,), (params.s,))
-    return evaluate_profile(chmod.profile_channel([ch], (channel_id,)), bounds).report(0, 0, 0)
+    return evaluate_profile(chmod.profile_channel(chmod.stack_kraus([ch]), (channel_id,)), bounds).report(0, 0, 0)

@@ -27,9 +27,9 @@ def random_unitary(rng, d):
 
 def population(*args, **kwargs):
     """``sampler.population`` one channel at a time: ``(family, dim, channel_id, channel)``."""
-    for family, d, ids, chs in sampler.population(*args, **kwargs):
-        for channel_id, ch in zip(ids, chs):
-            yield family, d, channel_id, ch
+    for family, d, ids, ops in sampler.population(*args, **kwargs):
+        for channel_id, row in zip(ids, ops):
+            yield family, d, channel_id, chmod.KrausChannel(d, tuple(row))
 
 
 def noisy_depolarizing():

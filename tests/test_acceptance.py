@@ -41,7 +41,7 @@ def _verdict(capsys, ok, label):
 def cptp_population():
     if "cptp" not in _CACHE:
         _CACHE["cptp"] = [
-            (fam, d, cid, ch, chmod.profile_channel([ch], [cid]))
+            (fam, d, cid, ch, chmod.profile_channel(chmod.stack_kraus([ch]), [cid]))
             for fam, d, cid, ch in population(1001, DIMS, ("cptp",), CPTP_PER_DIM)
         ]
     return _CACHE["cptp"]
@@ -52,7 +52,7 @@ def unital_population():
         pop = list(population(1002, DIMS, ("unitary-mixture",), MIXTURE_PER_DIM))
         pop += population(1003, DIMS, ("unistochastic",), UNISTOCHASTIC_PER_DIM)
         _CACHE["unital"] = [
-            (fam, d, cid, ch, chmod.profile_channel([ch], [cid])) for fam, d, cid, ch in pop
+            (fam, d, cid, ch, chmod.profile_channel(chmod.stack_kraus([ch]), [cid])) for fam, d, cid, ch in pop
         ]
     return _CACHE["unital"]
 
@@ -105,7 +105,7 @@ def test_criterion_3_saturation(capsys):
         bounds = tradeoff.bound_table(d, (0.5, 1.5, 2.0), (0.0,))
         assert np.abs(bounds.unital - 2 * math.log(d)).max() <= 1e-15
         for name in ("identity", "completely-depolarizing"):
-            profile = chmod.profile_channel([sampler.named_channel(name, d)], [name])
+            profile = chmod.profile_channel(chmod.stack_kraus([sampler.named_channel(name, d)]), [name])
             assert profile.unital[0]  # so the gap is measured against 2 ln d
             grid = tradeoff.evaluate_profile(profile, bounds)
             worst = max(worst, float(np.abs(grid.gap).max()))

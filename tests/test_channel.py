@@ -34,7 +34,7 @@ class TestKrausChannel:
         with pytest.raises(NotTracePreservingError, match=f"defect {defect}"):
             chmod.KrausChannel(2, tuple(ops[0]))
         with pytest.raises(NotTracePreservingError, match=f"defect {defect}"):
-            chmod.KrausChannel.from_stack(ops)
+            chmod.check_kraus_stack(ops)
 
     def test_rejects_bad_dimensions(self):
         with pytest.raises(DimensionMismatchError):
@@ -49,35 +49,38 @@ class TestKrausChannel:
             chmod.KrausChannel(2, ())
 
 
-class TestFromStack:
-    """One channel per row of a Kraus stack, validated as construction validates."""
+class TestKrausStack:
+    """Kraus arrays of channel stacks: built from channels, validated as construction validates."""
 
-    def test_rows_become_channels(self):
+    def test_rows_are_the_channels(self):
         chs = [ch for *_, ch in oracles.population(951, (3,), ("cptp",), 4)]
-        ops = np.stack([np.stack(ch.kraus_ops) for ch in chs])
-        for got, want in zip(chmod.KrausChannel.from_stack(ops), chs):
-            assert got.dim == 3 and isinstance(got.kraus_ops, tuple)
-            assert all(np.array_equal(a, b) for a, b in zip(got.kraus_ops, want.kraus_ops))
-            assert got.tp_defect() == want.tp_defect()
+        ops = chmod.stack_kraus(chs)
+        assert ops.shape == (4, 9, 3, 3)
+        assert chmod.check_kraus_stack(ops) is ops
+        for row, ch in zip(ops, chs):
+            assert all(np.array_equal(a, b) for a, b in zip(row, ch.kraus_ops))
+            assert chmod.KrausChannel(3, tuple(row)).tp_defect() == ch.tp_defect()
 
     def test_every_channel_is_checked(self):
         ops = np.stack([np.eye(2)[None] for _ in range(5)]).astype(complex)
         ops[3] *= 1 + 1e-6
         with pytest.raises(NotTracePreservingError) as got:
-            chmod.KrausChannel.from_stack(ops)
+            chmod.check_kraus_stack(ops)
         with pytest.raises(NotTracePreservingError) as want:
             chmod.KrausChannel(2, tuple(ops[3]))
         assert str(got.value) == str(want.value)
 
     def test_rejects_bad_shapes(self):
         with pytest.raises(DimensionMismatchError):
-            chmod.KrausChannel.from_stack(np.ones((2, 2, 2)))
+            chmod.check_kraus_stack(np.ones((2, 2, 2)))
         with pytest.raises(DimensionMismatchError):
-            chmod.KrausChannel.from_stack(np.ones((2, 1, 2, 3)))
+            chmod.check_kraus_stack(np.ones((2, 1, 2, 3)))
         with pytest.raises(DimensionMismatchError):
-            chmod.KrausChannel.from_stack(np.ones((2, 1, 1, 1)))
+            chmod.check_kraus_stack(np.ones((2, 1, 1, 1)))
         with pytest.raises(ValueError):
-            chmod.KrausChannel.from_stack(np.ones((2, 0, 2, 2)))
+            chmod.check_kraus_stack(np.ones((2, 0, 2, 2)))
+        with pytest.raises(ValueError):
+            chmod.stack_kraus([])
 
 
 class TestMaximallyEntangledState:
@@ -251,12 +254,12 @@ class TestIsUnital:
         # Tr_2 D = sum_i A_i A_i^dag: one reduction on the D stack
         for family in FAMILIES:
             chs = [ch for *_, ch in population(961, (d,), (family,), 3)]
-            stacked = chmod.unital_defect(chmod.dynamical_from_kraus(chs))
+            stacked = chmod.unital_defect(chmod.dynamical_from_kraus(chmod.stack_kraus(chs)))
             assert stacked.shape == (3,)
             for defect, ch in zip(stacked, chs):
                 assert abs(defect - chmod.unital_defect(ch)) <= 1e-15
                 assert abs(defect - oracles.unital_defect_via_kraus(ch)) <= 1e-15
-            flags = chmod.is_unital(chmod.dynamical_from_kraus(chs))
+            flags = chmod.is_unital(chmod.dynamical_from_kraus(chmod.stack_kraus(chs)))
             assert flags.tolist() == [chmod.is_unital(ch) for ch in chs] == [family != "cptp"] * 3
 
 
@@ -293,7 +296,7 @@ class TestSpectrumRoutes:
     @pytest.mark.parametrize("d", ROUTE_DIMS)
     def test_families(self, d, family):
         chs = [ch for *_, ch in population(971, (d,), (family,), 3)]
-        dyn = chmod.dynamical_from_kraus(chs)
+        dyn = chmod.dynamical_from_kraus(chmod.stack_kraus(chs))
         # unitary mixtures (k = d) take the Gram route, the other families (k = d**2) eigvalsh(D)
         assert (dyn.kraus.shape[-2] < d * d) == (family == "unitary-mixture")
         _assert_routes_match_oracles(dyn)
@@ -326,7 +329,7 @@ class TestSpectrumRoutes:
         # k = 1, 4 and 3 at d = 3: the stack is padded to k = 4 < d**2 zero operators
         (*_, mixture), = population(973, (3,), ("unitary-mixture",), 1)
         chs = [sampler.named_channel("identity", 3), sampler.named_channel("dephasing", 3, 0.4), mixture]
-        dyn = chmod.dynamical_from_kraus(chs)
+        dyn = chmod.dynamical_from_kraus(chmod.stack_kraus(chs))
         assert dyn.kraus.shape == (3, 4, 9)
         _assert_routes_match_oracles(dyn)
         stacked = chmod.dynamical_spectrum(dyn).values

@@ -450,13 +450,26 @@ class TestInequalities:
         assert capsys.readouterr().err.startswith("config error:")
 
     def test_non_finite_slack_fails_the_run(self, tmp_path, capsys):
-        # at q = 1e-300 both sides of sups overflow, and their slack is NaN
-        out = tmp_path / "tiny-q"
-        code = cli.main(["inequalities", "--dims", "2", "--samples", "1", "--q", "1e-300", "--out", str(out)])
-        assert code == 1 and "INEQUALITY SUITE FAILED" in capsys.readouterr().err
-        summary = json.loads((out / "summary.json").read_text())
-        assert summary["failure"] == {"check": "sups", "input": "psd-d2-0000", "kind": "inequality-failed"}
-        assert not summary["checks"]["sups"]["passed"]
+        # at q = 1e-300 and 1e-5 both sides of sups overflow, and their slack
+        # is NaN: the check fails, with no minimum slack (JSON null, not the
+        # non-standard Infinity)
+        for q in ("1e-300", "1e-5"):
+            out = tmp_path / f"tiny-q{q}"
+            code = cli.main(["inequalities", "--dims", "2", "--samples", "1", "--q", q, "--out", str(out)])
+            assert code == 1 and "INEQUALITY SUITE FAILED" in capsys.readouterr().err
+            summary = json.loads((out / "summary.json").read_text(), parse_constant=pytest.fail)
+            assert summary["failure"] == {"check": "sups", "input": "psd-d2-0000", "kind": "inequality-failed"}
+            assert summary["checks"]["sups"] == {"count": 1, "min_slack": None, "passed": False}
+
+    @pytest.mark.parametrize("q", ["600", "1e300"])
+    def test_large_q_inequalities_pass(self, tmp_path, q):
+        # every lambda**q of psd-d2-0000 (largest eigenvalue 11.7) overflows;
+        # prop1 compares its sides scaled, and the inequality holds
+        out = tmp_path / "large-q"
+        code = cli.main(["inequalities", "--dims", "2", "--samples", "1", "--q", q, "--out", str(out)])
+        assert code == 0
+        prop1 = json.loads((out / "summary.json").read_text(), parse_constant=pytest.fail)["checks"]["prop1"]
+        assert prop1["passed"] and 0.0 < prop1["min_slack"] <= 1.0
 
     def test_large_q_cell_is_finite(self, tmp_path):
         # every w**600 of this channel's receiver spectrum underflows
@@ -504,6 +517,25 @@ class TestOneProfilePerStack:
         args = [command, "--dims", "2,3", "--samples", "3", "--family", "cptp,unitary-mixture"]
         assert cli.main([*args, "--out", str(tmp_path / "x")]) == 0
         assert sizes == [2, 1] * 4  # two stacks per (dim, family)
+
+
+class TestKrausArrays:
+    """Channel stacks stay the Kraus arrays the sampler draws, and seeds are derived once per population."""
+
+    def test_suite_makes_no_channel_objects_and_derives_seeds_once(self, tmp_path, monkeypatch):
+        made, prefixes = [], []
+        check = chmod.KrausChannel.__post_init__  # construction validates each channel
+        monkeypatch.setattr(chmod.KrausChannel, "__post_init__", lambda ch: made.append(ch) or check(ch))
+        original = sampler._derive_seeds
+        monkeypatch.setattr(sampler, "_derive_seeds", lambda p, i: prefixes.append(tuple(p)) or original(p, i))
+        # 150 samples: two stacks per population
+        args = ["inequalities", "--dims", "2,3", "--samples", "150", "--out", str(tmp_path / "x")]
+        assert cli.main(args) == 0
+        assert made == []
+        seed = cli.DEFAULT_SEED
+        channels = [(seed, 100 + code, d) for d in (2, 3) for code in sampler.FAMILY_CODES.values()]
+        matrices = [(seed, stream, d) for stream in range(201, 206) for d in (2, 3)]
+        assert sorted(prefixes) == sorted(channels + matrices)
 
 
 class TestInequalityFailures:

@@ -185,20 +185,19 @@ class TestPopulation:
             ("unistochastic", 2, ["unistochastic-d2-0000", "unistochastic-d2-0001"]),
             ("cptp", 2, ["cptp-d2-0000", "cptp-d2-0001"]),
         ]
-        ch = pop[1][3][1]
+        ops = pop[1][3]
+        assert ops.shape == (2, 9, 3, 3)
         cfg = sampler.SamplerConfig(3, 9, sampler.derive_seed(5, 100 + 0, 3, 1), "cptp")
-        for a, b in zip(ch.kraus_ops, sampler.sample_channel(cfg).kraus_ops):
-            np.testing.assert_array_equal(a, b)
-        assert len(ch.kraus_ops) == 9
+        np.testing.assert_array_equal(ops[1], kraus(sampler.sample_channel(cfg)))
 
     def test_stacks_are_cut_by_size(self):
         pop = sampler.population(5, (2, 3), ("cptp",), 5, size=lambda d: 4 if d == 2 else 5)
-        assert [(d, len(ids), len(chs)) for _, d, ids, chs in pop] == [(2, 4, 4), (2, 1, 1), (3, 5, 5)]
+        assert [(d, len(ids), len(ops)) for _, d, ids, ops in pop] == [(2, 4, 4), (2, 1, 1), (3, 5, 5)]
 
     def test_named_family(self):
-        (family, d, ids, chs), = sampler.population(1, (2,), ("named:identity",), 1)
-        assert (family, d, ids) == ("named:identity", 2, ["named:identity-d2-0000"])
-        np.testing.assert_array_equal(chs[0].kraus_ops[0], np.eye(2))
+        (family, d, ids, ops), = sampler.population(1, (2,), ("named:identity",), 2)
+        assert (family, d, ids) == ("named:identity", 2, ["named:identity-d2-0000", "named:identity-d2-0001"])
+        np.testing.assert_array_equal(ops, [[np.eye(2)]] * 2)
 
     def test_ginibre_population(self):
         pop = list(sampler.ginibre_population(5, (2, 3), 2, stream=201))
@@ -215,19 +214,24 @@ FAMILIES = tuple(sampler.FAMILY_CODES)
 CUTS = (1, 7, 128)
 
 
+def kraus(ch):
+    """A channel's ``(k, d, d)`` Kraus array."""
+    return np.stack(ch.kraus_ops)
+
+
 def assert_same_channels(got, want):
-    """Same ids and bit-identical Kraus operators, channel by channel."""
+    """Same ids and bit-identical Kraus arrays, channel by channel: ``got`` ends in
+    a row of a Kraus stack, ``want`` in an oracle channel."""
     assert [g[:-1] for g in got] == [w[:-1] for w in want]
     for (*_, a), (*_, b) in zip(got, want):
-        assert len(a.kraus_ops) == len(b.kraus_ops)
-        assert all(np.array_equal(x, y) for x, y in zip(a.kraus_ops, b.kraus_ops))
+        assert a.shape == kraus(b).shape and np.array_equal(a, kraus(b))
 
 
 def stacked(seed, d, family, count, cut, stream=0):
-    """The stacked population one channel at a time, and its stack sizes."""
+    """The stacked population one Kraus array row at a time, and its stack sizes."""
     stacks = list(sampler.population(seed, (d,), (family,), count, stream=stream, size=lambda _: cut))
-    flat = [(fam, dim, cid, ch) for fam, dim, ids, chs in stacks for cid, ch in zip(ids, chs)]
-    return flat, [len(chs) for *_, chs in stacks]
+    flat = [(fam, dim, cid, row) for fam, dim, ids, ops in stacks for cid, row in zip(ids, ops)]
+    return flat, [len(ops) for *_, ops in stacks]
 
 
 class TestStreamContract:
@@ -285,7 +289,7 @@ class TestStreamContract:
         for d in (2, 3):
             k = sampler.default_kraus_count(family, d)
             cfg = sampler.SamplerConfig(d, k, seed, family)
-            assert_same_channels([(sampler.sample_channel(cfg),)], [(oracles.sample_channel(cfg),)])
+            assert_same_channels([(kraus(sampler.sample_channel(cfg)),)], [(oracles.sample_channel(cfg),)])
 
     @pytest.mark.parametrize("d, count", [(2, 9), (3, 9), (4, 9), (8, 8), (16, 2)])
     @pytest.mark.parametrize("family", FAMILIES)
@@ -304,6 +308,17 @@ class TestStreamContract:
             got, _ = stacked(seed, 3, family, 8, cut)
             assert_same_channels(got, list(oracles.population(seed, (3,), (family,), 8)))
 
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 8, 16])
+    def test_mixture_weights_match_dirichlet(self, k, d):
+        # the weights are standard exponentials over their sequential sum, the
+        # numbers the oracle's default_rng(stream k).dirichlet(np.ones(k)) gives
+        seeds = [*range(200), *EDGE_SEEDS]
+        ops = sampler._sample_stack("unitary-mixture", d, k, seeds)
+        for seed, row in zip(seeds, ops):
+            want = oracles.sample_unitary_mixture(sampler.SamplerConfig(d, k, seed, "unitary-mixture"))
+            np.testing.assert_array_equal(row, kraus(want))
+
     @pytest.mark.parametrize("d", [2, 3, 4, 8, 16])
     def test_ginibre_stacks_match_oracle(self, d):
         for seed in EDGE_SEEDS[:4]:
@@ -321,7 +336,7 @@ class TestStreamContract:
         monkeypatch.setattr(sampler, "COND_LIMIT", 2.8)
         got, _ = stacked(31, 2, "cptp", 20, cut)
         assert_same_channels(got, list(oracles.population(31, (2,), ("cptp",), 20)))
-        moved = sum(not np.array_equal(a[3].kraus_ops[0], b[3].kraus_ops[0]) for a, b in zip(got, unpatched))
+        moved = sum(not np.array_equal(a[3], b[3]) for a, b in zip(got, unpatched))
         assert 0 < moved < 20
 
     def test_exhausted_resampling_raises_as_the_oracle(self, monkeypatch):

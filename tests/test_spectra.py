@@ -1,12 +1,13 @@
 import math
 
+import mpmath
 import numpy as np
 import oracles
 import pytest
 from helpers import complex_gaussian, noisy_depolarizing, population, random_psd, random_unitary
 
 from chanent import channel as chmod
-from chanent import cli, sampler, spectra
+from chanent import cli, matcore, sampler, spectra
 from chanent.errors import (
     DimensionMismatchError,
     InvalidOrderError,
@@ -175,6 +176,24 @@ class TestCheckProp1:
     def test_zero_matrix_rejected(self):
         with pytest.raises(InvalidSpectrumError):
             spectra.check_prop1(np.zeros((2, 2)), 1.5)
+
+    @pytest.mark.parametrize("q", [600.0, 1e300])
+    def test_large_orders_compare_the_sides_scaled(self, q):
+        # the power sums overflow (without a warning) for the suite's first
+        # d = 2 inputs, whose largest eigenvalue reaches 11.7, and for 20 I, which
+        # saturates; the slack is the exact one of the unrounded sides, with
+        # digits to spare beyond the log10(q) that the exponents take
+        x = np.concatenate([_psd_stack(2, 201, 8), [20.0 * np.eye(2), np.diag([2.0, 1.0])]])
+        batch = spectra.check_prop1(x, q)
+        assert not np.isfinite(batch.lhs).all()
+        assert batch.passed.all()
+        with mpmath.workdps(30 + int(math.log10(q))):
+            order = mpmath.mpf(q)
+            for slack, m in zip(batch.slack[:, 0], x):
+                vals = [mpmath.mpf(float(v)) for v in matcore.singular_values(m).values]
+                lhs = mpmath.fsum(v**order for v in vals)
+                rhs = mpmath.fsum(v**2 for v in vals) ** (order - 1) * mpmath.fsum(vals) ** (2 - order)
+                assert abs(slack - float((lhs - rhs) / max(lhs, rhs, 1))) <= 1e-12
 
 
 class TestCheckTwoInfOne:
@@ -370,7 +389,7 @@ class TestBatchedChecksMatchOracles:
     @pytest.mark.parametrize("d, count", [(2, 50), (3, 50), (4, 10)])
     def test_channel_checks(self, d, count):
         chs = [ch for _, _, _, ch in population(SUITE.seed, (d,), SUITE.families, count, stream=100)]
-        stack = chmod.profile_channel(chs)
+        stack = chmod.profile_channel(chmod.stack_kraus(chs))
         _assert_matches(
             spectra.check_superop_norm_bound(stack), [[oracles.check_superop_norm_bound(ch)] for ch in chs]
         )
@@ -461,5 +480,3 @@ class TestFirstFailure:
         batch = spectra.check_superadditivity(np.eye(2), np.eye(2), [1e-300, 0.5])
         assert np.isnan(batch.slack[0, 0]) and batch.lhs[0, 0] == batch.rhs[0, 0] == math.inf
         assert batch.passed.tolist() == [[False, True]] and batch.first_failure() == (0, 0)
-        # at q = 1e300 the power sums of prop1 overflow, without a warning
-        assert not spectra.check_prop1(np.diag([2.0, 1.0]), 1e300).passed

@@ -148,7 +148,7 @@ class TestEvaluate:
     def test_tp_noisy_channel_is_held_to_the_unital_bound(self):
         # unital defect 9.0e-9, inside TP_TOL: the sharper bound applies
         bounds = tradeoff.bound_table(3, Q_GRID, S_GRID)
-        profile = chmod.profile_channel([noisy_depolarizing()], ["noisy"])
+        profile = chmod.profile_channel(chmod.stack_kraus([noisy_depolarizing()]), ["noisy"])
         assert profile.unital[0]
         grid = tradeoff.evaluate_profile(profile, bounds)
         np.testing.assert_array_equal(grid.gap, grid.map_values + grid.receiver_values - bounds.unital)
@@ -179,12 +179,12 @@ class TestStackedEvaluate:
             for d in (2, 3):
                 pop = list(population(923, (d,), (family,), 6))
                 ids = [cid for _, _, cid, _ in pop]
-                stack = chmod.profile_channel([ch for *_, ch in pop], ids)
+                stack = chmod.profile_channel(chmod.stack_kraus([ch for *_, ch in pop]), ids)
                 assert stack.channel_id == tuple(ids)
                 grid = tradeoff.evaluate_profile(stack, bounds[d])
                 assert grid.gap.shape == (len(pop), len(Q_GRID), len(S_GRID))
                 for k, (_, _, cid, ch) in enumerate(pop):
-                    one = chmod.profile_channel([ch], [cid])
+                    one = chmod.profile_channel(chmod.stack_kraus([ch]), [cid])
                     assert one.channel_id == (cid,) and one.unital.tolist() == [stack.unital[k]]
                     np.testing.assert_array_equal(stack.choi_spectrum.values[k], one.choi_spectrum.values[0])
                     np.testing.assert_array_equal(stack.superop_spectrum.values[k], one.superop_spectrum.values[0])
@@ -194,7 +194,7 @@ class TestStackedEvaluate:
                         np.testing.assert_array_equal(getattr(grid, name)[k], getattr(single, name)[0])
 
     def test_violation_names_the_first_failing_channel(self):
-        good = chmod.profile_channel([sampler.named_channel("depolarizing", 2, 0.5)])
+        good = chmod.profile_channel(chmod.stack_kraus([sampler.named_channel("depolarizing", 2, 0.5)]))
         stack = _stacked_profile(good, _fake_profile(), _fake_profile())
         bounds = tradeoff.bound_table(2, (1.0, 2.0), (0.0, 1.0))
         with pytest.raises(BoundViolation) as err:
@@ -204,7 +204,7 @@ class TestStackedEvaluate:
         assert err.value.grid.gap[1, 1, 0] == err.value.report.gap
 
     def test_non_finite_channel_before_a_violating_one(self):
-        good = chmod.profile_channel([sampler.named_channel("depolarizing", 2, 0.5)])
+        good = chmod.profile_channel(chmod.stack_kraus([sampler.named_channel("depolarizing", 2, 0.5)]))
         broken = chmod.ChannelProfile(
             ("x",), 2, np.array([False]), Spectrum(np.array([[np.inf, 0.0, 0.0, 0.0]])),
             good.superop_spectrum, good.tr2,
@@ -223,7 +223,7 @@ class TestStackedEvaluate:
 
     def test_mixed_dimensions_rejected(self):
         with pytest.raises(DimensionMismatchError):
-            chmod.profile_channel([sampler.named_channel("identity", 2), sampler.named_channel("identity", 3)])
+            chmod.stack_kraus([sampler.named_channel("identity", 2), sampler.named_channel("identity", 3)])
 
 
 class TestSuites:
@@ -231,7 +231,7 @@ class TestSuites:
         min_gap = math.inf
         tables = {d: tradeoff.bound_table(d, Q_GRID, S_GRID) for d in (2, 3)}
         for _, d, _, ch in population(917, (2, 3), ("cptp",), 20):
-            grid = tradeoff.evaluate_profile(chmod.profile_channel([ch]), tables[d])
+            grid = tradeoff.evaluate_profile(chmod.profile_channel(chmod.stack_kraus([ch])), tables[d])
             min_gap = min(min_gap, float(grid.gap.min()))
         assert min_gap >= -1e-9
 
@@ -239,14 +239,14 @@ class TestSuites:
         tables = {d: tradeoff.bound_table(d, Q_GRID, S_GRID) for d in (2, 3)}
         pop = population(918, (2, 3), ("unitary-mixture", "unistochastic"), 10)
         for _, d, _, ch in pop:
-            profile = chmod.profile_channel([ch])
+            profile = chmod.profile_channel(chmod.stack_kraus([ch]))
             assert profile.unital[0]
             grid = tradeoff.evaluate_profile(profile, tables[d])
             assert grid.gap.min() >= -1e-9
 
     def test_proof_domain_preconditions(self):
         for _, _, _, ch in population(919, (2, 3), ("cptp", "unitary-mixture"), 5):
-            profile = chmod.profile_channel([ch])
+            profile = chmod.profile_channel(chmod.stack_kraus([ch]))
             for q in Q_GRID:
                 for s in S_GRID:
                     if abs(q - 1.0) <= 1e-8 or s == 0.0:
