@@ -11,14 +11,11 @@ from .channel import (
     DynamicalMatrix,
     KrausChannel,
     SuperoperatorMatrix,
-    apply_channel,
     dynamical_from_kraus,
-    is_unital,
     profile_channel,
     reshuffle,
-    superoperator_from_kraus,
 )
-from .entropy import EntropyParams, map_entropy, q_log, receiver_entropy
+from .entropy import EntropyParams
 from .matcore import Spectrum, hermitian_eigenvalues, partial_trace, singular_values, vec
 from .sampler import SamplerConfig, named_channel, sample_channel
 from .spectra import InequalityReport, schatten_antinorm, schatten_norm
@@ -40,24 +37,18 @@ __all__ = [
     "Spectrum",
     "SuperoperatorMatrix",
     "TradeoffReport",
-    "apply_channel",
     "dynamical_from_kraus",
     "evaluate_tradeoff",
     "gamma_kappa",
     "hermitian_eigenvalues",
-    "is_unital",
     "lower_bound",
-    "map_entropy",
     "named_channel",
     "partial_trace",
     "profile_channel",
-    "q_log",
-    "receiver_entropy",
     "reshuffle",
     "sample_channel",
     "schatten_antinorm",
     "schatten_norm",
     "singular_values",
-    "superoperator_from_kraus",
     "vec",
 ]

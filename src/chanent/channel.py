@@ -46,7 +46,8 @@ is at most ``TP_TOL``, and it is unital iff its unital defect (max entry of
 Kraus set carries a rounding-level scale error is then both TP and unital,
 and is held to the sharper unital bound.  With row-major ``vec``,
 ``sum_i A_i A_i^dag = Tr_2 D``, so the unital defect of a whole stack is one
-reduction on its ``D`` stack.
+reduction on its ``D`` stack, taken in one place: :func:`profile_channel`
+reads the unital flags off it (``ChannelProfile.tr2`` and ``.unital``).
 
 :func:`profile_channel` is the one place that turns channels into what both
 harnesses read: for the Kraus array of a stack of same-dimension channels
@@ -75,11 +76,7 @@ __all__ = [
     "DynamicalMatrix",
     "SuperoperatorMatrix",
     "dynamical_from_kraus",
-    "superoperator_from_kraus",
     "reshuffle",
-    "apply_channel",
-    "unital_defect",
-    "is_unital",
     "dynamical_spectrum",
     "superoperator_spectrum",
     "ChannelProfile",
@@ -123,30 +120,23 @@ def _require_tp(defect: float) -> None:
 class KrausChannel:
     """A channel as a finite list of ``d x d`` Kraus operators.
 
-    Construction validates shapes, the supported dimension range
-    (2 <= d <= MAX_DIM) and trace preservation within ``TP_TOL``.
+    Construction validates shapes, then, as :func:`check_kraus_stack` on a
+    stack of one, the supported dimension range (2 <= d <= MAX_DIM) and
+    trace preservation within ``TP_TOL``.
     """
 
     dim: int
     kraus_ops: tuple
 
     def __post_init__(self):
-        if not (2 <= self.dim <= MAX_DIM):
-            raise DimensionMismatchError(
-                f"system dimension must be in [2, {MAX_DIM}], got {self.dim}"
-            )
-        if not self.kraus_ops:
-            raise ValueError("a channel needs at least one Kraus operator")
-        ops = []
-        for a in self.kraus_ops:
-            m = matcore.as_matrix(a)
+        ops = tuple(matcore.as_matrix(a) for a in self.kraus_ops)
+        for m in ops:
             if m.shape != (self.dim, self.dim):
                 raise DimensionMismatchError(
                     f"Kraus operator has shape {m.shape}, expected {(self.dim, self.dim)}"
                 )
-            ops.append(m)
-        object.__setattr__(self, "kraus_ops", tuple(ops))
-        _require_tp(self.tp_defect())
+        object.__setattr__(self, "kraus_ops", ops)
+        check_kraus_stack(np.reshape(ops, (1, len(ops), self.dim, self.dim)))
 
     def tp_defect(self) -> float:
         """Max-entry deviation of ``sum_i A_i^dag A_i`` from the identity.
@@ -160,9 +150,9 @@ class KrausChannel:
 def check_kraus_stack(ops) -> np.ndarray:
     """The ``(n, k, d, d)`` array ``ops`` of Kraus sets as complex, validated.
 
-    Validates what :class:`KrausChannel` construction validates for each
-    row, with one trace-preservation check for the whole stack; the first
-    channel over ``TP_TOL`` raises.
+    Validates the dimension range, a nonempty Kraus set and, with one
+    trace-preservation check for the whole stack, that no channel is over
+    ``TP_TOL``; the first one over it raises.
     """
     ops = np.asarray(ops, dtype=complex)
     if ops.ndim != 4 or ops.shape[-2] != ops.shape[-1]:
@@ -243,15 +233,6 @@ def dynamical_from_kraus(ops) -> DynamicalMatrix:
     return DynamicalMatrix(d, dyn[0], v[0]) if single else DynamicalMatrix(d, dyn, v)
 
 
-def superoperator_from_kraus(ch: KrausChannel) -> SuperoperatorMatrix:
-    """Superoperator matrix ``sum_i A_i (x) conj(A_i)``, as ``reshuffle(D)``.
-
-    Unique matrix with ``vec(channel(X)) = K vec(X)`` under the row-major
-    ``vec`` convention.
-    """
-    return dynamical_from_kraus(ch).superoperator()
-
-
 def reshuffle(m, d: int) -> np.ndarray:
     """Reshuffling permutation ``out[a*d+b, m*d+n] = in[a*d+m, b*d+n]``.
 
@@ -268,38 +249,6 @@ def _blocks(m, d: int) -> np.ndarray:
     if x.shape[-2:] != (d * d, d * d):
         raise DimensionMismatchError(f"expected shape {(d * d, d * d)}, got {x.shape[-2:]}")
     return x.reshape(*x.shape[:-2], d, d, d, d)
-
-
-def apply_channel(ch: KrausChannel, x) -> np.ndarray:
-    """Apply the channel: ``sum_i A_i X A_i^dag``."""
-    m = matcore.as_matrix(x)
-    if m.shape != (ch.dim, ch.dim):
-        raise DimensionMismatchError(f"input has shape {m.shape}, expected {(ch.dim, ch.dim)}")
-    out = np.zeros_like(m)
-    for a in ch.kraus_ops:
-        out += a @ m @ a.conj().T
-    return out
-
-
-def unital_defect(x):
-    """Max-entry deviation of ``sum_i A_i A_i^dag = Tr_2 D`` from the identity.
-
-    ``x`` is a channel or its :class:`DynamicalMatrix`; a stack of dynamical
-    matrices gives an ``(n,)`` array, one defect per matrix.
-    """
-    dyn = dynamical_from_kraus(x) if isinstance(x, KrausChannel) else x
-    defects = _identity_defects(matcore.partial_trace(dyn.matrix, dyn.dim, "second"))
-    return float(defects) if defects.ndim == 0 else defects
-
-
-def is_unital(x):
-    """True iff the channel maps the identity to itself within ``TP_TOL``.
-
-    That is the tolerance the channel was admitted at as trace preserving.
-    ``x`` is a channel or its :class:`DynamicalMatrix`; a stack of dynamical
-    matrices gives an ``(n,)`` bool array.
-    """
-    return unital_defect(x) <= TP_TOL
 
 
 def dynamical_spectrum(dyn: DynamicalMatrix) -> Spectrum:

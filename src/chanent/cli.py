@@ -524,16 +524,10 @@ def run_inequality_suite(cfg: SweepConfig, out_dir, only=None, matrix_path=None)
     return 0
 
 
-def _parse_floats(text: str, flag: str) -> tuple:
+def _parse_list(text: str, flag: str, kind) -> tuple:
+    """The comma-separated values of ``flag`` as ``kind``; an unparsable one is a ConfigError."""
     try:
-        return tuple(float(tok) for tok in text.split(",") if tok.strip())
-    except ValueError as exc:
-        raise ConfigError(f"could not parse {flag} value {text!r}: {exc}") from exc
-
-
-def _parse_ints(text: str, flag: str) -> tuple:
-    try:
-        return tuple(int(tok) for tok in text.split(",") if tok.strip())
+        return tuple(kind(tok) for tok in text.split(",") if tok.strip())
     except ValueError as exc:
         raise ConfigError(f"could not parse {flag} value {text!r}: {exc}") from exc
 
@@ -552,11 +546,11 @@ def _resolve_config(args) -> SweepConfig:
     cfg = config_from_file(args.config) if args.config else SweepConfig()
     updates = {}
     if args.q:
-        updates["q_grid"] = _parse_floats(args.q, "--q")
+        updates["q_grid"] = _parse_list(args.q, "--q", float)
     if getattr(args, "s", None):
-        updates["s_grid"] = _parse_floats(args.s, "--s")
+        updates["s_grid"] = _parse_list(args.s, "--s", float)
     if args.dims:
-        updates["dims"] = _parse_ints(args.dims, "--dims")
+        updates["dims"] = _parse_list(args.dims, "--dims", int)
     if args.samples is not None:
         updates["samples_per_family"] = args.samples
     if args.seed is not None:

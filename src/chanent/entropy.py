@@ -37,18 +37,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import channel as chmod
 from .errors import DomainError, InvalidSpectrumError
 from .matcore import Spectrum
 
 __all__ = [
     "EntropyParams",
     "exprel",
-    "q_log",
     "entropy_grid",
-    "map_entropy",
-    "receiver_entropy",
-    "uniform_entropy",
 ]
 
 # Smallest normal double: a power sum below it has lost digits to underflow.
@@ -74,15 +69,6 @@ def exprel(y) -> np.ndarray:
     y = np.asarray(y, dtype=float)
     with np.errstate(over="ignore"):
         return np.divide(np.expm1(y), y, out=np.where(y == 0.0, 1.0, y), where=(y != 0.0) & (y < np.inf))
-
-
-def q_log(x: float, q: float) -> float:
-    """Deformed logarithm ``(x**(1-q) - 1) / (1-q)``, plain ``ln`` at q = 1."""
-    if not (x > 0.0):
-        raise DomainError(f"q_log needs x > 0, got {x}")
-    if not (q > 0.0):
-        raise DomainError(f"q_log needs q > 0, got {q}")
-    return math.log(x) * float(exprel((1.0 - q) * math.log(x)))
 
 
 def entropy_grid(spectrum: Spectrum, q_grid, s_grid) -> np.ndarray:
@@ -138,29 +124,3 @@ def entropy_grid(spectrum: Spectrum, q_grid, s_grid) -> np.ndarray:
     value = value + 0.0  # +0.0 drops a -0.0 sign
     return value[0] if vals.ndim == 1 else value
 
-
-def map_entropy(dyn: chmod.DynamicalMatrix, params: EntropyParams) -> float:
-    """Entropy of the clamped dynamical-matrix spectrum.
-
-    Zero for every ``(q, s)`` on unitary channels (rank-1 spectrum) and
-    maximal, ``(1/s) q_log(d**(2s))``, on the completely depolarizing one.
-    """
-    return float(entropy_grid(chmod.dynamical_spectrum(dyn), (params.q,), (params.s,))[0, 0])
-
-
-def receiver_entropy(sup: chmod.SuperoperatorMatrix, params: EntropyParams) -> float:
-    """Entropy of the superoperator singular values, normalized by the trace norm."""
-    return float(entropy_grid(chmod.superoperator_spectrum(sup), (params.q,), (params.s,))[0, 0])
-
-
-def uniform_entropy(n: int, params: EntropyParams) -> float:
-    """Entropy of the flat distribution on ``n`` outcomes, ``ln n exprel((1-q) s ln n)``.
-
-    This is the maximum over all spectra of effective rank ``n``, hence the
-    rank upper bound for both channel entropies; ``(1/s) q_log(n**s)``, and
-    ``ln n`` on the ``q = 1`` and ``s = 0`` rows.
-    """
-    if n < 1:
-        raise DomainError(f"need at least one outcome, got {n}")
-    log_n = math.log(n)
-    return log_n * float(exprel((1.0 - params.q) * params.s * log_n))

@@ -83,10 +83,6 @@ class Spectrum:
     def __post_init__(self):
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
 
-    def __len__(self) -> int:
-        """Entries per spectrum (per matrix, for the spectra of a stack)."""
-        return int(self.values.shape[-1]) if self.values.ndim else 0
-
 
 def as_matrix(x) -> np.ndarray:
     """Coerce input to a 2-D complex array."""

@@ -35,9 +35,9 @@ per stack:
   again from its attempt-1, attempt-2, ... streams, with the other failures
   of its stack.
 
-A stack stays the ``(n, k, d, d)`` Kraus array it is drawn as; only the
-one-sample samplers (:func:`sample_channel` and the family samplers) wrap
-their row in a :class:`~chanent.channel.KrausChannel`.
+A stack stays the ``(n, k, d, d)`` Kraus array it is drawn as; only
+:func:`sample_channel`, the one-sample entry point for every family, wraps
+its row in a :class:`~chanent.channel.KrausChannel`.
 
 numpy's own ``SeedSequence`` and ``default_rng`` are the test oracle for the
 seeding, and the per-sample samplers in ``tests/oracles.py`` for the
@@ -49,7 +49,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,10 +65,6 @@ __all__ = [
     "SamplerConfig",
     "derive_seed",
     "default_kraus_count",
-    "sample_cptp",
-    "sample_unitary_mixture",
-    "sample_unistochastic",
-    "unistochastic_from_unitary",
     "named_channel",
     "named_family_channel",
     "sample_channel",
@@ -291,7 +287,10 @@ def default_kraus_count(family: str, dim: int) -> int:
 
 
 def _cptp_ops(seeds, d: int, k: int) -> np.ndarray:
-    """Kraus stacks ``(n, k, d, d)`` of normalized Ginibre sets, resampling singular normalizers."""
+    """Kraus stacks ``(n, k, d, d)`` of normalized Ginibre sets ``G_i S**(-1/2)``.
+
+    A numerically singular normalizer ``S = sum_i G_i^dag G_i`` is resampled from a sibling stream.
+    """
     ops = np.empty((len(seeds), k, d, d), dtype=complex)
     todo = np.arange(len(seeds))
     for attempt in range(RESAMPLE_ATTEMPTS):
@@ -315,22 +314,23 @@ def _cptp_ops(seeds, d: int, k: int) -> np.ndarray:
 
 def _unitary_mixture_ops(seeds, d: int, k: int) -> np.ndarray:
     """Kraus stacks ``sqrt(p_i) U_i``: Haar unitaries, flat-Dirichlet weights from stream ``k``."""
-    gens = _generators(_stream_states(seeds, [(i,) for i in range(k + 1)]))
-    z = np.empty((len(seeds), k, 2, d, d))
+    states = _stream_states(seeds, [(i,) for i in range(k + 1)])  # per seed: k matrices, then the weights
+    matrix_states = [state for j, state in enumerate(states) if j % (k + 1) < k]
+    unitaries = _haar(_ginibre(_generators(matrix_states), (len(seeds), k, d)))
     weights = np.empty((len(seeds), k))
-    for row, w in zip(z, weights):
-        for matrix, gen in zip(row, gens):
-            gen.standard_normal(out=matrix)
-        next(gens).standard_exponential(out=w)
+    for w, gen in zip(weights, _generators(states[k :: k + 1])):
+        gen.standard_exponential(out=w)
     # numpy's dirichlet at alpha = 1: standard_gamma(1) is standard_exponential,
     # and each row is multiplied by the reciprocal of its sequential sum
     weights *= 1.0 / np.cumsum(weights, axis=1)[:, -1:]
-    unitaries = _haar(z[..., 0, :, :] + 1j * z[..., 1, :, :])
     return np.sqrt(weights)[..., None, None] * unitaries
 
 
 def _unistochastic_ops(u: np.ndarray, d: int) -> np.ndarray:
-    """Kraus stacks ``A_(e,f) = (I (x) <e|) u (I (x) |f>) / sqrt(d)`` of a stack of composite unitaries."""
+    """Kraus stacks ``A_(e,f) = (I (x) <e|) u (I (x) |f>) / sqrt(d)`` of a stack of composite unitaries.
+
+    The channel ``rho -> Tr_env[u (rho (x) I/d) u^dag]``: trace preserving and unital for any unitary ``u``.
+    """
     t = u.reshape(-1, d, d, d, d).transpose(0, 2, 4, 1, 3)
     return t.reshape(-1, d * d, d, d) / math.sqrt(d)
 
@@ -356,46 +356,11 @@ def _sample_stack(family: str, d: int, kraus_count: int, seeds) -> np.ndarray:
 
 
 def sample_channel(cfg: SamplerConfig) -> KrausChannel:
-    """Dispatch a config to its family sampler: one channel, drawn as a stack of one."""
+    """One channel of ``cfg.family``, drawn as a stack of one: the one-sample entry point of every family.
+
+    Each family's draw is described at its stack sampler (``_cptp_ops`` and the like).
+    """
     return KrausChannel(cfg.dim, tuple(_sample_stack(cfg.family, cfg.dim, cfg.kraus_count, [cfg.seed])[0]))
-
-
-def sample_cptp(cfg: SamplerConfig) -> KrausChannel:
-    """Random trace-preserving channel from normalized Ginibre Kraus sets.
-
-    Draws ``kraus_count`` Ginibre matrices ``G_i``, forms the normalizer
-    ``S = sum_i G_i^dag G_i`` and returns ``A_i = G_i S**(-1/2)``; the
-    trace-preservation defect is at rounding level by construction.  A
-    numerically singular normalizer is resampled from a sibling stream up
-    to ``RESAMPLE_ATTEMPTS`` times.
-    """
-    return sample_channel(replace(cfg, family="cptp"))
-
-
-def sample_unitary_mixture(cfg: SamplerConfig) -> KrausChannel:
-    """Random unital channel: Haar unitaries with flat-Dirichlet weights.
-
-    Kraus operators ``sqrt(p_i) U_i``; unital because each ``U_i U_i^dag``
-    is the identity regardless of the weights.
-    """
-    return sample_channel(replace(cfg, family="unitary-mixture"))
-
-
-def unistochastic_from_unitary(u: np.ndarray, d: int) -> KrausChannel:
-    """Channel obtained by coupling to a maximally mixed ``d``-dim environment.
-
-    ``u`` acts on system (x) environment with composite index ``mu*d + e``;
-    the ``d**2`` Kraus operators are the environment contractions
-    ``A_(e,f) = (I (x) <e|) u (I (x) |f>) / sqrt(d)``, realizing
-    ``rho -> Tr_env[u (rho (x) I/d) u^dag]``.  Trace-preserving and unital
-    for any unitary ``u``.
-    """
-    return KrausChannel(d, tuple(_unistochastic_ops(np.asarray(u, dtype=complex), d)[0]))
-
-
-def sample_unistochastic(cfg: SamplerConfig) -> KrausChannel:
-    """Random unistochastic channel from a Haar unitary on the composite."""
-    return sample_channel(replace(cfg, family="unistochastic"))
 
 
 def _basis_matrix(d: int, mu: int, nu: int) -> np.ndarray:

@@ -45,7 +45,6 @@ __all__ = [
     "InequalityBatch",
     "schatten_norm",
     "schatten_antinorm",
-    "schatten",
     "check_prop1",
     "check_two_inf_one",
     "check_superop_norm_bound",
@@ -124,13 +123,14 @@ class InequalityBatch:
         return divmod(int(failed[0]), self.passed.shape[1]) if failed.size else None
 
 
-def _batch(lhs, rhs, directions, passed, log_ratio=None) -> InequalityBatch:
+def _batch(lhs, rhs, directions, passed, log_ratio=None, tol=0.0) -> InequalityBatch:
     """Columns ``(n, k)`` of one check; ``passed`` is the verdict or a function of the slack.
 
     ``log_ratio``, if given, holds ``ln(rhs/lhs)`` of positive sides, and
     gives the slack of the entries where a side is not finite: the larger
-    side, beyond a double, is then the scale.  An entry whose slack is not
-    finite fails whatever the verdict says.
+    side, beyond a double, is then the scale, and a verdict given as an
+    array is ``slack >= -tol`` there.  An entry whose slack is not finite
+    fails whatever the verdict says.
     """
     lhs, rhs = np.asarray(lhs, dtype=float), np.asarray(rhs, dtype=float)
     scale = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1.0)
@@ -142,6 +142,8 @@ def _batch(lhs, rhs, directions, passed, log_ratio=None) -> InequalityBatch:
         scaled = np.sign(log_ratio) * np.expm1(-np.abs(log_ratio))
         plain = np.isfinite(lhs) & np.isfinite(rhs)
         slack = np.where(plain, slack, np.where(le, -scaled, scaled))
+        if not callable(passed):
+            passed = np.where(plain, passed, slack >= -tol)
     if callable(passed):
         passed = passed(slack)
     passed = np.asarray(passed, dtype=bool) & np.isfinite(slack)
@@ -173,15 +175,33 @@ def _orders(q) -> tuple[list, bool]:
 def _power_mean_root(values: np.ndarray, q: float) -> np.ndarray:
     """``(sum v**q)**(1/q)`` over the positive entries of each row, 0 for none.
 
-    Scaling by the row's extreme positive entry keeps every ratio power in
-    (0, 1]; the sum then lives in [1, n] and the outer root is always
-    representable.
+    Scaling by the row's extreme positive entry ``m`` keeps every ratio power
+    in (0, 1]; the sum ``S`` then lives in [1, n], and ``m S**(1/q)``
+    overflows only where ``1/q`` is large (a small anti-norm order), where
+    :func:`_log_power_mean_root` gives its logarithm.
     """
     pos = values > 0
     with np.errstate(all="ignore"):  # the entries it divides badly are masked out
         m = _extreme(values, q)
         total = np.where(pos, (values / m) ** q, 0.0).sum(axis=-1)
         return m[..., 0] * total ** (1.0 / q)
+
+
+def _log_power_mean_root(values: np.ndarray, q: float) -> tuple[np.ndarray, np.ndarray]:
+    """``ln`` of :func:`_power_mean_root` as the sum of ``(ln(n)/q, ln m + log1p(delta)/q)``.
+
+    With ``n`` positive entries in a row, ``S = n (1 + delta)`` and ``delta``
+    the mean of ``expm1(q ln(v/m))``.  The first part is the same for spectra
+    of equal rank, so a difference of logarithms cancels it exactly; the
+    second stays of the order of ``ln v`` however small ``q`` is, and keeps
+    its digits where ``ln m + (1/q) ln S`` would lose them to ``(1/q) ln n``.
+    """
+    pos = values > 0
+    n = pos.sum(axis=-1)
+    with np.errstate(all="ignore"):  # masked entries, and a row with none
+        m = _extreme(values, q)
+        delta = np.where(pos, np.expm1(q * np.log(values / m)), 0.0).sum(axis=-1) / n
+        return np.log(n) / q, np.log(m[..., 0]) + np.log1p(delta) / q
 
 
 def _extreme(values: np.ndarray, q: float) -> np.ndarray:
@@ -267,11 +287,6 @@ def schatten_antinorm(x, q: float):
     if _regime(q) == _NORM:
         raise InvalidOrderError(f"Schatten anti-norm needs q < 1 (q != 0), got {q}")
     return _schatten(x, q)
-
-
-def schatten(x, q: float):
-    """Norm or anti-norm of ``x`` at order ``q``, dispatched by regime."""
-    return schatten_norm(x, q) if _regime(q) == _NORM else schatten_antinorm(x, q)
 
 
 def check_prop1(x, q) -> InequalityReport | InequalityBatch:
@@ -360,6 +375,7 @@ def check_antinorm_monotonicity(x, p, q) -> InequalityReport | InequalityBatch:
     """``|X|_q <= |X|_p`` for ``0 < p < q`` on a positive matrix, pair by pair.
 
     ``p`` and ``q`` are one order each or two equally long lists of them.
+    Where a side overflows (a small ``p``), their logarithms are compared.
     """
     ps, one_p = _orders(p)
     qs, one_q = _orders(q)
@@ -371,19 +387,30 @@ def check_antinorm_monotonicity(x, p, q) -> InequalityReport | InequalityBatch:
     stack, single = _stack(x)
     spectra = _Spectra(stack)
     norms: dict = {}
-    lhs, rhs = [], []
+    lhs, rhs, log_ratio = [], [], []
     for lo, hi in zip(ps, qs):
         for order, side in ((hi, lhs), (lo, rhs)):
             if order not in norms:
                 norms[order] = spectra.schatten(order)
             side.append(norms[order])
-    lhs, rhs = np.stack(lhs, axis=1), np.stack(rhs, axis=1)
-    batch = _batch(lhs, rhs, ("<=",) * len(ps), lhs <= rhs + 1e-10)
+        log_ratio.append(np.zeros(len(stack)))
+        if not (np.isfinite(lhs[-1]) & np.isfinite(rhs[-1])).all():  # a small order overflows
+            (n_hi, hi_part), (n_lo, lo_part) = (_log_power_mean_root(spectra.for_order(o), o) for o in (hi, lo))
+            with np.errstate(invalid="ignore"):  # a zero input; its sides are finite
+                log_ratio[-1] = (n_lo - n_hi) + (lo_part - hi_part)
+    lhs, rhs, log_ratio = (np.stack(side, axis=1) for side in (lhs, rhs, log_ratio))
+    batch = _batch(lhs, rhs, ("<=",) * len(ps), lhs <= rhs + 1e-10, log_ratio, tol=1e-10)
     return _result(batch, single and one_p and one_q)
 
 
 def check_superadditivity(x, y, q) -> InequalityReport | InequalityBatch:
-    """``|X + Y|_q >= |X|_q + |Y|_q`` in the anti-norm regimes, at every order in ``q``."""
+    """``|X + Y|_q >= |X|_q + |Y|_q`` in the anti-norm regimes, at every order in ``q``.
+
+    Where a side is not a finite double (a small order ``q``, whose root
+    ``1/q`` overflows), the sides are compared through their logarithms,
+    ``ln m + (1/q) ln S`` per anti-norm (taken as :func:`_log_power_mean_root`
+    parts) and ``logaddexp`` for the sum.
+    """
     orders, one_order = _orders(q)
     for order in orders:
         if _regime(order) == _NORM:
@@ -391,13 +418,18 @@ def check_superadditivity(x, y, q) -> InequalityReport | InequalityBatch:
     xs, single = _stack(x)
     ys, _ = _stack(y)
     spectra = [_Spectra(xs + ys), _Spectra(xs), _Spectra(ys)]
-    lhs, rhs = [], []
+    lhs, rhs, log_ratio = [], [], []
     for order in orders:
         total, a, b = (sp.schatten(order) for sp in spectra)
         lhs.append(total)
         rhs.append(a + b)
-    lhs, rhs = np.stack(lhs, axis=1), np.stack(rhs, axis=1)
-    batch = _batch(lhs, rhs, (">=",) * len(orders), lhs >= rhs - 1e-10)
+        log_ratio.append(np.zeros(len(xs)))
+        if not (np.isfinite(total) & np.isfinite(rhs[-1])).all():  # a small order overflows
+            (n_t, t), (n_a, a), (n_b, b) = (_log_power_mean_root(sp.for_order(order), order) for sp in spectra)
+            with np.errstate(invalid="ignore"):  # a zero input; its sides are finite
+                log_ratio[-1] = np.logaddexp(n_a - n_t + a, n_b - n_t + b) - t
+    lhs, rhs, log_ratio = (np.stack(side, axis=1) for side in (lhs, rhs, log_ratio))
+    batch = _batch(lhs, rhs, (">=",) * len(orders), lhs >= rhs - 1e-10, log_ratio, tol=1e-10)
     return _result(batch, single and one_order)
 
 

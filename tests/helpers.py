@@ -40,3 +40,13 @@ def noisy_depolarizing():
     """
     ch = sampler.named_channel("depolarizing", 3, 0.3)
     return chmod.KrausChannel(3, tuple(a * (1.0 + 4.5e-9) for a in ch.kraus_ops))
+
+
+def profile(*channels):
+    """The :class:`~chanent.channel.ChannelProfile` of a stack of same-dimension channels."""
+    return chmod.profile_channel(chmod.stack_kraus(channels))
+
+
+def unital_defects(prof):
+    """Max-entry deviation of each channel's ``Tr_2 D`` from the identity, read off its profile."""
+    return np.abs(prof.tr2 - np.eye(prof.dim)).max(axis=(-2, -1))

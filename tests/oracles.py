@@ -2,11 +2,14 @@
 
 Each oracle computes a quantity a second way, by construction rather than by
 the closed form the library uses: ``D`` by acting on the maximally entangled
-state, ``K`` by the Kronecker loop, the channel action from ``D``, the Choi
+state, ``K`` by the Kronecker loop, the channel action from the Kraus
+operators and from ``D``, the Choi
 spectrum by a dense ``eigvalsh`` of ``D``, the receiver spectrum by a complex
 SVD of ``K``, the unital defect from the Kraus operators, the
 ``(q, s)``-entropy one cell at a
-time from its definition in 60-digit arithmetic, the norm-inequality checks
+time from its definition in 60-digit arithmetic, and of a flat spectrum in
+closed form, the deformed logarithm the bound is written in, the
+norm-inequality checks
 one input and one order at a time, the bound's auxiliary domain minima by
 grid search, and the samplers one sample, one ``SeedSequence`` and one
 ``default_rng`` at a time.  None of them is used by ``src/chanent``.
@@ -21,7 +24,9 @@ import numpy as np
 from chanent import channel as chmod
 from chanent import matcore, sampler
 from chanent.channel import TP_TOL
+from chanent.entropy import exprel
 from chanent.errors import (
+    DimensionMismatchError,
     DomainError,
     InvalidOrderError,
     InvalidSpectrumError,
@@ -62,6 +67,17 @@ def superoperator_via_kron(ch):
     out = np.zeros((d * d, d * d), dtype=complex)
     for a in ch.kraus_ops:
         out += np.kron(a, a.conj())
+    return out
+
+
+def apply_channel(ch, x):
+    """Apply the channel: ``sum_i A_i X A_i^dag``."""
+    m = matcore.as_matrix(x)
+    if m.shape != (ch.dim, ch.dim):
+        raise DimensionMismatchError(f"input has shape {m.shape}, expected {(ch.dim, ch.dim)}")
+    out = np.zeros_like(m)
+    for a in ch.kraus_ops:
+        out += a @ m @ a.conj().T
     return out
 
 
@@ -144,6 +160,28 @@ def entropy_mp(values, q_grid, s_grid, dps=60):
                         out[k, i, j] = float(mpmath.expm1(s * log_a) / ((1 - q) * s))
     out += 0.0  # drops a -0.0 sign
     return out[0] if np.ndim(values) == 1 else out
+
+
+def q_log(x, q):
+    """Deformed logarithm ``(x**(1-q) - 1) / (1-q)``, plain ``ln`` at q = 1."""
+    if not (x > 0.0):
+        raise DomainError(f"q_log needs x > 0, got {x}")
+    if not (q > 0.0):
+        raise DomainError(f"q_log needs q > 0, got {q}")
+    return math.log(x) * float(exprel((1.0 - q) * math.log(x)))
+
+
+def uniform_entropy(n, params):
+    """Entropy of the flat distribution on ``n`` outcomes, ``ln n exprel((1-q) s ln n)``.
+
+    This is the maximum over all spectra of effective rank ``n``, hence the
+    rank upper bound for both channel entropies; ``(1/s) q_log(n**s)``, and
+    ``ln n`` on the ``q = 1`` and ``s = 0`` rows.
+    """
+    if n < 1:
+        raise DomainError(f"need at least one outcome, got {n}")
+    log_n = math.log(n)
+    return log_n * float(exprel((1.0 - params.q) * params.s * log_n))
 
 
 def domain_min_low(a):
@@ -270,7 +308,7 @@ def order_spectrum(x, q):
                 f"min eigenvalue {lo:.3e} <= {STRICT_POS_TOL:.1e}"
             )
         return eig.values
-    return matcore.clamp_spectrum(eig.values, neg_tol=matcore.eig_tol(len(eig)))
+    return matcore.clamp_spectrum(eig.values, neg_tol=matcore.eig_tol(eig.values.shape[-1]))
 
 
 def schatten(x, q):
@@ -307,8 +345,8 @@ def check_two_inf_one(x):
 def check_superop_norm_bound(ch):
     """The bound with ``channel(I/d)`` from the Kraus operators and ``K`` built anew."""
     d = ch.dim
-    k_inf = schatten(chmod.superoperator_from_kraus(ch).matrix, math.inf)
-    out = chmod.apply_channel(ch, np.eye(d, dtype=complex) / d)
+    k_inf = schatten(chmod.dynamical_from_kraus(ch).superoperator().matrix, math.inf)
+    out = apply_channel(ch, np.eye(d, dtype=complex) / d)
     bound = math.sqrt(d) * math.sqrt(schatten(out, math.inf))
     passed = k_inf <= bound * (1.0 + TP_TOL)
     if unital_defect_via_kraus(ch) <= TP_TOL:

@@ -1,7 +1,15 @@
 import numpy as np
 import oracles
 import pytest
-from helpers import complex_gaussian, noisy_depolarizing, population, random_density, random_unitary
+from helpers import (
+    complex_gaussian,
+    noisy_depolarizing,
+    population,
+    profile,
+    random_density,
+    random_unitary,
+    unital_defects,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -129,11 +137,11 @@ class TestDynamicalMatrix:
 
 class TestSuperoperatorMatrix:
     def test_identity_channel(self):
-        sup = chmod.superoperator_from_kraus(identity_channel())
+        sup = chmod.dynamical_from_kraus(identity_channel()).superoperator()
         np.testing.assert_array_equal(sup.matrix, np.eye(4))
 
     def test_completely_depolarizing(self):
-        sup = chmod.superoperator_from_kraus(depolarizing_channel())
+        sup = chmod.dynamical_from_kraus(depolarizing_channel()).superoperator()
         v = np.eye(2, dtype=complex).reshape(-1)
         np.testing.assert_allclose(sup.matrix, np.outer(v, v.conj()) / 2, atol=1e-15)
         spec = chmod.superoperator_spectrum(sup)
@@ -142,17 +150,17 @@ class TestSuperoperatorMatrix:
     def test_unitary_channel(self):
         rng = np.random.default_rng(29)
         u = random_unitary(rng, 3)
-        sup = chmod.superoperator_from_kraus(chmod.KrausChannel(3, (u,)))
+        sup = chmod.dynamical_from_kraus(chmod.KrausChannel(3, (u,))).superoperator()
         np.testing.assert_allclose(sup.matrix, np.kron(u, u.conj()), atol=1e-15)
         np.testing.assert_allclose(chmod.superoperator_spectrum(sup).values, np.ones(9), atol=1e-12)
 
     def test_action_on_vectorized_operators(self):
         rng = np.random.default_rng(31)
         for _, _, _, ch in population(903, (2, 3), ("cptp",), 2):
-            sup = chmod.superoperator_from_kraus(ch)
+            sup = chmod.dynamical_from_kraus(ch).superoperator()
             for _ in range(100):
                 x = rng.normal(size=(ch.dim, ch.dim)) + 1j * rng.normal(size=(ch.dim, ch.dim))
-                lhs = matcore.vec(chmod.apply_channel(ch, x))
+                lhs = matcore.vec(oracles.apply_channel(ch, x))
                 rhs = sup.matrix @ matcore.vec(x)
                 assert np.abs(lhs - rhs).max() <= 1e-10
 
@@ -189,21 +197,23 @@ class TestReshuffle:
 
 
 class TestApplyChannel:
+    """The Kraus-side channel action of ``tests/oracles.py``, against closed forms and the ``D`` route."""
+
     def test_identity(self):
         rng = np.random.default_rng(43)
         x = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        np.testing.assert_allclose(chmod.apply_channel(identity_channel(), x), x, atol=1e-15)
+        np.testing.assert_allclose(oracles.apply_channel(identity_channel(), x), x, atol=1e-15)
 
     def test_completely_depolarizing(self):
         rng = np.random.default_rng(47)
         rho = random_density(rng, 2)
         np.testing.assert_allclose(
-            chmod.apply_channel(depolarizing_channel(), rho), np.eye(2) / 2, atol=1e-14
+            oracles.apply_channel(depolarizing_channel(), rho), np.eye(2) / 2, atol=1e-14
         )
 
     def test_output_trace_one_on_maximally_mixed(self):
         for _, d, _, ch in population(905, (2, 3), ("cptp",), 5):
-            out = chmod.apply_channel(ch, np.eye(d) / d)
+            out = oracles.apply_channel(ch, np.eye(d) / d)
             assert abs(np.trace(out).real - 1.0) <= 1e-12
 
     def test_matches_dynamical_route(self):
@@ -212,55 +222,59 @@ class TestApplyChannel:
             dyn = chmod.dynamical_from_kraus(ch)
             for _ in range(25):
                 rho = random_density(rng, d)
-                direct = chmod.apply_channel(ch, rho)
+                direct = oracles.apply_channel(ch, rho)
                 via_dyn = oracles.apply_channel_via_dynamical(dyn, rho)
                 assert np.abs(direct - via_dyn).max() <= 1e-10
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
-            chmod.apply_channel(identity_channel(), np.eye(3))
+            oracles.apply_channel(identity_channel(), np.eye(3))
 
 
 class TestIsUnital:
+    """The unital flags and ``Tr_2 D`` of :func:`~chanent.channel.profile_channel`, where unitality is decided."""
+
     def test_unitary_is_unital(self):
         rng = np.random.default_rng(59)
         ch = chmod.KrausChannel(2, (random_unitary(rng, 2),))
-        assert chmod.is_unital(ch)
+        assert profile(ch).unital[0]
 
     def test_completely_depolarizing_is_unital(self):
-        assert chmod.is_unital(depolarizing_channel())
+        assert profile(depolarizing_channel()).unital[0]
 
     def test_amplitude_damping_is_not(self):
-        ch = sampler.named_channel("amplitude-damping", 2, 0.5)
-        assert not chmod.is_unital(ch)
+        prof = profile(sampler.named_channel("amplitude-damping", 2, 0.5))
+        assert not prof.unital[0]
         # sum A A^dag = diag(1 + g, 1 - g)
-        assert abs(chmod.unital_defect(ch) - 0.5) <= 1e-12
+        np.testing.assert_allclose(prof.tr2[0], np.diag([1.5, 0.5]), atol=1e-15)
+        assert abs(unital_defects(prof)[0] - 0.5) <= 1e-12
 
     def test_tp_noisy_channel_is_unital(self):
         # unital within TP_TOL, the tolerance the channel was admitted at
-        ch = noisy_depolarizing()
-        assert 5e-9 < chmod.unital_defect(ch) <= chmod.TP_TOL
-        assert chmod.is_unital(ch)
+        prof = profile(noisy_depolarizing())
+        assert 5e-9 < unital_defects(prof)[0] <= chmod.TP_TOL
+        assert prof.unital[0]
 
     @pytest.mark.parametrize("g, unital", [(5e-9, True), (2e-8, False)])
     def test_unital_tolerance_is_tp_tol(self, g, unital):
         # amplitude damping has unital defect g and is exactly TP
         ch = sampler.named_channel("amplitude-damping", 2, g)
         assert ch.tp_defect() <= 1e-15
-        assert chmod.is_unital(ch) is unital
+        assert bool(profile(ch).unital[0]) is unital
 
     @pytest.mark.parametrize("d", ROUTE_DIMS)
     def test_stacked_defects_match_single_and_kraus_side(self, d):
         # Tr_2 D = sum_i A_i A_i^dag: one reduction on the D stack
         for family in FAMILIES:
             chs = [ch for *_, ch in population(961, (d,), (family,), 3)]
-            stacked = chmod.unital_defect(chmod.dynamical_from_kraus(chmod.stack_kraus(chs)))
-            assert stacked.shape == (3,)
-            for defect, ch in zip(stacked, chs):
-                assert abs(defect - chmod.unital_defect(ch)) <= 1e-15
+            stacked = profile(*chs)
+            singles = [profile(ch) for ch in chs]
+            assert stacked.tr2.shape == (3, d, d)
+            for defect, one, ch in zip(unital_defects(stacked), singles, chs):
+                assert abs(defect - unital_defects(one)[0]) <= 1e-15
                 assert abs(defect - oracles.unital_defect_via_kraus(ch)) <= 1e-15
-            flags = chmod.is_unital(chmod.dynamical_from_kraus(chmod.stack_kraus(chs)))
-            assert flags.tolist() == [chmod.is_unital(ch) for ch in chs] == [family != "cptp"] * 3
+            flags = stacked.unital.tolist()
+            assert flags == [bool(one.unital[0]) for one in singles] == [family != "cptp"] * 3
 
 
 class TestKrausGram:
@@ -372,7 +386,7 @@ class TestOracleRoutes:
         (_, _, _, ch), = population(seed, (d,), (family,), 1)
         assert len(ch.kraus_ops) == sampler.default_kraus_count(family, d)
         dyn = chmod.dynamical_from_kraus(ch)
-        sup = chmod.superoperator_from_kraus(ch)
+        sup = dyn.superoperator()
         assert np.abs(dyn.matrix - oracles.dynamical_via_entangled_input(ch)).max() <= 1e-12
         assert np.abs(sup.matrix - oracles.superoperator_via_kron(ch)).max() <= 1e-12
 

@@ -449,17 +449,34 @@ class TestInequalities:
         assert cli.main(["inequalities", "--matrix", str(mat_path), "--out", str(tmp_path / "x")]) == 2
         assert capsys.readouterr().err.startswith("config error:")
 
-    def test_non_finite_slack_fails_the_run(self, tmp_path, capsys):
-        # at q = 1e-300 and 1e-5 both sides of sups overflow, and their slack
-        # is NaN: the check fails, with no minimum slack (JSON null, not the
+    def test_non_finite_slack_fails_the_run(self, tmp_path, capsys, monkeypatch):
+        # sups with both sides infinite and no scaled comparison: its slack is
+        # NaN, so the check fails, with no minimum slack (JSON null, not the
         # non-standard Infinity)
-        for q in ("1e-300", "1e-5"):
-            out = tmp_path / f"tiny-q{q}"
-            code = cli.main(["inequalities", "--dims", "2", "--samples", "1", "--q", q, "--out", str(out)])
-            assert code == 1 and "INEQUALITY SUITE FAILED" in capsys.readouterr().err
-            summary = json.loads((out / "summary.json").read_text(), parse_constant=pytest.fail)
-            assert summary["failure"] == {"check": "sups", "input": "psd-d2-0000", "kind": "inequality-failed"}
-            assert summary["checks"]["sups"] == {"count": 1, "min_slack": None, "passed": False}
+        check = spectra.check_superadditivity
+
+        def overflowing(x, y, q):
+            batch = check(x, y, q)
+            inf = np.full(batch.lhs.shape, np.inf)
+            return spectra._batch(inf, inf, batch.directions, batch.passed)
+
+        monkeypatch.setattr(spectra, "check_superadditivity", overflowing)
+        out = tmp_path / "nan-slack"
+        code = cli.main(["inequalities", "--dims", "2", "--samples", "1", "--q", "0.5", "--out", str(out)])
+        assert code == 1 and "INEQUALITY SUITE FAILED" in capsys.readouterr().err
+        summary = json.loads((out / "summary.json").read_text(), parse_constant=pytest.fail)
+        assert summary["failure"] == {"check": "sups", "input": "psd-d2-0000", "kind": "inequality-failed"}
+        assert summary["checks"]["sups"] == {"count": 1, "min_slack": None, "passed": False}
+
+    @pytest.mark.parametrize("q", ["1e-5", "1e-300"])
+    def test_small_q_inequalities_pass(self, tmp_path, q):
+        # both anti-norms of sups overflow at 1/q = 1e5 and beyond; their
+        # logarithms are compared, and superadditivity holds with a finite slack
+        out = tmp_path / "small-q"
+        code = cli.main(["inequalities", "--dims", "2", "--samples", "1", "--q", q, "--out", str(out)])
+        assert code == 0
+        sups = json.loads((out / "summary.json").read_text(), parse_constant=pytest.fail)["checks"]["sups"]
+        assert sups["passed"] and 0.0 < sups["min_slack"] <= 1.0
 
     @pytest.mark.parametrize("q", ["600", "1e300"])
     def test_large_q_inequalities_pass(self, tmp_path, q):

@@ -1,13 +1,13 @@
 import numpy as np
 import oracles
 import pytest
-from helpers import random_density
+from helpers import profile, random_density, unital_defects
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chanent import channel as chmod
 from chanent import sampler
-from chanent.entropy import EntropyParams, map_entropy
+from chanent.entropy import entropy_grid
 from chanent.errors import ParamOutOfRangeError, SingularNormalizerError, UnknownChannelError
 
 
@@ -15,12 +15,12 @@ class TestSampleCptp:
     def test_trace_preservation_at_rounding_level(self):
         for d in (2, 3, 4):
             cfg = sampler.SamplerConfig(d, d * d, sampler.derive_seed(1, 0, d, 0), "cptp")
-            ch = sampler.sample_cptp(cfg)
+            ch = sampler.sample_channel(cfg)
             assert ch.tp_defect() <= 1e-12
 
     def test_single_kraus_is_unitary(self):
         cfg = sampler.SamplerConfig(3, 1, 77, "cptp")
-        ch = sampler.sample_cptp(cfg)
+        ch = sampler.sample_channel(cfg)
         a = ch.kraus_ops[0]
         assert np.abs(a.conj().T @ a - np.eye(3)).max() <= 1e-12
         spec = chmod.dynamical_spectrum(chmod.dynamical_from_kraus(ch))
@@ -28,21 +28,21 @@ class TestSampleCptp:
 
     def test_deterministic(self):
         cfg = sampler.SamplerConfig(3, 4, 12345, "cptp")
-        a = sampler.sample_cptp(cfg)
-        b = sampler.sample_cptp(cfg)
+        a = sampler.sample_channel(cfg)
+        b = sampler.sample_channel(cfg)
         for x, y in zip(a.kraus_ops, b.kraus_ops):
             np.testing.assert_array_equal(x, y)
 
     def test_distinct_seeds_differ(self):
-        a = sampler.sample_cptp(sampler.SamplerConfig(2, 4, sampler.derive_seed(9, 0, 2, 0), "cptp"))
-        b = sampler.sample_cptp(sampler.SamplerConfig(2, 4, sampler.derive_seed(9, 0, 2, 1), "cptp"))
+        a = sampler.sample_channel(sampler.SamplerConfig(2, 4, sampler.derive_seed(9, 0, 2, 0), "cptp"))
+        b = sampler.sample_channel(sampler.SamplerConfig(2, 4, sampler.derive_seed(9, 0, 2, 1), "cptp"))
         assert np.abs(a.kraus_ops[0] - b.kraus_ops[0]).max() > 1e-3
 
     def test_generic_samples_are_not_unital(self):
         fails = 0
         for i in range(100):
             cfg = sampler.SamplerConfig(2, 4, sampler.derive_seed(2, 0, 2, i), "cptp")
-            fails += int(not chmod.is_unital(sampler.sample_cptp(cfg)))
+            fails += int(not profile(sampler.sample_channel(cfg)).unital[0])
         assert fails >= 95
 
 
@@ -50,20 +50,19 @@ class TestSampleUnitaryMixture:
     def test_unital_and_tp(self):
         for k in (1, 3, 6):
             cfg = sampler.SamplerConfig(3, k, sampler.derive_seed(3, 1, 3, k), "unitary-mixture")
-            ch = sampler.sample_unitary_mixture(cfg)
-            assert chmod.unital_defect(ch) <= 1e-10
+            ch = sampler.sample_channel(cfg)
+            assert unital_defects(profile(ch))[0] <= 1e-10
             assert ch.tp_defect() <= 1e-10
 
     def test_single_unitary_has_zero_map_entropy(self):
         cfg = sampler.SamplerConfig(2, 1, 55, "unitary-mixture")
-        ch = sampler.sample_unitary_mixture(cfg)
-        dyn = chmod.dynamical_from_kraus(ch)
-        assert abs(map_entropy(dyn, EntropyParams(2.0, 1.0))) <= 1e-12
+        ch = sampler.sample_channel(cfg)
+        assert abs(entropy_grid(profile(ch).choi_spectrum, (2.0,), (1.0,))).max() <= 1e-12
 
     def test_deterministic(self):
         cfg = sampler.SamplerConfig(2, 3, 999, "unitary-mixture")
-        a = sampler.sample_unitary_mixture(cfg)
-        b = sampler.sample_unitary_mixture(cfg)
+        a = sampler.sample_channel(cfg)
+        b = sampler.sample_channel(cfg)
         for x, y in zip(a.kraus_ops, b.kraus_ops):
             np.testing.assert_array_equal(x, y)
 
@@ -72,17 +71,17 @@ class TestSampleUnistochastic:
     def test_tp_and_unital(self):
         for d in (2, 3):
             cfg = sampler.SamplerConfig(d, 1, sampler.derive_seed(4, 2, d, 0), "unistochastic")
-            ch = sampler.sample_unistochastic(cfg)
+            ch = sampler.sample_channel(cfg)
             assert len(ch.kraus_ops) == d * d
             assert ch.tp_defect() <= 1e-10
-            assert chmod.unital_defect(ch) <= 1e-10
+            assert unital_defects(profile(ch))[0] <= 1e-10
 
     def test_trivial_coupling_is_identity_channel(self):
         rng = np.random.default_rng(5)
         d = 3
-        ch = sampler.unistochastic_from_unitary(np.eye(d * d, dtype=complex), d)
+        ch = oracles.unistochastic_from_unitary(np.eye(d * d, dtype=complex), d)
         rho = random_density(rng, d)
-        np.testing.assert_allclose(chmod.apply_channel(ch, rho), rho, atol=1e-14)
+        np.testing.assert_allclose(oracles.apply_channel(ch, rho), rho, atol=1e-14)
 
     def test_swap_coupling_depolarizes_completely(self):
         rng = np.random.default_rng(6)
@@ -91,9 +90,9 @@ class TestSampleUnistochastic:
         for mu in range(d):
             for e in range(d):
                 swap[e * d + mu, mu * d + e] = 1.0
-        ch = sampler.unistochastic_from_unitary(swap, d)
+        ch = oracles.unistochastic_from_unitary(swap, d)
         rho = random_density(rng, d)
-        np.testing.assert_allclose(chmod.apply_channel(ch, rho), np.eye(d) / d, atol=1e-14)
+        np.testing.assert_allclose(oracles.apply_channel(ch, rho), np.eye(d) / d, atol=1e-14)
 
 
 class TestNamedChannels:
@@ -101,14 +100,14 @@ class TestNamedChannels:
         ch = sampler.named_channel("identity", 3)
         spec = chmod.dynamical_spectrum(chmod.dynamical_from_kraus(ch))
         np.testing.assert_allclose(spec.values, [3.0] + [0.0] * 8, atol=1e-12)
-        sup = chmod.superoperator_from_kraus(ch)
+        sup = chmod.dynamical_from_kraus(ch).superoperator()
         np.testing.assert_array_equal(sup.matrix, np.eye(9))
 
     def test_completely_depolarizing(self):
         ch = sampler.named_channel("completely-depolarizing", 2)
         dyn = chmod.dynamical_from_kraus(ch)
         np.testing.assert_allclose(dyn.matrix, np.eye(4) / 2, atol=1e-15)
-        sup_spec = chmod.superoperator_spectrum(chmod.superoperator_from_kraus(ch))
+        sup_spec = chmod.superoperator_spectrum(dyn.superoperator())
         assert np.count_nonzero(sup_spec.values) == 1
 
     def test_depolarizing_action(self):
@@ -117,20 +116,20 @@ class TestNamedChannels:
             ch = sampler.named_channel("depolarizing", d, p)
             rho = random_density(rng, d)
             want = (1 - p) * rho + p * np.eye(d) / d
-            np.testing.assert_allclose(chmod.apply_channel(ch, rho), want, atol=1e-13)
+            np.testing.assert_allclose(oracles.apply_channel(ch, rho), want, atol=1e-13)
 
     def test_dephasing_action(self):
         rng = np.random.default_rng(8)
         ch = sampler.named_channel("dephasing", 3, 0.6)
         rho = random_density(rng, 3)
         want = 0.4 * rho + 0.6 * np.diag(np.diag(rho))
-        np.testing.assert_allclose(chmod.apply_channel(ch, rho), want, atol=1e-13)
-        assert chmod.is_unital(ch)
+        np.testing.assert_allclose(oracles.apply_channel(ch, rho), want, atol=1e-13)
+        assert profile(ch).unital[0]
 
     def test_amplitude_damping_gram_oracle(self):
         g = 0.5
         ch = sampler.named_channel("amplitude-damping", 2, g)
-        assert not chmod.is_unital(ch)
+        assert not profile(ch).unital[0]
         # Gram matrix conj(V) V^T is diag(2 - g, g), so the Choi spectrum is {2-g, g, 0, 0}
         dyn = chmod.dynamical_from_kraus(ch)
         np.testing.assert_allclose(dyn.kraus.conj() @ dyn.kraus.T, np.diag([2 - g, g]), atol=1e-14)
@@ -141,7 +140,7 @@ class TestNamedChannels:
         ch = sampler.named_channel("unitary", 3, 0.7)
         u = ch.kraus_ops[0]
         assert np.abs(u.conj().T @ u - np.eye(3)).max() <= 1e-14
-        spec = chmod.superoperator_spectrum(chmod.superoperator_from_kraus(ch))
+        spec = chmod.superoperator_spectrum(chmod.dynamical_from_kraus(ch).superoperator())
         np.testing.assert_allclose(spec.values, np.ones(9), atol=1e-12)
 
     def test_errors(self):

@@ -4,7 +4,7 @@ import mpmath
 import numpy as np
 import oracles
 import pytest
-from helpers import complex_gaussian, noisy_depolarizing, population, random_psd, random_unitary
+from helpers import complex_gaussian, noisy_depolarizing, population, profile, random_psd, random_unitary
 
 from chanent import channel as chmod
 from chanent import cli, matcore, sampler, spectra
@@ -21,16 +21,18 @@ from chanent.matcore import Spectrum
 
 class TestNormOrder:
     def test_regimes(self):
-        # an order's regime picks the norm (q >= 1) or the anti-norm (q < 1)
+        # an order's regime picks the norm (q >= 1) or the anti-norm (q < 1),
+        # as the oracle dispatches one matrix at a time
         x = np.diag([1.0, 4.0])
-        assert spectra.schatten(x, 1.0) == spectra.schatten_norm(x, 1.0)
-        assert spectra.schatten(x, math.inf) == spectra.schatten_norm(x, math.inf)
-        assert spectra.schatten(x, 0.5) == spectra.schatten_antinorm(x, 0.5)
-        assert spectra.schatten(x, -1.0) == spectra.schatten_antinorm(x, -1.0)
+        for q in (1.0, math.inf, 2.5):
+            assert spectra.schatten_norm(x, q) == pytest.approx(oracles.schatten(x, q), rel=1e-14)
+        for q in (0.5, -1.0):
+            assert spectra.schatten_antinorm(x, q) == pytest.approx(oracles.schatten(x, q), rel=1e-14)
 
     def test_zero_rejected(self):
-        with pytest.raises(InvalidOrderError):
-            spectra.schatten(np.eye(2), 0.0)
+        for schatten in (spectra.schatten_norm, spectra.schatten_antinorm):
+            with pytest.raises(InvalidOrderError):
+                schatten(np.eye(2), 0.0)
 
 
 class TestInfiniteOrders:
@@ -51,11 +53,9 @@ class TestInfiniteOrders:
             check(self.X, q)
 
     def test_antinorm_rejects_minus_inf(self):
-        for fn in (spectra.schatten_antinorm, spectra.schatten):
+        for fn in (spectra.schatten_antinorm, spectra.schatten_norm):
             with pytest.raises(InvalidOrderError):
                 fn(self.X, -math.inf)
-        with pytest.raises(InvalidOrderError):
-            spectra.schatten_norm(self.X, -math.inf)
 
     def test_spectral_norm_stays(self):
         assert spectra.schatten_norm(self.X, math.inf) == 4.0
@@ -129,8 +129,9 @@ class TestSymmetryProperties:
         rng = np.random.default_rng(71)
         p = random_psd(rng, 4) + 0.1 * np.eye(4)
         for q, c in ((2.5, 3.7), (0.5, 0.13), (-2.0, 5.0)):
-            scaled = spectra.schatten(c * p, q)
-            base = spectra.schatten(p, q)
+            schatten = spectra.schatten_norm if q >= 1.0 else spectra.schatten_antinorm
+            scaled = schatten(c * p, q)
+            base = schatten(p, q)
             assert abs(scaled - c * base) <= 1e-10 * max(1.0, c * base)
 
     @pytest.mark.parametrize("eps", [1e-3, 1e-5])
@@ -259,12 +260,18 @@ class TestCheckSuperopNormBound:
     def test_random_nonunital_holds_with_slack(self):
         cfg = sampler.SamplerConfig(3, 9, sampler.derive_seed(909, 0, 3, 0), "cptp")
         ch = sampler.sample_channel(cfg)
-        assert not chmod.is_unital(ch)
+        assert not profile(ch).unital[0]
         rep = spectra.check_superop_norm_bound(ch)
         assert rep.passed and rep.slack > 0
 
 
 class TestCheckAntinormMonotonicity:
+    def test_small_order_compares_the_sides_in_logs(self):
+        # |X|_p overflows at p = 1e-5, and exceeds |X|_q by a factor beyond a double
+        x = random_psd(np.random.default_rng(107), 4)
+        rep = spectra.check_antinorm_monotonicity(x, 1e-5, 0.5)
+        assert rep.rhs == math.inf and rep.passed and rep.slack == 1.0
+
     def test_flat_spectrum(self):
         rep = spectra.check_antinorm_monotonicity(np.eye(2), 1.0 / 3.0, 0.5)
         assert rep.passed
@@ -284,6 +291,17 @@ class TestCheckAntinormMonotonicity:
     def test_order_validation(self):
         with pytest.raises(InvalidOrderError):
             spectra.check_antinorm_monotonicity(np.eye(2), 0.8, 0.2)
+
+
+def mp_superadditivity_slack(x, y, q):
+    """``(|X+Y|_q - |X|_q - |Y|_q) / |X+Y|_q``: eigenvalues in 60 digits, anti-norms in
+    enough digits that ``lambda**q - 1`` keeps 60 of its own."""
+    with mpmath.workdps(60):
+        eigs = [mpmath.eighe(mpmath.matrix(m.tolist()))[0] for m in (x + y, x, y)]
+    with mpmath.workdps(60 + int(-math.log10(q))):
+        qq = mpmath.mpf(q)
+        total, a, b = (mpmath.fsum(mpmath.re(v) ** qq for v in e) ** (1 / qq) for e in eigs)
+        return float((total - a - b) / total)
 
 
 class TestCheckSuperadditivity:
@@ -307,6 +325,23 @@ class TestCheckSuperadditivity:
     def test_rejects_norm_orders(self):
         with pytest.raises(InvalidOrderError):
             spectra.check_superadditivity(np.eye(2), np.eye(2), 1.5)
+
+    @pytest.mark.parametrize("q", [1e-5, 3e-16, 1e-300])
+    def test_small_orders_compare_the_sides_in_logs(self, q):
+        # (sum lambda**q)**(1/q) overflows once 1/q is large: both sides are
+        # infinite, and the slack comes from their logarithms, here against
+        # the anti-norms in high precision
+        rng = np.random.default_rng(103)
+        for n in (2, 5):
+            x, y = random_psd(rng, n), random_psd(rng, n)
+            rep = spectra.check_superadditivity(x, y, q)
+            assert rep.lhs == rep.rhs == math.inf
+            assert rep.passed and abs(rep.slack - mp_superadditivity_slack(x, y, q)) <= 1e-12
+
+    def test_small_orders_keep_the_saturation(self):
+        eye = np.eye(3)
+        batch = spectra.check_superadditivity([eye, eye], [eye, 2.0 * eye], [1e-5, 1e-300])
+        assert batch.passed.all() and np.abs(batch.slack).max() <= 1e-12
 
 
 class TestCheckNormProductChain:
@@ -476,7 +511,9 @@ class TestFirstFailure:
         assert batch.first_failure() is None
 
     def test_non_finite_slack_fails(self):
-        # at q = 1e-300 both sides overflow to inf; their slack is NaN
-        batch = spectra.check_superadditivity(np.eye(2), np.eye(2), [1e-300, 0.5])
-        assert np.isnan(batch.slack[0, 0]) and batch.lhs[0, 0] == batch.rhs[0, 0] == math.inf
+        # both sides inf and no scaled comparison: the slack is NaN, and the
+        # entry fails whatever its verdict says
+        sides = np.array([[math.inf, 2.0]])
+        batch = spectra._batch(sides, sides, (">=", ">="), np.array([[True, True]]))
+        assert np.isnan(batch.slack[0, 0]) and batch.slack[0, 1] == 0.0
         assert batch.passed.tolist() == [[False, True]] and batch.first_failure() == (0, 0)
