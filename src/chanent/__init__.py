@@ -8,15 +8,13 @@ ships samplers plus a CLI harness for Monte-Carlo verification runs.
 """
 
 from .channel import (
-    DynamicalMatrix,
     KrausChannel,
-    SuperoperatorMatrix,
     dynamical_from_kraus,
     profile_channel,
     reshuffle,
 )
 from .entropy import EntropyParams
-from .matcore import Spectrum, hermitian_eigenvalues, partial_trace, singular_values, vec
+from .matcore import hermitian_eigenvalues, partial_trace, singular_values, vec
 from .sampler import SamplerConfig, named_channel, sample_channel
 from .spectra import InequalityReport, schatten_antinorm, schatten_norm
 from .tradeoff import (
@@ -29,13 +27,10 @@ from .tradeoff import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "DynamicalMatrix",
     "EntropyParams",
     "InequalityReport",
     "KrausChannel",
     "SamplerConfig",
-    "Spectrum",
-    "SuperoperatorMatrix",
     "TradeoffReport",
     "dynamical_from_kraus",
     "evaluate_tradeoff",

@@ -2,14 +2,15 @@
 
 A channel on a ``d``-dimensional system is stored only as its Kraus
 operators; the dynamical (Choi-type) matrix ``D`` and the superoperator
-matrix ``K`` are derived views, never mutated in place.  One channel is a
-:class:`KrausChannel`; a stack of ``n`` same-dimension channels is their
-``(n, k, d, d)`` Kraus array, validated by :func:`check_kraus_stack` (one
-trace-preservation check for the whole stack) and built from channel
-objects, zero-padded, by :func:`stack_kraus`.  The harnesses keep the arrays
-the sampler draws and make a :class:`KrausChannel` only for a channel that
-leaves them (a counterexample).  Under the row-major ``vec`` convention of
-:mod:`chanent.matcore`
+matrix ``K`` are plain arrays derived from them, never mutated in place
+(:func:`dynamical_from_kraus` gives ``D``, ``reshuffle(D, d)`` gives ``K``).
+One channel is a :class:`KrausChannel`; a stack of ``n`` same-dimension
+channels is their ``(n, k, d, d)`` Kraus array, validated by
+:func:`check_kraus_stack` (one trace-preservation check for the whole stack)
+and built from channel objects, zero-padded, by :func:`stack_kraus`.  The
+harnesses keep the arrays the sampler draws and make a :class:`KrausChannel`
+only for a channel that leaves them (a counterexample).  Under the row-major
+``vec`` convention of :mod:`chanent.matcore`
 
 * ``D = sum_i vec(A_i) vec(A_i)^dag``  (Hermitian, PSD, trace ``d``), built
   as one product of the stacked ``vec(A_i)``, and
@@ -24,10 +25,10 @@ the entangled-input construction for ``D``) live in ``tests/oracles.py``.
 Each spectrum is taken from the smallest real problem that has it:
 
 * The map spectrum (eigenvalues of ``D = V^T conj(V)``, row ``i`` of ``V``
-  being ``vec(A_i)``): when a channel, or a stack, has ``k < d**2`` Kraus
-  operators, the nonzero eigenvalues are those of the ``k x k`` Gram matrix
-  ``conj(V) V^T``, padded with exact zeros to ``d**2``; otherwise one
-  ``eigvalsh`` of ``D``.
+  being ``vec(A_i)``): when ``D`` comes with the ``k < d**2`` Kraus
+  operators of its channel, or stack, the nonzero eigenvalues are those of
+  the ``k x k`` Gram matrix ``conj(V) V^T``, padded with exact zeros to
+  ``d**2``; otherwise one ``eigvalsh`` of ``D``.
 * The receiver spectrum (singular values of ``K``): ``D`` is Hermitian, so
   ``conj(K) = F K F`` with ``F`` the swap ``a*d+b -> b*d+a``.  The unitary
   ``T = (I + iF)/sqrt(2)`` then makes ``T K T^dag = Re K - Im(F K)`` real,
@@ -65,7 +66,6 @@ import numpy as np
 
 from . import matcore
 from .errors import DimensionMismatchError, NotTracePreservingError
-from .matcore import Spectrum
 
 __all__ = [
     "TP_TOL",
@@ -73,8 +73,6 @@ __all__ = [
     "KrausChannel",
     "check_kraus_stack",
     "stack_kraus",
-    "DynamicalMatrix",
-    "SuperoperatorMatrix",
     "dynamical_from_kraus",
     "reshuffle",
     "dynamical_spectrum",
@@ -107,13 +105,6 @@ def _tp_defects(a: np.ndarray) -> np.ndarray:
     """
     with np.errstate(over="ignore", invalid="ignore"):
         return _identity_defects(a.conj().swapaxes(-2, -1) @ a)
-
-
-def _require_tp(defect: float) -> None:
-    if not defect <= TP_TOL:  # a NaN defect is no evidence of trace preservation
-        raise NotTracePreservingError(
-            f"trace-preservation defect {defect:.3e} exceeds {TP_TOL:.1e}"
-        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,7 +154,10 @@ def check_kraus_stack(ops) -> np.ndarray:
     if not k:
         raise ValueError("a channel needs at least one Kraus operator")
     for defect in _tp_defects(ops.reshape(n, k * d, d)).tolist():
-        _require_tp(defect)
+        if not defect <= TP_TOL:  # a NaN defect is no evidence of trace preservation
+            raise NotTracePreservingError(
+                f"trace-preservation defect {defect:.3e} exceeds {TP_TOL:.1e}"
+            )
     return ops
 
 
@@ -187,50 +181,18 @@ def stack_kraus(channels) -> np.ndarray:
     return ops
 
 
-@dataclass(frozen=True, eq=False)
-class DynamicalMatrix:
-    """The ``d**2 x d**2`` dynamical matrix of a channel (trace ``d``).
-
-    ``matrix`` may also hold the ``(n, d**2, d**2)`` stack of ``n``
-    same-dimension channels; every function of this module that takes a
-    :class:`DynamicalMatrix` or :class:`SuperoperatorMatrix` then acts on each
-    matrix of the stack.
-    """
-
-    dim: int
-    matrix: np.ndarray
-    # The (k, d**2) rows vec(A_i) that D = V^T conj(V) was built from, or
-    # their (n, k, d**2) stack; None for a D given as a matrix.
-    kraus: np.ndarray | None = None
-
-    def superoperator(self) -> "SuperoperatorMatrix":
-        """The superoperator matrix of the same channel, ``reshuffle(D)``."""
-        return SuperoperatorMatrix(self.dim, reshuffle(self.matrix, self.dim))
-
-
-@dataclass(frozen=True, eq=False)
-class SuperoperatorMatrix:
-    """The ``d**2 x d**2`` superoperator matrix (generally non-Hermitian), or a stack of them."""
-
-    dim: int
-    matrix: np.ndarray
-
-
-def dynamical_from_kraus(ops) -> DynamicalMatrix:
+def dynamical_from_kraus(ops) -> np.ndarray:
     """Dynamical matrix ``sum_i vec(A_i) vec(A_i)^dag`` as ``V^T conj(V)``.
 
     Row ``i`` of ``V`` is ``vec(A_i)``, so the sum over Kraus operators is
-    one matrix product.  ``ops`` is a :class:`KrausChannel`, or the
-    ``(n, k, d, d)`` Kraus array of ``n`` same-dimension channels, which
-    gives their stack of dynamical matrices ``(n, d**2, d**2)`` from one
-    batched product.
+    one matrix product.  ``ops`` is a :class:`KrausChannel`, giving its
+    ``(d**2, d**2)`` matrix, or the ``(n, k, d, d)`` Kraus array of ``n``
+    same-dimension channels, which gives their stack of dynamical matrices
+    ``(n, d**2, d**2)`` from one batched product.
     """
-    single = isinstance(ops, KrausChannel)
-    a = np.stack(ops.kraus_ops)[None] if single else np.asarray(ops)
-    n, k, d, _ = a.shape
-    v = a.reshape(n, k, d * d)
-    dyn = v.swapaxes(-2, -1) @ v.conj()
-    return DynamicalMatrix(d, dyn[0], v[0]) if single else DynamicalMatrix(d, dyn, v)
+    a = np.stack(ops.kraus_ops) if isinstance(ops, KrausChannel) else np.asarray(ops)
+    v = a.reshape(*a.shape[:-2], -1)
+    return v.swapaxes(-2, -1) @ v.conj()
 
 
 def reshuffle(m, d: int) -> np.ndarray:
@@ -251,23 +213,26 @@ def _blocks(m, d: int) -> np.ndarray:
     return x.reshape(*x.shape[:-2], d, d, d, d)
 
 
-def dynamical_spectrum(dyn: DynamicalMatrix) -> Spectrum:
+def dynamical_spectrum(dyn, kraus=None) -> np.ndarray:
     """Clamped eigenvalue spectrum of the dynamical matrix, descending; one row per matrix of a stack.
 
-    With ``k < d**2`` Kraus rows behind ``D``, from the ``k x k`` Gram matrix
-    ``conj(V) V^T``, padded with zeros; otherwise from ``D`` itself.
+    ``kraus`` optionally holds the Kraus operators ``D`` was built from:
+    ``(k, d, d)`` for one matrix, ``(n, k, d, d)`` for a stack.  With
+    ``k < d**2`` of them, the spectrum comes from the ``k x k`` Gram matrix
+    ``conj(V) V^T`` of their rows ``vec(A_i)``, padded with zeros; otherwise
+    from ``D`` itself.
     """
-    n = dyn.dim**2
-    v = dyn.kraus
+    n = np.shape(dyn)[-1]
+    v = None if kraus is None else np.reshape(kraus, (*np.shape(dyn)[:-2], -1, n))
     if v is not None and v.shape[-2] < n:
-        vals = matcore.hermitian_eigenvalues(v.conj() @ v.swapaxes(-2, -1)).values
+        vals = matcore.hermitian_eigenvalues(v.conj() @ v.swapaxes(-2, -1))
         vals = np.concatenate([vals, np.zeros(vals.shape[:-1] + (n - vals.shape[-1],))], axis=-1)
     else:
-        vals = matcore.hermitian_eigenvalues(dyn.matrix).values
-    return Spectrum(matcore.clamp_spectrum(vals, neg_tol=matcore.eig_tol(n)), "eigenvalues-hermitian")
+        vals = matcore.hermitian_eigenvalues(dyn)
+    return matcore.clamp_spectrum(vals, neg_tol=matcore.eig_tol(n))
 
 
-def superoperator_spectrum(sup: SuperoperatorMatrix) -> Spectrum:
+def superoperator_spectrum(sup, d: int) -> np.ndarray:
     """Cleaned singular-value spectrum of the superoperator matrix; one row per matrix of a stack.
 
     Taken by one real SVD of ``Re K - Im(F K)``; raises
@@ -275,15 +240,12 @@ def superoperator_spectrum(sup: SuperoperatorMatrix) -> Spectrum:
     exceeds ``HERM_TOL`` in some entry, that is when ``K`` does not come
     from a Hermitian ``D``.
     """
-    d = sup.dim
-    k = _blocks(sup.matrix, d)  # k[a, b, m, n] = K[a*d+b, m*d+n]
-    lead = k.shape[:-4]
-    fkf = k.swapaxes(-4, -3).swapaxes(-2, -1)
-    matcore.require_hermitian(np.abs(k.conj() - fkf).reshape(*lead, d * d, d * d))
-    real = (k.real - k.swapaxes(-4, -3).imag).reshape(*lead, d * d, d * d)
-    spec = matcore.singular_values(real)
-    vals = matcore.clamp_spectrum(spec.values, neg_tol=matcore.eig_tol(d * d))
-    return Spectrum(vals, "singular-values")
+    t = _blocks(sup, d)  # t[a, b, m, n] = K[a*d+b, m*d+n]
+    lead = t.shape[:-4]
+    ftf = t.swapaxes(-4, -3).swapaxes(-2, -1)
+    matcore.require_hermitian(np.abs(t.conj() - ftf).reshape(*lead, d * d, d * d))
+    real = (t.real - t.swapaxes(-4, -3).imag).reshape(*lead, d * d, d * d)
+    return matcore.clamp_spectrum(matcore.singular_values(real), neg_tol=matcore.eig_tol(d * d))
 
 
 @dataclass(frozen=True, eq=False)
@@ -291,16 +253,16 @@ class ChannelProfile:
     """What the trade-off grid and the channel checks read, for a stack of ``n`` channels.
 
     ``channel_id`` is a tuple of ``n`` ids and ``unital`` an ``(n,)`` bool
-    array; the spectra are ``(n, d**2)`` and ``tr2`` is the ``(n, d, d)``
-    stack of ``Tr_2 D = sum_i A_i A_i^dag``, the image of the identity.  Row
-    ``k`` of each belongs to channel ``k``.
+    array; the spectra are ``(n, d**2)`` float arrays and ``tr2`` is the
+    ``(n, d, d)`` stack of ``Tr_2 D = sum_i A_i A_i^dag``, the image of the
+    identity.  Row ``k`` of each belongs to channel ``k``.
     """
 
     channel_id: tuple
     dim: int
     unital: np.ndarray
-    choi_spectrum: Spectrum
-    superop_spectrum: Spectrum
+    choi_spectrum: np.ndarray
+    superop_spectrum: np.ndarray
     tr2: np.ndarray
 
 
@@ -316,14 +278,15 @@ def profile_channel(ops, channel_id=()) -> ChannelProfile:
     ids = tuple(channel_id) or ("",) * len(ops)
     if len(ids) != len(ops):
         raise ValueError(f"{len(ops)} channels but {len(ids)} channel ids")
+    d = np.shape(ops)[-1]
     dyn = dynamical_from_kraus(ops)
-    tr2 = matcore.partial_trace(dyn.matrix, dyn.dim, "second")
+    tr2 = matcore.partial_trace(dyn, d, "second")
     return ChannelProfile(
         channel_id=ids,
-        dim=dyn.dim,
+        dim=d,
         unital=_identity_defects(tr2) <= TP_TOL,
-        choi_spectrum=dynamical_spectrum(dyn),
-        superop_spectrum=superoperator_spectrum(dyn.superoperator()),
+        choi_spectrum=dynamical_spectrum(dyn, ops),
+        superop_spectrum=superoperator_spectrum(reshuffle(dyn, d), d),
         tr2=tr2,
     )
 

@@ -2,7 +2,8 @@
 
 The map entropy is the ``(q, s)``-entropy of the dynamical-matrix spectrum,
 the receiver entropy the same functional of the superoperator singular
-values.  Both come from one kernel, :func:`entropy_grid`, which normalizes
+values.  Both come from one kernel, :func:`entropy_grid`, which takes plain
+arrays of weights (a stack as the rows of an ``(n, m)`` array), normalizes
 each spectrum ``w`` by its own sum, ``p = w / sum(w)``, and evaluates
 
     ``(A**s - 1) / ((1-q) s)``  with  ``A = sum_j p_j**q``,
@@ -38,7 +39,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InvalidSpectrumError
-from .matcore import Spectrum
 
 __all__ = [
     "EntropyParams",
@@ -71,8 +71,8 @@ def exprel(y) -> np.ndarray:
         return np.divide(np.expm1(y), y, out=np.where(y == 0.0, 1.0, y), where=(y != 0.0) & (y < np.inf))
 
 
-def entropy_grid(spectrum: Spectrum, q_grid, s_grid) -> np.ndarray:
-    """Unified entropies of ``spectrum.values`` over their sum on the grid ``q_grid x s_grid``.
+def entropy_grid(values, q_grid, s_grid) -> np.ndarray:
+    """Unified entropies of the spectrum ``values`` over its sum on the grid ``q_grid x s_grid``.
 
     Returns the ``(len(q_grid), len(s_grid))`` array, cell ``[i, j]`` at
     ``(q_grid[i], s_grid[j])``.  A stack of ``n`` spectra ``(n, m)``, each
@@ -83,7 +83,7 @@ def entropy_grid(spectrum: Spectrum, q_grid, s_grid) -> np.ndarray:
     with more zeros than others is summed in another grouping and may differ
     from that call by rounding.
     """
-    vals = np.asarray(spectrum.values, dtype=float)
+    vals = np.asarray(values, dtype=float)
     if vals.size == 0 or float(vals.min()) < 0.0:
         raise InvalidSpectrumError("spectrum must be nonempty and nonnegative")
     rows = np.atleast_2d(vals)

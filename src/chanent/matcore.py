@@ -11,9 +11,9 @@ the principal system first.  These two choices are canonical for the whole
 package: the superoperator layout and the reshuffling permutation are only
 correct relative to them.
 
-Spectra are returned with multiplicity, sorted descending; ties keep the
-backend order (entropies are symmetric functions of the spectrum, so the
-order is cosmetic).
+Spectra are plain float arrays, returned with multiplicity, sorted
+descending; ties keep the backend order (entropies are symmetric functions
+of the spectrum, so the order is cosmetic).
 
 The spectral functions (:func:`hermitian_eigenvalues`, :func:`singular_values`,
 :func:`clamp_spectrum`) and :func:`partial_trace` also take a stack of
@@ -24,8 +24,6 @@ error a single-matrix call on it would raise.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -40,7 +38,6 @@ __all__ = [
     "HERM_TOL",
     "EIG_TOL_PER_DIM",
     "ZERO_REL_TOL",
-    "Spectrum",
     "eig_tol",
     "as_matrix",
     "as_matrices",
@@ -67,21 +64,6 @@ ZERO_REL_TOL = 1e-12
 def eig_tol(dim: int) -> float:
     """Absolute spectral tolerance for a ``dim``-dimensional matrix."""
     return EIG_TOL_PER_DIM * dim
-
-
-@dataclass(frozen=True, eq=False)
-class Spectrum:
-    """Real spectrum, descending, multiplicities included.
-
-    ``kind`` is either ``"eigenvalues-hermitian"`` or ``"singular-values"``;
-    singular-value spectra are elementwise nonnegative.
-    """
-
-    values: np.ndarray
-    kind: str = field(default="eigenvalues-hermitian")
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
 
 
 def as_matrix(x) -> np.ndarray:
@@ -127,7 +109,7 @@ def require_hermitian(deviation: np.ndarray) -> None:
         raise NotHermitianError(f"Hermiticity deviation {worst:.3e} exceeds {HERM_TOL:.1e}")
 
 
-def hermitian_eigenvalues(x) -> Spectrum:
+def hermitian_eigenvalues(x) -> np.ndarray:
     """Eigenvalues of a Hermitian matrix, or of each matrix of a stack, descending.
 
     The input is symmetrized as ``(X + X^dag)/2`` before decomposition;
@@ -137,17 +119,15 @@ def hermitian_eigenvalues(x) -> Spectrum:
     m = _require_square(as_matrices(x))
     adj = m.conj().swapaxes(-2, -1)
     require_hermitian(np.abs(m - adj))
-    vals = np.linalg.eigvalsh((m + adj) / 2.0)[..., ::-1]
-    return Spectrum(vals, "eigenvalues-hermitian")
+    return np.linalg.eigvalsh((m + adj) / 2.0)[..., ::-1]
 
 
-def singular_values(x) -> Spectrum:
+def singular_values(x) -> np.ndarray:
     """Singular values of a matrix, or of each matrix of a stack, descending.
 
     A real input is decomposed in real arithmetic.
     """
-    vals = np.linalg.svd(as_matrices(x), compute_uv=False)
-    return Spectrum(vals, "singular-values")
+    return np.linalg.svd(as_matrices(x), compute_uv=False)
 
 
 def partial_trace(x, d: int, subsystem: str = "second") -> np.ndarray:

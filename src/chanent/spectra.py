@@ -126,9 +126,10 @@ class InequalityBatch:
 def _batch(lhs, rhs, directions, passed, log_ratio=None, tol=0.0) -> InequalityBatch:
     """Columns ``(n, k)`` of one check; ``passed`` is the verdict or a function of the slack.
 
-    ``log_ratio``, if given, holds ``ln(rhs/lhs)`` of positive sides, and
-    gives the slack of the entries where a side is not finite: the larger
-    side, beyond a double, is then the scale, and a verdict given as an
+    ``log_ratio``, if given, holds ``ln(rhs/lhs)`` of positive sides, or NaN
+    where it was not taken, and gives the slack of the entries where it was
+    and a side is not a positive finite double (beyond a double, or 0 from
+    underflow): the larger side is then the scale, and a verdict given as an
     array is ``slack >= -tol`` there.  An entry whose slack is not finite
     fails whatever the verdict says.
     """
@@ -140,7 +141,7 @@ def _batch(lhs, rhs, directions, passed, log_ratio=None, tol=0.0) -> InequalityB
     if log_ratio is not None:
         # (lhs - rhs)/max(lhs, rhs) = sign(ln(rhs/lhs)) expm1(-|ln(rhs/lhs)|)
         scaled = np.sign(log_ratio) * np.expm1(-np.abs(log_ratio))
-        plain = np.isfinite(lhs) & np.isfinite(rhs)
+        plain = np.isnan(log_ratio) | ((0.0 < lhs) & (lhs < np.inf) & (0.0 < rhs) & (rhs < np.inf))
         slack = np.where(plain, slack, np.where(le, -scaled, scaled))
         if not callable(passed):
             passed = np.where(plain, passed, slack >= -tol)
@@ -235,8 +236,8 @@ class _Spectra:
         """
         regime = _regime(q)
         if regime == _NORM:
-            return self._get(_NORM, lambda: matcore.singular_values(self.stack).values)
-        eig = self._get("eig", lambda: matcore.hermitian_eigenvalues(self.stack).values)
+            return self._get(_NORM, lambda: matcore.singular_values(self.stack))
+        eig = self._get("eig", lambda: matcore.hermitian_eigenvalues(self.stack))
         if regime == _ANTINORM_STRICT:
             lo = eig.min(axis=-1)
             bad = np.flatnonzero(lo <= STRICT_POS_TOL)
@@ -318,7 +319,7 @@ def check_prop1(x, q) -> InequalityReport | InequalityBatch:
         with np.errstate(over="ignore", invalid="ignore"):  # a side beyond a double is compared scaled
             lhs.append((pos**order).sum(axis=-1))
             rhs.append(n2sq ** (order - 1.0) * n1 ** (2.0 - order))
-        log_ratio.append(np.zeros(len(pos)))
+        log_ratio.append(np.full(len(pos), np.nan))
         if not (np.isfinite(lhs[-1]) & np.isfinite(rhs[-1])).all():
             mu = pos / _extreme(pos, order)
             with np.errstate(over="ignore"):
@@ -331,12 +332,21 @@ def check_prop1(x, q) -> InequalityReport | InequalityBatch:
 
 
 def check_two_inf_one(x) -> InequalityReport | InequalityBatch:
-    """``|X|_2 <= sqrt(|X|_inf * |X|_1)`` for an arbitrary nonzero matrix."""
+    """``|X|_2 <= sqrt(|X|_inf * |X|_1)`` for an arbitrary nonzero matrix.
+
+    Where a side is beyond a double (singular values near ``1e155``), the
+    sides are compared through the singular values ``mu`` scaled by the
+    largest: ``ln(rhs/lhs) = (ln sum mu - ln sum mu**2) / 2``.
+    """
     stack, single = _stack(x)
-    sv = matcore.singular_values(stack).values
-    lhs = np.sqrt((sv**2).sum(axis=-1, keepdims=True))
-    rhs = np.sqrt(sv[:, :1] * sv.sum(axis=-1, keepdims=True))
-    return _result(_batch(lhs, rhs, ("<=",), lhs <= rhs + 1e-10), single)
+    sv = matcore.singular_values(stack)
+    with np.errstate(over="ignore"):  # a side beyond a double is compared scaled
+        lhs = np.sqrt((sv**2).sum(axis=-1, keepdims=True))
+        rhs = np.sqrt(sv[:, :1] * sv.sum(axis=-1, keepdims=True))
+    with np.errstate(invalid="ignore"):  # a zero input: NaN, and its sides are compared plain
+        mu = sv / sv[:, :1]
+        log_ratio = 0.5 * (np.log(mu.sum(axis=-1)) - np.log((mu**2).sum(axis=-1)))[:, None]
+    return _result(_batch(lhs, rhs, ("<=",), lhs <= rhs + 1e-10, log_ratio, tol=1e-10), single)
 
 
 def _profile(channels) -> tuple[chmod.ChannelProfile, bool]:
@@ -361,9 +371,9 @@ def check_superop_norm_bound(channels) -> InequalityReport | InequalityBatch:
     """
     profile, single = _profile(channels)
     d = profile.dim
-    k_inf = profile.superop_spectrum.values[:, :1]
+    k_inf = profile.superop_spectrum[:, :1]
     unital = profile.unital[:, None]
-    output_norm = matcore.hermitian_eigenvalues(profile.tr2 / d).values[:, :1]
+    output_norm = matcore.hermitian_eigenvalues(profile.tr2 / d)[:, :1]
     bound = math.sqrt(d) * np.sqrt(output_norm)
     slack = 1.0 + chmod.TP_TOL
     passed = (k_inf <= bound * slack) & (~unital | (k_inf <= slack))
@@ -393,7 +403,7 @@ def check_antinorm_monotonicity(x, p, q) -> InequalityReport | InequalityBatch:
             if order not in norms:
                 norms[order] = spectra.schatten(order)
             side.append(norms[order])
-        log_ratio.append(np.zeros(len(stack)))
+        log_ratio.append(np.full(len(stack), np.nan))
         if not (np.isfinite(lhs[-1]) & np.isfinite(rhs[-1])).all():  # a small order overflows
             (n_hi, hi_part), (n_lo, lo_part) = (_log_power_mean_root(spectra.for_order(o), o) for o in (hi, lo))
             with np.errstate(invalid="ignore"):  # a zero input; its sides are finite
@@ -406,8 +416,9 @@ def check_antinorm_monotonicity(x, p, q) -> InequalityReport | InequalityBatch:
 def check_superadditivity(x, y, q) -> InequalityReport | InequalityBatch:
     """``|X + Y|_q >= |X|_q + |Y|_q`` in the anti-norm regimes, at every order in ``q``.
 
-    Where a side is not a finite double (a small order ``q``, whose root
-    ``1/q`` overflows), the sides are compared through their logarithms,
+    Where a side is not a positive finite double (a small order ``q``, whose
+    root ``1/q`` overflows, or for ``q < 0`` underflows to 0: the input is
+    then strictly positive), the sides are compared through their logarithms,
     ``ln m + (1/q) ln S`` per anti-norm (taken as :func:`_log_power_mean_root`
     parts) and ``logaddexp`` for the sum.
     """
@@ -423,10 +434,10 @@ def check_superadditivity(x, y, q) -> InequalityReport | InequalityBatch:
         total, a, b = (sp.schatten(order) for sp in spectra)
         lhs.append(total)
         rhs.append(a + b)
-        log_ratio.append(np.zeros(len(xs)))
-        if not (np.isfinite(total) & np.isfinite(rhs[-1])).all():  # a small order overflows
+        log_ratio.append(np.full(len(xs), np.nan))
+        if not (np.isfinite(total) & np.isfinite(rhs[-1]) & (total > 0) & (rhs[-1] > 0)).all():
             (n_t, t), (n_a, a), (n_b, b) = (_log_power_mean_root(sp.for_order(order), order) for sp in spectra)
-            with np.errstate(invalid="ignore"):  # a zero input; its sides are finite
+            with np.errstate(invalid="ignore"):  # a zero input: NaN, compared plain
                 log_ratio[-1] = np.logaddexp(n_a - n_t + a, n_b - n_t + b) - t
     lhs, rhs, log_ratio = (np.stack(side, axis=1) for side in (lhs, rhs, log_ratio))
     batch = _batch(lhs, rhs, (">=",) * len(orders), lhs >= rhs - 1e-10, log_ratio, tol=1e-10)
@@ -442,7 +453,7 @@ def check_norm_product_chain(channels) -> InequalityReport | InequalityBatch:
     """
     profile, single = _profile(channels)
     # D is PSD, so its eigenvalues are its singular values
-    d_sv, k_sv = profile.choi_spectrum.values, profile.superop_spectrum.values
+    d_sv, k_sv = profile.choi_spectrum, profile.superop_spectrum
     ratio = (
         d_sv.sum(axis=-1) / _power_mean_root(d_sv, 2.0) * k_sv.sum(axis=-1) / _power_mean_root(k_sv, 2.0)
     )[:, None]

@@ -83,20 +83,20 @@ def apply_channel(ch, x):
 
 def apply_channel_via_dynamical(dyn, x):
     """Channel action recovered from the dynamical matrix: ``Tr_2(D (I (x) X^T))``."""
-    d = dyn.dim
-    prod = dyn.matrix @ np.kron(np.eye(d, dtype=complex), np.asarray(x, dtype=complex).T)
+    d = math.isqrt(dyn.shape[-1])
+    prod = dyn @ np.kron(np.eye(d, dtype=complex), np.asarray(x, dtype=complex).T)
     return matcore.partial_trace(prod, d, "second")
 
 
 def dynamical_eigenvalues(dyn):
     """Eigenvalues of ``D``, or of each of a stack, descending: one dense ``eigvalsh`` of ``D``."""
-    m = np.asarray(dyn.matrix)
+    m = np.asarray(dyn)
     return np.linalg.eigvalsh((m + m.conj().swapaxes(-2, -1)) / 2.0)[..., ::-1]
 
 
 def superoperator_singular_values(sup):
     """Singular values of ``K``, or of each of a stack, descending: one complex SVD of ``K``."""
-    return np.linalg.svd(np.asarray(sup.matrix, dtype=complex), compute_uv=False)
+    return np.linalg.svd(np.asarray(sup, dtype=complex), compute_uv=False)
 
 
 def unital_defect_via_kraus(ch):
@@ -111,14 +111,13 @@ def check_dynamical_invariants(dyn):
     Trace preservation is read off ``D`` itself: the partial trace over the
     principal factor must be the identity.
     """
-    d = dyn.dim
+    d = math.isqrt(dyn.shape[-1])
     tol = matcore.eig_tol(d * d)
-    spec = matcore.hermitian_eigenvalues(dyn.matrix)
-    matcore.clamp_spectrum(spec.values, neg_tol=tol)
-    tr = float(np.trace(dyn.matrix).real)
+    matcore.clamp_spectrum(matcore.hermitian_eigenvalues(dyn), neg_tol=tol)
+    tr = float(np.trace(dyn).real)
     if abs(tr - d) > tol:
         raise ValueError(f"trace {tr!r} differs from dim {d} beyond {tol:.1e}")
-    reduced = matcore.partial_trace(dyn.matrix, d, "first")
+    reduced = matcore.partial_trace(dyn, d, "first")
     dev = float(np.abs(reduced - np.eye(d)).max())
     if dev > TP_TOL:
         raise NotTracePreservingError(
@@ -259,8 +258,8 @@ def proof_domain_point(profile, k, params):
         norm_q = power_mean_root(pos, q)
         return math.exp(q * s * (math.log(norm_q) - math.log(float(np.sum(pos)))))
 
-    x = ratio_power(profile.choi_spectrum.values[k])
-    y = ratio_power(profile.superop_spectrum.values[k])
+    x = ratio_power(profile.choi_spectrum[k])
+    y = ratio_power(profile.superop_spectrum[k])
     factor = 2.0 if profile.unital[k] else 1.0
     param = float(profile.dim) ** (factor * s * kappa * (1.0 - q))
     tol = 1e-9
@@ -298,17 +297,17 @@ def order_spectrum(x, q):
     if q != q or q == 0.0:
         raise InvalidOrderError(f"order q = {q} has no norm or anti-norm regime")
     if q >= 1.0:
-        return matcore.singular_values(x).values
+        return matcore.singular_values(x)
     eig = matcore.hermitian_eigenvalues(x)
     if q < 0.0:
-        lo = float(eig.values.min())
+        lo = float(eig.min())
         if lo <= STRICT_POS_TOL:
             raise NotPositiveError(
                 f"q < 0 anti-norm needs a strictly positive matrix; "
                 f"min eigenvalue {lo:.3e} <= {STRICT_POS_TOL:.1e}"
             )
-        return eig.values
-    return matcore.clamp_spectrum(eig.values, neg_tol=matcore.eig_tol(eig.values.shape[-1]))
+        return eig
+    return matcore.clamp_spectrum(eig, neg_tol=matcore.eig_tol(eig.shape[-1]))
 
 
 def schatten(x, q):
@@ -336,7 +335,7 @@ def check_prop1(x, q):
 
 
 def check_two_inf_one(x):
-    sv = matcore.singular_values(x).values
+    sv = matcore.singular_values(x)
     lhs = float(np.sqrt(np.sum(sv**2)))
     rhs = float(np.sqrt(sv[0] * np.sum(sv))) if sv.size else 0.0
     return _report(lhs, rhs, "<=", lhs <= rhs + 1e-10)
@@ -345,7 +344,7 @@ def check_two_inf_one(x):
 def check_superop_norm_bound(ch):
     """The bound with ``channel(I/d)`` from the Kraus operators and ``K`` built anew."""
     d = ch.dim
-    k_inf = schatten(chmod.dynamical_from_kraus(ch).superoperator().matrix, math.inf)
+    k_inf = schatten(chmod.reshuffle(chmod.dynamical_from_kraus(ch), d), math.inf)
     out = apply_channel(ch, np.eye(d, dtype=complex) / d)
     bound = math.sqrt(d) * math.sqrt(schatten(out, math.inf))
     passed = k_inf <= bound * (1.0 + TP_TOL)
@@ -373,12 +372,12 @@ def check_superadditivity(x, y, q):
 
 def check_norm_product_chain(ch):
     dyn = chmod.dynamical_from_kraus(ch)
-    sup = dyn.superoperator()
+    sup = chmod.reshuffle(dyn, ch.dim)
     ratio = (
-        schatten(dyn.matrix, 1.0)
-        / schatten(dyn.matrix, 2.0)
-        * schatten(sup.matrix, 1.0)
-        / schatten(sup.matrix, 2.0)
+        schatten(dyn, 1.0)
+        / schatten(dyn, 2.0)
+        * schatten(sup, 1.0)
+        / schatten(sup, 2.0)
     )
     bound = float(ch.dim) if unital_defect_via_kraus(ch) <= TP_TOL else math.sqrt(ch.dim)
     return _report(ratio, bound, ">=", ratio >= bound - 1e-9)

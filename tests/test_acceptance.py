@@ -15,7 +15,6 @@ from helpers import complex_gaussian, population
 from chanent import channel as chmod
 from chanent import cli, matcore, sampler, spectra, tradeoff
 from chanent.entropy import EntropyParams, entropy_grid
-from chanent.matcore import Spectrum
 
 Q_GRID = (0.3, 0.5, 0.9, 1.1, 1.5, 2.0, 3.0, 5.0)
 S_GRID = (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0)
@@ -68,9 +67,9 @@ def unital_population():
 def channels(stacks):
     """``(d, channel, choi spectrum, superoperator spectrum)`` of each channel of ``stacks``, in order."""
     return [
-        (d, ch, Spectrum(choi), Spectrum(sup, "singular-values"))
+        (d, ch, choi, sup)
         for _, d, _, chs, prof in stacks
-        for ch, choi, sup in zip(chs, prof.choi_spectrum.values, prof.superop_spectrum.values)
+        for ch, choi, sup in zip(chs, prof.choi_spectrum, prof.superop_spectrum)
     ]
 
 
@@ -181,7 +180,7 @@ def test_criterion_5_norm_chain_suite(capsys):
     min_unital_ratio = math.inf
     for _, d, ids, chs, profile in population:
         dyn = chmod.dynamical_from_kraus(chmod.stack_kraus(chs))
-        for m in (dyn.matrix, dyn.superoperator().matrix):
+        for m in (dyn, chmod.reshuffle(dyn, d)):
             batch = spectra.check_two_inf_one(m)
             assert batch.first_failure() is None, ids[batch.first_failure()[0]]
             min_slack = min(min_slack, float(batch.slack.min()))
@@ -211,9 +210,9 @@ def test_criterion_6_oracle_equivalences(capsys):
     for seed in ROUTE_SEEDS:
         for fam, d, _, ch in population(seed, ROUTE_DIMS, tuple(sampler.FAMILY_CODES), 1):
             dyn = chmod.dynamical_from_kraus(ch)
-            sup = dyn.superoperator()
-            d_err = np.abs(dyn.matrix - oracles.dynamical_via_entangled_input(ch)).max()
-            k_err = np.abs(sup.matrix - oracles.superoperator_via_kron(ch)).max()
+            sup = chmod.reshuffle(dyn, d)
+            d_err = np.abs(dyn - oracles.dynamical_via_entangled_input(ch)).max()
+            k_err = np.abs(sup - oracles.superoperator_via_kron(ch)).max()
             worst["D"] = max(worst["D"], float(d_err))
             worst["K"] = max(worst["K"], float(k_err))
             routes.append((fam, d, len(ch.kraus_ops)))
@@ -225,14 +224,14 @@ def test_criterion_6_oracle_equivalences(capsys):
         # library routes (Kraus Gram matrix for k < d**2, real SVD for K)
         # against the dense eigvalsh of D and the complex SVD of K
         dyn = chmod.dynamical_from_kraus(ch)
-        sup = dyn.superoperator()
+        sup = chmod.reshuffle(dyn, d)
         pairs = (
-            (chmod.dynamical_spectrum(dyn), oracles.dynamical_eigenvalues(dyn)),
-            (chmod.superoperator_spectrum(sup), oracles.superoperator_singular_values(sup)),
+            (chmod.dynamical_spectrum(dyn, ch.kraus_ops), oracles.dynamical_eigenvalues(dyn)),
+            (chmod.superoperator_spectrum(sup, d), oracles.superoperator_singular_values(sup)),
         )
         for spec, reference in pairs:
-            worst_spec = max(worst_spec, float(np.abs(spec.values - reference).max()))
-            reference = Spectrum(matcore.clamp_spectrum(reference, neg_tol=matcore.eig_tol(d * d)), spec.kind)
+            worst_spec = max(worst_spec, float(np.abs(spec - reference).max()))
+            reference = matcore.clamp_spectrum(reference, neg_tol=matcore.eig_tol(d * d))
             via_library = entropy_grid(spec, Q_GRID, S_GRID)
             via_oracle = entropy_grid(reference, Q_GRID, S_GRID)
             # tolerance scale max(|lhs|, |rhs|, 1): reduces to the absolute
@@ -306,8 +305,8 @@ def test_criterion_8_rank_upper_bounds(capsys):
         return flat[n]
 
     for d, _, choi, sup in channels(cptp_population()) + channels(unital_population()):
-        rank_choi = int(np.count_nonzero(choi.values))
-        rank_sup = int(np.count_nonzero(sup.values))
+        rank_choi = int(np.count_nonzero(choi))
+        rank_sup = int(np.count_nonzero(sup))
         m = entropy_grid(choi, Q_GRID, S_GRID)
         r = entropy_grid(sup, Q_GRID, S_GRID)
         worst = max(worst, float((m - flat_grid(rank_choi)).max()))

@@ -104,31 +104,33 @@ class TestMaximallyEntangledState:
 
 class TestDynamicalMatrix:
     def test_identity_channel(self):
-        dyn = chmod.dynamical_from_kraus(identity_channel())
+        ch = identity_channel()
+        dyn = chmod.dynamical_from_kraus(ch)
         # D = sum_{mu,nu} |mu mu><nu nu|: rank one with eigenvalue d
-        spec = chmod.dynamical_spectrum(dyn)
-        np.testing.assert_allclose(spec.values, [2.0, 0.0, 0.0, 0.0], atol=1e-12)
+        spec = chmod.dynamical_spectrum(dyn, ch.kraus_ops)
+        np.testing.assert_allclose(spec, [2.0, 0.0, 0.0, 0.0], atol=1e-12)
         v = np.eye(2, dtype=complex).reshape(-1)
-        np.testing.assert_allclose(dyn.matrix, np.outer(v, v.conj()), atol=1e-15)
+        np.testing.assert_allclose(dyn, np.outer(v, v.conj()), atol=1e-15)
 
     def test_completely_depolarizing(self):
-        dyn = chmod.dynamical_from_kraus(depolarizing_channel())
-        np.testing.assert_allclose(dyn.matrix, np.eye(4) / 2, atol=1e-15)
-        np.testing.assert_allclose(chmod.dynamical_spectrum(dyn).values, [0.5] * 4)
+        ch = depolarizing_channel()
+        dyn = chmod.dynamical_from_kraus(ch)
+        np.testing.assert_allclose(dyn, np.eye(4) / 2, atol=1e-15)
+        np.testing.assert_allclose(chmod.dynamical_spectrum(dyn, ch.kraus_ops), [0.5] * 4)
 
     def test_unitary_channel_rank_one(self):
         rng = np.random.default_rng(23)
         u = random_unitary(rng, 3)
         dyn = chmod.dynamical_from_kraus(chmod.KrausChannel(3, (u,)))
-        spec = chmod.dynamical_spectrum(dyn)
-        np.testing.assert_allclose(spec.values[0], 3.0, atol=1e-12)
-        np.testing.assert_allclose(spec.values[1:], 0.0, atol=1e-12)
+        spec = chmod.dynamical_spectrum(dyn, [u])
+        np.testing.assert_allclose(spec[0], 3.0, atol=1e-12)
+        np.testing.assert_allclose(spec[1:], 0.0, atol=1e-12)
 
     def test_matches_entangled_state_route(self):
         for _, _, _, ch in population(901, (2, 3), ("cptp", "unitary-mixture"), 4):
             closed = chmod.dynamical_from_kraus(ch)
             literal = oracles.dynamical_via_entangled_input(ch)
-            np.testing.assert_allclose(closed.matrix, literal, atol=1e-12)
+            np.testing.assert_allclose(closed, literal, atol=1e-12)
 
     def test_invariants_hold_for_samples(self):
         for _, _, _, ch in population(902, (2, 3), FAMILIES, 4):
@@ -137,38 +139,38 @@ class TestDynamicalMatrix:
 
 class TestSuperoperatorMatrix:
     def test_identity_channel(self):
-        sup = chmod.dynamical_from_kraus(identity_channel()).superoperator()
-        np.testing.assert_array_equal(sup.matrix, np.eye(4))
+        sup = chmod.reshuffle(chmod.dynamical_from_kraus(identity_channel()), 2)
+        np.testing.assert_array_equal(sup, np.eye(4))
 
     def test_completely_depolarizing(self):
-        sup = chmod.dynamical_from_kraus(depolarizing_channel()).superoperator()
+        sup = chmod.reshuffle(chmod.dynamical_from_kraus(depolarizing_channel()), 2)
         v = np.eye(2, dtype=complex).reshape(-1)
-        np.testing.assert_allclose(sup.matrix, np.outer(v, v.conj()) / 2, atol=1e-15)
-        spec = chmod.superoperator_spectrum(sup)
-        np.testing.assert_allclose(spec.values, [1.0, 0.0, 0.0, 0.0], atol=1e-12)
+        np.testing.assert_allclose(sup, np.outer(v, v.conj()) / 2, atol=1e-15)
+        spec = chmod.superoperator_spectrum(sup, 2)
+        np.testing.assert_allclose(spec, [1.0, 0.0, 0.0, 0.0], atol=1e-12)
 
     def test_unitary_channel(self):
         rng = np.random.default_rng(29)
         u = random_unitary(rng, 3)
-        sup = chmod.dynamical_from_kraus(chmod.KrausChannel(3, (u,))).superoperator()
-        np.testing.assert_allclose(sup.matrix, np.kron(u, u.conj()), atol=1e-15)
-        np.testing.assert_allclose(chmod.superoperator_spectrum(sup).values, np.ones(9), atol=1e-12)
+        sup = chmod.reshuffle(chmod.dynamical_from_kraus(chmod.KrausChannel(3, (u,))), 3)
+        np.testing.assert_allclose(sup, np.kron(u, u.conj()), atol=1e-15)
+        np.testing.assert_allclose(chmod.superoperator_spectrum(sup, 3), np.ones(9), atol=1e-12)
 
     def test_action_on_vectorized_operators(self):
         rng = np.random.default_rng(31)
         for _, _, _, ch in population(903, (2, 3), ("cptp",), 2):
-            sup = chmod.dynamical_from_kraus(ch).superoperator()
+            sup = chmod.reshuffle(chmod.dynamical_from_kraus(ch), ch.dim)
             for _ in range(100):
                 x = rng.normal(size=(ch.dim, ch.dim)) + 1j * rng.normal(size=(ch.dim, ch.dim))
                 lhs = matcore.vec(oracles.apply_channel(ch, x))
-                rhs = sup.matrix @ matcore.vec(x)
+                rhs = sup @ matcore.vec(x)
                 assert np.abs(lhs - rhs).max() <= 1e-10
 
 
 class TestReshuffle:
     def test_identity_channel_gives_identity(self):
         dyn = chmod.dynamical_from_kraus(identity_channel())
-        np.testing.assert_allclose(chmod.reshuffle(dyn.matrix, 2), np.eye(4), atol=1e-15)
+        np.testing.assert_allclose(chmod.reshuffle(dyn, 2), np.eye(4), atol=1e-15)
 
     def test_involution_and_entry_preservation(self):
         rng = np.random.default_rng(37)
@@ -284,7 +286,7 @@ class TestKrausGram:
         for _, d, _, ch in pop:
             # the library takes k < d**2 spectra from the Kraus Gram matrix
             dyn = chmod.dynamical_from_kraus(ch)
-            gram = chmod.dynamical_spectrum(dyn).values
+            gram = chmod.dynamical_spectrum(dyn, ch.kraus_ops)
             np.testing.assert_allclose(gram, oracles.dynamical_eigenvalues(dyn), atol=1e-9)
 
 
@@ -296,11 +298,19 @@ def _assert_spectra_close(got, want):
     assert (np.abs(got - want) <= 1e-13 * scale).all(), float((np.abs(got - want) / scale).max())
 
 
-def _assert_routes_match_oracles(dyn):
+def _spectra(ops, d):
+    """Both library spectra of a channel or a Kraus array: ``eig(D)``, given the Kraus operators, and ``svd(K)``."""
+    dyn = chmod.dynamical_from_kraus(ops)
+    kraus = ops.kraus_ops if isinstance(ops, chmod.KrausChannel) else ops
+    return chmod.dynamical_spectrum(dyn, kraus), chmod.superoperator_spectrum(chmod.reshuffle(dyn, d), d)
+
+
+def _assert_routes_match_oracles(ops, d):
     """The map spectrum against a dense eigvalsh of D, the receiver spectrum against a complex svd of K."""
-    sup = dyn.superoperator()
-    _assert_spectra_close(chmod.dynamical_spectrum(dyn).values, oracles.dynamical_eigenvalues(dyn))
-    _assert_spectra_close(chmod.superoperator_spectrum(sup).values, oracles.superoperator_singular_values(sup))
+    dyn = chmod.dynamical_from_kraus(ops)
+    choi, sup = _spectra(ops, d)
+    _assert_spectra_close(choi, oracles.dynamical_eigenvalues(dyn))
+    _assert_spectra_close(sup, oracles.superoperator_singular_values(chmod.reshuffle(dyn, d)))
 
 
 class TestSpectrumRoutes:
@@ -310,16 +320,16 @@ class TestSpectrumRoutes:
     @pytest.mark.parametrize("d", ROUTE_DIMS)
     def test_families(self, d, family):
         chs = [ch for *_, ch in population(971, (d,), (family,), 3)]
-        dyn = chmod.dynamical_from_kraus(chmod.stack_kraus(chs))
+        ops = chmod.stack_kraus(chs)
         # unitary mixtures (k = d) take the Gram route, the other families (k = d**2) eigvalsh(D)
-        assert (dyn.kraus.shape[-2] < d * d) == (family == "unitary-mixture")
-        _assert_routes_match_oracles(dyn)
+        assert (ops.shape[1] < d * d) == (family == "unitary-mixture")
+        _assert_routes_match_oracles(ops, d)
         # the stack's rows are the single channels' spectra
-        stacked = (chmod.dynamical_spectrum(dyn).values, chmod.superoperator_spectrum(dyn.superoperator()).values)
+        stacked = _spectra(ops, d)
         for k, ch in enumerate(chs):
-            one = chmod.dynamical_from_kraus(ch)
-            _assert_spectra_close(stacked[0][k], chmod.dynamical_spectrum(one).values)
-            _assert_spectra_close(stacked[1][k], chmod.superoperator_spectrum(one.superoperator()).values)
+            one = _spectra(ch, d)
+            _assert_spectra_close(stacked[0][k], one[0])
+            _assert_spectra_close(stacked[1][k], one[1])
 
     @pytest.mark.parametrize(
         "name, d, param",
@@ -334,45 +344,46 @@ class TestSpectrumRoutes:
         ],
     )
     def test_named_channels(self, name, d, param):
-        _assert_routes_match_oracles(chmod.dynamical_from_kraus(sampler.named_channel(name, d, param)))
+        _assert_routes_match_oracles(sampler.named_channel(name, d, param), d)
 
     def test_tp_noisy_channel(self):
-        _assert_routes_match_oracles(chmod.dynamical_from_kraus(noisy_depolarizing()))
+        ch = noisy_depolarizing()
+        _assert_routes_match_oracles(ch, ch.dim)
 
     def test_padded_mixed_kraus_stack(self):
         # k = 1, 4 and 3 at d = 3: the stack is padded to k = 4 < d**2 zero operators
         (*_, mixture), = population(973, (3,), ("unitary-mixture",), 1)
         chs = [sampler.named_channel("identity", 3), sampler.named_channel("dephasing", 3, 0.4), mixture]
-        dyn = chmod.dynamical_from_kraus(chmod.stack_kraus(chs))
-        assert dyn.kraus.shape == (3, 4, 9)
-        _assert_routes_match_oracles(dyn)
-        stacked = chmod.dynamical_spectrum(dyn).values
+        ops = chmod.stack_kraus(chs)
+        assert ops.shape == (3, 4, 3, 3)
+        _assert_routes_match_oracles(ops, 3)
+        stacked = _spectra(ops, 3)[0]
         for row, ch in zip(stacked, chs):
-            _assert_spectra_close(row, chmod.dynamical_spectrum(chmod.dynamical_from_kraus(ch)).values)
+            _assert_spectra_close(row, _spectra(ch, 3)[0])
 
     def test_gram_spectrum_is_padded_with_exact_zeros(self):
-        spec = chmod.dynamical_spectrum(chmod.dynamical_from_kraus(sampler.named_channel("unitary", 3, 0.7)))
-        assert spec.values.shape == (9,)
-        assert spec.values[0] == pytest.approx(3.0, abs=1e-13)
-        assert not spec.values[1:].any()
+        spec, _ = _spectra(sampler.named_channel("unitary", 3, 0.7), 3)
+        assert spec.shape == (9,)
+        assert spec[0] == pytest.approx(3.0, abs=1e-13)
+        assert not spec[1:].any()
 
     def test_non_hermiticity_preserving_superoperator_is_rejected(self):
         rng = np.random.default_rng(977)
         not_hermitian = complex_gaussian(rng, (9, 9))
         with pytest.raises(NotHermitianError):
-            chmod.superoperator_spectrum(chmod.SuperoperatorMatrix(3, chmod.reshuffle(not_hermitian, 3)))
+            chmod.superoperator_spectrum(chmod.reshuffle(not_hermitian, 3), 3)
         # checked matrix by matrix in a stack, with the error a single call raises
-        good = chmod.dynamical_from_kraus(sampler.named_channel("dephasing", 3, 0.4)).matrix
+        good = chmod.dynamical_from_kraus(sampler.named_channel("dephasing", 3, 0.4))
         bad = good + 1e-6j * np.eye(9)  # Hermiticity deviation 2e-6 on the diagonal
         stack = chmod.reshuffle(np.stack([good, good, bad]), 3)
         with pytest.raises(NotHermitianError) as stacked:
-            chmod.superoperator_spectrum(chmod.SuperoperatorMatrix(3, stack))
+            chmod.superoperator_spectrum(stack, 3)
         with pytest.raises(NotHermitianError) as single:
-            chmod.superoperator_spectrum(chmod.SuperoperatorMatrix(3, stack[2]))
+            chmod.superoperator_spectrum(stack[2], 3)
         assert str(stacked.value) == str(single.value)
         # a rounding-level deviation is accepted
         noisy = good + 1e-12j * np.eye(9)
-        chmod.superoperator_spectrum(chmod.SuperoperatorMatrix(3, chmod.reshuffle(noisy, 3)))
+        chmod.superoperator_spectrum(chmod.reshuffle(noisy, 3), 3)
 
 
 class TestOracleRoutes:
@@ -386,9 +397,9 @@ class TestOracleRoutes:
         (_, _, _, ch), = population(seed, (d,), (family,), 1)
         assert len(ch.kraus_ops) == sampler.default_kraus_count(family, d)
         dyn = chmod.dynamical_from_kraus(ch)
-        sup = dyn.superoperator()
-        assert np.abs(dyn.matrix - oracles.dynamical_via_entangled_input(ch)).max() <= 1e-12
-        assert np.abs(sup.matrix - oracles.superoperator_via_kron(ch)).max() <= 1e-12
+        sup = chmod.reshuffle(dyn, d)
+        assert np.abs(dyn - oracles.dynamical_via_entangled_input(ch)).max() <= 1e-12
+        assert np.abs(sup - oracles.superoperator_via_kron(ch)).max() <= 1e-12
 
 
 class TestChannelJson:

@@ -478,6 +478,16 @@ class TestInequalities:
         sups = json.loads((out / "summary.json").read_text(), parse_constant=pytest.fail)["checks"]["sups"]
         assert sups["passed"] and 0.0 < sups["min_slack"] <= 1.0
 
+    def test_large_matrix_entries_pass_21in(self, tmp_path):
+        # the squares of diag(3e155, 1e155) overflow; 21in compares its sides
+        # in logs and reports the slack of diag(3, 1)
+        mat_path = tmp_path / "big.json"
+        mat_path.write_text(json.dumps(matcore.matrix_to_json(np.diag([3e155, 1e155]))))
+        out = tmp_path / "big"
+        assert cli.main(["inequalities", "--matrix", str(mat_path), "--only", "21in", "--out", str(out)]) == 0
+        check = json.loads((out / "summary.json").read_text(), parse_constant=pytest.fail)["checks"]["21in"]
+        assert check["passed"] and check["min_slack"] == pytest.approx(1.0 - (10.0 / 12.0) ** 0.5, abs=1e-15)
+
     @pytest.mark.parametrize("q", ["600", "1e300"])
     def test_large_q_inequalities_pass(self, tmp_path, q):
         # every lambda**q of psd-d2-0000 (largest eigenvalue 11.7) overflows;

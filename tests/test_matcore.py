@@ -16,17 +16,17 @@ PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 class TestHermitianEigenvalues:
     def test_identity(self):
         spec = matcore.hermitian_eigenvalues(np.eye(2))
-        np.testing.assert_allclose(spec.values, [1.0, 1.0])
-        assert spec.kind == "eigenvalues-hermitian"
+        np.testing.assert_allclose(spec, [1.0, 1.0])
+        assert isinstance(spec, np.ndarray) and spec.dtype == np.float64
 
     def test_diagonal(self):
         spec = matcore.hermitian_eigenvalues(np.diag([3.0, -1.0]))
-        np.testing.assert_allclose(spec.values, [3.0, -1.0])
+        np.testing.assert_allclose(spec, [3.0, -1.0])
 
     def test_pauli_x(self):
         # characteristic polynomial x**2 - 1 = 0 by hand
         spec = matcore.hermitian_eigenvalues(PAULI_X)
-        np.testing.assert_allclose(spec.values, [1.0, -1.0], atol=1e-14)
+        np.testing.assert_allclose(spec, [1.0, -1.0], atol=1e-14)
 
     @pytest.mark.parametrize("n", [2, 8, 64])
     def test_sum_matches_trace(self, n):
@@ -34,8 +34,8 @@ class TestHermitianEigenvalues:
         g = complex_gaussian(rng, (n, n))
         h = (g + g.conj().T) / 2
         spec = matcore.hermitian_eigenvalues(h)
-        assert abs(spec.values.sum() - np.trace(h).real) <= 1e-10
-        assert np.all(np.diff(spec.values) <= 0)
+        assert abs(spec.sum() - np.trace(h).real) <= 1e-10
+        assert np.all(np.diff(spec) <= 0)
 
     def test_non_square_rejected(self):
         with pytest.raises(NonSquareError):
@@ -48,16 +48,16 @@ class TestHermitianEigenvalues:
 
 class TestSingularValues:
     def test_identity(self):
-        np.testing.assert_allclose(matcore.singular_values(np.eye(4)).values, np.ones(4))
+        np.testing.assert_allclose(matcore.singular_values(np.eye(4)), np.ones(4))
 
     def test_diagonal_with_sign(self):
-        np.testing.assert_allclose(matcore.singular_values(np.diag([3.0, -4.0])).values, [4.0, 3.0])
+        np.testing.assert_allclose(matcore.singular_values(np.diag([3.0, -4.0])), [4.0, 3.0])
 
     def test_nilpotent(self):
         # X^dag X = diag(0, 4)
         spec = matcore.singular_values(np.array([[0.0, 2.0], [0.0, 0.0]]))
-        np.testing.assert_allclose(spec.values, [2.0, 0.0], atol=1e-15)
-        assert spec.kind == "singular-values"
+        np.testing.assert_allclose(spec, [2.0, 0.0], atol=1e-15)
+        assert isinstance(spec, np.ndarray) and spec.dtype == np.float64
 
     def test_matches_eigenvalues_of_abs(self):
         rng = np.random.default_rng(7)
@@ -66,8 +66,8 @@ class TestSingularValues:
             gram = x.conj().T @ x
             vals, vecs = np.linalg.eigh(gram)
             absx = (vecs * np.sqrt(np.clip(vals, 0, None))) @ vecs.conj().T
-            sv = matcore.singular_values(x).values
-            ev = matcore.hermitian_eigenvalues(absx).values
+            sv = matcore.singular_values(x)
+            ev = matcore.hermitian_eigenvalues(absx)
             np.testing.assert_allclose(sv, ev, atol=1e-9)
 
 
@@ -173,12 +173,12 @@ class TestStacks:
 
     def test_spectra_match_per_matrix_calls(self):
         x = self._psd_stack(171)
-        eig = matcore.hermitian_eigenvalues(x).values
-        sv = matcore.singular_values(x).values
+        eig = matcore.hermitian_eigenvalues(x)
+        sv = matcore.singular_values(x)
         assert eig.shape == sv.shape == (6, 3)
         for i, m in enumerate(x):
-            np.testing.assert_array_equal(eig[i], matcore.hermitian_eigenvalues(m).values)
-            np.testing.assert_array_equal(sv[i], matcore.singular_values(m).values)
+            np.testing.assert_array_equal(eig[i], matcore.hermitian_eigenvalues(m))
+            np.testing.assert_array_equal(sv[i], matcore.singular_values(m))
 
     def test_hermiticity_checked_per_matrix(self):
         x = self._psd_stack(173)
@@ -218,11 +218,11 @@ class TestStacks:
         assert matcore.as_matrices(x.astype(np.float32)).dtype == np.float64
         assert matcore.as_matrices([[1, 2], [3, 4]]).dtype == np.float64
         assert matcore.as_matrices(x + 0j).dtype == np.complex128
-        real = matcore.singular_values(x).values
+        real = matcore.singular_values(x)
         np.testing.assert_allclose(real, np.linalg.svd(x + 0j, compute_uv=False), rtol=1e-14, atol=1e-14)
         sym = x + x.swapaxes(-2, -1)
         np.testing.assert_allclose(
-            matcore.hermitian_eigenvalues(sym).values, matcore.hermitian_eigenvalues(sym + 0j).values, atol=1e-13
+            matcore.hermitian_eigenvalues(sym), matcore.hermitian_eigenvalues(sym + 0j), atol=1e-13
         )
 
     def test_rejects_other_ranks(self):

@@ -23,8 +23,8 @@ class TestSampleCptp:
         ch = sampler.sample_channel(cfg)
         a = ch.kraus_ops[0]
         assert np.abs(a.conj().T @ a - np.eye(3)).max() <= 1e-12
-        spec = chmod.dynamical_spectrum(chmod.dynamical_from_kraus(ch))
-        assert np.count_nonzero(spec.values) == 1
+        spec = chmod.dynamical_spectrum(chmod.dynamical_from_kraus(ch), ch.kraus_ops)
+        assert np.count_nonzero(spec) == 1
 
     def test_deterministic(self):
         cfg = sampler.SamplerConfig(3, 4, 12345, "cptp")
@@ -98,17 +98,17 @@ class TestSampleUnistochastic:
 class TestNamedChannels:
     def test_identity(self):
         ch = sampler.named_channel("identity", 3)
-        spec = chmod.dynamical_spectrum(chmod.dynamical_from_kraus(ch))
-        np.testing.assert_allclose(spec.values, [3.0] + [0.0] * 8, atol=1e-12)
-        sup = chmod.dynamical_from_kraus(ch).superoperator()
-        np.testing.assert_array_equal(sup.matrix, np.eye(9))
+        spec = chmod.dynamical_spectrum(chmod.dynamical_from_kraus(ch), ch.kraus_ops)
+        np.testing.assert_allclose(spec, [3.0] + [0.0] * 8, atol=1e-12)
+        sup = chmod.reshuffle(chmod.dynamical_from_kraus(ch), 3)
+        np.testing.assert_array_equal(sup, np.eye(9))
 
     def test_completely_depolarizing(self):
         ch = sampler.named_channel("completely-depolarizing", 2)
         dyn = chmod.dynamical_from_kraus(ch)
-        np.testing.assert_allclose(dyn.matrix, np.eye(4) / 2, atol=1e-15)
-        sup_spec = chmod.superoperator_spectrum(dyn.superoperator())
-        assert np.count_nonzero(sup_spec.values) == 1
+        np.testing.assert_allclose(dyn, np.eye(4) / 2, atol=1e-15)
+        sup_spec = chmod.superoperator_spectrum(chmod.reshuffle(dyn, 2), 2)
+        assert np.count_nonzero(sup_spec) == 1
 
     def test_depolarizing_action(self):
         rng = np.random.default_rng(7)
@@ -131,17 +131,17 @@ class TestNamedChannels:
         ch = sampler.named_channel("amplitude-damping", 2, g)
         assert not profile(ch).unital[0]
         # Gram matrix conj(V) V^T is diag(2 - g, g), so the Choi spectrum is {2-g, g, 0, 0}
-        dyn = chmod.dynamical_from_kraus(ch)
-        np.testing.assert_allclose(dyn.kraus.conj() @ dyn.kraus.T, np.diag([2 - g, g]), atol=1e-14)
-        spec = chmod.dynamical_spectrum(dyn)
-        np.testing.assert_allclose(spec.values, [2 - g, g, 0.0, 0.0], atol=1e-12)
+        v = np.reshape(ch.kraus_ops, (2, 4))  # rows vec(A_i)
+        np.testing.assert_allclose(v.conj() @ v.T, np.diag([2 - g, g]), atol=1e-14)
+        spec = chmod.dynamical_spectrum(chmod.dynamical_from_kraus(ch), ch.kraus_ops)
+        np.testing.assert_allclose(spec, [2 - g, g, 0.0, 0.0], atol=1e-12)
 
     def test_unitary_rotation(self):
         ch = sampler.named_channel("unitary", 3, 0.7)
         u = ch.kraus_ops[0]
         assert np.abs(u.conj().T @ u - np.eye(3)).max() <= 1e-14
-        spec = chmod.superoperator_spectrum(chmod.dynamical_from_kraus(ch).superoperator())
-        np.testing.assert_allclose(spec.values, np.ones(9), atol=1e-12)
+        spec = chmod.superoperator_spectrum(chmod.reshuffle(chmod.dynamical_from_kraus(ch), 3), 3)
+        np.testing.assert_allclose(spec, np.ones(9), atol=1e-12)
 
     def test_errors(self):
         with pytest.raises(UnknownChannelError):

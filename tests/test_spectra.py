@@ -16,7 +16,6 @@ from chanent.errors import (
     NotHermitianError,
     NotPositiveError,
 )
-from chanent.matcore import Spectrum
 
 
 class TestNormOrder:
@@ -79,7 +78,7 @@ class TestSchattenNorm:
     def test_trace_norm_of_dynamical_matrix_is_dim(self):
         for _, d, _, ch in population(908, (2, 3, 4), ("cptp", "unitary-mixture"), 3):
             dyn = chmod.dynamical_from_kraus(ch)
-            assert abs(spectra.schatten_norm(dyn.matrix, 1.0) - d) <= 1e-10 * d
+            assert abs(spectra.schatten_norm(dyn, 1.0) - d) <= 1e-10 * d
 
     def test_rejects_antinorm_orders(self):
         with pytest.raises(InvalidOrderError):
@@ -191,7 +190,7 @@ class TestCheckProp1:
         with mpmath.workdps(30 + int(math.log10(q))):
             order = mpmath.mpf(q)
             for slack, m in zip(batch.slack[:, 0], x):
-                vals = [mpmath.mpf(float(v)) for v in matcore.singular_values(m).values]
+                vals = [mpmath.mpf(float(v)) for v in matcore.singular_values(m)]
                 lhs = mpmath.fsum(v**order for v in vals)
                 rhs = mpmath.fsum(v**2 for v in vals) ** (order - 1) * mpmath.fsum(vals) ** (2 - order)
                 assert abs(slack - float((lhs - rhs) / max(lhs, rhs, 1))) <= 1e-12
@@ -212,6 +211,18 @@ class TestCheckTwoInfOne:
         rng = np.random.default_rng(83)
         rep = spectra.check_two_inf_one(complex_gaussian(rng, (16, 16)))
         assert rep.passed and rep.slack > 1e-3
+
+    def test_large_entries_compare_the_sides_in_logs(self):
+        # 3e155**2 overflows, so both sides of the first matrix are infinite:
+        # its slack comes from the singular values scaled by the largest, and
+        # equals the plain slack of diag(3, 1), 1 - sqrt(10/12); the zero
+        # matrix in the same stack keeps the plain form
+        x = np.stack([np.diag([3e155, 1e155]), np.diag([3.0, 1.0]), np.zeros((2, 2))])
+        batch = spectra.check_two_inf_one(x)
+        assert batch.lhs[0, 0] == batch.rhs[0, 0] == math.inf
+        assert batch.passed.all() and batch.slack[2, 0] == 0.0
+        assert abs(batch.slack[0, 0] - (1.0 - math.sqrt(10.0 / 12.0))) <= 1e-15
+        assert abs(batch.slack[0, 0] - batch.slack[1, 0]) <= 1e-15
 
 
 class TestCheckSuperopNormBound:
@@ -248,8 +259,8 @@ class TestCheckSuperopNormBound:
                 channel_id=("",),
                 dim=4,
                 unital=np.array([unital]),
-                choi_spectrum=Spectrum(np.ones((1, 16))),
-                superop_spectrum=Spectrum(np.full((1, 16), k_inf)),
+                choi_spectrum=np.ones((1, 16)),
+                superop_spectrum=np.full((1, 16), k_inf),
                 tr2=np.diag([2.0, 1.0, 0.5, 0.5])[None],  # all-channel bound sqrt(4 * 2 / 4)
             )
 
@@ -298,7 +309,7 @@ def mp_superadditivity_slack(x, y, q):
     enough digits that ``lambda**q - 1`` keeps 60 of its own."""
     with mpmath.workdps(60):
         eigs = [mpmath.eighe(mpmath.matrix(m.tolist()))[0] for m in (x + y, x, y)]
-    with mpmath.workdps(60 + int(-math.log10(q))):
+    with mpmath.workdps(60 + int(-math.log10(abs(q)))):
         qq = mpmath.mpf(q)
         total, a, b = (mpmath.fsum(mpmath.re(v) ** qq for v in e) ** (1 / qq) for e in eigs)
         return float((total - a - b) / total)
@@ -326,16 +337,17 @@ class TestCheckSuperadditivity:
         with pytest.raises(InvalidOrderError):
             spectra.check_superadditivity(np.eye(2), np.eye(2), 1.5)
 
-    @pytest.mark.parametrize("q", [1e-5, 3e-16, 1e-300])
+    @pytest.mark.parametrize("q", [1e-5, 3e-16, 1e-300, -1e-5, -1e-300])
     def test_small_orders_compare_the_sides_in_logs(self, q):
-        # (sum lambda**q)**(1/q) overflows once 1/q is large: both sides are
-        # infinite, and the slack comes from their logarithms, here against
-        # the anti-norms in high precision
+        # (sum lambda**q)**(1/q) overflows once 1/q is large, and underflows
+        # to 0 once -1/q is: both sides are infinite, or 0, and the slack
+        # comes from their logarithms, here against the anti-norms in high
+        # precision (the inputs are positive definite)
         rng = np.random.default_rng(103)
         for n in (2, 5):
             x, y = random_psd(rng, n), random_psd(rng, n)
             rep = spectra.check_superadditivity(x, y, q)
-            assert rep.lhs == rep.rhs == math.inf
+            assert rep.lhs == rep.rhs == (math.inf if q > 0 else 0.0)
             assert rep.passed and abs(rep.slack - mp_superadditivity_slack(x, y, q)) <= 1e-12
 
     def test_small_orders_keep_the_saturation(self):

@@ -10,7 +10,6 @@ from chanent import channel as chmod
 from chanent import sampler, tradeoff
 from chanent.entropy import EntropyParams
 from chanent.errors import BoundViolation, DimensionMismatchError, DomainError
-from chanent.matcore import Spectrum
 
 # the default sweep grid
 Q_GRID = (0.3, 0.5, 0.9, 1.0, 1.1, 1.5, 2.0, 3.0, 5.0)
@@ -109,8 +108,8 @@ class TestLowerBound:
 def _fake_profile(dim=2, unital=True):
     # Not realizable by any channel: both representations rank one, so the
     # entropic sum is 0 and every bound fails.  Exercises the error path.
-    choi = Spectrum(np.array([[float(dim)] + [0.0] * (dim * dim - 1)]), "eigenvalues-hermitian")
-    sup = Spectrum(np.array([[1.0] + [0.0] * (dim * dim - 1)]), "singular-values")
+    choi = np.array([[float(dim)] + [0.0] * (dim * dim - 1)])
+    sup = np.array([[1.0] + [0.0] * (dim * dim - 1)])
     return chmod.ChannelProfile(("fake",), dim, np.array([unital]), choi, sup, np.eye(dim)[None])
 
 
@@ -166,8 +165,8 @@ def _stacked_profile(*rows):
         tuple("abcdefgh"[: len(rows)]),
         rows[0].dim,
         np.concatenate([p.unital for p in rows]),
-        Spectrum(np.concatenate([p.choi_spectrum.values for p in rows]), rows[0].choi_spectrum.kind),
-        Spectrum(np.concatenate([p.superop_spectrum.values for p in rows]), rows[0].superop_spectrum.kind),
+        np.concatenate([p.choi_spectrum for p in rows]),
+        np.concatenate([p.superop_spectrum for p in rows]),
         np.concatenate([p.tr2 for p in rows]),
     )
 
@@ -186,8 +185,8 @@ class TestStackedEvaluate:
                 for k, (_, _, cid, ch) in enumerate(pop):
                     one = chmod.profile_channel(chmod.stack_kraus([ch]), [cid])
                     assert one.channel_id == (cid,) and one.unital.tolist() == [stack.unital[k]]
-                    np.testing.assert_array_equal(stack.choi_spectrum.values[k], one.choi_spectrum.values[0])
-                    np.testing.assert_array_equal(stack.superop_spectrum.values[k], one.superop_spectrum.values[0])
+                    np.testing.assert_array_equal(stack.choi_spectrum[k], one.choi_spectrum[0])
+                    np.testing.assert_array_equal(stack.superop_spectrum[k], one.superop_spectrum[0])
                     np.testing.assert_array_equal(stack.tr2[k], one.tr2[0])
                     single = tradeoff.evaluate_profile(one, bounds[d])
                     for name in ("map_values", "receiver_values", "gap", "saturated"):
@@ -206,7 +205,7 @@ class TestStackedEvaluate:
     def test_non_finite_channel_before_a_violating_one(self):
         good = chmod.profile_channel(chmod.stack_kraus([sampler.named_channel("depolarizing", 2, 0.5)]))
         broken = chmod.ChannelProfile(
-            ("x",), 2, np.array([False]), Spectrum(np.array([[np.inf, 0.0, 0.0, 0.0]])),
+            ("x",), 2, np.array([False]), np.array([[np.inf, 0.0, 0.0, 0.0]]),
             good.superop_spectrum, good.tr2,
         )
         with pytest.raises(DomainError, match="channel 'b'"):
