@@ -18,8 +18,10 @@ repeated run reproduces ``report.csv`` byte for byte.
 
 Both harnesses draw their population in stacks (see :mod:`chanent.sampler`)
 of consecutive indices of one dimension, and one family for channels, and
-evaluate each stack as drawn: at most ``STACK_SIZE`` inputs and
-``STACK_ENTRIES`` matrix entries to a stack.
+evaluate each stack as drawn.  A stack is bounded by memory alone: it holds
+as many inputs as keep the largest array it builds per input within
+``STACK_ENTRIES`` entries in all, so a population of small inputs is one
+stack, and the stacks of a large one keep memory flat in its size.
 
 Both harnesses profile each channel stack, the Kraus array it was drawn
 as, with :func:`~chanent.channel.profile_channel`: one batched build of
@@ -30,11 +32,12 @@ A sweep stacks the channels of one (dimension, family) and evaluates each
 profile in one grid pass, against bounds tabulated once per dimension.  Its
 first error is the one a loop over the channels would meet first; a
 violation on a channel inside a stack writes every row of the channels
-before it.  ``report.csv`` is written
-channel by channel, each row one pre-formatted line: the channel columns go
-through :mod:`csv` once per channel (a ``--channel`` file name may need
-quoting), the orders and bounds are formatted once per dimension, and only
-the entropies, sum and gap once per row.
+before it, and an error leaves no ``report.csv``.  ``report.csv`` is
+written as each stack is evaluated, channel by channel, each row one
+pre-formatted line: the channel columns go through :mod:`csv` once per
+channel (a ``--channel`` file name may need quoting), the orders and bounds
+are formatted once per dimension, and only the entropies, sum and gap once
+per row.
 
 The inequality suite runs each check once per stack at all of its orders;
 the two channel checks share one profile per stack.  The first failure is
@@ -93,13 +96,12 @@ TOLERANCE_KEYS = ("gap", "saturation")
 CHECK_NAMES = ("prop1", "21in", "upkp", "npqr", "sups", "cbn0")
 # The checks that run on sampled channels rather than on matrices.
 CHANNEL_CHECKS = ("upkp", "cbn0")
-# Most inputs one stack holds, in the sweep and in the inequality suite:
-# enough that the per-call overhead is spread thin, few enough that memory
-# stays flat in the number of samples.
-STACK_SIZE = 128
-# Most matrix entries one stack holds, counted per input as the entries of
-# one input matrix (d**2) or of one channel's dynamical matrix (d**4): 128
-# channels per stack up to d = 4, 16 at d = 8 and one at d = 16, where a
+# Most matrix entries one stack holds, in the sweep and in the inequality
+# suite, counted per input as the entries of the largest array the stack
+# builds for it: an input matrix (d**2) in the suite, a channel's D or K
+# (d**4) in both, and in a sweep also the grid kernel's (n_q, d**2) and
+# (n_q, n_s) arrays.  On the default grid that is 1040 channels per stack at
+# d = 2, 809 at d = 3, 256 at d = 4, 16 at d = 8 and one at d = 16, where a
 # stack of four would hold about 20 MB of D, K and decomposition workspace.
 STACK_ENTRIES = 2**16
 
@@ -216,7 +218,7 @@ def config_from_file(path) -> SweepConfig:
 
 def _stack_size(entries: int) -> int:
     """Most inputs of ``entries`` matrix entries each that one stack holds."""
-    return max(1, min(STACK_SIZE, STACK_ENTRIES // entries))
+    return max(1, STACK_ENTRIES // entries)
 
 
 def _load_input(load, path, what: str):
@@ -255,8 +257,8 @@ def _csv_prefix(fields) -> str:
     return buf.getvalue().removesuffix("\r\n") + ","
 
 
-def _write_csv(path: Path, blocks: list) -> None:
-    """Write report.csv from per-channel blocks ``(prefix, cells, values, count)``.
+def _write_csv(fh, blocks) -> None:
+    """Write the report.csv rows of per-channel blocks ``(prefix, cells, values, count)`` to ``fh``.
 
     ``prefix`` holds the channel columns, ``cells`` the per-cell text of
     :func:`_bound_cells`, ``values`` the channel's map entropies, receiver
@@ -265,16 +267,14 @@ def _write_csv(path: Path, blocks: list) -> None:
     line ending ``csv`` writes; only the entropies, sum and gap are formatted
     per row, and each channel's lines go to the file in one write.
     """
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh).writerow(CSV_COLUMNS)
-        for prefix, cells, (m, r, g, sat), count in blocks:
-            lead = _csv_prefix(prefix)
-            fh.write("".join([
-                f"{lead}{qs}{mv!r},{rv!r},{mv + rv!r}{b}{gv!r},{_BOOL[sv]}\r\n"
-                for (qs, b), mv, rv, gv, sv in zip(
-                    cells[:count], m.tolist(), r.tolist(), g.tolist(), sat.tolist()
-                )
-            ]))
+    for prefix, cells, (m, r, g, sat), count in blocks:
+        lead = _csv_prefix(prefix)
+        fh.write("".join([
+            f"{lead}{qs}{mv!r},{rv!r},{mv + rv!r}{b}{gv!r},{_BOOL[sv]}\r\n"
+            for (qs, b), mv, rv, gv, sv in zip(
+                cells[:count], m.tolist(), r.tolist(), g.tolist(), sat.tolist()
+            )
+        ]))
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -313,12 +313,55 @@ def run_sweep(cfg: SweepConfig, out_dir, channel_path=None) -> int:
         ch = _load_input(chmod.load_channel, channel_path, "channel")
         stacks = [("file", ch.dim, [Path(channel_path).stem], chmod.stack_kraus([ch]))]
     else:
+        # per channel: D and K (d**4), and the grid kernel's (n_q, d**2) and (n_q, n_s) arrays
+        n_q, n_s = len(cfg.q_grid), len(cfg.s_grid)
         stacks = sampler.population(
-            cfg.seed, cfg.dims, cfg.families, cfg.samples_per_family, size=lambda d: _stack_size(d**4)
+            cfg.seed, cfg.dims, cfg.families, cfg.samples_per_family,
+            size=lambda d: _stack_size(max(d**4, n_q * max(n_s, d * d))),
         )
 
+    report = out / "report.csv"
+    try:
+        with open(report, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerow(CSV_COLUMNS)
+            stats, totals, violation_info = _sweep_stacks(cfg, out, stacks, fh)
+    except BaseException:
+        report.unlink(missing_ok=True)  # an error leaves no report.csv
+        raise
+    summary = {
+        "mode": "sweep",
+        "rows": totals["rows"],
+        "min_gap": totals["min_gap"],
+        "violations": 1 if violation_info else 0,
+        "saturation_count": totals["saturation_count"],
+        "limit_rows": totals["limit_rows"],
+        "per_family": {
+            fam: {
+                "rows": st["rows"],
+                "min_gap": None if st["min_gap"] is math.inf else st["min_gap"],
+                "saturation_count": st["saturation_count"],
+            }
+            for fam, st in stats.items()
+        },
+        "seed": cfg.seed,
+    }
+    if violation_info:
+        summary["violation"] = violation_info
+    _write_json(out / "summary.json", summary)
+    if violation_info:
+        print(f"BOUND VIOLATION: {violation_info['message']}", file=sys.stderr)
+        return 1
+    print(f"sweep ok: {totals['rows']} rows, min gap {summary['min_gap']!r} -> {out}")
+    return 0
+
+
+def _sweep_stacks(cfg: SweepConfig, out: Path, stacks, fh) -> tuple[dict, dict, dict | None]:
+    """Evaluate each stack and write its rows to ``fh`` before drawing the next.
+
+    Returns the per-family statistics, the totals and, if a violation
+    stopped the sweep, its summary entry.
+    """
     tables: dict[int, tuple] = {}  # dim -> (bounds, non-unital cells, unital cells, limit flags)
-    blocks = []
     stats: dict[str, dict] = {}
     totals = {"rows": 0, "min_gap": math.inf, "saturation_count": 0, "limit_rows": 0}
     violation_info = None
@@ -360,43 +403,20 @@ def run_sweep(cfg: SweepConfig, out_dir, channel_path=None) -> int:
             a.reshape(len(ids), cells)
             for a in (grid.map_values, grid.receiver_values, grid.gap, grid.saturated)
         ]
-        for k, channel_id in enumerate(ids[: -(-count // cells)]):
-            unital = bool(profile.unital[k])
-            blocks.append((
-                (channel_id, family, str(dim), _BOOL[unital]),
-                unital_cells if unital else plain_cells,
+        _write_csv(fh, [
+            (
+                (channel_id, family, str(dim), _BOOL[bool(profile.unital[k])]),
+                unital_cells if profile.unital[k] else plain_cells,
                 [v[k] for v in values],
                 min(cells, count - k * cells),
-            ))
+            )
+            for k, channel_id in enumerate(ids[: -(-count // cells)])
+        ])
         if violation_info:
             break
-
-    _write_csv(out / "report.csv", blocks)
-    summary = {
-        "mode": "sweep",
-        "rows": totals["rows"],
-        "min_gap": totals["min_gap"],
-        "violations": 1 if violation_info else 0,
-        "saturation_count": totals["saturation_count"],
-        "limit_rows": totals["limit_rows"],
-        "per_family": {
-            fam: {
-                "rows": st["rows"],
-                "min_gap": None if st["min_gap"] is math.inf else st["min_gap"],
-                "saturation_count": st["saturation_count"],
-            }
-            for fam, st in stats.items()
-        },
-        "seed": cfg.seed,
-    }
-    if violation_info:
-        summary["violation"] = violation_info
-    _write_json(out / "summary.json", summary)
-    if violation_info:
-        print(f"BOUND VIOLATION: {violation_info['message']}", file=sys.stderr)
-        return 1
-    print(f"sweep ok: {totals['rows']} rows, min gap {summary['min_gap']!r} -> {out}")
-    return 0
+        # the next stack is drawn while the loop variables still hold this one
+        del ops, profile, grid, gaps, saturated, values
+    return stats, totals, violation_info
 
 
 def run_inequality_suite(cfg: SweepConfig, out_dir, only=None, matrix_path=None) -> int:

@@ -14,14 +14,16 @@ family), and a single sample is a stack of one; the contract holds bit for
 bit per sample, while each fixed cost is paid once per population or once
 per stack:
 
-* seeding: a population's derived seeds come from one vectorized ``uint32``
-  pass of numpy's published ``SeedSequence`` algorithm (entropy pool
-  mixing, then ``generate_state``), one pass per entropy word count, and
-  each stack's stream states from one more such pass, followed by PCG64's
-  seeding step in integer arithmetic; the algorithm's hash constants are
-  tabulated once per length;
-* streams: each stream is one PCG64 state set on a generator local to the
-  call and one draw into the stack: ``standard_normal((2, d, d))`` for a
+* seeding: the derived seeds of a whole population, every ``(dim, family)``
+  of it, come from one vectorized ``uint32`` pass of numpy's published
+  ``SeedSequence`` algorithm (entropy pool mixing, then
+  ``generate_state``), one pass per entropy word count, and each stack's
+  stream states from one more such pass, followed by PCG64's seeding step
+  in integer arithmetic; the algorithm's hash constants are tabulated once
+  per length;
+* streams: each stream is one PCG64 state set, through one state dict
+  reused for the stack, on a generator local to the call, and one draw
+  into the stack: ``standard_normal((2, d, d))`` for a
   Ginibre matrix, the numbers numpy's two ``normal((d, d))`` calls of a
   ``default_rng`` on that stream give, and ``standard_exponential(k)`` for
   mixture weights; one multiplication of the weight stack by the
@@ -204,20 +206,34 @@ def _uint64(words: np.ndarray) -> np.ndarray:
     return w[..., 0::2] | (w[..., 1::2] << np.uint64(32))
 
 
-def _derive_seeds(prefix, indices) -> np.ndarray:
-    """``derive_seed(*prefix, index)`` for each of ``indices``, as uint64."""
-    head = np.array([w for v in prefix for w in _words(v)], dtype=np.uint32)
-    seeds = np.empty(len(indices), dtype=np.uint64)
-    for rows, words in _word_groups(indices):
-        entropy = np.concatenate([np.broadcast_to(head, (len(rows), head.size)), words], axis=1)
-        seeds[rows] = _uint64(_seed_states(entropy, 2))[:, 0]
+def _derive_seeds(prefixes, indices) -> np.ndarray:
+    """``derive_seed(*prefix, index)`` for each of ``prefixes`` and each of ``indices``.
+
+    Returns ``(len(prefixes), len(indices))`` uint64.  The rows of one
+    entropy word count, which are all rows when the prefixes differ only in
+    small entries, go through one :func:`_seed_states` pass.
+    """
+    heads = [np.array([w for v in prefix for w in _words(v)], dtype=np.uint32) for prefix in prefixes]
+    groups = list(_word_groups(indices))
+    passes: dict[int, list] = {}  # entropy word count -> (prefix, rows, entropy) parts
+    for p, head in enumerate(heads):
+        for rows, words in groups:
+            entropy = np.concatenate([np.broadcast_to(head, (len(rows), head.size)), words], axis=1)
+            passes.setdefault(entropy.shape[1], []).append((p, rows, entropy))
+    seeds = np.empty((len(heads), len(indices)), dtype=np.uint64)
+    for parts in passes.values():
+        states = _uint64(_seed_states(np.concatenate([e for *_, e in parts]), 2))[:, 0]
+        start = 0
+        for p, rows, _ in parts:
+            seeds[p, rows] = states[start : start + len(rows)]
+            start += len(rows)
     return seeds
 
 
 def derive_seed(base_seed: int, *indices: int) -> int:
     """Collision-free 64-bit seed for a sample addressed by ``indices``."""
     *prefix, last = (base_seed, *indices)
-    return int(_derive_seeds(prefix, [last])[0])
+    return int(_derive_seeds([prefix], [last])[0, 0])
 
 
 def _stream_states(seeds, keys) -> list[tuple[int, int]]:
@@ -246,16 +262,13 @@ def _stream_states(seeds, keys) -> list[tuple[int, int]]:
 
 
 def _generators(states):
-    """One generator, set to each PCG64 ``(state, inc)`` in turn."""
+    """One generator, set to each PCG64 ``(state, inc)`` in turn through one reused state dict."""
     bits = np.random.PCG64(0)
     gen = np.random.Generator(bits)
-    for state, inc in states:
-        bits.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": state, "inc": inc},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
+    inner: dict = {}
+    state = {"bit_generator": "PCG64", "state": inner, "has_uint32": 0, "uinteger": 0}
+    for inner["state"], inner["inc"] in states:
+        bits.state = state
         yield gen
 
 
@@ -457,19 +470,18 @@ def population(seed: int, dims, families, count: int, stream: int = 0, size=None
     Kraus array of a stack of consecutive indices of one ``(dim, family)``,
     at most ``size(dim)`` of them (all ``count`` by default), checked for
     trace preservation; a named family repeats its one channel's Kraus
-    array.  A population's seeds are derived once, and sliced per stack.
+    array.  The seeds of every ``(dim, family)`` are derived together,
+    before the first stack is drawn, and sliced per stack.
     """
-    for dim in dims:
-        d = int(dim)
-        for family in families:
-            code = stream + FAMILY_CODES.get(family, 99)  # 99: the named channels
-            seeds = range(count)
-            if family in FAMILY_CODES:
-                seeds = _derive_seeds((seed, code, d), seeds)
-            for indices in _cuts(count, count if size is None else size(d)):
-                ids = [f"{family}-d{d}-{index:04d}" for index in indices]
-                stack = seeds[indices.start : indices.stop]
-                yield family, d, ids, _sample_stack(family, d, default_kraus_count(family, d), stack)
+    pairs = [(int(dim), family) for dim in dims for family in families]
+    drawn = [(d, family) for d, family in pairs if family in FAMILY_CODES]
+    table = _derive_seeds([(seed, stream + FAMILY_CODES[f], d) for d, f in drawn], range(count))
+    seeds = dict(zip(drawn, table))
+    for d, family in pairs:
+        for indices in _cuts(count, count if size is None else size(d)):
+            ids = [f"{family}-d{d}-{index:04d}" for index in indices]
+            stack = seeds.get((d, family), range(count))[indices.start : indices.stop]
+            yield family, d, ids, _sample_stack(family, d, default_kraus_count(family, d), stack)
 
 
 def ginibre_population(seed: int, dims, count: int, stream: int, size=None):
@@ -479,11 +491,11 @@ def ginibre_population(seed: int, dims, count: int, stream: int, size=None):
     ``default_rng(derive_seed(seed, stream, dim, index))``, its real parts
     drawn before its imaginary parts; ``G`` stacks the matrices of
     ``indices``, at most ``size(dim)`` of them (all ``count`` by default).
-    The seeds of one dimension are derived once, and sliced per stack.
+    The seeds of every dimension are derived together, and sliced per stack.
     """
-    for dim in dims:
-        d = int(dim)
-        seeds = _derive_seeds((seed, stream, d), range(count))
+    dims = [int(dim) for dim in dims]
+    table = _derive_seeds([(seed, stream, d) for d in dims], range(count))
+    for d, seeds in zip(dims, table):
         for indices in _cuts(count, count if size is None else size(d)):
             states = _stream_states(seeds[indices.start : indices.stop], [()])
             yield d, indices, _ginibre(_generators(states), (len(indices), d))

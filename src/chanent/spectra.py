@@ -299,11 +299,12 @@ def check_prop1(x, q) -> InequalityReport | InequalityBatch:
     regime, positive input).  Passes when the direction holds with relative
     slack above ``-1e-9``; flat spectra saturate it exactly.
 
-    Where a side is not a finite double (a large order, say), the sides are
-    compared through the spectrum ``mu`` scaled by its largest entry (its
-    smallest for ``q < 0``): both have degree ``q``, so ``ln(rhs/lhs) =
-    (q-1) ln sum mu**2 + (2-q) ln sum mu - ln sum mu**q``, where each sum of
-    ``mu**q`` lies in ``[1, n]``.
+    Where a side is not a positive finite double (beyond one at a large
+    order, or 0 where the powers of a tiny spectrum underflow: the input is
+    nonzero, so a zero side is underflow), the sides are compared through the
+    spectrum ``mu`` scaled by its largest entry (its smallest for ``q < 0``):
+    both have degree ``q``, so ``ln(rhs/lhs) = (q-1) ln sum mu**2 + (2-q) ln
+    sum mu - ln sum mu**q``, where each sum of ``mu**q`` lies in ``[1, n]``.
     """
     stack, single = _stack(x)
     orders, one_order = _orders(q)
@@ -316,11 +317,13 @@ def check_prop1(x, q) -> InequalityReport | InequalityBatch:
             raise InvalidSpectrumError("matrix is zero; the interpolation is undefined")
         n1 = pos.sum(axis=-1)
         n2sq = (pos**2).sum(axis=-1)
-        with np.errstate(over="ignore", invalid="ignore"):  # a side beyond a double is compared scaled
+        # a side beyond a double, or 0 (a zero sum to a negative power is
+        # infinite), is compared scaled
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             lhs.append((pos**order).sum(axis=-1))
             rhs.append(n2sq ** (order - 1.0) * n1 ** (2.0 - order))
         log_ratio.append(np.full(len(pos), np.nan))
-        if not (np.isfinite(lhs[-1]) & np.isfinite(rhs[-1])).all():
+        if not ((0.0 < lhs[-1]) & (lhs[-1] < np.inf) & (0.0 < rhs[-1]) & (rhs[-1] < np.inf)).all():
             mu = pos / _extreme(pos, order)
             with np.errstate(over="ignore"):
                 a, b, c = (np.log((mu**p).sum(axis=-1)) for p in (2.0, 1.0, order))

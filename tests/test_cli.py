@@ -8,6 +8,7 @@ import pytest
 from chanent import channel as chmod
 from chanent import cli, matcore, sampler, spectra
 from chanent.channel import save_channel
+from chanent.errors import DomainError
 
 
 def read_csv_rows(path):
@@ -257,9 +258,9 @@ class TestStackedSweep:
     def run_both(tmp_path, monkeypatch, capsys, args):
         """Exit code, stderr and every output file's bytes, stacked and one channel at a time."""
         results = []
-        for stack_size in (cli.STACK_SIZE, 1):
-            monkeypatch.setattr(cli, "STACK_SIZE", stack_size)
-            out = tmp_path / f"stack{stack_size}"
+        for entries in (cli.STACK_ENTRIES, 1):  # stacks of a whole (dim, family), and of one channel
+            monkeypatch.setattr(cli, "STACK_ENTRIES", entries)
+            out = tmp_path / f"entries{entries}"
             code = cli.main([*args, "--out", str(out)])
             files = {p.relative_to(out).as_posix(): p.read_bytes() for p in out.rglob("*") if p.is_file()}
             results.append((code, capsys.readouterr().err, files))
@@ -296,6 +297,24 @@ class TestStackedSweep:
         assert code == 2 and "not finite" in err and "cptp-d2-0000" in err
         assert "report.csv" not in files
 
+    def test_error_after_written_stacks_leaves_no_report(self, tmp_path, monkeypatch, capsys):
+        # the rows of the stacks before the error were written already
+        calls = []
+        original = cli.evaluate_profile
+
+        def evaluate(profile, *args, **kwargs):
+            calls.append(profile.channel_id)
+            if len(calls) == 3:
+                raise DomainError(f"planted error on {profile.channel_id[0]}")
+            return original(profile, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "evaluate_profile", evaluate)
+        monkeypatch.setattr(cli, "STACK_ENTRIES", 1)
+        out = tmp_path / "x"
+        assert cli.main([*self.ARGS, "--out", str(out)]) == 2
+        assert "planted error on cptp-d2-0002" in capsys.readouterr().err
+        assert not (out / "report.csv").exists()
+
     def test_channel_file_stem_is_csv_quoted(self, tmp_path, monkeypatch, capsys):
         ch_path = tmp_path / 'ad,"0.3".json'
         save_channel(sampler.named_channel("amplitude-damping", 2, 0.3), ch_path)
@@ -309,10 +328,22 @@ class TestStackedSweep:
         sizes = []
         original = cli.profile_channel
         monkeypatch.setattr(cli, "profile_channel", lambda chs, ids: sizes.append(len(chs)) or original(chs, ids))
-        monkeypatch.setattr(cli, "STACK_SIZE", 4)
+        # a 1x1 grid at d = 2: D's 16 entries bound the stack
+        monkeypatch.setattr(cli, "STACK_ENTRIES", 4 * 16)
         args = ["sweep", "--dims", "2", "--samples", "5", "--family", "cptp,unitary-mixture"]
         assert cli.main([*args, "--q", "2", "--s", "0", "--out", str(tmp_path / "x")]) == 0
         assert sizes == [4, 1, 4, 1]
+
+    def test_large_grids_make_small_stacks(self, tmp_path, monkeypatch):
+        # a 40x40 grid at d = 2: the kernel's (n, n_q, n_s) arrays bound the stack
+        seen = []
+        original = cli.evaluate_profile
+        monkeypatch.setattr(cli, "evaluate_profile", lambda *a, **k: seen.append(original(*a, **k)) or seen[-1])
+        grid = ",".join(str(0.1 * (i + 1)) for i in range(40))
+        args = ["sweep", "--dims", "2", "--samples", "100", "--family", "cptp", "--q", grid, "--s", grid]
+        assert cli.main([*args, "--out", str(tmp_path / "x")]) == 0
+        assert [g.gap.shape[0] for g in seen] == [40, 40, 20]
+        assert all(g.gap.size <= cli.STACK_ENTRIES for g in seen)
 
 
 def failing_at(check, entries):
@@ -488,6 +519,18 @@ class TestInequalities:
         check = json.loads((out / "summary.json").read_text(), parse_constant=pytest.fail)["checks"]["21in"]
         assert check["passed"] and check["min_slack"] == pytest.approx(1.0 - (10.0 / 12.0) ** 0.5, abs=1e-15)
 
+    def test_tiny_matrix_entries_pass_prop1(self, tmp_path):
+        # the powers of diag(1e-200, 1e-201) underflow to 0; prop1 compares
+        # its sides scaled and reports the slack of diag(1, 0.1)
+        mat_path = tmp_path / "tiny.json"
+        mat_path.write_text(json.dumps(matcore.matrix_to_json(np.diag([1e-200, 1e-201]))))
+        out = tmp_path / "tiny"
+        args = ["inequalities", "--matrix", str(mat_path), "--only", "prop1", "--q", "3", "--out", str(out)]
+        assert cli.main(args) == 0
+        check = json.loads((out / "summary.json").read_text(), parse_constant=pytest.fail)["checks"]["prop1"]
+        want = spectra.check_prop1(np.diag([1.0, 0.1]), 3.0).slack
+        assert check["passed"] and check["min_slack"] == pytest.approx(want, rel=1e-12)
+
     @pytest.mark.parametrize("q", ["600", "1e300"])
     def test_large_q_inequalities_pass(self, tmp_path, q):
         # every lambda**q of psd-d2-0000 (largest eigenvalue 11.7) overflows;
@@ -510,10 +553,10 @@ class TestInequalities:
 
 
 class TestInequalityStacks:
-    """The suite's stacks hold at most STACK_SIZE inputs and STACK_ENTRIES matrix entries."""
+    """The suite's stacks hold at most STACK_ENTRIES matrix entries: d**4 per channel, d**2 per matrix."""
 
     @pytest.mark.parametrize("d, samples, sizes", [
-        (2, 130, [128, 2]), (4, 130, [128, 2]), (8, 17, [16, 1]), (16, 2, [1, 1]),
+        (2, 130, [130]), (4, 130, [130]), (8, 17, [16, 1]), (16, 2, [1, 1]),
     ])
     def test_channel_stacks(self, tmp_path, monkeypatch, d, samples, sizes):
         seen = []
@@ -529,40 +572,57 @@ class TestInequalityStacks:
         monkeypatch.setattr(spectra, "check_prop1", lambda x, q: seen.append(len(x)) or original(x, q))
         args = ["inequalities", "--dims", "16", "--samples", "130", "--only", "prop1"]
         assert cli.main([*args, "--out", str(tmp_path / "x")]) == 0
-        assert seen == [128, 2]
+        assert seen == [130]
+
+    def test_150_samples_are_one_stack_per_population(self, tmp_path, monkeypatch):
+        seen = []
+        original = cli.profile_channel
+        monkeypatch.setattr(cli, "profile_channel", lambda chs, ids: seen.append(len(chs)) or original(chs, ids))
+        for name in ("check_prop1", "check_two_inf_one", "check_antinorm_monotonicity"):
+            check = getattr(spectra, name)
+            monkeypatch.setattr(spectra, name, lambda x, *a, _c=check: seen.append(len(x)) or _c(x, *a))
+        args = ["inequalities", "--dims", "2,3", "--samples", "150", "--out", str(tmp_path / "x")]
+        assert cli.main(args) == 0
+        assert seen == [150] * 12
 
 
 class TestOneProfilePerStack:
     """Both harnesses take ``Tr_2 D`` once per channel stack, in ``profile_channel``."""
 
-    @pytest.mark.parametrize("command", ["sweep", "inequalities"])
-    def test_one_partial_trace_per_stack(self, tmp_path, monkeypatch, command):
-        sizes = []
+    @pytest.mark.parametrize("command, sizes", [
+        # d = 3: D's 81 entries bound both; d = 2: the sweep's 9x7 grid, the suite's 16 entries of D
+        ("sweep", [2, 1] * 4),
+        ("inequalities", [3, 3, 2, 1, 2, 1]),
+    ], ids=["sweep", "inequalities"])
+    def test_one_partial_trace_per_stack(self, tmp_path, monkeypatch, command, sizes):
+        seen = []
         original = matcore.partial_trace
-        monkeypatch.setattr(matcore, "partial_trace", lambda x, *a: sizes.append(len(x)) or original(x, *a))
-        monkeypatch.setattr(cli, "STACK_SIZE", 2)
+        monkeypatch.setattr(matcore, "partial_trace", lambda x, *a: seen.append(len(x)) or original(x, *a))
+        monkeypatch.setattr(cli, "STACK_ENTRIES", 2 * 81)
         args = [command, "--dims", "2,3", "--samples", "3", "--family", "cptp,unitary-mixture"]
         assert cli.main([*args, "--out", str(tmp_path / "x")]) == 0
-        assert sizes == [2, 1] * 4  # two stacks per (dim, family)
+        assert seen == sizes
 
 
 class TestKrausArrays:
     """Channel stacks stay the Kraus arrays the sampler draws, and seeds are derived once per population."""
 
     def test_suite_makes_no_channel_objects_and_derives_seeds_once(self, tmp_path, monkeypatch):
-        made, prefixes = [], []
+        made, prefixes, passes = [], [], []
         check = chmod.KrausChannel.__post_init__  # construction validates each channel
         monkeypatch.setattr(chmod.KrausChannel, "__post_init__", lambda ch: made.append(ch) or check(ch))
-        original = sampler._derive_seeds
-        monkeypatch.setattr(sampler, "_derive_seeds", lambda p, i: prefixes.append(tuple(p)) or original(p, i))
-        # 150 samples: two stacks per population
+        derive, states = sampler._derive_seeds, sampler._seed_states
+        monkeypatch.setattr(sampler, "_derive_seeds", lambda p, i: prefixes.append(list(p)) or derive(p, i))
+        monkeypatch.setattr(sampler, "_seed_states", lambda e, n: passes.append(n) or states(e, n))
         args = ["inequalities", "--dims", "2,3", "--samples", "150", "--out", str(tmp_path / "x")]
         assert cli.main(args) == 0
         assert made == []
+        # one derivation per population call, of all its (dim, family) seeds in one pass
         seed = cli.DEFAULT_SEED
         channels = [(seed, 100 + code, d) for d in (2, 3) for code in sampler.FAMILY_CODES.values()]
-        matrices = [(seed, stream, d) for stream in range(201, 206) for d in (2, 3)]
-        assert sorted(prefixes) == sorted(channels + matrices)
+        matrices = [[(seed, stream, d) for d in (2, 3)] for stream in range(201, 206)]
+        assert sorted(prefixes) == sorted([channels, *matrices])
+        assert passes.count(2) == 6  # a derivation pass makes two words per seed, a stream state eight
 
 
 class TestInequalityFailures:
@@ -576,15 +636,16 @@ class TestInequalityFailures:
         files = sorted(p.name for p in (out / "counterexamples").iterdir())
         return code, summary, files, out / "counterexamples"
 
-    @pytest.mark.parametrize("stack_size", [cli.STACK_SIZE, 4])
+    # stacks of all ten matrices, and of four: 16 entries, d**2 = 4 per matrix
+    @pytest.mark.parametrize("stack_entries", [cli.STACK_ENTRIES, 16])
     @pytest.mark.parametrize("entries, first", [([(7, 0), (3, 2)], 3), ([(9, 1)], 9)])
     def test_npqr_failure_names_the_first_input_and_writes_its_matrix(
-        self, tmp_path, monkeypatch, stack_size, entries, first
+        self, tmp_path, monkeypatch, stack_entries, entries, first
     ):
         marks = [(ginibre_matrix(203, 2, i), j) for i, j in entries]
         check = failing_on(spectra.check_antinorm_monotonicity, marks)
         monkeypatch.setattr(spectra, "check_antinorm_monotonicity", check)
-        monkeypatch.setattr(cli, "STACK_SIZE", stack_size)
+        monkeypatch.setattr(cli, "STACK_ENTRIES", stack_entries)
         code, summary, files, ce = self.run(tmp_path, "--only", "npqr")
         assert code == 1
         label = f"psd-d2-{first:04d}"

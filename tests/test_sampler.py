@@ -264,10 +264,12 @@ class TestStreamContract:
         # derived seeds: the seed first, then as an index
         for indices in ((), (0,), (3, 2, 7), (1, 2**32 - 1), (5, 2**32), (seed,)):
             assert sampler.derive_seed(seed, *indices) == oracles.derive_seed(seed, *indices)
-        prefix = (seed, 1, 3)
+        # several prefixes, of different word counts, in one call
+        prefixes = [(seed, 1, 3), (seed, 2, 3), (7,), (seed, 2**40, 2)]
         indices = [0, 1, 2**32 - 1, 2**32, 2**40 + 5, 9]
         np.testing.assert_array_equal(
-            sampler._derive_seeds(prefix, indices), [oracles.derive_seed(*prefix, i) for i in indices]
+            sampler._derive_seeds(prefixes, indices),
+            [[oracles.derive_seed(*prefix, i) for i in indices] for prefix in prefixes],
         )
         # stream states and draws, root and spawned
         for keys in ([()], [(0,), (1,), (2,)], [(0, 0), (0, 5), (3, 1)]):

@@ -195,6 +195,18 @@ class TestCheckProp1:
                 rhs = mpmath.fsum(v**2 for v in vals) ** (order - 1) * mpmath.fsum(vals) ** (2 - order)
                 assert abs(slack - float((lhs - rhs) / max(lhs, rhs, 1))) <= 1e-12
 
+    @pytest.mark.parametrize("q", [0.5, 1.5, 3.0, 4.0])
+    def test_tiny_spectra_compare_the_sides_scaled(self, q):
+        # the powers of diag(1e-200, 1e-201) underflow, so a side is 0 (or,
+        # as a zero to a negative power, infinite); the slack is that of the
+        # same matrix scaled
+        batch = spectra.check_prop1(np.diag([1e-200, 1e-201]), [q])
+        sides = np.concatenate([batch.lhs, batch.rhs])
+        assert not ((0.0 < sides) & (sides < np.inf)).all()
+        want = spectra.check_prop1(np.diag([1.0, 0.1]), q).slack
+        assert batch.passed.all() and want > 1e-3
+        assert batch.slack[0, 0] == pytest.approx(want, rel=1e-12)
+
 
 class TestCheckTwoInfOne:
     def test_identity_saturates(self):
