@@ -14,9 +14,9 @@ from .channel import (
     reshuffle,
 )
 from .entropy import EntropyParams
-from .matcore import hermitian_eigenvalues, partial_trace, singular_values, vec
+from .matcore import hermitian_eigenvalues, partial_trace, singular_values
 from .sampler import SamplerConfig, named_channel, sample_channel
-from .spectra import InequalityReport, schatten_antinorm, schatten_norm
+from .spectra import schatten_antinorm, schatten_norm
 from .tradeoff import (
     TradeoffReport,
     evaluate_tradeoff,
@@ -28,7 +28,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "EntropyParams",
-    "InequalityReport",
     "KrausChannel",
     "SamplerConfig",
     "TradeoffReport",
@@ -45,5 +44,4 @@ __all__ = [
     "schatten_antinorm",
     "schatten_norm",
     "singular_values",
-    "vec",
 ]

@@ -81,7 +81,6 @@ __all__ = [
     "profile_channel",
     "channel_to_json",
     "channel_from_json",
-    "save_channel",
     "load_channel",
 ]
 
@@ -95,16 +94,6 @@ MAX_DIM = 16
 def _identity_defects(m: np.ndarray) -> np.ndarray:
     """Max-entry deviation of ``m``, or of each matrix of a stack, from the identity."""
     return np.abs(m - np.eye(m.shape[-1])).max(axis=(-2, -1))
-
-
-def _tp_defects(a: np.ndarray) -> np.ndarray:
-    """Max-entry deviation of ``a^dag a`` from the identity, for ``a`` or each of a stack.
-
-    Entries too large for ``a^dag a`` give an inf or NaN defect, which no
-    tolerance admits.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _identity_defects(a.conj().swapaxes(-2, -1) @ a)
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,14 +118,6 @@ class KrausChannel:
         object.__setattr__(self, "kraus_ops", ops)
         check_kraus_stack(np.reshape(ops, (1, len(ops), self.dim, self.dim)))
 
-    def tp_defect(self) -> float:
-        """Max-entry deviation of ``sum_i A_i^dag A_i`` from the identity.
-
-        The sum is one product: the operators stacked vertically, ``(k d, d)``,
-        times their adjoint.
-        """
-        return float(_tp_defects(np.concatenate(self.kraus_ops)))
-
 
 def check_kraus_stack(ops) -> np.ndarray:
     """The ``(n, k, d, d)`` array ``ops`` of Kraus sets as complex, validated.
@@ -153,7 +134,13 @@ def check_kraus_stack(ops) -> np.ndarray:
         raise DimensionMismatchError(f"system dimension must be in [2, {MAX_DIM}], got {d}")
     if not k:
         raise ValueError("a channel needs at least one Kraus operator")
-    for defect in _tp_defects(ops.reshape(n, k * d, d)).tolist():
+    # sum_i A_i^dag A_i as one product per channel: its operators stacked
+    # vertically, (k d, d), times their adjoint; entries too large for it give
+    # an inf or NaN defect, which no tolerance admits
+    v = ops.reshape(n, k * d, d)
+    with np.errstate(over="ignore", invalid="ignore"):
+        defects = _identity_defects(v.conj().swapaxes(-2, -1) @ v)
+    for defect in defects.tolist():
         if not defect <= TP_TOL:  # a NaN defect is no evidence of trace preservation
             raise NotTracePreservingError(
                 f"trace-preservation defect {defect:.3e} exceeds {TP_TOL:.1e}"
@@ -280,7 +267,7 @@ def profile_channel(ops, channel_id=()) -> ChannelProfile:
         raise ValueError(f"{len(ops)} channels but {len(ids)} channel ids")
     d = np.shape(ops)[-1]
     dyn = dynamical_from_kraus(ops)
-    tr2 = matcore.partial_trace(dyn, d, "second")
+    tr2 = matcore.partial_trace(dyn, d)
     return ChannelProfile(
         channel_id=ids,
         dim=d,
@@ -303,11 +290,6 @@ def channel_from_json(obj: dict) -> KrausChannel:
     """Parse the channel JSON format (validates trace preservation)."""
     ops = [matcore.matrix_from_json(o) for o in obj["kraus"]]
     return KrausChannel(int(obj["dim"]), tuple(ops))
-
-
-def save_channel(ch: KrausChannel, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(channel_to_json(ch), fh)
 
 
 def load_channel(path) -> KrausChannel:

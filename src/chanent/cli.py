@@ -53,7 +53,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -62,14 +62,7 @@ from . import channel as chmod
 from . import matcore, sampler, spectra
 from .channel import profile_channel
 from .errors import BoundViolation, DomainError, ParamOutOfRangeError, UnknownChannelError
-from .tradeoff import (
-    GAP_TOL,
-    SAT_TOL,
-    BoundTable,
-    TradeoffReport,
-    bound_table,
-    evaluate_profile,
-)
+from .tradeoff import BoundTable, TradeoffReport, bound_table, evaluate_profile
 
 __all__ = ["SweepConfig", "ConfigError", "run_sweep", "run_inequality_suite", "main"]
 
@@ -92,7 +85,6 @@ CSV_COLUMNS = [
     "saturated",
 ]
 
-TOLERANCE_KEYS = ("gap", "saturation")
 CHECK_NAMES = ("prop1", "21in", "upkp", "npqr", "sups", "cbn0")
 # The checks that run on sampled channels rather than on matrices.
 CHANNEL_CHECKS = ("upkp", "cbn0")
@@ -112,7 +104,12 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Sweep parameters; every field has a default so a bare run works."""
+    """Sweep parameters; every field has a default so a bare run works.
+
+    The verdict tolerances are not among them: a violation is a gap below
+    ``tradeoff.GAP_TOL`` and saturation a gap up to ``tradeoff.SAT_TOL``,
+    the same for every run.
+    """
 
     dims: tuple = (2, 3)
     families: tuple = ("cptp", "unitary-mixture", "unistochastic")
@@ -120,13 +117,6 @@ class SweepConfig:
     q_grid: tuple = (0.3, 0.5, 0.9, 1.0, 1.1, 1.5, 2.0, 3.0, 5.0)
     s_grid: tuple = (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0)
     seed: int = DEFAULT_SEED
-    tolerances: dict = field(default_factory=dict)
-
-    def gap_tol(self) -> float:
-        return float(self.tolerances.get("gap", GAP_TOL))
-
-    def sat_tol(self) -> float:
-        return float(self.tolerances.get("saturation", SAT_TOL))
 
 
 def validate_config(cfg: SweepConfig) -> SweepConfig:
@@ -148,14 +138,6 @@ def validate_config(cfg: SweepConfig) -> SweepConfig:
             raise ConfigError(f"unknown family {fam!r}")
     if cfg.seed < 0:
         raise ConfigError(f"seed must be >= 0, got {cfg.seed}")
-    unknown = set(cfg.tolerances) - set(TOLERANCE_KEYS)
-    if unknown:
-        raise ConfigError(
-            f"unknown tolerance keys: {sorted(unknown)}; choose from {', '.join(TOLERANCE_KEYS)}"
-        )
-    for key, value in cfg.tolerances.items():
-        if not (math.isfinite(float(value)) and float(value) >= 0.0):
-            raise ConfigError(f"tolerance {key!r} must be finite and >= 0, got {value!r}")
     if cfg.samples_per_family < 1:
         raise ConfigError(f"samples_per_family must be >= 1, got {cfg.samples_per_family}")
     if not cfg.q_grid or not cfg.s_grid:
@@ -184,7 +166,6 @@ _CONFIG_TYPES = {
     "q_grid": (list, _NUMBER, "a list of numbers"),
     "s_grid": (list, _NUMBER, "a list of numbers"),
     "seed": (int, None, "an integer"),
-    "tolerances": (dict, _NUMBER, "an object of numbers"),
 }
 
 
@@ -206,12 +187,9 @@ def config_from_file(path) -> SweepConfig:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     for key, value in raw.items():
         kind, member, expected = _CONFIG_TYPES[key]
-        ok = _is(value, kind)
-        if ok and member is not None:
-            ok = all(_is(v, member) for v in (value.values() if kind is dict else value))
-        if not ok:
+        if not (_is(value, kind) and (member is None or all(_is(v, member) for v in value))):
             raise ConfigError(f"config key {key!r} must be {expected}, got {value!r}")
-        if kind is list:
+        if member is not None:
             raw[key] = tuple(value)
     return SweepConfig(**raw)
 
@@ -379,7 +357,7 @@ def _sweep_stacks(cfg: SweepConfig, out: Path, stacks, fh) -> tuple[dict, dict, 
         # rows are counted over the stack's cells in row order: every cell of
         # the channels that pass, and on a violation the cells up to it
         try:
-            grid = evaluate_profile(profile, bounds, sat_tol=cfg.sat_tol(), gap_tol=cfg.gap_tol())
+            grid = evaluate_profile(profile, bounds)
             count = passed = grid.gap.size
         except BoundViolation as exc:
             grid = exc.grid

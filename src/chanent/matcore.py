@@ -5,7 +5,8 @@ Conventions
 Operators are plain complex ``numpy`` arrays; a real input to the spectral
 functions stays real, so its decomposition runs in real arithmetic.
 Vectorization is ROW-major:
-``vec(|mu><nu|) = |mu> (x) |nu>``, i.e. ``vec(X) = X.reshape(-1)``.  Composite
+``vec(|mu><nu|) = |mu> (x) |nu>``, i.e. ``vec(X) = X.reshape(-1)``, which is
+isometric for the Hilbert-Schmidt inner product.  Composite
 indices on a two-factor space are laid out as ``(mu, nu) -> mu*d + nu`` with
 the principal system first.  These two choices are canonical for the whole
 package: the superoperator layout and the reshuffling permutation are only
@@ -45,7 +46,6 @@ __all__ = [
     "hermitian_eigenvalues",
     "singular_values",
     "partial_trace",
-    "vec",
     "clamp_spectrum",
     "matrix_to_json",
     "matrix_from_json",
@@ -92,19 +92,19 @@ def _require_square(x: np.ndarray) -> np.ndarray:
 
 
 def _first_row_above(row_values: np.ndarray, limit: float) -> float:
-    """The first of the per-matrix values that exceeds ``limit``."""
+    """The first of the per-matrix values that exceeds ``limit`` or is NaN."""
     flat = row_values.reshape(-1)
-    return float(flat[np.flatnonzero(flat > limit)[0]])
+    return float(flat[np.flatnonzero(~(flat <= limit))[0]])
 
 
 def require_hermitian(deviation: np.ndarray) -> None:
-    """Raise :class:`NotHermitianError` if an entry of ``deviation`` exceeds ``HERM_TOL``.
+    """Raise :class:`NotHermitianError` if an entry of ``deviation`` exceeds ``HERM_TOL`` or is NaN.
 
     ``deviation`` is the entrywise deviation from Hermiticity of a matrix, or
     of each matrix of a stack; the error names the first matrix over the
     tolerance, with its max entry.
     """
-    if deviation.size and deviation.max() > HERM_TOL:
+    if deviation.size and not deviation.max() <= HERM_TOL:
         worst = _first_row_above(deviation.max(axis=(-2, -1)), HERM_TOL)
         raise NotHermitianError(f"Hermiticity deviation {worst:.3e} exceeds {HERM_TOL:.1e}")
 
@@ -130,43 +130,27 @@ def singular_values(x) -> np.ndarray:
     return np.linalg.svd(as_matrices(x), compute_uv=False)
 
 
-def partial_trace(x, d: int, subsystem: str = "second") -> np.ndarray:
-    """Trace out one tensor factor of a ``d**2 x d**2`` matrix, or of each matrix of a stack.
+def partial_trace(x, d: int) -> np.ndarray:
+    """Trace out the second tensor factor of a ``d**2 x d**2`` matrix, or of each matrix of a stack.
 
-    ``subsystem="first"`` traces the leading factor (index ``mu`` of the
-    composite ``mu*d + nu``), ``"second"`` the trailing one.
+    That is the trailing index ``nu`` of the composite ``mu*d + nu``.
     """
     m = as_matrices(x)
     if m.shape[-2:] != (d * d, d * d):
         raise DimensionMismatchError(f"expected shape {(d * d, d * d)}, got {m.shape[-2:]}")
-    t = m.reshape(*m.shape[:-2], d, d, d, d)
-    if subsystem == "first":
-        return np.einsum("...ijik->...jk", t)
-    if subsystem == "second":
-        return np.einsum("...ijkj->...ik", t)
-    raise ValueError(f"subsystem must be 'first' or 'second', got {subsystem!r}")
-
-
-def vec(x) -> np.ndarray:
-    """Row-major vectorization: ``vec(X)[mu*d + nu] = X[mu, nu]``.
-
-    Isometric for the Hilbert-Schmidt inner product:
-    ``<vec(X)|vec(Y)> = trace(X^dag Y)``.
-    """
-    m = _require_square(as_matrix(x))
-    return m.reshape(-1)
+    return np.einsum("...ijkj->...ik", m.reshape(*m.shape[:-2], d, d, d, d))
 
 
 def clamp_spectrum(values, neg_tol: float, zero_rel: float = ZERO_REL_TOL) -> np.ndarray:
     """Clamp a PSD-intended spectrum, or each row of a stack of spectra.
 
-    Entries below ``-neg_tol`` raise :class:`NotPositiveError`; remaining
-    entries smaller than ``zero_rel`` times the largest entry of their
-    spectrum (noise from rank-deficient decompositions, negative or positive)
-    become exactly 0.
+    Entries below ``-neg_tol``, and NaN entries, raise
+    :class:`NotPositiveError`; remaining entries smaller than ``zero_rel``
+    times the largest entry of their spectrum (noise from rank-deficient
+    decompositions, negative or positive) become exactly 0.
     """
     vals = np.asarray(values, dtype=float)
-    if vals.size and vals.min() < -neg_tol:
+    if vals.size and not vals.min() >= -neg_tol:
         lo = -_first_row_above(-vals.min(axis=-1), neg_tol)
         raise NotPositiveError(f"eigenvalue {lo:.6e} below -{neg_tol:.1e}")
     cutoff = zero_rel * vals.max(axis=-1, keepdims=True, initial=0.0)
@@ -189,7 +173,11 @@ def matrix_to_json(x) -> dict:
 
 
 def matrix_from_json(obj: dict) -> np.ndarray:
-    """Parse the shared JSON matrix object format."""
+    """Parse the shared JSON matrix object format; every entry must be finite.
+
+    ``json`` reads ``NaN`` and ``Infinity``; a matrix holding them has no
+    spectrum to check.
+    """
     rows, cols = int(obj["rows"]), int(obj["cols"])
     re = np.asarray(obj["re"], dtype=float)
     im = np.asarray(obj["im"], dtype=float)
@@ -198,4 +186,6 @@ def matrix_from_json(obj: dict) -> np.ndarray:
             f"matrix object announces {rows}x{cols} but carries "
             f"{re.size} real / {im.size} imaginary entries"
         )
+    if not (np.isfinite(re).all() and np.isfinite(im).all()):
+        raise ValueError("matrix entries must be finite")
     return (re + 1j * im).reshape(rows, cols)

@@ -4,10 +4,11 @@ Reproducibility contract: all randomness flows from numpy's ``SeedSequence``
 / PCG64 machinery, which has a fixed cross-platform stream definition.  A
 sampler derives one child stream per Kraus index from ``SamplerConfig.seed``
 (mixtures use one extra stream for the weights), so identical configs yield
-bit-identical channels.  Harnesses that draw many samples derive per-sample
-seeds with :func:`derive_seed`, i.e. ``SeedSequence([base_seed, *indices])``,
-which keeps parallel sampling order-independent.  :func:`population` and
-:func:`ginibre_population` are the only places that address samples this way.
+bit-identical channels.  Harnesses that draw many samples give the sample
+addressed by ``indices`` the seed ``SeedSequence([base_seed, *indices])``
+(the first 64-bit word of its state), which keeps parallel sampling
+order-independent.  :func:`population` and :func:`ginibre_population` are
+the only places that address samples this way.
 
 Samples are drawn in stacks of consecutive indices of one dimension (and
 family), and a single sample is a stack of one; the contract holds bit for
@@ -65,7 +66,6 @@ from .errors import (
 __all__ = [
     "FAMILY_CODES",
     "SamplerConfig",
-    "derive_seed",
     "default_kraus_count",
     "named_channel",
     "named_family_channel",
@@ -207,7 +207,7 @@ def _uint64(words: np.ndarray) -> np.ndarray:
 
 
 def _derive_seeds(prefixes, indices) -> np.ndarray:
-    """``derive_seed(*prefix, index)`` for each of ``prefixes`` and each of ``indices``.
+    """The seed ``SeedSequence([*prefix, index])`` for each of ``prefixes`` and each of ``indices``.
 
     Returns ``(len(prefixes), len(indices))`` uint64.  The rows of one
     entropy word count, which are all rows when the prefixes differ only in
@@ -228,12 +228,6 @@ def _derive_seeds(prefixes, indices) -> np.ndarray:
             seeds[p, rows] = states[start : start + len(rows)]
             start += len(rows)
     return seeds
-
-
-def derive_seed(base_seed: int, *indices: int) -> int:
-    """Collision-free 64-bit seed for a sample addressed by ``indices``."""
-    *prefix, last = (base_seed, *indices)
-    return int(_derive_seeds([prefix], [last])[0, 0])
 
 
 def _stream_states(seeds, keys) -> list[tuple[int, int]]:
@@ -464,8 +458,8 @@ def population(seed: int, dims, families, count: int, stream: int = 0, size=None
     """Yield ``(family, dim, channel_ids, ops)`` stacks in ``(dim, family, index)`` order.
 
     Sample ``index`` of ``family`` at ``dim`` is drawn with the default Kraus
-    count from ``derive_seed(seed, stream + code, dim, index)``, where
-    ``code`` is the family's entry in :data:`FAMILY_CODES`; harnesses keep
+    count from the seed ``SeedSequence([seed, stream + code, dim, index])``,
+    where ``code`` is the family's entry in :data:`FAMILY_CODES`; harnesses keep
     their populations apart by ``stream``.  ``ops`` is the ``(n, k, d, d)``
     Kraus array of a stack of consecutive indices of one ``(dim, family)``,
     at most ``size(dim)`` of them (all ``count`` by default), checked for
@@ -488,8 +482,8 @@ def ginibre_population(seed: int, dims, count: int, stream: int, size=None):
     """Yield ``(dim, indices, G)`` stacks of Ginibre matrices in ``(dim, index)`` order.
 
     Matrix ``index`` at ``dim`` is the complex Ginibre matrix of
-    ``default_rng(derive_seed(seed, stream, dim, index))``, its real parts
-    drawn before its imaginary parts; ``G`` stacks the matrices of
+    ``default_rng`` on the seed ``SeedSequence([seed, stream, dim, index])``,
+    its real parts drawn before its imaginary parts; ``G`` stacks the matrices of
     ``indices``, at most ``size(dim)`` of them (all ``count`` by default).
     The seeds of every dimension are derived together, and sliced per stack.
     """

@@ -9,19 +9,18 @@ matrix, since negative powers amplify spectral noise without bound.  The
 orders ``-inf`` and NaN are rejected everywhere, and the checkers take finite
 orders only.
 
-Every checker takes one input (a matrix, or a channel) or a stack of them
-``(n, m, m)`` (a sequence of same-dimension channels, or their
-:class:`~chanent.channel.ChannelProfile`), and one order or a list of them.
-Each input's spectrum is computed once, with one LAPACK call for the whole
-stack, and shared by all of its orders; the channel checks read the spectra
-and ``Tr_2 D`` of the profile.  One input at one order gives an
-:class:`InequalityReport`; anything else gives an :class:`InequalityBatch` of
-``(n_inputs, n_orders)`` arrays.  ``slack`` is signed in the passing
-direction and relative to ``max(|lhs|, |rhs|, 1)``, so one tolerance
-convention covers all magnitudes; an entry whose slack is not finite (both
-sides infinite, say) fails.  An input the check cannot take raises the
-error the single-input call on it raises; with several such inputs, the
-error named may come from a later input than the first.
+Every checker takes a stack of matrices ``(n, m, m)``, or for the channel
+checks the :class:`~chanent.channel.ChannelProfile` of a channel stack, and
+one order or a list of them, and gives an :class:`InequalityBatch` of
+``(n_inputs, n_orders)`` arrays; one matrix is passed as a stack of one, and
+a 2-D input is rejected.  Each input's spectrum is computed once, with one
+LAPACK call for the whole stack, and shared by all of its orders; the
+channel checks read the spectra and ``Tr_2 D`` of the profile.  ``slack`` is
+signed in the passing direction and relative to ``max(|lhs|, |rhs|, 1)``, so
+one tolerance convention covers all magnitudes; an entry whose slack is not
+finite (both sides infinite, say) fails.  An input the check cannot take
+raises the error a stack of that input alone raises; with several such
+inputs, the error named may come from a later input than the first.
 """
 
 from __future__ import annotations
@@ -34,6 +33,7 @@ import numpy as np
 from . import channel as chmod
 from . import matcore
 from .errors import (
+    DimensionMismatchError,
     InvalidOrderError,
     InvalidSpectrumError,
     NotPositiveError,
@@ -41,7 +41,6 @@ from .errors import (
 
 __all__ = [
     "STRICT_POS_TOL",
-    "InequalityReport",
     "InequalityBatch",
     "schatten_norm",
     "schatten_antinorm",
@@ -76,22 +75,6 @@ def _regime(q: float) -> str:
     raise InvalidOrderError("order q = 0 has no norm or anti-norm regime")
 
 
-@dataclass(frozen=True)
-class InequalityReport:
-    """Outcome of one inequality check.
-
-    ``slack`` is the margin in the passing ``direction`` ("<=" or ">="),
-    relative to ``max(|lhs|, |rhs|, 1)``; negative slack means the stated
-    direction failed by that relative amount.
-    """
-
-    lhs: float
-    rhs: float
-    slack: float
-    passed: bool
-    direction: str
-
-
 @dataclass(frozen=True, eq=False)
 class InequalityBatch:
     """Outcome of one check on a stack of inputs, at one or more orders.
@@ -106,16 +89,6 @@ class InequalityBatch:
     slack: np.ndarray
     passed: np.ndarray
     directions: tuple
-
-    def report(self, i: int, j: int = 0) -> InequalityReport:
-        """Input ``i`` at order ``j`` as an :class:`InequalityReport`."""
-        return InequalityReport(
-            float(self.lhs[i, j]),
-            float(self.rhs[i, j]),
-            float(self.slack[i, j]),
-            bool(self.passed[i, j]),
-            self.directions[j],
-        )
 
     def first_failure(self):
         """``(input, order)`` of the first failing entry, inputs outermost; None if all pass."""
@@ -151,18 +124,16 @@ def _batch(lhs, rhs, directions, passed, log_ratio=None, tol=0.0) -> InequalityB
     return InequalityBatch(lhs, rhs, slack, passed, tuple(directions))
 
 
-def _result(batch: InequalityBatch, single: bool) -> InequalityReport | InequalityBatch:
-    return batch.report(0, 0) if single else batch
-
-
-def _stack(x) -> tuple[np.ndarray, bool]:
-    """``x`` as a stack of matrices, and whether it was one matrix."""
+def _stack(x) -> np.ndarray:
+    """``x`` as a stack of matrices; a 2-D matrix is rejected."""
     m = matcore.as_matrices(x)
-    return (m[None], True) if m.ndim == 2 else (m, False)
+    if m.ndim != 3:
+        raise DimensionMismatchError(f"the checks take a stack (n, m, m) of matrices, got shape {m.shape}")
+    return m
 
 
-def _orders(q) -> tuple[list, bool]:
-    """The orders in ``q`` as a list, and whether ``q`` was one order.
+def _orders(q) -> list:
+    """The orders in ``q``, one or a sequence of them, as a list.
 
     The checks compare finite powers of norms, so an infinite order is
     rejected; NaN is left to :func:`_regime`.
@@ -170,7 +141,7 @@ def _orders(q) -> tuple[list, bool]:
     arr = np.asarray(q, dtype=float)
     if np.isinf(arr).any():
         raise InvalidOrderError(f"inequality checks need finite orders, got {q}")
-    return arr.reshape(-1).tolist(), arr.ndim == 0
+    return arr.reshape(-1).tolist()
 
 
 def _power_mean_root(values: np.ndarray, q: float) -> np.ndarray:
@@ -262,9 +233,9 @@ class _Spectra:
 
 
 def _schatten(x, q: float):
-    stack, single = _stack(x)
-    norms = _Spectra(stack).schatten(q)
-    return float(norms[0]) if single else norms
+    m = matcore.as_matrices(x)
+    norms = _Spectra(m if m.ndim == 3 else m[None]).schatten(q)
+    return norms if m.ndim == 3 else float(norms[0])
 
 
 def schatten_norm(x, q: float):
@@ -290,7 +261,7 @@ def schatten_antinorm(x, q: float):
     return _schatten(x, q)
 
 
-def check_prop1(x, q) -> InequalityReport | InequalityBatch:
+def check_prop1(x, q) -> InequalityBatch:
     """Interpolation between the q-, 2- and trace norms, at every order in ``q``.
 
     Compares ``lhs = |X|_q**q`` against ``rhs = |X|_2**(2(q-1)) * |X|_1**(2-q)``.
@@ -306,9 +277,8 @@ def check_prop1(x, q) -> InequalityReport | InequalityBatch:
     both have degree ``q``, so ``ln(rhs/lhs) = (q-1) ln sum mu**2 + (2-q) ln
     sum mu - ln sum mu**q``, where each sum of ``mu**q`` lies in ``[1, n]``.
     """
-    stack, single = _stack(x)
-    orders, one_order = _orders(q)
-    spectra = _Spectra(stack)
+    spectra = _Spectra(_stack(x))
+    orders = _orders(q)
     lhs, rhs, log_ratio = [], [], []
     for order in orders:
         vals = spectra.for_order(order)
@@ -330,49 +300,38 @@ def check_prop1(x, q) -> InequalityReport | InequalityBatch:
             log_ratio[-1] = order * (a - b) + (2.0 * b - a - c)
     directions = ["<=" if 1.0 <= order <= 2.0 else ">=" for order in orders]
     lhs, rhs, log_ratio = (np.stack(side, axis=1) for side in (lhs, rhs, log_ratio))
-    batch = _batch(lhs, rhs, directions, lambda s: s >= -1e-9, log_ratio)
-    return _result(batch, single and one_order)
+    return _batch(lhs, rhs, directions, lambda s: s >= -1e-9, log_ratio)
 
 
-def check_two_inf_one(x) -> InequalityReport | InequalityBatch:
+def check_two_inf_one(x) -> InequalityBatch:
     """``|X|_2 <= sqrt(|X|_inf * |X|_1)`` for an arbitrary nonzero matrix.
 
     Where a side is beyond a double (singular values near ``1e155``), the
     sides are compared through the singular values ``mu`` scaled by the
     largest: ``ln(rhs/lhs) = (ln sum mu - ln sum mu**2) / 2``.
     """
-    stack, single = _stack(x)
-    sv = matcore.singular_values(stack)
+    sv = matcore.singular_values(_stack(x))
     with np.errstate(over="ignore"):  # a side beyond a double is compared scaled
         lhs = np.sqrt((sv**2).sum(axis=-1, keepdims=True))
         rhs = np.sqrt(sv[:, :1] * sv.sum(axis=-1, keepdims=True))
     with np.errstate(invalid="ignore"):  # a zero input: NaN, and its sides are compared plain
         mu = sv / sv[:, :1]
         log_ratio = 0.5 * (np.log(mu.sum(axis=-1)) - np.log((mu**2).sum(axis=-1)))[:, None]
-    return _result(_batch(lhs, rhs, ("<=",), lhs <= rhs + 1e-10, log_ratio, tol=1e-10), single)
+    return _batch(lhs, rhs, ("<=",), lhs <= rhs + 1e-10, log_ratio, tol=1e-10)
 
 
-def _profile(channels) -> tuple[chmod.ChannelProfile, bool]:
-    """``channels`` as a :class:`~chanent.channel.ChannelProfile`, and whether it was one channel."""
-    if isinstance(channels, chmod.ChannelProfile):
-        return channels, False
-    single = isinstance(channels, chmod.KrausChannel)
-    return chmod.profile_channel(chmod.stack_kraus([channels] if single else channels)), single
-
-
-def check_superop_norm_bound(channels) -> InequalityReport | InequalityBatch:
+def check_superop_norm_bound(profile: chmod.ChannelProfile) -> InequalityBatch:
     """Spectral-norm bound on the superoperator matrix.
 
     ``|K|_inf <= sqrt(d) * |channel(I/d)|_inf**(1/2)`` for every channel;
-    unital channels must additionally satisfy ``|K|_inf <= 1``.  The report
-    compares against the sharper applicable right-hand side.  Both
+    unital channels must additionally satisfy ``|K|_inf <= 1``.  ``rhs`` is
+    the sharper applicable right-hand side.  Both
     comparisons allow a relative slack of ``TP_TOL``: a Kraus set scaled by
     ``1 + eps``, admitted while its TP defect ``~2 eps`` is within
     ``TP_TOL``, scales ``K`` by ``(1 + eps)**2`` and the all-channel
     right-hand side by ``1 + eps``.  ``channel(I/d) = Tr_2(D)/d`` is PSD, so
     its spectral norm is its largest eigenvalue.
     """
-    profile, single = _profile(channels)
     d = profile.dim
     k_inf = profile.superop_spectrum[:, :1]
     unital = profile.unital[:, None]
@@ -381,23 +340,22 @@ def check_superop_norm_bound(channels) -> InequalityReport | InequalityBatch:
     slack = 1.0 + chmod.TP_TOL
     passed = (k_inf <= bound * slack) & (~unital | (k_inf <= slack))
     rhs = np.where(unital, np.minimum(bound, 1.0), bound)
-    return _result(_batch(k_inf, rhs, ("<=",), passed), single)
+    return _batch(k_inf, rhs, ("<=",), passed)
 
 
-def check_antinorm_monotonicity(x, p, q) -> InequalityReport | InequalityBatch:
+def check_antinorm_monotonicity(x, p, q) -> InequalityBatch:
     """``|X|_q <= |X|_p`` for ``0 < p < q`` on a positive matrix, pair by pair.
 
     ``p`` and ``q`` are one order each or two equally long lists of them.
     Where a side overflows (a small ``p``), their logarithms are compared.
     """
-    ps, one_p = _orders(p)
-    qs, one_q = _orders(q)
+    ps, qs = _orders(p), _orders(q)
     if len(ps) != len(qs):
         raise InvalidOrderError(f"monotonicity check needs as many p as q, got {len(ps)} and {len(qs)}")
     for lo, hi in zip(ps, qs):
         if not (0.0 < lo < hi):
             raise InvalidOrderError(f"monotonicity check needs 0 < p < q, got p={lo}, q={hi}")
-    stack, single = _stack(x)
+    stack = _stack(x)
     spectra = _Spectra(stack)
     norms: dict = {}
     lhs, rhs, log_ratio = [], [], []
@@ -412,11 +370,10 @@ def check_antinorm_monotonicity(x, p, q) -> InequalityReport | InequalityBatch:
             with np.errstate(invalid="ignore"):  # a zero input; its sides are finite
                 log_ratio[-1] = (n_lo - n_hi) + (lo_part - hi_part)
     lhs, rhs, log_ratio = (np.stack(side, axis=1) for side in (lhs, rhs, log_ratio))
-    batch = _batch(lhs, rhs, ("<=",) * len(ps), lhs <= rhs + 1e-10, log_ratio, tol=1e-10)
-    return _result(batch, single and one_p and one_q)
+    return _batch(lhs, rhs, ("<=",) * len(ps), lhs <= rhs + 1e-10, log_ratio, tol=1e-10)
 
 
-def check_superadditivity(x, y, q) -> InequalityReport | InequalityBatch:
+def check_superadditivity(x, y, q) -> InequalityBatch:
     """``|X + Y|_q >= |X|_q + |Y|_q`` in the anti-norm regimes, at every order in ``q``.
 
     Where a side is not a positive finite double (a small order ``q``, whose
@@ -425,12 +382,11 @@ def check_superadditivity(x, y, q) -> InequalityReport | InequalityBatch:
     ``ln m + (1/q) ln S`` per anti-norm (taken as :func:`_log_power_mean_root`
     parts) and ``logaddexp`` for the sum.
     """
-    orders, one_order = _orders(q)
+    orders = _orders(q)
     for order in orders:
         if _regime(order) == _NORM:
             raise InvalidOrderError(f"superadditivity is an anti-norm property, got q={order}")
-    xs, single = _stack(x)
-    ys, _ = _stack(y)
+    xs, ys = _stack(x), _stack(y)
     spectra = [_Spectra(xs + ys), _Spectra(xs), _Spectra(ys)]
     lhs, rhs, log_ratio = [], [], []
     for order in orders:
@@ -443,22 +399,20 @@ def check_superadditivity(x, y, q) -> InequalityReport | InequalityBatch:
             with np.errstate(invalid="ignore"):  # a zero input: NaN, compared plain
                 log_ratio[-1] = np.logaddexp(n_a - n_t + a, n_b - n_t + b) - t
     lhs, rhs, log_ratio = (np.stack(side, axis=1) for side in (lhs, rhs, log_ratio))
-    batch = _batch(lhs, rhs, (">=",) * len(orders), lhs >= rhs - 1e-10, log_ratio, tol=1e-10)
-    return _result(batch, single and one_order)
+    return _batch(lhs, rhs, (">=",) * len(orders), lhs >= rhs - 1e-10, log_ratio, tol=1e-10)
 
 
-def check_norm_product_chain(channels) -> InequalityReport | InequalityBatch:
+def check_norm_product_chain(profile: chmod.ChannelProfile) -> InequalityBatch:
     """Trace-to-Frobenius norm-ratio product of the two representations.
 
     ``(|D|_1/|D|_2) * (|K|_1/|K|_2) >= sqrt(d)`` for every channel and
     ``>= d`` for unital ones; the two Frobenius norms agree because the
     representations share their entries up to reshuffling.
     """
-    profile, single = _profile(channels)
     # D is PSD, so its eigenvalues are its singular values
     d_sv, k_sv = profile.choi_spectrum, profile.superop_spectrum
     ratio = (
         d_sv.sum(axis=-1) / _power_mean_root(d_sv, 2.0) * k_sv.sum(axis=-1) / _power_mean_root(k_sv, 2.0)
     )[:, None]
     bound = np.where(profile.unital, float(profile.dim), math.sqrt(profile.dim))[:, None]
-    return _result(_batch(ratio, bound, (">=",), ratio >= bound - 1e-9), single)
+    return _batch(ratio, bound, (">=",), ratio >= bound - 1e-9)

@@ -176,12 +176,7 @@ class GridReport:
         )
 
 
-def evaluate_profile(
-    profile: chmod.ChannelProfile,
-    bounds: BoundTable,
-    sat_tol: float = SAT_TOL,
-    gap_tol: float = GAP_TOL,
-) -> GridReport:
+def evaluate_profile(profile: chmod.ChannelProfile, bounds: BoundTable) -> GridReport:
     """Entropic sums, applicable bounds and gaps on every cell of ``bounds``.
 
     The stack is evaluated in one array pass, and its errors are those of
@@ -190,7 +185,7 @@ def evaluate_profile(
     comes first.  Raises :class:`DomainError` naming the first cell, in
     ``(q, s)`` row-major order, whose entropy or gap is not finite.  Raises
     :class:`BoundViolation` carrying the report of the first cell whose gap
-    drops below ``-gap_tol`` outside the ``q = 1`` band, the whole grid and
+    drops below ``-GAP_TOL`` outside the ``q = 1`` band, the whole grid and
     the cell's index ``(k, i, j)`` in it, on channel ``k``; such a failure
     is either a tolerance problem or a genuine bug and must never be
     ignored.
@@ -202,10 +197,10 @@ def evaluate_profile(
     applicable = np.where(profile.unital[:, None, None], bounds.unital, bounds.all_channels)
     with np.errstate(invalid="ignore"):  # inf - inf; reported below
         gap = (m + r) - applicable
-    grid = GridReport(profile, bounds, m, r, gap, gap <= sat_tol)
+    grid = GridReport(profile, bounds, m, r, gap, gap <= SAT_TOL)
     cells = bounds.q.size * bounds.s.size
     non_finite = ~np.isfinite(gap).reshape(-1, cells)
-    violated = ((gap < -gap_tol) & ~bounds.limit_rows[:, None]).reshape(-1, cells)
+    violated = ((gap < -GAP_TOL) & ~bounds.limit_rows[:, None]).reshape(-1, cells)
     failing = np.flatnonzero(non_finite.any(axis=1) | violated.any(axis=1))
     if not failing.size:
         return grid

@@ -1,5 +1,7 @@
 """Shared generators for the test suite (all seeded, all deterministic)."""
 
+import json
+
 import numpy as np
 import oracles
 
@@ -50,3 +52,9 @@ def profile(*channels):
 def unital_defects(prof):
     """Max-entry deviation of each channel's ``Tr_2 D`` from the identity, read off its profile."""
     return np.abs(prof.tr2 - np.eye(prof.dim)).max(axis=(-2, -1))
+
+
+def save_channel(ch, path):
+    """Write ``ch`` in the channel JSON format that ``chanent sweep --channel`` reads."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(chmod.channel_to_json(ch), fh)

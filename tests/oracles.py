@@ -3,7 +3,8 @@
 Each oracle computes a quantity a second way, by construction rather than by
 the closed form the library uses: ``D`` by acting on the maximally entangled
 state, ``K`` by the Kronecker loop, the channel action from the Kraus
-operators and from ``D``, the Choi
+operators and from ``D``, the row-major ``vec`` and the partial trace over the
+leading factor, the TP defect one Kraus operator at a time, the Choi
 spectrum by a dense ``eigvalsh`` of ``D``, the receiver spectrum by a complex
 SVD of ``K``, the unital defect from the Kraus operators, the
 ``(q, s)``-entropy one cell at a
@@ -30,12 +31,13 @@ from chanent.errors import (
     DomainError,
     InvalidOrderError,
     InvalidSpectrumError,
+    NonSquareError,
     NotPositiveError,
     NotTracePreservingError,
     SingularNormalizerError,
     UnknownChannelError,
 )
-from chanent.spectra import STRICT_POS_TOL, InequalityReport
+from chanent.spectra import STRICT_POS_TOL
 from chanent.tradeoff import LIMIT_EPS, gamma_kappa
 
 
@@ -85,7 +87,24 @@ def apply_channel_via_dynamical(dyn, x):
     """Channel action recovered from the dynamical matrix: ``Tr_2(D (I (x) X^T))``."""
     d = math.isqrt(dyn.shape[-1])
     prod = dyn @ np.kron(np.eye(d, dtype=complex), np.asarray(x, dtype=complex).T)
-    return matcore.partial_trace(prod, d, "second")
+    return matcore.partial_trace(prod, d)
+
+
+def vec(x):
+    """Row-major ``vec(X)[mu*d + nu] = X[mu, nu]`` of a square matrix, the package's layout."""
+    m = np.asarray(x, dtype=complex)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise NonSquareError(f"expected a square matrix, got shape {m.shape}")
+    return m.reshape(-1)
+
+
+def partial_trace_first(x, d):
+    """Trace out the leading factor (index ``mu`` of the composite ``mu*d + nu``) of a ``d**2 x d**2``
+    matrix, or of each matrix of a stack."""
+    m = np.asarray(x)
+    if m.shape[-2:] != (d * d, d * d):
+        raise DimensionMismatchError(f"expected shape {(d * d, d * d)}, got {m.shape[-2:]}")
+    return np.einsum("...ijik->...jk", m.reshape(*m.shape[:-2], d, d, d, d))
 
 
 def dynamical_eigenvalues(dyn):
@@ -105,6 +124,12 @@ def unital_defect_via_kraus(ch):
     return float(np.abs(total - np.eye(ch.dim)).max())
 
 
+def tp_defect(ch):
+    """Max-entry deviation of ``sum_i A_i^dag A_i`` from the identity, one product per Kraus operator."""
+    total = sum(a.conj().T @ a for a in ch.kraus_ops)
+    return float(np.abs(total - np.eye(ch.dim)).max())
+
+
 def check_dynamical_invariants(dyn):
     """Raise unless ``D`` is Hermitian, PSD, of trace ``d`` and TP.
 
@@ -117,7 +142,7 @@ def check_dynamical_invariants(dyn):
     tr = float(np.trace(dyn).real)
     if abs(tr - d) > tol:
         raise ValueError(f"trace {tr!r} differs from dim {d} beyond {tol:.1e}")
-    reduced = matcore.partial_trace(dyn, d, "first")
+    reduced = partial_trace_first(dyn, d)
     dev = float(np.abs(reduced - np.eye(d)).max())
     if dev > TP_TOL:
         raise NotTracePreservingError(
@@ -276,10 +301,22 @@ def proof_domain_point(profile, k, params):
 # decomposed again for every order it is checked at.
 
 
+@dataclass(frozen=True)
+class Report:
+    """One oracle check: ``slack`` is the margin in the passing ``direction``
+    ("<=" or ">="), relative to ``max(|lhs|, |rhs|, 1)``."""
+
+    lhs: float
+    rhs: float
+    slack: float
+    passed: bool
+    direction: str
+
+
 def _report(lhs, rhs, direction, passed):
     scale = max(abs(lhs), abs(rhs), 1.0)
     slack = (rhs - lhs) / scale if direction == "<=" else (lhs - rhs) / scale
-    return InequalityReport(float(lhs), float(rhs), float(slack), bool(passed), direction)
+    return Report(float(lhs), float(rhs), float(slack), bool(passed), direction)
 
 
 def power_mean_root(values, q):

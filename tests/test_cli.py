@@ -4,10 +4,10 @@ import json
 
 import numpy as np
 import pytest
+from helpers import save_channel
 
 from chanent import channel as chmod
-from chanent import cli, matcore, sampler, spectra
-from chanent.channel import save_channel
+from chanent import cli, matcore, sampler, spectra, tradeoff
 from chanent.errors import DomainError
 
 
@@ -90,20 +90,16 @@ class TestSweep:
         assert cli.main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "x")]) == 2
         assert "typo_key" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("tolerances, named", [
-        ({"gapp": 1.0}, "unknown tolerance keys: ['gapp']"),
-        ({"gap": float("nan")}, "tolerance 'gap' must be finite and >= 0, got nan"),
-        ({"saturation": float("inf")}, "tolerance 'saturation' must be finite and >= 0, got inf"),
-        ({"gap": -1.0}, "tolerance 'gap' must be finite and >= 0, got -1.0"),
-    ])
-    def test_rejects_bad_tolerances(self, tmp_path, capsys, tolerances, named):
+    def test_rejects_tolerances_key(self, tmp_path, capsys):
+        # the verdict tolerances are constants: a config that loosened the
+        # gap tolerance could make any violation pass
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({"tolerances": tolerances}))
+        cfg_path.write_text(json.dumps({"tolerances": {"gap": 1e300}}))
         out = tmp_path / "x"
         for command in ("sweep", "inequalities"):
             args = [command, "--config", str(cfg_path), "--dims", "2", "--samples", "1", "--out", str(out)]
             assert cli.main(args) == 2
-        assert capsys.readouterr().err.count(f"config error: {named}") == 2
+        assert capsys.readouterr().err.count("config error: unknown config keys: ['tolerances']") == 2
         assert not out.exists()
 
     def test_rejects_nan_channel_file(self, tmp_path, capsys):
@@ -111,7 +107,7 @@ class TestSweep:
         ch_path.write_text(json.dumps({"dim": 2, "kraus": [matcore.matrix_to_json(np.full((2, 2), np.nan))]}))
         assert cli.main(["sweep", "--channel", str(ch_path), "--out", str(tmp_path / "x")]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("config error:") and "defect nan" in err
+        assert err.startswith("config error:") and "must be finite" in err
 
 
     @pytest.mark.parametrize("flag, value", [("--q", "inf"), ("--q", "2,nan"), ("--s", "inf"), ("--s", "-inf,1")])
@@ -195,10 +191,10 @@ class TestSweep:
 
 
     def test_violation_writes_rows_up_to_the_violating_cell(self, tmp_path, capsys, monkeypatch):
-        # a gap tolerance of -10, which no config may set, turns every
-        # non-limit cell into a violation; the q = 1 row is exempt, so the
-        # first violation is the third cell
-        monkeypatch.setattr(cli, "GAP_TOL", -10.0)
+        # a gap tolerance of -10 turns every non-limit cell into a
+        # violation; the q = 1 row is exempt, so the first violation is the
+        # third cell
+        monkeypatch.setattr(tradeoff, "GAP_TOL", -10.0)
         out = tmp_path / "viol"
         code = cli.main(
             ["sweep", "--dims", "2", "--family", "cptp", "--samples", "2",
@@ -283,8 +279,8 @@ class TestStackedSweep:
                 gaps[row["channel_id"]] = min(gaps.get(row["channel_id"], np.inf), float(row["gap"]))
         running = [min(gaps[c] for c in ids[: k + 1]) for k in range(len(ids))]
         k = next(k for k in range(1, len(ids)) if running[k] < running[k - 1] and k % 5)
-        # a negative tolerance, which no config may set
-        monkeypatch.setattr(cli, "GAP_TOL", -(running[k] + running[k - 1]) / 2)
+        # a negative tolerance
+        monkeypatch.setattr(tradeoff, "GAP_TOL", -(running[k] + running[k - 1]) / 2)
         code, err, files = self.run_both(tmp_path, monkeypatch, capsys, self.ARGS)
         assert code == 1 and "BOUND VIOLATION" in err and ids[k] in err
         assert f"counterexamples/{ids[k]}.json" in files
@@ -473,6 +469,19 @@ class TestInequalities:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "nope.json" in err
 
+    @pytest.mark.parametrize("entry", ["NaN", "Infinity"])
+    @pytest.mark.parametrize("check", ["prop1", "21in", "npqr", "sups"])
+    def test_non_finite_matrix_file_is_a_config_error(self, tmp_path, capsys, check, entry):
+        # json reads NaN and Infinity; a check on them passed with slack 0,
+        # failed as a zero matrix, or failed as a violated inequality
+        mat_path = tmp_path / "nan.json"
+        mat_path.write_text(f'{{"rows": 2, "cols": 2, "re": [{entry}, 0.0, 0.0, 1.0], "im": [0, 0, 0, 0]}}')
+        out = tmp_path / "x"
+        assert cli.main(["inequalities", "--matrix", str(mat_path), "--only", check, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "must be finite" in err
+        assert not out.exists() or not any(out.iterdir())
+
     @pytest.mark.parametrize("text", ["{not json", '{"rows": 2}'])
     def test_malformed_matrix_file_is_a_config_error(self, tmp_path, capsys, text):
         mat_path = tmp_path / "bad.json"
@@ -528,7 +537,7 @@ class TestInequalities:
         args = ["inequalities", "--matrix", str(mat_path), "--only", "prop1", "--q", "3", "--out", str(out)]
         assert cli.main(args) == 0
         check = json.loads((out / "summary.json").read_text(), parse_constant=pytest.fail)["checks"]["prop1"]
-        want = spectra.check_prop1(np.diag([1.0, 0.1]), 3.0).slack
+        want = spectra.check_prop1(np.diag([1.0, 0.1])[None], 3.0).slack[0, 0]
         assert check["passed"] and check["min_slack"] == pytest.approx(want, rel=1e-12)
 
     @pytest.mark.parametrize("q", ["600", "1e300"])

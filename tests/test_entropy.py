@@ -346,7 +346,7 @@ class TestAccuracy:
         # the entropies of the exact one; a normalizer of d would read the map
         # entropy as 0.6844 instead of 1.1344 at q = 1 + 2e-8, s = 0.
         noisy, exact = noisy_depolarizing(), sampler.named_channel("depolarizing", 3, 0.3)
-        assert 5e-9 < noisy.tp_defect() <= chmod.TP_TOL
+        assert 5e-9 < oracles.tp_defect(noisy) <= chmod.TP_TOL
         for spec, ref in zip(_channel_spectra(noisy), _channel_spectra(exact)):
             assert self._worst(spec) <= self.BOUND
             grid = ent.entropy_grid(spec, self.Q, self.S)

@@ -1,4 +1,5 @@
 import numpy as np
+import oracles
 import pytest
 from helpers import complex_gaussian
 
@@ -45,6 +46,13 @@ class TestHermitianEigenvalues:
         with pytest.raises(NotHermitianError):
             matcore.hermitian_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    def test_nan_rejected(self):
+        # a NaN deviation is no evidence of Hermiticity; in a stack the error
+        # names the NaN matrix, not the first one
+        x = np.stack([np.eye(2), np.array([[1.0, np.nan], [np.nan, 1.0]])])
+        with pytest.raises(NotHermitianError, match="deviation nan"):
+            matcore.hermitian_eigenvalues(x)
+
 
 class TestSingularValues:
     def test_identity(self):
@@ -73,49 +81,47 @@ class TestSingularValues:
 
 class TestPartialTrace:
     def test_identity_second(self):
-        np.testing.assert_allclose(matcore.partial_trace(np.eye(4), 2, "second"), 2 * np.eye(2))
+        np.testing.assert_allclose(matcore.partial_trace(np.eye(4), 2), 2 * np.eye(2))
 
     def test_product_factorization(self):
         rng = np.random.default_rng(3)
         a = complex_gaussian(rng, (3, 3))
         b = complex_gaussian(rng, (3, 3))
         big = np.kron(a, b)
-        np.testing.assert_allclose(
-            matcore.partial_trace(big, 3, "second"), a * np.trace(b), atol=1e-12
-        )
-        np.testing.assert_allclose(
-            matcore.partial_trace(big, 3, "first"), np.trace(a) * b, atol=1e-12
-        )
+        np.testing.assert_allclose(matcore.partial_trace(big, 3), a * np.trace(b), atol=1e-12)
+        np.testing.assert_allclose(oracles.partial_trace_first(big, 3), np.trace(a) * b, atol=1e-12)
 
     def test_identity_channel_dynamical(self):
         # D = sum_{mu,nu} |mu mu><nu nu|; tracing the principal factor leaves I
         v = np.eye(2, dtype=complex).reshape(-1)
         dyn = np.outer(v, v.conj())
-        np.testing.assert_allclose(matcore.partial_trace(dyn, 2, "first"), np.eye(2), atol=1e-14)
+        np.testing.assert_allclose(oracles.partial_trace_first(dyn, 2), np.eye(2), atol=1e-14)
 
     def test_trace_preserved(self):
         rng = np.random.default_rng(5)
         x = complex_gaussian(rng, (9, 9))
-        for sub in ("first", "second"):
-            out = matcore.partial_trace(x, 3, sub)
+        for trace in (oracles.partial_trace_first, matcore.partial_trace):
+            out = trace(x, 3)
             assert abs(np.trace(out) - np.trace(x)) <= 1e-9 * 9
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
-            matcore.partial_trace(np.eye(4), 3, "second")
+            matcore.partial_trace(np.eye(4), 3)
 
 
 class TestVec:
+    """The row-major ``vec`` layout the superoperator and the reshuffle are written in."""
+
     def test_identity(self):
-        np.testing.assert_array_equal(matcore.vec(np.eye(2)), [1, 0, 0, 1])
+        np.testing.assert_array_equal(oracles.vec(np.eye(2)), [1, 0, 0, 1])
 
     def test_basis_matrix(self):
         e01 = np.zeros((2, 2))
         e01[0, 1] = 1.0
-        np.testing.assert_array_equal(matcore.vec(e01), [0, 1, 0, 0])
+        np.testing.assert_array_equal(oracles.vec(e01), [0, 1, 0, 0])
 
     def test_isometry_on_identity(self):
-        v = matcore.vec(np.eye(2))
+        v = oracles.vec(np.eye(2))
         assert v.conj() @ v == 2.0
 
     def test_isometry_random(self):
@@ -123,13 +129,13 @@ class TestVec:
         for _ in range(20):
             x = complex_gaussian(rng, (8, 8))
             y = complex_gaussian(rng, (8, 8))
-            lhs = matcore.vec(x).conj() @ matcore.vec(y)
+            lhs = oracles.vec(x).conj() @ oracles.vec(y)
             rhs = np.trace(x.conj().T @ y)
             assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
 
     def test_non_square(self):
         with pytest.raises(NonSquareError):
-            matcore.vec(np.ones((2, 3)))
+            oracles.vec(np.ones((2, 3)))
 
 
 class TestClampSpectrum:
@@ -149,6 +155,11 @@ class TestClampSpectrum:
         with pytest.raises(NotPositiveError):
             matcore.clamp_spectrum(np.array([1.0, -1e-3]), neg_tol=1e-9)
 
+    def test_nan_rejected(self):
+        rows = np.array([[2.0, 1.0], [1.0, np.nan]])
+        with pytest.raises(NotPositiveError, match="eigenvalue nan"):
+            matcore.clamp_spectrum(rows, neg_tol=1e-9)
+
 
 class TestMatrixJson:
     def test_roundtrip(self):
@@ -161,6 +172,14 @@ class TestMatrixJson:
     def test_length_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             matcore.matrix_from_json({"rows": 2, "cols": 2, "re": [1.0], "im": [0.0]})
+
+    @pytest.mark.parametrize("part", ["re", "im"])
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entries_rejected(self, part, entry):
+        obj = matcore.matrix_to_json(np.eye(2))
+        obj[part][1] = entry
+        with pytest.raises(ValueError, match="finite"):
+            matcore.matrix_from_json(obj)
 
 
 class TestStacks:
@@ -207,10 +226,10 @@ class TestStacks:
 
     def test_partial_trace_per_matrix(self):
         x = complex_gaussian(np.random.default_rng(179), (3, 9, 9))
-        for sub in ("first", "second"):
-            got = matcore.partial_trace(x, 3, sub)
+        for trace in (oracles.partial_trace_first, matcore.partial_trace):
+            got = trace(x, 3)
             for i, m in enumerate(x):
-                np.testing.assert_array_equal(got[i], matcore.partial_trace(m, 3, sub))
+                np.testing.assert_array_equal(got[i], trace(m, 3))
 
     def test_real_input_stays_real(self):
         x = np.random.default_rng(181).normal(size=(3, 5, 5))

@@ -12,18 +12,22 @@ MODULES = ("channel", "cli", "entropy", "errors", "matcore", "sampler", "spectra
 # Routes that left the library: wrappers of sample_channel, second routes to
 # what profile_channel and reshuffle(dynamical_from_kraus(ch), d) give, the
 # one-cell entropies (evaluate_tradeoff's report carries both), the regime
-# dispatcher of the Schatten functions, the closed forms only the tests used
-# (now in tests/oracles.py), and the wrappers of spectra, D and K, which are
-# plain arrays.
+# dispatcher of the Schatten functions, the closed forms and helpers only the
+# tests used (now in tests/oracles.py and tests/helpers.py), the wrappers of
+# spectra, D and K, which are plain arrays, and the one-input report of the
+# checks, which take stacks only.
 REMOVED = {
-    "sampler": ("sample_cptp", "sample_unitary_mixture", "sample_unistochastic", "unistochastic_from_unitary"),
+    "sampler": (
+        "sample_cptp", "sample_unitary_mixture", "sample_unistochastic", "unistochastic_from_unitary",
+        "derive_seed",
+    ),
     "channel": (
         "superoperator_from_kraus", "apply_channel", "unital_defect", "is_unital",
-        "DynamicalMatrix", "SuperoperatorMatrix",
+        "DynamicalMatrix", "SuperoperatorMatrix", "save_channel",
     ),
     "entropy": ("q_log", "uniform_entropy", "map_entropy", "receiver_entropy"),
-    "matcore": ("Spectrum",),
-    "spectra": ("schatten",),
+    "matcore": ("Spectrum", "vec"),
+    "spectra": ("schatten", "InequalityReport"),
 }
 
 
@@ -38,6 +42,7 @@ def test_exported_names_resolve_and_removed_ones_stay_removed():
         for name in names:
             assert not hasattr(modules[module_name], name), f"chanent.{module_name}.{name}"
             assert not hasattr(chanent, name), f"chanent.{name}"
+    assert not hasattr(channel.KrausChannel, "tp_defect")
 
 
 def test_spectra_d_and_k_are_plain_float_arrays():

@@ -49,7 +49,7 @@ class TestInfiniteOrders:
     @pytest.mark.parametrize("q", [math.inf, -math.inf])
     def test_checks_reject_infinite_orders(self, check, q):
         with pytest.raises(InvalidOrderError):
-            check(self.X, q)
+            check(self.X[None], q)
 
     def test_antinorm_rejects_minus_inf(self):
         for fn in (spectra.schatten_antinorm, spectra.schatten_norm):
@@ -146,36 +146,29 @@ class TestSymmetryProperties:
 
 class TestCheckProp1:
     def test_flat_spectrum_saturates(self):
-        for q in (0.3, 1.5, 2.0, 4.0):
-            rep = spectra.check_prop1(np.eye(5), q)
-            assert rep.passed and abs(rep.slack) <= 1e-10
+        batch = spectra.check_prop1(np.eye(5)[None], (0.3, 1.5, 2.0, 4.0))
+        assert batch.passed.all() and np.abs(batch.slack).max() <= 1e-10
 
     def test_rank_one_saturates(self):
-        rep = spectra.check_prop1(np.diag([1.0, 0.0, 0.0]), 3.0)
-        assert rep.passed and abs(rep.slack) <= 1e-10
-        assert rep.lhs == pytest.approx(1.0) and rep.rhs == pytest.approx(1.0)
+        batch = spectra.check_prop1(np.diag([1.0, 0.0, 0.0])[None], 3.0)
+        assert batch.passed.all() and abs(batch.slack[0, 0]) <= 1e-10
+        assert batch.lhs[0, 0] == pytest.approx(1.0) and batch.rhs[0, 0] == pytest.approx(1.0)
 
     def test_direction_flips_at_two(self):
         rng = np.random.default_rng(73)
-        x = random_psd(rng, 8)
-        low = spectra.check_prop1(x, 1.5)
-        high = spectra.check_prop1(x, 3.0)
-        anti = spectra.check_prop1(x, 0.5)
-        assert low.direction == "<=" and low.passed
-        assert high.direction == ">=" and high.passed
-        assert anti.direction == ">=" and anti.passed
+        batch = spectra.check_prop1(random_psd(rng, 8)[None], (1.5, 3.0, 0.5))
+        assert batch.directions == ("<=", ">=", ">=") and batch.passed.all()
 
     @pytest.mark.parametrize("q", [0.3, 0.7, 1.2, 1.8, 2.0, 2.5, 4.0])
     def test_random_psd_passes(self, q):
         rng = np.random.default_rng(79)
         for n in (2, 5, 11):
-            for _ in range(10):
-                rep = spectra.check_prop1(random_psd(rng, n), q)
-                assert rep.passed, (q, n, rep)
+            batch = spectra.check_prop1(np.stack([random_psd(rng, n) for _ in range(10)]), q)
+            assert batch.first_failure() is None, (q, n, batch.first_failure())
 
     def test_zero_matrix_rejected(self):
         with pytest.raises(InvalidSpectrumError):
-            spectra.check_prop1(np.zeros((2, 2)), 1.5)
+            spectra.check_prop1(np.zeros((1, 2, 2)), 1.5)
 
     @pytest.mark.parametrize("q", [600.0, 1e300])
     def test_large_orders_compare_the_sides_scaled(self, q):
@@ -200,29 +193,29 @@ class TestCheckProp1:
         # the powers of diag(1e-200, 1e-201) underflow, so a side is 0 (or,
         # as a zero to a negative power, infinite); the slack is that of the
         # same matrix scaled
-        batch = spectra.check_prop1(np.diag([1e-200, 1e-201]), [q])
+        batch = spectra.check_prop1(np.diag([1e-200, 1e-201])[None], [q])
         sides = np.concatenate([batch.lhs, batch.rhs])
         assert not ((0.0 < sides) & (sides < np.inf)).all()
-        want = spectra.check_prop1(np.diag([1.0, 0.1]), q).slack
+        want = spectra.check_prop1(np.diag([1.0, 0.1])[None], q).slack[0, 0]
         assert batch.passed.all() and want > 1e-3
         assert batch.slack[0, 0] == pytest.approx(want, rel=1e-12)
 
 
 class TestCheckTwoInfOne:
     def test_identity_saturates(self):
-        rep = spectra.check_two_inf_one(np.eye(6))
-        assert rep.passed and abs(rep.slack) <= 1e-12
+        batch = spectra.check_two_inf_one(np.eye(6)[None])
+        assert batch.passed[0, 0] and abs(batch.slack[0, 0]) <= 1e-12
 
     def test_rank_one_projector_saturates(self):
-        p = np.zeros((4, 4))
-        p[0, 0] = 1.0
-        rep = spectra.check_two_inf_one(p)
-        assert rep.passed and abs(rep.slack) <= 1e-12
+        p = np.zeros((1, 4, 4))
+        p[0, 0, 0] = 1.0
+        batch = spectra.check_two_inf_one(p)
+        assert batch.passed[0, 0] and abs(batch.slack[0, 0]) <= 1e-12
 
     def test_random_matrix_strict(self):
         rng = np.random.default_rng(83)
-        rep = spectra.check_two_inf_one(complex_gaussian(rng, (16, 16)))
-        assert rep.passed and rep.slack > 1e-3
+        batch = spectra.check_two_inf_one(complex_gaussian(rng, (16, 16))[None])
+        assert batch.passed[0, 0] and batch.slack[0, 0] > 1e-3
 
     def test_large_entries_compare_the_sides_in_logs(self):
         # 3e155**2 overflows, so both sides of the first matrix are infinite:
@@ -239,30 +232,30 @@ class TestCheckTwoInfOne:
 
 class TestCheckSuperopNormBound:
     def test_identity_channel_saturates_unital_bound(self):
-        rep = spectra.check_superop_norm_bound(sampler.named_channel("identity", 2))
-        assert rep.passed
-        assert rep.lhs == pytest.approx(1.0, abs=1e-12)
-        assert rep.rhs == pytest.approx(1.0, abs=1e-12)
+        batch = spectra.check_superop_norm_bound(profile(sampler.named_channel("identity", 2)))
+        assert batch.passed[0, 0]
+        assert batch.lhs[0, 0] == pytest.approx(1.0, abs=1e-12)
+        assert batch.rhs[0, 0] == pytest.approx(1.0, abs=1e-12)
 
     def test_completely_depolarizing_saturates(self):
-        rep = spectra.check_superop_norm_bound(sampler.named_channel("completely-depolarizing", 2))
-        assert rep.passed and abs(rep.slack) <= 1e-10
+        batch = spectra.check_superop_norm_bound(profile(sampler.named_channel("completely-depolarizing", 2)))
+        assert batch.passed[0, 0] and abs(batch.slack[0, 0]) <= 1e-10
 
     def test_tp_noisy_depolarizing_passes(self):
         # admitted within TP_TOL with its Kraus set scaled by 1 + 4.5e-9:
         # |K|_inf = (1 + 4.5e-9)**2 against the unital bound 1
         ch = noisy_depolarizing()
-        rep = spectra.check_superop_norm_bound(ch)
-        assert rep.lhs == pytest.approx(1.0 + 9e-9, abs=1e-12)
-        assert rep.passed and oracles.check_superop_norm_bound(ch).passed
+        batch = spectra.check_superop_norm_bound(profile(ch))
+        assert batch.lhs[0, 0] == pytest.approx(1.0 + 9e-9, abs=1e-12)
+        assert batch.passed[0, 0] and oracles.check_superop_norm_bound(ch).passed
 
     def test_tp_noisy_unitary_passes(self):
         # the bound is tight on a unitary channel, so any scale error reaches it
         u = sampler.named_channel("unitary", 3, 0.7).kraus_ops[0]
         ch = chmod.KrausChannel(3, (u * (1.0 + 4.5e-9),))
-        rep = spectra.check_superop_norm_bound(ch)
-        assert rep.lhs > 1.0 + 8e-9
-        assert rep.passed and oracles.check_superop_norm_bound(ch).passed
+        batch = spectra.check_superop_norm_bound(profile(ch))
+        assert batch.lhs[0, 0] > 1.0 + 8e-9
+        assert batch.passed[0, 0] and oracles.check_superop_norm_bound(ch).passed
 
     @pytest.mark.parametrize("excess, passed", [(0.5e-8, True), (2e-8, False)])
     def test_relative_slack_is_tp_tol(self, excess, passed):
@@ -281,39 +274,38 @@ class TestCheckSuperopNormBound:
         assert unital.passed.tolist() == plain.passed.tolist() == [[passed]]
 
     def test_random_nonunital_holds_with_slack(self):
-        cfg = sampler.SamplerConfig(3, 9, sampler.derive_seed(909, 0, 3, 0), "cptp")
-        ch = sampler.sample_channel(cfg)
-        assert not profile(ch).unital[0]
-        rep = spectra.check_superop_norm_bound(ch)
-        assert rep.passed and rep.slack > 0
+        cfg = sampler.SamplerConfig(3, 9, oracles.derive_seed(909, 0, 3, 0), "cptp")
+        prof = profile(sampler.sample_channel(cfg))
+        assert not prof.unital[0]
+        batch = spectra.check_superop_norm_bound(prof)
+        assert batch.passed[0, 0] and batch.slack[0, 0] > 0
 
 
 class TestCheckAntinormMonotonicity:
     def test_small_order_compares_the_sides_in_logs(self):
         # |X|_p overflows at p = 1e-5, and exceeds |X|_q by a factor beyond a double
-        x = random_psd(np.random.default_rng(107), 4)
-        rep = spectra.check_antinorm_monotonicity(x, 1e-5, 0.5)
-        assert rep.rhs == math.inf and rep.passed and rep.slack == 1.0
+        x = random_psd(np.random.default_rng(107), 4)[None]
+        batch = spectra.check_antinorm_monotonicity(x, 1e-5, 0.5)
+        assert batch.rhs[0, 0] == math.inf and batch.passed[0, 0] and batch.slack[0, 0] == 1.0
 
     def test_flat_spectrum(self):
-        rep = spectra.check_antinorm_monotonicity(np.eye(2), 1.0 / 3.0, 0.5)
-        assert rep.passed
-        assert rep.lhs == pytest.approx(4.0) and rep.rhs == pytest.approx(8.0)
+        batch = spectra.check_antinorm_monotonicity(np.eye(2)[None], 1.0 / 3.0, 0.5)
+        assert batch.passed[0, 0]
+        assert batch.lhs[0, 0] == pytest.approx(4.0) and batch.rhs[0, 0] == pytest.approx(8.0)
 
     def test_worked_example(self):
-        rep = spectra.check_antinorm_monotonicity(np.diag([1.0, 4.0]), 0.5, 1.0)
-        assert rep.passed
-        assert rep.lhs == pytest.approx(5.0) and rep.rhs == pytest.approx(9.0)
+        batch = spectra.check_antinorm_monotonicity(np.diag([1.0, 4.0])[None], 0.5, 1.0)
+        assert batch.passed[0, 0]
+        assert batch.lhs[0, 0] == pytest.approx(5.0) and batch.rhs[0, 0] == pytest.approx(9.0)
 
     def test_random_psd(self):
         rng = np.random.default_rng(89)
-        for _ in range(10):
-            rep = spectra.check_antinorm_monotonicity(random_psd(rng, 6), 0.2, 0.8)
-            assert rep.passed
+        x = np.stack([random_psd(rng, 6) for _ in range(10)])
+        assert spectra.check_antinorm_monotonicity(x, 0.2, 0.8).passed.all()
 
     def test_order_validation(self):
         with pytest.raises(InvalidOrderError):
-            spectra.check_antinorm_monotonicity(np.eye(2), 0.8, 0.2)
+            spectra.check_antinorm_monotonicity(np.eye(2)[None], 0.8, 0.2)
 
 
 def mp_superadditivity_slack(x, y, q):
@@ -329,25 +321,25 @@ def mp_superadditivity_slack(x, y, q):
 
 class TestCheckSuperadditivity:
     def test_equal_flat_operands_saturate(self):
-        rep = spectra.check_superadditivity(np.eye(3), np.eye(3), 0.5)
-        assert rep.passed and abs(rep.slack) <= 1e-12
-        assert rep.lhs == pytest.approx(18.0)  # |2 I|_{1/2} = (3 sqrt(2))**2
+        batch = spectra.check_superadditivity(np.eye(3)[None], np.eye(3)[None], 0.5)
+        assert batch.passed[0, 0] and abs(batch.slack[0, 0]) <= 1e-12
+        assert batch.lhs[0, 0] == pytest.approx(18.0)  # |2 I|_{1/2} = (3 sqrt(2))**2
 
     def test_commuting_rank_deficient(self):
-        rep = spectra.check_superadditivity(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), 0.5)
-        assert rep.passed
-        assert rep.lhs == pytest.approx(4.0) and rep.rhs == pytest.approx(2.0)
+        batch = spectra.check_superadditivity(np.diag([1.0, 0.0])[None], np.diag([0.0, 1.0])[None], 0.5)
+        assert batch.passed[0, 0]
+        assert batch.lhs[0, 0] == pytest.approx(4.0) and batch.rhs[0, 0] == pytest.approx(2.0)
 
     def test_random_pairs(self):
         rng = np.random.default_rng(97)
         for q in (0.7, -0.5):
             x = random_psd(rng, 6) + 0.05 * np.eye(6)
             y = random_psd(rng, 6) + 0.05 * np.eye(6)
-            assert spectra.check_superadditivity(x, y, q).passed
+            assert spectra.check_superadditivity(x[None], y[None], q).passed.all()
 
     def test_rejects_norm_orders(self):
         with pytest.raises(InvalidOrderError):
-            spectra.check_superadditivity(np.eye(2), np.eye(2), 1.5)
+            spectra.check_superadditivity(np.eye(2)[None], np.eye(2)[None], 1.5)
 
     @pytest.mark.parametrize("q", [1e-5, 3e-16, 1e-300, -1e-5, -1e-300])
     def test_small_orders_compare_the_sides_in_logs(self, q):
@@ -358,9 +350,9 @@ class TestCheckSuperadditivity:
         rng = np.random.default_rng(103)
         for n in (2, 5):
             x, y = random_psd(rng, n), random_psd(rng, n)
-            rep = spectra.check_superadditivity(x, y, q)
-            assert rep.lhs == rep.rhs == (math.inf if q > 0 else 0.0)
-            assert rep.passed and abs(rep.slack - mp_superadditivity_slack(x, y, q)) <= 1e-12
+            batch = spectra.check_superadditivity(x[None], y[None], q)
+            assert batch.lhs[0, 0] == batch.rhs[0, 0] == (math.inf if q > 0 else 0.0)
+            assert batch.passed[0, 0] and abs(batch.slack[0, 0] - mp_superadditivity_slack(x, y, q)) <= 1e-12
 
     def test_small_orders_keep_the_saturation(self):
         eye = np.eye(3)
@@ -370,14 +362,14 @@ class TestCheckSuperadditivity:
 
 class TestCheckNormProductChain:
     def test_bound_per_family(self):
-        pop = population(910, (2, 3), ("cptp", "unitary-mixture", "unistochastic"), 4)
-        for family, d, _, ch in pop:
-            rep = spectra.check_norm_product_chain(ch)
-            assert rep.passed, (family, d, rep)
+        pop = sampler.population(910, (2, 3), ("cptp", "unitary-mixture", "unistochastic"), 4)
+        for family, d, ids, ops in pop:
+            batch = spectra.check_norm_product_chain(chmod.profile_channel(ops, ids))
+            assert batch.first_failure() is None, (family, d, batch.first_failure())
             if family in ("unitary-mixture", "unistochastic"):
-                assert rep.lhs >= d - 1e-9
+                assert (batch.lhs >= d - 1e-9).all()
             else:
-                assert rep.lhs >= math.sqrt(d) - 1e-9
+                assert (batch.lhs >= math.sqrt(d) - 1e-9).all()
 
 
 # The suite's own population: the CLI's default seed and sample count.
@@ -413,9 +405,9 @@ def _assert_matches(batch, oracle):
     assert batch.slack.shape == (len(oracle), len(oracle[0]))
     for i, row in enumerate(oracle):
         for j, rep in enumerate(row):
-            got = batch.report(i, j)
-            assert abs(got.slack - rep.slack) <= 1e-12 * max(abs(got.slack), abs(rep.slack), 1.0), (i, j)
-            assert got.passed == rep.passed and got.direction == rep.direction, (i, j)
+            slack = batch.slack[i, j]
+            assert abs(slack - rep.slack) <= 1e-12 * max(abs(slack), abs(rep.slack), 1.0), (i, j)
+            assert batch.passed[i, j] == rep.passed and batch.directions[j] == rep.direction, (i, j)
 
 
 class TestBatchedChecksMatchOracles:
@@ -456,20 +448,26 @@ class TestBatchedChecksMatchOracles:
             spectra.check_norm_product_chain(stack), [[oracles.check_norm_product_chain(ch)] for ch in chs]
         )
 
-    def test_one_input_at_one_order_is_a_report(self):
+    def test_one_matrix_is_rejected(self):
+        # the checks take stacks only: one matrix is a stack of one
         x = np.diag([1.0, 4.0])
-        assert isinstance(spectra.check_prop1(x, 1.5), spectra.InequalityReport)
-        assert isinstance(spectra.check_prop1(x[None], 1.5), spectra.InequalityBatch)
-        assert spectra.check_prop1(x, [1.5, 3.0]).slack.shape == (1, 2)
+        checks = (
+            lambda m: spectra.check_prop1(m, [1.5, 3.0]),
+            spectra.check_two_inf_one,
+            lambda m: spectra.check_antinorm_monotonicity(m, 0.5, 1.0),
+            lambda m: spectra.check_superadditivity(m, m, 0.5),
+        )
+        for check in checks:
+            with pytest.raises(DimensionMismatchError):
+                check(x)
+            assert isinstance(check(x[None]), spectra.InequalityBatch)
+        assert spectra.check_prop1(x[None], [1.5, 3.0]).slack.shape == (1, 2)
         ch = sampler.named_channel("identity", 2)
-        assert isinstance(spectra.check_norm_product_chain(ch), spectra.InequalityReport)
-        assert spectra.check_norm_product_chain([ch, ch]).slack.shape == (2, 1)
+        assert spectra.check_norm_product_chain(profile(ch, ch)).slack.shape == (2, 1)
 
     def test_channel_checks_need_one_dimension(self):
-        chs = [sampler.named_channel("identity", d) for d in (2, 3)]
-        for check in (spectra.check_superop_norm_bound, spectra.check_norm_product_chain):
-            with pytest.raises(DimensionMismatchError):
-                check(chs)
+        with pytest.raises(DimensionMismatchError):
+            profile(*[sampler.named_channel("identity", d) for d in (2, 3)])
 
 
 def _first_error(fn):

@@ -130,7 +130,7 @@ class TestEvaluate:
         assert abs(rep.gap) <= 1e-12 and rep.saturated
 
     def test_random_nonunital_has_positive_gap(self):
-        cfg = sampler.SamplerConfig(3, 9, sampler.derive_seed(916, 0, 3, 0), "cptp")
+        cfg = sampler.SamplerConfig(3, 9, oracles.derive_seed(916, 0, 3, 0), "cptp")
         rep = tradeoff.evaluate_tradeoff(sampler.sample_channel(cfg), EntropyParams(0.5, -1.0))
         assert rep.bound_unital is None
         assert rep.gap > 0 and not rep.saturated
