@@ -8,18 +8,16 @@ ships samplers plus a CLI harness for Monte-Carlo verification runs.
 """
 
 from .channel import (
-    KrausChannel,
     dynamical_from_kraus,
     profile_channel,
     reshuffle,
 )
 from .entropy import EntropyParams
 from .matcore import hermitian_eigenvalues, partial_trace, singular_values
-from .sampler import SamplerConfig, named_channel, sample_channel
+from .sampler import named_channel
 from .spectra import schatten_antinorm, schatten_norm
 from .tradeoff import (
     TradeoffReport,
-    evaluate_tradeoff,
     gamma_kappa,
     lower_bound,
 )
@@ -28,11 +26,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "EntropyParams",
-    "KrausChannel",
-    "SamplerConfig",
     "TradeoffReport",
     "dynamical_from_kraus",
-    "evaluate_tradeoff",
     "gamma_kappa",
     "hermitian_eigenvalues",
     "lower_bound",
@@ -40,7 +35,6 @@ __all__ = [
     "partial_trace",
     "profile_channel",
     "reshuffle",
-    "sample_channel",
     "schatten_antinorm",
     "schatten_norm",
     "singular_values",

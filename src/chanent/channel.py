@@ -4,12 +4,10 @@ A channel on a ``d``-dimensional system is stored only as its Kraus
 operators; the dynamical (Choi-type) matrix ``D`` and the superoperator
 matrix ``K`` are plain arrays derived from them, never mutated in place
 (:func:`dynamical_from_kraus` gives ``D``, ``reshuffle(D, d)`` gives ``K``).
-One channel is a :class:`KrausChannel`; a stack of ``n`` same-dimension
-channels is their ``(n, k, d, d)`` Kraus array, validated by
-:func:`check_kraus_stack` (one trace-preservation check for the whole stack)
-and built from channel objects, zero-padded, by :func:`stack_kraus`.  The
-harnesses keep the arrays the sampler draws and make a :class:`KrausChannel`
-only for a channel that leaves them (a counterexample).  Under the row-major
+One channel is its ``(k, d, d)`` array of Kraus operators, and a stack of
+``n`` same-dimension channels their ``(n, k, d, d)`` array; both are
+validated by :func:`check_kraus_stack` (one channel as a stack of one, with
+one trace-preservation check for the whole stack).  Under the row-major
 ``vec`` convention of :mod:`chanent.matcore`
 
 * ``D = sum_i vec(A_i) vec(A_i)^dag``  (Hermitian, PSD, trace ``d``), built
@@ -70,9 +68,7 @@ from .errors import DimensionMismatchError, NotTracePreservingError
 __all__ = [
     "TP_TOL",
     "MAX_DIM",
-    "KrausChannel",
     "check_kraus_stack",
-    "stack_kraus",
     "dynamical_from_kraus",
     "reshuffle",
     "dynamical_spectrum",
@@ -94,29 +90,6 @@ MAX_DIM = 16
 def _identity_defects(m: np.ndarray) -> np.ndarray:
     """Max-entry deviation of ``m``, or of each matrix of a stack, from the identity."""
     return np.abs(m - np.eye(m.shape[-1])).max(axis=(-2, -1))
-
-
-@dataclass(frozen=True, eq=False)
-class KrausChannel:
-    """A channel as a finite list of ``d x d`` Kraus operators.
-
-    Construction validates shapes, then, as :func:`check_kraus_stack` on a
-    stack of one, the supported dimension range (2 <= d <= MAX_DIM) and
-    trace preservation within ``TP_TOL``.
-    """
-
-    dim: int
-    kraus_ops: tuple
-
-    def __post_init__(self):
-        ops = tuple(matcore.as_matrix(a) for a in self.kraus_ops)
-        for m in ops:
-            if m.shape != (self.dim, self.dim):
-                raise DimensionMismatchError(
-                    f"Kraus operator has shape {m.shape}, expected {(self.dim, self.dim)}"
-                )
-        object.__setattr__(self, "kraus_ops", ops)
-        check_kraus_stack(np.reshape(ops, (1, len(ops), self.dim, self.dim)))
 
 
 def check_kraus_stack(ops) -> np.ndarray:
@@ -148,36 +121,16 @@ def check_kraus_stack(ops) -> np.ndarray:
     return ops
 
 
-def stack_kraus(channels) -> np.ndarray:
-    """The ``(n, k, d, d)`` Kraus array of a sequence of same-dimension channels.
-
-    A channel with fewer Kraus operators than the most of any is padded with
-    zero operators, which add nothing to ``D`` or ``K``.
-    """
-    chs = list(channels)
-    if not chs:
-        raise ValueError("a channel stack needs at least one channel")
-    d = chs[0].dim
-    if any(ch.dim != d for ch in chs):
-        raise DimensionMismatchError(
-            f"a channel stack needs one dimension, got {sorted({ch.dim for ch in chs})}"
-        )
-    ops = np.zeros((len(chs), max(len(ch.kraus_ops) for ch in chs), d, d), dtype=complex)
-    for row, ch in zip(ops, chs):
-        row[: len(ch.kraus_ops)] = ch.kraus_ops
-    return ops
-
-
 def dynamical_from_kraus(ops) -> np.ndarray:
     """Dynamical matrix ``sum_i vec(A_i) vec(A_i)^dag`` as ``V^T conj(V)``.
 
     Row ``i`` of ``V`` is ``vec(A_i)``, so the sum over Kraus operators is
-    one matrix product.  ``ops`` is a :class:`KrausChannel`, giving its
-    ``(d**2, d**2)`` matrix, or the ``(n, k, d, d)`` Kraus array of ``n``
-    same-dimension channels, which gives their stack of dynamical matrices
-    ``(n, d**2, d**2)`` from one batched product.
+    one matrix product.  ``ops`` is the ``(k, d, d)`` Kraus array of one
+    channel, giving its ``(d**2, d**2)`` matrix, or the ``(n, k, d, d)``
+    Kraus array of ``n`` same-dimension channels, which gives their stack of
+    dynamical matrices ``(n, d**2, d**2)`` from one batched product.
     """
-    a = np.stack(ops.kraus_ops) if isinstance(ops, KrausChannel) else np.asarray(ops)
+    a = np.asarray(ops)
     v = a.reshape(*a.shape[:-2], -1)
     return v.swapaxes(-2, -1) @ v.conj()
 
@@ -200,18 +153,18 @@ def _blocks(m, d: int) -> np.ndarray:
     return x.reshape(*x.shape[:-2], d, d, d, d)
 
 
-def dynamical_spectrum(dyn, kraus=None) -> np.ndarray:
+def dynamical_spectrum(dyn, kraus) -> np.ndarray:
     """Clamped eigenvalue spectrum of the dynamical matrix, descending; one row per matrix of a stack.
 
-    ``kraus`` optionally holds the Kraus operators ``D`` was built from:
-    ``(k, d, d)`` for one matrix, ``(n, k, d, d)`` for a stack.  With
+    ``kraus`` holds the Kraus operators ``D`` was built from: ``(k, d, d)``
+    for one matrix, ``(n, k, d, d)`` for a stack.  With
     ``k < d**2`` of them, the spectrum comes from the ``k x k`` Gram matrix
     ``conj(V) V^T`` of their rows ``vec(A_i)``, padded with zeros; otherwise
     from ``D`` itself.
     """
     n = np.shape(dyn)[-1]
-    v = None if kraus is None else np.reshape(kraus, (*np.shape(dyn)[:-2], -1, n))
-    if v is not None and v.shape[-2] < n:
+    v = np.reshape(kraus, (*np.shape(dyn)[:-2], -1, n))
+    if v.shape[-2] < n:
         vals = matcore.hermitian_eigenvalues(v.conj() @ v.swapaxes(-2, -1))
         vals = np.concatenate([vals, np.zeros(vals.shape[:-1] + (n - vals.shape[-1],))], axis=-1)
     else:
@@ -259,8 +212,8 @@ def profile_channel(ops, channel_id=()) -> ChannelProfile:
     ``channel_id`` holds one id per channel (all empty by default).  The
     dynamical matrices come from one batched product, ``Tr_2 D`` from one
     reduction of them, the unital flags from ``Tr_2 D`` and each spectrum
-    from one decomposition of the whole stack.  :func:`stack_kraus` gives
-    the array of a list of channels; one channel is a stack of one.
+    from one decomposition of the whole stack; one channel is a stack of
+    one, ``ops[None]``.
     """
     ids = tuple(channel_id) or ("",) * len(ops)
     if len(ids) != len(ops):
@@ -278,20 +231,24 @@ def profile_channel(ops, channel_id=()) -> ChannelProfile:
     )
 
 
-def channel_to_json(ch: KrausChannel) -> dict:
-    """Serialize to ``{"dim": d, "kraus": [matrix-object, ...]}``."""
+def channel_to_json(ops) -> dict:
+    """Serialize a channel's ``(k, d, d)`` Kraus array to ``{"dim": d, "kraus": [matrix-object, ...]}``."""
     return {
-        "dim": int(ch.dim),
-        "kraus": [matcore.matrix_to_json(a) for a in ch.kraus_ops],
+        "dim": int(np.shape(ops)[-1]),
+        "kraus": [matcore.matrix_to_json(a) for a in ops],
     }
 
 
-def channel_from_json(obj: dict) -> KrausChannel:
-    """Parse the channel JSON format (validates trace preservation)."""
+def channel_from_json(obj: dict) -> np.ndarray:
+    """Parse the channel JSON format into a validated ``(k, d, d)`` Kraus array."""
+    d = int(obj["dim"])
     ops = [matcore.matrix_from_json(o) for o in obj["kraus"]]
-    return KrausChannel(int(obj["dim"]), tuple(ops))
+    for m in ops:
+        if m.shape != (d, d):
+            raise DimensionMismatchError(f"Kraus operator has shape {m.shape}, expected {(d, d)}")
+    return check_kraus_stack(np.reshape(ops, (1, len(ops), d, d)))[0]
 
 
-def load_channel(path) -> KrausChannel:
+def load_channel(path) -> np.ndarray:
     with open(path, encoding="utf-8") as fh:
         return channel_from_json(json.load(fh))

@@ -26,7 +26,8 @@ stack, and the stacks of a large one keep memory flat in its size.
 Both harnesses profile each channel stack, the Kraus array it was drawn
 as, with :func:`~chanent.channel.profile_channel`: one batched build of
 ``D``, one decomposition per spectrum and one ``Tr_2 D`` per stack.  A
-:class:`~chanent.channel.KrausChannel` is made only for a counterexample.
+``--channel`` file is a stack of one, and a counterexample is written from
+its channel's row of the stack.
 
 A sweep stacks the channels of one (dimension, family) and evaluates each
 profile in one grid pass, against bounds tabulated once per dimension.  Its
@@ -289,7 +290,7 @@ def run_sweep(cfg: SweepConfig, out_dir, channel_path=None) -> int:
     out.mkdir(parents=True, exist_ok=True)
     if channel_path is not None:
         ch = _load_input(chmod.load_channel, channel_path, "channel")
-        stacks = [("file", ch.dim, [Path(channel_path).stem], chmod.stack_kraus([ch]))]
+        stacks = [("file", ch.shape[-1], [Path(channel_path).stem], ch[None])]
     else:
         # per channel: D and K (d**4), and the grid kernel's (n_q, d**2) and (n_q, n_s) arrays
         n_q, n_s = len(cfg.q_grid), len(cfg.s_grid)
@@ -364,7 +365,7 @@ def _sweep_stacks(cfg: SweepConfig, out: Path, stacks, fh) -> tuple[dict, dict, 
             k, i, j = exc.cell
             passed = k * cells + i * bounds.s.size + j
             count = passed + 1
-            path = _serialize_counterexample(out, chmod.KrausChannel(dim, tuple(ops[k])), exc.report, family)
+            path = _serialize_counterexample(out, ops[k], exc.report, family)
             violation_info = {"message": str(exc), "counterexample": path.name}
         except DomainError as exc:
             raise ConfigError(str(exc)) from exc
@@ -485,15 +486,14 @@ def run_inequality_suite(cfg: SweepConfig, out_dir, only=None, matrix_path=None)
                 ("upkp", spectra.check_superop_norm_bound),
                 ("cbn0", spectra.check_norm_product_chain),
             )
-            for _, d, labels, ops in suite:
+            for _, _, labels, ops in suite:
                 profile = profile_channel(ops, labels)
                 batches = [(name, check(profile)) for name, check in checks if name in selected]
                 # upkp then cbn0 ran channel by channel: the first failure
                 # named is the earlier channel's, upkp's on a tie
                 batches.sort(key=lambda nb: (nb[1].first_failure() or (math.inf,))[0])
                 for name, batch in batches:
-                    record(name, labels, batch,
-                           lambda i: chmod.channel_to_json(chmod.KrausChannel(d, tuple(ops[i]))))
+                    record(name, labels, batch, lambda i: chmod.channel_to_json(ops[i]))
     except Exception as exc:  # noqa: BLE001 - provenance belongs in the report
         failure = {"check": "error", "kind": type(exc).__name__, "message": str(exc)}
         if injected is not None:

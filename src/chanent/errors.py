@@ -41,7 +41,7 @@ class NotPositiveError(ValueError):
 
 
 class InvalidSpectrumError(ValueError):
-    """Spectrum contains negative weight or carries no weight at all."""
+    """Spectrum contains negative weight or carries no weight at all, or its matrix a non-finite entry."""
 
 
 class DomainError(ValueError):

@@ -21,7 +21,9 @@ The spectral functions (:func:`hermitian_eigenvalues`, :func:`singular_values`,
 same-shape matrices ``(n, m, m)`` and return one result per matrix, with one
 LAPACK call for the whole stack.  Every check on a stack (Hermiticity, the
 PSD clamp) is made per matrix, and the first matrix that fails it raises the
-error a single-matrix call on it would raise.
+error a single-matrix call on it would raise.  A matrix with a non-finite
+entry has no spectrum: the spectral functions reject it with
+:class:`~chanent.errors.InvalidSpectrumError`.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ import numpy as np
 
 from .errors import (
     DimensionMismatchError,
+    InvalidSpectrumError,
     NonSquareError,
     NotHermitianError,
     NotPositiveError,
@@ -85,6 +88,14 @@ def as_matrices(x) -> np.ndarray:
     return m
 
 
+def _finite_matrices(x) -> np.ndarray:
+    """:func:`as_matrices`, with a non-finite entry an :class:`InvalidSpectrumError`: it has no spectrum."""
+    m = as_matrices(x)
+    if not np.isfinite(m).all():
+        raise InvalidSpectrumError("matrix entries must be finite")
+    return m
+
+
 def _require_square(x: np.ndarray) -> np.ndarray:
     if x.shape[-2] != x.shape[-1]:
         raise NonSquareError(f"expected a square matrix, got shape {x.shape[-2:]}")
@@ -116,7 +127,7 @@ def hermitian_eigenvalues(x) -> np.ndarray:
     deviations above ``HERM_TOL`` (max entry) are rejected instead of
     silently averaged away.
     """
-    m = _require_square(as_matrices(x))
+    m = _require_square(_finite_matrices(x))
     adj = m.conj().swapaxes(-2, -1)
     require_hermitian(np.abs(m - adj))
     return np.linalg.eigvalsh((m + adj) / 2.0)[..., ::-1]
@@ -127,7 +138,7 @@ def singular_values(x) -> np.ndarray:
 
     A real input is decomposed in real arithmetic.
     """
-    return np.linalg.svd(as_matrices(x), compute_uv=False)
+    return np.linalg.svd(_finite_matrices(x), compute_uv=False)
 
 
 def partial_trace(x, d: int) -> np.ndarray:
@@ -141,11 +152,11 @@ def partial_trace(x, d: int) -> np.ndarray:
     return np.einsum("...ijkj->...ik", m.reshape(*m.shape[:-2], d, d, d, d))
 
 
-def clamp_spectrum(values, neg_tol: float, zero_rel: float = ZERO_REL_TOL) -> np.ndarray:
+def clamp_spectrum(values, neg_tol: float) -> np.ndarray:
     """Clamp a PSD-intended spectrum, or each row of a stack of spectra.
 
     Entries below ``-neg_tol``, and NaN entries, raise
-    :class:`NotPositiveError`; remaining entries smaller than ``zero_rel``
+    :class:`NotPositiveError`; remaining entries smaller than ``ZERO_REL_TOL``
     times the largest entry of their spectrum (noise from rank-deficient
     decompositions, negative or positive) become exactly 0.
     """
@@ -153,7 +164,7 @@ def clamp_spectrum(values, neg_tol: float, zero_rel: float = ZERO_REL_TOL) -> np
     if vals.size and not vals.min() >= -neg_tol:
         lo = -_first_row_above(-vals.min(axis=-1), neg_tol)
         raise NotPositiveError(f"eigenvalue {lo:.6e} below -{neg_tol:.1e}")
-    cutoff = zero_rel * vals.max(axis=-1, keepdims=True, initial=0.0)
+    cutoff = ZERO_REL_TOL * vals.max(axis=-1, keepdims=True, initial=0.0)
     return np.where(vals < cutoff, 0.0, vals)
 
 

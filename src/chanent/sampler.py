@@ -2,8 +2,8 @@
 
 Reproducibility contract: all randomness flows from numpy's ``SeedSequence``
 / PCG64 machinery, which has a fixed cross-platform stream definition.  A
-sampler derives one child stream per Kraus index from ``SamplerConfig.seed``
-(mixtures use one extra stream for the weights), so identical configs yield
+sampler derives one child stream per Kraus index from a sample's seed
+(mixtures use one extra stream for the weights), so identical seeds yield
 bit-identical channels.  Harnesses that draw many samples give the sample
 addressed by ``indices`` the seed ``SeedSequence([base_seed, *indices])``
 (the first 64-bit word of its state), which keeps parallel sampling
@@ -38,9 +38,8 @@ per stack:
   again from its attempt-1, attempt-2, ... streams, with the other failures
   of its stack.
 
-A stack stays the ``(n, k, d, d)`` Kraus array it is drawn as; only
-:func:`sample_channel`, the one-sample entry point for every family, wraps
-its row in a :class:`~chanent.channel.KrausChannel`.
+A stack stays the ``(n, k, d, d)`` Kraus array it is drawn as, and a named
+channel is its ``(k, d, d)`` Kraus array.
 
 numpy's own ``SeedSequence`` and ``default_rng`` are the test oracle for the
 seeding, and the per-sample samplers in ``tests/oracles.py`` for the
@@ -52,11 +51,10 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import KrausChannel, check_kraus_stack
+from .channel import check_kraus_stack
 from .errors import (
     ParamOutOfRangeError,
     SingularNormalizerError,
@@ -65,11 +63,9 @@ from .errors import (
 
 __all__ = [
     "FAMILY_CODES",
-    "SamplerConfig",
     "default_kraus_count",
     "named_channel",
     "named_family_channel",
-    "sample_channel",
     "population",
     "ginibre_population",
 ]
@@ -93,24 +89,6 @@ _XSHIFT = np.uint32(16)
 # PCG64's 128-bit LCG multiplier (numpy/random/src/pcg64/pcg64.h).
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK128 = (1 << 128) - 1
-
-
-@dataclass(frozen=True)
-class SamplerConfig:
-    """Deterministic recipe for one channel draw.
-
-    ``family`` is one of ``cptp``, ``unitary-mixture``, ``unistochastic`` or
-    ``named:<name>[:<param>]``; ``kraus_count`` applies to the first two.
-    """
-
-    dim: int
-    kraus_count: int
-    seed: int
-    family: str
-
-    def __post_init__(self):
-        if self.kraus_count < 1:
-            raise ParamOutOfRangeError(f"kraus_count must be >= 1, got {self.kraus_count}")
 
 
 def _words(value) -> list[int]:
@@ -287,7 +265,7 @@ def _haar(g: np.ndarray) -> np.ndarray:
 
 
 def default_kraus_count(family: str, dim: int) -> int:
-    """Kraus count used by the harnesses when the config leaves it open."""
+    """Kraus count of a drawn channel of ``family`` at dimension ``dim``."""
     if family == "unitary-mixture":
         return dim
     return dim * dim
@@ -342,32 +320,26 @@ def _unistochastic_ops(u: np.ndarray, d: int) -> np.ndarray:
     return t.reshape(-1, d * d, d, d) / math.sqrt(d)
 
 
-def _sample_stack(family: str, d: int, kraus_count: int, seeds) -> np.ndarray:
+def _sample_stack(family: str, d: int, seeds) -> np.ndarray:
     """The ``(n, k, d, d)`` Kraus array of one channel per seed, all of ``family`` at dimension ``d``.
 
-    A named family is its one channel's Kraus array, broadcast to ``n`` rows.
+    A drawn family has :func:`default_kraus_count` operators; a named family
+    is its one channel's Kraus array, broadcast to ``n`` rows.  Each family's
+    draw is described at its stack sampler (``_cptp_ops`` and the like).
     """
     if family == "cptp":
-        ops = _cptp_ops(seeds, d, kraus_count)
+        ops = _cptp_ops(seeds, d, default_kraus_count(family, d))
     elif family == "unitary-mixture":
-        ops = _unitary_mixture_ops(seeds, d, kraus_count)
+        ops = _unitary_mixture_ops(seeds, d, default_kraus_count(family, d))
     elif family == "unistochastic":
         gens = _generators(_stream_states(seeds, [(0,)]))
         ops = _unistochastic_ops(_haar(_ginibre(gens, (len(seeds), d * d))), d)
     elif family.startswith("named:"):
-        ops = np.stack(named_family_channel(family, d).kraus_ops)
+        ops = named_family_channel(family, d)
         return np.broadcast_to(ops, (len(seeds), *ops.shape))
     else:
         raise UnknownChannelError(f"unknown sampler family {family!r}")
     return check_kraus_stack(ops)
-
-
-def sample_channel(cfg: SamplerConfig) -> KrausChannel:
-    """One channel of ``cfg.family``, drawn as a stack of one: the one-sample entry point of every family.
-
-    Each family's draw is described at its stack sampler (``_cptp_ops`` and the like).
-    """
-    return KrausChannel(cfg.dim, tuple(_sample_stack(cfg.family, cfg.dim, cfg.kraus_count, [cfg.seed])[0]))
 
 
 def _basis_matrix(d: int, mu: int, nu: int) -> np.ndarray:
@@ -385,8 +357,8 @@ def _require_param(name: str, param, lo: float, hi: float) -> float:
     return p
 
 
-def named_channel(name: str, d: int, param: float | None = None) -> KrausChannel:
-    """Closed-form channels used as oracles.
+def named_channel(name: str, d: int, param: float | None = None) -> np.ndarray:
+    """Closed-form channels used as oracles, as validated ``(k, d, d)`` Kraus arrays.
 
     ``identity``; ``completely-depolarizing``; ``depolarizing`` (mix with
     the completely depolarizing one, weight ``p``); ``dephasing`` (diagonal
@@ -396,30 +368,24 @@ def named_channel(name: str, d: int, param: float | None = None) -> KrausChannel
     """
     eye = np.eye(d, dtype=complex)
     if name == "identity":
-        return KrausChannel(d, (eye,))
-    if name == "completely-depolarizing":
-        ops = tuple(_basis_matrix(d, mu, nu) / math.sqrt(d) for mu in range(d) for nu in range(d))
-        return KrausChannel(d, ops)
-    if name == "depolarizing":
+        ops = [eye]
+    elif name == "completely-depolarizing":
+        ops = [_basis_matrix(d, mu, nu) / math.sqrt(d) for mu in range(d) for nu in range(d)]
+    elif name == "depolarizing":
         p = _require_param(name, param, 0.0, 1.0)
         ops = [math.sqrt(1.0 - p) * eye]
-        ops += [
-            math.sqrt(p / d) * _basis_matrix(d, mu, nu) for mu in range(d) for nu in range(d)
-        ]
-        return KrausChannel(d, tuple(ops))
-    if name == "dephasing":
+        ops += [math.sqrt(p / d) * _basis_matrix(d, mu, nu) for mu in range(d) for nu in range(d)]
+    elif name == "dephasing":
         p = _require_param(name, param, 0.0, 1.0)
         ops = [math.sqrt(1.0 - p) * eye]
         ops += [math.sqrt(p) * _basis_matrix(d, mu, mu) for mu in range(d)]
-        return KrausChannel(d, tuple(ops))
-    if name == "amplitude-damping":
+    elif name == "amplitude-damping":
         if d != 2:
             raise ParamOutOfRangeError("amplitude-damping is defined for d = 2 only")
         g = _require_param(name, param, 0.0, 1.0)
-        k0 = np.array([[1.0, 0.0], [0.0, math.sqrt(1.0 - g)]], dtype=complex)
-        k1 = np.array([[0.0, math.sqrt(g)], [0.0, 0.0]], dtype=complex)
-        return KrausChannel(2, (k0, k1))
-    if name == "unitary":
+        ops = [np.array([[1.0, 0.0], [0.0, math.sqrt(1.0 - g)]]),
+               np.array([[0.0, math.sqrt(g)], [0.0, 0.0]])]
+    elif name == "unitary":
         if param is None:
             raise ParamOutOfRangeError("channel 'unitary' needs a rotation angle")
         theta = float(param)
@@ -427,11 +393,13 @@ def named_channel(name: str, d: int, param: float | None = None) -> KrausChannel
         u[0, 0] = u[1, 1] = math.cos(theta)
         u[0, 1] = -math.sin(theta)
         u[1, 0] = math.sin(theta)
-        return KrausChannel(d, (u,))
-    raise UnknownChannelError(f"unknown named channel {name!r}")
+        ops = [u]
+    else:
+        raise UnknownChannelError(f"unknown named channel {name!r}")
+    return check_kraus_stack(np.stack(ops)[None])[0]
 
 
-def named_family_channel(family: str, d: int) -> KrausChannel:
+def named_family_channel(family: str, d: int) -> np.ndarray:
     """The channel a ``named:<name>[:<param>]`` family stands for at dimension ``d``.
 
     A parameter that is not a finite number is a :class:`ParamOutOfRangeError`.
@@ -475,7 +443,7 @@ def population(seed: int, dims, families, count: int, stream: int = 0, size=None
         for indices in _cuts(count, count if size is None else size(d)):
             ids = [f"{family}-d{d}-{index:04d}" for index in indices]
             stack = seeds.get((d, family), range(count))[indices.start : indices.stop]
-            yield family, d, ids, _sample_stack(family, d, default_kraus_count(family, d), stack)
+            yield family, d, ids, _sample_stack(family, d, stack)
 
 
 def ginibre_population(seed: int, dims, count: int, stream: int, size=None):

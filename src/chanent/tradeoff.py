@@ -19,8 +19,6 @@ one dimension are tabulated once (:func:`bound_table`), and
 :func:`evaluate_profile` computes the map and receiver entropies and the gap
 of every cell of that table, for every channel of a
 :class:`~chanent.channel.ChannelProfile` stack, in one array pass.
-:func:`evaluate_tradeoff` profiles one channel, as a stack of one, and
-evaluates one cell.
 
 The auxiliary minimizations behind the bound, over the planar regions
 ``{0 <= x, y <= 1, x y <= a}`` and ``{x, y >= 1, x y >= b}``, have closed
@@ -51,7 +49,6 @@ __all__ = [
     "TradeoffReport",
     "GridReport",
     "evaluate_profile",
-    "evaluate_tradeoff",
 ]
 
 # Gap below which a report is flagged as saturating its bound; separates
@@ -224,8 +221,3 @@ def evaluate_profile(profile: chmod.ChannelProfile, bounds: BoundTable) -> GridR
         cell=(k, i, j),
     )
 
-
-def evaluate_tradeoff(ch: chmod.KrausChannel, params: EntropyParams, channel_id: str = "") -> TradeoffReport:
-    """Profile a channel, as a stack of one, and evaluate one grid cell."""
-    bounds = bound_table(ch.dim, (params.q,), (params.s,))
-    return evaluate_profile(chmod.profile_channel(chmod.stack_kraus([ch]), (channel_id,)), bounds).report(0, 0, 0)

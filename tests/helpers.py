@@ -6,7 +6,8 @@ import numpy as np
 import oracles
 
 from chanent import channel as chmod
-from chanent import sampler
+from chanent import sampler, tradeoff
+from chanent.errors import DimensionMismatchError
 
 
 def complex_gaussian(rng, shape):
@@ -28,10 +29,10 @@ def random_unitary(rng, d):
 
 
 def population(*args, **kwargs):
-    """``sampler.population`` one channel at a time: ``(family, dim, channel_id, channel)``."""
+    """``sampler.population`` one channel at a time: ``(family, dim, channel_id, ops)``."""
     for family, d, ids, ops in sampler.population(*args, **kwargs):
         for channel_id, row in zip(ids, ops):
-            yield family, d, channel_id, chmod.KrausChannel(d, tuple(row))
+            yield family, d, channel_id, row
 
 
 def noisy_depolarizing():
@@ -40,13 +41,35 @@ def noisy_depolarizing():
     Trace preserving and unital only up to 9.0e-9, inside ``TP_TOL``: its
     ``D`` has trace ``3 (1 + 9e-9)``, not 3.
     """
-    ch = sampler.named_channel("depolarizing", 3, 0.3)
-    return chmod.KrausChannel(3, tuple(a * (1.0 + 4.5e-9) for a in ch.kraus_ops))
+    ops = sampler.named_channel("depolarizing", 3, 0.3) * (1.0 + 4.5e-9)
+    return chmod.check_kraus_stack(ops[None])[0]
+
+
+def stack_channels(channels):
+    """The ``(n, k, d, d)`` Kraus array of same-dimension channels, each ``(k_i, d, d)``.
+
+    A channel with fewer Kraus operators than the most of any is padded with
+    zero operators, which add nothing to ``D`` or ``K``.
+    """
+    chs = [np.asarray(ch) for ch in channels]
+    dims = sorted({ch.shape[-1] for ch in chs})
+    if len(dims) != 1:
+        raise DimensionMismatchError(f"a channel stack needs one dimension, got {dims}")
+    ops = np.zeros((len(chs), max(len(ch) for ch in chs), dims[0], dims[0]), dtype=complex)
+    for row, ch in zip(ops, chs):
+        row[: len(ch)] = ch
+    return ops
 
 
 def profile(*channels):
     """The :class:`~chanent.channel.ChannelProfile` of a stack of same-dimension channels."""
-    return chmod.profile_channel(chmod.stack_kraus(channels))
+    return chmod.profile_channel(stack_channels(channels))
+
+
+def evaluate_cell(ch, params, channel_id=""):
+    """Profile one channel, as a stack of one, and evaluate the one grid cell at ``params``."""
+    bounds = tradeoff.bound_table(ch.shape[-1], (params.q,), (params.s,))
+    return tradeoff.evaluate_profile(chmod.profile_channel(ch[None], (channel_id,)), bounds).report(0, 0, 0)
 
 
 def unital_defects(prof):

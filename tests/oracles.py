@@ -53,11 +53,11 @@ def dynamical_via_entangled_input(ch):
     ``(A_i (x) I)|phi+>``; summing those outer products is the same map
     applied to ``|phi+><phi+|`` without the ``d**2 x d**2`` conjugations.
     """
-    d = ch.dim
+    d = ch.shape[-1]
     phi = maximally_entangled_state(d)
     ident = np.eye(d, dtype=complex)
     out = np.zeros((d * d, d * d), dtype=complex)
-    for a in ch.kraus_ops:
+    for a in ch:
         psi = np.kron(a, ident) @ phi
         out += np.outer(psi, psi.conj())
     return d * out
@@ -65,9 +65,9 @@ def dynamical_via_entangled_input(ch):
 
 def superoperator_via_kron(ch):
     """``K = sum_i A_i (x) conj(A_i)``, one Kronecker product per Kraus operator."""
-    d = ch.dim
+    d = ch.shape[-1]
     out = np.zeros((d * d, d * d), dtype=complex)
-    for a in ch.kraus_ops:
+    for a in ch:
         out += np.kron(a, a.conj())
     return out
 
@@ -75,10 +75,10 @@ def superoperator_via_kron(ch):
 def apply_channel(ch, x):
     """Apply the channel: ``sum_i A_i X A_i^dag``."""
     m = matcore.as_matrix(x)
-    if m.shape != (ch.dim, ch.dim):
-        raise DimensionMismatchError(f"input has shape {m.shape}, expected {(ch.dim, ch.dim)}")
+    if m.shape != ch.shape[1:]:
+        raise DimensionMismatchError(f"input has shape {m.shape}, expected {ch.shape[1:]}")
     out = np.zeros_like(m)
-    for a in ch.kraus_ops:
+    for a in ch:
         out += a @ m @ a.conj().T
     return out
 
@@ -120,14 +120,14 @@ def superoperator_singular_values(sup):
 
 def unital_defect_via_kraus(ch):
     """Max-entry deviation of ``sum_i A_i A_i^dag`` from the identity, one product per Kraus operator."""
-    total = sum(a @ a.conj().T for a in ch.kraus_ops)
-    return float(np.abs(total - np.eye(ch.dim)).max())
+    total = sum(a @ a.conj().T for a in ch)
+    return float(np.abs(total - np.eye(ch.shape[-1])).max())
 
 
 def tp_defect(ch):
     """Max-entry deviation of ``sum_i A_i^dag A_i`` from the identity, one product per Kraus operator."""
-    total = sum(a.conj().T @ a for a in ch.kraus_ops)
-    return float(np.abs(total - np.eye(ch.dim)).max())
+    total = sum(a.conj().T @ a for a in ch)
+    return float(np.abs(total - np.eye(ch.shape[-1])).max())
 
 
 def check_dynamical_invariants(dyn):
@@ -380,7 +380,7 @@ def check_two_inf_one(x):
 
 def check_superop_norm_bound(ch):
     """The bound with ``channel(I/d)`` from the Kraus operators and ``K`` built anew."""
-    d = ch.dim
+    d = ch.shape[-1]
     k_inf = schatten(chmod.reshuffle(chmod.dynamical_from_kraus(ch), d), math.inf)
     out = apply_channel(ch, np.eye(d, dtype=complex) / d)
     bound = math.sqrt(d) * math.sqrt(schatten(out, math.inf))
@@ -408,15 +408,16 @@ def check_superadditivity(x, y, q):
 
 
 def check_norm_product_chain(ch):
+    d = ch.shape[-1]
     dyn = chmod.dynamical_from_kraus(ch)
-    sup = chmod.reshuffle(dyn, ch.dim)
+    sup = chmod.reshuffle(dyn, d)
     ratio = (
         schatten(dyn, 1.0)
         / schatten(dyn, 2.0)
         * schatten(sup, 1.0)
         / schatten(sup, 2.0)
     )
-    bound = float(ch.dim) if unital_defect_via_kraus(ch) <= TP_TOL else math.sqrt(ch.dim)
+    bound = float(d) if unital_defect_via_kraus(ch) <= TP_TOL else math.sqrt(d)
     return _report(ratio, bound, ">=", ratio >= bound - 1e-9)
 
 
@@ -442,74 +443,67 @@ def haar_unitary(dim, rng):
     return q * (diag / np.abs(diag))
 
 
-def sample_cptp(cfg):
+def sample_cptp(d, k, seed):
     """Normalized Ginibre Kraus set, resampled from sibling streams while singular."""
-    d, k = cfg.dim, cfg.kraus_count
     for attempt in range(sampler.RESAMPLE_ATTEMPTS):
-        root = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(attempt,))
+        root = np.random.SeedSequence(entropy=seed, spawn_key=(attempt,))
         gs = [ginibre(d, np.random.default_rng(s)) for s in root.spawn(k)]
         normalizer = sum(g.conj().T @ g for g in gs)
         vals, vecs = np.linalg.eigh(normalizer)
         if vals[0] <= 0.0 or vals[-1] / vals[0] > sampler.COND_LIMIT:
             continue
         inv_sqrt = (vecs / np.sqrt(vals)) @ vecs.conj().T
-        return chmod.KrausChannel(d, tuple(g @ inv_sqrt for g in gs))
+        return np.array([g @ inv_sqrt for g in gs])
     raise SingularNormalizerError(
-        f"normalizer stayed ill-conditioned after {sampler.RESAMPLE_ATTEMPTS} attempts (seed {cfg.seed})"
+        f"normalizer stayed ill-conditioned after {sampler.RESAMPLE_ATTEMPTS} attempts (seed {seed})"
     )
 
 
-def sample_unitary_mixture(cfg):
+def sample_unitary_mixture(d, k, seed):
     """Haar unitaries weighted by a flat Dirichlet draw from stream ``k``."""
-    d, k = cfg.dim, cfg.kraus_count
-    streams = np.random.SeedSequence(cfg.seed).spawn(k + 1)
+    streams = np.random.SeedSequence(seed).spawn(k + 1)
     unitaries = [haar_unitary(d, np.random.default_rng(s)) for s in streams[:k]]
     weights = np.random.default_rng(streams[k]).dirichlet(np.ones(k))
-    return chmod.KrausChannel(d, tuple(math.sqrt(p) * u for p, u in zip(weights, unitaries)))
+    return np.array([math.sqrt(p) * u for p, u in zip(weights, unitaries)])
 
 
 def unistochastic_from_unitary(u, d):
     """Environment contractions ``(I (x) <e|) u (I (x) |f>) / sqrt(d)``, one at a time."""
     t = np.asarray(u, dtype=complex).reshape(d, d, d, d)
-    ops = tuple(t[:, e, :, f] / math.sqrt(d) for e in range(d) for f in range(d))
-    return chmod.KrausChannel(d, ops)
+    return np.array([t[:, e, :, f] / math.sqrt(d) for e in range(d) for f in range(d)])
 
 
-def sample_unistochastic(cfg):
+def sample_unistochastic(d, seed):
     """Unistochastic channel of a Haar unitary on the composite."""
-    stream = np.random.SeedSequence(cfg.seed).spawn(1)[0]
-    u = haar_unitary(cfg.dim * cfg.dim, np.random.default_rng(stream))
-    return unistochastic_from_unitary(u, cfg.dim)
+    stream = np.random.SeedSequence(seed).spawn(1)[0]
+    u = haar_unitary(d * d, np.random.default_rng(stream))
+    return unistochastic_from_unitary(u, d)
 
 
-def sample_channel(cfg):
-    """Dispatch a config to its one-sample sampler."""
-    if cfg.family == "cptp":
-        return sample_cptp(cfg)
-    if cfg.family == "unitary-mixture":
-        return sample_unitary_mixture(cfg)
-    if cfg.family == "unistochastic":
-        return sample_unistochastic(cfg)
-    if cfg.family.startswith("named:"):
-        parts = cfg.family.split(":")
+def sample_channel(family, d, seed):
+    """One channel of ``family`` at dimension ``d``, with the default Kraus count, as its Kraus array."""
+    k = sampler.default_kraus_count(family, d)
+    if family == "cptp":
+        return sample_cptp(d, k, seed)
+    if family == "unitary-mixture":
+        return sample_unitary_mixture(d, k, seed)
+    if family == "unistochastic":
+        return sample_unistochastic(d, seed)
+    if family.startswith("named:"):
+        parts = family.split(":")
         param = float(parts[2]) if len(parts) > 2 else None
-        return sampler.named_channel(parts[1], cfg.dim, param)
-    raise UnknownChannelError(f"unknown sampler family {cfg.family!r}")
+        return sampler.named_channel(parts[1], d, param)
+    raise UnknownChannelError(f"unknown sampler family {family!r}")
 
 
 def population(seed, dims, families, count, stream=0):
-    """``(family, dim, channel_id, channel)`` one sample at a time, in population order."""
+    """``(family, dim, channel_id, ops)`` one sample at a time, in population order."""
     for d in dims:
         for family in families:
             code = stream + sampler.FAMILY_CODES.get(family, 99)
             for index in range(count):
-                cfg = sampler.SamplerConfig(
-                    dim=d,
-                    kraus_count=sampler.default_kraus_count(family, d),
-                    seed=derive_seed(seed, code, d, index),
-                    family=family,
-                )
-                yield family, d, f"{family}-d{d}-{index:04d}", sample_channel(cfg)
+                ops = sample_channel(family, d, derive_seed(seed, code, d, index))
+                yield family, d, f"{family}-d{d}-{index:04d}", ops
 
 
 def ginibre_population(seed, dims, count, stream):

@@ -46,7 +46,7 @@ def _profiled(pop):
     stacks = []
     for (fam, d), group in itertools.groupby(pop, key=lambda entry: entry[:2]):
         ids, chs = zip(*[(cid, ch) for _, _, cid, ch in group])
-        stacks.append((fam, d, ids, chs, chmod.profile_channel(chmod.stack_kraus(chs), ids)))
+        stacks.append((fam, d, ids, chs, chmod.profile_channel(np.stack(chs), ids)))
     return stacks
 
 
@@ -125,7 +125,7 @@ def test_criterion_3_saturation(capsys):
         bounds = tradeoff.bound_table(d, (0.5, 1.5, 2.0), (0.0,))
         assert np.abs(bounds.unital - 2 * math.log(d)).max() <= 1e-15
         for name in ("identity", "completely-depolarizing"):
-            profile = chmod.profile_channel(chmod.stack_kraus([sampler.named_channel(name, d)]), [name])
+            profile = chmod.profile_channel(sampler.named_channel(name, d)[None], [name])
             assert profile.unital[0]  # so the gap is measured against 2 ln d
             grid = tradeoff.evaluate_profile(profile, bounds)
             worst = max(worst, float(np.abs(grid.gap).max()))
@@ -177,7 +177,7 @@ def test_criterion_5_norm_chain_suite(capsys):
     min_slack = math.inf
     min_unital_ratio = math.inf
     for _, d, ids, chs, profile in population:
-        dyn = chmod.dynamical_from_kraus(chmod.stack_kraus(chs))
+        dyn = chmod.dynamical_from_kraus(np.stack(chs))
         for m in (dyn, chmod.reshuffle(dyn, d)):
             batch = spectra.check_two_inf_one(m)
             assert batch.first_failure() is None, ids[batch.first_failure()[0]]
@@ -213,7 +213,7 @@ def test_criterion_6_oracle_equivalences(capsys):
             k_err = np.abs(sup - oracles.superoperator_via_kron(ch)).max()
             worst["D"] = max(worst["D"], float(d_err))
             worst["K"] = max(worst["K"], float(k_err))
-            routes.append((fam, d, len(ch.kraus_ops)))
+            routes.append((fam, d, len(ch)))
     assert ("cptp", 16, 256) in routes
 
     worst_spec = 0.0
@@ -224,7 +224,7 @@ def test_criterion_6_oracle_equivalences(capsys):
         dyn = chmod.dynamical_from_kraus(ch)
         sup = chmod.reshuffle(dyn, d)
         pairs = (
-            (chmod.dynamical_spectrum(dyn, ch.kraus_ops), oracles.dynamical_eigenvalues(dyn)),
+            (chmod.dynamical_spectrum(dyn, ch), oracles.dynamical_eigenvalues(dyn)),
             (chmod.superoperator_spectrum(sup, d), oracles.superoperator_singular_values(sup)),
         )
         for spec, reference in pairs:

@@ -9,6 +9,7 @@ from helpers import (
     random_density,
     random_unitary,
     save_channel,
+    stack_channels,
     unital_defects,
 )
 from hypothesis import given, settings
@@ -31,9 +32,13 @@ def depolarizing_channel(d=2):
 
 
 class TestKrausChannel:
+    """One channel's ``(k, d, d)`` Kraus array, validated by ``check_kraus_stack`` as a stack of one."""
+
     def test_rejects_non_trace_preserving(self):
         with pytest.raises(NotTracePreservingError):
-            chmod.KrausChannel(2, (np.eye(2) / 2,))
+            chmod.check_kraus_stack(np.eye(2)[None, None] / 2)
+        with pytest.raises(NotTracePreservingError):
+            chmod.channel_from_json({"dim": 2, "kraus": [matcore.matrix_to_json(np.eye(2) / 2)]})
 
     @pytest.mark.parametrize("entry, defect", [(np.nan, "nan"), (1e155, "inf")])
     def test_rejects_non_finite_defects(self, entry, defect):
@@ -41,34 +46,34 @@ class TestKrausChannel:
         # entries whose products overflow give an inf defect, and no warning
         ops = np.full((1, 1, 2, 2), entry, dtype=complex)
         with pytest.raises(NotTracePreservingError, match=f"defect {defect}"):
-            chmod.KrausChannel(2, tuple(ops[0]))
-        with pytest.raises(NotTracePreservingError, match=f"defect {defect}"):
             chmod.check_kraus_stack(ops)
 
     def test_rejects_bad_dimensions(self):
         with pytest.raises(DimensionMismatchError):
-            chmod.KrausChannel(1, (np.eye(1),))
+            chmod.check_kraus_stack(np.eye(1)[None, None])
         with pytest.raises(DimensionMismatchError):
-            chmod.KrausChannel(17, (np.eye(17),))
+            sampler.named_channel("identity", 17)
         with pytest.raises(DimensionMismatchError):
-            chmod.KrausChannel(2, (np.eye(3),))
+            chmod.channel_from_json({"dim": 2, "kraus": [matcore.matrix_to_json(np.eye(3))]})
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
-            chmod.KrausChannel(2, ())
+            chmod.check_kraus_stack(np.ones((1, 0, 2, 2)))
+        with pytest.raises(ValueError):
+            chmod.channel_from_json({"dim": 2, "kraus": []})
 
 
 class TestKrausStack:
-    """Kraus arrays of channel stacks: built from channels, validated as construction validates."""
+    """Kraus arrays of channel stacks, validated with one check for the whole stack."""
 
     def test_rows_are_the_channels(self):
         chs = [ch for *_, ch in oracles.population(951, (3,), ("cptp",), 4)]
-        ops = chmod.stack_kraus(chs)
+        ops = stack_channels(chs)
         assert ops.shape == (4, 9, 3, 3)
         assert chmod.check_kraus_stack(ops) is ops
         for row, ch in zip(ops, chs):
-            assert all(np.array_equal(a, b) for a, b in zip(row, ch.kraus_ops))
-            assert oracles.tp_defect(chmod.KrausChannel(3, tuple(row))) == oracles.tp_defect(ch)
+            np.testing.assert_array_equal(row, ch)
+            assert oracles.tp_defect(row) == oracles.tp_defect(ch)
 
     def test_every_channel_is_checked(self):
         ops = np.stack([np.eye(2)[None] for _ in range(5)]).astype(complex)
@@ -76,7 +81,7 @@ class TestKrausStack:
         with pytest.raises(NotTracePreservingError) as got:
             chmod.check_kraus_stack(ops)
         with pytest.raises(NotTracePreservingError) as want:
-            chmod.KrausChannel(2, tuple(ops[3]))
+            chmod.check_kraus_stack(ops[3:4])
         assert str(got.value) == str(want.value)
 
     def test_rejects_bad_shapes(self):
@@ -88,8 +93,6 @@ class TestKrausStack:
             chmod.check_kraus_stack(np.ones((2, 1, 1, 1)))
         with pytest.raises(ValueError):
             chmod.check_kraus_stack(np.ones((2, 0, 2, 2)))
-        with pytest.raises(ValueError):
-            chmod.stack_kraus([])
 
 
 class TestMaximallyEntangledState:
@@ -108,7 +111,7 @@ class TestDynamicalMatrix:
         ch = identity_channel()
         dyn = chmod.dynamical_from_kraus(ch)
         # D = sum_{mu,nu} |mu mu><nu nu|: rank one with eigenvalue d
-        spec = chmod.dynamical_spectrum(dyn, ch.kraus_ops)
+        spec = chmod.dynamical_spectrum(dyn, ch)
         np.testing.assert_allclose(spec, [2.0, 0.0, 0.0, 0.0], atol=1e-12)
         v = np.eye(2, dtype=complex).reshape(-1)
         np.testing.assert_allclose(dyn, np.outer(v, v.conj()), atol=1e-15)
@@ -117,12 +120,12 @@ class TestDynamicalMatrix:
         ch = depolarizing_channel()
         dyn = chmod.dynamical_from_kraus(ch)
         np.testing.assert_allclose(dyn, np.eye(4) / 2, atol=1e-15)
-        np.testing.assert_allclose(chmod.dynamical_spectrum(dyn, ch.kraus_ops), [0.5] * 4)
+        np.testing.assert_allclose(chmod.dynamical_spectrum(dyn, ch), [0.5] * 4)
 
     def test_unitary_channel_rank_one(self):
         rng = np.random.default_rng(23)
         u = random_unitary(rng, 3)
-        dyn = chmod.dynamical_from_kraus(chmod.KrausChannel(3, (u,)))
+        dyn = chmod.dynamical_from_kraus(u[None])
         spec = chmod.dynamical_spectrum(dyn, [u])
         np.testing.assert_allclose(spec[0], 3.0, atol=1e-12)
         np.testing.assert_allclose(spec[1:], 0.0, atol=1e-12)
@@ -153,16 +156,16 @@ class TestSuperoperatorMatrix:
     def test_unitary_channel(self):
         rng = np.random.default_rng(29)
         u = random_unitary(rng, 3)
-        sup = chmod.reshuffle(chmod.dynamical_from_kraus(chmod.KrausChannel(3, (u,))), 3)
+        sup = chmod.reshuffle(chmod.dynamical_from_kraus(u[None]), 3)
         np.testing.assert_allclose(sup, np.kron(u, u.conj()), atol=1e-15)
         np.testing.assert_allclose(chmod.superoperator_spectrum(sup, 3), np.ones(9), atol=1e-12)
 
     def test_action_on_vectorized_operators(self):
         rng = np.random.default_rng(31)
-        for _, _, _, ch in population(903, (2, 3), ("cptp",), 2):
-            sup = chmod.reshuffle(chmod.dynamical_from_kraus(ch), ch.dim)
+        for _, d, _, ch in population(903, (2, 3), ("cptp",), 2):
+            sup = chmod.reshuffle(chmod.dynamical_from_kraus(ch), d)
             for _ in range(100):
-                x = rng.normal(size=(ch.dim, ch.dim)) + 1j * rng.normal(size=(ch.dim, ch.dim))
+                x = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
                 lhs = oracles.vec(oracles.apply_channel(ch, x))
                 rhs = sup @ oracles.vec(x)
                 assert np.abs(lhs - rhs).max() <= 1e-10
@@ -189,10 +192,10 @@ class TestReshuffle:
 
     def test_connects_the_representations(self):
         # the paper's identity K = reshuffle(D), between the two oracle routes
-        for _, _, _, ch in population(904, (2, 3), ("cptp", "unistochastic"), 3):
+        for _, d, _, ch in population(904, (2, 3), ("cptp", "unistochastic"), 3):
             dyn = oracles.dynamical_via_entangled_input(ch)
             sup = oracles.superoperator_via_kron(ch)
-            assert np.abs(chmod.reshuffle(dyn, ch.dim) - sup).max() <= 1e-12
+            assert np.abs(chmod.reshuffle(dyn, d) - sup).max() <= 1e-12
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
@@ -239,8 +242,7 @@ class TestIsUnital:
 
     def test_unitary_is_unital(self):
         rng = np.random.default_rng(59)
-        ch = chmod.KrausChannel(2, (random_unitary(rng, 2),))
-        assert profile(ch).unital[0]
+        assert profile(random_unitary(rng, 2)[None]).unital[0]
 
     def test_completely_depolarizing_is_unital(self):
         assert profile(depolarizing_channel()).unital[0]
@@ -287,7 +289,7 @@ class TestKrausGram:
         for _, d, _, ch in pop:
             # the library takes k < d**2 spectra from the Kraus Gram matrix
             dyn = chmod.dynamical_from_kraus(ch)
-            gram = chmod.dynamical_spectrum(dyn, ch.kraus_ops)
+            gram = chmod.dynamical_spectrum(dyn, ch)
             np.testing.assert_allclose(gram, oracles.dynamical_eigenvalues(dyn), atol=1e-9)
 
 
@@ -300,10 +302,9 @@ def _assert_spectra_close(got, want):
 
 
 def _spectra(ops, d):
-    """Both library spectra of a channel or a Kraus array: ``eig(D)``, given the Kraus operators, and ``svd(K)``."""
+    """Both library spectra of a Kraus array: ``eig(D)``, given the Kraus operators, and ``svd(K)``."""
     dyn = chmod.dynamical_from_kraus(ops)
-    kraus = ops.kraus_ops if isinstance(ops, chmod.KrausChannel) else ops
-    return chmod.dynamical_spectrum(dyn, kraus), chmod.superoperator_spectrum(chmod.reshuffle(dyn, d), d)
+    return chmod.dynamical_spectrum(dyn, ops), chmod.superoperator_spectrum(chmod.reshuffle(dyn, d), d)
 
 
 def _assert_routes_match_oracles(ops, d):
@@ -321,7 +322,7 @@ class TestSpectrumRoutes:
     @pytest.mark.parametrize("d", ROUTE_DIMS)
     def test_families(self, d, family):
         chs = [ch for *_, ch in population(971, (d,), (family,), 3)]
-        ops = chmod.stack_kraus(chs)
+        ops = stack_channels(chs)
         # unitary mixtures (k = d) take the Gram route, the other families (k = d**2) eigvalsh(D)
         assert (ops.shape[1] < d * d) == (family == "unitary-mixture")
         _assert_routes_match_oracles(ops, d)
@@ -348,14 +349,13 @@ class TestSpectrumRoutes:
         _assert_routes_match_oracles(sampler.named_channel(name, d, param), d)
 
     def test_tp_noisy_channel(self):
-        ch = noisy_depolarizing()
-        _assert_routes_match_oracles(ch, ch.dim)
+        _assert_routes_match_oracles(noisy_depolarizing(), 3)
 
     def test_padded_mixed_kraus_stack(self):
         # k = 1, 4 and 3 at d = 3: the stack is padded to k = 4 < d**2 zero operators
         (*_, mixture), = population(973, (3,), ("unitary-mixture",), 1)
         chs = [sampler.named_channel("identity", 3), sampler.named_channel("dephasing", 3, 0.4), mixture]
-        ops = chmod.stack_kraus(chs)
+        ops = stack_channels(chs)
         assert ops.shape == (3, 4, 3, 3)
         _assert_routes_match_oracles(ops, 3)
         stacked = _spectra(ops, 3)[0]
@@ -396,7 +396,7 @@ class TestOracleRoutes:
     @given(seed=st.integers(min_value=0, max_value=2**63 - 1))
     def test_d_and_k_match_oracles(self, d, family, seed):
         (_, _, _, ch), = population(seed, (d,), (family,), 1)
-        assert len(ch.kraus_ops) == sampler.default_kraus_count(family, d)
+        assert len(ch) == sampler.default_kraus_count(family, d)
         dyn = chmod.dynamical_from_kraus(ch)
         sup = chmod.reshuffle(dyn, d)
         assert np.abs(dyn - oracles.dynamical_via_entangled_input(ch)).max() <= 1e-12
@@ -409,9 +409,8 @@ class TestChannelJson:
         path = tmp_path / "ch.json"
         save_channel(ch, path)
         loaded = chmod.load_channel(path)
-        assert loaded.dim == 2 and len(loaded.kraus_ops) == 2
-        for a, b in zip(ch.kraus_ops, loaded.kraus_ops):
-            np.testing.assert_array_equal(a, b)
+        assert loaded.shape == (2, 2, 2)
+        np.testing.assert_array_equal(loaded, ch)
 
     def test_rejects_non_tp_file(self):
         obj = {"dim": 2, "kraus": [matcore.matrix_to_json(np.eye(2) * 0.5)]}

@@ -616,16 +616,13 @@ class TestOneProfilePerStack:
 class TestKrausArrays:
     """Channel stacks stay the Kraus arrays the sampler draws, and seeds are derived once per population."""
 
-    def test_suite_makes_no_channel_objects_and_derives_seeds_once(self, tmp_path, monkeypatch):
-        made, prefixes, passes = [], [], []
-        check = chmod.KrausChannel.__post_init__  # construction validates each channel
-        monkeypatch.setattr(chmod.KrausChannel, "__post_init__", lambda ch: made.append(ch) or check(ch))
+    def test_suite_derives_seeds_once(self, tmp_path, monkeypatch):
+        prefixes, passes = [], []
         derive, states = sampler._derive_seeds, sampler._seed_states
         monkeypatch.setattr(sampler, "_derive_seeds", lambda p, i: prefixes.append(list(p)) or derive(p, i))
         monkeypatch.setattr(sampler, "_seed_states", lambda e, n: passes.append(n) or states(e, n))
         args = ["inequalities", "--dims", "2,3", "--samples", "150", "--out", str(tmp_path / "x")]
         assert cli.main(args) == 0
-        assert made == []
         # one derivation per population call, of all its (dim, family) seeds in one pass
         seed = cli.DEFAULT_SEED
         channels = [(seed, 100 + code, d) for d in (2, 3) for code in sampler.FAMILY_CODES.values()]
@@ -688,7 +685,7 @@ class TestInequalityFailures:
         assert code == 1
         assert summary["failure"] == {"check": named, "input": f"cptp-d2-{index:04d}", "kind": "inequality-failed"}
         assert files == [f"cptp-d2-{index:04d}.json"]
-        assert chmod.channel_from_json(json.loads((ce / files[0]).read_text())).dim == 2
+        assert chmod.channel_from_json(json.loads((ce / files[0]).read_text())).shape[-1] == 2
 
     def test_passing_run_builds_no_payloads(self, tmp_path, monkeypatch):
         calls = []

@@ -36,8 +36,9 @@ def receiver_entropy(ch, params):
 def _channel_spectra(ch):
     """``eig(D)``, from the Kraus Gram matrix when ``k < d**2``, and ``svd(K)`` of a channel."""
     dyn = chmod.dynamical_from_kraus(ch)
-    sup = chmod.reshuffle(dyn, ch.dim)
-    return chmod.dynamical_spectrum(dyn, ch.kraus_ops), chmod.superoperator_spectrum(sup, ch.dim)
+    d = ch.shape[-1]
+    sup = chmod.reshuffle(dyn, d)
+    return chmod.dynamical_spectrum(dyn, ch), chmod.superoperator_spectrum(sup, d)
 
 
 class TestEntropyParams:
@@ -138,7 +139,7 @@ class TestReceiverEntropy:
     def test_unitary_channel_is_maximal(self):
         rng = np.random.default_rng(101)
         u = oracles.haar_unitary(3, rng)
-        got = receiver_entropy(chmod.KrausChannel(3, (u,)), ent.EntropyParams(0.5, 0.0))
+        got = receiver_entropy(u[None], ent.EntropyParams(0.5, 0.0))
         assert got == pytest.approx(2 * math.log(3), abs=1e-10)
 
 

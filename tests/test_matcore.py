@@ -6,6 +6,7 @@ from helpers import complex_gaussian
 from chanent import matcore
 from chanent.errors import (
     DimensionMismatchError,
+    InvalidSpectrumError,
     NonSquareError,
     NotHermitianError,
     NotPositiveError,
@@ -47,10 +48,9 @@ class TestHermitianEigenvalues:
             matcore.hermitian_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
     def test_nan_rejected(self):
-        # a NaN deviation is no evidence of Hermiticity; in a stack the error
-        # names the NaN matrix, not the first one
+        # a NaN entry leaves no spectrum, in any matrix of a stack
         x = np.stack([np.eye(2), np.array([[1.0, np.nan], [np.nan, 1.0]])])
-        with pytest.raises(NotHermitianError, match="deviation nan"):
+        with pytest.raises(InvalidSpectrumError, match="must be finite"):
             matcore.hermitian_eigenvalues(x)
 
 
@@ -159,6 +159,17 @@ class TestClampSpectrum:
         rows = np.array([[2.0, 1.0], [1.0, np.nan]])
         with pytest.raises(NotPositiveError, match="eigenvalue nan"):
             matcore.clamp_spectrum(rows, neg_tol=1e-9)
+
+
+@pytest.mark.parametrize("fn", [matcore.hermitian_eigenvalues, matcore.singular_values])
+@pytest.mark.parametrize("x", [
+    np.diag([np.inf, 1.0]),  # eigvalsh's symmetrization meets inf - inf, svd returns NaN
+    np.array([[1.0, np.nan], [np.nan, 1.0]]),  # svd does not converge
+], ids=["inf-diagonal", "nan-off-diagonal"])
+def test_non_finite_entries_have_no_spectrum(fn, x):
+    # a typed error, before numpy can warn (the suite runs with warnings as errors)
+    with pytest.raises(InvalidSpectrumError, match="matrix entries must be finite"):
+        fn(x)
 
 
 class TestMatrixJson:

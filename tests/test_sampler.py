@@ -20,65 +20,51 @@ def derive_seed(*address):
 class TestSampleCptp:
     def test_trace_preservation_at_rounding_level(self):
         for d in (2, 3, 4):
-            cfg = sampler.SamplerConfig(d, d * d, derive_seed(1, 0, d, 0), "cptp")
-            ch = sampler.sample_channel(cfg)
+            ch = sampler._sample_stack("cptp", d, [derive_seed(1, 0, d, 0)])[0]
             assert oracles.tp_defect(ch) <= 1e-12
 
     def test_single_kraus_is_unitary(self):
-        cfg = sampler.SamplerConfig(3, 1, 77, "cptp")
-        ch = sampler.sample_channel(cfg)
-        a = ch.kraus_ops[0]
+        ch = sampler._cptp_ops([77], 3, 1)[0]
+        a = ch[0]
         assert np.abs(a.conj().T @ a - np.eye(3)).max() <= 1e-12
-        spec = chmod.dynamical_spectrum(chmod.dynamical_from_kraus(ch), ch.kraus_ops)
+        spec = chmod.dynamical_spectrum(chmod.dynamical_from_kraus(ch), ch)
         assert np.count_nonzero(spec) == 1
 
     def test_deterministic(self):
-        cfg = sampler.SamplerConfig(3, 4, 12345, "cptp")
-        a = sampler.sample_channel(cfg)
-        b = sampler.sample_channel(cfg)
-        for x, y in zip(a.kraus_ops, b.kraus_ops):
-            np.testing.assert_array_equal(x, y)
+        np.testing.assert_array_equal(sampler._cptp_ops([12345], 3, 4), sampler._cptp_ops([12345], 3, 4))
 
     def test_distinct_seeds_differ(self):
-        a = sampler.sample_channel(sampler.SamplerConfig(2, 4, derive_seed(9, 0, 2, 0), "cptp"))
-        b = sampler.sample_channel(sampler.SamplerConfig(2, 4, derive_seed(9, 0, 2, 1), "cptp"))
-        assert np.abs(a.kraus_ops[0] - b.kraus_ops[0]).max() > 1e-3
+        a = sampler._sample_stack("cptp", 2, [derive_seed(9, 0, 2, 0)])[0]
+        b = sampler._sample_stack("cptp", 2, [derive_seed(9, 0, 2, 1)])[0]
+        assert np.abs(a[0] - b[0]).max() > 1e-3
 
     def test_generic_samples_are_not_unital(self):
-        fails = 0
-        for i in range(100):
-            cfg = sampler.SamplerConfig(2, 4, derive_seed(2, 0, 2, i), "cptp")
-            fails += int(not profile(sampler.sample_channel(cfg)).unital[0])
-        assert fails >= 95
+        ops = sampler._sample_stack("cptp", 2, [derive_seed(2, 0, 2, i) for i in range(100)])
+        assert np.count_nonzero(~chmod.profile_channel(ops).unital) >= 95
 
 
 class TestSampleUnitaryMixture:
     def test_unital_and_tp(self):
         for k in (1, 3, 6):
-            cfg = sampler.SamplerConfig(3, k, derive_seed(3, 1, 3, k), "unitary-mixture")
-            ch = sampler.sample_channel(cfg)
+            ch = sampler._unitary_mixture_ops([derive_seed(3, 1, 3, k)], 3, k)[0]
             assert unital_defects(profile(ch))[0] <= 1e-10
             assert oracles.tp_defect(ch) <= 1e-10
 
     def test_single_unitary_has_zero_map_entropy(self):
-        cfg = sampler.SamplerConfig(2, 1, 55, "unitary-mixture")
-        ch = sampler.sample_channel(cfg)
+        ch = sampler._unitary_mixture_ops([55], 2, 1)[0]
         assert abs(entropy_grid(profile(ch).choi_spectrum, (2.0,), (1.0,))).max() <= 1e-12
 
     def test_deterministic(self):
-        cfg = sampler.SamplerConfig(2, 3, 999, "unitary-mixture")
-        a = sampler.sample_channel(cfg)
-        b = sampler.sample_channel(cfg)
-        for x, y in zip(a.kraus_ops, b.kraus_ops):
-            np.testing.assert_array_equal(x, y)
+        np.testing.assert_array_equal(
+            sampler._unitary_mixture_ops([999], 2, 3), sampler._unitary_mixture_ops([999], 2, 3)
+        )
 
 
 class TestSampleUnistochastic:
     def test_tp_and_unital(self):
         for d in (2, 3):
-            cfg = sampler.SamplerConfig(d, 1, derive_seed(4, 2, d, 0), "unistochastic")
-            ch = sampler.sample_channel(cfg)
-            assert len(ch.kraus_ops) == d * d
+            ch = sampler._sample_stack("unistochastic", d, [derive_seed(4, 2, d, 0)])[0]
+            assert len(ch) == d * d
             assert oracles.tp_defect(ch) <= 1e-10
             assert unital_defects(profile(ch))[0] <= 1e-10
 
@@ -104,7 +90,7 @@ class TestSampleUnistochastic:
 class TestNamedChannels:
     def test_identity(self):
         ch = sampler.named_channel("identity", 3)
-        spec = chmod.dynamical_spectrum(chmod.dynamical_from_kraus(ch), ch.kraus_ops)
+        spec = chmod.dynamical_spectrum(chmod.dynamical_from_kraus(ch), ch)
         np.testing.assert_allclose(spec, [3.0] + [0.0] * 8, atol=1e-12)
         sup = chmod.reshuffle(chmod.dynamical_from_kraus(ch), 3)
         np.testing.assert_array_equal(sup, np.eye(9))
@@ -137,14 +123,14 @@ class TestNamedChannels:
         ch = sampler.named_channel("amplitude-damping", 2, g)
         assert not profile(ch).unital[0]
         # Gram matrix conj(V) V^T is diag(2 - g, g), so the Choi spectrum is {2-g, g, 0, 0}
-        v = np.reshape(ch.kraus_ops, (2, 4))  # rows vec(A_i)
+        v = ch.reshape(2, 4)  # rows vec(A_i)
         np.testing.assert_allclose(v.conj() @ v.T, np.diag([2 - g, g]), atol=1e-14)
-        spec = chmod.dynamical_spectrum(chmod.dynamical_from_kraus(ch), ch.kraus_ops)
+        spec = chmod.dynamical_spectrum(chmod.dynamical_from_kraus(ch), ch)
         np.testing.assert_allclose(spec, [2 - g, g, 0.0, 0.0], atol=1e-12)
 
     def test_unitary_rotation(self):
         ch = sampler.named_channel("unitary", 3, 0.7)
-        u = ch.kraus_ops[0]
+        u = ch[0]
         assert np.abs(u.conj().T @ u - np.eye(3)).max() <= 1e-14
         spec = chmod.superoperator_spectrum(chmod.reshuffle(chmod.dynamical_from_kraus(ch), 3), 3)
         np.testing.assert_allclose(spec, np.ones(9), atol=1e-12)
@@ -162,17 +148,12 @@ class TestNamedChannels:
 
 class TestDispatchAndSeeds:
     def test_named_family_dispatch(self):
-        cfg = sampler.SamplerConfig(2, 1, 0, "named:amplitude-damping:0.5")
-        ch = sampler.sample_channel(cfg)
-        assert len(ch.kraus_ops) == 2
+        ops = sampler._sample_stack("named:amplitude-damping:0.5", 2, [0])
+        assert ops.shape == (1, 2, 2, 2)
 
     def test_unknown_family(self):
         with pytest.raises(UnknownChannelError):
-            sampler.sample_channel(sampler.SamplerConfig(2, 1, 0, "bogus"))
-
-    def test_kraus_count_validated(self):
-        with pytest.raises(ParamOutOfRangeError):
-            sampler.SamplerConfig(2, 0, 0, "cptp")
+            sampler._sample_stack("bogus", 2, [0])
 
     def test_derive_seed_is_stable_and_injective_enough(self):
         a = derive_seed(42, 0, 2, 7)
@@ -192,8 +173,7 @@ class TestPopulation:
         ]
         ops = pop[1][3]
         assert ops.shape == (2, 9, 3, 3)
-        cfg = sampler.SamplerConfig(3, 9, derive_seed(5, 100 + 0, 3, 1), "cptp")
-        np.testing.assert_array_equal(ops[1], kraus(sampler.sample_channel(cfg)))
+        np.testing.assert_array_equal(ops[1], sampler._sample_stack("cptp", 3, [derive_seed(5, 100 + 0, 3, 1)])[0])
 
     def test_stacks_are_cut_by_size(self):
         pop = sampler.population(5, (2, 3), ("cptp",), 5, size=lambda d: 4 if d == 2 else 5)
@@ -219,17 +199,12 @@ FAMILIES = tuple(sampler.FAMILY_CODES)
 CUTS = (1, 7, 128)
 
 
-def kraus(ch):
-    """A channel's ``(k, d, d)`` Kraus array."""
-    return np.stack(ch.kraus_ops)
-
-
 def assert_same_channels(got, want):
     """Same ids and bit-identical Kraus arrays, channel by channel: ``got`` ends in
     a row of a Kraus stack, ``want`` in an oracle channel."""
     assert [g[:-1] for g in got] == [w[:-1] for w in want]
     for (*_, a), (*_, b) in zip(got, want):
-        assert a.shape == kraus(b).shape and np.array_equal(a, kraus(b))
+        assert a.shape == b.shape and np.array_equal(a, b)
 
 
 def stacked(seed, d, family, count, cut, stream=0):
@@ -294,9 +269,8 @@ class TestStreamContract:
     @pytest.mark.parametrize("family", FAMILIES)
     def test_one_sample_matches_oracle(self, family, seed):
         for d in (2, 3):
-            k = sampler.default_kraus_count(family, d)
-            cfg = sampler.SamplerConfig(d, k, seed, family)
-            assert_same_channels([(kraus(sampler.sample_channel(cfg)),)], [(oracles.sample_channel(cfg),)])
+            got = sampler._sample_stack(family, d, [seed])[0]
+            assert_same_channels([(got,)], [(oracles.sample_channel(family, d, seed),)])
 
     @pytest.mark.parametrize("d, count", [(2, 9), (3, 9), (4, 9), (8, 8), (16, 2)])
     @pytest.mark.parametrize("family", FAMILIES)
@@ -321,10 +295,9 @@ class TestStreamContract:
         # the weights are standard exponentials over their sequential sum, the
         # numbers the oracle's default_rng(stream k).dirichlet(np.ones(k)) gives
         seeds = [*range(200), *EDGE_SEEDS]
-        ops = sampler._sample_stack("unitary-mixture", d, k, seeds)
+        ops = sampler._unitary_mixture_ops(seeds, d, k)
         for seed, row in zip(seeds, ops):
-            want = oracles.sample_unitary_mixture(sampler.SamplerConfig(d, k, seed, "unitary-mixture"))
-            np.testing.assert_array_equal(row, kraus(want))
+            np.testing.assert_array_equal(row, oracles.sample_unitary_mixture(d, k, seed))
 
     @pytest.mark.parametrize("d", [2, 3, 4, 8, 16])
     def test_ginibre_stacks_match_oracle(self, d):
@@ -348,9 +321,8 @@ class TestStreamContract:
 
     def test_exhausted_resampling_raises_as_the_oracle(self, monkeypatch):
         monkeypatch.setattr(sampler, "COND_LIMIT", 1.0)
-        cfg = sampler.SamplerConfig(2, 4, oracles.derive_seed(31, 0, 2, 0), "cptp")
         with pytest.raises(SingularNormalizerError) as want:
-            oracles.sample_channel(cfg)
+            oracles.sample_channel("cptp", 2, oracles.derive_seed(31, 0, 2, 0))
         with pytest.raises(SingularNormalizerError) as got:
             stacked(31, 2, "cptp", 3, 7)
         assert str(got.value) == str(want.value)
@@ -358,7 +330,7 @@ class TestStreamContract:
     @pytest.mark.parametrize("call", [
         lambda: derive_seed(-1),
         lambda: derive_seed(3, 0, -2),
-        lambda: sampler.sample_channel(sampler.SamplerConfig(2, 4, -5, "cptp")),
+        lambda: sampler._sample_stack("cptp", 2, [-5]),
         lambda: next(sampler.population(-1, (2,), ("cptp",), 1)),
     ])
     def test_negative_entropy_raises_as_seed_sequence(self, call):

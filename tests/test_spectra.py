@@ -4,7 +4,15 @@ import mpmath
 import numpy as np
 import oracles
 import pytest
-from helpers import complex_gaussian, noisy_depolarizing, population, profile, random_psd, random_unitary
+from helpers import (
+    complex_gaussian,
+    noisy_depolarizing,
+    population,
+    profile,
+    random_psd,
+    random_unitary,
+    stack_channels,
+)
 
 from chanent import channel as chmod
 from chanent import cli, matcore, sampler, spectra
@@ -251,8 +259,7 @@ class TestCheckSuperopNormBound:
 
     def test_tp_noisy_unitary_passes(self):
         # the bound is tight on a unitary channel, so any scale error reaches it
-        u = sampler.named_channel("unitary", 3, 0.7).kraus_ops[0]
-        ch = chmod.KrausChannel(3, (u * (1.0 + 4.5e-9),))
+        ch = chmod.check_kraus_stack(sampler.named_channel("unitary", 3, 0.7)[None] * (1.0 + 4.5e-9))[0]
         batch = spectra.check_superop_norm_bound(profile(ch))
         assert batch.lhs[0, 0] > 1.0 + 8e-9
         assert batch.passed[0, 0] and oracles.check_superop_norm_bound(ch).passed
@@ -274,8 +281,7 @@ class TestCheckSuperopNormBound:
         assert unital.passed.tolist() == plain.passed.tolist() == [[passed]]
 
     def test_random_nonunital_holds_with_slack(self):
-        cfg = sampler.SamplerConfig(3, 9, oracles.derive_seed(909, 0, 3, 0), "cptp")
-        prof = profile(sampler.sample_channel(cfg))
+        prof = profile(sampler._sample_stack("cptp", 3, [oracles.derive_seed(909, 0, 3, 0)])[0])
         assert not prof.unital[0]
         batch = spectra.check_superop_norm_bound(prof)
         assert batch.passed[0, 0] and batch.slack[0, 0] > 0
@@ -440,7 +446,7 @@ class TestBatchedChecksMatchOracles:
     @pytest.mark.parametrize("d, count", [(2, 50), (3, 50), (4, 10)])
     def test_channel_checks(self, d, count):
         chs = [ch for _, _, _, ch in population(SUITE.seed, (d,), SUITE.families, count, stream=100)]
-        stack = chmod.profile_channel(chmod.stack_kraus(chs))
+        stack = chmod.profile_channel(stack_channels(chs))
         _assert_matches(
             spectra.check_superop_norm_bound(stack), [[oracles.check_superop_norm_bound(ch)] for ch in chs]
         )

@@ -4,7 +4,7 @@ import mpmath
 import numpy as np
 import oracles
 import pytest
-from helpers import noisy_depolarizing, population
+from helpers import evaluate_cell, noisy_depolarizing, population
 
 from chanent import channel as chmod
 from chanent import sampler, tradeoff
@@ -116,7 +116,7 @@ def _fake_profile(dim=2, unital=True):
 class TestEvaluate:
     def test_identity_saturates_unital_renyi_bound(self):
         ch = sampler.named_channel("identity", 2)
-        rep = tradeoff.evaluate_tradeoff(ch, EntropyParams(2.0, 0.0), "identity")
+        rep = evaluate_cell(ch, EntropyParams(2.0, 0.0), "identity")
         assert rep.map_value == pytest.approx(0.0, abs=1e-12)
         assert rep.receiver_value == pytest.approx(2 * math.log(2), abs=1e-12)
         assert rep.bound_unital == pytest.approx(2 * math.log(2), abs=1e-15)
@@ -124,14 +124,14 @@ class TestEvaluate:
 
     def test_completely_depolarizing_mirrors_identity(self):
         ch = sampler.named_channel("completely-depolarizing", 2)
-        rep = tradeoff.evaluate_tradeoff(ch, EntropyParams(2.0, 0.0), "cdepol")
+        rep = evaluate_cell(ch, EntropyParams(2.0, 0.0), "cdepol")
         assert rep.map_value == pytest.approx(2 * math.log(2), abs=1e-12)
         assert rep.receiver_value == pytest.approx(0.0, abs=1e-12)
         assert abs(rep.gap) <= 1e-12 and rep.saturated
 
     def test_random_nonunital_has_positive_gap(self):
-        cfg = sampler.SamplerConfig(3, 9, oracles.derive_seed(916, 0, 3, 0), "cptp")
-        rep = tradeoff.evaluate_tradeoff(sampler.sample_channel(cfg), EntropyParams(0.5, -1.0))
+        ch = sampler._sample_stack("cptp", 3, [oracles.derive_seed(916, 0, 3, 0)])[0]
+        rep = evaluate_cell(ch, EntropyParams(0.5, -1.0))
         assert rep.bound_unital is None
         assert rep.gap > 0 and not rep.saturated
 
@@ -147,7 +147,7 @@ class TestEvaluate:
     def test_tp_noisy_channel_is_held_to_the_unital_bound(self):
         # unital defect 9.0e-9, inside TP_TOL: the sharper bound applies
         bounds = tradeoff.bound_table(3, Q_GRID, S_GRID)
-        profile = chmod.profile_channel(chmod.stack_kraus([noisy_depolarizing()]), ["noisy"])
+        profile = chmod.profile_channel(noisy_depolarizing()[None], ["noisy"])
         assert profile.unital[0]
         grid = tradeoff.evaluate_profile(profile, bounds)
         np.testing.assert_array_equal(grid.gap, grid.map_values + grid.receiver_values - bounds.unital)
@@ -178,12 +178,12 @@ class TestStackedEvaluate:
             for d in (2, 3):
                 pop = list(population(923, (d,), (family,), 6))
                 ids = [cid for _, _, cid, _ in pop]
-                stack = chmod.profile_channel(chmod.stack_kraus([ch for *_, ch in pop]), ids)
+                stack = chmod.profile_channel(np.stack([ch for *_, ch in pop]), ids)
                 assert stack.channel_id == tuple(ids)
                 grid = tradeoff.evaluate_profile(stack, bounds[d])
                 assert grid.gap.shape == (len(pop), len(Q_GRID), len(S_GRID))
                 for k, (_, _, cid, ch) in enumerate(pop):
-                    one = chmod.profile_channel(chmod.stack_kraus([ch]), [cid])
+                    one = chmod.profile_channel(ch[None], [cid])
                     assert one.channel_id == (cid,) and one.unital.tolist() == [stack.unital[k]]
                     np.testing.assert_array_equal(stack.choi_spectrum[k], one.choi_spectrum[0])
                     np.testing.assert_array_equal(stack.superop_spectrum[k], one.superop_spectrum[0])
@@ -193,7 +193,7 @@ class TestStackedEvaluate:
                         np.testing.assert_array_equal(getattr(grid, name)[k], getattr(single, name)[0])
 
     def test_violation_names_the_first_failing_channel(self):
-        good = chmod.profile_channel(chmod.stack_kraus([sampler.named_channel("depolarizing", 2, 0.5)]))
+        good = chmod.profile_channel(sampler.named_channel("depolarizing", 2, 0.5)[None])
         stack = _stacked_profile(good, _fake_profile(), _fake_profile())
         bounds = tradeoff.bound_table(2, (1.0, 2.0), (0.0, 1.0))
         with pytest.raises(BoundViolation) as err:
@@ -203,7 +203,7 @@ class TestStackedEvaluate:
         assert err.value.grid.gap[1, 1, 0] == err.value.report.gap
 
     def test_non_finite_channel_before_a_violating_one(self):
-        good = chmod.profile_channel(chmod.stack_kraus([sampler.named_channel("depolarizing", 2, 0.5)]))
+        good = chmod.profile_channel(sampler.named_channel("depolarizing", 2, 0.5)[None])
         broken = chmod.ChannelProfile(
             ("x",), 2, np.array([False]), np.array([[np.inf, 0.0, 0.0, 0.0]]),
             good.superop_spectrum, good.tr2,
@@ -221,8 +221,10 @@ class TestStackedEvaluate:
             tradeoff.evaluate_profile(_stacked_profile(_fake_profile(), _fake_profile()), bounds)
 
     def test_mixed_dimensions_rejected(self):
+        # a stack is of one dimension, and its bound table must be of the same
+        profile = chmod.profile_channel(sampler.named_channel("identity", 2)[None])
         with pytest.raises(DimensionMismatchError):
-            chmod.stack_kraus([sampler.named_channel("identity", 2), sampler.named_channel("identity", 3)])
+            tradeoff.evaluate_profile(profile, tradeoff.bound_table(3, Q_GRID, S_GRID))
 
 
 class TestSuites:
@@ -230,7 +232,7 @@ class TestSuites:
         min_gap = math.inf
         tables = {d: tradeoff.bound_table(d, Q_GRID, S_GRID) for d in (2, 3)}
         for _, d, _, ch in population(917, (2, 3), ("cptp",), 20):
-            grid = tradeoff.evaluate_profile(chmod.profile_channel(chmod.stack_kraus([ch])), tables[d])
+            grid = tradeoff.evaluate_profile(chmod.profile_channel(ch[None]), tables[d])
             min_gap = min(min_gap, float(grid.gap.min()))
         assert min_gap >= -1e-9
 
@@ -238,14 +240,14 @@ class TestSuites:
         tables = {d: tradeoff.bound_table(d, Q_GRID, S_GRID) for d in (2, 3)}
         pop = population(918, (2, 3), ("unitary-mixture", "unistochastic"), 10)
         for _, d, _, ch in pop:
-            profile = chmod.profile_channel(chmod.stack_kraus([ch]))
+            profile = chmod.profile_channel(ch[None])
             assert profile.unital[0]
             grid = tradeoff.evaluate_profile(profile, tables[d])
             assert grid.gap.min() >= -1e-9
 
     def test_proof_domain_preconditions(self):
         for _, _, _, ch in population(919, (2, 3), ("cptp", "unitary-mixture"), 5):
-            profile = chmod.profile_channel(chmod.stack_kraus([ch]))
+            profile = chmod.profile_channel(ch[None])
             for q in Q_GRID:
                 for s in S_GRID:
                     if abs(q - 1.0) <= 1e-8 or s == 0.0:
