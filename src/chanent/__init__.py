@@ -12,25 +12,18 @@ from .channel import (
     profile_channel,
     reshuffle,
 )
-from .entropy import EntropyParams
 from .matcore import hermitian_eigenvalues, partial_trace, singular_values
 from .sampler import named_channel
 from .spectra import schatten_antinorm, schatten_norm
-from .tradeoff import (
-    TradeoffReport,
-    gamma_kappa,
-    lower_bound,
-)
+from .tradeoff import TradeoffReport, gamma_kappa
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "EntropyParams",
     "TradeoffReport",
     "dynamical_from_kraus",
     "gamma_kappa",
     "hermitian_eigenvalues",
-    "lower_bound",
     "named_channel",
     "partial_trace",
     "profile_channel",

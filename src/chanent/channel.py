@@ -57,7 +57,6 @@ one reduction, from which the unital flags are read.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,7 +76,6 @@ __all__ = [
     "profile_channel",
     "channel_to_json",
     "channel_from_json",
-    "load_channel",
 ]
 
 # Max-entry tolerance on sum_i A_i^dag A_i - I, and on sum_i A_i A_i^dag - I
@@ -247,8 +245,3 @@ def channel_from_json(obj: dict) -> np.ndarray:
         if m.shape != (d, d):
             raise DimensionMismatchError(f"Kraus operator has shape {m.shape}, expected {(d, d)}")
     return check_kraus_stack(np.reshape(ops, (1, len(ops), d, d)))[0]
-
-
-def load_channel(path) -> np.ndarray:
-    with open(path, encoding="utf-8") as fh:
-        return channel_from_json(json.load(fh))

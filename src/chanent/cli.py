@@ -4,12 +4,19 @@
 channel with ``--channel``), evaluates the trade-off bound on every cell of
 the (q, s) grid and writes ``report.csv`` plus ``summary.json`` into the
 output directory.  ``chanent inequalities`` drives the norm and anti-norm
-checks over random matrices and sampled channels and reports per-check
-minimum slack.
+checks over random matrices (or one ``--matrix`` file) and sampled channels
+and reports per-check minimum slack.
 
-Exit codes: 0 all cells/checks pass, 1 a bound or check failed (the
-offending channel or matrix is serialized under ``counterexamples/``),
-2 configuration errors.
+Both subcommands run in one skeleton, a :class:`Run`, and each supplies
+three things: a source of stacks, an evaluation of each stack into arrays,
+and the summary keys it folds them into.  The run owns the rest, each part
+written once: it removes the files an earlier run left in the output
+directory, folds each key into a count and a minimum, keeps the first
+failure with its counterexample (under ``counterexamples/``), writes
+``summary.json`` and decides the exit code (:meth:`Run.evaluating`):
+0 all cells/checks pass; 1 a bound or check failed, or any other error was
+raised while a stack was evaluated; 2 configuration errors, a
+:class:`DomainError` met while evaluating among them.
 
 Runs are deterministic end to end: per-sample seeds derive from the base
 seed and the sample address, and output rows are ordered by
@@ -49,7 +56,9 @@ that input is serialized.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import functools
 import io
 import json
 import math
@@ -63,7 +72,7 @@ from . import channel as chmod
 from . import matcore, sampler, spectra
 from .channel import profile_channel
 from .errors import BoundViolation, DomainError, ParamOutOfRangeError, UnknownChannelError
-from .tradeoff import BoundTable, TradeoffReport, bound_table, evaluate_profile
+from .tradeoff import TradeoffReport, bound_table, evaluate_profile
 
 __all__ = ["SweepConfig", "ConfigError", "run_sweep", "run_inequality_suite", "main"]
 
@@ -200,30 +209,29 @@ def _stack_size(entries: int) -> int:
     return max(1, STACK_ENTRIES // entries)
 
 
-def _load_input(load, path, what: str):
-    """``load(path)``, with an unreadable, malformed or invalid file as a ConfigError."""
+def _load_input(path, what: str, from_json):
+    """``from_json`` of the JSON in ``path``, with an unreadable, malformed or invalid file as a ConfigError."""
     try:
-        return load(path)
+        with open(path, encoding="utf-8") as fh:
+            return from_json(json.load(fh))
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"could not load {what} file {str(path)!r}: {exc}") from exc
 
 
-def _load_matrix(path):
-    with open(path, encoding="utf-8") as fh:
-        return matcore.matrix_from_json(json.load(fh))
+def _dim_table(dim: int, cfg: SweepConfig) -> tuple:
+    """A sweep's bounds at ``dim``: ``(bounds, cell texts, limit flag per cell)``.
 
-
-def _bound_cells(bounds: BoundTable) -> tuple[list, list]:
-    """Per cell, the row text fixed by the table: ``("q,s,", ",bound_all,bound_unital,")``.
-
-    One list for non-unital channels (empty unital bound), one for unital ones.
+    A cell's text is the part of its row the table fixes, ``("q,s,",
+    ",bound_all,bound_unital,")``, in one list for non-unital channels
+    (empty unital bound) and one for unital ones.
     """
+    bounds = bound_table(dim, cfg.q_grid, cfg.s_grid)
     orders = [f"{q!r},{s!r}," for q in bounds.q.tolist() for s in bounds.s.tolist()]
     bound_all = bounds.all_channels.ravel().tolist()
     bound_unital = bounds.unital.ravel().tolist()
     plain = [(qs, f",{b!r},,") for qs, b in zip(orders, bound_all)]
     unital = [(qs, f",{b!r},{u!r},") for qs, b, u in zip(orders, bound_all, bound_unital)]
-    return plain, unital
+    return bounds, (plain, unital), np.repeat(bounds.limit_rows, bounds.s.size)
 
 
 _BOOL = {False: "false", True: "true"}
@@ -236,22 +244,27 @@ def _csv_prefix(fields) -> str:
     return buf.getvalue().removesuffix("\r\n") + ","
 
 
-def _write_csv(fh, blocks) -> None:
-    """Write the report.csv rows of per-channel blocks ``(prefix, cells, values, count)`` to ``fh``.
+def _write_csv(fh, family: str, dim: int, ids, unital, texts, grid, count: int) -> None:
+    """Write the first ``count`` report.csv rows of one stack's ``grid`` to ``fh``.
 
-    ``prefix`` holds the channel columns, ``cells`` the per-cell text of
-    :func:`_bound_cells`, ``values`` the channel's map entropies, receiver
-    entropies, gaps and saturation flags in row-major cell order, and the
-    first ``count`` cells are written.  Each row is one line of text with the
-    line ending ``csv`` writes; only the entropies, sum and gap are formatted
-    per row, and each channel's lines go to the file in one write.
+    ``ids`` and ``unital`` are the stack's channel ids and unital flags,
+    ``texts`` the per-cell text of :func:`_dim_table`, and the rows are the
+    cells of ``grid`` in row-major order, channel by channel.  Each row is
+    one line of text with the line ending ``csv`` writes; only the
+    entropies, sum and gap are formatted per row, and each channel's lines
+    go to the file in one write.
     """
-    for prefix, cells, (m, r, g, sat), count in blocks:
-        lead = _csv_prefix(prefix)
+    cells = len(texts[0])
+    m, r, g, sat = (
+        a.reshape(len(ids), cells).tolist()
+        for a in (grid.map_values, grid.receiver_values, grid.gap, grid.saturated)
+    )
+    for k, channel_id in enumerate(ids[: -(-count // cells)]):
+        lead = _csv_prefix((channel_id, family, str(dim), _BOOL[bool(unital[k])]))
         fh.write("".join([
             f"{lead}{qs}{mv!r},{rv!r},{mv + rv!r}{b}{gv!r},{_BOOL[sv]}\r\n"
             for (qs, b), mv, rv, gv, sv in zip(
-                cells[:count], m.tolist(), r.tolist(), g.tolist(), sat.tolist()
+                texts[bool(unital[k])][: count - k * cells], m[k], r[k], g[k], sat[k]
             )
         ]))
 
@@ -262,17 +275,15 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
-def _serialize_counterexample(out_dir: Path, ch, report: TradeoffReport, family: str) -> Path:
-    ce_dir = out_dir / "counterexamples"
-    ce_dir.mkdir(parents=True, exist_ok=True)
-    path = ce_dir / f"{report.channel_id or 'channel'}.json"
-    payload = {
+def _counterexample(ch, report: TradeoffReport, family: str) -> dict:
+    """The JSON of a sweep counterexample: the channel and the cell it violates."""
+    return {
         "channel": chmod.channel_to_json(ch),
         "family": family,
         "report": {
             "channel_id": report.channel_id,
-            "q": report.params.q,
-            "s": report.params.s,
+            "q": report.q,
+            "s": report.s,
             "map_entropy": report.map_value,
             "receiver_entropy": report.receiver_value,
             "bound_all": report.bound_all,
@@ -280,16 +291,130 @@ def _serialize_counterexample(out_dir: Path, ch, report: TradeoffReport, family:
             "gap": report.gap,
         },
     }
-    _write_json(path, payload)
-    return path
+
+
+def _nulled(value):
+    """``value``, nested dicts included, with each non-finite float as None (JSON null)."""
+    if isinstance(value, dict):
+        return {key: _nulled(v) for key, v in value.items()}
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
+class Run:
+    """One run of a subcommand: its output directory, summary, first failure and exit code.
+
+    ``summary`` starts with the keys that are not folded.  ``injected`` is
+    the ``(path, payload)`` of an input file, if any; ``payload()`` builds
+    its JSON, written as ``counterexamples/<file stem>.json`` if an error
+    ends the run.
+    """
+
+    def __init__(self, out_dir, summary: dict, injected=None):
+        self.out = Path(out_dir)
+        try:
+            self.out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:  # e.g. --out names a file
+            raise ConfigError(f"could not make output directory {str(self.out)!r}: {exc}") from exc
+        if injected is not None:
+            path, payload = injected
+            # clearing the directory must not delete the run's own input, such
+            # as a suite counterexample given back as --matrix
+            if Path(path).resolve() in {p.resolve() for p in self._outputs()}:
+                raise ConfigError(
+                    f"input file {str(path)!r} is one a run into {str(self.out)!r} "
+                    "removes before it starts; copy it out of that directory"
+                )
+            injected = (Path(path).stem, payload)
+        self._clear()
+        self.summary = summary
+        self.injected = injected
+        self.failure = None  # the failure's lines for stderr
+
+    def _outputs(self) -> list:
+        """The files of the kinds a run writes that are in its directory, an earlier run's included."""
+        ce = self.out / "counterexamples"
+        found = [p for p in (self.out / "report.csv", self.out / "summary.json") if p.exists()]
+        return found + (sorted(ce.glob("*.json")) if ce.is_dir() else [])
+
+    def _clear(self) -> None:
+        """Remove the files a run writes, and ``counterexamples/`` if that empties it."""
+        for path in self._outputs():
+            path.unlink()
+        ce = self.out / "counterexamples"
+        if ce.is_dir() and not any(ce.iterdir()):
+            ce.rmdir()
+
+    def fold(self, key, count: int, **minima) -> dict:
+        """Add ``count`` to the count at ``key`` (a key or a path of keys); return its entry.
+
+        Each keyword names a key beside the count that gets the minimum of
+        the values given for it.  ``np.fmin`` leaves a NaN out of the
+        minimum, and a minimum that is not finite is written as null.
+        """
+        *parents, name = (key,) if isinstance(key, str) else key
+        entry = self.summary
+        for parent in parents:
+            entry = entry.setdefault(parent, {})
+        entry[name] = entry.get(name, 0) + count
+        for minimum, values in minima.items():
+            entry[minimum] = float(np.fmin.reduce(values, axis=None, initial=entry.get(minimum, math.inf)))
+        return entry
+
+    def fail(self, key: str, record: dict, line: str, name=None, payload=None) -> None:
+        """Make ``record`` the run's failure, written to summary.json at ``key``,
+        and ``payload`` its counterexample, ``counterexamples/<name>.json``."""
+        self.summary[key] = record
+        self.failure = line
+        if payload is not None:
+            (self.out / "counterexamples").mkdir(exist_ok=True)
+            _write_json(self.out / "counterexamples" / f"{name}.json", payload)
+
+    @contextlib.contextmanager
+    def evaluating(self):
+        """The exit-code rule, applied to what evaluating the stacks raises.
+
+        An error leaves no report.csv.  Before a failure, a
+        :class:`DomainError` (orders or an input the entropies or bounds
+        cannot take) is a configuration error: exit 2, none of the run's
+        files left.  Any other exception is the run's failure, exit 1, with
+        the injected input serialized.  The first failure stands: an error
+        raised after it is listed beside it, as ``"error"``, exit 1.
+        """
+        try:
+            yield
+        except Exception as exc:  # noqa: BLE001 - provenance belongs in the report
+            (self.out / "report.csv").unlink(missing_ok=True)
+            record = {"check": "error", "kind": type(exc).__name__, "message": str(exc)}
+            if self.failure is not None:
+                self.summary["error"] = record
+                self.failure += f"\nERROR: {record}"
+            elif isinstance(exc, DomainError):
+                self._clear()
+                raise ConfigError(str(exc)) from exc
+            else:
+                name, payload = self.injected or (None, lambda: None)
+                self.fail("failure", record, f"ERROR: {record}", name, payload())
+        except BaseException:
+            self._clear()
+            raise
+
+    def finish(self, ok) -> int:
+        """Write summary.json and the run's last line: the failure's to stderr
+        and exit 1, or ``ok(summary)`` to stdout and exit 0."""
+        _write_json(self.out / "summary.json", _nulled(self.summary))
+        if self.failure is not None:
+            print(self.failure, file=sys.stderr)
+            return 1
+        print(ok(self.summary))
+        return 0
 
 
 def run_sweep(cfg: SweepConfig, out_dir, channel_path=None) -> int:
     """Evaluate the trade-off grid and write report.csv / summary.json."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    injected = None
     if channel_path is not None:
-        ch = _load_input(chmod.load_channel, channel_path, "channel")
+        ch = _load_input(channel_path, "channel", chmod.channel_from_json)
+        injected = (channel_path, lambda: chmod.channel_to_json(ch))
         stacks = [("file", ch.shape[-1], [Path(channel_path).stem], ch[None])]
     else:
         # per channel: D and K (d**4), and the grid kernel's (n_q, d**2) and (n_q, n_s) arrays
@@ -298,110 +423,47 @@ def run_sweep(cfg: SweepConfig, out_dir, channel_path=None) -> int:
             cfg.seed, cfg.dims, cfg.families, cfg.samples_per_family,
             size=lambda d: _stack_size(max(d**4, n_q * max(n_s, d * d))),
         )
-
-    report = out / "report.csv"
-    try:
-        with open(report, "w", newline="", encoding="utf-8") as fh:
-            csv.writer(fh).writerow(CSV_COLUMNS)
-            stats, totals, violation_info = _sweep_stacks(cfg, out, stacks, fh)
-    except BaseException:
-        report.unlink(missing_ok=True)  # an error leaves no report.csv
-        raise
-    summary = {
-        "mode": "sweep",
-        "rows": totals["rows"],
-        "min_gap": totals["min_gap"],
-        "violations": 1 if violation_info else 0,
-        "saturation_count": totals["saturation_count"],
-        "limit_rows": totals["limit_rows"],
-        "per_family": {
-            fam: {
-                "rows": st["rows"],
-                "min_gap": None if st["min_gap"] is math.inf else st["min_gap"],
-                "saturation_count": st["saturation_count"],
-            }
-            for fam, st in stats.items()
-        },
-        "seed": cfg.seed,
-    }
-    if violation_info:
-        summary["violation"] = violation_info
-    _write_json(out / "summary.json", summary)
-    if violation_info:
-        print(f"BOUND VIOLATION: {violation_info['message']}", file=sys.stderr)
-        return 1
-    print(f"sweep ok: {totals['rows']} rows, min gap {summary['min_gap']!r} -> {out}")
-    return 0
-
-
-def _sweep_stacks(cfg: SweepConfig, out: Path, stacks, fh) -> tuple[dict, dict, dict | None]:
-    """Evaluate each stack and write its rows to ``fh`` before drawing the next.
-
-    Returns the per-family statistics, the totals and, if a violation
-    stopped the sweep, its summary entry.
-    """
-    tables: dict[int, tuple] = {}  # dim -> (bounds, non-unital cells, unital cells, limit flags)
-    stats: dict[str, dict] = {}
-    totals = {"rows": 0, "min_gap": math.inf, "saturation_count": 0, "limit_rows": 0}
-    violation_info = None
-    for family, dim, ids, ops in stacks:
-        profile = profile_channel(ops, ids)
-        if dim not in tables:
-            bounds = bound_table(dim, cfg.q_grid, cfg.s_grid)
-            limit = np.repeat(bounds.limit_rows, bounds.s.size)
-            tables[dim] = (bounds, *_bound_cells(bounds), limit)
-        bounds, plain_cells, unital_cells, limit = tables[dim]
-        cells = limit.size
-        fam_stats = stats.setdefault(
-            family, {"rows": 0, "min_gap": math.inf, "saturation_count": 0}
-        )
-        # rows are counted over the stack's cells in row order: every cell of
-        # the channels that pass, and on a violation the cells up to it
-        try:
-            grid = evaluate_profile(profile, bounds)
-            count = passed = grid.gap.size
-        except BoundViolation as exc:
-            grid = exc.grid
-            k, i, j = exc.cell
-            passed = k * cells + i * bounds.s.size + j
-            count = passed + 1
-            path = _serialize_counterexample(out, ops[k], exc.report, family)
-            violation_info = {"message": str(exc), "counterexample": path.name}
-        except DomainError as exc:
-            raise ConfigError(str(exc)) from exc
-        gaps = grid.gap.ravel()
-        saturated = grid.saturated.ravel()
-        # the violating row is written and counted in the totals, not per family
-        for st, n in ((fam_stats, passed), (totals, count)):
-            if n:
-                st["rows"] += n
-                st["min_gap"] = min(st["min_gap"], float(gaps[:n].min()))
-                st["saturation_count"] += int(saturated[:n].sum())
-        totals["limit_rows"] += int(np.tile(limit, len(ids))[:count].sum())
-        values = [
-            a.reshape(len(ids), cells)
-            for a in (grid.map_values, grid.receiver_values, grid.gap, grid.saturated)
-        ]
-        _write_csv(fh, [
-            (
-                (channel_id, family, str(dim), _BOOL[bool(profile.unital[k])]),
-                unital_cells if profile.unital[k] else plain_cells,
-                [v[k] for v in values],
-                min(cells, count - k * cells),
-            )
-            for k, channel_id in enumerate(ids[: -(-count // cells)])
-        ])
-        if violation_info:
-            break
-        # the next stack is drawn while the loop variables still hold this one
-        del ops, profile, grid, gaps, saturated, values
-    return stats, totals, violation_info
+    run = Run(out_dir, {"mode": "sweep", "seed": cfg.seed, "violations": 0, "per_family": {}}, injected)
+    tables = functools.cache(lambda dim: _dim_table(dim, cfg))  # once per dimension and run
+    with run.evaluating(), open(run.out / "report.csv", "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerow(CSV_COLUMNS)
+        for family, dim, ids, ops in stacks:
+            profile = profile_channel(ops, ids)
+            bounds, texts, limit = tables(dim)
+            # rows are counted over the stack's cells in row order: every cell
+            # of the channels that pass, and on a violation the ``kept`` cells
+            # before it, and it
+            try:
+                grid = evaluate_profile(profile, bounds)
+                count = kept = grid.gap.size
+            except BoundViolation as exc:
+                grid, (k, i, j) = exc.grid, exc.cell
+                kept = (k * bounds.q.size + i) * bounds.s.size + j
+                count = kept + 1
+                name = exc.report.channel_id or "channel"
+                run.summary["violations"] = 1
+                run.fail(
+                    "violation", {"message": str(exc), "counterexample": f"{name}.json"},
+                    f"BOUND VIOLATION: {exc}", name, _counterexample(ops[k], exc.report, family),
+                )
+            gaps = grid.gap.ravel()[:count]
+            saturated = grid.saturated.ravel()[:count]
+            # the violating row is written and counted in the totals, not per family
+            run.fold("rows", count, min_gap=gaps)
+            run.fold("saturation_count", int(saturated.sum()))
+            run.fold("limit_rows", int(np.tile(limit, len(ids))[:count].sum()))
+            run.fold(("per_family", family, "rows"), kept, min_gap=gaps[:kept])
+            run.fold(("per_family", family, "saturation_count"), int(saturated[:kept].sum()))
+            _write_csv(fh, family, dim, ids, profile.unital, texts, grid, count)
+            if run.failure is not None:
+                break
+            # the next stack is drawn while the loop variables still hold this one
+            del ops, profile, grid, gaps, saturated
+    return run.finish(lambda s: f"sweep ok: {s['rows']} rows, min gap {s['min_gap']!r} -> {run.out}")
 
 
 def run_inequality_suite(cfg: SweepConfig, out_dir, only=None, matrix_path=None) -> int:
     """Run the norm/anti-norm checks; write summary.json with min slack."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     selected = CHECK_NAMES if only is None else (only,)
     for name in selected:
         if name not in CHECK_NAMES:
@@ -409,7 +471,8 @@ def run_inequality_suite(cfg: SweepConfig, out_dir, only=None, matrix_path=None)
 
     injected = None
     if matrix_path is not None:
-        injected = (Path(matrix_path).stem, _load_input(_load_matrix, matrix_path, "matrix"))
+        matrix = _load_input(matrix_path, "matrix", matcore.matrix_from_json)
+        injected = (matrix_path, lambda: matcore.matrix_to_json(matrix))
     families = [f for f in cfg.families if f in sampler.FAMILY_CODES]
     # A selected channel check that cannot run is an error, unless --matrix
     # was asked for: it runs the matrix checks only, and some of those run.
@@ -419,12 +482,13 @@ def run_inequality_suite(cfg: SweepConfig, out_dir, only=None, matrix_path=None)
             f"no check ran for {', '.join(skipped)}: the channel checks (upkp, cbn0) "
             "need a sampler family and no --matrix"
         )
+    run = Run(out_dir, {"mode": "inequalities", "seed": cfg.seed, "checks": {}, "failure": None}, injected)
 
     def stacks(kind: str, stream: int):
         """Labels and stacks of the injected matrix, or of same-dimension Ginibre
         matrices ``G`` ("mat") or ``G G^dag`` ("psd")."""
         if injected is not None:
-            yield [injected[0]], injected[1][None]
+            yield [Path(matrix_path).stem], matrix[None]
             return
         pop = sampler.ginibre_population(
             cfg.seed, cfg.dims, cfg.samples_per_family, stream, size=lambda d: _stack_size(d * d)
@@ -435,29 +499,21 @@ def run_inequality_suite(cfg: SweepConfig, out_dir, only=None, matrix_path=None)
 
     anti_orders = [float(q) for q in cfg.q_grid if 0.0 < float(q) < 1.0] or [0.5]
     order_pairs = [(0.2, 0.8), (1.0 / 3.0, 0.5), (0.5, 1.0)]
-    results: dict[str, dict] = {}
-    failure = None
 
     def record(name: str, labels, batch: spectra.InequalityBatch, payload):
-        """Fold one batch into the results; ``payload(i)`` serializes input ``i``
+        """Fold one batch into its check; ``payload(i)`` serializes input ``i``
         if it is the run's first failure."""
-        nonlocal failure
-        entry = results.setdefault(name, {"count": 0, "min_slack": math.inf, "passed": True})
-        entry["count"] += batch.passed.size
         # a NaN entry fails its check; the minimum leaves it out, and a check
         # with no finite slack reports none
-        entry["min_slack"] = min(entry["min_slack"], float(np.fmin.reduce(batch.slack, axis=None)))
+        entry = run.fold(("checks", name, "count"), batch.passed.size, min_slack=batch.slack)
         first = batch.first_failure()
-        if first is not None:
-            entry["passed"] = False
-            if failure is None:
-                label = labels[first[0]]
-                failure = {"check": name, "input": label, "kind": "inequality-failed"}
-                ce = out / "counterexamples"
-                ce.mkdir(parents=True, exist_ok=True)
-                _write_json(ce / f"{label}.json", payload(first[0]))
+        entry["passed"] = entry.get("passed", True) and first is None
+        if first is not None and run.failure is None:
+            label = labels[first[0]]
+            failure = {"check": name, "input": label, "kind": "inequality-failed"}
+            run.fail("failure", failure, f"INEQUALITY SUITE FAILED: {failure}", label, payload(first[0]))
 
-    try:
+    with run.evaluating():
         if "prop1" in selected:
             for labels, x in stacks("psd", 201):
                 batch = spectra.check_prop1(x, [float(q) for q in cfg.q_grid])
@@ -494,32 +550,9 @@ def run_inequality_suite(cfg: SweepConfig, out_dir, only=None, matrix_path=None)
                 batches.sort(key=lambda nb: (nb[1].first_failure() or (math.inf,))[0])
                 for name, batch in batches:
                     record(name, labels, batch, lambda i: chmod.channel_to_json(ops[i]))
-    except Exception as exc:  # noqa: BLE001 - provenance belongs in the report
-        failure = {"check": "error", "kind": type(exc).__name__, "message": str(exc)}
-        if injected is not None:
-            ce = out / "counterexamples"
-            ce.mkdir(parents=True, exist_ok=True)
-            _write_json(ce / f"{injected[0]}.json", matcore.matrix_to_json(injected[1]))
-    summary = {
-        "mode": "inequalities",
-        "checks": {
-            name: {
-                "count": entry["count"],
-                "min_slack": entry["min_slack"] if math.isfinite(entry["min_slack"]) else None,
-                "passed": entry["passed"],
-            }
-            for name, entry in sorted(results.items())
-        },
-        "seed": cfg.seed,
-        "failure": failure,
-    }
-    _write_json(out / "summary.json", summary)
-    if failure is not None:
-        print(f"INEQUALITY SUITE FAILED: {failure}", file=sys.stderr)
-        return 1
-    slacks = ", ".join(f"{n}={results[n]['min_slack']:.3e}" for n in sorted(results))
-    print(f"inequalities ok: min slack {slacks} -> {out}")
-    return 0
+    return run.finish(lambda s: "inequalities ok: min slack " + ", ".join(
+        f"{name}={entry['min_slack']:.3e}" for name, entry in sorted(s["checks"].items())
+    ) + f" -> {run.out}")
 
 
 def _parse_list(text: str, flag: str, kind) -> tuple:

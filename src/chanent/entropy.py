@@ -33,35 +33,17 @@ caller to check.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DomainError, InvalidSpectrumError
 
 __all__ = [
-    "EntropyParams",
     "exprel",
     "entropy_grid",
 ]
 
 # Smallest normal double: a power sum below it has lost digits to underflow.
 _TINY = float(np.finfo(float).tiny)
-
-
-@dataclass(frozen=True)
-class EntropyParams:
-    """The entropy order pair ``(q, s)``; ``s = 0`` is Renyi, ``q = 1`` Shannon."""
-
-    q: float
-    s: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.q) and self.q > 0.0 and math.isfinite(self.s)):
-            raise DomainError(
-                f"entropy orders need finite q > 0 and finite s, got q={self.q}, s={self.s}"
-            )
 
 
 def exprel(y) -> np.ndarray:

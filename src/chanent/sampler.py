@@ -56,6 +56,7 @@ import numpy as np
 
 from .channel import check_kraus_stack
 from .errors import (
+    DimensionMismatchError,
     ParamOutOfRangeError,
     SingularNormalizerError,
     UnknownChannelError,
@@ -386,8 +387,10 @@ def named_channel(name: str, d: int, param: float | None = None) -> np.ndarray:
         ops = [np.array([[1.0, 0.0], [0.0, math.sqrt(1.0 - g)]]),
                np.array([[0.0, math.sqrt(g)], [0.0, 0.0]])]
     elif name == "unitary":
-        if param is None:
-            raise ParamOutOfRangeError("channel 'unitary' needs a rotation angle")
+        if d < 2:
+            raise DimensionMismatchError(f"channel 'unitary' rotates two basis directions, got d = {d}")
+        if param is None or not math.isfinite(param):
+            raise ParamOutOfRangeError(f"channel 'unitary' needs a finite rotation angle, got {param}")
         theta = float(param)
         u = np.eye(d, dtype=complex)
         u[0, 0] = u[1, 1] = math.cos(theta)

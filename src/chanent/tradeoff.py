@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import channel as chmod
-from .entropy import EntropyParams, entropy_grid, exprel
+from .entropy import entropy_grid, exprel
 from .errors import BoundViolation, DimensionMismatchError, DomainError
 
 __all__ = [
@@ -43,7 +43,6 @@ __all__ = [
     "GAP_TOL",
     "LIMIT_EPS",
     "gamma_kappa",
-    "lower_bound",
     "BoundTable",
     "bound_table",
     "TradeoffReport",
@@ -75,7 +74,13 @@ def gamma_kappa(q, s) -> tuple:
 
 
 def _bounds(d: int, q, s, unital: bool):
-    """:func:`lower_bound` elementwise on broadcast arrays ``q``, ``s``."""
+    """Lower bound on the entropic sum for dimension ``d``, elementwise on broadcast orders ``q``, ``s``.
+
+    Unital channels get the sharper bound with the doubled exponent.  On the
+    ``s = 0`` row this is ``kappa ln d`` (``2 kappa ln d`` unital); on the
+    ``q = 1`` row, the limit value ``ln d`` (``2 ln d``).  A bound too large
+    for a double (huge ``|s|``) is ``+inf``, its true sign.
+    """
     if d < 2:
         raise DomainError(f"need dimension d >= 2, got {d}")
     gamma, kappa = gamma_kappa(q, s)
@@ -84,22 +89,11 @@ def _bounds(d: int, q, s, unital: bool):
         return scale * exprel((1.0 - q) * s * scale / gamma)
 
 
-def lower_bound(d: int, params: EntropyParams, unital: bool) -> float:
-    """Lower bound on the entropic sum for dimension ``d`` at ``params``.
-
-    Unital channels get the sharper bound with the doubled exponent.  On the
-    ``s = 0`` row this is ``kappa ln d`` (``2 kappa ln d`` unital); on the
-    ``q = 1`` row, the limit value ``ln d`` (``2 ln d``).  A bound too large
-    for a double (huge ``|s|``) is ``+inf``, its true sign.
-    """
-    return float(_bounds(d, params.q, params.s, unital))
-
-
 @dataclass(frozen=True, eq=False)
 class BoundTable:
     """Both lower bounds of one dimension on every cell of a ``(q, s)`` grid.
 
-    ``all_channels[i, j]`` and ``unital[i, j]`` are :func:`lower_bound` at
+    ``all_channels[i, j]`` and ``unital[i, j]`` are the bounds at
     ``(q[i], s[j])``; ``limit_rows[i]`` marks the ``q = 1`` rows, where the
     bound is reported but not asserted.
     """
@@ -116,7 +110,7 @@ class BoundTable:
 
 
 def bound_table(d: int, q_grid, s_grid) -> BoundTable:
-    """Tabulate :func:`lower_bound` for dimension ``d`` on ``q_grid x s_grid``, in one array pass."""
+    """Tabulate both bounds for dimension ``d`` on ``q_grid x s_grid``, in one array pass."""
     q = np.array(q_grid, dtype=float)
     s = np.array(s_grid, dtype=float)
     return BoundTable(d, q, s, _bounds(d, q[:, None], s, False), _bounds(d, q[:, None], s, True))
@@ -133,7 +127,8 @@ class TradeoffReport:
     """
 
     channel_id: str
-    params: EntropyParams
+    q: float
+    s: float
     map_value: float
     receiver_value: float
     bound_all: float
@@ -163,7 +158,8 @@ class GridReport:
         b = self.bounds
         return TradeoffReport(
             channel_id=self.profile.channel_id[k],
-            params=EntropyParams(float(b.q[i]), float(b.s[j])),
+            q=float(b.q[i]),
+            s=float(b.s[j]),
             map_value=float(self.map_values[k, i, j]),
             receiver_value=float(self.receiver_values[k, i, j]),
             bound_all=float(b.all_channels[i, j]),
@@ -207,7 +203,7 @@ def evaluate_profile(profile: chmod.ChannelProfile, bounds: BoundTable) -> GridR
         report = grid.report(k, i, j)
         bound = report.bound_all if report.bound_unital is None else report.bound_unital
         raise DomainError(
-            f"entropy or gap is not finite at q={report.params.q}, s={report.params.s} on "
+            f"entropy or gap is not finite at q={report.q}, s={report.s} on "
             f"channel {report.channel_id!r}: map {report.map_value}, "
             f"receiver {report.receiver_value}, bound {bound}"
         )
@@ -215,7 +211,7 @@ def evaluate_profile(profile: chmod.ChannelProfile, bounds: BoundTable) -> GridR
     report = grid.report(k, i, j)
     raise BoundViolation(
         f"entropic sum fell {-report.gap:.3e} below the bound on channel "
-        f"{report.channel_id!r} at q={report.params.q}, s={report.params.s}",
+        f"{report.channel_id!r} at q={report.q}, s={report.s}",
         report,
         grid=grid,
         cell=(k, i, j),

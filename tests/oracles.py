@@ -14,6 +14,11 @@ norm-inequality checks
 one input and one order at a time, the bound's auxiliary domain minima by
 grid search, and the samplers one sample, one ``SeedSequence`` and one
 ``default_rng`` at a time.  None of them is used by ``src/chanent``.
+
+Two one-cell helpers sit beside them: :class:`EntropyParams`, the order
+pair ``(q, s)`` the tests name a cell by, and :func:`lower_bound`, the
+library's bound at one cell, read off a one-cell
+:func:`~chanent.tradeoff.bound_table` (not a second route).
 """
 
 import math
@@ -38,7 +43,27 @@ from chanent.errors import (
     UnknownChannelError,
 )
 from chanent.spectra import STRICT_POS_TOL
-from chanent.tradeoff import LIMIT_EPS, gamma_kappa
+from chanent.tradeoff import LIMIT_EPS, bound_table, gamma_kappa
+
+
+@dataclass(frozen=True)
+class EntropyParams:
+    """The entropy order pair ``(q, s)``; ``s = 0`` is Renyi, ``q = 1`` Shannon."""
+
+    q: float
+    s: float
+
+    def __post_init__(self):
+        if not (math.isfinite(self.q) and self.q > 0.0 and math.isfinite(self.s)):
+            raise DomainError(
+                f"entropy orders need finite q > 0 and finite s, got q={self.q}, s={self.s}"
+            )
+
+
+def lower_bound(d, params, unital):
+    """The library's lower bound on the entropic sum at one cell: a one-cell bound table."""
+    table = bound_table(d, (params.q,), (params.s,))
+    return float((table.unital if unital else table.all_channels)[0, 0])
 
 
 def maximally_entangled_state(d):

@@ -11,10 +11,11 @@ import numpy as np
 import oracles
 import pytest
 from helpers import complex_gaussian, population
+from oracles import EntropyParams
 
 from chanent import channel as chmod
 from chanent import cli, matcore, sampler, spectra, tradeoff
-from chanent.entropy import EntropyParams, entropy_grid
+from chanent.entropy import entropy_grid
 
 Q_GRID = (0.3, 0.5, 0.9, 1.1, 1.5, 2.0, 3.0, 5.0)
 S_GRID = (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import oracles
 import pytest
@@ -408,7 +410,7 @@ class TestChannelJson:
         ch = sampler.named_channel("amplitude-damping", 2, 0.25)
         path = tmp_path / "ch.json"
         save_channel(ch, path)
-        loaded = chmod.load_channel(path)
+        loaded = chmod.channel_from_json(json.loads(path.read_text()))
         assert loaded.shape == (2, 2, 2)
         np.testing.assert_array_equal(loaded, ch)
 

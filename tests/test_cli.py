@@ -8,7 +8,7 @@ from helpers import save_channel
 
 from chanent import channel as chmod
 from chanent import cli, matcore, sampler, spectra, tradeoff
-from chanent.errors import DomainError
+from chanent.errors import DomainError, SingularNormalizerError
 
 
 def read_csv_rows(path):
@@ -695,3 +695,123 @@ class TestInequalityFailures:
         out = tmp_path / "ok"
         assert cli.main(["inequalities", "--dims", "2", "--samples", "3", "--out", str(out)]) == 0
         assert calls == []
+
+
+class TestRunSkeleton:
+    """Both subcommands run in one ``cli.Run``: one output directory, one fold, one exit-code rule."""
+
+    SWEEP = ["sweep", "--dims", "2", "--samples", "2"]
+    SUITE = ["inequalities", "--dims", "2", "--samples", "2"]
+
+    def test_exit_2_leaves_no_earlier_outputs(self, tmp_path, capsys):
+        out = str(tmp_path / "x")
+        assert cli.main([*self.SWEEP, "--out", out]) == 0
+        assert cli.main([*self.SWEEP, "--s", "1e6", "--out", out]) == 2
+        assert "not finite" in capsys.readouterr().err
+        assert list((tmp_path / "x").iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["sweep", "inequalities"])
+    def test_passing_run_leaves_no_earlier_counterexample(self, tmp_path, monkeypatch, command):
+        out = tmp_path / "x"
+        if command == "sweep":
+            failing = passing = [*self.SWEEP, "--q", "2", "--s", "0"]
+            monkeypatch.setattr(tradeoff, "GAP_TOL", -10.0)  # every non-limit cell violates
+        else:
+            bad, good = tmp_path / "bad.json", tmp_path / "good.json"
+            bad.write_text(json.dumps(matcore.matrix_to_json(np.diag([1.0, -1e-3]))))
+            good.write_text(json.dumps(matcore.matrix_to_json(np.diag([2.0, 1.0]))))
+            failing, passing = ["inequalities", "--matrix", str(bad)], ["inequalities", "--matrix", str(good)]
+        assert cli.main([*failing, "--out", str(out)]) == 1
+        assert any((out / "counterexamples").iterdir())
+        monkeypatch.undo()
+        assert cli.main([*passing, "--out", str(out)]) == 0
+        assert not (out / "counterexamples").exists()
+
+    def test_one_fold_call_adds_a_key_to_both_summaries(self, tmp_path, monkeypatch):
+        summaries = {}
+        for patched in (False, True):
+            if patched:
+                fold = cli.Run.fold
+
+                def with_extra(run, key, count, **minima):
+                    fold(run, "folded_count", count)  # the one line a new key needs
+                    return fold(run, key, count, **minima)
+
+                monkeypatch.setattr(cli.Run, "fold", with_extra)
+            for args in (self.SWEEP, self.SUITE):
+                out = tmp_path / f"{args[0]}-{patched}"
+                assert cli.main([*args, "--out", str(out)]) == 0
+                summaries[args[0], patched] = json.loads((out / "summary.json").read_text())
+        for command in ("sweep", "inequalities"):
+            plain, extra = summaries[command, False], summaries[command, True]
+            assert extra.pop("folded_count") > 0
+            assert extra == plain
+
+    def test_any_other_error_is_exit_1_with_one_record(self, tmp_path, capsys, monkeypatch):
+        def singular(seeds, d, k):
+            raise SingularNormalizerError("planted singular normalizer")
+
+        monkeypatch.setattr(sampler, "_cptp_ops", singular)
+        record = {"check": "error", "kind": "SingularNormalizerError", "message": "planted singular normalizer"}
+        for args in (self.SWEEP, self.SUITE):
+            out = tmp_path / args[0]
+            assert cli.main([*args, "--family", "cptp", "--out", str(out)]) == 1
+            assert json.loads((out / "summary.json").read_text())["failure"] == record
+            assert "Traceback" not in capsys.readouterr().err
+        assert not (tmp_path / "sweep" / "report.csv").exists()
+
+    def test_input_among_the_run_files_is_refused(self, tmp_path, capsys):
+        # a suite counterexample is a --matrix file: retesting it into the same
+        # directory must not remove it, nor a file a run never writes
+        out = tmp_path / "x"
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(matcore.matrix_to_json(np.diag([1.0, -1e-3]))))
+        assert cli.main(["inequalities", "--matrix", str(bad), "--out", str(out)]) == 1
+        written = out / "counterexamples" / "bad.json"
+        kept = out / "counterexamples" / "notes.txt"
+        kept.write_text("mine")
+        before = written.read_text()
+        capsys.readouterr()
+        assert cli.main(["inequalities", "--matrix", str(written), "--out", str(out)]) == 2
+        assert "copy it out of that directory" in capsys.readouterr().err
+        assert written.read_text() == before
+        assert cli.main([*self.SUITE, "--out", str(out)]) == 0
+        assert sorted(p.name for p in (out / "counterexamples").iterdir()) == ["notes.txt"]
+
+    def test_error_after_a_violation_keeps_the_violation(self, tmp_path, capsys, monkeypatch):
+        def failing_write(*args):
+            raise OSError("planted write error")
+
+        monkeypatch.setattr(tradeoff, "GAP_TOL", -10.0)  # every non-limit cell violates
+        monkeypatch.setattr(cli, "_write_csv", failing_write)
+        out = tmp_path / "x"
+        assert cli.main([*self.SWEEP, "--q", "2", "--s", "0", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "BOUND VIOLATION" in err and "planted write error" in err and "Traceback" not in err
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["violations"] == 1 and "failure" not in summary
+        assert summary["error"] == {"check": "error", "kind": "OSError", "message": "planted write error"}
+        assert (out / "counterexamples" / summary["violation"]["counterexample"]).exists()
+        assert not (out / "report.csv").exists()
+
+    def test_error_after_a_failed_check_keeps_the_failure(self, tmp_path, monkeypatch):
+        def raising(x, y, q):
+            raise FloatingPointError("planted sups error")
+
+        marks = [(ginibre_matrix(203, 2, 0), 0)]
+        monkeypatch.setattr(spectra, "check_antinorm_monotonicity", failing_on(spectra.check_antinorm_monotonicity, marks))
+        monkeypatch.setattr(spectra, "check_superadditivity", raising)
+        out = tmp_path / "x"
+        assert cli.main([*self.SUITE, "--out", str(out)]) == 1
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["failure"] == {"check": "npqr", "input": "psd-d2-0000", "kind": "inequality-failed"}
+        assert summary["error"]["kind"] == "FloatingPointError"
+        assert sorted(p.name for p in (out / "counterexamples").iterdir()) == ["psd-d2-0000.json"]
+
+    @pytest.mark.parametrize("command", ["sweep", "inequalities"])
+    def test_out_naming_a_file_is_a_config_error(self, tmp_path, capsys, command):
+        out = tmp_path / "x"
+        out.write_text("not a directory")
+        assert cli.main([command, "--dims", "2", "--samples", "1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("config error: could not make output directory")
+        assert out.read_text() == "not a directory"

@@ -15,7 +15,7 @@ S_GRID = (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0)
 
 
 def grid_params():
-    return [ent.EntropyParams(q, s) for q in Q_GRID for s in S_GRID]
+    return [oracles.EntropyParams(q, s) for q in Q_GRID for s in S_GRID]
 
 
 def entropy_cell(spec, params):
@@ -44,16 +44,16 @@ def _channel_spectra(ch):
 class TestEntropyParams:
     def test_rejects_bad_orders(self):
         with pytest.raises(DomainError):
-            ent.EntropyParams(0.0, 1.0)
+            oracles.EntropyParams(0.0, 1.0)
         with pytest.raises(DomainError):
-            ent.EntropyParams(-2.0, 1.0)
+            oracles.EntropyParams(-2.0, 1.0)
         with pytest.raises(DomainError):
-            ent.EntropyParams(1.0, float("nan"))
+            oracles.EntropyParams(1.0, float("nan"))
 
     @pytest.mark.parametrize("q, s", [(math.inf, 1.0), (2.0, math.inf), (2.0, -math.inf)])
     def test_rejects_infinite_orders(self, q, s):
         with pytest.raises(DomainError):
-            ent.EntropyParams(q, s)
+            oracles.EntropyParams(q, s)
 
 
 class TestQLog:
@@ -79,7 +79,7 @@ class TestEntropyFromSpectrum:
     def test_flat_distribution_renyi(self):
         spec = np.full(6, 0.25)
         for q in (0.3, 2.0, 5.0):
-            got = entropy_cell(spec, ent.EntropyParams(q, 0.0))
+            got = entropy_cell(spec, oracles.EntropyParams(q, 0.0))
             assert got == pytest.approx(math.log(6), abs=1e-12)
 
     def test_point_mass_is_zero(self):
@@ -90,14 +90,14 @@ class TestEntropyFromSpectrum:
     def test_tsallis_two(self):
         # 1 - sum p**2 at q = 2, s = 1
         spec = np.array([0.75, 0.25])
-        got = entropy_cell(spec, ent.EntropyParams(2.0, 1.0))
+        got = entropy_cell(spec, oracles.EntropyParams(2.0, 1.0))
         assert got == pytest.approx(3.0 / 8.0, abs=1e-15)
 
     def test_rejects_bad_spectra(self):
         with pytest.raises(InvalidSpectrumError):
-            entropy_cell(np.array([-1.0, 2.0]), ent.EntropyParams(2, 1))
+            entropy_cell(np.array([-1.0, 2.0]), oracles.EntropyParams(2, 1))
         with pytest.raises(InvalidSpectrumError):
-            entropy_cell(np.zeros(3), ent.EntropyParams(2, 1))
+            entropy_cell(np.zeros(3), oracles.EntropyParams(2, 1))
 
 
 class TestMapEntropy:
@@ -108,7 +108,7 @@ class TestMapEntropy:
 
     def test_completely_depolarizing_worked_example(self):
         ch = sampler.named_channel("completely-depolarizing", 2)
-        got = map_entropy(ch, ent.EntropyParams(0.5, 1.0))
+        got = map_entropy(ch, oracles.EntropyParams(0.5, 1.0))
         assert got == pytest.approx(2.0, abs=1e-12)
 
     @pytest.mark.parametrize("d", [2, 3])
@@ -117,7 +117,7 @@ class TestMapEntropy:
         for params in grid_params():
             want = oracles.uniform_entropy(d * d, params)
             assert map_entropy(ch, params) == pytest.approx(want, rel=1e-12, abs=1e-12)
-        renyi = map_entropy(ch, ent.EntropyParams(0.5, 0.0))
+        renyi = map_entropy(ch, oracles.EntropyParams(0.5, 0.0))
         assert renyi == pytest.approx(2 * math.log(d), abs=1e-12)
 
 
@@ -125,7 +125,7 @@ class TestReceiverEntropy:
     @pytest.mark.parametrize("d", [2, 3])
     def test_identity_channel_is_maximal(self, d):
         ch = sampler.named_channel("identity", d)
-        got = receiver_entropy(ch, ent.EntropyParams(3.0, 0.0))
+        got = receiver_entropy(ch, oracles.EntropyParams(3.0, 0.0))
         assert got == pytest.approx(2 * math.log(d), abs=1e-12)
         for params in grid_params():
             want = oracles.uniform_entropy(d * d, params)
@@ -139,7 +139,7 @@ class TestReceiverEntropy:
     def test_unitary_channel_is_maximal(self):
         rng = np.random.default_rng(101)
         u = oracles.haar_unitary(3, rng)
-        got = receiver_entropy(u[None], ent.EntropyParams(0.5, 0.0))
+        got = receiver_entropy(u[None], oracles.EntropyParams(0.5, 0.0))
         assert got == pytest.approx(2 * math.log(3), abs=1e-10)
 
 
@@ -148,20 +148,20 @@ class TestLimitConsistency:
         for _, _, _, ch in population(911, (2, 3), ("cptp",), 3):
             for spec in _channel_spectra(ch):
                 for q in (0.3, 2.0, 5.0):
-                    at_zero = entropy_cell(spec, ent.EntropyParams(q, 0.0))
+                    at_zero = entropy_cell(spec, oracles.EntropyParams(q, 0.0))
                     for eps, tol in ((1e-4, 1e-2), (1e-6, 1e-4)):
                         for sign in (1.0, -1.0):
-                            near = entropy_cell(spec, ent.EntropyParams(q, sign * eps))
+                            near = entropy_cell(spec, oracles.EntropyParams(q, sign * eps))
                             assert abs(near - at_zero) <= tol
 
     def test_q_limit_matches_von_neumann(self):
         for _, _, _, ch in population(912, (2, 3), ("cptp",), 3):
             for spec in _channel_spectra(ch):
                 for s in (-1.0, 0.0, 1.0):
-                    vn = entropy_cell(spec, ent.EntropyParams(1.0, s))
+                    vn = entropy_cell(spec, oracles.EntropyParams(1.0, s))
                     for eps, tol in ((1e-4, 1e-2), (1e-6, 1e-4)):
                         for sign in (1.0, -1.0):
-                            near = entropy_cell(spec, ent.EntropyParams(1.0 + sign * eps, s))
+                            near = entropy_cell(spec, oracles.EntropyParams(1.0 + sign * eps, s))
                             assert abs(near - vn) <= tol
 
 
@@ -212,9 +212,9 @@ class TestUniformEntropy:
             assert oracles.uniform_entropy(5, params) == pytest.approx(kernel, rel=1e-12, abs=1e-12)
 
     def test_single_outcome(self):
-        assert oracles.uniform_entropy(1, ent.EntropyParams(0.7, 2.0)) == 0.0
+        assert oracles.uniform_entropy(1, oracles.EntropyParams(0.7, 2.0)) == 0.0
         with pytest.raises(DomainError):
-            oracles.uniform_entropy(0, ent.EntropyParams(0.7, 2.0))
+            oracles.uniform_entropy(0, oracles.EntropyParams(0.7, 2.0))
 
 
 def _rel_err(got, want):
@@ -252,7 +252,7 @@ class TestGridKernel:
         sup_grid = ent.entropy_grid(sup, self.Q, self.S)
         for i, q in enumerate(self.Q):
             for j, s in enumerate(self.S):
-                params = ent.EntropyParams(q, s)
+                params = oracles.EntropyParams(q, s)
                 # equal up to the last bits numpy's vectorized pow may differ in
                 assert _rel_err(map_entropy(ch, params), choi_grid[i, j]) <= 1e-14
                 assert _rel_err(receiver_entropy(ch, params), sup_grid[i, j]) <= 1e-14
@@ -262,9 +262,9 @@ class TestGridKernel:
         table = tradeoff.bound_table(d, self.Q, self.S)
         for i, q in enumerate(self.Q):
             for j, s in enumerate(self.S):
-                params = ent.EntropyParams(q, s)
+                params = oracles.EntropyParams(q, s)
                 for unital, got in ((False, table.all_channels), (True, table.unital)):
-                    want = tradeoff.lower_bound(d, params, unital)
+                    want = oracles.lower_bound(d, params, unital)
                     assert _rel_err(got[i, j], want) <= 1e-12
         assert table.limit_rows.tolist() == [abs(q - 1.0) <= tradeoff.LIMIT_EPS for q in self.Q]
 
@@ -352,7 +352,7 @@ class TestAccuracy:
             assert self._worst(spec) <= self.BOUND
             grid = ent.entropy_grid(spec, self.Q, self.S)
             assert _rel_err(grid, ent.entropy_grid(ref, self.Q, self.S)).max() <= self.BOUND
-        assert map_entropy(noisy, ent.EntropyParams(1.0 + 2e-8, 0.0)) == pytest.approx(1.1344, abs=1e-4)
+        assert map_entropy(noisy, oracles.EntropyParams(1.0 + 2e-8, 0.0)) == pytest.approx(1.1344, abs=1e-4)
 
 
 class TestLargeOrders:

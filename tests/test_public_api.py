@@ -18,7 +18,10 @@ MODULES = ("channel", "cli", "entropy", "errors", "matcore", "sampler", "spectra
 # (now in tests/oracles.py and tests/helpers.py), the wrappers of spectra, D
 # and K, which are plain arrays, the one-input report of the checks, which
 # take stacks only, and the channel object with its stacking, config and
-# one-sample entry point: a channel is its (k, d, d) Kraus array.
+# one-sample entry point: a channel is its (k, d, d) Kraus array.  The
+# one-cell order pair and bound went to tests/oracles.py: the library
+# tabulates bounds with bound_table.  The CLI reads its input files with
+# channel_from_json and matrix_from_json, so load_channel went too.
 REMOVED = {
     "sampler": (
         "sample_cptp", "sample_unitary_mixture", "sample_unistochastic", "unistochastic_from_unitary",
@@ -27,11 +30,12 @@ REMOVED = {
     "channel": (
         "superoperator_from_kraus", "apply_channel", "unital_defect", "is_unital",
         "DynamicalMatrix", "SuperoperatorMatrix", "save_channel", "KrausChannel", "stack_kraus",
+        "load_channel",
     ),
-    "entropy": ("q_log", "uniform_entropy", "map_entropy", "receiver_entropy"),
+    "entropy": ("q_log", "uniform_entropy", "map_entropy", "receiver_entropy", "EntropyParams"),
     "matcore": ("Spectrum", "vec"),
     "spectra": ("schatten", "InequalityReport"),
-    "tradeoff": ("evaluate_tradeoff",),
+    "tradeoff": ("evaluate_tradeoff", "lower_bound"),
 }
 
 

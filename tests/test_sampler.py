@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import oracles
 import pytest
@@ -8,7 +10,12 @@ from hypothesis import strategies as st
 from chanent import channel as chmod
 from chanent import sampler
 from chanent.entropy import entropy_grid
-from chanent.errors import ParamOutOfRangeError, SingularNormalizerError, UnknownChannelError
+from chanent.errors import (
+    DimensionMismatchError,
+    ParamOutOfRangeError,
+    SingularNormalizerError,
+    UnknownChannelError,
+)
 
 
 def derive_seed(*address):
@@ -144,6 +151,14 @@ class TestNamedChannels:
             sampler.named_channel("depolarizing", 2, None)
         with pytest.raises(ParamOutOfRangeError):
             sampler.named_channel("amplitude-damping", 3, 0.5)
+
+    def test_unitary_errors_are_typed(self):
+        # a rotation needs two basis directions and a finite angle
+        with pytest.raises(DimensionMismatchError):
+            sampler.named_channel("unitary", 1, 0.3)
+        for angle in (math.inf, -math.inf, math.nan, None):
+            with pytest.raises(ParamOutOfRangeError):
+                sampler.named_channel("unitary", 2, angle)
 
 
 class TestDispatchAndSeeds:
