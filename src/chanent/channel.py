@@ -238,8 +238,8 @@ def channel_to_json(ops) -> dict:
 
 
 def channel_from_json(obj: dict) -> np.ndarray:
-    """Parse the channel JSON format into a validated ``(k, d, d)`` Kraus array."""
-    d = int(obj["dim"])
+    """Parse the channel JSON format into a validated ``(k, d, d)`` Kraus array; ``dim`` is an integer >= 1."""
+    d = matcore._json_size(obj, "dim")
     ops = [matcore.matrix_from_json(o) for o in obj["kraus"]]
     for m in ops:
         if m.shape != (d, d):

@@ -38,9 +38,11 @@ its channel's row of the stack.
 
 A sweep stacks the channels of one (dimension, family) and evaluates each
 profile in one grid pass, against bounds tabulated once per dimension.  Its
-first error is the one a loop over the channels would meet first; a
-violation on a channel inside a stack writes every row of the channels
-before it, and an error leaves no ``report.csv``.  ``report.csv`` is
+violation, read off the grid, or its error is the one a loop over the
+channels would meet first; a violation on a channel inside a stack writes
+every row of the channels before it, and an error leaves no
+``report.csv``.  A sweep with no order off the ``q = 1`` rows, where no
+bound is asserted, is a configuration error.  ``report.csv`` is
 written as each stack is evaluated, channel by channel, each row one
 pre-formatted line: the channel columns go through :mod:`csv` once per
 channel (a ``--channel`` file name may need quoting), the orders and bounds
@@ -71,8 +73,8 @@ import numpy as np
 from . import channel as chmod
 from . import matcore, sampler, spectra
 from .channel import profile_channel
-from .errors import BoundViolation, DomainError, ParamOutOfRangeError, UnknownChannelError
-from .tradeoff import TradeoffReport, bound_table, evaluate_profile
+from .errors import DomainError, ParamOutOfRangeError, UnknownChannelError
+from .tradeoff import LIMIT_EPS, TradeoffReport, bound_table, evaluate_profile
 
 __all__ = ["SweepConfig", "ConfigError", "run_sweep", "run_inequality_suite", "main"]
 
@@ -411,6 +413,12 @@ class Run:
 
 def run_sweep(cfg: SweepConfig, out_dir, channel_path=None) -> int:
     """Evaluate the trade-off grid and write report.csv / summary.json."""
+    if (np.abs(np.array(cfg.q_grid, dtype=float) - 1.0) <= LIMIT_EPS).all():
+        # the bound is asserted off the q = 1 rows only: such a sweep checks nothing
+        raise ConfigError(
+            f"every q in {list(cfg.q_grid)} is a q = 1 limit row, whose bound is "
+            "reported but not asserted; a sweep needs an order q != 1"
+        )
     injected = None
     if channel_path is not None:
         ch = _load_input(channel_path, "channel", chmod.channel_from_json)
@@ -430,21 +438,25 @@ def run_sweep(cfg: SweepConfig, out_dir, channel_path=None) -> int:
         for family, dim, ids, ops in stacks:
             profile = profile_channel(ops, ids)
             bounds, texts, limit = tables(dim)
+            grid = evaluate_profile(profile, bounds)
             # rows are counted over the stack's cells in row order: every cell
             # of the channels that pass, and on a violation the ``kept`` cells
             # before it, and it
-            try:
-                grid = evaluate_profile(profile, bounds)
-                count = kept = grid.gap.size
-            except BoundViolation as exc:
-                grid, (k, i, j) = exc.grid, exc.cell
-                kept = (k * bounds.q.size + i) * bounds.s.size + j
+            count = kept = grid.gap.size
+            if grid.violation is not None:
+                kept = int(np.ravel_multi_index(grid.violation, grid.gap.shape))
                 count = kept + 1
-                name = exc.report.channel_id or "channel"
+                report = grid.report(*grid.violation)
+                name = report.channel_id or "channel"
+                message = (
+                    f"entropic sum fell {-report.gap:.3e} below the bound on channel "
+                    f"{report.channel_id!r} at q={report.q}, s={report.s}"
+                )
                 run.summary["violations"] = 1
                 run.fail(
-                    "violation", {"message": str(exc), "counterexample": f"{name}.json"},
-                    f"BOUND VIOLATION: {exc}", name, _counterexample(ops[k], exc.report, family),
+                    "violation", {"message": message, "counterexample": f"{name}.json"},
+                    f"BOUND VIOLATION: {message}", name,
+                    _counterexample(ops[grid.violation[0]], report, family),
                 )
             gaps = grid.gap.ravel()[:count]
             saturated = grid.saturated.ravel()[:count]

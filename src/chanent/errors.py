@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package; a bound violation is data, ``GridReport.violation``."""
 
 __all__ = [
     "NonSquareError",
@@ -12,7 +12,6 @@ __all__ = [
     "UnknownChannelError",
     "ParamOutOfRangeError",
     "SingularNormalizerError",
-    "BoundViolation",
 ]
 
 
@@ -58,19 +57,3 @@ class ParamOutOfRangeError(ValueError):
 
 class SingularNormalizerError(RuntimeError):
     """Kraus normalizer stayed numerically singular after resampling."""
-
-
-class BoundViolation(RuntimeError):
-    """A trade-off lower bound failed beyond tolerance.
-
-    Carries the offending report so the counterexample can be serialized;
-    this is never swallowed silently.  A grid evaluation also passes the
-    whole grid and the ``(k, i, j)`` index of the offending cell in it:
-    channel ``k`` of the stack, at ``(q[i], s[j])``.
-    """
-
-    def __init__(self, message, report, grid=None, cell=None):
-        super().__init__(message)
-        self.report = report
-        self.grid = grid
-        self.cell = cell

@@ -183,13 +183,22 @@ def matrix_to_json(x) -> dict:
     }
 
 
+def _json_size(obj: dict, key: str) -> int:
+    """``obj[key]``, a size in a JSON input: an integer >= 1, and not ``true``."""
+    size = obj[key]
+    if not isinstance(size, int) or isinstance(size, bool) or size < 1:
+        raise ValueError(f"{key!r} must be an integer >= 1, got {size!r}")
+    return size
+
+
 def matrix_from_json(obj: dict) -> np.ndarray:
     """Parse the shared JSON matrix object format; every entry must be finite.
 
     ``json`` reads ``NaN`` and ``Infinity``; a matrix holding them has no
-    spectrum to check.
+    spectrum to check.  The sizes are JSON integers >= 1: an empty matrix has
+    no spectrum either, and ``2.9`` or ``true`` is no size.
     """
-    rows, cols = int(obj["rows"]), int(obj["cols"])
+    rows, cols = _json_size(obj, "rows"), _json_size(obj, "cols")
     re = np.asarray(obj["re"], dtype=float)
     im = np.asarray(obj["im"], dtype=float)
     if re.size != rows * cols or im.size != rows * cols:

@@ -12,13 +12,15 @@ expression on every cell: ``gamma`` drops out where the argument is 0, the
 ``s = 0`` row gives ``f kappa ln d`` and the ``q = 1`` row ``f ln d``.  The
 bound's derivation excludes ``q = 1`` exactly, so on that row (to within
 ``LIMIT_EPS``) the evaluator reports the limit value without asserting it as
-a theorem: :class:`BoundViolation` is raised only off the ``q = 1`` rows.
+a theorem: a cell is a violation only off the ``q = 1`` rows.
 
 Channels are evaluated on a whole ``(q, s)`` grid at once: the bounds of
 one dimension are tabulated once (:func:`bound_table`), and
 :func:`evaluate_profile` computes the map and receiver entropies and the gap
 of every cell of that table, for every channel of a
-:class:`~chanent.channel.ChannelProfile` stack, in one array pass.
+:class:`~chanent.channel.ChannelProfile` stack, in one array pass.  A
+violation is read off the grid it returns, which names its first violated
+cell.
 
 The auxiliary minimizations behind the bound, over the planar regions
 ``{0 <= x, y <= 1, x y <= a}`` and ``{x, y >= 1, x y >= b}``, have closed
@@ -30,13 +32,13 @@ grid-search oracles and the check of the norm-ratio preconditions live in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import channel as chmod
 from .entropy import entropy_grid, exprel
-from .errors import BoundViolation, DimensionMismatchError, DomainError
+from .errors import DimensionMismatchError, DomainError
 
 __all__ = [
     "SAT_TOL",
@@ -143,7 +145,10 @@ class GridReport:
 
     The arrays are ``(n, n_q, n_s)``, channel ``k``'s laid out like the table
     at index ``k``; ``gap`` is measured against the unital bound for unital
-    channels and against the all-channels bound otherwise.
+    channels and against the all-channels bound otherwise.  ``violation`` is
+    the index ``(k, i, j)`` of the first cell, as :func:`evaluate_profile`
+    orders them, whose gap drops below ``-GAP_TOL`` off the ``q = 1`` rows,
+    or None if no cell does.
     """
 
     profile: chmod.ChannelProfile
@@ -152,6 +157,7 @@ class GridReport:
     receiver_values: np.ndarray
     gap: np.ndarray
     saturated: np.ndarray
+    violation: tuple | None = None
 
     def report(self, k: int, i: int, j: int) -> TradeoffReport:
         """The cell at ``(q[i], s[j])`` of channel ``k`` as a :class:`TradeoffReport`."""
@@ -172,16 +178,13 @@ class GridReport:
 def evaluate_profile(profile: chmod.ChannelProfile, bounds: BoundTable) -> GridReport:
     """Entropic sums, applicable bounds and gaps on every cell of ``bounds``.
 
-    The stack is evaluated in one array pass, and its errors are those of
+    The stack is evaluated in one array pass, and its outcome is that of
     evaluating its channels one after the other: the first channel with a
     non-finite cell or a violation decides, and within it a non-finite cell
-    comes first.  Raises :class:`DomainError` naming the first cell, in
-    ``(q, s)`` row-major order, whose entropy or gap is not finite.  Raises
-    :class:`BoundViolation` carrying the report of the first cell whose gap
-    drops below ``-GAP_TOL`` outside the ``q = 1`` band, the whole grid and
-    the cell's index ``(k, i, j)`` in it, on channel ``k``; such a failure
-    is either a tolerance problem or a genuine bug and must never be
-    ignored.
+    comes first, then the first violated cell in ``(q, s)`` row-major order.
+    A non-finite cell raises :class:`DomainError` naming it; a violated one
+    is the returned grid's ``violation``.  A violation is either a tolerance
+    problem or a genuine bug, and its caller must never ignore it.
     """
     if bounds.dim != profile.dim:
         raise DimensionMismatchError(f"bound table for d={bounds.dim}, channel has d={profile.dim}")
@@ -199,21 +202,11 @@ def evaluate_profile(profile: chmod.ChannelProfile, bounds: BoundTable) -> GridR
         return grid
     k = int(failing[0])
     if non_finite[k].any():
-        i, j = divmod(int(np.argmax(non_finite[k])), bounds.s.size)
-        report = grid.report(k, i, j)
+        report = grid.report(k, *divmod(int(np.argmax(non_finite[k])), bounds.s.size))
         bound = report.bound_all if report.bound_unital is None else report.bound_unital
         raise DomainError(
             f"entropy or gap is not finite at q={report.q}, s={report.s} on "
             f"channel {report.channel_id!r}: map {report.map_value}, "
             f"receiver {report.receiver_value}, bound {bound}"
         )
-    i, j = divmod(int(np.argmax(violated[k])), bounds.s.size)
-    report = grid.report(k, i, j)
-    raise BoundViolation(
-        f"entropic sum fell {-report.gap:.3e} below the bound on channel "
-        f"{report.channel_id!r} at q={report.q}, s={report.s}",
-        report,
-        grid=grid,
-        cell=(k, i, j),
-    )
-
+    return replace(grid, violation=(k, *divmod(int(np.argmax(violated[k])), bounds.s.size)))

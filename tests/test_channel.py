@@ -414,6 +414,12 @@ class TestChannelJson:
         assert loaded.shape == (2, 2, 2)
         np.testing.assert_array_equal(loaded, ch)
 
+    @pytest.mark.parametrize("dim", [2.7, 2.0, True, 0, "2"])
+    def test_dim_is_an_integer_from_1(self, dim):
+        obj = {**chmod.channel_to_json(sampler.named_channel("identity", 2)), "dim": dim}
+        with pytest.raises(ValueError, match="'dim' must be an integer >= 1"):
+            chmod.channel_from_json(obj)
+
     def test_rejects_non_tp_file(self):
         obj = {"dim": 2, "kraus": [matcore.matrix_to_json(np.eye(2) * 0.5)]}
         with pytest.raises(NotTracePreservingError):

@@ -212,6 +212,36 @@ class TestSweep:
         assert name == rows[0]["channel_id"] + ".json"
         assert (out / "counterexamples" / name).exists()
 
+    @pytest.mark.parametrize("q", ["1", "1,1.000000001"])
+    def test_sweep_of_limit_rows_only_is_a_config_error(self, tmp_path, capsys, q):
+        # the bound is not asserted on the q = 1 rows, so such a sweep checks
+        # no cell: it must not exit 0, for sampled channels or a file
+        ch_path = tmp_path / "identity.json"
+        save_channel(sampler.named_channel("identity", 2), ch_path)
+        out = tmp_path / "x"
+        for source in (["--dims", "2", "--samples", "1"], ["--channel", str(ch_path)]):
+            assert cli.main(["sweep", *source, "--q", q, "--s", "0", "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error:") and "q = 1 limit row" in err
+            assert not out.exists()
+
+    def test_suite_at_q_1_alone_runs(self, tmp_path):
+        # the rule is the sweep's: prop1 asserts real inequalities at q = 1
+        out = tmp_path / "x"
+        assert cli.main(["inequalities", "--dims", "2", "--samples", "1", "--q", "1", "--out", str(out)]) == 0
+        assert json.loads((out / "summary.json").read_text())["checks"]["prop1"]["count"] > 0
+
+    def test_channel_file_dim_is_an_integer(self, tmp_path, capsys):
+        # "dim": 2.7 ran as d = 2
+        ch_path = tmp_path / "frac.json"
+        obj = chmod.channel_to_json(sampler.named_channel("identity", 2))
+        ch_path.write_text(json.dumps({**obj, "dim": 2.7}))
+        out = tmp_path / "x"
+        assert cli.main(["sweep", "--channel", str(ch_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "'dim' must be an integer >= 1, got 2.7" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag, value, cell", [("--s", "1e6", "q=0.3, s=1000000.0"),
                                                    ("--q", "1000", "q=1000.0, s=-2.0")])
     def test_non_finite_cell_is_a_config_error(self, tmp_path, capsys, flag, value, cell):
@@ -488,6 +518,21 @@ class TestInequalities:
         mat_path.write_text(text)
         assert cli.main(["inequalities", "--matrix", str(mat_path), "--out", str(tmp_path / "x")]) == 2
         assert capsys.readouterr().err.startswith("config error:")
+
+    @pytest.mark.parametrize("sizes, named", [
+        ({"rows": 0, "cols": 0, "re": [], "im": []}, "'rows' must be an integer >= 1, got 0"),
+        ({"rows": 2.9, "cols": True, "re": [1.0, 2.0], "im": [0.0, 0.0]}, "got 2.9"),
+        ({"rows": 2, "cols": True, "re": [1.0, 2.0], "im": [0.0, 0.0]}, "'cols' must be an integer >= 1, got True"),
+    ])
+    def test_matrix_file_sizes_are_integers_from_1(self, tmp_path, capsys, sizes, named):
+        # a 0 x 0 file passed 21in with no slack; 2.9 x true was read as 2 x 1
+        mat_path = tmp_path / "sizes.json"
+        mat_path.write_text(json.dumps(sizes))
+        out = tmp_path / "x"
+        assert cli.main(["inequalities", "--matrix", str(mat_path), "--only", "21in", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and named in err
+        assert not out.exists()
 
     def test_non_finite_slack_fails_the_run(self, tmp_path, capsys, monkeypatch):
         # sups with both sides infinite and no scaled comparison: its slack is

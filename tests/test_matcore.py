@@ -184,6 +184,13 @@ class TestMatrixJson:
         with pytest.raises(DimensionMismatchError):
             matcore.matrix_from_json({"rows": 2, "cols": 2, "re": [1.0], "im": [0.0]})
 
+    @pytest.mark.parametrize("rows, cols", [(0, 0), (1, 0), (2.9, 1), (2, True), ("2", 1), (2.0, 1)])
+    def test_sizes_are_integers_from_1(self, rows, cols):
+        # an empty matrix has no spectrum, and 2.9, true or "2" is no size
+        entries = [0.0] * (int(rows) * int(cols))
+        with pytest.raises(ValueError, match="must be an integer >= 1"):
+            matcore.matrix_from_json({"rows": rows, "cols": cols, "re": entries, "im": entries})
+
     @pytest.mark.parametrize("part", ["re", "im"])
     @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
     def test_non_finite_entries_rejected(self, part, entry):

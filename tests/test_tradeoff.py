@@ -9,7 +9,7 @@ from oracles import EntropyParams
 
 from chanent import channel as chmod
 from chanent import sampler, tradeoff
-from chanent.errors import BoundViolation, DimensionMismatchError, DomainError
+from chanent.errors import DimensionMismatchError, DomainError
 
 # the default sweep grid
 Q_GRID = (0.3, 0.5, 0.9, 1.0, 1.1, 1.5, 2.0, 3.0, 5.0)
@@ -135,14 +135,14 @@ class TestEvaluate:
         assert rep.bound_unital is None
         assert rep.gap > 0 and not rep.saturated
 
-    def test_violation_raises_with_report(self):
-        # every cell fails; the first one off the q = 1 row is reported
+    def test_violation_is_read_off_the_grid(self):
+        # every cell fails; the first one off the q = 1 row is the violation
         bounds = tradeoff.bound_table(2, (1.0, 2.0), (0.0, 1.0))
-        with pytest.raises(BoundViolation) as err:
-            tradeoff.evaluate_profile(_fake_profile(), bounds)
-        assert err.value.report.gap < -1e-9
-        assert err.value.cell == (0, 1, 0) and (err.value.report.q, err.value.report.s) == (2.0, 0.0)
-        assert err.value.grid.gap[0, 1, 0] == err.value.report.gap
+        grid = tradeoff.evaluate_profile(_fake_profile(), bounds)
+        assert grid.violation == (0, 1, 0)
+        report = grid.report(*grid.violation)
+        assert report.gap < -1e-9 and (report.q, report.s) == (2.0, 0.0)
+        assert grid.gap[0, 1, 0] == report.gap
 
     def test_tp_noisy_channel_is_held_to_the_unital_bound(self):
         # unital defect 9.0e-9, inside TP_TOL: the sharper bound applies
@@ -157,6 +157,7 @@ class TestEvaluate:
     def test_limit_row_records_instead_of_raising(self):
         grid = tradeoff.evaluate_profile(_fake_profile(), tradeoff.bound_table(2, (1.0,), (0.0,)))
         assert grid.report(0, 0, 0).gap < -1e-9  # recorded, not asserted, on the q = 1 row
+        assert grid.violation is None
 
 
 def _stacked_profile(*rows):
@@ -168,6 +169,18 @@ def _stacked_profile(*rows):
         np.concatenate([p.choi_spectrum for p in rows]),
         np.concatenate([p.superop_spectrum for p in rows]),
         np.concatenate([p.tr2 for p in rows]),
+    )
+
+
+def _good():
+    return chmod.profile_channel(sampler.named_channel("depolarizing", 2, 0.5)[None])
+
+
+def _broken():
+    """A profile whose Choi spectrum has an infinite entry: every cell of its grid is non-finite."""
+    good = _good()
+    return chmod.ChannelProfile(
+        ("x",), 2, np.array([False]), np.array([[np.inf, 0.0, 0.0, 0.0]]), good.superop_spectrum, good.tr2,
     )
 
 
@@ -193,25 +206,27 @@ class TestStackedEvaluate:
                         np.testing.assert_array_equal(getattr(grid, name)[k], getattr(single, name)[0])
 
     def test_violation_names_the_first_failing_channel(self):
-        good = chmod.profile_channel(sampler.named_channel("depolarizing", 2, 0.5)[None])
-        stack = _stacked_profile(good, _fake_profile(), _fake_profile())
+        stack = _stacked_profile(_good(), _fake_profile(), _fake_profile())
         bounds = tradeoff.bound_table(2, (1.0, 2.0), (0.0, 1.0))
-        with pytest.raises(BoundViolation) as err:
-            tradeoff.evaluate_profile(stack, bounds)
-        assert err.value.cell == (1, 1, 0) and err.value.report.channel_id == "b"
-        assert err.value.grid.gap.shape == (3, 2, 2)
-        assert err.value.grid.gap[1, 1, 0] == err.value.report.gap
+        grid = tradeoff.evaluate_profile(stack, bounds)
+        assert grid.violation == (1, 1, 0) and grid.report(*grid.violation).channel_id == "b"
+        assert grid.gap.shape == (3, 2, 2)
+        assert grid.gap[1, 1, 0] == grid.report(1, 1, 0).gap < -1e-9
 
     def test_non_finite_channel_before_a_violating_one(self):
-        good = chmod.profile_channel(sampler.named_channel("depolarizing", 2, 0.5)[None])
-        broken = chmod.ChannelProfile(
-            ("x",), 2, np.array([False]), np.array([[np.inf, 0.0, 0.0, 0.0]]),
-            good.superop_spectrum, good.tr2,
-        )
         with pytest.raises(DomainError, match="channel 'b'"):
             tradeoff.evaluate_profile(
-                _stacked_profile(good, broken, _fake_profile()), tradeoff.bound_table(2, Q_GRID, S_GRID)
+                _stacked_profile(_good(), _broken(), _fake_profile()), tradeoff.bound_table(2, Q_GRID, S_GRID)
             )
+
+    def test_violating_channel_before_a_non_finite_one(self):
+        # a loop over the channels stops at the violation and never meets
+        # the later non-finite cells: the grid comes back, naming the violation
+        grid = tradeoff.evaluate_profile(
+            _stacked_profile(_fake_profile(), _good(), _broken()), tradeoff.bound_table(2, (1.0, 2.0), (0.0, 1.0))
+        )
+        assert grid.violation == (0, 1, 0) and grid.report(0, 1, 0).channel_id == "a"
+        assert not np.isfinite(grid.gap[2]).any()
 
     def test_non_finite_cell_outranks_an_earlier_violation_of_its_channel(self):
         # cell (0, 0) violates; cell (1, 1) has an infinite bound
