@@ -15,12 +15,11 @@ from .channel import (
 from .matcore import hermitian_eigenvalues, partial_trace, singular_values
 from .sampler import named_channel
 from .spectra import schatten_antinorm, schatten_norm
-from .tradeoff import TradeoffReport, gamma_kappa
+from .tradeoff import gamma_kappa
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "TradeoffReport",
     "dynamical_from_kraus",
     "gamma_kappa",
     "hermitian_eigenvalues",

@@ -167,7 +167,7 @@ def dynamical_spectrum(dyn, kraus) -> np.ndarray:
         vals = np.concatenate([vals, np.zeros(vals.shape[:-1] + (n - vals.shape[-1],))], axis=-1)
     else:
         vals = matcore.hermitian_eigenvalues(dyn)
-    return matcore.clamp_spectrum(vals, neg_tol=matcore.eig_tol(n))
+    return matcore.clamp_spectrum(vals)
 
 
 def superoperator_spectrum(sup, d: int) -> np.ndarray:
@@ -183,7 +183,7 @@ def superoperator_spectrum(sup, d: int) -> np.ndarray:
     ftf = t.swapaxes(-4, -3).swapaxes(-2, -1)
     matcore.require_hermitian(np.abs(t.conj() - ftf).reshape(*lead, d * d, d * d))
     real = (t.real - t.swapaxes(-4, -3).imag).reshape(*lead, d * d, d * d)
-    return matcore.clamp_spectrum(matcore.singular_values(real), neg_tol=matcore.eig_tol(d * d))
+    return matcore.clamp_spectrum(matcore.singular_values(real))
 
 
 @dataclass(frozen=True, eq=False)

@@ -16,7 +16,8 @@ failure with its counterexample (under ``counterexamples/``), writes
 ``summary.json`` and decides the exit code (:meth:`Run.evaluating`):
 0 all cells/checks pass; 1 a bound or check failed, or any other error was
 raised while a stack was evaluated; 2 configuration errors, a
-:class:`DomainError` met while evaluating among them.
+:class:`DomainError` met while evaluating among them (such as a ``--matrix``
+file that is not square, or is zero, for a check that needs it to be).
 
 Runs are deterministic end to end: per-sample seeds derive from the base
 seed and the sample address, and output rows are ordered by
@@ -34,7 +35,9 @@ Both harnesses profile each channel stack, the Kraus array it was drawn
 as, with :func:`~chanent.channel.profile_channel`: one batched build of
 ``D``, one decomposition per spectrum and one ``Tr_2 D`` per stack.  A
 ``--channel`` file is a stack of one, and a counterexample is written from
-its channel's row of the stack.
+its channel's row of the stack.  A sweep's counterexample records the
+violated cell as the grid gives it (:meth:`~chanent.tradeoff.GridReport.cell`),
+and its ``BOUND VIOLATION`` line is built from that record.
 
 A sweep stacks the channels of one (dimension, family) and evaluates each
 profile in one grid pass, against bounds tabulated once per dimension.  Its
@@ -74,7 +77,7 @@ from . import channel as chmod
 from . import matcore, sampler, spectra
 from .channel import profile_channel
 from .errors import DomainError, ParamOutOfRangeError, UnknownChannelError
-from .tradeoff import LIMIT_EPS, TradeoffReport, bound_table, evaluate_profile
+from .tradeoff import bound_table, evaluate_profile, is_limit_row
 
 __all__ = ["SweepConfig", "ConfigError", "run_sweep", "run_inequality_suite", "main"]
 
@@ -277,24 +280,6 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
-def _counterexample(ch, report: TradeoffReport, family: str) -> dict:
-    """The JSON of a sweep counterexample: the channel and the cell it violates."""
-    return {
-        "channel": chmod.channel_to_json(ch),
-        "family": family,
-        "report": {
-            "channel_id": report.channel_id,
-            "q": report.q,
-            "s": report.s,
-            "map_entropy": report.map_value,
-            "receiver_entropy": report.receiver_value,
-            "bound_all": report.bound_all,
-            "bound_unital": report.bound_unital,
-            "gap": report.gap,
-        },
-    }
-
-
 def _nulled(value):
     """``value``, nested dicts included, with each non-finite float as None (JSON null)."""
     if isinstance(value, dict):
@@ -376,11 +361,11 @@ class Run:
         """The exit-code rule, applied to what evaluating the stacks raises.
 
         An error leaves no report.csv.  Before a failure, a
-        :class:`DomainError` (orders or an input the entropies or bounds
-        cannot take) is a configuration error: exit 2, none of the run's
-        files left.  Any other exception is the run's failure, exit 1, with
-        the injected input serialized.  The first failure stands: an error
-        raised after it is listed beside it, as ``"error"``, exit 1.
+        :class:`DomainError` (orders or an input the entropies, bounds or
+        checks cannot take) is a configuration error: exit 2, none of the
+        run's files left.  Any other exception is the run's failure, exit 1,
+        with the injected input serialized.  The first failure stands: an
+        error raised after it is listed beside it, as ``"error"``, exit 1.
         """
         try:
             yield
@@ -413,7 +398,7 @@ class Run:
 
 def run_sweep(cfg: SweepConfig, out_dir, channel_path=None) -> int:
     """Evaluate the trade-off grid and write report.csv / summary.json."""
-    if (np.abs(np.array(cfg.q_grid, dtype=float) - 1.0) <= LIMIT_EPS).all():
+    if is_limit_row(cfg.q_grid).all():
         # the bound is asserted off the q = 1 rows only: such a sweep checks nothing
         raise ConfigError(
             f"every q in {list(cfg.q_grid)} is a q = 1 limit row, whose bound is "
@@ -446,17 +431,16 @@ def run_sweep(cfg: SweepConfig, out_dir, channel_path=None) -> int:
             if grid.violation is not None:
                 kept = int(np.ravel_multi_index(grid.violation, grid.gap.shape))
                 count = kept + 1
-                report = grid.report(*grid.violation)
-                name = report.channel_id or "channel"
+                cell = grid.cell(*grid.violation)
+                name = cell["channel_id"] or "channel"
                 message = (
-                    f"entropic sum fell {-report.gap:.3e} below the bound on channel "
-                    f"{report.channel_id!r} at q={report.q}, s={report.s}"
-                )
+                    "entropic sum fell {:.3e} below the bound on channel {channel_id!r} at q={q}, s={s}"
+                ).format(-cell["gap"], **cell)
                 run.summary["violations"] = 1
                 run.fail(
                     "violation", {"message": message, "counterexample": f"{name}.json"},
                     f"BOUND VIOLATION: {message}", name,
-                    _counterexample(ops[grid.violation[0]], report, family),
+                    dict(channel=chmod.channel_to_json(ops[grid.violation[0]]), family=family, report=cell),
                 )
             gaps = grid.gap.ravel()[:count]
             saturated = grid.saturated.ravel()[:count]

@@ -15,7 +15,11 @@ __all__ = [
 ]
 
 
-class NonSquareError(ValueError):
+class DomainError(ValueError):
+    """Argument outside the mathematical domain of a function: an order, or an input it cannot take."""
+
+
+class NonSquareError(DomainError):
     """Operation requires a square matrix."""
 
 
@@ -39,12 +43,8 @@ class NotPositiveError(ValueError):
     """Matrix fails the positivity requirement of an anti-norm or clamp."""
 
 
-class InvalidSpectrumError(ValueError):
+class InvalidSpectrumError(DomainError):
     """Spectrum contains negative weight or carries no weight at all, or its matrix a non-finite entry."""
-
-
-class DomainError(ValueError):
-    """Scalar argument outside the mathematical domain of a function."""
 
 
 class UnknownChannelError(ValueError):

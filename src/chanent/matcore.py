@@ -152,15 +152,16 @@ def partial_trace(x, d: int) -> np.ndarray:
     return np.einsum("...ijkj->...ik", m.reshape(*m.shape[:-2], d, d, d, d))
 
 
-def clamp_spectrum(values, neg_tol: float) -> np.ndarray:
+def clamp_spectrum(values) -> np.ndarray:
     """Clamp a PSD-intended spectrum, or each row of a stack of spectra.
 
-    Entries below ``-neg_tol``, and NaN entries, raise
-    :class:`NotPositiveError`; remaining entries smaller than ``ZERO_REL_TOL``
-    times the largest entry of their spectrum (noise from rank-deficient
-    decompositions, negative or positive) become exactly 0.
+    Entries below ``-eig_tol(m)``, for spectra of ``m`` entries, and NaN
+    entries, raise :class:`NotPositiveError`; remaining entries smaller than
+    ``ZERO_REL_TOL`` times the largest entry of their spectrum (noise from
+    rank-deficient decompositions, negative or positive) become exactly 0.
     """
     vals = np.asarray(values, dtype=float)
+    neg_tol = eig_tol(vals.shape[-1])
     if vals.size and not vals.min() >= -neg_tol:
         lo = -_first_row_above(-vals.min(axis=-1), neg_tol)
         raise NotPositiveError(f"eigenvalue {lo:.6e} below -{neg_tol:.1e}")

@@ -32,6 +32,7 @@ import numpy as np
 
 from . import channel as chmod
 from . import matcore
+from .entropy import exprel
 from .errors import (
     DimensionMismatchError,
     InvalidOrderError,
@@ -160,20 +161,28 @@ def _power_mean_root(values: np.ndarray, q: float) -> np.ndarray:
 
 
 def _log_power_mean_root(values: np.ndarray, q: float) -> tuple[np.ndarray, np.ndarray]:
-    """``ln`` of :func:`_power_mean_root` as the sum of ``(ln(n)/q, ln m + log1p(delta)/q)``.
+    """``ln`` of :func:`_power_mean_root` as ``ln(n)/q + part``, given as ``(ln n, part)``.
 
-    With ``n`` positive entries in a row, ``S = n (1 + delta)`` and ``delta``
-    the mean of ``expm1(q ln(v/m))``.  The first part is the same for spectra
-    of equal rank, so a difference of logarithms cancels it exactly; the
-    second stays of the order of ``ln v`` however small ``q`` is, and keeps
-    its digits where ``ln m + (1/q) ln S`` would lose them to ``(1/q) ln n``.
+    With ``n`` positive entries in a row, ``S = n (1 + delta)``, ``delta``
+    the mean of ``expm1(q L)`` and ``L = ln(v/m)``, the part is ``ln m +
+    log1p(delta)/q``.  The caller divides a difference of ``ln n`` parts by
+    ``q``: it is exactly 0 for spectra of equal rank, where ``ln(n)/q`` alone
+    overflows at a subnormal ``q``.  The part stays of the order of ``ln v``
+    however small ``q`` is, and keeps its digits where ``ln m + (1/q) ln S``
+    would lose them to ``(1/q) ln n``.  It forms no product that underflows:
+    ``r``, the mean of ``L exprel(q L)``, is ``delta/q``, and
+    ``log1p(delta)/q`` is ``r log1p(q r)/(q r)``, whose last factor is 1 at
+    0; as ``q -> 0`` the part tends to the log of the geometric mean.
     """
     pos = values > 0
     n = pos.sum(axis=-1)
     with np.errstate(all="ignore"):  # masked entries, and a row with none
         m = _extreme(values, q)
-        delta = np.where(pos, np.expm1(q * np.log(values / m)), 0.0).sum(axis=-1) / n
-        return np.log(n) / q, np.log(m[..., 0]) + np.log1p(delta) / q
+        log_v = np.log(values / m)
+        r = np.where(pos, log_v * exprel(q * log_v), 0.0).sum(axis=-1) / n
+        x = q * r
+        log1p_ratio = np.divide(np.log1p(x), x, out=np.ones_like(x), where=x != 0.0)
+        return np.log(n), np.log(m[..., 0]) + r * log1p_ratio
 
 
 def _extreme(values: np.ndarray, q: float) -> np.ndarray:
@@ -218,9 +227,7 @@ class _Spectra:
                     f"min eigenvalue {lo[bad[0]]:.3e} <= {STRICT_POS_TOL:.1e}"
                 )
             return eig
-        return self._get(
-            regime, lambda: matcore.clamp_spectrum(eig, neg_tol=matcore.eig_tol(eig.shape[-1]))
-        )
+        return self._get(regime, lambda: matcore.clamp_spectrum(eig))
 
     def schatten(self, q: float) -> np.ndarray:
         """Norm or anti-norm of every input at order ``q``, by regime."""
@@ -367,8 +374,9 @@ def check_antinorm_monotonicity(x, p, q) -> InequalityBatch:
         log_ratio.append(np.full(len(stack), np.nan))
         if not (np.isfinite(lhs[-1]) & np.isfinite(rhs[-1])).all():  # a small order overflows
             (n_hi, hi_part), (n_lo, lo_part) = (_log_power_mean_root(spectra.for_order(o), o) for o in (hi, lo))
-            with np.errstate(invalid="ignore"):  # a zero input; its sides are finite
-                log_ratio[-1] = (n_lo - n_hi) + (lo_part - hi_part)
+            # ln(n)/p beyond a double is its true inf; a zero input has finite sides
+            with np.errstate(invalid="ignore", over="ignore"):
+                log_ratio[-1] = (n_lo / lo - n_hi / hi) + (lo_part - hi_part)
     lhs, rhs, log_ratio = (np.stack(side, axis=1) for side in (lhs, rhs, log_ratio))
     return _batch(lhs, rhs, ("<=",) * len(ps), lhs <= rhs + 1e-10, log_ratio, tol=1e-10)
 
@@ -380,7 +388,10 @@ def check_superadditivity(x, y, q) -> InequalityBatch:
     root ``1/q`` overflows, or for ``q < 0`` underflows to 0: the input is
     then strictly positive), the sides are compared through their logarithms,
     ``ln m + (1/q) ln S`` per anti-norm (taken as :func:`_log_power_mean_root`
-    parts) and ``logaddexp`` for the sum.
+    parts, the ``ln n`` ones subtracted before the division by ``q``) and
+    ``logaddexp`` for the sum.  Down to subnormal orders the slack then tends
+    to ``1 - (G(X) + G(Y))/G(X + Y)``, ``G`` the geometric mean of the
+    eigenvalues.
     """
     orders = _orders(q)
     for order in orders:
@@ -396,8 +407,9 @@ def check_superadditivity(x, y, q) -> InequalityBatch:
         log_ratio.append(np.full(len(xs), np.nan))
         if not (np.isfinite(total) & np.isfinite(rhs[-1]) & (total > 0) & (rhs[-1] > 0)).all():
             (n_t, t), (n_a, a), (n_b, b) = (_log_power_mean_root(sp.for_order(order), order) for sp in spectra)
-            with np.errstate(invalid="ignore"):  # a zero input: NaN, compared plain
-                log_ratio[-1] = np.logaddexp(n_a - n_t + a, n_b - n_t + b) - t
+            # a rank gap over a subnormal q is its true -inf; a zero input: NaN, compared plain
+            with np.errstate(invalid="ignore", over="ignore"):
+                log_ratio[-1] = np.logaddexp((n_a - n_t) / order + a, (n_b - n_t) / order + b) - t
     lhs, rhs, log_ratio = (np.stack(side, axis=1) for side in (lhs, rhs, log_ratio))
     return _batch(lhs, rhs, (">=",) * len(orders), lhs >= rhs - 1e-10, log_ratio, tol=1e-10)
 

@@ -11,8 +11,9 @@ Written as ``f kappa ln d exprel((1-q) s f kappa ln d / gamma)`` this is one
 expression on every cell: ``gamma`` drops out where the argument is 0, the
 ``s = 0`` row gives ``f kappa ln d`` and the ``q = 1`` row ``f ln d``.  The
 bound's derivation excludes ``q = 1`` exactly, so on that row (to within
-``LIMIT_EPS``) the evaluator reports the limit value without asserting it as
-a theorem: a cell is a violation only off the ``q = 1`` rows.
+``LIMIT_EPS``, as :func:`is_limit_row` decides for every caller) the
+evaluator reports the limit value without asserting it as a theorem: a cell
+is a violation only off the ``q = 1`` rows.
 
 Channels are evaluated on a whole ``(q, s)`` grid at once: the bounds of
 one dimension are tabulated once (:func:`bound_table`), and
@@ -20,7 +21,8 @@ one dimension are tabulated once (:func:`bound_table`), and
 of every cell of that table, for every channel of a
 :class:`~chanent.channel.ChannelProfile` stack, in one array pass.  A
 violation is read off the grid it returns, which names its first violated
-cell.
+cell; one cell is the dict :meth:`GridReport.cell` gives, the record a sweep
+counterexample writes under ``"report"``.
 
 The auxiliary minimizations behind the bound, over the planar regions
 ``{0 <= x, y <= 1, x y <= a}`` and ``{x, y >= 1, x y >= b}``, have closed
@@ -44,10 +46,10 @@ __all__ = [
     "SAT_TOL",
     "GAP_TOL",
     "LIMIT_EPS",
+    "is_limit_row",
     "gamma_kappa",
     "BoundTable",
     "bound_table",
-    "TradeoffReport",
     "GridReport",
     "evaluate_profile",
 ]
@@ -59,6 +61,11 @@ SAT_TOL = 1e-7
 GAP_TOL = 1e-9
 # Half-width of the q = 1 rows, whose bound is reported but not asserted.
 LIMIT_EPS = 1e-8
+
+
+def is_limit_row(q) -> np.ndarray:
+    """Whether each order ``q`` is on a ``q = 1`` row, whose bound is reported but not asserted."""
+    return np.abs(np.asarray(q, dtype=float) - 1.0) <= LIMIT_EPS
 
 
 def gamma_kappa(q, s) -> tuple:
@@ -108,7 +115,7 @@ class BoundTable:
 
     @property
     def limit_rows(self) -> np.ndarray:
-        return np.abs(self.q - 1.0) <= LIMIT_EPS
+        return is_limit_row(self.q)
 
 
 def bound_table(d: int, q_grid, s_grid) -> BoundTable:
@@ -116,27 +123,6 @@ def bound_table(d: int, q_grid, s_grid) -> BoundTable:
     q = np.array(q_grid, dtype=float)
     s = np.array(s_grid, dtype=float)
     return BoundTable(d, q, s, _bounds(d, q[:, None], s, False), _bounds(d, q[:, None], s, True))
-
-
-@dataclass(frozen=True, eq=False)
-class TradeoffReport:
-    """One cell of the trade-off evaluation.
-
-    ``bound_unital`` is present only for unital channels; ``gap`` is the
-    entropic sum minus the sharpest applicable bound and stays above
-    ``-GAP_TOL`` for every valid channel off the ``q = 1`` row (that is the
-    statement under test).
-    """
-
-    channel_id: str
-    q: float
-    s: float
-    map_value: float
-    receiver_value: float
-    bound_all: float
-    bound_unital: float | None
-    gap: float
-    saturated: bool
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,20 +145,24 @@ class GridReport:
     saturated: np.ndarray
     violation: tuple | None = None
 
-    def report(self, k: int, i: int, j: int) -> TradeoffReport:
-        """The cell at ``(q[i], s[j])`` of channel ``k`` as a :class:`TradeoffReport`."""
+    def cell(self, k: int, i: int, j: int) -> dict:
+        """Channel ``k``'s cell at ``(q[i], s[j])``, as a sweep counterexample records it.
+
+        Python floats and the channel id; ``bound_unital`` is None for a
+        non-unital channel, and ``gap`` is the entropic sum minus the
+        applicable bound.
+        """
         b = self.bounds
-        return TradeoffReport(
-            channel_id=self.profile.channel_id[k],
-            q=float(b.q[i]),
-            s=float(b.s[j]),
-            map_value=float(self.map_values[k, i, j]),
-            receiver_value=float(self.receiver_values[k, i, j]),
-            bound_all=float(b.all_channels[i, j]),
-            bound_unital=float(b.unital[i, j]) if self.profile.unital[k] else None,
-            gap=float(self.gap[k, i, j]),
-            saturated=bool(self.saturated[k, i, j]),
-        )
+        return {
+            "channel_id": self.profile.channel_id[k],
+            "q": float(b.q[i]),
+            "s": float(b.s[j]),
+            "map_entropy": float(self.map_values[k, i, j]),
+            "receiver_entropy": float(self.receiver_values[k, i, j]),
+            "bound_all": float(b.all_channels[i, j]),
+            "bound_unital": float(b.unital[i, j]) if self.profile.unital[k] else None,
+            "gap": float(self.gap[k, i, j]),
+        }
 
 
 def evaluate_profile(profile: chmod.ChannelProfile, bounds: BoundTable) -> GridReport:
@@ -202,11 +192,11 @@ def evaluate_profile(profile: chmod.ChannelProfile, bounds: BoundTable) -> GridR
         return grid
     k = int(failing[0])
     if non_finite[k].any():
-        report = grid.report(k, *divmod(int(np.argmax(non_finite[k])), bounds.s.size))
-        bound = report.bound_all if report.bound_unital is None else report.bound_unital
+        cell = grid.cell(k, *divmod(int(np.argmax(non_finite[k])), bounds.s.size))
         raise DomainError(
-            f"entropy or gap is not finite at q={report.q}, s={report.s} on "
-            f"channel {report.channel_id!r}: map {report.map_value}, "
-            f"receiver {report.receiver_value}, bound {bound}"
+            "entropy or gap is not finite at q={q}, s={s} on channel {channel_id!r}: "
+            "map {map_entropy}, receiver {receiver_entropy}, bound {bound}".format(
+                **cell, bound=cell["bound_all"] if cell["bound_unital"] is None else cell["bound_unital"]
+            )
         )
     return replace(grid, violation=(k, *divmod(int(np.argmax(violated[k])), bounds.s.size)))

@@ -67,9 +67,13 @@ def profile(*channels):
 
 
 def evaluate_cell(ch, params, channel_id=""):
-    """Profile one channel, as a stack of one, and evaluate the one grid cell at ``params``."""
+    """Profile one channel, as a stack of one, and evaluate the one grid cell at ``params``.
+
+    The grid's cell record, with its ``saturated`` flag added.
+    """
     bounds = tradeoff.bound_table(ch.shape[-1], (params.q,), (params.s,))
-    return tradeoff.evaluate_profile(chmod.profile_channel(ch[None], (channel_id,)), bounds).report(0, 0, 0)
+    grid = tradeoff.evaluate_profile(chmod.profile_channel(ch[None], (channel_id,)), bounds)
+    return {**grid.cell(0, 0, 0), "saturated": bool(grid.saturated[0, 0, 0])}
 
 
 def unital_defects(prof):

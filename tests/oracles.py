@@ -163,7 +163,7 @@ def check_dynamical_invariants(dyn):
     """
     d = math.isqrt(dyn.shape[-1])
     tol = matcore.eig_tol(d * d)
-    matcore.clamp_spectrum(matcore.hermitian_eigenvalues(dyn), neg_tol=tol)
+    matcore.clamp_spectrum(matcore.hermitian_eigenvalues(dyn))
     tr = float(np.trace(dyn).real)
     if abs(tr - d) > tol:
         raise ValueError(f"trace {tr!r} differs from dim {d} beyond {tol:.1e}")
@@ -369,7 +369,7 @@ def order_spectrum(x, q):
                 f"min eigenvalue {lo:.3e} <= {STRICT_POS_TOL:.1e}"
             )
         return eig
-    return matcore.clamp_spectrum(eig, neg_tol=matcore.eig_tol(eig.shape[-1]))
+    return matcore.clamp_spectrum(eig)
 
 
 def schatten(x, q):

@@ -210,7 +210,14 @@ class TestSweep:
         assert summary["per_family"]["cptp"]["rows"] == 2  # the violating row is not counted
         name = summary["violation"]["counterexample"]
         assert name == rows[0]["channel_id"] + ".json"
-        assert (out / "counterexamples" / name).exists()
+        # the counterexample's record is the violating row's cell
+        report = json.loads((out / "counterexamples" / name).read_text())["report"]
+        row = rows[-1]
+        assert report == {
+            "channel_id": row["channel_id"], "q": 2.0, "s": 0.0,
+            **{key: float(row[key]) for key in ("map_entropy", "receiver_entropy", "bound_all", "gap")},
+            "bound_unital": None,
+        }
 
     @pytest.mark.parametrize("q", ["1", "1,1.000000001"])
     def test_sweep_of_limit_rows_only_is_a_config_error(self, tmp_path, capsys, q):
@@ -534,6 +541,28 @@ class TestInequalities:
         assert err.startswith("config error:") and named in err
         assert not out.exists()
 
+    def test_non_square_matrix_file_is_a_config_error(self, tmp_path, capsys):
+        # prop1 at an anti-norm order, npqr and sups need a square matrix: a
+        # 2 x 3 file is an input they cannot take, not a counterexample
+        mat_path = tmp_path / "rect.json"
+        mat_path.write_text(json.dumps(matcore.matrix_to_json(np.arange(6.0).reshape(2, 3))))
+        out = tmp_path / "rect"
+        assert cli.main(["inequalities", "--matrix", str(mat_path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "config error: expected a square matrix, got shape (2, 3)\n"
+        assert out.is_dir() and not any(out.iterdir())
+        # the checks that take its singular values alone still run on it
+        for only in (["--only", "21in"], ["--only", "prop1", "--q", "2"]):
+            assert cli.main(["inequalities", "--matrix", str(mat_path), *only, "--out", str(out)]) == 0
+
+    def test_zero_matrix_file_is_a_config_error(self, tmp_path, capsys):
+        # prop1's interpolation is undefined on a zero matrix
+        mat_path = tmp_path / "zero.json"
+        mat_path.write_text(json.dumps(matcore.matrix_to_json(np.zeros((2, 2)))))
+        out = tmp_path / "zero"
+        assert cli.main(["inequalities", "--matrix", str(mat_path), "--only", "prop1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "config error: matrix is zero; the interpolation is undefined\n"
+        assert out.is_dir() and not any(out.iterdir())
+
     def test_non_finite_slack_fails_the_run(self, tmp_path, capsys, monkeypatch):
         # sups with both sides infinite and no scaled comparison: its slack is
         # NaN, so the check fails, with no minimum slack (JSON null, not the
@@ -553,10 +582,11 @@ class TestInequalities:
         assert summary["failure"] == {"check": "sups", "input": "psd-d2-0000", "kind": "inequality-failed"}
         assert summary["checks"]["sups"] == {"count": 1, "min_slack": None, "passed": False}
 
-    @pytest.mark.parametrize("q", ["1e-5", "1e-300"])
+    @pytest.mark.parametrize("q", ["1e-5", "1e-300", "1e-310"])
     def test_small_q_inequalities_pass(self, tmp_path, q):
         # both anti-norms of sups overflow at 1/q = 1e5 and beyond; their
-        # logarithms are compared, and superadditivity holds with a finite slack
+        # logarithms are compared, and superadditivity holds with a finite
+        # slack, also at a subnormal q, where ln(n)/q overflows too
         out = tmp_path / "small-q"
         code = cli.main(["inequalities", "--dims", "2", "--samples", "1", "--q", q, "--out", str(out)])
         assert code == 0

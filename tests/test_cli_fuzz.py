@@ -4,7 +4,9 @@ Runs at ``d = 2`` with one sample per family, so each example costs a few
 milliseconds.  Hypothesis is derandomized, so the examples are the same on
 every run.  An exit of 0 must also mean a real report: rows written off
 the ``q = 1`` limit rows, a finite minimum gap, and a finite minimum slack
-for every check.
+for every check.  A run on sampled or named channels and matrices must never
+exit 1: the bound and the inequalities are theorems, so every such exit is a
+false verdict.  Only a Kraus-set file, which may be no channel, can fail.
 """
 
 import json
@@ -54,12 +56,12 @@ KRAUS_SETS = st.one_of(
 )
 
 
-def run(argv):
-    """``cli.main`` on ``argv`` in a fresh directory; checks its exit and, on 0, its report."""
+def run(argv, codes=(0, 2)):
+    """``cli.main`` on ``argv`` in a fresh directory; checks its exit is in ``codes`` and, on 0, its report."""
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "out"
         code = cli.main([*argv, "--out", str(out)])
-        assert code in (0, 1, 2)
+        assert code in codes
         if code == 0:
             summary = json.loads((out / "summary.json").read_text())
             if summary["mode"] == "sweep":
@@ -92,4 +94,4 @@ def test_channel_file(ops, q):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "channel.json"
         path.write_text(json.dumps({"dim": 2, "kraus": [matcore.matrix_to_json(a) for a in ops]}))
-        run(["sweep", f"--channel={path}", f"--q={q}", "--s=0,1"])
+        run(["sweep", f"--channel={path}", f"--q={q}", "--s=0,1"], codes=(0, 1, 2))

@@ -196,7 +196,7 @@ class TestBoundsAndOracles:
             # the library takes k < d**2 spectra from the Kraus Gram matrix,
             # the oracle from a dense eigvalsh of D
             dyn = chmod.dynamical_from_kraus(ch)
-            choi_spec = matcore.clamp_spectrum(oracles.dynamical_eigenvalues(dyn), neg_tol=matcore.eig_tol(d * d))
+            choi_spec = matcore.clamp_spectrum(oracles.dynamical_eigenvalues(dyn))
             for params in grid_params():
                 via_gram = map_entropy(ch, params)
                 via_choi = entropy_cell(choi_spec, params)

@@ -140,25 +140,25 @@ class TestVec:
 
 class TestClampSpectrum:
     def test_small_negatives_become_zero(self):
-        out = matcore.clamp_spectrum(np.array([2.0, -1e-12]), neg_tol=1e-9)
+        out = matcore.clamp_spectrum(np.array([2.0, -1e-12]))
         np.testing.assert_array_equal(out, [2.0, 0.0])
 
     def test_positive_noise_becomes_zero(self):
-        out = matcore.clamp_spectrum(np.array([2.0, 3e-16]), neg_tol=1e-9)
+        out = matcore.clamp_spectrum(np.array([2.0, 3e-16]))
         np.testing.assert_array_equal(out, [2.0, 0.0])
 
     def test_genuine_values_survive(self):
         vals = np.array([1.0, 1e-3, 1e-9])
-        np.testing.assert_array_equal(matcore.clamp_spectrum(vals, neg_tol=1e-9), vals)
+        np.testing.assert_array_equal(matcore.clamp_spectrum(vals), vals)
 
     def test_large_negative_rejected(self):
         with pytest.raises(NotPositiveError):
-            matcore.clamp_spectrum(np.array([1.0, -1e-3]), neg_tol=1e-9)
+            matcore.clamp_spectrum(np.array([1.0, -1e-3]))
 
     def test_nan_rejected(self):
         rows = np.array([[2.0, 1.0], [1.0, np.nan]])
         with pytest.raises(NotPositiveError, match="eigenvalue nan"):
-            matcore.clamp_spectrum(rows, neg_tol=1e-9)
+            matcore.clamp_spectrum(rows)
 
 
 @pytest.mark.parametrize("fn", [matcore.hermitian_eigenvalues, matcore.singular_values])
@@ -235,12 +235,12 @@ class TestStacks:
 
     def test_clamp_per_row(self):
         rows = np.array([[2.0, 1e-13, -1e-12], [1e-20, 0.0, -1e-30], [5.0, 3e-16, 1.0]])
-        out = matcore.clamp_spectrum(rows, neg_tol=1e-9)
+        out = matcore.clamp_spectrum(rows)
         for got, row in zip(out, rows):
-            np.testing.assert_array_equal(got, matcore.clamp_spectrum(row, neg_tol=1e-9))
+            np.testing.assert_array_equal(got, matcore.clamp_spectrum(row))
         rows[2, 2] = -1e-3
         with pytest.raises(NotPositiveError, match="-1.000000e-03"):
-            matcore.clamp_spectrum(rows, neg_tol=1e-9)
+            matcore.clamp_spectrum(rows)
 
     def test_partial_trace_per_matrix(self):
         x = complex_gaussian(np.random.default_rng(179), (3, 9, 9))

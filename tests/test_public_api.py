@@ -22,7 +22,8 @@ MODULES = ("channel", "cli", "entropy", "errors", "matcore", "sampler", "spectra
 # one-cell order pair and bound went to tests/oracles.py: the library
 # tabulates bounds with bound_table.  The CLI reads its input files with
 # channel_from_json and matrix_from_json, so load_channel went too.  A bound
-# violation is data, the grid's violation cell, so its exception went.
+# violation is data, the grid's violation cell, so its exception went, and
+# a cell is the dict GridReport.cell gives, so its report class went.
 REMOVED = {
     "sampler": (
         "sample_cptp", "sample_unitary_mixture", "sample_unistochastic", "unistochastic_from_unitary",
@@ -36,7 +37,7 @@ REMOVED = {
     "entropy": ("q_log", "uniform_entropy", "map_entropy", "receiver_entropy", "EntropyParams"),
     "matcore": ("Spectrum", "vec"),
     "spectra": ("schatten", "InequalityReport"),
-    "tradeoff": ("evaluate_tradeoff", "lower_bound"),
+    "tradeoff": ("evaluate_tradeoff", "lower_bound", "TradeoffReport"),
     "errors": ("BoundViolation",),
 }
 

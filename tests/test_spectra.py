@@ -360,6 +360,23 @@ class TestCheckSuperadditivity:
             assert batch.lhs[0, 0] == batch.rhs[0, 0] == (math.inf if q > 0 else 0.0)
             assert batch.passed[0, 0] and abs(batch.slack[0, 0] - mp_superadditivity_slack(x, y, q)) <= 1e-12
 
+    @pytest.mark.parametrize("q", [1e-310, 1e-320, 5e-324, -1e-310])
+    def test_subnormal_orders_give_the_geometric_mean_limit(self, q):
+        # ln(n)/q overflows at a subnormal q, and the equal-rank parts used to
+        # cancel as inf - inf (or underflow to a vacuous slack of 0 for
+        # q < 0); as q -> 0 the slack tends to 1 - (G(X) + G(Y))/G(X + Y),
+        # with G the geometric mean of the eigenvalues
+        rng = np.random.default_rng(107)
+        for n in (2, 5):
+            x, y = random_psd(rng, n), random_psd(rng, n)
+            with mpmath.workdps(60):
+                eigs = [mpmath.eighe(mpmath.matrix(m.tolist()))[0] for m in (x + y, x, y)]
+                total, a, b = (mpmath.exp(mpmath.fsum(mpmath.log(mpmath.re(v)) for v in e) / n) for e in eigs)
+                want = float(1 - (a + b) / total)
+            batch = spectra.check_superadditivity(x[None], y[None], q)
+            assert batch.lhs[0, 0] == batch.rhs[0, 0] == (math.inf if q > 0 else 0.0)
+            assert batch.passed[0, 0] and abs(batch.slack[0, 0] - want) <= 1e-15
+
     def test_small_orders_keep_the_saturation(self):
         eye = np.eye(3)
         batch = spectra.check_superadditivity([eye, eye], [eye, 2.0 * eye], [1e-5, 1e-300])

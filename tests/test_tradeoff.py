@@ -117,32 +117,47 @@ class TestEvaluate:
     def test_identity_saturates_unital_renyi_bound(self):
         ch = sampler.named_channel("identity", 2)
         rep = evaluate_cell(ch, EntropyParams(2.0, 0.0), "identity")
-        assert rep.map_value == pytest.approx(0.0, abs=1e-12)
-        assert rep.receiver_value == pytest.approx(2 * math.log(2), abs=1e-12)
-        assert rep.bound_unital == pytest.approx(2 * math.log(2), abs=1e-15)
-        assert abs(rep.gap) <= 1e-12 and rep.saturated
+        assert rep["map_entropy"] == pytest.approx(0.0, abs=1e-12)
+        assert rep["receiver_entropy"] == pytest.approx(2 * math.log(2), abs=1e-12)
+        assert rep["bound_unital"] == pytest.approx(2 * math.log(2), abs=1e-15)
+        assert abs(rep["gap"]) <= 1e-12 and rep["saturated"]
 
     def test_completely_depolarizing_mirrors_identity(self):
         ch = sampler.named_channel("completely-depolarizing", 2)
         rep = evaluate_cell(ch, EntropyParams(2.0, 0.0), "cdepol")
-        assert rep.map_value == pytest.approx(2 * math.log(2), abs=1e-12)
-        assert rep.receiver_value == pytest.approx(0.0, abs=1e-12)
-        assert abs(rep.gap) <= 1e-12 and rep.saturated
+        assert rep["map_entropy"] == pytest.approx(2 * math.log(2), abs=1e-12)
+        assert rep["receiver_entropy"] == pytest.approx(0.0, abs=1e-12)
+        assert abs(rep["gap"]) <= 1e-12 and rep["saturated"]
 
     def test_random_nonunital_has_positive_gap(self):
         ch = sampler._sample_stack("cptp", 3, [oracles.derive_seed(916, 0, 3, 0)])[0]
         rep = evaluate_cell(ch, EntropyParams(0.5, -1.0))
-        assert rep.bound_unital is None
-        assert rep.gap > 0 and not rep.saturated
+        assert rep["bound_unital"] is None
+        assert rep["gap"] > 0 and not rep["saturated"]
 
     def test_violation_is_read_off_the_grid(self):
         # every cell fails; the first one off the q = 1 row is the violation
         bounds = tradeoff.bound_table(2, (1.0, 2.0), (0.0, 1.0))
         grid = tradeoff.evaluate_profile(_fake_profile(), bounds)
         assert grid.violation == (0, 1, 0)
-        report = grid.report(*grid.violation)
-        assert report.gap < -1e-9 and (report.q, report.s) == (2.0, 0.0)
-        assert grid.gap[0, 1, 0] == report.gap
+        cell = grid.cell(*grid.violation)
+        assert cell["gap"] < -1e-9 and (cell["q"], cell["s"]) == (2.0, 0.0)
+        assert grid.gap[0, 1, 0] == cell["gap"]
+
+    def test_cell_is_the_counterexample_record(self):
+        # plain JSON values: the channel id, floats, and None for the unital
+        # bound of a non-unital channel
+        bounds = tradeoff.bound_table(2, (1.0, 2.0), (0.0, 1.0))
+        for profile, unital in ((_fake_profile(unital=False), False), (_fake_profile(), True)):
+            cell = tradeoff.evaluate_profile(profile, bounds).cell(0, 1, 1)
+            assert cell == {
+                "channel_id": "fake", "q": 2.0, "s": 1.0,
+                "map_entropy": 0.0, "receiver_entropy": 0.0,
+                "bound_all": float(bounds.all_channels[1, 1]),
+                "bound_unital": float(bounds.unital[1, 1]) if unital else None,
+                "gap": -float((bounds.unital if unital else bounds.all_channels)[1, 1]),
+            }
+            assert all(type(v) in (str, float, type(None)) for v in cell.values())
 
     def test_tp_noisy_channel_is_held_to_the_unital_bound(self):
         # unital defect 9.0e-9, inside TP_TOL: the sharper bound applies
@@ -151,12 +166,18 @@ class TestEvaluate:
         assert profile.unital[0]
         grid = tradeoff.evaluate_profile(profile, bounds)
         np.testing.assert_array_equal(grid.gap, grid.map_values + grid.receiver_values - bounds.unital)
-        assert grid.report(0, 6, 5).bound_unital is not None  # (q, s) = (2, 1)
+        assert grid.cell(0, 6, 5)["bound_unital"] is not None  # (q, s) = (2, 1)
         assert grid.gap[0][~bounds.limit_rows].min() == pytest.approx(0.119, abs=5e-4)
+
+    def test_limit_rows_are_one_band(self):
+        # the table's rows and a sweep's config check read the same band
+        q = (0.5, 1.0 - 5e-9, 1.0, 1.0 + 5e-9, 1.0 + 2e-8)
+        assert tradeoff.is_limit_row(q).tolist() == [False, True, True, True, False]
+        np.testing.assert_array_equal(tradeoff.bound_table(2, q, (0.0,)).limit_rows, tradeoff.is_limit_row(q))
 
     def test_limit_row_records_instead_of_raising(self):
         grid = tradeoff.evaluate_profile(_fake_profile(), tradeoff.bound_table(2, (1.0,), (0.0,)))
-        assert grid.report(0, 0, 0).gap < -1e-9  # recorded, not asserted, on the q = 1 row
+        assert grid.cell(0, 0, 0)["gap"] < -1e-9  # recorded, not asserted, on the q = 1 row
         assert grid.violation is None
 
 
@@ -209,9 +230,9 @@ class TestStackedEvaluate:
         stack = _stacked_profile(_good(), _fake_profile(), _fake_profile())
         bounds = tradeoff.bound_table(2, (1.0, 2.0), (0.0, 1.0))
         grid = tradeoff.evaluate_profile(stack, bounds)
-        assert grid.violation == (1, 1, 0) and grid.report(*grid.violation).channel_id == "b"
+        assert grid.violation == (1, 1, 0) and grid.cell(*grid.violation)["channel_id"] == "b"
         assert grid.gap.shape == (3, 2, 2)
-        assert grid.gap[1, 1, 0] == grid.report(1, 1, 0).gap < -1e-9
+        assert grid.gap[1, 1, 0] == grid.cell(1, 1, 0)["gap"] < -1e-9
 
     def test_non_finite_channel_before_a_violating_one(self):
         with pytest.raises(DomainError, match="channel 'b'"):
@@ -225,7 +246,7 @@ class TestStackedEvaluate:
         grid = tradeoff.evaluate_profile(
             _stacked_profile(_fake_profile(), _good(), _broken()), tradeoff.bound_table(2, (1.0, 2.0), (0.0, 1.0))
         )
-        assert grid.violation == (0, 1, 0) and grid.report(0, 1, 0).channel_id == "a"
+        assert grid.violation == (0, 1, 0) and grid.cell(0, 1, 0)["channel_id"] == "a"
         assert not np.isfinite(grid.gap[2]).any()
 
     def test_non_finite_cell_outranks_an_earlier_violation_of_its_channel(self):
