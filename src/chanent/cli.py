@@ -49,8 +49,12 @@ bound is asserted, is a configuration error.  ``report.csv`` is
 written as each stack is evaluated, channel by channel, each row one
 pre-formatted line: the channel columns go through :mod:`csv` once per
 channel (a ``--channel`` file name may need quoting), the orders and bounds
-are formatted once per dimension, and only the entropies, sum and gap once
-per row.
+are formatted once per dimension, and the entropies, sum and gap once per
+stack, a column at a time.  Every float cell is Python's ``repr`` of the
+double: ``orjson`` writes a column in bulk with the same shortest
+round-trip digits, and the cells whose notation it writes differently
+(0 < |x| < 1e-4, |x| >= 1e16, inf and NaN) are taken from ``repr``
+(:func:`_float_texts`).
 
 The inequality suite runs each check once per stack at all of its orders;
 the two channel checks share one profile per stack.  The first failure is
@@ -72,6 +76,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
+import orjson
 
 from . import channel as chmod
 from . import matcore, sampler, spectra
@@ -231,12 +236,31 @@ def _dim_table(dim: int, cfg: SweepConfig) -> tuple:
     (empty unital bound) and one for unital ones.
     """
     bounds = bound_table(dim, cfg.q_grid, cfg.s_grid)
-    orders = [f"{q!r},{s!r}," for q in bounds.q.tolist() for s in bounds.s.tolist()]
-    bound_all = bounds.all_channels.ravel().tolist()
-    bound_unital = bounds.unital.ravel().tolist()
-    plain = [(qs, f",{b!r},,") for qs, b in zip(orders, bound_all)]
-    unital = [(qs, f",{b!r},{u!r},") for qs, b, u in zip(orders, bound_all, bound_unital)]
+    q, s, bound_all, bound_unital = (
+        _float_texts(a) for a in (bounds.q, bounds.s, bounds.all_channels, bounds.unital)
+    )
+    orders = [f"{qt},{st}," for qt in q for st in s]
+    plain = [(qs, f",{b},,") for qs, b in zip(orders, bound_all)]
+    unital = [(qs, f",{b},{u},") for qs, b, u in zip(orders, bound_all, bound_unital)]
     return bounds, (plain, unital), np.repeat(bounds.limit_rows, bounds.s.size)
+
+
+def _float_texts(a) -> list:
+    """``repr`` of each float of ``a``, in row-major order.
+
+    ``orjson`` writes the whole array at once with the shortest round-trip
+    digits, as ``repr`` does, and with the same notation for 0 and for
+    magnitudes in ``[1e-4, 1e16)``; every other entry (an exponent, inf or
+    NaN, which ``orjson`` writes as ``null``) is taken from ``repr``.
+    """
+    a = np.ascontiguousarray(a, dtype=np.float64).ravel()
+    if a.size == 0:
+        return []
+    texts = orjson.dumps(a, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
+    mag = np.abs(a)
+    for i in np.flatnonzero(~((a == 0) | ((mag >= 1e-4) & (mag < 1e16)))).tolist():
+        texts[i] = repr(float(a[i]))
+    return texts
 
 
 _BOOL = {False: "false", True: "true"}
@@ -255,21 +279,22 @@ def _write_csv(fh, family: str, dim: int, ids, unital, texts, grid, count: int) 
     ``ids`` and ``unital`` are the stack's channel ids and unital flags,
     ``texts`` the per-cell text of :func:`_dim_table`, and the rows are the
     cells of ``grid`` in row-major order, channel by channel.  Each row is
-    one line of text with the line ending ``csv`` writes; only the
-    entropies, sum and gap are formatted per row, and each channel's lines
-    go to the file in one write.
+    one line of text with the line ending ``csv`` writes; the entropies,
+    their sum and the gap are formatted one column per stack with
+    :func:`_float_texts`, and each channel's lines go to the file in one
+    write.
     """
     cells = len(texts[0])
-    m, r, g, sat = (
-        a.reshape(len(ids), cells).tolist()
-        for a in (grid.map_values, grid.receiver_values, grid.gap, grid.saturated)
-    )
+    m, r, g = (a.ravel()[:count] for a in (grid.map_values, grid.receiver_values, grid.gap))
+    m, r, total, g = (_float_texts(a) for a in (m, r, m + r, g))
+    sat = grid.saturated.ravel()[:count].tolist()
     for k, channel_id in enumerate(ids[: -(-count // cells)]):
         lead = _csv_prefix((channel_id, family, str(dim), _BOOL[bool(unital[k])]))
+        rows = slice(k * cells, (k + 1) * cells)
         fh.write("".join([
-            f"{lead}{qs}{mv!r},{rv!r},{mv + rv!r}{b}{gv!r},{_BOOL[sv]}\r\n"
-            for (qs, b), mv, rv, gv, sv in zip(
-                texts[bool(unital[k])][: count - k * cells], m[k], r[k], g[k], sat[k]
+            f"{lead}{qs}{mv},{rv},{tv}{b}{gv},{_BOOL[sv]}\r\n"
+            for (qs, b), mv, rv, tv, gv, sv in zip(
+                texts[bool(unital[k])], m[rows], r[rows], total[rows], g[rows], sat[rows]
             )
         ]))
 

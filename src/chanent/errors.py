@@ -23,8 +23,8 @@ class NonSquareError(DomainError):
     """Operation requires a square matrix."""
 
 
-class NotHermitianError(ValueError):
-    """Matrix deviates from Hermiticity beyond tolerance."""
+class NotHermitianError(DomainError):
+    """Matrix deviates from Hermiticity beyond tolerance: an input an eigenvalue decomposition cannot take."""
 
 
 class DimensionMismatchError(ValueError):

@@ -5,6 +5,8 @@ import json
 import numpy as np
 import pytest
 from helpers import save_channel
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chanent import channel as chmod
 from chanent import cli, matcore, sampler, spectra, tradeoff
@@ -379,6 +381,51 @@ class TestStackedSweep:
         assert all(g.gap.size <= cli.STACK_ENTRIES for g in seen)
 
 
+class TestFloatTexts:
+    """Every float of report.csv is ``repr`` of its double, whichever route wrote it."""
+
+    FLOAT_COLUMNS = ("q", "s", "map_entropy", "receiver_entropy", "sum", "bound_all", "bound_unital", "gap")
+
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(xs=st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True), max_size=40))
+    def test_equals_repr(self, xs):
+        assert cli._float_texts(np.array(xs, dtype=float)) == [repr(x) for x in xs]
+
+    @pytest.mark.parametrize("x", [
+        1e-4, np.nextafter(1e-4, 0.0), 1e16, np.nextafter(1e16, 0.0), 5e-324, 1.7976931348623157e308,
+        -1e-4, -1e16, 0.0, -0.0, float("inf"), float("-inf"), float("nan"),
+    ])
+    def test_band_edges(self, x):
+        # 0 and the magnitudes [1e-4, 1e16) are orjson's text, all else repr's
+        assert cli._float_texts(np.array([x])) == [repr(float(x))]
+
+    def test_empty(self):
+        assert cli._float_texts(np.array([])) == []
+        assert cli._float_texts(np.zeros((3, 0))) == []
+
+    def test_random_bit_patterns_and_row_major_order(self):
+        bits = np.random.default_rng(20).integers(0, 2**64, size=(200, 250), dtype=np.uint64)
+        a = bits.view(np.float64)
+        assert cli._float_texts(a) == [repr(x) for x in a.ravel().tolist()]
+        # a strided view is read in its own row-major order
+        assert cli._float_texts(a.T) == [repr(x) for x in a.T.ravel().tolist()]
+
+    def test_report_cells_outside_the_band(self, tmp_path):
+        # orders at s = 300 give cells up to 1e+88, and q = 0.3 at d = 3, 4
+        # gaps of -1.1e-16: both need repr's exponent notation
+        out = tmp_path / "exponents"
+        code = cli.main([
+            "sweep", "--family", "named:identity,named:completely-depolarizing", "--dims", "2,3,4",
+            "--samples", "1", "--q=0.3,0.5,2", "--s=-2,0,1,300", "--out", str(out),
+        ])
+        assert code == 0
+        with open(out / "report.csv", newline="") as fh:
+            cells = [row[col] for row in csv.DictReader(fh) for col in self.FLOAT_COLUMNS if row[col]]
+        assert len(cells) > 72 * 7
+        assert all(cell == repr(float(cell)) for cell in cells)
+        assert any("e+" in cell for cell in cells) and any("e-" in cell for cell in cells)
+
+
 def failing_at(check, entries):
     """``check`` with the given ``(input, order)`` entries of each batch marked failed."""
 
@@ -553,6 +600,18 @@ class TestInequalities:
         # the checks that take its singular values alone still run on it
         for only in (["--only", "21in"], ["--only", "prop1", "--q", "2"]):
             assert cli.main(["inequalities", "--matrix", str(mat_path), *only, "--out", str(out)]) == 0
+
+    @pytest.mark.parametrize("only", [["prop1"], ["prop1", "--q", "0.5"], ["npqr"], ["sups"]])
+    def test_non_hermitian_matrix_file_is_a_config_error(self, tmp_path, capsys, only):
+        # the anti-norm checks take its eigenvalues: a matrix they cannot
+        # decompose is an input they cannot take, not a counterexample
+        mat_path = tmp_path / "nh.json"
+        mat_path.write_text(json.dumps(matcore.matrix_to_json(np.array([[1.0, 1.0], [0.0, 1.0]]))))
+        out = tmp_path / "nh"
+        assert cli.main(["inequalities", "--matrix", str(mat_path), "--only", *only, "--out", str(out)]) == 2
+        err = capsys.readouterr().err  # sups names the deviation of x + y, 2.000e+00
+        assert err.startswith("config error: Hermiticity deviation ") and err.endswith(" exceeds 1.0e-08\n")
+        assert out.is_dir() and not any(out.iterdir())
 
     def test_zero_matrix_file_is_a_config_error(self, tmp_path, capsys):
         # prop1's interpolation is undefined on a zero matrix
