@@ -160,6 +160,8 @@ def validate_config(cfg: SweepConfig) -> SweepConfig:
         raise ConfigError(f"seed must be >= 0, got {cfg.seed}")
     if cfg.samples_per_family < 1:
         raise ConfigError(f"samples_per_family must be >= 1, got {cfg.samples_per_family}")
+    if cfg.samples_per_family > 2**32:  # a sample's index is one word of its seed's SeedSequence entropy
+        raise ConfigError(f"samples_per_family must be <= 2**32, got {cfg.samples_per_family}")
     if not cfg.q_grid or not cfg.s_grid:
         raise ConfigError("q_grid and s_grid must be nonempty")
     for q in cfg.q_grid:

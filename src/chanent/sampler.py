@@ -17,10 +17,11 @@ per stack:
 
 * seeding: the derived seeds of a whole population, every ``(dim, family)``
   of it, come from one vectorized ``uint32`` pass of numpy's published
-  ``SeedSequence`` algorithm (entropy pool mixing, then
-  ``generate_state``), one pass per entropy word count, and each stack's
-  stream states from one more such pass, followed by PCG64's seeding step
-  in integer arithmetic; the algorithm's hash constants are tabulated once
+  ``SeedSequence`` algorithm (entropy pool mixing, then ``generate_state``)
+  over one table of one width (one prefix word count, every index below
+  ``2**32``), and each stack's stream states from one more (uint64 seeds
+  zero-padded to the pool's 4 words, then the key), followed by PCG64's
+  seeding step in integer arithmetic; the hash constants are tabulated once
   per length;
 * streams: each stream is one PCG64 state set, through one state dict
   reused for the stack, on a generator local to the call, and one draw
@@ -103,32 +104,6 @@ def _words(value) -> list[int]:
     return words
 
 
-def _word_groups(values, pad: int = 0):
-    """Yield ``(rows, words)``: the positions in ``values`` of one word count and
-    their ``(len(rows), n)`` uint32 words, zero-padded to at least ``pad`` words.
-
-    ``values`` are integers, or a uint64 array of derived seeds, taken as is.
-    """
-    if isinstance(values, np.ndarray) and values.dtype == np.uint64:
-        v = values
-    else:
-        values = [operator.index(v) for v in values]
-        if values and min(values) < 0:
-            raise ValueError("expected non-negative integer")
-        if values and max(values) >> 64:  # only a caller's own seed is this large: one at a time
-            for row, value in enumerate(values):
-                words = _words(value)
-                yield [row], np.array([words + [0] * (pad - len(words))], dtype=np.uint32)
-            return
-        v = np.array(values, dtype=np.uint64)
-    words = np.zeros((v.size, max(pad, 2)), dtype=np.uint32)
-    words[:, 0], words[:, 1] = v & np.uint64(_MASK32), v >> np.uint64(32)
-    counts = np.maximum(np.where(words[:, 1] != 0, 2, 1), pad)
-    for n in sorted(set(counts.tolist())):
-        rows = np.flatnonzero(counts == n)
-        yield rows, words[rows, :n]
-
-
 @functools.cache
 def _hash_consts(init: int, mult: int, count: int) -> tuple[np.ndarray, np.ndarray]:
     """The xor and multiply constants of SeedSequence's next ``count`` hashes, as read-only uint32 columns.
@@ -185,45 +160,51 @@ def _uint64(words: np.ndarray) -> np.ndarray:
     return w[..., 0::2] | (w[..., 1::2] << np.uint64(32))
 
 
+def _below(values, bits: int, what: str) -> list[int]:
+    """``values`` as integers, each non-negative, as ``SeedSequence`` requires, and below ``2**bits``."""
+    values = [operator.index(v) for v in values]
+    if values and min(values) < 0:
+        raise ValueError("expected non-negative integer")
+    if values and max(values) >> bits:
+        raise ValueError(f"{what} must be below 2**{bits}, got {max(values)}")
+    return values
+
+
 def _derive_seeds(prefixes, indices) -> np.ndarray:
     """The seed ``SeedSequence([*prefix, index])`` for each of ``prefixes`` and each of ``indices``.
 
-    Returns ``(len(prefixes), len(indices))`` uint64.  The rows of one
-    entropy word count, which are all rows when the prefixes differ only in
-    small entries, go through one :func:`_seed_states` pass.
+    Returns ``(len(prefixes), len(indices))`` uint64 from one :func:`_seed_states`
+    pass over a ``uint32`` table of one width, a row the prefix's words and
+    then the index as one word: the prefixes of one call must have one word
+    count, and every index must be below ``2**32``.
     """
-    heads = [np.array([w for v in prefix for w in _words(v)], dtype=np.uint32) for prefix in prefixes]
-    groups = list(_word_groups(indices))
-    passes: dict[int, list] = {}  # entropy word count -> (prefix, rows, entropy) parts
-    for p, head in enumerate(heads):
-        for rows, words in groups:
-            entropy = np.concatenate([np.broadcast_to(head, (len(rows), head.size)), words], axis=1)
-            passes.setdefault(entropy.shape[1], []).append((p, rows, entropy))
-    seeds = np.empty((len(heads), len(indices)), dtype=np.uint64)
-    for parts in passes.values():
-        states = _uint64(_seed_states(np.concatenate([e for *_, e in parts]), 2))[:, 0]
-        start = 0
-        for p, rows, _ in parts:
-            seeds[p, rows] = states[start : start + len(rows)]
-            start += len(rows)
-    return seeds
+    heads = [[w for v in prefix for w in _words(v)] for prefix in prefixes]
+    if len({len(head) for head in heads}) > 1:
+        raise ValueError("the prefixes of one seed derivation must have one word count")
+    index = _below(indices, 32, "a sample index")
+    width = len(heads[0]) if heads else 0
+    table = np.empty((len(heads), len(index), width + 1), dtype=np.uint32)
+    table[..., :width] = np.array(heads, dtype=np.uint32).reshape(len(heads), 1, width)
+    table[..., width] = index
+    return _uint64(_seed_states(table.reshape(-1, width + 1), 2))[:, 0].reshape(len(heads), len(index))
 
 
 def _stream_states(seeds, keys) -> list[tuple[int, int]]:
     """PCG64 ``(state, inc)`` of ``SeedSequence(seed, spawn_key=key)`` for each seed, then each key.
 
-    A nonempty spawn key pads the seed's words to the pool size, as
-    ``SeedSequence`` does, so that a spawned stream never meets a root one.
+    One :func:`_seed_states` pass over a ``uint32`` table of one width, a row
+    the seed as two words, zero-padded to the pool size, then the key's
+    words: ``SeedSequence`` pads a spawned seed so, and hashes an unspawned
+    one of at most the pool size as if so padded.  Every seed must be below
+    ``2**64``, as a derived seed is, and the keys of one call must have one
+    word count.
     """
+    seed64 = np.array(_below(seeds, 64, "a stream seed"), dtype=np.uint64)[:, None]
     key_words = np.array([[w for v in key for w in _words(v)] for key in keys], dtype=np.uint32)
-    k = len(keys)
-    words = np.empty((len(seeds), k, 8), dtype=np.uint32)
-    for rows, seed_words in _word_groups(seeds, _POOL_SIZE if key_words.size else 0):
-        entropy = np.concatenate([
-            np.repeat(seed_words, k, axis=0),
-            np.tile(key_words, (len(seed_words), 1)),
-        ], axis=1)
-        words[rows] = _seed_states(entropy, 8).reshape(len(seed_words), k, 8)
+    table = np.zeros((len(seed64), len(keys), _POOL_SIZE + key_words.shape[1]), dtype=np.uint32)
+    table[..., 0], table[..., 1] = seed64 & np.uint64(_MASK32), seed64 >> np.uint64(32)
+    table[..., _POOL_SIZE:] = key_words
+    words = _seed_states(table.reshape(-1, table.shape[-1]), 8)
     # PCG64's seeding (pcg64_set_seed): the 128-bit seed and increment are
     # words (0, 1) and (2, 3), high word first; srandom sets inc = 2 * incr + 1
     # and state = (inc + seed) * MULT + inc, two steps of the LCG from 0
@@ -343,12 +324,6 @@ def _sample_stack(family: str, d: int, seeds) -> np.ndarray:
     return check_kraus_stack(ops)
 
 
-def _basis_matrix(d: int, mu: int, nu: int) -> np.ndarray:
-    m = np.zeros((d, d), dtype=complex)
-    m[mu, nu] = 1.0
-    return m
-
-
 def _require_param(name: str, param, lo: float, hi: float) -> float:
     if param is None:
         raise ParamOutOfRangeError(f"channel {name!r} needs a parameter in [{lo}, {hi}]")
@@ -368,18 +343,17 @@ def named_channel(name: str, d: int, param: float | None = None) -> np.ndarray:
     directions).
     """
     eye = np.eye(d, dtype=complex)
+    units = np.eye(d * d, dtype=complex).reshape(d * d, d, d)  # |mu><nu| at row mu * d + nu
     if name == "identity":
         ops = [eye]
     elif name == "completely-depolarizing":
-        ops = [_basis_matrix(d, mu, nu) / math.sqrt(d) for mu in range(d) for nu in range(d)]
+        ops = units / math.sqrt(d)
     elif name == "depolarizing":
         p = _require_param(name, param, 0.0, 1.0)
-        ops = [math.sqrt(1.0 - p) * eye]
-        ops += [math.sqrt(p / d) * _basis_matrix(d, mu, nu) for mu in range(d) for nu in range(d)]
+        ops = [math.sqrt(1.0 - p) * eye, *(math.sqrt(p / d) * units)]
     elif name == "dephasing":
         p = _require_param(name, param, 0.0, 1.0)
-        ops = [math.sqrt(1.0 - p) * eye]
-        ops += [math.sqrt(p) * _basis_matrix(d, mu, mu) for mu in range(d)]
+        ops = [math.sqrt(1.0 - p) * eye, *(math.sqrt(p) * units[:: d + 1])]
     elif name == "amplitude-damping":
         if d != 2:
             raise ParamOutOfRangeError("amplitude-damping is defined for d = 2 only")

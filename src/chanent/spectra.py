@@ -398,15 +398,17 @@ def check_superadditivity(x, y, q) -> InequalityBatch:
         if _regime(order) == _NORM:
             raise InvalidOrderError(f"superadditivity is an anti-norm property, got q={order}")
     xs, ys = _stack(x), _stack(y)
-    spectra = [_Spectra(xs + ys), _Spectra(xs), _Spectra(ys)]
+    # the operands are decomposed, and so checked, before their sum: an
+    # input the checks cannot take is reported by its own deviation
+    spectra = [_Spectra(xs), _Spectra(ys), _Spectra(xs + ys)]
     lhs, rhs, log_ratio = [], [], []
     for order in orders:
-        total, a, b = (sp.schatten(order) for sp in spectra)
+        a, b, total = (sp.schatten(order) for sp in spectra)
         lhs.append(total)
         rhs.append(a + b)
         log_ratio.append(np.full(len(xs), np.nan))
         if not (np.isfinite(total) & np.isfinite(rhs[-1]) & (total > 0) & (rhs[-1] > 0)).all():
-            (n_t, t), (n_a, a), (n_b, b) = (_log_power_mean_root(sp.for_order(order), order) for sp in spectra)
+            (n_a, a), (n_b, b), (n_t, t) = (_log_power_mean_root(sp.for_order(order), order) for sp in spectra)
             # a rank gap over a subnormal q is its true -inf; a zero input: NaN, compared plain
             with np.errstate(invalid="ignore", over="ignore"):
                 log_ratio[-1] = np.logaddexp((n_a - n_t) / order + a, (n_b - n_t) / order + b) - t

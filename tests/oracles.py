@@ -427,8 +427,8 @@ def check_antinorm_monotonicity(x, p, q):
 def check_superadditivity(x, y, q):
     if q >= 1.0:
         raise InvalidOrderError(f"superadditivity is an anti-norm property, got q={q}")
+    rhs = schatten(x, q) + schatten(y, q)  # the operands first, as the library checks them
     lhs = schatten(np.asarray(x) + np.asarray(y), q)
-    rhs = schatten(x, q) + schatten(y, q)
     return _report(lhs, rhs, ">=", lhs >= rhs - 1e-10)
 
 

@@ -148,6 +148,20 @@ class TestSweep:
         assert err.count("config error: seed must be >= 0") == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["sweep", "inequalities"])
+    def test_rejects_more_samples_than_one_index_word(self, tmp_path, capsys, monkeypatch, command):
+        # sample indices run below 2**32; the count is refused before any population is built
+        def no_population(*args, **kwargs):
+            raise AssertionError("population built")
+
+        monkeypatch.setattr(sampler, "population", no_population)
+        monkeypatch.setattr(sampler, "ginibre_population", no_population)
+        out = tmp_path / "x"
+        assert cli.main([command, "--dims", "2", "--samples", str(2**32 + 1), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "config error: samples_per_family must be <= 2**32, got 4294967297\n"
+        assert not (out / "summary.json").exists()
+        assert cli.validate_config(cli.SweepConfig(samples_per_family=2**32)).samples_per_family == 2**32
+
     @pytest.mark.parametrize("flag, key", [
         ("--family=cptp,cptp", "families"),
         ("--family=cptp,named:identity,cptp", "families"),
@@ -609,9 +623,9 @@ class TestInequalities:
         mat_path.write_text(json.dumps(matcore.matrix_to_json(np.array([[1.0, 1.0], [0.0, 1.0]]))))
         out = tmp_path / "nh"
         assert cli.main(["inequalities", "--matrix", str(mat_path), "--only", *only, "--out", str(out)]) == 2
-        err = capsys.readouterr().err  # sups names the deviation of x + y, 2.000e+00
-        assert err.startswith("config error: Hermiticity deviation ") and err.endswith(" exceeds 1.0e-08\n")
-        assert out.is_dir() and not any(out.iterdir())
+        # every check names the file's own deviation (sups checks its operands before their sum)
+        assert capsys.readouterr().err == "config error: Hermiticity deviation 1.000e+00 exceeds 1.0e-08\n"
+        assert out.is_dir() and not (out / "summary.json").exists() and not any(out.iterdir())
 
     def test_zero_matrix_file_is_a_config_error(self, tmp_path, capsys):
         # prop1's interpolation is undefined on a zero matrix

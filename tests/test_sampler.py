@@ -257,32 +257,71 @@ class TestStreamContract:
 
     @staticmethod
     def check_seed(seed):
-        # derived seeds: the seed first, then as an index
+        # derived seeds: the seed first, then as an index; an index is one word
         for indices in ((), (0,), (3, 2, 7), (1, 2**32 - 1), (5, 2**32), (seed,)):
-            assert derive_seed(seed, *indices) == oracles.derive_seed(seed, *indices)
-        # several prefixes, of different word counts, in one call
-        prefixes = [(seed, 1, 3), (seed, 2, 3), (7,), (seed, 2**40, 2)]
-        indices = [0, 1, 2**32 - 1, 2**32, 2**40 + 5, 9]
+            address = (seed, *indices)
+            if address[-1] >> 32:
+                with pytest.raises(ValueError, match="below 2\\*\\*32"):
+                    derive_seed(*address)
+            else:
+                assert derive_seed(*address) == oracles.derive_seed(*address)
+        # several prefixes of one word count in one call, as population() makes them
+        prefixes = [(seed, 1, 3), (seed, 2, 3), (seed, 205, 16)]
+        indices = [0, 1, 2**32 - 1, 9]
         np.testing.assert_array_equal(
             sampler._derive_seeds(prefixes, indices),
             [[oracles.derive_seed(*prefix, i) for i in indices] for prefix in prefixes],
         )
-        # stream states and draws, root and spawned
+        with pytest.raises(ValueError, match="one word count"):
+            sampler._derive_seeds([(seed, 1, 3), (seed, 2**40, 2)], indices)
+        # stream states and draws, root and spawned, of uint64 seeds as derivation gives them
+        low = seed & (2**64 - 1)
         for keys in ([()], [(0,), (1,), (2,)], [(0, 0), (0, 5), (3, 1)]):
-            states = sampler._stream_states([seed, 11], keys)
+            states = sampler._stream_states([low, 11], keys)
             gens = sampler._generators(states)
             pairs = iter(states)
-            for s in (seed, 11):
+            for s in (low, 11):
                 for key in keys:
                     rng = np.random.default_rng(np.random.SeedSequence(s, spawn_key=key))
                     assert rng.bit_generator.state["state"] == dict(zip(("state", "inc"), next(pairs)))
                     np.testing.assert_array_equal(
                         next(gens).standard_normal((2, 3, 3)), rng.normal(size=(2, 3, 3))
                     )
+        if seed >> 64:
+            with pytest.raises(ValueError, match="below 2\\*\\*64"):
+                sampler._stream_states([seed], [()])
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        words=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=4),
+        key=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=3),
+    )
+    def test_seed_sequence_pads_to_the_pool_size(self, words, key):
+        # the identity that lets every seeding pass use one table width, on numpy's own SeedSequence
+        def state(entropy, spawn_key=()):
+            return np.random.SeedSequence(np.array(entropy, dtype=np.uint32), spawn_key=spawn_key).generate_state(8)
+
+        padded = words + [0] * (4 - len(words))
+        np.testing.assert_array_equal(state(words), state(padded))
+        np.testing.assert_array_equal(state(words, key), state(padded + key))
+        assert not np.array_equal(state(padded + [0]), state(padded))
+
+    def test_one_seeding_pass_per_call(self, monkeypatch):
+        passes = []
+        seed_states = sampler._seed_states
+        monkeypatch.setattr(sampler, "_seed_states", lambda e, n: passes.append(e.shape) or seed_states(e, n))
+        sampler._derive_seeds([(2**100 + 5, code, d) for code in range(3) for d in (2, 16)], range(150))
+        assert passes == [(6 * 150, 4 + 2 + 1)]  # a four-word seed, code and dimension, then the index
+        passes.clear()
+        seeds = [0, 2**32 - 1, 2**32, 2**64 - 1, *range(146)]
+        for keys in ([()], [(i,) for i in range(9)], [(7, i) for i in range(9)]):
+            sampler._stream_states(seeds, keys)
+        assert passes == [(150, 4), (150 * 9, 5), (150 * 9, 6)]
 
     @pytest.mark.parametrize("seed", EDGE_SEEDS)
     @pytest.mark.parametrize("family", FAMILIES)
     def test_one_sample_matches_oracle(self, family, seed):
+        seed = min(seed, 2**64 - 1)  # a stream seed is a derived uint64: the wider edges stand for the widest
         for d in (2, 3):
             got = sampler._sample_stack(family, d, [seed])[0]
             assert_same_channels([(got,)], [(oracles.sample_channel(family, d, seed),)])
@@ -309,7 +348,7 @@ class TestStreamContract:
     def test_mixture_weights_match_dirichlet(self, k, d):
         # the weights are standard exponentials over their sequential sum, the
         # numbers the oracle's default_rng(stream k).dirichlet(np.ones(k)) gives
-        seeds = [*range(200), *EDGE_SEEDS]
+        seeds = [*range(200), *(min(seed, 2**64 - 1) for seed in EDGE_SEEDS)]
         ops = sampler._unitary_mixture_ops(seeds, d, k)
         for seed, row in zip(seeds, ops):
             np.testing.assert_array_equal(row, oracles.sample_unitary_mixture(d, k, seed))
