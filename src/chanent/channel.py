@@ -51,13 +51,14 @@ reads the unital flags off it (``ChannelProfile.tr2`` and ``.unital``).
 :func:`profile_channel` is the one place that turns channels into what both
 harnesses read: for the Kraus array of a stack of same-dimension channels
 (one channel is a stack of one) it builds ``D`` in one batched product,
-takes ``K``, both spectra with one decomposition each, and ``Tr_2 D`` with
-one reduction, from which the unital flags are read.
+takes ``K`` and its spectrum with one decomposition, and ``Tr_2 D`` with
+one reduction, from which the unital flags are read.  The map spectrum is
+taken with one decomposition on its first read, which the sweep makes and
+the inequality suite does not: its checks read ``D`` only through ``Tr D =
+Tr Tr_2 D`` and ``|D|_2 = |K|_2``.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -186,22 +187,30 @@ def superoperator_spectrum(sup, d: int) -> np.ndarray:
     return matcore.clamp_spectrum(matcore.singular_values(real))
 
 
-@dataclass(frozen=True, eq=False)
 class ChannelProfile:
     """What the trade-off grid and the channel checks read, for a stack of ``n`` channels.
 
     ``channel_id`` is a tuple of ``n`` ids and ``unital`` an ``(n,)`` bool
     array; the spectra are ``(n, d**2)`` float arrays and ``tr2`` is the
     ``(n, d, d)`` stack of ``Tr_2 D = sum_i A_i A_i^dag``, the image of the
-    identity.  Row ``k`` of each belongs to channel ``k``.
+    identity.  Row ``k`` of each belongs to channel ``k``.  ``choi_spectrum``
+    is given as the array, or as a function of no arguments that gives it:
+    that is called on the first read of the spectrum, and its array kept.
     """
 
-    channel_id: tuple
-    dim: int
-    unital: np.ndarray
-    choi_spectrum: np.ndarray
-    superop_spectrum: np.ndarray
-    tr2: np.ndarray
+    def __init__(self, channel_id, dim, unital, choi_spectrum, superop_spectrum, tr2):
+        self.channel_id = channel_id
+        self.dim = dim
+        self.unital = unital
+        self._choi = choi_spectrum
+        self.superop_spectrum = superop_spectrum
+        self.tr2 = tr2
+
+    @property
+    def choi_spectrum(self) -> np.ndarray:
+        if callable(self._choi):
+            self._choi = self._choi()
+        return self._choi
 
 
 def profile_channel(ops, channel_id=()) -> ChannelProfile:
@@ -209,8 +218,10 @@ def profile_channel(ops, channel_id=()) -> ChannelProfile:
 
     ``channel_id`` holds one id per channel (all empty by default).  The
     dynamical matrices come from one batched product, ``Tr_2 D`` from one
-    reduction of them, the unital flags from ``Tr_2 D`` and each spectrum
-    from one decomposition of the whole stack; one channel is a stack of
+    reduction of them, the unital flags from ``Tr_2 D`` and the receiver
+    spectrum from one decomposition of the whole stack; the map spectrum is
+    taken the same way on its first read, so a reader of ``K`` and ``Tr_2
+    D`` alone pays no decomposition of ``D``.  One channel is a stack of
     one, ``ops[None]``.
     """
     ids = tuple(channel_id) or ("",) * len(ops)
@@ -223,7 +234,7 @@ def profile_channel(ops, channel_id=()) -> ChannelProfile:
         channel_id=ids,
         dim=d,
         unital=_identity_defects(tr2) <= TP_TOL,
-        choi_spectrum=dynamical_spectrum(dyn, ops),
+        choi_spectrum=lambda: dynamical_spectrum(dyn, ops),
         superop_spectrum=superoperator_spectrum(reshuffle(dyn, d), d),
         tr2=tr2,
     )

@@ -33,7 +33,9 @@ stack, and the stacks of a large one keep memory flat in its size.
 
 Both harnesses profile each channel stack, the Kraus array it was drawn
 as, with :func:`~chanent.channel.profile_channel`: one batched build of
-``D``, one decomposition per spectrum and one ``Tr_2 D`` per stack.  A
+``D``, one ``Tr_2 D`` and one decomposition of ``K`` per stack, and one of
+``D`` where its spectrum is read: the sweep reads it, the inequality
+suite's channel checks do not.  A
 ``--channel`` file is a stack of one, and a counterexample is written from
 its channel's row of the stack.  A sweep's counterexample records the
 violated cell as the grid gives it (:meth:`~chanent.tradeoff.GridReport.cell`),
@@ -56,8 +58,10 @@ round-trip digits, and the cells whose notation it writes differently
 (0 < |x| < 1e-4, |x| >= 1e16, inf and NaN) are taken from ``repr``
 (:func:`_float_texts`).
 
-The inequality suite runs each check once per stack at all of its orders;
-the two channel checks share one profile per stack.  The first failure is
+The inequality suite runs each check once per stack at all of its orders,
+with one decomposition of the stack for all of them (see
+:mod:`chanent.spectra`); the two channel checks share one profile per
+stack.  The first failure is
 named in the order of a loop over inputs with the orders inside, and only
 that input is serialized.
 """
@@ -573,6 +577,9 @@ def run_inequality_suite(cfg: SweepConfig, out_dir, only=None, matrix_path=None)
                 batches.sort(key=lambda nb: (nb[1].first_failure() or (math.inf,))[0])
                 for name, batch in batches:
                     record(name, labels, batch, lambda i: chmod.channel_to_json(ops[i]))
+                # the profile holds its stack's D until the spectrum is read, and
+                # the next stack is drawn while the loop variables still hold this one
+                del profile, batches
     return run.finish(lambda s: "inequalities ok: min slack " + ", ".join(
         f"{name}={entry['min_slack']:.3e}" for name, entry in sorted(s["checks"].items())
     ) + f" -> {run.out}")

@@ -21,13 +21,14 @@ per stack:
   over one table of one width (one prefix word count, every index below
   ``2**32``), and each stack's stream states from one more (uint64 seeds
   zero-padded to the pool's 4 words, then the key), followed by PCG64's
-  seeding step in integer arithmetic; the hash constants are tabulated once
-  per length;
+  seeding step in ``uint64`` array arithmetic on 128-bit (high, low) word
+  pairs; the hash constants are tabulated once per length;
 * streams: each stream is one PCG64 state set, through one state dict
   reused for the stack, on a generator local to the call, and one draw
   into the stack: ``standard_normal((2, d, d))`` for a
   Ginibre matrix, the numbers numpy's two ``normal((d, d))`` calls of a
-  ``default_rng`` on that stream give, and ``standard_exponential(k)`` for
+  ``default_rng`` on that stream give, written into one complex stack as
+  its real and imaginary parts, and ``standard_exponential(k)`` for
   mixture weights; one multiplication of the weight stack by the
   reciprocals of its sequential row sums, as numpy's ``dirichlet``
   normalizes, then gives the numbers ``dirichlet(np.ones(k))`` gives;
@@ -88,9 +89,10 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _XSHIFT = np.uint32(16)
-# PCG64's 128-bit LCG multiplier (numpy/random/src/pcg64/pcg64.h).
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = (1 << 128) - 1
+# PCG64's 128-bit LCG multiplier (numpy/random/src/pcg64/pcg64.h), as its
+# high and low 64-bit words.
+_PCG_MULT_HI, _PCG_MULT_LO = np.uint64(0x2360ED051FC65DA4), np.uint64(0x4385DF649FCCF645)
+_LOW32, _SHIFT32 = np.uint64(_MASK32), np.uint64(32)
 
 
 def _words(value) -> list[int]:
@@ -160,6 +162,21 @@ def _uint64(words: np.ndarray) -> np.ndarray:
     return w[..., 0::2] | (w[..., 1::2] << np.uint64(32))
 
 
+def _mul_high(a: np.ndarray, b: np.uint64) -> np.ndarray:
+    """The high 64-bit words of the 128-bit products of the uint64 ``a`` and ``b``, from 32-bit halves."""
+    a_lo, a_hi = a & _LOW32, a >> _SHIFT32
+    b_lo, b_hi = b & _LOW32, b >> _SHIFT32
+    cross_a, cross_b = a_hi * b_lo, a_lo * b_hi
+    mid = ((a_lo * b_lo) >> _SHIFT32) + (cross_a & _LOW32) + (cross_b & _LOW32)
+    return a_hi * b_hi + (cross_a >> _SHIFT32) + (cross_b >> _SHIFT32) + (mid >> _SHIFT32)
+
+
+def _add128(x_hi, x_lo, y_hi, y_lo) -> tuple[np.ndarray, np.ndarray]:
+    """``x + y`` modulo ``2**128`` on uint64 ``(high, low)`` word pairs."""
+    lo = x_lo + y_lo
+    return x_hi + y_hi + (lo < x_lo).astype(np.uint64), lo
+
+
 def _below(values, bits: int, what: str) -> list[int]:
     """``values`` as integers, each non-negative, as ``SeedSequence`` requires, and below ``2**bits``."""
     values = [operator.index(v) for v in values]
@@ -207,12 +224,17 @@ def _stream_states(seeds, keys) -> list[tuple[int, int]]:
     words = _seed_states(table.reshape(-1, table.shape[-1]), 8)
     # PCG64's seeding (pcg64_set_seed): the 128-bit seed and increment are
     # words (0, 1) and (2, 3), high word first; srandom sets inc = 2 * incr + 1
-    # and state = (inc + seed) * MULT + inc, two steps of the LCG from 0
-    states = []
-    for s_hi, s_lo, i_hi, i_lo in _uint64(words).reshape(-1, 4).tolist():
-        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
-        states.append((((s_hi << 64 | s_lo) + inc) * _PCG_MULT + inc & _MASK128, inc))
-    return states
+    # and state = (inc + seed) * MULT + inc, two steps of the LCG from 0, all
+    # modulo 2**128 in (high, low) pairs of uint64 words
+    s_hi, s_lo, i_hi, i_lo = _uint64(words).T
+    inc_hi, inc_lo = (i_hi << np.uint64(1)) | (i_lo >> np.uint64(63)), (i_lo << np.uint64(1)) | np.uint64(1)
+    x_hi, x_lo = _add128(s_hi, s_lo, inc_hi, inc_lo)
+    y_hi = _mul_high(x_lo, _PCG_MULT_LO) + x_lo * _PCG_MULT_HI + x_hi * _PCG_MULT_LO
+    st_hi, st_lo = _add128(y_hi, x_lo * _PCG_MULT_LO, inc_hi, inc_lo)
+    return [
+        (sh << 64 | sl, ih << 64 | il)
+        for sh, sl, ih, il in zip(st_hi.tolist(), st_lo.tolist(), inc_hi.tolist(), inc_lo.tolist())
+    ]
 
 
 def _generators(states):
@@ -232,7 +254,9 @@ def _ginibre(gens, shape) -> np.ndarray:
     z = np.empty((*lead, 2, d, d))
     for row, gen in zip(z.reshape(-1, 2, d, d), gens):
         gen.standard_normal(out=row)
-    return z[..., 0, :, :] + 1j * z[..., 1, :, :]
+    g = np.empty((*lead, d, d), dtype=complex)
+    g.real, g.imag = z[..., 0, :, :], z[..., 1, :, :]
+    return g
 
 
 def _haar(g: np.ndarray) -> np.ndarray:

@@ -13,14 +13,22 @@ Every checker takes a stack of matrices ``(n, m, m)``, or for the channel
 checks the :class:`~chanent.channel.ChannelProfile` of a channel stack, and
 one order or a list of them, and gives an :class:`InequalityBatch` of
 ``(n_inputs, n_orders)`` arrays; one matrix is passed as a stack of one, and
-a 2-D input is rejected.  Each input's spectrum is computed once, with one
-LAPACK call for the whole stack, and shared by all of its orders; the
-channel checks read the spectra and ``Tr_2 D`` of the profile.  ``slack`` is
-signed in the passing direction and relative to ``max(|lhs|, |rhs|, 1)``, so
-one tolerance convention covers all magnitudes; an entry whose slack is not
-finite (both sides infinite, say) fails.  An input the check cannot take
-raises the error a stack of that input alone raises; with several such
-inputs, the error named may come from a later input than the first.
+a 2-D input is rejected.  A check takes only the spectra its orders read,
+each with one LAPACK call for the whole stack, shared by all of its orders:
+a stack read at any anti-norm order must be PSD, and a PSD matrix's
+singular values are the absolute values of its eigenvalues, so such a stack
+gets one eigenvalue decomposition for all of its orders, and a stack read
+at norm orders only one SVD.  The channel checks read the profile's ``K``
+spectrum and ``Tr_2 D``, and no spectrum of ``D``.  ``slack`` is signed in
+the passing direction and relative to ``max(|lhs|, |rhs|, 1)``, so one
+tolerance convention covers all magnitudes; an entry whose slack is not
+finite (both sides infinite, say) fails.
+
+An input the check cannot take raises the error a stack of that input alone
+raises.  The stack is decomposed before any order's positivity is checked,
+and each order is checked over the whole stack in turn, so of several such
+inputs the first is named unless a later one fails an earlier step: a
+non-Hermitian input after one that is Hermitian but not PSD is named first.
 """
 
 from __future__ import annotations
@@ -196,10 +204,17 @@ def _extreme(values: np.ndarray, q: float) -> np.ndarray:
 
 
 class _Spectra:
-    """The spectra of a stack of matrices, each decomposed at most once."""
+    """The spectra of a stack of matrices that the orders ``orders`` read, each taken once.
 
-    def __init__(self, stack: np.ndarray):
+    A stack read at an anti-norm order must be PSD, and the singular values
+    of a PSD matrix are the absolute values of its eigenvalues: if any of
+    ``orders`` is an anti-norm order, one eigenvalue decomposition gives the
+    spectra of all of them; otherwise one SVD gives the singular values.
+    """
+
+    def __init__(self, stack: np.ndarray, orders):
         self.stack = stack
+        self._by_eig = any(_regime(q) != _NORM for q in orders)
         self._cache: dict = {}
 
     def _get(self, key, compute):
@@ -210,14 +225,16 @@ class _Spectra:
     def for_order(self, q: float) -> np.ndarray:
         """Per input, the spectrum order ``q`` acts on, ready for power sums.
 
-        Singular values for norm orders; for anti-norm orders the
-        eigenvalues, clamped for ``0 < q < 1`` and required above
+        Singular values for norm orders, descending; for anti-norm orders
+        the eigenvalues, clamped for ``0 < q < 1`` and required above
         ``STRICT_POS_TOL`` for ``q < 0``.
         """
         regime = _regime(q)
-        if regime == _NORM:
+        if regime == _NORM and not self._by_eig:
             return self._get(_NORM, lambda: matcore.singular_values(self.stack))
         eig = self._get("eig", lambda: matcore.hermitian_eigenvalues(self.stack))
+        if regime == _NORM:
+            return self._get(_NORM, lambda: -np.sort(-np.abs(eig), axis=-1))
         if regime == _ANTINORM_STRICT:
             lo = eig.min(axis=-1)
             bad = np.flatnonzero(lo <= STRICT_POS_TOL)
@@ -241,7 +258,7 @@ class _Spectra:
 
 def _schatten(x, q: float):
     m = matcore.as_matrices(x)
-    norms = _Spectra(m if m.ndim == 3 else m[None]).schatten(q)
+    norms = _Spectra(m if m.ndim == 3 else m[None], [q]).schatten(q)
     return norms if m.ndim == 3 else float(norms[0])
 
 
@@ -284,8 +301,8 @@ def check_prop1(x, q) -> InequalityBatch:
     both have degree ``q``, so ``ln(rhs/lhs) = (q-1) ln sum mu**2 + (2-q) ln
     sum mu - ln sum mu**q``, where each sum of ``mu**q`` lies in ``[1, n]``.
     """
-    spectra = _Spectra(_stack(x))
     orders = _orders(q)
+    spectra = _Spectra(_stack(x), orders)
     lhs, rhs, log_ratio = [], [], []
     for order in orders:
         vals = spectra.for_order(order)
@@ -363,7 +380,7 @@ def check_antinorm_monotonicity(x, p, q) -> InequalityBatch:
         if not (0.0 < lo < hi):
             raise InvalidOrderError(f"monotonicity check needs 0 < p < q, got p={lo}, q={hi}")
     stack = _stack(x)
-    spectra = _Spectra(stack)
+    spectra = _Spectra(stack, ps + qs)
     norms: dict = {}
     lhs, rhs, log_ratio = [], [], []
     for lo, hi in zip(ps, qs):
@@ -398,17 +415,19 @@ def check_superadditivity(x, y, q) -> InequalityBatch:
         if _regime(order) == _NORM:
             raise InvalidOrderError(f"superadditivity is an anti-norm property, got q={order}")
     xs, ys = _stack(x), _stack(y)
-    # the operands are decomposed, and so checked, before their sum: an
-    # input the checks cannot take is reported by its own deviation
-    spectra = [_Spectra(xs), _Spectra(ys), _Spectra(xs + ys)]
+    # x_i, y_i and x_i + y_i interleaved, one decomposition for all: the
+    # operands come before their sum, and input i before input i + 1
+    trios = np.stack([xs, ys, xs + ys], axis=1)
+    spectra = _Spectra(trios.reshape(-1, *trios.shape[2:]), orders)
     lhs, rhs, log_ratio = [], [], []
     for order in orders:
-        a, b, total = (sp.schatten(order) for sp in spectra)
+        a, b, total = spectra.schatten(order).reshape(-1, 3).T
         lhs.append(total)
         rhs.append(a + b)
         log_ratio.append(np.full(len(xs), np.nan))
         if not (np.isfinite(total) & np.isfinite(rhs[-1]) & (total > 0) & (rhs[-1] > 0)).all():
-            (n_a, a), (n_b, b), (n_t, t) = (_log_power_mean_root(sp.for_order(order), order) for sp in spectra)
+            logs = _log_power_mean_root(spectra.for_order(order), order)
+            (n_a, n_b, n_t), (a, b, t) = (v.reshape(-1, 3).T for v in logs)
             # a rank gap over a subnormal q is its true -inf; a zero input: NaN, compared plain
             with np.errstate(invalid="ignore", over="ignore"):
                 log_ratio[-1] = np.logaddexp((n_a - n_t) / order + a, (n_b - n_t) / order + b) - t
@@ -420,13 +439,13 @@ def check_norm_product_chain(profile: chmod.ChannelProfile) -> InequalityBatch:
     """Trace-to-Frobenius norm-ratio product of the two representations.
 
     ``(|D|_1/|D|_2) * (|K|_1/|K|_2) >= sqrt(d)`` for every channel and
-    ``>= d`` for unital ones; the two Frobenius norms agree because the
-    representations share their entries up to reshuffling.
+    ``>= d`` for unital ones.  ``D`` is PSD, so ``|D|_1 = Tr D = Tr Tr_2
+    D``, and the two Frobenius norms agree because the representations
+    share their entries up to reshuffling: the product is ``Tr D |K|_1 /
+    |K|_2**2``, which reads no spectrum of ``D``.
     """
-    # D is PSD, so its eigenvalues are its singular values
-    d_sv, k_sv = profile.choi_spectrum, profile.superop_spectrum
-    ratio = (
-        d_sv.sum(axis=-1) / _power_mean_root(d_sv, 2.0) * k_sv.sum(axis=-1) / _power_mean_root(k_sv, 2.0)
-    )[:, None]
+    k_sv = profile.superop_spectrum
+    trace = np.trace(profile.tr2, axis1=-2, axis2=-1).real
+    ratio = (trace * k_sv.sum(axis=-1) / (k_sv**2).sum(axis=-1))[:, None]
     bound = np.where(profile.unital, float(profile.dim), math.sqrt(profile.dim))[:, None]
     return _batch(ratio, bound, (">=",), ratio >= bound - 1e-9)

@@ -294,6 +294,17 @@ class TestKrausGram:
             gram = chmod.dynamical_spectrum(dyn, ch)
             np.testing.assert_allclose(gram, oracles.dynamical_eigenvalues(dyn), atol=1e-9)
 
+    def test_profile_takes_the_map_spectrum_once_on_first_read(self, monkeypatch):
+        ops = stack_channels([ch for _, _, _, ch in population(908, (3,), FAMILIES, 2)])
+        calls = []
+        original = chmod.dynamical_spectrum
+        monkeypatch.setattr(chmod, "dynamical_spectrum", lambda *a: calls.append(len(a[0])) or original(*a))
+        prof = chmod.profile_channel(ops)
+        assert calls == []
+        first = prof.choi_spectrum
+        assert prof.choi_spectrum is first and calls == [len(ops)]
+        np.testing.assert_array_equal(first, original(chmod.dynamical_from_kraus(ops), ops))
+
 
 def _assert_spectra_close(got, want):
     """Within 1e-13 of the largest entry of each spectrum."""

@@ -760,6 +760,19 @@ class TestOneProfilePerStack:
         assert cli.main([*args, "--out", str(tmp_path / "x")]) == 0
         assert seen == sizes
 
+    def test_suite_decomposes_no_dynamical_matrix(self, tmp_path, monkeypatch):
+        # cbn0 reads D through Tr D and |D|_2 = |K|_2, and no other check reads D's spectrum
+        def no_spectrum(*args):
+            raise AssertionError("the inequality suite took a spectrum of D")
+
+        monkeypatch.setattr(chmod, "dynamical_spectrum", no_spectrum)
+        out = tmp_path / "x"
+        assert cli.main(["inequalities", "--dims", "2,3", "--samples", "150", "--out", str(out)]) == 0
+        checks = json.loads((out / "summary.json").read_text())["checks"]
+        counts = {"21in": 300, "cbn0": 900, "npqr": 900, "prop1": 2700, "sups": 900, "upkp": 900}
+        assert {name: entry["count"] for name, entry in checks.items()} == counts
+        assert all(entry["passed"] for entry in checks.values())
+
 
 class TestKrausArrays:
     """Channel stacks stay the Kraus arrays the sampler draws, and seeds are derived once per population."""

@@ -394,6 +394,24 @@ class TestCheckNormProductChain:
             else:
                 assert (batch.lhs >= math.sqrt(d) - 1e-9).all()
 
+    def test_trace_route_matches_the_oracle(self):
+        # the check reads Tr D and |K|_2 for |D|_1 and |D|_2; the oracle
+        # decomposes D and K, each norm taken from its own spectrum
+        sampled = [ch for _, _, _, ch in population(911, (2, 3), SUITE.families, 5)]
+        named = [
+            sampler.named_channel(name, d, param)
+            for d in (2, 3)
+            for name, param in (("identity", None), ("completely-depolarizing", None),
+                                ("depolarizing", 0.3), ("dephasing", 0.6), ("unitary", 0.7))
+        ]
+        named.append(sampler.named_channel("amplitude-damping", 2, 0.4))
+        for ch in [*sampled, *named, noisy_depolarizing()]:
+            batch = spectra.check_norm_product_chain(profile(ch))
+            want = oracles.check_norm_product_chain(ch)
+            assert abs(batch.lhs[0, 0] - want.lhs) <= 1e-12 * max(want.lhs, 1.0)
+            assert abs(batch.slack[0, 0] - want.slack) <= 1e-12
+            assert batch.passed[0, 0] == want.passed
+
 
 # The suite's own population: the CLI's default seed and sample count.
 SUITE = cli.SweepConfig()
@@ -538,11 +556,67 @@ class TestBatchErrorsMatchTheLoop:
         assert want[0] is NotPositiveError
         assert _first_error(lambda: spectra.check_prop1(x, [-0.5])) == want
 
+    def test_superadditivity_names_the_first_pair(self):
+        # the loop checks x_1 and y_1 before x_3: y_1 is named, not x_3
+        x, y = _psd_stack(2, 204, 5), _psd_stack(2, 205, 5)
+        x[3], y[1] = -2.0 * np.eye(2), -np.eye(2)
+        want = _first_error(self._loop(oracles.check_superadditivity, list(zip(x, y)), [(0.5,)]))
+        assert want[0] is NotPositiveError and want[1].startswith("eigenvalue -1.000000e+00 ")
+        assert _first_error(lambda: spectra.check_superadditivity(x, y, 0.5)) == want
+
     def test_non_square_anti_norm_order(self):
         x = _ginibre_stack(3, 202, 4)[:, :2, :]
         want = _first_error(self._loop(oracles.check_prop1, [(m,) for m in x], [(0.5,)]))
         assert want[0] is NonSquareError
         assert _first_error(lambda: spectra.check_prop1(x, [0.5, 2.0])) == want
+
+
+class TestSpectrumRoutes:
+    """A stack read at any anti-norm order takes one eigenvalue decomposition for all of its orders."""
+
+    @staticmethod
+    def _count(monkeypatch, name):
+        calls = []
+        original = getattr(matcore, name)
+        monkeypatch.setattr(matcore, name, lambda x: calls.append(len(x)) or original(x))
+        return calls
+
+    @staticmethod
+    def _assert_sides_match(batch, oracle):
+        for i, row in enumerate(oracle):
+            for j, rep in enumerate(row):
+                for got, want in ((batch.lhs[i, j], rep.lhs), (batch.rhs[i, j], rep.rhs)):
+                    assert abs(got - want) <= 1e-13 * max(abs(want), 1.0), (i, j)
+
+    @pytest.mark.parametrize("orders", [(2.0, 0.5, 3.0, 1.0), (0.5, 1.5, 2.0), (1.0, 3.0, -0.5)])
+    def test_prop1_takes_no_svd_of_a_psd_stack(self, monkeypatch, orders):
+        x = _psd_stack(3, 201, 40)
+        svd = self._count(monkeypatch, "singular_values")
+        eig = self._count(monkeypatch, "hermitian_eigenvalues")
+        batch = spectra.check_prop1(x, orders)
+        assert svd == [] and eig == [len(x)]
+        monkeypatch.undo()  # the oracle takes the SVD at norm orders
+        self._assert_sides_match(batch, [[oracles.check_prop1(m, q) for q in orders] for m in x])
+
+    def test_npqr_takes_no_svd_of_a_psd_stack(self, monkeypatch):
+        x = _psd_stack(2, 203, 40)
+        pairs = ((0.5, 1.0), (0.2, 0.8), (0.5, 2.0))
+        svd = self._count(monkeypatch, "singular_values")
+        eig = self._count(monkeypatch, "hermitian_eigenvalues")
+        batch = spectra.check_antinorm_monotonicity(x, *zip(*pairs))
+        assert svd == [] and eig == [len(x)]
+        monkeypatch.undo()
+        oracle = [[oracles.check_antinorm_monotonicity(m, p, q) for p, q in pairs] for m in x]
+        self._assert_sides_match(batch, oracle)
+
+    def test_norm_orders_alone_take_the_svd(self, monkeypatch):
+        # singular values need neither a square nor a Hermitian matrix
+        svd = self._count(monkeypatch, "singular_values")
+        eig = self._count(monkeypatch, "hermitian_eigenvalues")
+        rect = _ginibre_stack(3, 202, 4)[:, :2, :]
+        assert spectra.check_prop1(rect, [2.0, 3.0]).passed.all()
+        assert spectra.check_prop1(_ginibre_stack(3, 202, 5), [1.5]).passed.all()
+        assert svd == [4, 5] and eig == []
 
 
 class TestFirstFailure:
