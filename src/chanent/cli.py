@@ -35,9 +35,8 @@ Both harnesses profile each channel stack, the Kraus array it was drawn
 as, with :func:`~chanent.channel.profile_channel`: one batched build of
 ``D``, one ``Tr_2 D`` and one decomposition of ``K`` per stack, and one of
 ``D`` where its spectrum is read: the sweep reads it, the inequality
-suite's channel checks do not.  A
-``--channel`` file is a stack of one, and a counterexample is written from
-its channel's row of the stack.  A sweep's counterexample records the
+suite's channel checks do not.  A ``--channel`` file is a stack of one, and
+a counterexample is written from its channel's row of the stack.  A sweep's counterexample records the
 violated cell as the grid gives it (:meth:`~chanent.tradeoff.GridReport.cell`),
 and its ``BOUND VIOLATION`` line is built from that record.
 
@@ -61,9 +60,8 @@ round-trip digits, and the cells whose notation it writes differently
 The inequality suite runs each check once per stack at all of its orders,
 with one decomposition of the stack for all of them (see
 :mod:`chanent.spectra`); the two channel checks share one profile per
-stack.  The first failure is
-named in the order of a loop over inputs with the orders inside, and only
-that input is serialized.
+stack.  The first failure is named in the order of a loop over inputs with
+the orders inside, and only that input is serialized.
 """
 
 from __future__ import annotations
