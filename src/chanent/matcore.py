@@ -130,7 +130,8 @@ def hermitian_eigenvalues(x) -> np.ndarray:
     m = _require_square(_finite_matrices(x))
     adj = m.conj().swapaxes(-2, -1)
     require_hermitian(np.abs(m - adj))
-    return np.linalg.eigvalsh((m + adj) / 2.0)[..., ::-1]
+    h = np.add(m, adj)
+    return np.linalg.eigvalsh(np.divide(h, 2.0, out=h))[..., ::-1]
 
 
 def singular_values(x) -> np.ndarray:

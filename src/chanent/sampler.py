@@ -19,19 +19,18 @@ per stack:
   of it, come from one vectorized ``uint32`` pass of numpy's published
   ``SeedSequence`` algorithm (entropy pool mixing, then ``generate_state``)
   over one table of one width (one prefix word count, every index below
-  ``2**32``), and each stack's stream states from one more (uint64 seeds
-  zero-padded to the pool's 4 words, then the key), followed by PCG64's
-  seeding step in ``uint64`` array arithmetic on 128-bit (high, low) word
-  pairs; the hash constants are tabulated once per length;
-* streams: each stream is one PCG64 state set, through one state dict
-  reused for the stack, on a generator local to the call, and one draw
-  into the stack: ``standard_normal((2, d, d))`` for a
-  Ginibre matrix, the numbers numpy's two ``normal((d, d))`` calls of a
-  ``default_rng`` on that stream give, written into one complex stack as
-  its real and imaginary parts, and ``standard_exponential(k)`` for
-  mixture weights; one multiplication of the weight stack by the
-  reciprocals of its sequential row sums, as numpy's ``dirichlet``
-  normalizes, then gives the numbers ``dirichlet(np.ones(k))`` gives;
+  ``2**32``), and each stack's stream words from one more (uint64 seeds
+  zero-padded to the pool's 4 words, then the key); the hash constants are
+  tabulated once per length;
+* streams: each stream is a ``Generator`` on a ``PCG64`` that numpy seeds
+  from the stream's four uint64 words, and one draw into the stack:
+  ``standard_normal((2, d, d))`` for a Ginibre matrix, the numbers numpy's
+  two ``normal((d, d))`` calls of a ``default_rng`` on that stream give,
+  written into one complex stack as its real and imaginary parts, and
+  ``standard_exponential(k)`` for mixture weights; one multiplication of
+  the weight stack by the reciprocals of its sequential row sums, as
+  numpy's ``dirichlet`` normalizes, then gives the numbers
+  ``dirichlet(np.ones(k))`` gives;
 * algebra: the QR with its phase fix, the normalizer sum and ``eigh``, the
   inverse square root and the Kraus products run once per stack, and
   :func:`~chanent.channel.check_kraus_stack` checks trace preservation for
@@ -89,10 +88,6 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _XSHIFT = np.uint32(16)
-# PCG64's 128-bit LCG multiplier (numpy/random/src/pcg64/pcg64.h), as its
-# high and low 64-bit words.
-_PCG_MULT_HI, _PCG_MULT_LO = np.uint64(0x2360ED051FC65DA4), np.uint64(0x4385DF649FCCF645)
-_LOW32, _SHIFT32 = np.uint64(_MASK32), np.uint64(32)
 
 
 def _words(value) -> list[int]:
@@ -156,25 +151,13 @@ def _seed_states(entropy: np.ndarray, n_words: int) -> np.ndarray:
     return out.T
 
 
-def _uint64(words: np.ndarray) -> np.ndarray:
-    """Little-endian pairs of uint32 words as uint64, as ``generate_state(n, np.uint64)`` joins them."""
-    w = words.astype(np.uint64)
-    return w[..., 0::2] | (w[..., 1::2] << np.uint64(32))
+def _seed_table(table: np.ndarray, n64: int) -> np.ndarray:
+    """``generate_state(n64, np.uint64)`` of each row of the uint32 ``table``'s last axis, in one pass.
 
-
-def _mul_high(a: np.ndarray, b: np.uint64) -> np.ndarray:
-    """The high 64-bit words of the 128-bit products of the uint64 ``a`` and ``b``, from 32-bit halves."""
-    a_lo, a_hi = a & _LOW32, a >> _SHIFT32
-    b_lo, b_hi = b & _LOW32, b >> _SHIFT32
-    cross_a, cross_b = a_hi * b_lo, a_lo * b_hi
-    mid = ((a_lo * b_lo) >> _SHIFT32) + (cross_a & _LOW32) + (cross_b & _LOW32)
-    return a_hi * b_hi + (cross_a >> _SHIFT32) + (cross_b >> _SHIFT32) + (mid >> _SHIFT32)
-
-
-def _add128(x_hi, x_lo, y_hi, y_lo) -> tuple[np.ndarray, np.ndarray]:
-    """``x + y`` modulo ``2**128`` on uint64 ``(high, low)`` word pairs."""
-    lo = x_lo + y_lo
-    return x_hi + y_hi + (lo < x_lo).astype(np.uint64), lo
+    numpy joins the words in little-endian pairs.  Returns C-contiguous ``(rows, n64)`` uint64.
+    """
+    words = _seed_states(table.reshape(-1, table.shape[-1]), 2 * n64)
+    return np.ascontiguousarray(words, dtype="<u4").view("<u8").astype(np.uint64, copy=False)
 
 
 def _below(values, bits: int, what: str) -> list[int]:
@@ -203,49 +186,44 @@ def _derive_seeds(prefixes, indices) -> np.ndarray:
     table = np.empty((len(heads), len(index), width + 1), dtype=np.uint32)
     table[..., :width] = np.array(heads, dtype=np.uint32).reshape(len(heads), 1, width)
     table[..., width] = index
-    return _uint64(_seed_states(table.reshape(-1, width + 1), 2))[:, 0].reshape(len(heads), len(index))
+    return _seed_table(table, 1).reshape(len(heads), len(index))
 
 
-def _stream_states(seeds, keys) -> list[tuple[int, int]]:
-    """PCG64 ``(state, inc)`` of ``SeedSequence(seed, spawn_key=key)`` for each seed, then each key.
+def _stream_states(seeds, keys) -> np.ndarray:
+    """The words ``SeedSequence(seed, spawn_key=key).generate_state(4, np.uint64)``, each seed, then each key.
 
     One :func:`_seed_states` pass over a ``uint32`` table of one width, a row
     the seed as two words, zero-padded to the pool size, then the key's
     words: ``SeedSequence`` pads a spawned seed so, and hashes an unspawned
     one of at most the pool size as if so padded.  Every seed must be below
     ``2**64``, as a derived seed is, and the keys of one call must have one
-    word count.
+    word count.  Returns a C-contiguous ``(len(seeds) * len(keys), 4)`` uint64 table.
     """
     seed64 = np.array(_below(seeds, 64, "a stream seed"), dtype=np.uint64)[:, None]
     key_words = np.array([[w for v in key for w in _words(v)] for key in keys], dtype=np.uint32)
     table = np.zeros((len(seed64), len(keys), _POOL_SIZE + key_words.shape[1]), dtype=np.uint32)
     table[..., 0], table[..., 1] = seed64 & np.uint64(_MASK32), seed64 >> np.uint64(32)
     table[..., _POOL_SIZE:] = key_words
-    words = _seed_states(table.reshape(-1, table.shape[-1]), 8)
-    # PCG64's seeding (pcg64_set_seed): the 128-bit seed and increment are
-    # words (0, 1) and (2, 3), high word first; srandom sets inc = 2 * incr + 1
-    # and state = (inc + seed) * MULT + inc, two steps of the LCG from 0, all
-    # modulo 2**128 in (high, low) pairs of uint64 words
-    s_hi, s_lo, i_hi, i_lo = _uint64(words).T
-    inc_hi, inc_lo = (i_hi << np.uint64(1)) | (i_lo >> np.uint64(63)), (i_lo << np.uint64(1)) | np.uint64(1)
-    x_hi, x_lo = _add128(s_hi, s_lo, inc_hi, inc_lo)
-    y_hi = _mul_high(x_lo, _PCG_MULT_LO) + x_lo * _PCG_MULT_HI + x_hi * _PCG_MULT_LO
-    st_hi, st_lo = _add128(y_hi, x_lo * _PCG_MULT_LO, inc_hi, inc_lo)
-    return [
-        (sh << 64 | sl, ih << 64 | il)
-        for sh, sl, ih, il in zip(st_hi.tolist(), st_lo.tolist(), inc_hi.tolist(), inc_lo.tolist())
-    ]
+    return _seed_table(table, 4)
 
 
-def _generators(states):
-    """One generator, set to each PCG64 ``(state, inc)`` in turn through one reused state dict."""
-    bits = np.random.PCG64(0)
-    gen = np.random.Generator(bits)
-    inner: dict = {}
-    state = {"bit_generator": "PCG64", "state": inner, "has_uint32": 0, "uinteger": 0}
-    for inner["state"], inner["inc"] in states:
-        bits.state = state
-        yield gen
+class _Words(np.random.bit_generator.ISeedSequence):
+    """A stream's four uint64 words, handed to ``PCG64`` in place of the ``SeedSequence`` they come from."""
+
+    def __init__(self, row: np.ndarray):
+        self.row = row
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        # PCG64 reads the four words straight from the array's buffer
+        if n_words != 4 or np.dtype(dtype) != np.uint64 or not self.row.flags.c_contiguous:
+            raise ValueError(f"a stream is 4 contiguous uint64 words, asked for {n_words} of {np.dtype(dtype)}")
+        return self.row
+
+
+def _generators(words):
+    """A generator per row of the ``(..., 4)`` uint64 stream ``words``: numpy seeds its ``PCG64`` from the row."""
+    for row in words.reshape(-1, 4):
+        yield np.random.Generator(np.random.PCG64(_Words(row)))
 
 
 def _ginibre(gens, shape) -> np.ndarray:
@@ -285,8 +263,8 @@ def _cptp_ops(seeds, d: int, k: int) -> np.ndarray:
     ops = np.empty((len(seeds), k, d, d), dtype=complex)
     todo = np.arange(len(seeds))
     for attempt in range(RESAMPLE_ATTEMPTS):
-        states = _stream_states([seeds[i] for i in todo], [(attempt, i) for i in range(k)])
-        g = _ginibre(_generators(states), (len(todo), k, d))
+        words = _stream_states([seeds[i] for i in todo], [(attempt, i) for i in range(k)])
+        g = _ginibre(_generators(words), (len(todo), k, d))
         normalizer = sum((g.conj().swapaxes(-2, -1) @ g).swapaxes(0, 1))
         vals, vecs = np.linalg.eigh(normalizer)
         ratio = np.divide(vals[:, -1], vals[:, 0], out=np.zeros(len(todo)), where=vals[:, 0] > 0.0)
@@ -305,11 +283,11 @@ def _cptp_ops(seeds, d: int, k: int) -> np.ndarray:
 
 def _unitary_mixture_ops(seeds, d: int, k: int) -> np.ndarray:
     """Kraus stacks ``sqrt(p_i) U_i``: Haar unitaries, flat-Dirichlet weights from stream ``k``."""
-    states = _stream_states(seeds, [(i,) for i in range(k + 1)])  # per seed: k matrices, then the weights
-    matrix_states = [state for j, state in enumerate(states) if j % (k + 1) < k]
-    unitaries = _haar(_ginibre(_generators(matrix_states), (len(seeds), k, d)))
+    # per seed: k matrices, then the weights
+    words = _stream_states(seeds, [(i,) for i in range(k + 1)]).reshape(len(seeds), k + 1, 4)
+    unitaries = _haar(_ginibre(_generators(words[:, :k]), (len(seeds), k, d)))
     weights = np.empty((len(seeds), k))
-    for w, gen in zip(weights, _generators(states[k :: k + 1])):
+    for w, gen in zip(weights, _generators(words[:, k])):
         gen.standard_exponential(out=w)
     # numpy's dirichlet at alpha = 1: standard_gamma(1) is standard_exponential,
     # and each row is multiplied by the reciprocal of its sequential sum
@@ -460,5 +438,5 @@ def ginibre_population(seed: int, dims, count: int, stream: int, size=None):
     table = _derive_seeds([(seed, stream, d) for d in dims], range(count))
     for d, seeds in zip(dims, table):
         for indices in _cuts(count, count if size is None else size(d)):
-            states = _stream_states(seeds[indices.start : indices.stop], [()])
-            yield d, indices, _ginibre(_generators(states), (len(indices), d))
+            words = _stream_states(seeds[indices.start : indices.stop], [()])
+            yield d, indices, _ginibre(_generators(words), (len(indices), d))

@@ -25,14 +25,13 @@ tolerance convention covers all magnitudes; an entry whose slack is not
 finite (both sides infinite, say) fails.
 
 An input the check cannot take raises the error a stack of that input alone
-raises.  The stack is decomposed before any order's positivity is checked,
-and each order is checked over the whole stack in turn, so of several such
-inputs the first is named unless a later one fails an earlier step: a
-non-Hermitian input after one that is Hermitian but not PSD is named first.
+raises, and of several such inputs the first is named, as a loop over the
+inputs would name it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -43,6 +42,7 @@ from . import matcore
 from .entropy import exprel
 from .errors import (
     DimensionMismatchError,
+    DomainError,
     InvalidOrderError,
     InvalidSpectrumError,
     NotPositiveError,
@@ -139,6 +139,26 @@ def _stack(x) -> np.ndarray:
     if m.ndim != 3:
         raise DimensionMismatchError(f"the checks take a stack (n, m, m) of matrices, got shape {m.shape}")
     return m
+
+
+def _inputs_in_turn(n_stacks: int):
+    """Decorate a check on ``n_stacks`` stacks: an input error names the first input that fails.
+
+    The check takes each step over the whole stack, so a later input could
+    fail an earlier step first; on an input error each input is run alone,
+    in turn, and the first one's error is raised.
+    """
+    def wrap(check):
+        @functools.wraps(check)
+        def run(*args):
+            try:
+                return check(*args)
+            except (DomainError, NotPositiveError):
+                for inputs in zip(*map(_stack, args[:n_stacks])):
+                    check(*(m[None] for m in inputs), *args[n_stacks:])
+                raise
+        return run
+    return wrap
 
 
 def _orders(q) -> list:
@@ -285,6 +305,7 @@ def schatten_antinorm(x, q: float):
     return _schatten(x, q)
 
 
+@_inputs_in_turn(1)
 def check_prop1(x, q) -> InequalityBatch:
     """Interpolation between the q-, 2- and trace norms, at every order in ``q``.
 
@@ -367,6 +388,7 @@ def check_superop_norm_bound(profile: chmod.ChannelProfile) -> InequalityBatch:
     return _batch(k_inf, rhs, ("<=",), passed)
 
 
+@_inputs_in_turn(1)
 def check_antinorm_monotonicity(x, p, q) -> InequalityBatch:
     """``|X|_q <= |X|_p`` for ``0 < p < q`` on a positive matrix, pair by pair.
 
@@ -398,6 +420,7 @@ def check_antinorm_monotonicity(x, p, q) -> InequalityBatch:
     return _batch(lhs, rhs, ("<=",) * len(ps), lhs <= rhs + 1e-10, log_ratio, tol=1e-10)
 
 
+@_inputs_in_turn(2)
 def check_superadditivity(x, y, q) -> InequalityBatch:
     """``|X + Y|_q >= |X|_q + |Y|_q`` in the anti-norm regimes, at every order in ``q``.
 
@@ -415,19 +438,16 @@ def check_superadditivity(x, y, q) -> InequalityBatch:
         if _regime(order) == _NORM:
             raise InvalidOrderError(f"superadditivity is an anti-norm property, got q={order}")
     xs, ys = _stack(x), _stack(y)
-    # x_i, y_i and x_i + y_i interleaved, one decomposition for all: the
-    # operands come before their sum, and input i before input i + 1
-    trios = np.stack([xs, ys, xs + ys], axis=1)
-    spectra = _Spectra(trios.reshape(-1, *trios.shape[2:]), orders)
+    spectra = _Spectra(np.stack([xs, ys, xs + ys]).reshape(-1, *xs.shape[1:]), orders)  # operands, then sums
     lhs, rhs, log_ratio = [], [], []
     for order in orders:
-        a, b, total = spectra.schatten(order).reshape(-1, 3).T
+        a, b, total = spectra.schatten(order).reshape(3, -1)
         lhs.append(total)
         rhs.append(a + b)
         log_ratio.append(np.full(len(xs), np.nan))
         if not (np.isfinite(total) & np.isfinite(rhs[-1]) & (total > 0) & (rhs[-1] > 0)).all():
             logs = _log_power_mean_root(spectra.for_order(order), order)
-            (n_a, n_b, n_t), (a, b, t) = (v.reshape(-1, 3).T for v in logs)
+            (n_a, n_b, n_t), (a, b, t) = (v.reshape(3, -1) for v in logs)
             # a rank gap over a subnormal q is its true -inf; a zero input: NaN, compared plain
             with np.errstate(invalid="ignore", over="ignore"):
                 log_ratio[-1] = np.logaddexp((n_a - n_t) / order + a, (n_b - n_t) / order + b) - t

@@ -274,22 +274,31 @@ class TestStreamContract:
         )
         with pytest.raises(ValueError, match="one word count"):
             sampler._derive_seeds([(seed, 1, 3), (seed, 2**40, 2)], indices)
-        # stream states and draws, root and spawned, of uint64 seeds as derivation gives them
+        # stream generators and draws, root and spawned, of uint64 seeds as derivation gives them:
+        # every row of the words table seeds its own stream (a table in the wrong layout does not)
         low = seed & (2**64 - 1)
         for keys in ([()], [(0,), (1,), (2,)], [(0, 0), (0, 5), (3, 1)]):
-            states = sampler._stream_states([low, 11], keys)
-            gens = sampler._generators(states)
-            pairs = iter(states)
+            gens = sampler._generators(sampler._stream_states([low, 11], keys))
             for s in (low, 11):
                 for key in keys:
                     rng = np.random.default_rng(np.random.SeedSequence(s, spawn_key=key))
-                    assert rng.bit_generator.state["state"] == dict(zip(("state", "inc"), next(pairs)))
-                    np.testing.assert_array_equal(
-                        next(gens).standard_normal((2, 3, 3)), rng.normal(size=(2, 3, 3))
-                    )
+                    gen = next(gens)
+                    assert gen.bit_generator.state == rng.bit_generator.state
+                    np.testing.assert_array_equal(gen.standard_normal((2, 3, 3)), rng.normal(size=(2, 3, 3)))
+            assert next(gens, None) is None
         if seed >> 64:
             with pytest.raises(ValueError, match="below 2\\*\\*64"):
                 sampler._stream_states([seed], [()])
+
+    @pytest.mark.parametrize("n_words, dtype", [(4, np.uint32), (8, np.uint32), (2, np.uint64), (8, np.uint64)])
+    def test_stream_words_are_four_contiguous_uint64(self, n_words, dtype):
+        words = sampler._Words(sampler._stream_states([5], [()])[0])
+        with pytest.raises(ValueError, match="4 contiguous uint64 words"):
+            words.generate_state(n_words, dtype)
+        assert words.generate_state(4, np.uint64) is words.row
+        # a row of a Fortran-order table: its words are not adjacent in the buffer
+        with pytest.raises(ValueError, match="4 contiguous uint64 words"):
+            sampler._Words(np.asfortranarray(np.zeros((3, 4), np.uint64))[0]).generate_state(4, np.uint64)
 
     @settings(max_examples=40, deadline=None)
     @given(

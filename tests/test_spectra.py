@@ -564,6 +564,22 @@ class TestBatchErrorsMatchTheLoop:
         assert want[0] is NotPositiveError and want[1].startswith("eigenvalue -1.000000e+00 ")
         assert _first_error(lambda: spectra.check_superadditivity(x, y, 0.5)) == want
 
+    @pytest.mark.parametrize("check", ["prop1", "antinorm_monotonicity", "superadditivity"])
+    def test_earlier_input_failing_a_later_step(self, check):
+        # input 1 is Hermitian but not PSD, input 3 is not Hermitian: the loop
+        # names input 1, though the stack is decomposed before it is clamped
+        eye, skew = np.eye(2), np.array([[1.0, 1.0], [0.0, 1.0]])
+        x = np.array([eye, np.diag([1.0, -1.0]), eye, skew])
+        inputs, batch_orders, loop_orders = [(m,) for m in x], ([0.3, 0.5],), [(0.3,), (0.5,)]
+        if check == "antinorm_monotonicity":
+            batch_orders, loop_orders = ([0.3], [0.5]), [(0.3, 0.5)]
+        elif check == "superadditivity":
+            inputs = [(m, eye) for m in x]
+        stacks = [np.array(s) for s in zip(*inputs)]
+        want = _first_error(self._loop(getattr(oracles, f"check_{check}"), inputs, loop_orders))
+        assert want == (NotPositiveError, "eigenvalue -1.000000e+00 below -2.0e-09")
+        assert _first_error(lambda: getattr(spectra, f"check_{check}")(*stacks, *batch_orders)) == want
+
     def test_non_square_anti_norm_order(self):
         x = _ginibre_stack(3, 202, 4)[:, :2, :]
         want = _first_error(self._loop(oracles.check_prop1, [(m,) for m in x], [(0.5,)]))
