@@ -45,14 +45,14 @@ profile in one grid pass, against bounds tabulated once per dimension.  Its
 violation, read off the grid, or its error is the one a loop over the
 channels would meet first; a violation on a channel inside a stack writes
 every row of the channels before it, and an error leaves no
-``report.csv``.  A sweep with no order off the ``q = 1`` rows, where no
-bound is asserted, is a configuration error.  ``report.csv`` is
-written as each stack is evaluated, channel by channel, each row one
-pre-formatted line: the channel columns go through :mod:`csv` once per
-channel (a ``--channel`` file name may need quoting), the orders and bounds
-are formatted once per dimension, and the entropies, sum and gap once per
-stack, a column at a time.  Every float cell is Python's ``repr`` of the
-double: ``orjson`` writes a column in bulk with the same shortest
+``report.csv``.  Every cell is asserted, the von Neumann ones at ``q = 1``
+included; ``summary.json`` counts those under ``limit_rows``.
+``report.csv`` is written as each stack is evaluated, channel by channel,
+each row one pre-formatted line: the channel columns go through :mod:`csv`
+once per channel (a ``--channel`` file name may need quoting), the orders
+and bounds are formatted once per dimension, and the entropies, sum and gap
+once per stack, a column at a time.  Every float cell is Python's ``repr``
+of the double: ``orjson`` writes a column in bulk with the same shortest
 round-trip digits, and the cells whose notation it writes differently
 (0 < |x| < 1e-4, |x| >= 1e16, inf and NaN) are taken from ``repr``
 (:func:`_float_texts`).
@@ -84,7 +84,7 @@ from . import channel as chmod
 from . import matcore, sampler, spectra
 from .channel import profile_channel
 from .errors import DomainError, ParamOutOfRangeError, UnknownChannelError
-from .tradeoff import bound_table, evaluate_profile, is_limit_row
+from .tradeoff import bound_table, evaluate_profile
 
 __all__ = ["SweepConfig", "ConfigError", "run_sweep", "run_inequality_suite", "main"]
 
@@ -233,11 +233,12 @@ def _load_input(path, what: str, from_json):
 
 
 def _dim_table(dim: int, cfg: SweepConfig) -> tuple:
-    """A sweep's bounds at ``dim``: ``(bounds, cell texts, limit flag per cell)``.
+    """A sweep's bounds at ``dim``: ``(bounds, cell texts, q = 1 flag per cell)``.
 
     A cell's text is the part of its row the table fixes, ``("q,s,",
     ",bound_all,bound_unital,")``, in one list for non-unital channels
-    (empty unital bound) and one for unital ones.
+    (empty unital bound) and one for unital ones.  The flags mark the von
+    Neumann cells, at ``q = 1`` exactly, which ``limit_rows`` counts.
     """
     bounds = bound_table(dim, cfg.q_grid, cfg.s_grid)
     q, s, bound_all, bound_unital = (
@@ -246,7 +247,7 @@ def _dim_table(dim: int, cfg: SweepConfig) -> tuple:
     orders = [f"{qt},{st}," for qt in q for st in s]
     plain = [(qs, f",{b},,") for qs, b in zip(orders, bound_all)]
     unital = [(qs, f",{b},{u},") for qs, b, u in zip(orders, bound_all, bound_unital)]
-    return bounds, (plain, unital), np.repeat(bounds.limit_rows, bounds.s.size)
+    return bounds, (plain, unital), np.repeat(bounds.q == 1.0, bounds.s.size)
 
 
 def _float_texts(a) -> list:
@@ -427,12 +428,6 @@ class Run:
 
 def run_sweep(cfg: SweepConfig, out_dir, channel_path=None) -> int:
     """Evaluate the trade-off grid and write report.csv / summary.json."""
-    if is_limit_row(cfg.q_grid).all():
-        # the bound is asserted off the q = 1 rows only: such a sweep checks nothing
-        raise ConfigError(
-            f"every q in {list(cfg.q_grid)} is a q = 1 limit row, whose bound is "
-            "reported but not asserted; a sweep needs an order q != 1"
-        )
     injected = None
     if channel_path is not None:
         ch = _load_input(channel_path, "channel", chmod.channel_from_json)

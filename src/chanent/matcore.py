@@ -193,16 +193,30 @@ def _json_size(obj: dict, key: str) -> int:
     return size
 
 
+def _json_entries(obj: dict, key: str) -> np.ndarray:
+    """``obj[key]``, a flat list of numbers, as a float array.
+
+    numpy alone would also read a numeric string, ``true`` or a nested list,
+    none of which is an entry; its own number types are numbers.
+    """
+    entries = obj[key]
+    if not isinstance(entries, list):
+        raise ValueError(f"{key!r} must be a list of numbers, got {type(entries).__name__}")
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, (int, float, np.integer, np.floating)) or isinstance(entry, bool):
+            raise ValueError(f"{key!r} entry {i} must be a number, got {entry!r}")
+    return np.asarray(entries, dtype=float)
+
+
 def matrix_from_json(obj: dict) -> np.ndarray:
-    """Parse the shared JSON matrix object format; every entry must be finite.
+    """Parse the shared JSON matrix object format; every entry must be a finite number.
 
     ``json`` reads ``NaN`` and ``Infinity``; a matrix holding them has no
     spectrum to check.  The sizes are JSON integers >= 1: an empty matrix has
     no spectrum either, and ``2.9`` or ``true`` is no size.
     """
     rows, cols = _json_size(obj, "rows"), _json_size(obj, "cols")
-    re = np.asarray(obj["re"], dtype=float)
-    im = np.asarray(obj["im"], dtype=float)
+    re, im = _json_entries(obj, "re"), _json_entries(obj, "im")
     if re.size != rows * cols or im.size != rows * cols:
         raise DimensionMismatchError(
             f"matrix object announces {rows}x{cols} but carries "

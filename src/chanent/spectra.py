@@ -162,12 +162,14 @@ def _inputs_in_turn(n_stacks: int):
 
 
 def _orders(q) -> list:
-    """The orders in ``q``, one or a sequence of them, as a list.
+    """The orders in ``q``, one or a nonempty sequence of them, as a list.
 
     The checks compare finite powers of norms, so an infinite order is
     rejected; NaN is left to :func:`_regime`.
     """
     arr = np.asarray(q, dtype=float)
+    if not arr.size:
+        raise InvalidOrderError("inequality checks need at least one order")
     if np.isinf(arr).any():
         raise InvalidOrderError(f"inequality checks need finite orders, got {q}")
     return arr.reshape(-1).tolist()
@@ -438,6 +440,8 @@ def check_superadditivity(x, y, q) -> InequalityBatch:
         if _regime(order) == _NORM:
             raise InvalidOrderError(f"superadditivity is an anti-norm property, got q={order}")
     xs, ys = _stack(x), _stack(y)
+    if xs.shape != ys.shape:
+        raise DimensionMismatchError(f"superadditivity pairs equal stacks, got {xs.shape} and {ys.shape}")
     spectra = _Spectra(np.stack([xs, ys, xs + ys]).reshape(-1, *xs.shape[1:]), orders)  # operands, then sums
     lhs, rhs, log_ratio = [], [], []
     for order in orders:

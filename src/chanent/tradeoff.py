@@ -10,10 +10,9 @@ over all channels and ``f = 2`` over unital ones, where
 Written as ``f kappa ln d exprel((1-q) s f kappa ln d / gamma)`` this is one
 expression on every cell: ``gamma`` drops out where the argument is 0, the
 ``s = 0`` row gives ``f kappa ln d`` and the ``q = 1`` row ``f ln d``.  The
-bound's derivation excludes ``q = 1`` exactly, so on that row (to within
-``LIMIT_EPS``, as :func:`is_limit_row` decides for every caller) the
-evaluator reports the limit value without asserting it as a theorem: a cell
-is a violation only off the ``q = 1`` rows.
+bound is continuous through ``q = 1``, where both entropies become von
+Neumann entropies and it is the von Neumann trade-off ``f ln d``, so every
+cell of the grid is asserted, that row included.
 
 Channels are evaluated on a whole ``(q, s)`` grid at once: the bounds of
 one dimension are tabulated once (:func:`bound_table`), and
@@ -45,8 +44,6 @@ from .errors import DimensionMismatchError, DomainError
 __all__ = [
     "SAT_TOL",
     "GAP_TOL",
-    "LIMIT_EPS",
-    "is_limit_row",
     "gamma_kappa",
     "BoundTable",
     "bound_table",
@@ -59,13 +56,6 @@ __all__ = [
 SAT_TOL = 1e-7
 # Negative gap beyond this is a bound violation, not rounding.
 GAP_TOL = 1e-9
-# Half-width of the q = 1 rows, whose bound is reported but not asserted.
-LIMIT_EPS = 1e-8
-
-
-def is_limit_row(q) -> np.ndarray:
-    """Whether each order ``q`` is on a ``q = 1`` row, whose bound is reported but not asserted."""
-    return np.abs(np.asarray(q, dtype=float) - 1.0) <= LIMIT_EPS
 
 
 def gamma_kappa(q, s) -> tuple:
@@ -87,8 +77,8 @@ def _bounds(d: int, q, s, unital: bool):
 
     Unital channels get the sharper bound with the doubled exponent.  On the
     ``s = 0`` row this is ``kappa ln d`` (``2 kappa ln d`` unital); on the
-    ``q = 1`` row, the limit value ``ln d`` (``2 ln d``).  A bound too large
-    for a double (huge ``|s|``) is ``+inf``, its true sign.
+    ``q = 1`` row, the von Neumann value ``ln d`` (``2 ln d``).  A bound too
+    large for a double (huge ``|s|``) is ``+inf``, its true sign.
     """
     if d < 2:
         raise DomainError(f"need dimension d >= 2, got {d}")
@@ -103,8 +93,7 @@ class BoundTable:
     """Both lower bounds of one dimension on every cell of a ``(q, s)`` grid.
 
     ``all_channels[i, j]`` and ``unital[i, j]`` are the bounds at
-    ``(q[i], s[j])``; ``limit_rows[i]`` marks the ``q = 1`` rows, where the
-    bound is reported but not asserted.
+    ``(q[i], s[j])``.
     """
 
     dim: int
@@ -113,15 +102,13 @@ class BoundTable:
     all_channels: np.ndarray
     unital: np.ndarray
 
-    @property
-    def limit_rows(self) -> np.ndarray:
-        return is_limit_row(self.q)
-
 
 def bound_table(d: int, q_grid, s_grid) -> BoundTable:
     """Tabulate both bounds for dimension ``d`` on ``q_grid x s_grid``, in one array pass."""
     q = np.array(q_grid, dtype=float)
     s = np.array(s_grid, dtype=float)
+    if not (q.size and s.size):
+        raise DomainError(f"need nonempty order grids, got {q.size} q and {s.size} s")
     return BoundTable(d, q, s, _bounds(d, q[:, None], s, False), _bounds(d, q[:, None], s, True))
 
 
@@ -133,8 +120,8 @@ class GridReport:
     at index ``k``; ``gap`` is measured against the unital bound for unital
     channels and against the all-channels bound otherwise.  ``violation`` is
     the index ``(k, i, j)`` of the first cell, as :func:`evaluate_profile`
-    orders them, whose gap drops below ``-GAP_TOL`` off the ``q = 1`` rows,
-    or None if no cell does.
+    orders them, whose gap drops below ``-GAP_TOL``, or None if no cell
+    does.
     """
 
     profile: chmod.ChannelProfile
@@ -186,7 +173,7 @@ def evaluate_profile(profile: chmod.ChannelProfile, bounds: BoundTable) -> GridR
     grid = GridReport(profile, bounds, m, r, gap, gap <= SAT_TOL)
     cells = bounds.q.size * bounds.s.size
     non_finite = ~np.isfinite(gap).reshape(-1, cells)
-    violated = ((gap < -GAP_TOL) & ~bounds.limit_rows[:, None]).reshape(-1, cells)
+    violated = (gap < -GAP_TOL).reshape(-1, cells)
     failing = np.flatnonzero(non_finite.any(axis=1) | violated.any(axis=1))
     if not failing.size:
         return grid

@@ -43,7 +43,7 @@ from chanent.errors import (
     UnknownChannelError,
 )
 from chanent.spectra import STRICT_POS_TOL
-from chanent.tradeoff import LIMIT_EPS, bound_table, gamma_kappa
+from chanent.tradeoff import bound_table, gamma_kappa
 
 
 @dataclass(frozen=True)
@@ -296,10 +296,14 @@ class ProofDomainPoint:
     in_domain: bool
 
 
+# Half-width of the q = 1 and s = 0 rows, where the proof's planar domains degenerate.
+DEGENERATE_EPS = 1e-8
+
+
 def proof_domain_point(profile, k, params):
     """Check the norm-ratio preconditions behind the bound for channel ``k`` of a profile."""
     q, s = params.q, params.s
-    if abs(q - 1.0) <= LIMIT_EPS or abs(s) <= LIMIT_EPS:
+    if abs(q - 1.0) <= DEGENERATE_EPS or abs(s) <= DEGENERATE_EPS:
         raise DomainError(f"the bound's proof excludes the limit rows q=1 / s=0 (q={q}, s={s})")
     _, kappa = gamma_kappa(q, s)
 

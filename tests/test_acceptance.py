@@ -120,17 +120,18 @@ def test_criterion_2_tradeoff_bound_unital_channels(capsys):
 
 
 def test_criterion_3_saturation(capsys):
-    """Identity and completely depolarizing channels meet 2 ln d exactly at s=0."""
+    """Identity and completely depolarizing channels meet 2 ln d exactly at s=0,
+    on the von Neumann row q = 1 and next to it as well."""
     worst = 0.0
     for d in DIMS:
-        bounds = tradeoff.bound_table(d, (0.5, 1.5, 2.0), (0.0,))
+        bounds = tradeoff.bound_table(d, (0.5, 1.0 - 1e-6, 1.0, 1.0 + 1e-6, 1.5, 2.0), (0.0,))
         assert np.abs(bounds.unital - 2 * math.log(d)).max() <= 1e-15
         for name in ("identity", "completely-depolarizing"):
             profile = chmod.profile_channel(sampler.named_channel(name, d)[None], [name])
             assert profile.unital[0]  # so the gap is measured against 2 ln d
             grid = tradeoff.evaluate_profile(profile, bounds)
             worst = max(worst, float(np.abs(grid.gap).max()))
-            assert grid.saturated.all()
+            assert grid.saturated.all() and grid.violation is None
     ok = worst <= 1e-9
     _verdict(
         capsys,

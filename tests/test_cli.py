@@ -207,9 +207,8 @@ class TestSweep:
 
 
     def test_violation_writes_rows_up_to_the_violating_cell(self, tmp_path, capsys, monkeypatch):
-        # a gap tolerance of -10 turns every non-limit cell into a
-        # violation; the q = 1 row is exempt, so the first violation is the
-        # third cell
+        # a gap tolerance of -10 turns every cell into a violation, the von
+        # Neumann ones included, so the first violation is the first cell, at q = 1
         monkeypatch.setattr(tradeoff, "GAP_TOL", -10.0)
         out = tmp_path / "viol"
         code = cli.main(
@@ -217,39 +216,41 @@ class TestSweep:
              "--q", "1,2", "--s", "0,1", "--out", str(out)]
         )
         assert code == 1
-        assert "BOUND VIOLATION" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "BOUND VIOLATION" in err and "at q=1.0, s=0.0" in err
         _, rows = read_csv_rows(out / "report.csv")
-        assert [(row["q"], row["s"]) for row in rows] == [("1.0", "0.0"), ("1.0", "1.0"), ("2.0", "0.0")]
-        assert len({row["channel_id"] for row in rows}) == 1
+        assert [(row["q"], row["s"]) for row in rows] == [("1.0", "0.0")]
         summary = json.loads((out / "summary.json").read_text())
-        assert summary["violations"] == 1 and summary["rows"] == 3 and summary["limit_rows"] == 2
-        assert summary["per_family"]["cptp"]["rows"] == 2  # the violating row is not counted
+        assert summary["violations"] == 1 and summary["rows"] == 1 and summary["limit_rows"] == 1
+        assert summary["per_family"]["cptp"]["rows"] == 0  # the violating row is not counted
         name = summary["violation"]["counterexample"]
         assert name == rows[0]["channel_id"] + ".json"
         # the counterexample's record is the violating row's cell
         report = json.loads((out / "counterexamples" / name).read_text())["report"]
         row = rows[-1]
         assert report == {
-            "channel_id": row["channel_id"], "q": 2.0, "s": 0.0,
+            "channel_id": row["channel_id"], "q": 1.0, "s": 0.0,
             **{key: float(row[key]) for key in ("map_entropy", "receiver_entropy", "bound_all", "gap")},
             "bound_unital": None,
         }
 
     @pytest.mark.parametrize("q", ["1", "1,1.000000001"])
-    def test_sweep_of_limit_rows_only_is_a_config_error(self, tmp_path, capsys, q):
-        # the bound is not asserted on the q = 1 rows, so such a sweep checks
-        # no cell: it must not exit 0, for sampled channels or a file
+    def test_sweep_at_q_1_alone_runs(self, tmp_path, capsys, q):
+        # the von Neumann rows are theorem rows: such a sweep asserts every
+        # cell, on sampled channels or a file, and limit_rows counts the
+        # rows at q = 1 exactly
         ch_path = tmp_path / "identity.json"
         save_channel(sampler.named_channel("identity", 2), ch_path)
         out = tmp_path / "x"
         for source in (["--dims", "2", "--samples", "1"], ["--channel", str(ch_path)]):
-            assert cli.main(["sweep", *source, "--q", q, "--s", "0", "--out", str(out)]) == 2
-            err = capsys.readouterr().err
-            assert err.startswith("config error:") and "q = 1 limit row" in err
-            assert not out.exists()
+            assert cli.main(["sweep", *source, "--q", q, "--s", "0", "--out", str(out)]) == 0
+            assert capsys.readouterr().out.startswith("sweep ok:")
+            summary = json.loads((out / "summary.json").read_text())
+            assert summary["violations"] == 0 and summary["rows"] > 0
+            assert summary["limit_rows"] * len(q.split(",")) == summary["rows"]
 
     def test_suite_at_q_1_alone_runs(self, tmp_path):
-        # the rule is the sweep's: prop1 asserts real inequalities at q = 1
+        # as in a sweep: prop1 asserts real inequalities at q = 1
         out = tmp_path / "x"
         assert cli.main(["inequalities", "--dims", "2", "--samples", "1", "--q", "1", "--out", str(out)]) == 0
         assert json.loads((out / "summary.json").read_text())["checks"]["prop1"]["count"] > 0
@@ -264,6 +265,24 @@ class TestSweep:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "'dim' must be an integer >= 1, got 2.7" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("re, im", [
+        (["1e0", 0.0, 0.0, 1.0], [0.0] * 4),
+        ([True, 0.0, 0.0, 1.0], [0.0] * 4),
+        ([[1.0, 0.0], [0.0, 1.0]], [[0.0, 0.0], [0.0, 0.0]]),
+    ])
+    def test_input_file_entries_are_json_numbers(self, tmp_path, capsys, re, im):
+        # numpy alone reads each as the identity, which passes
+        matrix = {"rows": 2, "cols": 2, "re": re, "im": im}
+        (tmp_path / "m.json").write_text(json.dumps(matrix))
+        (tmp_path / "ch.json").write_text(json.dumps({"dim": 2, "kraus": [matrix]}))
+        out = tmp_path / "x"
+        for argv in (["inequalities", "--matrix", str(tmp_path / "m.json"), "--only", "21in"],
+                     ["sweep", "--channel", str(tmp_path / "ch.json")]):
+            assert cli.main([*argv, "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error:") and "'re' entry 0 must be a number" in err
+            assert not out.exists()
 
     @pytest.mark.parametrize("flag, value, cell", [("--s", "1e6", "q=0.3, s=1000000.0"),
                                                    ("--q", "1000", "q=1000.0, s=-2.0")])
@@ -327,9 +346,8 @@ class TestStackedSweep:
         _, rows = read_csv_rows(tmp_path / "ok" / "report.csv")
         ids, gaps = [], {}
         for row in rows:
-            if row["q"] != "1.0":
-                ids += [row["channel_id"]] if row["channel_id"] not in gaps else []
-                gaps[row["channel_id"]] = min(gaps.get(row["channel_id"], np.inf), float(row["gap"]))
+            ids += [row["channel_id"]] if row["channel_id"] not in gaps else []
+            gaps[row["channel_id"]] = min(gaps.get(row["channel_id"], np.inf), float(row["gap"]))
         running = [min(gaps[c] for c in ids[: k + 1]) for k in range(len(ids))]
         k = next(k for k in range(1, len(ids)) if running[k] < running[k - 1] and k % 5)
         # a negative tolerance
@@ -876,7 +894,7 @@ class TestRunSkeleton:
         out = tmp_path / "x"
         if command == "sweep":
             failing = passing = [*self.SWEEP, "--q", "2", "--s", "0"]
-            monkeypatch.setattr(tradeoff, "GAP_TOL", -10.0)  # every non-limit cell violates
+            monkeypatch.setattr(tradeoff, "GAP_TOL", -10.0)  # every cell violates
         else:
             bad, good = tmp_path / "bad.json", tmp_path / "good.json"
             bad.write_text(json.dumps(matcore.matrix_to_json(np.diag([1.0, -1e-3]))))
@@ -943,7 +961,7 @@ class TestRunSkeleton:
         def failing_write(*args):
             raise OSError("planted write error")
 
-        monkeypatch.setattr(tradeoff, "GAP_TOL", -10.0)  # every non-limit cell violates
+        monkeypatch.setattr(tradeoff, "GAP_TOL", -10.0)  # every cell violates
         monkeypatch.setattr(cli, "_write_csv", failing_write)
         out = tmp_path / "x"
         assert cli.main([*self.SWEEP, "--q", "2", "--s", "0", "--out", str(out)]) == 1

@@ -2,11 +2,13 @@
 
 Runs at ``d = 2`` with one sample per family, so each example costs a few
 milliseconds.  Hypothesis is derandomized, so the examples are the same on
-every run.  An exit of 0 must also mean a real report: rows written off
-the ``q = 1`` limit rows, a finite minimum gap, and a finite minimum slack
-for every check.  A run on sampled or named channels and matrices must never
+every run.  An exit of 0 must also mean a real report: rows written, every
+one of them asserted, a finite minimum gap, and a finite minimum slack for
+every check.  A run on sampled or named channels and matrices must never
 exit 1: the bound and the inequalities are theorems, so every such exit is a
-false verdict.  Only a Kraus-set file, which may be no channel, can fail.
+false verdict.  Only an input file, which may hold no channel or a matrix a
+check cannot take, can fail, and one with an entry that is no JSON number
+is a configuration error.
 """
 
 import json
@@ -55,6 +57,18 @@ KRAUS_SETS = st.one_of(
     st.floats(-1e-8, 1e-8).map(lambda eps: [(1.0 + eps) * np.eye(2)]),
 )
 
+# an entry of an input file: a JSON number, or one numpy alone would read as a number
+NUMBERS = st.one_of(st.floats(allow_nan=True, allow_infinity=True), st.integers(-3, 3))
+NOT_NUMBERS = st.one_of(NUMBERS.map(str), st.booleans(), st.none(), st.lists(NUMBERS, max_size=2))
+
+
+def _entries(base):
+    """``base``'s entries, each kept, more often than not, or replaced by a drawn one."""
+    return st.tuples(*(
+        st.integers(0, 3).flatmap(lambda i, b=b: (st.just(b), st.just(b), NUMBERS, NOT_NUMBERS)[i])
+        for b in base
+    )).map(list)
+
 
 def run(argv, codes=(0, 2)):
     """``cli.main`` on ``argv`` in a fresh directory; checks its exit is in ``codes`` and, on 0, its report."""
@@ -65,8 +79,7 @@ def run(argv, codes=(0, 2)):
         if code == 0:
             summary = json.loads((out / "summary.json").read_text())
             if summary["mode"] == "sweep":
-                # some row off q = 1, where the bound is asserted
-                assert summary["rows"] > summary["limit_rows"] and math.isfinite(summary["min_gap"])
+                assert summary["rows"] > 0 and math.isfinite(summary["min_gap"])
             else:
                 assert summary["checks"]
                 for entry in summary["checks"].values():
@@ -95,3 +108,17 @@ def test_channel_file(ops, q):
         path = Path(tmp) / "channel.json"
         path.write_text(json.dumps({"dim": 2, "kraus": [matcore.matrix_to_json(a) for a in ops]}))
         run(["sweep", f"--channel={path}", f"--q={q}", "--s=0,1"], codes=(0, 1, 2))
+
+
+@FUZZ
+@given(re=_entries([1.0, 0.0, 0.0, 1.0]), im=_entries([0.0] * 4))
+def test_input_file_entries(re, im):
+    # the identity with some entries replaced, as a --matrix and as a --channel file
+    numbers = all(type(entry) in (int, float) for entry in re + im)
+    matrix = {"rows": 2, "cols": 2, "re": re, "im": im}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input.json"
+        for command, flag, obj in (("inequalities", "--matrix", matrix),
+                                   ("sweep", "--channel", {"dim": 2, "kraus": [matrix]})):
+            path.write_text(json.dumps(obj))
+            run([command, f"{flag}={path}"], codes=(0, 1, 2) if numbers else (2,))

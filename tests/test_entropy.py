@@ -266,7 +266,6 @@ class TestGridKernel:
                 for unital, got in ((False, table.all_channels), (True, table.unital)):
                     want = oracles.lower_bound(d, params, unital)
                     assert _rel_err(got[i, j], want) <= 1e-12
-        assert table.limit_rows.tolist() == [abs(q - 1.0) <= tradeoff.LIMIT_EPS for q in self.Q]
 
     def test_out_of_range_cells_are_not_finite(self):
         # the true value exceeds the double range; the grid leaves the cell

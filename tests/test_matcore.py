@@ -192,6 +192,23 @@ class TestMatrixJson:
             matcore.matrix_from_json({"rows": rows, "cols": cols, "re": entries, "im": entries})
 
     @pytest.mark.parametrize("part", ["re", "im"])
+    @pytest.mark.parametrize("entry", ["1", True, None, [1.0], {"re": 1.0}])
+    def test_entries_are_numbers(self, part, entry):
+        obj = matcore.matrix_to_json(np.eye(2))
+        obj[part][1] = entry
+        with pytest.raises(ValueError, match=f"'{part}' entry 1 must be a number"):
+            matcore.matrix_from_json(obj)
+
+    @pytest.mark.parametrize("entries", ["1234", {"a": 1}, 1.0])
+    def test_entries_are_a_list(self, entries):
+        with pytest.raises(ValueError, match="'re' must be a list of numbers"):
+            matcore.matrix_from_json({"rows": 1, "cols": 1, "re": entries, "im": [0.0]})
+
+    def test_numpy_numbers_are_numbers(self):
+        obj = {"rows": 1, "cols": 2, "re": [np.float32(0.5), np.int64(2)], "im": [0, np.float64(-1.0)]}
+        np.testing.assert_array_equal(matcore.matrix_from_json(obj), [[0.5, 2.0 - 1.0j]])
+
+    @pytest.mark.parametrize("part", ["re", "im"])
     @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
     def test_non_finite_entries_rejected(self, part, entry):
         obj = matcore.matrix_to_json(np.eye(2))

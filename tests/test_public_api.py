@@ -23,7 +23,8 @@ MODULES = ("channel", "cli", "entropy", "errors", "matcore", "sampler", "spectra
 # tabulates bounds with bound_table.  The CLI reads its input files with
 # channel_from_json and matrix_from_json, so load_channel went too.  A bound
 # violation is data, the grid's violation cell, so its exception went, and
-# a cell is the dict GridReport.cell gives, so its report class went.
+# a cell is the dict GridReport.cell gives, so its report class went.  Every
+# cell is asserted, the q = 1 ones too, so the band that exempted them went.
 REMOVED = {
     "sampler": (
         "sample_cptp", "sample_unitary_mixture", "sample_unistochastic", "unistochastic_from_unitary",
@@ -37,7 +38,7 @@ REMOVED = {
     "entropy": ("q_log", "uniform_entropy", "map_entropy", "receiver_entropy", "EntropyParams"),
     "matcore": ("Spectrum", "vec"),
     "spectra": ("schatten", "InequalityReport"),
-    "tradeoff": ("evaluate_tradeoff", "lower_bound", "TradeoffReport"),
+    "tradeoff": ("evaluate_tradeoff", "lower_bound", "TradeoffReport", "LIMIT_EPS", "is_limit_row"),
     "errors": ("BoundViolation",),
 }
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -58,6 +59,16 @@ class TestInfiniteOrders:
     def test_checks_reject_infinite_orders(self, check, q):
         with pytest.raises(InvalidOrderError):
             check(self.X[None], q)
+
+    @pytest.mark.parametrize("check", [
+        lambda x: spectra.check_prop1(x, []),
+        lambda x: spectra.check_antinorm_monotonicity(x, [], []),
+        lambda x: spectra.check_superadditivity(x, x, []),
+    ])
+    def test_checks_reject_empty_orders(self, check):
+        # no order is an order error, before any stacking
+        with pytest.raises(InvalidOrderError, match="at least one order"):
+            check(self.X[None])
 
     def test_antinorm_rejects_minus_inf(self):
         for fn in (spectra.schatten_antinorm, spectra.schatten_norm):
@@ -505,6 +516,13 @@ class TestBatchedChecksMatchOracles:
         assert spectra.check_prop1(x[None], [1.5, 3.0]).slack.shape == (1, 2)
         ch = sampler.named_channel("identity", 2)
         assert spectra.check_norm_product_chain(profile(ch, ch)).slack.shape == (2, 1)
+
+    @pytest.mark.parametrize("y", [np.stack([np.eye(2)] * 2), np.eye(3)[None]])
+    def test_superadditivity_pairs_equal_stacks(self, y):
+        # a stack of another length or matrix size has no input to pair with each x
+        x = np.eye(2)[None]
+        with pytest.raises(DimensionMismatchError, match=re.escape(f"{x.shape} and {y.shape}")):
+            spectra.check_superadditivity(x, y, 0.5)
 
     def test_channel_checks_need_one_dimension(self):
         with pytest.raises(DimensionMismatchError):

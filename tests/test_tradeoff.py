@@ -136,13 +136,13 @@ class TestEvaluate:
         assert rep["gap"] > 0 and not rep["saturated"]
 
     def test_violation_is_read_off_the_grid(self):
-        # every cell fails; the first one off the q = 1 row is the violation
+        # every cell fails; the first one, on the q = 1 row, is the violation
         bounds = tradeoff.bound_table(2, (1.0, 2.0), (0.0, 1.0))
         grid = tradeoff.evaluate_profile(_fake_profile(), bounds)
-        assert grid.violation == (0, 1, 0)
+        assert grid.violation == (0, 0, 0)
         cell = grid.cell(*grid.violation)
-        assert cell["gap"] < -1e-9 and (cell["q"], cell["s"]) == (2.0, 0.0)
-        assert grid.gap[0, 1, 0] == cell["gap"]
+        assert cell["gap"] < -1e-9 and (cell["q"], cell["s"]) == (1.0, 0.0)
+        assert grid.gap[0, 0, 0] == cell["gap"]
 
     def test_cell_is_the_counterexample_record(self):
         # plain JSON values: the channel id, floats, and None for the unital
@@ -167,18 +167,18 @@ class TestEvaluate:
         grid = tradeoff.evaluate_profile(profile, bounds)
         np.testing.assert_array_equal(grid.gap, grid.map_values + grid.receiver_values - bounds.unital)
         assert grid.cell(0, 6, 5)["bound_unital"] is not None  # (q, s) = (2, 1)
-        assert grid.gap[0][~bounds.limit_rows].min() == pytest.approx(0.119, abs=5e-4)
+        assert grid.gap[0].min() == pytest.approx(0.119, abs=5e-4)
 
-    def test_limit_rows_are_one_band(self):
-        # the table's rows and a sweep's config check read the same band
-        q = (0.5, 1.0 - 5e-9, 1.0, 1.0 + 5e-9, 1.0 + 2e-8)
-        assert tradeoff.is_limit_row(q).tolist() == [False, True, True, True, False]
-        np.testing.assert_array_equal(tradeoff.bound_table(2, q, (0.0,)).limit_rows, tradeoff.is_limit_row(q))
+    @pytest.mark.parametrize("q", [1.0, 1.0 - 5e-9, 1.0 + 5e-9])
+    def test_q_1_row_is_asserted(self, q):
+        # the von Neumann row, and the rows next to it, are theorem rows too
+        grid = tradeoff.evaluate_profile(_fake_profile(), tradeoff.bound_table(2, (q,), (0.0,)))
+        assert grid.violation == (0, 0, 0) and grid.cell(0, 0, 0)["gap"] < -1e-9
 
-    def test_limit_row_records_instead_of_raising(self):
-        grid = tradeoff.evaluate_profile(_fake_profile(), tradeoff.bound_table(2, (1.0,), (0.0,)))
-        assert grid.cell(0, 0, 0)["gap"] < -1e-9  # recorded, not asserted, on the q = 1 row
-        assert grid.violation is None
+    @pytest.mark.parametrize("q, s", [((2.0,), ()), ((), (1.0,)), ((), ())])
+    def test_empty_grid_is_a_domain_error(self, q, s):
+        with pytest.raises(DomainError, match="nonempty order grids"):
+            tradeoff.bound_table(2, q, s)
 
 
 def _stacked_profile(*rows):
@@ -230,9 +230,9 @@ class TestStackedEvaluate:
         stack = _stacked_profile(_good(), _fake_profile(), _fake_profile())
         bounds = tradeoff.bound_table(2, (1.0, 2.0), (0.0, 1.0))
         grid = tradeoff.evaluate_profile(stack, bounds)
-        assert grid.violation == (1, 1, 0) and grid.cell(*grid.violation)["channel_id"] == "b"
+        assert grid.violation == (1, 0, 0) and grid.cell(*grid.violation)["channel_id"] == "b"
         assert grid.gap.shape == (3, 2, 2)
-        assert grid.gap[1, 1, 0] == grid.cell(1, 1, 0)["gap"] < -1e-9
+        assert grid.gap[1, 0, 0] == grid.cell(1, 0, 0)["gap"] < -1e-9
 
     def test_non_finite_channel_before_a_violating_one(self):
         with pytest.raises(DomainError, match="channel 'b'"):
@@ -246,7 +246,7 @@ class TestStackedEvaluate:
         grid = tradeoff.evaluate_profile(
             _stacked_profile(_fake_profile(), _good(), _broken()), tradeoff.bound_table(2, (1.0, 2.0), (0.0, 1.0))
         )
-        assert grid.violation == (0, 1, 0) and grid.cell(0, 1, 0)["channel_id"] == "a"
+        assert grid.violation == (0, 0, 0) and grid.cell(0, 0, 0)["channel_id"] == "a"
         assert not np.isfinite(grid.gap[2]).any()
 
     def test_non_finite_cell_outranks_an_earlier_violation_of_its_channel(self):
