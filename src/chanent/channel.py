@@ -249,9 +249,11 @@ def channel_to_json(ops) -> dict:
 
 
 def channel_from_json(obj: dict) -> np.ndarray:
-    """Parse the channel JSON format into a validated ``(k, d, d)`` Kraus array; ``dim`` is an integer >= 1."""
-    d = matcore._json_size(obj, "dim")
-    ops = [matcore.matrix_from_json(o) for o in obj["kraus"]]
+    """Parse the channel JSON format into a validated ``(k, d, d)`` Kraus array; ``dim`` is an integer >= 1.
+
+    Another shape is a ``ValueError`` that names the key and its type, as for a matrix."""
+    d, kraus = matcore._json_fields(obj, "a channel", "dim", "kraus")
+    ops = [matcore.matrix_from_json(o) for o in kraus]
     for m in ops:
         if m.shape != (d, d):
             raise DimensionMismatchError(f"Kraus operator has shape {m.shape}, expected {(d, d)}")

@@ -24,12 +24,13 @@ seed and the sample address, and output rows are ordered by
 (dimension, family, sample, q, s) regardless of evaluation order, so a
 repeated run reproduces ``report.csv`` byte for byte.
 
-Both harnesses draw their population in stacks (see :mod:`chanent.sampler`)
-of consecutive indices of one dimension, and one family for channels, and
-evaluate each stack as drawn.  A stack is bounded by memory alone: it holds
-as many inputs as keep the largest array it builds per input within
-``STACK_ENTRIES`` entries in all, so a population of small inputs is one
-stack, and the stacks of a large one keep memory flat in its size.
+Both harnesses draw their population with :func:`chanent.sampler.population`
+(the suite's matrices from its ``mat`` and ``psd`` families) in stacks of
+consecutive indices of one dimension and family, and evaluate each stack as
+drawn.  A stack is bounded by memory alone: it holds as many inputs as keep
+the largest array it builds per input within ``STACK_ENTRIES`` entries in
+all, so a population of small inputs is one stack, and the stacks of a large
+one keep memory flat in its size.
 
 Both harnesses profile each channel stack, the Kraus array it was drawn
 as, with :func:`~chanent.channel.profile_channel`: one batched build of
@@ -142,13 +143,18 @@ class SweepConfig:
 
 
 def validate_config(cfg: SweepConfig) -> SweepConfig:
-    if not cfg.dims:
-        raise ConfigError("dims must be nonempty")
+    # an empty list runs nothing, and a repeated entry would evaluate, and
+    # write, the same rows twice
+    for key in ("dims", "families", "q_grid", "s_grid"):
+        values = getattr(cfg, key)
+        if not values:
+            raise ConfigError(f"{key} must be nonempty")
+        repeated = [v for i, v in enumerate(values) if v in values[:i]]
+        if repeated:
+            raise ConfigError(f"{key} repeats {repeated[0]!r}")
     for d in cfg.dims:
         if not (2 <= int(d) <= chmod.MAX_DIM):
             raise ConfigError(f"dimension {d} outside the supported range [2, {chmod.MAX_DIM}]")
-    if not cfg.families:
-        raise ConfigError("families must be nonempty")
     for fam in cfg.families:
         if fam.startswith("named:"):
             for d in cfg.dims:  # a named family is one channel per dimension: build it now
@@ -164,38 +170,24 @@ def validate_config(cfg: SweepConfig) -> SweepConfig:
         raise ConfigError(f"samples_per_family must be >= 1, got {cfg.samples_per_family}")
     if cfg.samples_per_family > 2**32:  # a sample's index is one word of its seed's SeedSequence entropy
         raise ConfigError(f"samples_per_family must be <= 2**32, got {cfg.samples_per_family}")
-    if not cfg.q_grid or not cfg.s_grid:
-        raise ConfigError("q_grid and s_grid must be nonempty")
     for q in cfg.q_grid:
         if not (math.isfinite(float(q)) and float(q) > 0.0):
             raise ConfigError(f"entropy order q must be finite and > 0, got {q}")
     for s in cfg.s_grid:
         if not math.isfinite(float(s)):
             raise ConfigError(f"entropy order s must be finite, got {s}")
-    # a repeated entry would evaluate, and write, the same rows twice
-    for key in ("dims", "families", "q_grid", "s_grid"):
-        values = getattr(cfg, key)
-        repeated = [v for i, v in enumerate(values) if v in values[:i]]
-        if repeated:
-            raise ConfigError(f"{key} repeats {repeated[0]!r}")
     return cfg
 
 
 # Expected JSON type of each config-file key, and of its members if any.
-_NUMBER = (int, float)
 _CONFIG_TYPES = {
     "dims": (list, int, "a list of integers"),
     "families": (list, str, "a list of strings"),
     "samples_per_family": (int, None, "an integer"),
-    "q_grid": (list, _NUMBER, "a list of numbers"),
-    "s_grid": (list, _NUMBER, "a list of numbers"),
+    "q_grid": (list, matcore._NUMBER, "a list of numbers"),
+    "s_grid": (list, matcore._NUMBER, "a list of numbers"),
     "seed": (int, None, "an integer"),
 }
-
-
-def _is(value, kind) -> bool:
-    # bool is an int subclass, but true/false is no count, seed or order
-    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 def config_from_file(path) -> SweepConfig:
@@ -211,7 +203,7 @@ def config_from_file(path) -> SweepConfig:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     for key, value in raw.items():
         kind, member, expected = _CONFIG_TYPES[key]
-        if not (_is(value, kind) and (member is None or all(_is(v, member) for v in value))):
+        if not (matcore._is(value, kind) and (member is None or all(matcore._is(v, member) for v in value))):
             raise ConfigError(f"config key {key!r} must be {expected}, got {value!r}")
         if member is not None:
             raw[key] = tuple(value)
@@ -228,7 +220,7 @@ def _load_input(path, what: str, from_json):
     try:
         with open(path, encoding="utf-8") as fh:
             return from_json(json.load(fh))
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, OverflowError) as exc:  # an integer entry beyond the double range overflows
         raise ConfigError(f"could not load {what} file {str(path)!r}: {exc}") from exc
 
 
@@ -484,10 +476,9 @@ def run_sweep(cfg: SweepConfig, out_dir, channel_path=None) -> int:
 
 def run_inequality_suite(cfg: SweepConfig, out_dir, only=None, matrix_path=None) -> int:
     """Run the norm/anti-norm checks; write summary.json with min slack."""
+    if only is not None and only not in CHECK_NAMES:
+        raise ConfigError(f"unknown check {only!r}; choose from {', '.join(CHECK_NAMES)}")
     selected = CHECK_NAMES if only is None else (only,)
-    for name in selected:
-        if name not in CHECK_NAMES:
-            raise ConfigError(f"unknown check {only!r}; choose from {', '.join(CHECK_NAMES)}")
 
     injected = None
     if matrix_path is not None:
@@ -505,17 +496,14 @@ def run_inequality_suite(cfg: SweepConfig, out_dir, only=None, matrix_path=None)
     run = Run(out_dir, {"mode": "inequalities", "seed": cfg.seed, "checks": {}, "failure": None}, injected)
 
     def stacks(kind: str, stream: int):
-        """Labels and stacks of the injected matrix, or of same-dimension Ginibre
-        matrices ``G`` ("mat") or ``G G^dag`` ("psd")."""
+        """``(labels, stack)`` of the injected matrix, or of the population's
+        Ginibre matrices ``G`` (``kind`` "mat") or ``G G^dag`` ("psd") on ``stream``."""
         if injected is not None:
-            yield [Path(matrix_path).stem], matrix[None]
-            return
-        pop = sampler.ginibre_population(
-            cfg.seed, cfg.dims, cfg.samples_per_family, stream, size=lambda d: _stack_size(d * d)
+            return [([Path(matrix_path).stem], matrix[None])]
+        pop = sampler.population(
+            cfg.seed, cfg.dims, (kind,), cfg.samples_per_family, stream, size=lambda d: _stack_size(d * d)
         )
-        for d, indices, g in pop:
-            labels = [f"{kind}-d{d}-{i:04d}" for i in indices]
-            yield labels, g @ g.conj().swapaxes(-2, -1) if kind == "psd" else g
+        return ((labels, x) for _, _, labels, x in pop)
 
     anti_orders = [float(q) for q in cfg.q_grid if 0.0 < float(q) < 1.0] or [0.5]
     order_pairs = [(0.2, 0.8), (1.0 / 3.0, 0.5), (0.5, 1.0)]
@@ -599,18 +587,14 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
 def _resolve_config(args) -> SweepConfig:
     cfg = config_from_file(args.config) if args.config else SweepConfig()
     updates = {}
-    if args.q:
-        updates["q_grid"] = _parse_list(args.q, "--q", float)
-    if getattr(args, "s", None):
-        updates["s_grid"] = _parse_list(args.s, "--s", float)
-    if args.dims:
-        updates["dims"] = _parse_list(args.dims, "--dims", int)
+    for flag, key, kind in (("q", "q_grid", float), ("s", "s_grid", float), ("dims", "dims", int),
+                            ("family", "families", str.strip)):
+        if getattr(args, flag, None):  # sweep alone takes --s
+            updates[key] = _parse_list(getattr(args, flag), f"--{flag}", kind)
     if args.samples is not None:
         updates["samples_per_family"] = args.samples
     if args.seed is not None:
         updates["seed"] = args.seed
-    if args.family:
-        updates["families"] = tuple(tok.strip() for tok in args.family.split(",") if tok.strip())
     return validate_config(replace(cfg, **updates))
 
 

@@ -185,27 +185,45 @@ def matrix_to_json(x) -> dict:
     }
 
 
-def _json_size(obj: dict, key: str) -> int:
-    """``obj[key]``, a size in a JSON input: an integer >= 1, and not ``true``."""
-    size = obj[key]
-    if not isinstance(size, int) or isinstance(size, bool) or size < 1:
-        raise ValueError(f"{key!r} must be an integer >= 1, got {size!r}")
-    return size
+# JSON input types: true and false are no integer or number, and numpy's own
+# number types are numbers (numpy alone would also read a numeric string, true
+# or a nested list as an entry).
+_NUMBER = (int, float, np.integer, np.floating)
+_SIZE = (int, None, "an integer >= 1", None)
+_ENTRIES = (list, _NUMBER, "a list of numbers", "a number")
+# Each key of a matrix or channel file: its type, its entries' type if it is a
+# list, and what the errors say it and an entry must be.
+_INPUT_KEYS = dict(rows=_SIZE, cols=_SIZE, dim=_SIZE, re=_ENTRIES, im=_ENTRIES,
+                   kraus=(list, dict, "a list of matrix objects", "a matrix object"))
+# The JSON type of a parsed value, as the errors name it: "number" if none of these.
+_JSON_NAMES = {dict: "object", list: "list", str: "string", bool: "boolean", type(None): "null"}
 
 
-def _json_entries(obj: dict, key: str) -> np.ndarray:
-    """``obj[key]``, a flat list of numbers, as a float array.
+def _is(value, kind) -> bool:
+    """Whether a parsed JSON value is of ``kind``; ``true`` is no count, size, seed or order."""
+    return isinstance(value, kind) and not isinstance(value, bool)
 
-    numpy alone would also read a numeric string, ``true`` or a nested list,
-    none of which is an entry; its own number types are numbers.
+
+def _json_fields(obj, what: str, *keys) -> list:
+    """The values of ``keys`` in the input object ``obj``, each of the type :data:`_INPUT_KEYS` gives it.
+
+    Another shape is a ``ValueError`` naming the key and what it must be;
+    ``what`` names ``obj`` in it.
     """
-    entries = obj[key]
-    if not isinstance(entries, list):
-        raise ValueError(f"{key!r} must be a list of numbers, got {type(entries).__name__}")
-    for i, entry in enumerate(entries):
-        if not isinstance(entry, (int, float, np.integer, np.floating)) or isinstance(entry, bool):
-            raise ValueError(f"{key!r} entry {i} must be a number, got {entry!r}")
-    return np.asarray(entries, dtype=float)
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be a JSON object, got {_JSON_NAMES.get(type(obj), 'number')}")
+    for key in keys:
+        kind, member, expected, entry = _INPUT_KEYS[key]
+        if key not in obj:
+            raise ValueError(f"{what} object has no key {key!r}, which must be {expected}")
+        value = obj[key]
+        if not _is(value, kind) or (kind is int and value < 1):
+            got = _JSON_NAMES.get(type(value), "number") if kind is list else repr(value)
+            raise ValueError(f"{key!r} must be {expected}, got {got}")
+        for i, v in enumerate(value if member else ()):
+            if not _is(v, member):
+                raise ValueError(f"{key!r} entry {i} must be {entry}, got {v!r}")
+    return [obj[key] for key in keys]
 
 
 def matrix_from_json(obj: dict) -> np.ndarray:
@@ -213,10 +231,11 @@ def matrix_from_json(obj: dict) -> np.ndarray:
 
     ``json`` reads ``NaN`` and ``Infinity``; a matrix holding them has no
     spectrum to check.  The sizes are JSON integers >= 1: an empty matrix has
-    no spectrum either, and ``2.9`` or ``true`` is no size.
+    no spectrum either, and ``2.9`` or ``true`` is no size.  Another shape,
+    such as a list, is a ``ValueError`` that names the key and its type.
     """
-    rows, cols = _json_size(obj, "rows"), _json_size(obj, "cols")
-    re, im = _json_entries(obj, "re"), _json_entries(obj, "im")
+    rows, cols, re, im = _json_fields(obj, "a matrix", "rows", "cols", "re", "im")
+    re, im = np.asarray(re, dtype=float), np.asarray(im, dtype=float)
     if re.size != rows * cols or im.size != rows * cols:
         raise DimensionMismatchError(
             f"matrix object announces {rows}x{cols} but carries "

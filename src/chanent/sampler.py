@@ -7,11 +7,11 @@ sampler derives one child stream per Kraus index from a sample's seed
 bit-identical channels.  Harnesses that draw many samples give the sample
 addressed by ``indices`` the seed ``SeedSequence([base_seed, *indices])``
 (the first 64-bit word of its state), which keeps parallel sampling
-order-independent.  :func:`population` and :func:`ginibre_population` are
-the only places that address samples this way.
+order-independent.  :func:`population` is the only place that addresses
+samples, the inequality suite's Ginibre matrices included.
 
-Samples are drawn in stacks of consecutive indices of one dimension (and
-family), and a single sample is a stack of one; the contract holds bit for
+Samples are drawn in stacks of consecutive indices of one dimension and
+family, and a single sample is a stack of one; the contract holds bit for
 bit per sample, while each fixed cost is paid once per population or once
 per stack:
 
@@ -69,7 +69,6 @@ __all__ = [
     "named_channel",
     "named_family_channel",
     "population",
-    "ginibre_population",
 ]
 
 # Normalizer condition number above this triggers a resample; Ginibre
@@ -79,6 +78,9 @@ RESAMPLE_ATTEMPTS = 8
 
 # Stable family codes for seed derivation; independent of config order.
 FAMILY_CODES = {"cptp": 0, "unitary-mixture": 1, "unistochastic": 2}
+# The inequality suite's Ginibre matrices G ("mat") and G G^dag ("psd"), drawn at
+# family code 0 from the stream key (); no sweep draws them.
+_MATRIX_FAMILIES = ("mat", "psd")
 
 # numpy's SeedSequence (numpy/random/bit_generator.pyx): pool size, hash and
 # mix constants, all arithmetic modulo 2**32.
@@ -308,9 +310,13 @@ def _sample_stack(family: str, d: int, seeds) -> np.ndarray:
     """The ``(n, k, d, d)`` Kraus array of one channel per seed, all of ``family`` at dimension ``d``.
 
     A drawn family has :func:`default_kraus_count` operators; a named family
-    is its one channel's Kraus array, broadcast to ``n`` rows.  Each family's
-    draw is described at its stack sampler (``_cptp_ops`` and the like).
+    is its one channel's Kraus array, broadcast to ``n`` rows, and a matrix
+    family its ``(n, d, d)`` matrices.  Each family's draw is described at
+    its stack sampler (``_cptp_ops`` and the like).
     """
+    if family in _MATRIX_FAMILIES:
+        g = _ginibre(_generators(_stream_states(seeds, [()])), (len(seeds), d))
+        return g @ g.conj().swapaxes(-2, -1) if family == "psd" else g
     if family == "cptp":
         ops = _cptp_ops(seeds, d, default_kraus_count(family, d))
     elif family == "unitary-mixture":
@@ -411,32 +417,18 @@ def population(seed: int, dims, families, count: int, stream: int = 0, size=None
     Kraus array of a stack of consecutive indices of one ``(dim, family)``,
     at most ``size(dim)`` of them (all ``count`` by default), checked for
     trace preservation; a named family repeats its one channel's Kraus
-    array.  The seeds of every ``(dim, family)`` are derived together,
-    before the first stack is drawn, and sliced per stack.
+    array.  The matrix families ``mat`` and ``psd``, at family code 0 and
+    stream key ``()``, give the ``(n, d, d)`` stack of the Ginibre matrices
+    ``G`` of ``default_rng`` on each seed, real parts first, or of
+    ``G G^dag``, unchecked.  The seeds of every ``(dim, family)`` are
+    derived together, before the first stack is drawn, and sliced per stack.
     """
     pairs = [(int(dim), family) for dim in dims for family in families]
-    drawn = [(d, family) for d, family in pairs if family in FAMILY_CODES]
-    table = _derive_seeds([(seed, stream + FAMILY_CODES[f], d) for d, f in drawn], range(count))
+    drawn = [(d, family) for d, family in pairs if family in FAMILY_CODES or family in _MATRIX_FAMILIES]
+    table = _derive_seeds([(seed, stream + FAMILY_CODES.get(f, 0), d) for d, f in drawn], range(count))
     seeds = dict(zip(drawn, table))
     for d, family in pairs:
         for indices in _cuts(count, count if size is None else size(d)):
             ids = [f"{family}-d{d}-{index:04d}" for index in indices]
             stack = seeds.get((d, family), range(count))[indices.start : indices.stop]
             yield family, d, ids, _sample_stack(family, d, stack)
-
-
-def ginibre_population(seed: int, dims, count: int, stream: int, size=None):
-    """Yield ``(dim, indices, G)`` stacks of Ginibre matrices in ``(dim, index)`` order.
-
-    Matrix ``index`` at ``dim`` is the complex Ginibre matrix of
-    ``default_rng`` on the seed ``SeedSequence([seed, stream, dim, index])``,
-    its real parts drawn before its imaginary parts; ``G`` stacks the matrices of
-    ``indices``, at most ``size(dim)`` of them (all ``count`` by default).
-    The seeds of every dimension are derived together, and sliced per stack.
-    """
-    dims = [int(dim) for dim in dims]
-    table = _derive_seeds([(seed, stream, d) for d in dims], range(count))
-    for d, seeds in zip(dims, table):
-        for indices in _cuts(count, count if size is None else size(d)):
-            words = _stream_states(seeds[indices.start : indices.stop], [()])
-            yield d, indices, _ginibre(_generators(words), (len(indices), d))

@@ -51,6 +51,14 @@ class TestSweep:
         assert code == 2
         assert "bogus" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, family", [("sweep", "psd"), ("sweep", "mat"), ("inequalities", "mat")])
+    def test_rejects_matrix_family(self, tmp_path, capsys, command, family):
+        # the suite's matrix families are drawn by population but are no channel family
+        out = tmp_path / "x"
+        assert cli.main([command, "--family", family, "--dims", "2", "--samples", "1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: unknown family {family!r}\n"
+        assert not out.exists()
+
     def test_single_channel_saturated_row(self, tmp_path):
         ch_path = tmp_path / "identity.json"
         save_channel(sampler.named_channel("identity", 2), ch_path)
@@ -155,7 +163,6 @@ class TestSweep:
             raise AssertionError("population built")
 
         monkeypatch.setattr(sampler, "population", no_population)
-        monkeypatch.setattr(sampler, "ginibre_population", no_population)
         out = tmp_path / "x"
         assert cli.main([command, "--dims", "2", "--samples", str(2**32 + 1), "--out", str(out)]) == 2
         assert capsys.readouterr().err == "config error: samples_per_family must be <= 2**32, got 4294967297\n"
@@ -254,6 +261,24 @@ class TestSweep:
         out = tmp_path / "x"
         assert cli.main(["inequalities", "--dims", "2", "--samples", "1", "--q", "1", "--out", str(out)]) == 0
         assert json.loads((out / "summary.json").read_text())["checks"]["prop1"]["count"] > 0
+
+    @pytest.mark.parametrize("obj, message", [
+        ("x", "a channel must be a JSON object, got string"),
+        (matcore.matrix_to_json(np.eye(2)), "a channel object has no key 'dim', which must be an integer >= 1"),
+        ({"dim": 2}, "a channel object has no key 'kraus', which must be a list of matrix objects"),
+        ({"dim": 2, "kraus": {"re": 1}}, "'kraus' must be a list of matrix objects, got object"),
+        ({"dim": 2, "kraus": 1.5}, "'kraus' must be a list of matrix objects, got number"),
+        ({"dim": 2, "kraus": [[1, 2]]}, "'kraus' entry 0 must be a matrix object, got [1, 2]"),
+    ])
+    def test_channel_file_of_a_wrong_shape_names_what_is_wrong(self, tmp_path, capsys, obj, message):
+        # these read as "string indices must be integers, not 'str'", "'dim'"
+        # and "list indices must be integers or slices, not str"
+        ch_path = tmp_path / "shape.json"
+        ch_path.write_text(json.dumps(obj))
+        out = tmp_path / "x"
+        assert cli.main(["sweep", "--channel", str(ch_path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: could not load channel file {str(ch_path)!r}: {message}\n"
+        assert not out.exists()
 
     def test_channel_file_dim_is_an_integer(self, tmp_path, capsys):
         # "dim": 2.7 ran as d = 2
@@ -484,10 +509,10 @@ def failing_on(check, entries):
     return wrapped
 
 
-def ginibre_matrix(stream, d, index, psd=True):
-    (_, _, g), = sampler.ginibre_population(cli.DEFAULT_SEED, (d,), index + 1, stream)
-    g = g[index]
-    return g @ g.conj().T if psd else g
+def ginibre_matrix(stream, d, index):
+    """Matrix ``G G^dag`` number ``index`` of the default suite's population on ``stream``."""
+    (*_, x), = sampler.population(cli.DEFAULT_SEED, (d,), ("psd",), index + 1, stream)
+    return x[index]
 
 
 class TestInequalities:
@@ -598,12 +623,30 @@ class TestInequalities:
         assert err.startswith("config error:") and "must be finite" in err
         assert not out.exists() or not any(out.iterdir())
 
-    @pytest.mark.parametrize("text", ["{not json", '{"rows": 2}'])
+    # an integer entry beyond the double range raised OverflowError, a traceback
+    @pytest.mark.parametrize("text", [
+        "{not json", '{"rows": 2}', pytest.param('{"rows": 1, "cols": 1, "re": [1%s], "im": [0]}' % ("0" * 400), id="10**400"),
+    ])
     def test_malformed_matrix_file_is_a_config_error(self, tmp_path, capsys, text):
         mat_path = tmp_path / "bad.json"
         mat_path.write_text(text)
         assert cli.main(["inequalities", "--matrix", str(mat_path), "--out", str(tmp_path / "x")]) == 2
         assert capsys.readouterr().err.startswith("config error:")
+
+    @pytest.mark.parametrize("obj, message", [
+        ([1, 2], "a matrix must be a JSON object, got list"),
+        (None, "a matrix must be a JSON object, got null"),
+        ({"dim": 2, "kraus": {"re": 1}}, "a matrix object has no key 'rows', which must be an integer >= 1"),
+        ({"rows": 1, "cols": 1, "re": [1.0]}, "a matrix object has no key 'im', which must be a list of numbers"),
+    ])
+    def test_matrix_file_of_a_wrong_shape_names_what_is_wrong(self, tmp_path, capsys, obj, message):
+        # these read as "list indices must be integers or slices, not str" and "'rows'"
+        mat_path = tmp_path / "shape.json"
+        mat_path.write_text(json.dumps(obj))
+        out = tmp_path / "x"
+        assert cli.main(["inequalities", "--matrix", str(mat_path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: could not load matrix file {str(mat_path)!r}: {message}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("sizes, named", [
         ({"rows": 0, "cols": 0, "re": [], "im": []}, "'rows' must be an integer >= 1, got 0"),

@@ -7,8 +7,8 @@ one of them asserted, a finite minimum gap, and a finite minimum slack for
 every check.  A run on sampled or named channels and matrices must never
 exit 1: the bound and the inequalities are theorems, so every such exit is a
 false verdict.  Only an input file, which may hold no channel or a matrix a
-check cannot take, can fail, and one with an entry that is no JSON number
-is a configuration error.
+check cannot take, can fail, and one with an entry that is no JSON number,
+or of a wrong JSON shape, is a configuration error.
 """
 
 import json
@@ -110,15 +110,44 @@ def test_channel_file(ops, q):
         run(["sweep", f"--channel={path}", f"--q={q}", "--s=0,1"], codes=(0, 1, 2))
 
 
+# wrong shapes of an input file's object: the whole object as a list, a
+# string, a number or null, and a channel's Kraus operators as an object, a
+# number or a list of lists
+TOP_LEVEL = {"list": lambda obj: [obj], "string": json.dumps, "number": lambda obj: 2, "null": lambda obj: None}
+KRAUS = {
+    "kraus object": lambda ops: ops[0],
+    "kraus number": lambda ops: 1,
+    "kraus lists": lambda ops: [list(op.values()) for op in ops],
+}
+SHAPES = st.one_of(st.none(), st.sampled_from([*TOP_LEVEL, *KRAUS, "missing key"]))
+
+
+def _shaped(obj, shape, drop):
+    """``obj`` in ``shape`` (kept if None), and whether that shape is wrong.
+
+    The missing key is key ``drop`` of ``obj``, counted cyclically.
+    """
+    if shape in TOP_LEVEL:
+        return TOP_LEVEL[shape](obj), True
+    if shape == "missing key":
+        key = list(obj)[drop % len(obj)]
+        return {k: v for k, v in obj.items() if k != key}, True
+    if shape in KRAUS and "kraus" in obj:
+        return {**obj, "kraus": KRAUS[shape](obj["kraus"])}, True
+    return obj, False
+
+
 @FUZZ
-@given(re=_entries([1.0, 0.0, 0.0, 1.0]), im=_entries([0.0] * 4))
-def test_input_file_entries(re, im):
-    # the identity with some entries replaced, as a --matrix and as a --channel file
+@given(re=_entries([1.0, 0.0, 0.0, 1.0]), im=_entries([0.0] * 4), shape=SHAPES, drop=st.integers(0, 3))
+def test_input_file_entries(re, im, shape, drop):
+    # the identity with some entries replaced, as a --matrix and as a --channel
+    # file, each in its own shape or a wrong one: a wrong shape is a config error
     numbers = all(type(entry) in (int, float) for entry in re + im)
     matrix = {"rows": 2, "cols": 2, "re": re, "im": im}
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "input.json"
         for command, flag, obj in (("inequalities", "--matrix", matrix),
                                    ("sweep", "--channel", {"dim": 2, "kraus": [matrix]})):
-            path.write_text(json.dumps(obj))
-            run([command, f"{flag}={path}"], codes=(0, 1, 2) if numbers else (2,))
+            content, wrong = _shaped(obj, shape, drop)
+            path.write_text(json.dumps(content))
+            run([command, f"{flag}={path}"], codes=(0, 1, 2) if numbers and not wrong else (2,))

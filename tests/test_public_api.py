@@ -25,10 +25,12 @@ MODULES = ("channel", "cli", "entropy", "errors", "matcore", "sampler", "spectra
 # violation is data, the grid's violation cell, so its exception went, and
 # a cell is the dict GridReport.cell gives, so its report class went.  Every
 # cell is asserted, the q = 1 ones too, so the band that exempted them went.
+# The suite's Ginibre matrices are population's mat and psd families, so
+# the second population generator went.
 REMOVED = {
     "sampler": (
         "sample_cptp", "sample_unitary_mixture", "sample_unistochastic", "unistochastic_from_unitary",
-        "derive_seed", "SamplerConfig", "sample_channel",
+        "derive_seed", "SamplerConfig", "sample_channel", "ginibre_population",
     ),
     "channel": (
         "superoperator_from_kraus", "apply_channel", "unital_defect", "is_unital",

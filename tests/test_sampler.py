@@ -200,10 +200,14 @@ class TestPopulation:
         np.testing.assert_array_equal(ops, [[np.eye(2)]] * 2)
 
     def test_ginibre_population(self):
-        pop = list(sampler.ginibre_population(5, (2, 3), 2, stream=201))
-        assert [(d, list(i), g.shape) for d, i, g in pop] == [(2, [0, 1], (2, 2, 2)), (3, [0, 1], (2, 3, 3))]
-        rng = np.random.default_rng(derive_seed(5, 201, 3, 1))
-        np.testing.assert_array_equal(pop[1][2][1], oracles.ginibre(3, rng))
+        # the matrix families share family code 0 and one stream: psd is G G^dag of mat's G
+        pop = list(sampler.population(5, (2, 3), ("mat", "psd"), 2, stream=201))
+        assert [(fam, d, ids, x.shape) for fam, d, ids, x in pop] == [
+            (fam, d, [f"{fam}-d{d}-0000", f"{fam}-d{d}-0001"], (2, d, d)) for d in (2, 3) for fam in ("mat", "psd")
+        ]
+        g = oracles.ginibre(3, np.random.default_rng(derive_seed(5, 201, 3, 1)))
+        np.testing.assert_array_equal(pop[2][3][1], g)
+        np.testing.assert_array_equal(pop[3][3][1], g @ g.conj().T)
 
 
 # Seeds at the word boundaries of SeedSequence's integer coercion: one word,
@@ -364,12 +368,18 @@ class TestStreamContract:
 
     @pytest.mark.parametrize("d", [2, 3, 4, 8, 16])
     def test_ginibre_stacks_match_oracle(self, d):
+        # the inequality suite's streams; psd is the oracle's G times G^dag by the suite's product
         for seed in EDGE_SEEDS[:4]:
-            want = np.stack([g for *_, g in oracles.ginibre_population(seed, (d,), 9, 202)])
-            for cut in CUTS:
-                stacks = list(sampler.ginibre_population(seed, (d,), 9, 202, size=lambda _: cut))
-                assert [list(i) for _, i, _ in stacks] == [list(range(j, min(j + cut, 9))) for j in range(0, 9, cut)]
-                np.testing.assert_array_equal(np.concatenate([g for *_, g in stacks]), want)
+            for stream in range(201, 206):
+                g = np.stack([m for *_, m in oracles.ginibre_population(seed, (d,), 9, stream)])
+                wants = {"mat": g, "psd": g @ g.conj().swapaxes(-2, -1)}
+                for cut in CUTS:
+                    for family, want in wants.items():
+                        stacks = list(sampler.population(seed, (d,), (family,), 9, stream, size=lambda _: cut))
+                        ids = [f"{family}-d{d}-{i:04d}" for i in range(9)]
+                        assert [len(x) for *_, x in stacks] == [min(cut, 9 - j) for j in range(0, 9, cut)]
+                        assert [i for _, _, labels, _ in stacks for i in labels] == ids
+                        np.testing.assert_array_equal(np.concatenate([x for *_, x in stacks]), want)
 
     @pytest.mark.parametrize("cut", CUTS)
     def test_resampled_cptp_matches_oracle(self, monkeypatch, cut):

@@ -430,13 +430,13 @@ MONOTONICITY_PAIRS = ((0.2, 0.8), (1.0 / 3.0, 0.5), (0.5, 1.0))
 
 
 def _ginibre_stack(d, stream, count=SUITE.samples_per_family):
-    (_, _, g), = sampler.ginibre_population(SUITE.seed, (d,), count, stream)
+    (*_, g), = sampler.population(SUITE.seed, (d,), ("mat",), count, stream)
     return g
 
 
 def _psd_stack(d, stream, count=SUITE.samples_per_family):
-    g = _ginibre_stack(d, stream, count)
-    return g @ g.conj().swapaxes(-2, -1)
+    (*_, x), = sampler.population(SUITE.seed, (d,), ("psd",), count, stream)
+    return x
 
 
 def _rank_deficient_stack(seed, d=4, rank=2, count=20):
