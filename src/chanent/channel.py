@@ -252,7 +252,7 @@ def channel_from_json(obj: dict) -> np.ndarray:
     """Parse the channel JSON format into a validated ``(k, d, d)`` Kraus array; ``dim`` is an integer >= 1.
 
     Another shape is a ``ValueError`` that names the key and its type, as for a matrix."""
-    d, kraus = matcore._json_fields(obj, "a channel", "dim", "kraus")
+    d, kraus = matcore._json_fields(obj, "channel", "dim", "kraus")
     ops = [matcore.matrix_from_json(o) for o in kraus]
     for m in ops:
         if m.shape != (d, d):

@@ -75,7 +75,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -179,35 +179,10 @@ def validate_config(cfg: SweepConfig) -> SweepConfig:
     return cfg
 
 
-# Expected JSON type of each config-file key, and of its members if any.
-_CONFIG_TYPES = {
-    "dims": (list, int, "a list of integers"),
-    "families": (list, str, "a list of strings"),
-    "samples_per_family": (int, None, "an integer"),
-    "q_grid": (list, matcore._NUMBER, "a list of numbers"),
-    "s_grid": (list, matcore._NUMBER, "a list of numbers"),
-    "seed": (int, None, "an integer"),
-}
-
-
-def config_from_file(path) -> SweepConfig:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"could not read config file {str(path)!r}: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError("a config file must hold one JSON object")
-    unknown = set(raw) - set(_CONFIG_TYPES)
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    for key, value in raw.items():
-        kind, member, expected = _CONFIG_TYPES[key]
-        if not (matcore._is(value, kind) and (member is None or all(matcore._is(v, member) for v in value))):
-            raise ConfigError(f"config key {key!r} must be {expected}, got {value!r}")
-        if member is not None:
-            raw[key] = tuple(value)
-    return SweepConfig(**raw)
+def _config_from_json(raw) -> SweepConfig:
+    """A config file's object as a :class:`SweepConfig`: each key optional, each list a tuple."""
+    values = matcore._json_fields(raw, "config", **asdict(SweepConfig()))
+    return SweepConfig(*(tuple(v) if isinstance(v, list) else v for v in values))
 
 
 def _stack_size(entries: int) -> int:
@@ -216,11 +191,16 @@ def _stack_size(entries: int) -> int:
 
 
 def _load_input(path, what: str, from_json):
-    """``from_json`` of the JSON in ``path``, with an unreadable, malformed or invalid file as a ConfigError."""
+    """``from_json`` of the JSON in ``path``, with an unreadable, malformed or invalid file as a ConfigError.
+
+    A config, matrix or channel file is read through one key table,
+    :data:`chanent.matcore._INPUT_KEYS`, so a key of a wrong type, an integer
+    entry beyond the double range among them, names the key.
+    """
     try:
         with open(path, encoding="utf-8") as fh:
             return from_json(json.load(fh))
-    except (OSError, ValueError, OverflowError) as exc:  # an integer entry beyond the double range overflows
+    except (OSError, ValueError, RecursionError) as exc:  # a file nested too deep for json recurses
         raise ConfigError(f"could not load {what} file {str(path)!r}: {exc}") from exc
 
 
@@ -585,7 +565,7 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _resolve_config(args) -> SweepConfig:
-    cfg = config_from_file(args.config) if args.config else SweepConfig()
+    cfg = _load_input(args.config, "config", _config_from_json) if args.config else SweepConfig()
     updates = {}
     for flag, key, kind in (("q", "q_grid", float), ("s", "s_grid", float), ("dims", "dims", int),
                             ("family", "families", str.strip)):

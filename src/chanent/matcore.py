@@ -28,6 +28,8 @@ entry has no spectrum: the spectral functions reject it with
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 
 from .errors import (
@@ -191,39 +193,55 @@ def matrix_to_json(x) -> dict:
 _NUMBER = (int, float, np.integer, np.floating)
 _SIZE = (int, None, "an integer >= 1", None)
 _ENTRIES = (list, _NUMBER, "a list of numbers", "a number")
-# Each key of a matrix or channel file: its type, its entries' type if it is a
-# list, and what the errors say it and an entry must be.
+# Each key of a matrix, channel or config file: its type, its entries' type if
+# it is a list, and what the errors say it and an entry must be.  A size is >=
+# 1; the ranges of a config's keys are cli.validate_config's, as for its flags.
 _INPUT_KEYS = dict(rows=_SIZE, cols=_SIZE, dim=_SIZE, re=_ENTRIES, im=_ENTRIES,
-                   kraus=(list, dict, "a list of matrix objects", "a matrix object"))
+                   kraus=(list, dict, "a list of matrix objects", "a matrix object"),
+                   dims=(list, int, "a list of integers", "an integer"),
+                   families=(list, str, "a list of strings", "a string"), q_grid=_ENTRIES, s_grid=_ENTRIES,
+                   samples_per_family=(int, None, "an integer", None), seed=(int, None, "an integer", None))
 # The JSON type of a parsed value, as the errors name it: "number" if none of these.
 _JSON_NAMES = {dict: "object", list: "list", str: "string", bool: "boolean", type(None): "null"}
 
 
 def _is(value, kind) -> bool:
-    """Whether a parsed JSON value is of ``kind``; ``true`` is no count, size, seed or order."""
+    """Whether a parsed JSON value is of ``kind``.
+
+    ``true`` is no count, size, seed or order, and an integer beyond the
+    largest double is no number: it has no float to be read as.
+    """
+    if kind is _NUMBER and isinstance(value, int) and abs(value) > sys.float_info.max:
+        return False
     return isinstance(value, kind) and not isinstance(value, bool)
 
 
-def _json_fields(obj, what: str, *keys) -> list:
-    """The values of ``keys`` in the input object ``obj``, each of the type :data:`_INPUT_KEYS` gives it.
+def _json_fields(obj, what: str, *keys, **defaults) -> list:
+    """The values of ``keys``, then of ``defaults``' keys, in the input object ``obj``.
 
-    Another shape is a ``ValueError`` naming the key and what it must be;
-    ``what`` names ``obj`` in it.
+    Each is of the type :data:`_INPUT_KEYS` gives it.  A key of ``defaults``
+    may be missing, and is then its default; an object read with defaults
+    holds no other key.  Another shape is a ``ValueError`` naming the key and
+    what it must be; ``what`` names ``obj`` in it.
     """
     if not isinstance(obj, dict):
-        raise ValueError(f"{what} must be a JSON object, got {_JSON_NAMES.get(type(obj), 'number')}")
-    for key in keys:
-        kind, member, expected, entry = _INPUT_KEYS[key]
+        raise ValueError(f"a {what} must be a JSON object, got {_JSON_NAMES.get(type(obj), 'number')}")
+    unknown = sorted(set(obj) - set(keys) - set(defaults)) if defaults else []
+    if unknown:
+        raise ValueError(f"unknown {what} keys: {unknown}")
+    for key in (*keys, *(key for key in defaults if key in obj)):
+        row = _INPUT_KEYS[key]
+        kind, member, expected, entry = row
         if key not in obj:
-            raise ValueError(f"{what} object has no key {key!r}, which must be {expected}")
+            raise ValueError(f"a {what} object has no key {key!r}, which must be {expected}")
         value = obj[key]
-        if not _is(value, kind) or (kind is int and value < 1):
+        if not _is(value, kind) or (row is _SIZE and value < 1):
             got = _JSON_NAMES.get(type(value), "number") if kind is list else repr(value)
             raise ValueError(f"{key!r} must be {expected}, got {got}")
         for i, v in enumerate(value if member else ()):
             if not _is(v, member):
                 raise ValueError(f"{key!r} entry {i} must be {entry}, got {v!r}")
-    return [obj[key] for key in keys]
+    return [obj[key] for key in keys] + [obj.get(key, value) for key, value in defaults.items()]
 
 
 def matrix_from_json(obj: dict) -> np.ndarray:
@@ -234,7 +252,7 @@ def matrix_from_json(obj: dict) -> np.ndarray:
     no spectrum either, and ``2.9`` or ``true`` is no size.  Another shape,
     such as a list, is a ``ValueError`` that names the key and its type.
     """
-    rows, cols, re, im = _json_fields(obj, "a matrix", "rows", "cols", "re", "im")
+    rows, cols, re, im = _json_fields(obj, "matrix", "rows", "cols", "re", "im")
     re, im = np.asarray(re, dtype=float), np.asarray(im, dtype=float)
     if re.size != rows * cols or im.size != rows * cols:
         raise DimensionMismatchError(

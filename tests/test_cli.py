@@ -94,6 +94,17 @@ class TestSweep:
         _, rows = read_csv_rows(out / "report.csv")
         assert len(rows) == 2 * 1 * 2
 
+    def test_config_file_keys_are_optional_and_seed_may_be_0(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"dims": [2], "samples_per_family": 1, "seed": 0}))
+        out = tmp_path / "cfgrun"
+        assert cli.main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["seed"] == 0
+        defaults = cli.SweepConfig()
+        _, rows = read_csv_rows(out / "report.csv")
+        assert len(rows) == len(defaults.families) * len(defaults.q_grid) * len(defaults.s_grid)
+
     def test_rejects_unknown_config_key(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"dims": [2], "typo_key": 1}))
@@ -109,7 +120,9 @@ class TestSweep:
         for command in ("sweep", "inequalities"):
             args = [command, "--config", str(cfg_path), "--dims", "2", "--samples", "1", "--out", str(out)]
             assert cli.main(args) == 2
-        assert capsys.readouterr().err.count("config error: unknown config keys: ['tolerances']") == 2
+        # a config file is read like a matrix or channel file, so the error names the file
+        message = f"config error: could not load config file {str(cfg_path)!r}: unknown config keys: ['tolerances']\n"
+        assert capsys.readouterr().err == 2 * message
         assert not out.exists()
 
     def test_rejects_nan_channel_file(self, tmp_path, capsys):
@@ -128,15 +141,28 @@ class TestSweep:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "finite" in err
 
-    @pytest.mark.parametrize(
-        "key, value", [("samples_per_family", "3"), ("dims", 3), ("q_grid", [2.0, "3"]), ("seed", True)]
-    )
+    # an integer order beyond the double range raised OverflowError, a traceback
+    @pytest.mark.parametrize("key, value", [
+        ("samples_per_family", "3"), ("dims", 3), ("q_grid", [2.0, "3"]), ("seed", True),
+        pytest.param("q_grid", [10**400], id="q_grid-10**400"),
+        pytest.param("s_grid", [-(10**400)], id="s_grid--10**400"),
+    ])
     def test_rejects_mistyped_config_value(self, tmp_path, capsys, key, value):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({key: value}))
-        assert cli.main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "x")]) == 2
+        out = tmp_path / "x"
+        assert cli.main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and repr(key) in err
+        assert not (out / "summary.json").exists() and not (out / "report.csv").exists()
+
+    @pytest.mark.parametrize("flag", ["--config", "--channel"])
+    def test_input_file_nested_too_deep_is_a_config_error(self, tmp_path, capsys, flag):
+        # json's parser recursed past the interpreter's limit: a traceback
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        assert cli.main(["sweep", flag, str(path), "--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: could not load {flag[2:]} file")
 
     def test_rejects_unreadable_config(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
@@ -295,9 +321,11 @@ class TestSweep:
         (["1e0", 0.0, 0.0, 1.0], [0.0] * 4),
         ([True, 0.0, 0.0, 1.0], [0.0] * 4),
         ([[1.0, 0.0], [0.0, 1.0]], [[0.0, 0.0], [0.0, 0.0]]),
+        pytest.param([10**400, 0.0, 0.0, 1.0], [0.0] * 4, id="10**400"),
     ])
     def test_input_file_entries_are_json_numbers(self, tmp_path, capsys, re, im):
-        # numpy alone reads each as the identity, which passes
+        # numpy alone reads the first three as the identity, which passes, and
+        # raised OverflowError on the last
         matrix = {"rows": 2, "cols": 2, "re": re, "im": im}
         (tmp_path / "m.json").write_text(json.dumps(matrix))
         (tmp_path / "ch.json").write_text(json.dumps({"dim": 2, "kraus": [matrix]}))

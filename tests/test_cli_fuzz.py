@@ -8,11 +8,13 @@ every check.  A run on sampled or named channels and matrices must never
 exit 1: the bound and the inequalities are theorems, so every such exit is a
 false verdict.  Only an input file, which may hold no channel or a matrix a
 check cannot take, can fail, and one with an entry that is no JSON number,
-or of a wrong JSON shape, is a configuration error.
+or of a wrong JSON shape, is a configuration error, as is a config file with
+a key of a wrong JSON type.
 """
 
 import json
 import math
+import sys
 import tempfile
 from pathlib import Path
 
@@ -110,38 +112,77 @@ def test_channel_file(ops, q):
         run(["sweep", f"--channel={path}", f"--q={q}", "--s=0,1"], codes=(0, 1, 2))
 
 
+# a config file whose keys each hold a value of their own JSON type that a
+# fast run takes, and whether a value is of a key's type (an integer beyond
+# the double range is no number)
+CONFIG = {"dims": [2], "families": ["cptp"], "samples_per_family": 1, "q_grid": [2.0], "s_grid": [0.0], "seed": 0}
+
+
+def _number(v):
+    return type(v) is float or type(v) is int and abs(v) <= sys.float_info.max
+
+
+CONFIG_TYPES = {
+    "dims": lambda v: type(v) is list and all(type(x) is int for x in v),
+    "families": lambda v: type(v) is list and all(type(x) is str for x in v),
+    "samples_per_family": lambda v: type(v) is int,
+    "q_grid": lambda v: type(v) is list and all(map(_number, v)),
+    "s_grid": lambda v: type(v) is list and all(map(_number, v)),
+    "seed": lambda v: type(v) is int,
+}
+# a string, a boolean, null, an object, a nested list, NaN, Infinity and a
+# 401-digit integer: each is of a wrong JSON type for some key, or as an entry
+ODD = ["2", True, None, {"dims": [2]}, [[2]], math.nan, math.inf, 10**400]
+
+
+def _config_value(own):
+    """``own`` kept, more often than not, or replaced by an odd value, or, for a list, with one appended."""
+    odd = st.sampled_from(ODD)
+    appended = odd.map(lambda v: [*own, v]) if isinstance(own, list) else odd
+    return st.integers(0, 5).flatmap(lambda i: (*[st.just(own)] * 4, odd, appended)[i])
+
+
+CONFIGS = st.fixed_dictionaries({key: _config_value(own) for key, own in CONFIG.items()})
+
 # wrong shapes of an input file's object: the whole object as a list, a
 # string, a number or null, and a channel's Kraus operators as an object, a
-# number or a list of lists
+# number or a list of lists; a missing key is wrong except in a config
+# file, whose keys all have defaults, and an unknown key in a config file alone
 TOP_LEVEL = {"list": lambda obj: [obj], "string": json.dumps, "number": lambda obj: 2, "null": lambda obj: None}
 KRAUS = {
     "kraus object": lambda ops: ops[0],
     "kraus number": lambda ops: 1,
     "kraus lists": lambda ops: [list(op.values()) for op in ops],
 }
-SHAPES = st.one_of(st.none(), st.sampled_from([*TOP_LEVEL, *KRAUS, "missing key"]))
+SHAPES = st.one_of(st.none(), st.sampled_from([*TOP_LEVEL, *KRAUS, "missing key", "unknown key"]))
 
 
-def _shaped(obj, shape, drop):
+def _shaped(obj, shape, drop, config=False):
     """``obj`` in ``shape`` (kept if None), and whether that shape is wrong.
 
-    The missing key is key ``drop`` of ``obj``, counted cyclically.
+    The missing key is key ``drop`` of ``obj``, counted cyclically;
+    ``config`` says whether ``obj`` is a config file's.
     """
     if shape in TOP_LEVEL:
         return TOP_LEVEL[shape](obj), True
     if shape == "missing key":
         key = list(obj)[drop % len(obj)]
-        return {k: v for k, v in obj.items() if k != key}, True
+        return {k: v for k, v in obj.items() if k != key}, not config
+    if shape == "unknown key":
+        return {**obj, "tolerances": {"gap": 1e300}}, config
     if shape in KRAUS and "kraus" in obj:
         return {**obj, "kraus": KRAUS[shape](obj["kraus"])}, True
     return obj, False
 
 
 @FUZZ
-@given(re=_entries([1.0, 0.0, 0.0, 1.0]), im=_entries([0.0] * 4), shape=SHAPES, drop=st.integers(0, 3))
-def test_input_file_entries(re, im, shape, drop):
+@given(re=_entries([1.0, 0.0, 0.0, 1.0]), im=_entries([0.0] * 4), shape=SHAPES, drop=st.integers(0, 5),
+       config=CONFIGS)
+def test_input_file_entries(re, im, shape, drop, config):
     # the identity with some entries replaced, as a --matrix and as a --channel
-    # file, each in its own shape or a wrong one: a wrong shape is a config error
+    # file, and a fast config whose keys may hold a value of a wrong type, as a
+    # --config file, each in its own shape or a wrong one: a wrong shape or
+    # type is a config error
     numbers = all(type(entry) in (int, float) for entry in re + im)
     matrix = {"rows": 2, "cols": 2, "re": re, "im": im}
     with tempfile.TemporaryDirectory() as tmp:
@@ -151,3 +192,9 @@ def test_input_file_entries(re, im, shape, drop):
             content, wrong = _shaped(obj, shape, drop)
             path.write_text(json.dumps(content))
             run([command, f"{flag}={path}"], codes=(0, 1, 2) if numbers and not wrong else (2,))
+        content, wrong = _shaped(config, shape, drop, config=True)
+        wrong = wrong or not all(CONFIG_TYPES[key](value) for key, value in content.items())
+        path.write_text(json.dumps(content))
+        # sampled channels cannot fail the bound, and an entry of the right
+        # type may still be out of range
+        run(["sweep", f"--config={path}"], codes=(2,) if wrong else (0, 2))

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import oracles
 import pytest
@@ -192,12 +194,21 @@ class TestMatrixJson:
             matcore.matrix_from_json({"rows": rows, "cols": cols, "re": entries, "im": entries})
 
     @pytest.mark.parametrize("part", ["re", "im"])
-    @pytest.mark.parametrize("entry", ["1", True, None, [1.0], {"re": 1.0}])
+    @pytest.mark.parametrize("entry", [
+        "1", True, None, [1.0], {"re": 1.0},
+        # no float holds it: numpy raised OverflowError
+        pytest.param(10**400, id="10**400"), pytest.param(-(10**400), id="-10**400"),
+    ])
     def test_entries_are_numbers(self, part, entry):
         obj = matcore.matrix_to_json(np.eye(2))
         obj[part][1] = entry
         with pytest.raises(ValueError, match=f"'{part}' entry 1 must be a number"):
             matcore.matrix_from_json(obj)
+
+    def test_an_integer_entry_up_to_the_largest_double_is_a_number(self):
+        top = int(sys.float_info.max)
+        m = matcore.matrix_from_json({"rows": 1, "cols": 2, "re": [top, -top], "im": [0, 0]})
+        np.testing.assert_array_equal(m, [[sys.float_info.max, -sys.float_info.max]])
 
     @pytest.mark.parametrize("entries", ["1234", {"a": 1}, 1.0])
     def test_entries_are_a_list(self, entries):
