@@ -18,15 +18,16 @@ one trace-preservation check for the whole stack).  Under the row-major
 where the reshuffling permutation ``K[a*d+b, m*d+n] = D[a*d+m, b*d+n]`` is an
 involution that preserves the multiset of entries and hence the Frobenius
 norm.  Independent routes to both matrices (the Kronecker loop for ``K``,
-the entangled-input construction for ``D``) live in ``tests/oracles.py``.
+the entangled-input construction for ``D``) and to both spectra (the dense
+``eigvalsh(D)``, the complex ``svd(K)``) live in ``tests/oracles.py``.
 
-Each spectrum is taken from the smallest real problem that has it:
+Each spectrum is one SVD, and neither decomposes ``D`` itself:
 
 * The map spectrum (eigenvalues of ``D = V^T conj(V)``, row ``i`` of ``V``
-  being ``vec(A_i)``): when ``D`` comes with the ``k < d**2`` Kraus
-  operators of its channel, or stack, the nonzero eigenvalues are those of
-  the ``k x k`` Gram matrix ``conj(V) V^T``, padded with exact zeros to
-  ``d**2``; otherwise one ``eigvalsh`` of ``D``.
+  being ``vec(A_i)``) is the squared singular values of the ``(k, d**2)``
+  Kraus matrix ``V``, padded with exact zeros to ``d**2``.  An entry is known
+  to about ``2 m u sqrt(lam_i lam_max)``, with ``m = max(k, d**2)`` and ``u``
+  machine epsilon, so small eigenvalues keep their leading digits.
 * The receiver spectrum (singular values of ``K``): ``D`` is Hermitian, so
   ``conj(K) = F K F`` with ``F`` the swap ``a*d+b -> b*d+a``.  The unitary
   ``T = (I + iF)/sqrt(2)`` then makes ``T K T^dag = Re K - Im(F K)`` real,
@@ -34,9 +35,6 @@ Each spectrum is taken from the smallest real problem that has it:
   replaces the complex SVD of ``K``.  A ``K`` whose ``conj(K) - F K F``
   exceeds ``HERM_TOL`` in some entry is not Hermiticity preserving and is
   rejected with :class:`~chanent.errors.NotHermitianError`.
-
-The complex ``svd(K)`` and the dense ``eigvalsh(D)`` are the reference
-routes in ``tests/oracles.py``.
 
 One tolerance decides both numerical predicates: a channel is admitted as
 trace preserving iff its TP defect (max entry of ``sum_i A_i^dag A_i - I``)
@@ -53,9 +51,9 @@ harnesses read: for the Kraus array of a stack of same-dimension channels
 (one channel is a stack of one) it builds ``D`` in one batched product,
 takes ``K`` and its spectrum with one decomposition, and ``Tr_2 D`` with
 one reduction, from which the unital flags are read.  The map spectrum is
-taken with one decomposition on its first read, which the sweep makes and
-the inequality suite does not: its checks read ``D`` only through ``Tr D =
-Tr Tr_2 D`` and ``|D|_2 = |K|_2``.
+taken from the Kraus array with one decomposition on its first read, which
+the sweep makes and the inequality suite does not: its checks read ``D`` only
+through ``Tr D = Tr Tr_2 D`` and ``|D|_2 = |K|_2``.
 """
 
 from __future__ import annotations
@@ -91,6 +89,14 @@ def _identity_defects(m: np.ndarray) -> np.ndarray:
     return np.abs(m - np.eye(m.shape[-1])).max(axis=(-2, -1))
 
 
+def _check_sizes(d: int, k: int) -> None:
+    """Raise unless ``d`` is a system dimension the library takes and the Kraus count ``k`` is not 0."""
+    if not (2 <= d <= MAX_DIM):
+        raise DimensionMismatchError(f"system dimension must be in [2, {MAX_DIM}], got {d}")
+    if not k:
+        raise ValueError("a channel needs at least one Kraus operator")
+
+
 def check_kraus_stack(ops) -> np.ndarray:
     """The ``(n, k, d, d)`` array ``ops`` of Kraus sets as complex, validated.
 
@@ -102,10 +108,7 @@ def check_kraus_stack(ops) -> np.ndarray:
     if ops.ndim != 4 or ops.shape[-2] != ops.shape[-1]:
         raise DimensionMismatchError(f"expected an (n, k, d, d) Kraus stack, got shape {ops.shape}")
     n, k, d, _ = ops.shape
-    if not (2 <= d <= MAX_DIM):
-        raise DimensionMismatchError(f"system dimension must be in [2, {MAX_DIM}], got {d}")
-    if not k:
-        raise ValueError("a channel needs at least one Kraus operator")
+    _check_sizes(d, k)
     # sum_i A_i^dag A_i as one product per channel: its operators stacked
     # vertically, (k d, d), times their adjoint; entries too large for it give
     # an inf or NaN defect, which no tolerance admits
@@ -152,23 +155,18 @@ def _blocks(m, d: int) -> np.ndarray:
     return x.reshape(*x.shape[:-2], d, d, d, d)
 
 
-def dynamical_spectrum(dyn, kraus) -> np.ndarray:
-    """Clamped eigenvalue spectrum of the dynamical matrix, descending; one row per matrix of a stack.
+def dynamical_spectrum(kraus) -> np.ndarray:
+    """Eigenvalues of ``D``, descending, from its Kraus array; one row per channel of a stack ``(n, k, d, d)``.
 
-    ``kraus`` holds the Kraus operators ``D`` was built from: ``(k, d, d)``
-    for one matrix, ``(n, k, d, d)`` for a stack.  With
-    ``k < d**2`` of them, the spectrum comes from the ``k x k`` Gram matrix
-    ``conj(V) V^T`` of their rows ``vec(A_i)``, padded with zeros; otherwise
-    from ``D`` itself.
+    The squared singular values of the rows ``vec(A_i)``, padded with exact
+    zeros to ``d**2``; those below the SVD's floor ``(m u)**2`` of the
+    largest, ``m = max(k, d**2)`` and ``u`` machine epsilon, become 0.
     """
-    n = np.shape(dyn)[-1]
-    v = np.reshape(kraus, (*np.shape(dyn)[:-2], -1, n))
-    if v.shape[-2] < n:
-        vals = matcore.hermitian_eigenvalues(v.conj() @ v.swapaxes(-2, -1))
-        vals = np.concatenate([vals, np.zeros(vals.shape[:-1] + (n - vals.shape[-1],))], axis=-1)
-    else:
-        vals = matcore.hermitian_eigenvalues(dyn)
-    return matcore.clamp_spectrum(vals)
+    n = np.shape(kraus)[-1] ** 2
+    v = np.reshape(kraus, (*np.shape(kraus)[:-3], -1, n))
+    vals = matcore.singular_values(v) ** 2
+    vals[vals < (np.finfo(float).eps * max(v.shape[-2], n)) ** 2 * vals[..., :1]] = 0.0
+    return np.concatenate([vals, np.zeros((*vals.shape[:-1], n - vals.shape[-1]))], axis=-1)
 
 
 def superoperator_spectrum(sup, d: int) -> np.ndarray:
@@ -220,9 +218,9 @@ def profile_channel(ops, channel_id=()) -> ChannelProfile:
     dynamical matrices come from one batched product, ``Tr_2 D`` from one
     reduction of them, the unital flags from ``Tr_2 D`` and the receiver
     spectrum from one decomposition of the whole stack; the map spectrum is
-    taken the same way on its first read, so a reader of ``K`` and ``Tr_2
-    D`` alone pays no decomposition of ``D``.  One channel is a stack of
-    one, ``ops[None]``.
+    taken from ``ops`` the same way on its first read, so a reader of ``K``
+    and ``Tr_2 D`` alone pays no decomposition for it, and the profile keeps
+    no ``D``.  One channel is a stack of one, ``ops[None]``.
     """
     ids = tuple(channel_id) or ("",) * len(ops)
     if len(ids) != len(ops):
@@ -234,7 +232,7 @@ def profile_channel(ops, channel_id=()) -> ChannelProfile:
         channel_id=ids,
         dim=d,
         unital=_identity_defects(tr2) <= TP_TOL,
-        choi_spectrum=lambda: dynamical_spectrum(dyn, ops),
+        choi_spectrum=lambda: dynamical_spectrum(ops),
         superop_spectrum=superoperator_spectrum(reshuffle(dyn, d), d),
         tr2=tr2,
     )
@@ -253,6 +251,7 @@ def channel_from_json(obj: dict) -> np.ndarray:
 
     Another shape is a ``ValueError`` that names the key and its type, as for a matrix."""
     d, kraus = matcore._json_fields(obj, "channel", "dim", "kraus")
+    _check_sizes(d, len(kraus))  # before an array of d x d operators is built
     ops = [matcore.matrix_from_json(o) for o in kraus]
     for m in ops:
         if m.shape != (d, d):

@@ -63,6 +63,10 @@ EIG_TOL_PER_DIM = 1e-9
 # Spectrum entries below this fraction of the largest entry collapse to 0,
 # so rank-deficient spectra stay exactly rank-deficient under q < 1 power
 # sums (x**q has infinite slope at 0; eigensolver noise must not leak in).
+# It serves eigvalsh of PSD stacks and the real SVD of K, which know each
+# entry only to some m*u of the largest (m <= 256 entries, u machine epsilon).
+# The map spectrum sigma(V)**2 (channel.dynamical_spectrum) knows each lam to
+# 2*m*u*sqrt(lam*lam_max), m = max(k, d**2): its floor is (m*u)**2 lam_max.
 ZERO_REL_TOL = 1e-12
 
 

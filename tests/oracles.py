@@ -138,6 +138,22 @@ def dynamical_eigenvalues(dyn):
     return np.linalg.eigvalsh((m + m.conj().swapaxes(-2, -1)) / 2.0)[..., ::-1]
 
 
+def dynamical_eigenvalues_mp(ops, dps=50):
+    """Eigenvalues of one channel's ``D``, descending, as ``mpmath`` numbers of ``dps`` digits.
+
+    Taken by ``mpmath.eighe`` of the ``k x k`` Kraus Gram matrix ``conj(V) V^T``,
+    row ``i`` of ``V`` being ``vec(A_i)``, whose entries are exact in that
+    precision; padded with zeros to ``d**2``.
+    """
+    v = np.asarray(ops).reshape(len(ops), -1)
+    with mpmath.workdps(dps):
+        rows = [[mpmath.mpc(complex(x)) for x in row] for row in v]
+        gram = mpmath.matrix([[mpmath.fsum(mpmath.conj(a) * b for a, b in zip(r, c)) for c in rows]
+                              for r in rows])
+        vals = sorted(mpmath.eighe(gram, eigvals_only=True), reverse=True)
+    return vals + [mpmath.mpf(0)] * (v.shape[1] - len(vals))
+
+
 def superoperator_singular_values(sup):
     """Singular values of ``K``, or of each of a stack, descending: one complex SVD of ``K``."""
     return np.linalg.svd(np.asarray(sup, dtype=complex), compute_uv=False)

@@ -221,12 +221,12 @@ def test_criterion_6_oracle_equivalences(capsys):
     worst_spec = 0.0
     worst_entropy = 0.0
     for d, ch, _, _ in channels(cptp_population())[::10] + channels(unital_population())[::10]:
-        # library routes (Kraus Gram matrix for k < d**2, real SVD for K)
+        # library routes (SVD of the Kraus matrix for D, real SVD for K)
         # against the dense eigvalsh of D and the complex SVD of K
         dyn = chmod.dynamical_from_kraus(ch)
         sup = chmod.reshuffle(dyn, d)
         pairs = (
-            (chmod.dynamical_spectrum(dyn, ch), oracles.dynamical_eigenvalues(dyn)),
+            (chmod.dynamical_spectrum(ch), oracles.dynamical_eigenvalues(dyn)),
             (chmod.superoperator_spectrum(sup, d), oracles.superoperator_singular_values(sup)),
         )
         for spec, reference in pairs:

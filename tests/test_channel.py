@@ -1,5 +1,6 @@
 import json
 
+import mpmath
 import numpy as np
 import oracles
 import pytest
@@ -18,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chanent import channel as chmod
-from chanent import matcore, sampler
+from chanent import matcore, sampler, tradeoff
 from chanent.errors import DimensionMismatchError, NotHermitianError, NotTracePreservingError
 
 ROUTE_DIMS = (2, 3, 4, 8, 16)
@@ -113,7 +114,7 @@ class TestDynamicalMatrix:
         ch = identity_channel()
         dyn = chmod.dynamical_from_kraus(ch)
         # D = sum_{mu,nu} |mu mu><nu nu|: rank one with eigenvalue d
-        spec = chmod.dynamical_spectrum(dyn, ch)
+        spec = chmod.dynamical_spectrum(ch)
         np.testing.assert_allclose(spec, [2.0, 0.0, 0.0, 0.0], atol=1e-12)
         v = np.eye(2, dtype=complex).reshape(-1)
         np.testing.assert_allclose(dyn, np.outer(v, v.conj()), atol=1e-15)
@@ -122,13 +123,12 @@ class TestDynamicalMatrix:
         ch = depolarizing_channel()
         dyn = chmod.dynamical_from_kraus(ch)
         np.testing.assert_allclose(dyn, np.eye(4) / 2, atol=1e-15)
-        np.testing.assert_allclose(chmod.dynamical_spectrum(dyn, ch), [0.5] * 4)
+        np.testing.assert_allclose(chmod.dynamical_spectrum(ch), [0.5] * 4)
 
     def test_unitary_channel_rank_one(self):
         rng = np.random.default_rng(23)
         u = random_unitary(rng, 3)
-        dyn = chmod.dynamical_from_kraus(u[None])
-        spec = chmod.dynamical_spectrum(dyn, [u])
+        spec = chmod.dynamical_spectrum(u[None])
         np.testing.assert_allclose(spec[0], 3.0, atol=1e-12)
         np.testing.assert_allclose(spec[1:], 0.0, atol=1e-12)
 
@@ -285,14 +285,31 @@ class TestIsUnital:
 
 
 class TestKrausGram:
+    """The map spectrum as sigma(V)**2 of the Kraus matrix V, whose Gram matrix conj(V) V^T has it too."""
+
     def test_matches_choi_spectrum(self):
         pop = list(population(907, (2, 3), FAMILIES, 4))
         pop.append(("named", 2, "amplitude-damping", sampler.named_channel("amplitude-damping", 2, 0.3)))
+        pop += [("named", d, "depolarizing", sampler.named_channel("depolarizing", d, 0.3)) for d in (2, 3)]
+        # k < d**2 (unitary mixtures, amplitude damping), k = d**2 (cptp,
+        # unistochastic) and k = d**2 + 1 (depolarizing) take the one route
+        assert {int(np.sign(len(ch) - d * d)) for _, d, _, ch in pop} == {-1, 0, 1}
         for _, d, _, ch in pop:
-            # the library takes k < d**2 spectra from the Kraus Gram matrix
+            # the library takes sigma(V)**2, the oracle a dense eigvalsh of D
             dyn = chmod.dynamical_from_kraus(ch)
-            gram = chmod.dynamical_spectrum(dyn, ch)
-            np.testing.assert_allclose(gram, oracles.dynamical_eigenvalues(dyn), atol=1e-9)
+            _assert_spectra_close(chmod.dynamical_spectrum(ch), oracles.dynamical_eigenvalues(dyn))
+
+    def test_structural_zeros_are_exact(self):
+        # dephasing at d = 4 has k = 5 operators of rank 4: one sigma(V) is a
+        # structural zero, about 7.8e-34 as sigma**2 before the SVD's floor
+        ch = sampler.named_channel("dephasing", 4, 0.5)
+        assert len(ch) == 5
+        v = ch.reshape(5, 16)
+        sigma = np.linalg.svd(v, compute_uv=False)
+        assert 0.0 < sigma[-1] ** 2 < (np.finfo(float).eps * 16) ** 2 * sigma[0] ** 2
+        spec = chmod.dynamical_spectrum(ch)
+        assert np.count_nonzero(spec) == 4 and (spec[4:] == 0.0).all()
+        np.testing.assert_allclose(spec[:4], oracles.dynamical_eigenvalues(chmod.dynamical_from_kraus(ch))[:4])
 
     def test_profile_takes_the_map_spectrum_once_on_first_read(self, monkeypatch):
         ops = stack_channels([ch for _, _, _, ch in population(908, (3,), FAMILIES, 2)])
@@ -303,7 +320,32 @@ class TestKrausGram:
         assert calls == []
         first = prof.choi_spectrum
         assert prof.choi_spectrum is first and calls == [len(ops)]
-        np.testing.assert_array_equal(first, original(chmod.dynamical_from_kraus(ops), ops))
+        np.testing.assert_array_equal(first, original(ops))
+
+
+class TestSmallMapEigenvalues:
+    """Map eigenvalues far below 1e-12 of the largest keep their digits, and so does the entropy at q < 1."""
+
+    @pytest.mark.parametrize("eps", [1e-13, 1e-15])
+    @pytest.mark.parametrize("d", [2, 4, 8])
+    def test_unitary_mixture_with_tiny_weights_against_mpmath(self, d, eps):
+        # d Haar unitaries with weights 1, 2 eps, ..., d eps: d - 1 map
+        # eigenvalues of order eps, each of which a clamp at 1e-12 would zero
+        rng = np.random.default_rng(1400 + d)
+        weights = np.array([1.0] + [(i + 1) * eps for i in range(1, d)])
+        unitaries = np.stack([oracles.haar_unitary(d, rng) for _ in range(d)])
+        ops = chmod.check_kraus_stack((np.sqrt(weights / weights.sum())[:, None, None] * unitaries)[None])
+        profile = chmod.profile_channel(ops)
+        got = profile.choi_spectrum[0]
+        want = oracles.dynamical_eigenvalues_mp(ops[0])
+        assert got.shape == (d * d,) and not got[d:].any()
+        for g, w in zip(got[:d], want[:d]):
+            assert abs(g - w) <= 1e-12 * w, (float(g), float(w))
+        grid = tradeoff.evaluate_profile(profile, tradeoff.bound_table(d, (0.3,), (0.0,)))
+        with mpmath.workdps(50):
+            total = mpmath.fsum(want)
+            renyi = mpmath.log(mpmath.fsum((w / total) ** mpmath.mpf(0.3) for w in want[:d])) / mpmath.mpf(0.7)
+        assert abs(grid.map_values[0, 0, 0] - float(renyi)) <= 1e-12
 
 
 def _assert_spectra_close(got, want):
@@ -317,7 +359,7 @@ def _assert_spectra_close(got, want):
 def _spectra(ops, d):
     """Both library spectra of a Kraus array: ``eig(D)``, given the Kraus operators, and ``svd(K)``."""
     dyn = chmod.dynamical_from_kraus(ops)
-    return chmod.dynamical_spectrum(dyn, ops), chmod.superoperator_spectrum(chmod.reshuffle(dyn, d), d)
+    return chmod.dynamical_spectrum(ops), chmod.superoperator_spectrum(chmod.reshuffle(dyn, d), d)
 
 
 def _assert_routes_match_oracles(ops, d):
@@ -329,14 +371,14 @@ def _assert_routes_match_oracles(ops, d):
 
 
 class TestSpectrumRoutes:
-    """The Kraus Gram route to eig(D) and the real-form route to svd(K), against the dense complex routes."""
+    """The sigma(V)**2 route to eig(D) and the real-form route to svd(K), against the dense complex routes."""
 
     @pytest.mark.parametrize("family", FAMILIES)
     @pytest.mark.parametrize("d", ROUTE_DIMS)
     def test_families(self, d, family):
         chs = [ch for *_, ch in population(971, (d,), (family,), 3)]
         ops = stack_channels(chs)
-        # unitary mixtures (k = d) take the Gram route, the other families (k = d**2) eigvalsh(D)
+        # one route for both k: unitary mixtures (k = d) and the other families (k = d**2)
         assert (ops.shape[1] < d * d) == (family == "unitary-mixture")
         _assert_routes_match_oracles(ops, d)
         # the stack's rows are the single channels' spectra
@@ -349,12 +391,12 @@ class TestSpectrumRoutes:
     @pytest.mark.parametrize(
         "name, d, param",
         [
-            ("identity", 2, None),  # k = 1: a 1 x 1 Gram matrix
+            ("identity", 2, None),  # k = 1: V is one row
             ("identity", 3, None),
             ("unitary", 3, 0.7),
             ("amplitude-damping", 2, 0.3),
             ("dephasing", 3, 0.6),
-            ("depolarizing", 3, 0.3),  # k = d**2 + 1: eigvalsh(D)
+            ("depolarizing", 3, 0.3),  # k = d**2 + 1: more rows than columns
             ("completely-depolarizing", 3, None),
         ],
     )

@@ -295,10 +295,16 @@ class TestSweep:
         ({"dim": 2, "kraus": {"re": 1}}, "'kraus' must be a list of matrix objects, got object"),
         ({"dim": 2, "kraus": 1.5}, "'kraus' must be a list of matrix objects, got number"),
         ({"dim": 2, "kraus": [[1, 2]]}, "'kraus' entry 0 must be a matrix object, got [1, 2]"),
+        ({"dim": 10**11, "kraus": []}, "system dimension must be in [2, 16], got 100000000000"),
+        ({"dim": 2**63, "kraus": []}, f"system dimension must be in [2, 16], got {2**63}"),
+        ({"dim": 2, "kraus": []}, "a channel needs at least one Kraus operator"),
     ])
     def test_channel_file_of_a_wrong_shape_names_what_is_wrong(self, tmp_path, capsys, obj, message):
         # these read as "string indices must be integers, not 'str'", "'dim'"
-        # and "list indices must be integers or slices, not str"
+        # and "list indices must be integers or slices, not str"; the sizes
+        # were checked after the operators were stacked, so numpy read the
+        # two large dimensions as "array is too big" and "Maximum allowed
+        # dimension exceeded"
         ch_path = tmp_path / "shape.json"
         ch_path.write_text(json.dumps(obj))
         out = tmp_path / "x"

@@ -44,8 +44,11 @@ EPS = np.finfo(float).eps
 TOL = 16
 # The default grid without q = 0.3 and 0.5: there the kernel's p**q has slope
 # q * p**(q - 1), which grows without bound as p -> 0, so a channel with a small
-# map eigenvalue amplifies the spectra's rounding by (max / min)**(1 - q), far
-# past the bound.
+# receiver singular value amplifies the real SVD's rounding, about m * EPS * max
+# per entry, by (max / min)**(1 - q), past the bound: 16.9 * m * EPS at q = 0.3
+# on a d = 3 unistochastic channel with min / max = 2.6e-6.  The map spectrum,
+# squared singular values accurate relative to each entry, stayed within
+# 1.3 * m * EPS on the same random draws.
 Q_GRID = (0.9, 1.0, 1.1, 1.5, 2.0, 3.0, 5.0)
 S_GRID = (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0)
 MOVES = ("unitaries", "mixing", "permutation", "zero operator")

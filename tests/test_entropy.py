@@ -34,11 +34,11 @@ def receiver_entropy(ch, params):
 
 
 def _channel_spectra(ch):
-    """``eig(D)``, from the Kraus Gram matrix when ``k < d**2``, and ``svd(K)`` of a channel."""
+    """``eig(D)``, as the squared singular values of the Kraus matrix, and ``svd(K)`` of a channel."""
     dyn = chmod.dynamical_from_kraus(ch)
     d = ch.shape[-1]
     sup = chmod.reshuffle(dyn, d)
-    return chmod.dynamical_spectrum(dyn, ch), chmod.superoperator_spectrum(sup, d)
+    return chmod.dynamical_spectrum(ch), chmod.superoperator_spectrum(sup, d)
 
 
 class TestEntropyParams:
@@ -193,7 +193,7 @@ class TestBoundsAndOracles:
         pop = list(population(915, (2, 3), ("cptp", "unitary-mixture"), 3))
         pop.append(("named", 2, "amplitude-damping", sampler.named_channel("amplitude-damping", 2, 0.35)))
         for _, d, _, ch in pop:
-            # the library takes k < d**2 spectra from the Kraus Gram matrix,
+            # the library takes the spectrum from the Kraus matrix's SVD,
             # the oracle from a dense eigvalsh of D
             dyn = chmod.dynamical_from_kraus(ch)
             choi_spec = matcore.clamp_spectrum(oracles.dynamical_eigenvalues(dyn))

@@ -34,7 +34,7 @@ class TestSampleCptp:
         ch = sampler._cptp_ops([77], 3, 1)[0]
         a = ch[0]
         assert np.abs(a.conj().T @ a - np.eye(3)).max() <= 1e-12
-        spec = chmod.dynamical_spectrum(chmod.dynamical_from_kraus(ch), ch)
+        spec = chmod.dynamical_spectrum(ch)
         assert np.count_nonzero(spec) == 1
 
     def test_deterministic(self):
@@ -97,7 +97,7 @@ class TestSampleUnistochastic:
 class TestNamedChannels:
     def test_identity(self):
         ch = sampler.named_channel("identity", 3)
-        spec = chmod.dynamical_spectrum(chmod.dynamical_from_kraus(ch), ch)
+        spec = chmod.dynamical_spectrum(ch)
         np.testing.assert_allclose(spec, [3.0] + [0.0] * 8, atol=1e-12)
         sup = chmod.reshuffle(chmod.dynamical_from_kraus(ch), 3)
         np.testing.assert_array_equal(sup, np.eye(9))
@@ -132,7 +132,7 @@ class TestNamedChannels:
         # Gram matrix conj(V) V^T is diag(2 - g, g), so the Choi spectrum is {2-g, g, 0, 0}
         v = ch.reshape(2, 4)  # rows vec(A_i)
         np.testing.assert_allclose(v.conj() @ v.T, np.diag([2 - g, g]), atol=1e-14)
-        spec = chmod.dynamical_spectrum(chmod.dynamical_from_kraus(ch), ch)
+        spec = chmod.dynamical_spectrum(ch)
         np.testing.assert_allclose(spec, [2 - g, g, 0.0, 0.0], atol=1e-12)
 
     def test_unitary_rotation(self):
