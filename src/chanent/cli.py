@@ -84,7 +84,7 @@ import orjson
 from . import channel as chmod
 from . import matcore, sampler, spectra
 from .channel import profile_channel
-from .errors import DomainError, ParamOutOfRangeError, UnknownChannelError
+from .errors import DimensionMismatchError, DomainError, ParamOutOfRangeError, UnknownChannelError
 from .tradeoff import bound_table, evaluate_profile
 
 __all__ = ["SweepConfig", "ConfigError", "run_sweep", "run_inequality_suite", "main"]
@@ -153,8 +153,10 @@ def validate_config(cfg: SweepConfig) -> SweepConfig:
         if repeated:
             raise ConfigError(f"{key} repeats {repeated[0]!r}")
     for d in cfg.dims:
-        if not (2 <= int(d) <= chmod.MAX_DIM):
-            raise ConfigError(f"dimension {d} outside the supported range [2, {chmod.MAX_DIM}]")
+        try:
+            chmod._check_sizes(int(d), 1)  # the rule and message of a channel file's dim
+        except DimensionMismatchError as exc:
+            raise ConfigError(str(exc)) from exc
     for fam in cfg.families:
         if fam.startswith("named:"):
             for d in cfg.dims:  # a named family is one channel per dimension: build it now
@@ -195,11 +197,11 @@ def _load_input(path, what: str, from_json):
 
     A config, matrix or channel file is read through one key table,
     :data:`chanent.matcore._INPUT_KEYS`, so a key of a wrong type, an integer
-    entry beyond the double range among them, names the key.
+    entry beyond the double range or Python's int among them, names the key.
     """
     try:
         with open(path, encoding="utf-8") as fh:
-            return from_json(json.load(fh))
+            return from_json(json.load(fh, parse_int=matcore._json_int))
     except (OSError, ValueError, RecursionError) as exc:  # a file nested too deep for json recurses
         raise ConfigError(f"could not load {what} file {str(path)!r}: {exc}") from exc
 

@@ -28,6 +28,7 @@ entry has no spectrum: the spectral functions reject it with
 
 from __future__ import annotations
 
+import decimal
 import sys
 
 import numpy as np
@@ -58,7 +59,7 @@ __all__ = [
 
 # Max-entry Hermiticity deviation accepted before symmetrization.
 HERM_TOL = 1e-8
-# Absolute spectral tolerance per matrix dimension (trace checks, PSD clamp).
+# Spectral tolerance per matrix dimension; the PSD clamp's is times max(1, lam_max).
 EIG_TOL_PER_DIM = 1e-9
 # Spectrum entries below this fraction of the largest entry collapse to 0,
 # so rank-deficient spectra stay exactly rank-deficient under q < 1 power
@@ -71,7 +72,7 @@ ZERO_REL_TOL = 1e-12
 
 
 def eig_tol(dim: int) -> float:
-    """Absolute spectral tolerance for a ``dim``-dimensional matrix."""
+    """Spectral tolerance for a ``dim``-dimensional matrix with eigenvalues up to 1."""
     return EIG_TOL_PER_DIM * dim
 
 
@@ -108,12 +109,6 @@ def _require_square(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _first_row_above(row_values: np.ndarray, limit: float) -> float:
-    """The first of the per-matrix values that exceeds ``limit`` or is NaN."""
-    flat = row_values.reshape(-1)
-    return float(flat[np.flatnonzero(~(flat <= limit))[0]])
-
-
 def require_hermitian(deviation: np.ndarray) -> None:
     """Raise :class:`NotHermitianError` if an entry of ``deviation`` exceeds ``HERM_TOL`` or is NaN.
 
@@ -122,7 +117,8 @@ def require_hermitian(deviation: np.ndarray) -> None:
     tolerance, with its max entry.
     """
     if deviation.size and not deviation.max() <= HERM_TOL:
-        worst = _first_row_above(deviation.max(axis=(-2, -1)), HERM_TOL)
+        rows = deviation.max(axis=(-2, -1)).reshape(-1)
+        worst = rows[np.flatnonzero(~(rows <= HERM_TOL))[0]]  # the first over it, or NaN
         raise NotHermitianError(f"Hermiticity deviation {worst:.3e} exceeds {HERM_TOL:.1e}")
 
 
@@ -162,18 +158,20 @@ def partial_trace(x, d: int) -> np.ndarray:
 def clamp_spectrum(values) -> np.ndarray:
     """Clamp a PSD-intended spectrum, or each row of a stack of spectra.
 
-    Entries below ``-eig_tol(m)``, for spectra of ``m`` entries, and NaN
-    entries, raise :class:`NotPositiveError`; remaining entries smaller than
-    ``ZERO_REL_TOL`` times the largest entry of their spectrum (noise from
-    rank-deficient decompositions, negative or positive) become exactly 0.
+    Entries below ``-eig_tol(m) max(1, lam_max)`` (``m`` entries, largest
+    ``lam_max``: rounding scales with it) and NaN entries raise
+    :class:`NotPositiveError`; remaining entries smaller than ``ZERO_REL_TOL``
+    times the largest entry of their spectrum (noise from rank-deficient
+    decompositions, negative or positive) become exactly 0.
     """
     vals = np.asarray(values, dtype=float)
-    neg_tol = eig_tol(vals.shape[-1])
-    if vals.size and not vals.min() >= -neg_tol:
-        lo = -_first_row_above(-vals.min(axis=-1), neg_tol)
-        raise NotPositiveError(f"eigenvalue {lo:.6e} below -{neg_tol:.1e}")
-    cutoff = ZERO_REL_TOL * vals.max(axis=-1, keepdims=True, initial=0.0)
-    return np.where(vals < cutoff, 0.0, vals)
+    top = vals.max(axis=-1, keepdims=True, initial=0.0)
+    neg_tol = eig_tol(vals.shape[-1]) * np.maximum(top, 1.0)
+    bad = np.flatnonzero(~(vals >= -neg_tol).all(axis=-1))
+    if bad.size:
+        lo, tol = vals.min(axis=-1).reshape(-1)[bad[0]], neg_tol.reshape(-1)[bad[0]]
+        raise NotPositiveError(f"eigenvalue {lo:.6e} below -{tol:.1e}")
+    return np.where(vals < ZERO_REL_TOL * top, 0.0, vals)
 
 
 def matrix_to_json(x) -> dict:
@@ -220,6 +218,21 @@ def _is(value, kind) -> bool:
     return isinstance(value, kind) and not isinstance(value, bool)
 
 
+def _json_int(text: str):
+    """A JSON integer literal as an int, or as a ``Decimal``, which no key takes, if it is too long for one."""
+    try:
+        return int(text)
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        return decimal.Decimal(text)
+
+
+def _shown(value) -> str:
+    """A parsed JSON value as an error shows it: an integer of more than 20 digits by its first 12."""
+    if not isinstance(value, (int, decimal.Decimal)) or len(str(value)) <= 20:
+        return repr(value)
+    return f"{str(value)[:12]}... ({len(str(value).lstrip('-'))} digits)"
+
+
 def _json_fields(obj, what: str, *keys, **defaults) -> list:
     """The values of ``keys``, then of ``defaults``' keys, in the input object ``obj``.
 
@@ -240,11 +253,11 @@ def _json_fields(obj, what: str, *keys, **defaults) -> list:
             raise ValueError(f"a {what} object has no key {key!r}, which must be {expected}")
         value = obj[key]
         if not _is(value, kind) or (row is _SIZE and value < 1):
-            got = _JSON_NAMES.get(type(value), "number") if kind is list else repr(value)
+            got = _JSON_NAMES.get(type(value), "number") if kind is list else _shown(value)
             raise ValueError(f"{key!r} must be {expected}, got {got}")
         for i, v in enumerate(value if member else ()):
             if not _is(v, member):
-                raise ValueError(f"{key!r} entry {i} must be {entry}, got {v!r}")
+                raise ValueError(f"{key!r} entry {i} must be {entry}, got {_shown(v)}")
     return [obj[key] for key in keys] + [obj.get(key, value) for key, value in defaults.items()]
 
 

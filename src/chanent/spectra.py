@@ -19,10 +19,15 @@ a stack read at any anti-norm order must be PSD, and a PSD matrix's
 singular values are the absolute values of its eigenvalues, so such a stack
 gets one eigenvalue decomposition for all of its orders, and a stack read
 at norm orders only one SVD.  The channel checks read the profile's ``K``
-spectrum and ``Tr_2 D``, and no spectrum of ``D``.  ``slack`` is signed in
-the passing direction and relative to ``max(|lhs|, |rhs|, 1)``, so one
-tolerance convention covers all magnitudes; an entry whose slack is not
-finite (both sides infinite, say) fails.
+spectrum and ``Tr_2 D``, and no spectrum of ``D``.
+
+Every check compares its sides one way, as ``ln(rhs/lhs)``, which the
+matrix checks take from the spectrum scaled by its extreme entry, and its
+slack is ``(rhs - lhs)/max(lhs, rhs)``, signed in the passing direction.
+The six inequalities are homogeneous, so the slack of ``c X`` is that of
+``X`` however small or large ``c``; an entry passes iff its slack is at
+least ``-tol``, one relative tolerance per check.  A zero input, whose sides
+are both 0, has slack 0; an entry whose slack is not finite fails.
 
 An input the check cannot take raises the error a stack of that input alone
 raises, and of several such inputs the first is named, as a loop over the
@@ -88,13 +93,11 @@ def _regime(q: float) -> str:
 class InequalityBatch:
     """Outcome of one check on a stack of inputs, at one or more orders.
 
-    ``lhs``, ``rhs``, ``slack`` and ``passed`` have shape
-    ``(n_inputs, n_orders)``, with one order column for the checks that take
-    no order; ``directions`` holds the direction of each order.
+    ``slack`` and ``passed`` have shape ``(n_inputs, n_orders)``, with one
+    order column for the checks that take no order; ``directions`` holds the
+    direction of each order.
     """
 
-    lhs: np.ndarray
-    rhs: np.ndarray
     slack: np.ndarray
     passed: np.ndarray
     directions: tuple
@@ -105,32 +108,15 @@ class InequalityBatch:
         return divmod(int(failed[0]), self.passed.shape[1]) if failed.size else None
 
 
-def _batch(lhs, rhs, directions, passed, log_ratio=None, tol=0.0) -> InequalityBatch:
-    """Columns ``(n, k)`` of one check; ``passed`` is the verdict or a function of the slack.
+def _batch(log_ratio, directions, tol: float) -> InequalityBatch:
+    """Columns ``(n, k)`` of one check from ``L = ln(rhs/lhs)``; an entry passes iff its slack is >= ``-tol``.
 
-    ``log_ratio``, if given, holds ``ln(rhs/lhs)`` of positive sides, or NaN
-    where it was not taken, and gives the slack of the entries where it was
-    and a side is not a positive finite double (beyond a double, or 0 from
-    underflow): the larger side is then the scale, and a verdict given as an
-    array is ``slack >= -tol`` there.  An entry whose slack is not finite
-    fails whatever the verdict says.
+    ``(rhs - lhs)/max(lhs, rhs) = sign(L) (-expm1(-|L|))``, and ``-L``
+    gives the slack of a ``>=`` entry; a NaN ``L`` fails.
     """
-    lhs, rhs = np.asarray(lhs, dtype=float), np.asarray(rhs, dtype=float)
-    scale = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1.0)
-    le = np.array([d == "<=" for d in directions])
-    with np.errstate(invalid="ignore"):  # inf - inf: a NaN slack, failed below
-        slack = np.where(le, rhs - lhs, lhs - rhs) / scale
-    if log_ratio is not None:
-        # (lhs - rhs)/max(lhs, rhs) = sign(ln(rhs/lhs)) expm1(-|ln(rhs/lhs)|)
-        scaled = np.sign(log_ratio) * np.expm1(-np.abs(log_ratio))
-        plain = np.isnan(log_ratio) | ((0.0 < lhs) & (lhs < np.inf) & (0.0 < rhs) & (rhs < np.inf))
-        slack = np.where(plain, slack, np.where(le, -scaled, scaled))
-        if not callable(passed):
-            passed = np.where(plain, passed, slack >= -tol)
-    if callable(passed):
-        passed = passed(slack)
-    passed = np.asarray(passed, dtype=bool) & np.isfinite(slack)
-    return InequalityBatch(lhs, rhs, slack, passed, tuple(directions))
+    signed = np.where([d == "<=" for d in directions], log_ratio, -log_ratio)
+    slack = np.sign(signed) * -np.expm1(-np.abs(signed))
+    return InequalityBatch(slack, slack >= -tol, tuple(directions))
 
 
 def _stack(x) -> np.ndarray:
@@ -202,7 +188,9 @@ def _log_power_mean_root(values: np.ndarray, q: float) -> tuple[np.ndarray, np.n
     would lose them to ``(1/q) ln n``.  It forms no product that underflows:
     ``r``, the mean of ``L exprel(q L)``, is ``delta/q``, and
     ``log1p(delta)/q`` is ``r log1p(q r)/(q r)``, whose last factor is 1 at
-    0; as ``q -> 0`` the part tends to the log of the geometric mean.
+    0; as ``q -> 0`` the part tends to the log of the geometric mean.  A row
+    with no positive entry has part 0, so that for ``q > 0`` its log is
+    ``ln(0)/q = -inf``.
     """
     pos = values > 0
     n = pos.sum(axis=-1)
@@ -212,7 +200,7 @@ def _log_power_mean_root(values: np.ndarray, q: float) -> tuple[np.ndarray, np.n
         r = np.where(pos, log_v * exprel(q * log_v), 0.0).sum(axis=-1) / n
         x = q * r
         log1p_ratio = np.divide(np.log1p(x), x, out=np.ones_like(x), where=x != 0.0)
-        return np.log(n), np.log(m[..., 0]) + r * log1p_ratio
+        return np.log(n), np.where(n > 0, np.log(m[..., 0]) + r * log1p_ratio, 0.0)
 
 
 def _extreme(values: np.ndarray, q: float) -> np.ndarray:
@@ -317,54 +305,38 @@ def check_prop1(x, q) -> InequalityBatch:
     regime, positive input).  Passes when the direction holds with relative
     slack above ``-1e-9``; flat spectra saturate it exactly.
 
-    Where a side is not a positive finite double (beyond one at a large
-    order, or 0 where the powers of a tiny spectrum underflow: the input is
-    nonzero, so a zero side is underflow), the sides are compared through the
-    spectrum ``mu`` scaled by its largest entry (its smallest for ``q < 0``):
-    both have degree ``q``, so ``ln(rhs/lhs) = (q-1) ln sum mu**2 + (2-q) ln
-    sum mu - ln sum mu**q``, where each sum of ``mu**q`` lies in ``[1, n]``.
+    Both sides have degree ``q``, so with the spectrum ``mu`` scaled by its
+    largest entry (its smallest for ``q < 0``) and ``a, b, c`` the logs of
+    the sums of ``mu**2``, ``mu`` and ``mu**q``, ``ln(rhs/lhs) = (q-2)(a-b)
+    + (a-c)``, which is exactly 0 at ``q = 1`` and ``q = 2``.
     """
     orders = _orders(q)
     spectra = _Spectra(_stack(x), orders)
-    lhs, rhs, log_ratio = [], [], []
+    log_ratio = []
     for order in orders:
         vals = spectra.for_order(order)
         pos = np.where(vals > 0, vals, 0.0)
         if not (pos > 0).any(axis=-1).all():
             raise InvalidSpectrumError("matrix is zero; the interpolation is undefined")
-        n1 = pos.sum(axis=-1)
-        n2sq = (pos**2).sum(axis=-1)
-        # a side beyond a double, or 0 (a zero sum to a negative power is
-        # infinite), is compared scaled
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            lhs.append((pos**order).sum(axis=-1))
-            rhs.append(n2sq ** (order - 1.0) * n1 ** (2.0 - order))
-        log_ratio.append(np.full(len(pos), np.nan))
-        if not ((0.0 < lhs[-1]) & (lhs[-1] < np.inf) & (0.0 < rhs[-1]) & (rhs[-1] < np.inf)).all():
-            mu = pos / _extreme(pos, order)
-            with np.errstate(over="ignore"):
-                a, b, c = (np.log((mu**p).sum(axis=-1)) for p in (2.0, 1.0, order))
-            log_ratio[-1] = order * (a - b) + (2.0 * b - a - c)
+        mu = pos / _extreme(pos, order)
+        with np.errstate(over="ignore"):  # mu**2 beyond a double (q < 0): a NaN ratio, which fails
+            a, b, c = (np.log((mu**p).sum(axis=-1)) for p in (2.0, 1.0, order))
+        log_ratio.append((order - 2.0) * (a - b) + (a - c))
     directions = ["<=" if 1.0 <= order <= 2.0 else ">=" for order in orders]
-    lhs, rhs, log_ratio = (np.stack(side, axis=1) for side in (lhs, rhs, log_ratio))
-    return _batch(lhs, rhs, directions, lambda s: s >= -1e-9, log_ratio)
+    return _batch(np.stack(log_ratio, axis=1), directions, 1e-9)
 
 
 def check_two_inf_one(x) -> InequalityBatch:
-    """``|X|_2 <= sqrt(|X|_inf * |X|_1)`` for an arbitrary nonzero matrix.
+    """``|X|_2 <= sqrt(|X|_inf * |X|_1)`` for an arbitrary matrix, relative slack above ``-1e-10``.
 
-    Where a side is beyond a double (singular values near ``1e155``), the
-    sides are compared through the singular values ``mu`` scaled by the
-    largest: ``ln(rhs/lhs) = (ln sum mu - ln sum mu**2) / 2``.
+    With the singular values ``mu`` scaled by the largest, ``ln(rhs/lhs) =
+    (ln sum mu - ln sum mu**2) / 2``, and 0 for the zero matrix.
     """
     sv = matcore.singular_values(_stack(x))
-    with np.errstate(over="ignore"):  # a side beyond a double is compared scaled
-        lhs = np.sqrt((sv**2).sum(axis=-1, keepdims=True))
-        rhs = np.sqrt(sv[:, :1] * sv.sum(axis=-1, keepdims=True))
-    with np.errstate(invalid="ignore"):  # a zero input: NaN, and its sides are compared plain
+    with np.errstate(invalid="ignore"):  # 0/0 for the zero matrix, whose log ratio is 0
         mu = sv / sv[:, :1]
-        log_ratio = 0.5 * (np.log(mu.sum(axis=-1)) - np.log((mu**2).sum(axis=-1)))[:, None]
-    return _batch(lhs, rhs, ("<=",), lhs <= rhs + 1e-10, log_ratio, tol=1e-10)
+        log_ratio = 0.5 * (np.log(mu.sum(axis=-1)) - np.log((mu**2).sum(axis=-1)))
+    return _batch(np.where(sv[:, 0] > 0.0, log_ratio, 0.0)[:, None], ("<=",), 1e-10)
 
 
 def check_superop_norm_bound(profile: chmod.ChannelProfile) -> InequalityBatch:
@@ -372,22 +344,17 @@ def check_superop_norm_bound(profile: chmod.ChannelProfile) -> InequalityBatch:
 
     ``|K|_inf <= sqrt(d) * |channel(I/d)|_inf**(1/2)`` for every channel;
     unital channels must additionally satisfy ``|K|_inf <= 1``.  ``rhs`` is
-    the sharper applicable right-hand side.  Both
-    comparisons allow a relative slack of ``TP_TOL``: a Kraus set scaled by
-    ``1 + eps``, admitted while its TP defect ``~2 eps`` is within
-    ``TP_TOL``, scales ``K`` by ``(1 + eps)**2`` and the all-channel
-    right-hand side by ``1 + eps``.  ``channel(I/d) = Tr_2(D)/d`` is PSD, so
-    its spectral norm is its largest eigenvalue.
+    the sharper applicable right-hand side.  The check allows a relative
+    slack of ``TP_TOL``: a Kraus set scaled by ``1 + eps``, admitted while
+    its TP defect ``~2 eps`` is within ``TP_TOL``, scales ``K`` by ``(1 +
+    eps)**2`` and the all-channel right-hand side by ``1 + eps``.
+    ``channel(I/d) = Tr_2(D)/d`` is PSD, so its spectral norm is its largest
+    eigenvalue.
     """
-    d = profile.dim
-    k_inf = profile.superop_spectrum[:, :1]
-    unital = profile.unital[:, None]
-    output_norm = matcore.hermitian_eigenvalues(profile.tr2 / d)[:, :1]
-    bound = math.sqrt(d) * np.sqrt(output_norm)
-    slack = 1.0 + chmod.TP_TOL
-    passed = (k_inf <= bound * slack) & (~unital | (k_inf <= slack))
-    rhs = np.where(unital, np.minimum(bound, 1.0), bound)
-    return _batch(k_inf, rhs, ("<=",), passed)
+    output_norm = matcore.hermitian_eigenvalues(profile.tr2 / profile.dim)[:, 0]
+    bound = math.sqrt(profile.dim) * np.sqrt(output_norm)
+    rhs = np.where(profile.unital, np.minimum(bound, 1.0), bound)
+    return _batch(np.log(rhs / profile.superop_spectrum[:, 0])[:, None], ("<=",), chmod.TP_TOL)
 
 
 @_inputs_in_turn(1)
@@ -395,7 +362,8 @@ def check_antinorm_monotonicity(x, p, q) -> InequalityBatch:
     """``|X|_q <= |X|_p`` for ``0 < p < q`` on a positive matrix, pair by pair.
 
     ``p`` and ``q`` are one order each or two equally long lists of them.
-    Where a side overflows (a small ``p``), their logarithms are compared.
+    The anti-norms' logs are compared as :func:`_log_power_mean_root` parts,
+    with relative slack above ``-1e-10``, and 0 for the zero matrix.
     """
     ps, qs = _orders(p), _orders(q)
     if len(ps) != len(qs):
@@ -403,37 +371,28 @@ def check_antinorm_monotonicity(x, p, q) -> InequalityBatch:
     for lo, hi in zip(ps, qs):
         if not (0.0 < lo < hi):
             raise InvalidOrderError(f"monotonicity check needs 0 < p < q, got p={lo}, q={hi}")
-    stack = _stack(x)
-    spectra = _Spectra(stack, ps + qs)
-    norms: dict = {}
-    lhs, rhs, log_ratio = [], [], []
+    spectra = _Spectra(_stack(x), ps + qs)
+    logs = {order: _log_power_mean_root(spectra.for_order(order), order) for order in dict.fromkeys(qs + ps)}
+    log_ratio = []
     for lo, hi in zip(ps, qs):
-        for order, side in ((hi, lhs), (lo, rhs)):
-            if order not in norms:
-                norms[order] = spectra.schatten(order)
-            side.append(norms[order])
-        log_ratio.append(np.full(len(stack), np.nan))
-        if not (np.isfinite(lhs[-1]) & np.isfinite(rhs[-1])).all():  # a small order overflows
-            (n_hi, hi_part), (n_lo, lo_part) = (_log_power_mean_root(spectra.for_order(o), o) for o in (hi, lo))
-            # ln(n)/p beyond a double is its true inf; a zero input has finite sides
-            with np.errstate(invalid="ignore", over="ignore"):
-                log_ratio[-1] = (n_lo / lo - n_hi / hi) + (lo_part - hi_part)
-    lhs, rhs, log_ratio = (np.stack(side, axis=1) for side in (lhs, rhs, log_ratio))
-    return _batch(lhs, rhs, ("<=",) * len(ps), lhs <= rhs + 1e-10, log_ratio, tol=1e-10)
+        (n_hi, hi_part), (n_lo, lo_part) = logs[hi], logs[lo]
+        # ln(n)/p beyond a double is its true inf; the zero matrix's NaN is replaced
+        with np.errstate(invalid="ignore", over="ignore"):
+            ratio = (n_lo / lo - n_hi / hi) + (lo_part - hi_part)
+        log_ratio.append(np.where((n_lo == -np.inf) & (n_hi == -np.inf), 0.0, ratio))
+    return _batch(np.stack(log_ratio, axis=1), ("<=",) * len(ps), 1e-10)
 
 
 @_inputs_in_turn(2)
 def check_superadditivity(x, y, q) -> InequalityBatch:
     """``|X + Y|_q >= |X|_q + |Y|_q`` in the anti-norm regimes, at every order in ``q``.
 
-    Where a side is not a positive finite double (a small order ``q``, whose
-    root ``1/q`` overflows, or for ``q < 0`` underflows to 0: the input is
-    then strictly positive), the sides are compared through their logarithms,
-    ``ln m + (1/q) ln S`` per anti-norm (taken as :func:`_log_power_mean_root`
-    parts, the ``ln n`` ones subtracted before the division by ``q``) and
-    ``logaddexp`` for the sum.  Down to subnormal orders the slack then tends
-    to ``1 - (G(X) + G(Y))/G(X + Y)``, ``G`` the geometric mean of the
-    eigenvalues.
+    The sides are compared through their logarithms, ``ln m + (1/q) ln S``
+    per anti-norm (taken as :func:`_log_power_mean_root` parts, the ``ln n``
+    ones subtracted before the division by ``q``) and ``logaddexp`` for the
+    sum, with relative slack above ``-1e-10``, and 0 for two zero operands.
+    Down to subnormal orders the slack tends to ``1 - (G(X) + G(Y))/G(X +
+    Y)``, ``G`` the geometric mean of the eigenvalues.
     """
     orders = _orders(q)
     for order in orders:
@@ -443,33 +402,28 @@ def check_superadditivity(x, y, q) -> InequalityBatch:
     if xs.shape != ys.shape:
         raise DimensionMismatchError(f"superadditivity pairs equal stacks, got {xs.shape} and {ys.shape}")
     spectra = _Spectra(np.stack([xs, ys, xs + ys]).reshape(-1, *xs.shape[1:]), orders)  # operands, then sums
-    lhs, rhs, log_ratio = [], [], []
+    log_ratio = []
     for order in orders:
-        a, b, total = spectra.schatten(order).reshape(3, -1)
-        lhs.append(total)
-        rhs.append(a + b)
-        log_ratio.append(np.full(len(xs), np.nan))
-        if not (np.isfinite(total) & np.isfinite(rhs[-1]) & (total > 0) & (rhs[-1] > 0)).all():
-            logs = _log_power_mean_root(spectra.for_order(order), order)
-            (n_a, n_b, n_t), (a, b, t) = (v.reshape(3, -1) for v in logs)
-            # a rank gap over a subnormal q is its true -inf; a zero input: NaN, compared plain
-            with np.errstate(invalid="ignore", over="ignore"):
-                log_ratio[-1] = np.logaddexp((n_a - n_t) / order + a, (n_b - n_t) / order + b) - t
-    lhs, rhs, log_ratio = (np.stack(side, axis=1) for side in (lhs, rhs, log_ratio))
-    return _batch(lhs, rhs, (">=",) * len(orders), lhs >= rhs - 1e-10, log_ratio, tol=1e-10)
+        logs = _log_power_mean_root(spectra.for_order(order), order)
+        (n_a, n_b, n_t), (a, b, t) = (v.reshape(3, -1) for v in logs)
+        # a rank gap over a subnormal q is its true -inf; two zero operands' NaN is replaced
+        with np.errstate(invalid="ignore", over="ignore"):
+            ratio = np.logaddexp((n_a - n_t) / order + a, (n_b - n_t) / order + b) - t
+        log_ratio.append(np.where((n_a == -np.inf) & (n_b == -np.inf), 0.0, ratio))
+    return _batch(np.stack(log_ratio, axis=1), (">=",) * len(orders), 1e-10)
 
 
 def check_norm_product_chain(profile: chmod.ChannelProfile) -> InequalityBatch:
     """Trace-to-Frobenius norm-ratio product of the two representations.
 
     ``(|D|_1/|D|_2) * (|K|_1/|K|_2) >= sqrt(d)`` for every channel and
-    ``>= d`` for unital ones.  ``D`` is PSD, so ``|D|_1 = Tr D = Tr Tr_2
-    D``, and the two Frobenius norms agree because the representations
-    share their entries up to reshuffling: the product is ``Tr D |K|_1 /
-    |K|_2**2``, which reads no spectrum of ``D``.
+    ``>= d`` for unital ones, with relative slack above ``-1e-9``.  ``D`` is
+    PSD, so ``|D|_1 = Tr D = Tr Tr_2 D``, and the two Frobenius norms agree
+    because the representations share their entries up to reshuffling: the
+    product is ``Tr D |K|_1 / |K|_2**2``, which reads no spectrum of ``D``.
     """
     k_sv = profile.superop_spectrum
     trace = np.trace(profile.tr2, axis1=-2, axis2=-1).real
-    ratio = (trace * k_sv.sum(axis=-1) / (k_sv**2).sum(axis=-1))[:, None]
-    bound = np.where(profile.unital, float(profile.dim), math.sqrt(profile.dim))[:, None]
-    return _batch(ratio, bound, (">=",), ratio >= bound - 1e-9)
+    ratio = trace * k_sv.sum(axis=-1) / (k_sv**2).sum(axis=-1)
+    bound = np.where(profile.unital, float(profile.dim), math.sqrt(profile.dim))
+    return _batch(np.log(bound / ratio)[:, None], (">=",), 1e-9)

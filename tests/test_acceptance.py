@@ -188,8 +188,9 @@ def test_criterion_5_norm_chain_suite(capsys):
             batch = check(profile)
             assert batch.first_failure() is None, ids[batch.first_failure()[0]]
             min_slack = min(min_slack, float(batch.slack.min()))
-        for cid, unital, ratio in zip(ids, profile.unital, batch.lhs[:, 0]):  # the chain's ratio
+        for cid, unital, ch in zip(ids, profile.unital, chs):
             if unital:
+                ratio = oracles.check_norm_product_chain(ch).lhs  # the chain's ratio
                 assert ratio >= d - 1e-9, (cid, ratio)
                 min_unital_ratio = min(min_unital_ratio, ratio / d)
     ok = min_slack >= -1e-9

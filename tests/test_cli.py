@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -11,6 +12,15 @@ from hypothesis import strategies as st
 from chanent import channel as chmod
 from chanent import cli, matcore, sampler, spectra, tradeoff
 from chanent.errors import DomainError, SingularNormalizerError
+
+
+def json_text(obj) -> str:
+    """``json.dumps(obj)`` with each string ``"<n digits>"`` written as an integer literal of ``n`` digits.
+
+    Python's int-string limit keeps ``json.dumps`` from writing one of more
+    than 4300 digits.
+    """
+    return re.sub(r'"<(\d+) digits>"', lambda m: "1" + "0" * (int(m[1]) - 1), json.dumps(obj))
 
 
 def read_csv_rows(path):
@@ -141,19 +151,23 @@ class TestSweep:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "finite" in err
 
-    # an integer order beyond the double range raised OverflowError, a traceback
+    # an integer order beyond the double range raised OverflowError, a
+    # traceback; one of more than 4300 digits failed json.load with a message
+    # that named no key, and one of 401 digits was echoed whole
     @pytest.mark.parametrize("key, value", [
         ("samples_per_family", "3"), ("dims", 3), ("q_grid", [2.0, "3"]), ("seed", True),
         pytest.param("q_grid", [10**400], id="q_grid-10**400"),
         pytest.param("s_grid", [-(10**400)], id="s_grid--10**400"),
+        pytest.param("q_grid", ["<5000 digits>"], id="q_grid-5000-digits"),
+        pytest.param("seed", "<5000 digits>", id="seed-5000-digits"),
     ])
     def test_rejects_mistyped_config_value(self, tmp_path, capsys, key, value):
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({key: value}))
+        cfg_path.write_text(json_text({key: value}))
         out = tmp_path / "x"
         assert cli.main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("config error:") and repr(key) in err
+        assert err.startswith("config error:") and repr(key) in err and "0" * 20 not in err
         assert not (out / "summary.json").exists() and not (out / "report.csv").exists()
 
     @pytest.mark.parametrize("flag", ["--config", "--channel"])
@@ -312,6 +326,16 @@ class TestSweep:
         assert capsys.readouterr().err == f"config error: could not load channel file {str(ch_path)!r}: {message}\n"
         assert not out.exists()
 
+    def test_dimension_rule_is_one_for_flags_and_channel_files(self, tmp_path, capsys):
+        # --dims 17 said "dimension 17 outside the supported range [2, 16]"
+        ch_path = tmp_path / "d17.json"
+        ch_path.write_text(json.dumps({"dim": 17, "kraus": [matcore.matrix_to_json(np.eye(17))]}))
+        assert cli.main(["sweep", "--dims", "17", "--out", str(tmp_path / "x")]) == 2
+        flag = capsys.readouterr().err
+        assert cli.main(["sweep", "--channel", str(ch_path), "--out", str(tmp_path / "y")]) == 2
+        message = "system dimension must be in [2, 16], got 17\n"
+        assert flag == f"config error: {message}" and capsys.readouterr().err.endswith(f": {message}")
+
     def test_channel_file_dim_is_an_integer(self, tmp_path, capsys):
         # "dim": 2.7 ran as d = 2
         ch_path = tmp_path / "frac.json"
@@ -328,19 +352,22 @@ class TestSweep:
         ([True, 0.0, 0.0, 1.0], [0.0] * 4),
         ([[1.0, 0.0], [0.0, 1.0]], [[0.0, 0.0], [0.0, 0.0]]),
         pytest.param([10**400, 0.0, 0.0, 1.0], [0.0] * 4, id="10**400"),
+        pytest.param(["<5000 digits>", 0.0, 0.0, 1.0], [0.0] * 4, id="5000-digits"),
     ])
     def test_input_file_entries_are_json_numbers(self, tmp_path, capsys, re, im):
         # numpy alone reads the first three as the identity, which passes, and
-        # raised OverflowError on the last
+        # raised OverflowError on 10**400, whose message then echoed its 401
+        # digits; json.load refused 5000 digits with a message naming no key
         matrix = {"rows": 2, "cols": 2, "re": re, "im": im}
-        (tmp_path / "m.json").write_text(json.dumps(matrix))
-        (tmp_path / "ch.json").write_text(json.dumps({"dim": 2, "kraus": [matrix]}))
+        (tmp_path / "m.json").write_text(json_text(matrix))
+        (tmp_path / "ch.json").write_text(json_text({"dim": 2, "kraus": [matrix]}))
         out = tmp_path / "x"
         for argv in (["inequalities", "--matrix", str(tmp_path / "m.json"), "--only", "21in"],
                      ["sweep", "--channel", str(tmp_path / "ch.json")]):
             assert cli.main([*argv, "--out", str(out)]) == 2
             err = capsys.readouterr().err
             assert err.startswith("config error:") and "'re' entry 0 must be a number" in err
+            assert "0" * 20 not in err
             assert not out.exists()
 
     @pytest.mark.parametrize("flag, value, cell", [("--s", "1e6", "q=0.3, s=1000000.0"),
@@ -732,15 +759,14 @@ class TestInequalities:
         assert out.is_dir() and not any(out.iterdir())
 
     def test_non_finite_slack_fails_the_run(self, tmp_path, capsys, monkeypatch):
-        # sups with both sides infinite and no scaled comparison: its slack is
+        # sups with a NaN log ratio (both sides infinite, say): its slack is
         # NaN, so the check fails, with no minimum slack (JSON null, not the
         # non-standard Infinity)
         check = spectra.check_superadditivity
 
         def overflowing(x, y, q):
             batch = check(x, y, q)
-            inf = np.full(batch.lhs.shape, np.inf)
-            return spectra._batch(inf, inf, batch.directions, batch.passed)
+            return spectra._batch(np.full(batch.slack.shape, np.nan), batch.directions, 1e-10)
 
         monkeypatch.setattr(spectra, "check_superadditivity", overflowing)
         out = tmp_path / "nan-slack"
@@ -782,6 +808,17 @@ class TestInequalities:
         check = json.loads((out / "summary.json").read_text(), parse_constant=pytest.fail)["checks"]["prop1"]
         want = spectra.check_prop1(np.diag([1.0, 0.1])[None], 3.0).slack[0, 0]
         assert check["passed"] and check["min_slack"] == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("only", ["sups", "npqr", "prop1"])
+    def test_large_rank_one_matrix_is_psd(self, tmp_path, only):
+        # 1e7 v v^dag, lam_max 1.14e9, has an eigenvalue of about -8.7e-8
+        # from rounding, 7.7e-17 of lam_max, which the PSD check rejected
+        # below an absolute -6.0e-09
+        v = np.arange(1, 7) * (1 + 0.5j)
+        mat_path = tmp_path / "rank1.json"
+        mat_path.write_text(json.dumps(matcore.matrix_to_json(1e7 * np.outer(v, v.conj()))))
+        out = tmp_path / "rank1"
+        assert cli.main(["inequalities", "--matrix", str(mat_path), "--only", only, "--q", "0.5", "--out", str(out)]) == 0
 
     @pytest.mark.parametrize("q", ["600", "1e300"])
     def test_large_q_inequalities_pass(self, tmp_path, q):

@@ -157,6 +157,13 @@ class TestClampSpectrum:
         with pytest.raises(NotPositiveError):
             matcore.clamp_spectrum(np.array([1.0, -1e-3]))
 
+    def test_negative_threshold_scales_with_the_largest_entry(self):
+        # a decomposition's rounding scales with lam_max: -1 is within
+        # eig_tol(2) lam_max = 2 of 0 in a spectrum whose largest entry is 1e9
+        np.testing.assert_array_equal(matcore.clamp_spectrum(np.array([1e9, -1.0])), [1e9, 0.0])
+        with pytest.raises(NotPositiveError, match=r"^eigenvalue -3.000000e\+00 below -2.0e\+00$"):
+            matcore.clamp_spectrum(np.array([[1.0, 0.0], [1e9, -3.0]]))
+
     def test_nan_rejected(self):
         rows = np.array([[2.0, 1.0], [1.0, np.nan]])
         with pytest.raises(NotPositiveError, match="eigenvalue nan"):

@@ -169,9 +169,17 @@ class TestCheckProp1:
         assert batch.passed.all() and np.abs(batch.slack).max() <= 1e-10
 
     def test_rank_one_saturates(self):
-        batch = spectra.check_prop1(np.diag([1.0, 0.0, 0.0])[None], 3.0)
+        x = np.diag([1.0, 0.0, 0.0])
+        batch = spectra.check_prop1(x[None], 3.0)
         assert batch.passed.all() and abs(batch.slack[0, 0]) <= 1e-10
-        assert batch.lhs[0, 0] == pytest.approx(1.0) and batch.rhs[0, 0] == pytest.approx(1.0)
+        want = oracles.check_prop1(x, 3.0)
+        assert want.lhs == pytest.approx(1.0) and want.rhs == pytest.approx(1.0) and want.slack == 0.0
+
+    def test_identities_at_one_and_two_read_exactly_zero(self):
+        # at q = 1 and q = 2 both sides are the same sum
+        for x in (_psd_stack(3, 201), _rank_deficient_stack(931)):
+            batch = spectra.check_prop1(x, [1.0, 2.0])
+            assert batch.passed.all() and (batch.slack == 0.0).all()
 
     def test_direction_flips_at_two(self):
         rng = np.random.default_rng(73)
@@ -191,13 +199,14 @@ class TestCheckProp1:
 
     @pytest.mark.parametrize("q", [600.0, 1e300])
     def test_large_orders_compare_the_sides_scaled(self, q):
-        # the power sums overflow (without a warning) for the suite's first
-        # d = 2 inputs, whose largest eigenvalue reaches 11.7, and for 20 I, which
+        # the power sums are beyond a double for the suite's first d = 2
+        # inputs, whose largest eigenvalue reaches 11.7, and for 20 I, which
         # saturates; the slack is the exact one of the unrounded sides, with
         # digits to spare beyond the log10(q) that the exponents take
         x = np.concatenate([_psd_stack(2, 201, 8), [20.0 * np.eye(2), np.diag([2.0, 1.0])]])
+        with np.errstate(over="ignore"):
+            assert not np.isfinite(matcore.singular_values(x) ** q).all()
         batch = spectra.check_prop1(x, q)
-        assert not np.isfinite(batch.lhs).all()
         assert batch.passed.all()
         with mpmath.workdps(30 + int(math.log10(q))):
             order = mpmath.mpf(q)
@@ -205,16 +214,14 @@ class TestCheckProp1:
                 vals = [mpmath.mpf(float(v)) for v in matcore.singular_values(m)]
                 lhs = mpmath.fsum(v**order for v in vals)
                 rhs = mpmath.fsum(v**2 for v in vals) ** (order - 1) * mpmath.fsum(vals) ** (2 - order)
-                assert abs(slack - float((lhs - rhs) / max(lhs, rhs, 1))) <= 1e-12
+                assert abs(slack - float((lhs - rhs) / max(lhs, rhs))) <= 1e-12
 
     @pytest.mark.parametrize("q", [0.5, 1.5, 3.0, 4.0])
     def test_tiny_spectra_compare_the_sides_scaled(self, q):
-        # the powers of diag(1e-200, 1e-201) underflow, so a side is 0 (or,
-        # as a zero to a negative power, infinite); the slack is that of the
-        # same matrix scaled
+        # the squares of diag(1e-200, 1e-201) underflow, so |X|_2 is 0 as a
+        # double; the slack is that of the same matrix scaled
+        assert (np.array([1e-200, 1e-201]) ** 2).sum() == 0.0
         batch = spectra.check_prop1(np.diag([1e-200, 1e-201])[None], [q])
-        sides = np.concatenate([batch.lhs, batch.rhs])
-        assert not ((0.0 < sides) & (sides < np.inf)).all()
         want = spectra.check_prop1(np.diag([1.0, 0.1])[None], q).slack[0, 0]
         assert batch.passed.all() and want > 1e-3
         assert batch.slack[0, 0] == pytest.approx(want, rel=1e-12)
@@ -237,13 +244,14 @@ class TestCheckTwoInfOne:
         assert batch.passed[0, 0] and batch.slack[0, 0] > 1e-3
 
     def test_large_entries_compare_the_sides_in_logs(self):
-        # 3e155**2 overflows, so both sides of the first matrix are infinite:
-        # its slack comes from the singular values scaled by the largest, and
-        # equals the plain slack of diag(3, 1), 1 - sqrt(10/12); the zero
-        # matrix in the same stack keeps the plain form
+        # 3e155**2 overflows, so both sides of the first matrix are beyond a
+        # double: its slack comes from the singular values scaled by the
+        # largest, and equals the slack of diag(3, 1), 1 - sqrt(10/12); the
+        # zero matrix in the same stack has slack 0
         x = np.stack([np.diag([3e155, 1e155]), np.diag([3.0, 1.0]), np.zeros((2, 2))])
+        with np.errstate(over="ignore"):
+            assert np.float64(3e155) ** 2 == math.inf
         batch = spectra.check_two_inf_one(x)
-        assert batch.lhs[0, 0] == batch.rhs[0, 0] == math.inf
         assert batch.passed.all() and batch.slack[2, 0] == 0.0
         assert abs(batch.slack[0, 0] - (1.0 - math.sqrt(10.0 / 12.0))) <= 1e-15
         assert abs(batch.slack[0, 0] - batch.slack[1, 0]) <= 1e-15
@@ -251,10 +259,11 @@ class TestCheckTwoInfOne:
 
 class TestCheckSuperopNormBound:
     def test_identity_channel_saturates_unital_bound(self):
-        batch = spectra.check_superop_norm_bound(profile(sampler.named_channel("identity", 2)))
-        assert batch.passed[0, 0]
-        assert batch.lhs[0, 0] == pytest.approx(1.0, abs=1e-12)
-        assert batch.rhs[0, 0] == pytest.approx(1.0, abs=1e-12)
+        ch = sampler.named_channel("identity", 2)
+        batch = spectra.check_superop_norm_bound(profile(ch))
+        assert batch.passed[0, 0] and abs(batch.slack[0, 0]) <= 1e-12
+        want = oracles.check_superop_norm_bound(ch)
+        assert want.lhs == pytest.approx(1.0, abs=1e-12) and want.rhs == pytest.approx(1.0, abs=1e-12)
 
     def test_completely_depolarizing_saturates(self):
         batch = spectra.check_superop_norm_bound(profile(sampler.named_channel("completely-depolarizing", 2)))
@@ -264,15 +273,17 @@ class TestCheckSuperopNormBound:
         # admitted within TP_TOL with its Kraus set scaled by 1 + 4.5e-9:
         # |K|_inf = (1 + 4.5e-9)**2 against the unital bound 1
         ch = noisy_depolarizing()
-        batch = spectra.check_superop_norm_bound(profile(ch))
-        assert batch.lhs[0, 0] == pytest.approx(1.0 + 9e-9, abs=1e-12)
+        prof = profile(ch)
+        batch = spectra.check_superop_norm_bound(prof)
+        assert prof.superop_spectrum[0, 0] == pytest.approx(1.0 + 9e-9, abs=1e-12)
+        assert batch.slack[0, 0] == pytest.approx(-9e-9, abs=1e-12)
         assert batch.passed[0, 0] and oracles.check_superop_norm_bound(ch).passed
 
     def test_tp_noisy_unitary_passes(self):
         # the bound is tight on a unitary channel, so any scale error reaches it
         ch = chmod.check_kraus_stack(sampler.named_channel("unitary", 3, 0.7)[None] * (1.0 + 4.5e-9))[0]
         batch = spectra.check_superop_norm_bound(profile(ch))
-        assert batch.lhs[0, 0] > 1.0 + 8e-9
+        assert batch.slack[0, 0] < -8e-9
         assert batch.passed[0, 0] and oracles.check_superop_norm_bound(ch).passed
 
     @pytest.mark.parametrize("excess, passed", [(0.5e-8, True), (2e-8, False)])
@@ -303,17 +314,18 @@ class TestCheckAntinormMonotonicity:
         # |X|_p overflows at p = 1e-5, and exceeds |X|_q by a factor beyond a double
         x = random_psd(np.random.default_rng(107), 4)[None]
         batch = spectra.check_antinorm_monotonicity(x, 1e-5, 0.5)
-        assert batch.rhs[0, 0] == math.inf and batch.passed[0, 0] and batch.slack[0, 0] == 1.0
+        assert spectra.schatten_antinorm(x, 1e-5)[0] == math.inf
+        assert batch.passed[0, 0] and batch.slack[0, 0] == 1.0
 
     def test_flat_spectrum(self):
+        # |I|_{1/2} = 4 against |I|_{1/3} = 8
         batch = spectra.check_antinorm_monotonicity(np.eye(2)[None], 1.0 / 3.0, 0.5)
-        assert batch.passed[0, 0]
-        assert batch.lhs[0, 0] == pytest.approx(4.0) and batch.rhs[0, 0] == pytest.approx(8.0)
+        assert batch.passed[0, 0] and batch.slack[0, 0] == pytest.approx(0.5, abs=1e-15)
 
     def test_worked_example(self):
+        # |X|_1 = 5 against |X|_{1/2} = 9
         batch = spectra.check_antinorm_monotonicity(np.diag([1.0, 4.0])[None], 0.5, 1.0)
-        assert batch.passed[0, 0]
-        assert batch.lhs[0, 0] == pytest.approx(5.0) and batch.rhs[0, 0] == pytest.approx(9.0)
+        assert batch.passed[0, 0] and batch.slack[0, 0] == pytest.approx(4.0 / 9.0, abs=1e-15)
 
     def test_random_psd(self):
         rng = np.random.default_rng(89)
@@ -340,12 +352,12 @@ class TestCheckSuperadditivity:
     def test_equal_flat_operands_saturate(self):
         batch = spectra.check_superadditivity(np.eye(3)[None], np.eye(3)[None], 0.5)
         assert batch.passed[0, 0] and abs(batch.slack[0, 0]) <= 1e-12
-        assert batch.lhs[0, 0] == pytest.approx(18.0)  # |2 I|_{1/2} = (3 sqrt(2))**2
+        assert spectra.schatten_antinorm(2.0 * np.eye(3), 0.5) == pytest.approx(18.0)  # (3 sqrt(2))**2
 
     def test_commuting_rank_deficient(self):
+        # |I|_{1/2} = 4 against 1 + 1
         batch = spectra.check_superadditivity(np.diag([1.0, 0.0])[None], np.diag([0.0, 1.0])[None], 0.5)
-        assert batch.passed[0, 0]
-        assert batch.lhs[0, 0] == pytest.approx(4.0) and batch.rhs[0, 0] == pytest.approx(2.0)
+        assert batch.passed[0, 0] and batch.slack[0, 0] == pytest.approx(0.5, abs=1e-15)
 
     def test_random_pairs(self):
         rng = np.random.default_rng(97)
@@ -361,14 +373,14 @@ class TestCheckSuperadditivity:
     @pytest.mark.parametrize("q", [1e-5, 3e-16, 1e-300, -1e-5, -1e-300])
     def test_small_orders_compare_the_sides_in_logs(self, q):
         # (sum lambda**q)**(1/q) overflows once 1/q is large, and underflows
-        # to 0 once -1/q is: both sides are infinite, or 0, and the slack
-        # comes from their logarithms, here against the anti-norms in high
-        # precision (the inputs are positive definite)
+        # to 0 once -1/q is: both sides are infinite, or 0, as doubles, and
+        # the slack comes from their logarithms, here against the anti-norms
+        # in high precision (the inputs are positive definite)
         rng = np.random.default_rng(103)
         for n in (2, 5):
             x, y = random_psd(rng, n), random_psd(rng, n)
             batch = spectra.check_superadditivity(x[None], y[None], q)
-            assert batch.lhs[0, 0] == batch.rhs[0, 0] == (math.inf if q > 0 else 0.0)
+            assert spectra.schatten_antinorm(x + y, q) == (math.inf if q > 0 else 0.0)
             assert batch.passed[0, 0] and abs(batch.slack[0, 0] - mp_superadditivity_slack(x, y, q)) <= 1e-12
 
     @pytest.mark.parametrize("q", [1e-310, 1e-320, 5e-324, -1e-310])
@@ -385,7 +397,7 @@ class TestCheckSuperadditivity:
                 total, a, b = (mpmath.exp(mpmath.fsum(mpmath.log(mpmath.re(v)) for v in e) / n) for e in eigs)
                 want = float(1 - (a + b) / total)
             batch = spectra.check_superadditivity(x[None], y[None], q)
-            assert batch.lhs[0, 0] == batch.rhs[0, 0] == (math.inf if q > 0 else 0.0)
+            assert spectra.schatten_antinorm(x + y, q) == (math.inf if q > 0 else 0.0)
             assert batch.passed[0, 0] and abs(batch.slack[0, 0] - want) <= 1e-15
 
     def test_small_orders_keep_the_saturation(self):
@@ -400,10 +412,9 @@ class TestCheckNormProductChain:
         for family, d, ids, ops in pop:
             batch = spectra.check_norm_product_chain(chmod.profile_channel(ops, ids))
             assert batch.first_failure() is None, (family, d, batch.first_failure())
-            if family in ("unitary-mixture", "unistochastic"):
-                assert (batch.lhs >= d - 1e-9).all()
-            else:
-                assert (batch.lhs >= math.sqrt(d) - 1e-9).all()
+            bound = d if family in ("unitary-mixture", "unistochastic") else math.sqrt(d)
+            for ch in ops:
+                assert oracles.check_norm_product_chain(ch).lhs >= bound - 1e-9
 
     def test_trace_route_matches_the_oracle(self):
         # the check reads Tr D and |K|_2 for |D|_1 and |D|_2; the oracle
@@ -419,7 +430,6 @@ class TestCheckNormProductChain:
         for ch in [*sampled, *named, noisy_depolarizing()]:
             batch = spectra.check_norm_product_chain(profile(ch))
             want = oracles.check_norm_product_chain(ch)
-            assert abs(batch.lhs[0, 0] - want.lhs) <= 1e-12 * max(want.lhs, 1.0)
             assert abs(batch.slack[0, 0] - want.slack) <= 1e-12
             assert batch.passed[0, 0] == want.passed
 
@@ -529,6 +539,34 @@ class TestBatchedChecksMatchOracles:
             profile(*[sampler.named_channel("identity", d) for d in (2, 3)])
 
 
+class TestScaleInvariance:
+    """The six inequalities are homogeneous: the slack of ``c X`` is that of ``X``, however small or large ``c``."""
+
+    CHECKS = {
+        "prop1": lambda x: spectra.check_prop1(x, SUITE.q_grid),
+        "21in": spectra.check_two_inf_one,
+        "npqr": lambda x: spectra.check_antinorm_monotonicity(x, *zip(*MONOTONICITY_PAIRS)),
+        "sups": lambda x: spectra.check_superadditivity(x, x[::-1] + 0.0, (0.3, 0.5, 0.9)),
+    }
+
+    @pytest.mark.parametrize("name", CHECKS)
+    @pytest.mark.parametrize("d", [2, 3, None], ids=["d2", "d3", "rank-deficient"])
+    def test_slack_of_a_scaled_stack(self, name, d):
+        if d is None:
+            x = _rank_deficient_stack(931)
+        elif name == "21in":
+            x = _ginibre_stack(d, 202)
+        else:
+            # made exactly Hermitian: the Hermiticity check's HERM_TOL is
+            # absolute, and 1e150 times G G^dag's rounding exceeds it
+            x = _psd_stack(d, 201)
+            x = (x + x.conj().swapaxes(-2, -1)) / 2.0
+        want = self.CHECKS[name](x).slack
+        for c in (1e-150, 1e-6, 1e6, 1e150):
+            batch = self.CHECKS[name](c * x)
+            assert batch.passed.all() and np.abs(batch.slack - want).max() <= 1e-12, c
+
+
 def _first_error(fn):
     """``(class, message)`` of the error ``fn()`` raises."""
     with pytest.raises(Exception) as info:
@@ -615,13 +653,6 @@ class TestSpectrumRoutes:
         monkeypatch.setattr(matcore, name, lambda x: calls.append(len(x)) or original(x))
         return calls
 
-    @staticmethod
-    def _assert_sides_match(batch, oracle):
-        for i, row in enumerate(oracle):
-            for j, rep in enumerate(row):
-                for got, want in ((batch.lhs[i, j], rep.lhs), (batch.rhs[i, j], rep.rhs)):
-                    assert abs(got - want) <= 1e-13 * max(abs(want), 1.0), (i, j)
-
     @pytest.mark.parametrize("orders", [(2.0, 0.5, 3.0, 1.0), (0.5, 1.5, 2.0), (1.0, 3.0, -0.5)])
     def test_prop1_takes_no_svd_of_a_psd_stack(self, monkeypatch, orders):
         x = _psd_stack(3, 201, 40)
@@ -630,7 +661,7 @@ class TestSpectrumRoutes:
         batch = spectra.check_prop1(x, orders)
         assert svd == [] and eig == [len(x)]
         monkeypatch.undo()  # the oracle takes the SVD at norm orders
-        self._assert_sides_match(batch, [[oracles.check_prop1(m, q) for q in orders] for m in x])
+        _assert_matches(batch, [[oracles.check_prop1(m, q) for q in orders] for m in x])
 
     def test_npqr_takes_no_svd_of_a_psd_stack(self, monkeypatch):
         x = _psd_stack(2, 203, 40)
@@ -640,8 +671,7 @@ class TestSpectrumRoutes:
         batch = spectra.check_antinorm_monotonicity(x, *zip(*pairs))
         assert svd == [] and eig == [len(x)]
         monkeypatch.undo()
-        oracle = [[oracles.check_antinorm_monotonicity(m, p, q) for p, q in pairs] for m in x]
-        self._assert_sides_match(batch, oracle)
+        _assert_matches(batch, [[oracles.check_antinorm_monotonicity(m, p, q) for p, q in pairs] for m in x])
 
     def test_norm_orders_alone_take_the_svd(self, monkeypatch):
         # singular values need neither a square nor a Hermitian matrix
@@ -657,16 +687,26 @@ class TestFirstFailure:
     def test_first_failing_input_is_named(self):
         passed = np.ones((10, 3), dtype=bool)
         passed[7, 0] = passed[3, 2] = False
-        zeros = np.zeros((10, 3))
-        batch = spectra.InequalityBatch(zeros, zeros, zeros, passed, ("<=",) * 3)
+        batch = spectra.InequalityBatch(np.zeros((10, 3)), passed, ("<=",) * 3)
         assert batch.first_failure() == (3, 2)
         passed[:] = True
         assert batch.first_failure() is None
 
     def test_non_finite_slack_fails(self):
-        # both sides inf and no scaled comparison: the slack is NaN, and the
-        # entry fails whatever its verdict says
-        sides = np.array([[math.inf, 2.0]])
-        batch = spectra._batch(sides, sides, (">=", ">="), np.array([[True, True]]))
+        # a NaN log ratio (both sides infinite, say) gives a NaN slack, and
+        # the entry fails whatever the tolerance
+        batch = spectra._batch(np.array([[math.nan, 0.0]]), (">=", ">="), math.inf)
         assert np.isnan(batch.slack[0, 0]) and batch.slack[0, 1] == 0.0
         assert batch.passed.tolist() == [[False, True]] and batch.first_failure() == (0, 0)
+
+    @pytest.mark.parametrize("direction", ["<=", ">="])
+    def test_slack_from_the_log_ratio(self, direction):
+        # (rhs - lhs)/max(lhs, rhs) for sides (lhs, rhs) = (1, 4), (4, 1), (1, 1),
+        # (0, 1) and (1, 0), negated for >=
+        lhs, rhs = np.array([[1.0, 4.0, 1.0, 0.0, 1.0], [4.0, 1.0, 1.0, 1.0, 0.0]])
+        with np.errstate(divide="ignore"):
+            log_ratio = (np.log(rhs) - np.log(lhs))[:, None]
+        batch = spectra._batch(log_ratio, (direction,), 0.5)
+        want = np.array([0.75, -0.75, 0.0, 1.0, -1.0]) * (1.0 if direction == "<=" else -1.0)
+        assert np.abs(batch.slack[:, 0] - want).max() <= 1e-16
+        assert batch.passed[:, 0].tolist() == (want >= -0.5).tolist()
