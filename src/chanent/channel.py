@@ -33,8 +33,9 @@ Each spectrum is one SVD, and neither decomposes ``D`` itself:
   ``T = (I + iF)/sqrt(2)`` then makes ``T K T^dag = Re K - Im(F K)`` real,
   with the singular values of ``K``, and one real SVD of that matrix
   replaces the complex SVD of ``K``.  A ``K`` whose ``conj(K) - F K F``
-  exceeds ``HERM_TOL`` in some entry is not Hermiticity preserving and is
-  rejected with :class:`~chanent.errors.NotHermitianError`.
+  exceeds ``HERM_TOL`` times its largest entry in some entry is not
+  Hermiticity preserving and is rejected with
+  :class:`~chanent.errors.NotHermitianError`.
 
 One tolerance decides both numerical predicates: a channel is admitted as
 trace preserving iff its TP defect (max entry of ``sum_i A_i^dag A_i - I``)
@@ -174,14 +175,14 @@ def superoperator_spectrum(sup, d: int) -> np.ndarray:
 
     Taken by one real SVD of ``Re K - Im(F K)``; raises
     :class:`~chanent.errors.NotHermitianError` when ``conj(K) - F K F``
-    exceeds ``HERM_TOL`` in some entry, that is when ``K`` does not come
-    from a Hermitian ``D``.
+    exceeds ``HERM_TOL`` times ``K``'s largest entry in some entry, that is
+    when ``K`` does not come from a Hermitian ``D``.
     """
     t = _blocks(sup, d)  # t[a, b, m, n] = K[a*d+b, m*d+n]
-    lead = t.shape[:-4]
     ftf = t.swapaxes(-4, -3).swapaxes(-2, -1)
-    matcore.require_hermitian(np.abs(t.conj() - ftf).reshape(*lead, d * d, d * d))
-    real = (t.real - t.swapaxes(-4, -3).imag).reshape(*lead, d * d, d * d)
+    k = t.reshape(*t.shape[:-4], d * d, d * d)
+    matcore.require_hermitian(np.abs(t.conj() - ftf).reshape(k.shape), k)
+    real = (t.real - t.swapaxes(-4, -3).imag).reshape(k.shape)
     return matcore.clamp_spectrum(matcore.singular_values(real))
 
 

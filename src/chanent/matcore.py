@@ -57,9 +57,12 @@ __all__ = [
     "matrix_from_json",
 ]
 
-# Max-entry Hermiticity deviation accepted before symmetrization.
+# Every tolerance is relative to the input's own scale, so that c X passes
+# or fails a check as X does, for any c > 0.
+# Max-entry Hermiticity deviation accepted before symmetrization, as a
+# fraction of the matrix's largest entry.
 HERM_TOL = 1e-8
-# Spectral tolerance per matrix dimension; the PSD clamp's is times max(1, lam_max).
+# Spectral tolerance per matrix dimension; the PSD clamp's is times max |lam|.
 EIG_TOL_PER_DIM = 1e-9
 # Spectrum entries below this fraction of the largest entry collapse to 0,
 # so rank-deficient spectra stay exactly rank-deficient under q < 1 power
@@ -72,7 +75,7 @@ ZERO_REL_TOL = 1e-12
 
 
 def eig_tol(dim: int) -> float:
-    """Spectral tolerance for a ``dim``-dimensional matrix with eigenvalues up to 1."""
+    """Spectral tolerance for a ``dim``-dimensional matrix, relative to its largest ``|eigenvalue|``."""
     return EIG_TOL_PER_DIM * dim
 
 
@@ -109,29 +112,33 @@ def _require_square(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def require_hermitian(deviation: np.ndarray) -> None:
-    """Raise :class:`NotHermitianError` if an entry of ``deviation`` exceeds ``HERM_TOL`` or is NaN.
+def require_hermitian(deviation: np.ndarray, x: np.ndarray) -> None:
+    """Raise :class:`NotHermitianError` if ``deviation`` exceeds ``HERM_TOL`` times ``x``'s largest entry, or is NaN.
 
-    ``deviation`` is the entrywise deviation from Hermiticity of a matrix, or
-    of each matrix of a stack; the error names the first matrix over the
-    tolerance, with its max entry.
+    ``deviation`` is the entrywise deviation from Hermiticity of the matrix
+    ``x``, or of each matrix of a stack ``x``.  Each matrix's largest entry
+    is its scale, so ``c X`` passes iff ``X`` does, and a zero matrix
+    passes; the error names the first matrix over its tolerance, with its
+    max deviation and its scale.
     """
-    if deviation.size and not deviation.max() <= HERM_TOL:
-        rows = deviation.max(axis=(-2, -1)).reshape(-1)
-        worst = rows[np.flatnonzero(~(rows <= HERM_TOL))[0]]  # the first over it, or NaN
-        raise NotHermitianError(f"Hermiticity deviation {worst:.3e} exceeds {HERM_TOL:.1e}")
+    rows = deviation.max(axis=(-2, -1), initial=0.0).reshape(-1)
+    scale = np.abs(x).max(axis=(-2, -1), initial=0.0).reshape(-1)
+    bad = np.flatnonzero(~(rows <= HERM_TOL * scale))  # over it, or NaN
+    if bad.size:
+        raise NotHermitianError(f"Hermiticity deviation {rows[bad[0]]:.3e} exceeds {HERM_TOL:.1e} "
+                                f"times the largest entry, {scale[bad[0]]:.3e}")
 
 
 def hermitian_eigenvalues(x) -> np.ndarray:
     """Eigenvalues of a Hermitian matrix, or of each matrix of a stack, descending.
 
     The input is symmetrized as ``(X + X^dag)/2`` before decomposition;
-    deviations above ``HERM_TOL`` (max entry) are rejected instead of
-    silently averaged away.
+    deviations above ``HERM_TOL`` times the largest entry are rejected
+    instead of silently averaged away.
     """
     m = _require_square(_finite_matrices(x))
     adj = m.conj().swapaxes(-2, -1)
-    require_hermitian(np.abs(m - adj))
+    require_hermitian(np.abs(m - adj), m)
     h = np.add(m, adj)
     return np.linalg.eigvalsh(np.divide(h, 2.0, out=h))[..., ::-1]
 
@@ -158,15 +165,15 @@ def partial_trace(x, d: int) -> np.ndarray:
 def clamp_spectrum(values) -> np.ndarray:
     """Clamp a PSD-intended spectrum, or each row of a stack of spectra.
 
-    Entries below ``-eig_tol(m) max(1, lam_max)`` (``m`` entries, largest
-    ``lam_max``: rounding scales with it) and NaN entries raise
+    Entries below ``-eig_tol(m) max |lam|`` (``m`` entries: rounding scales
+    with the largest magnitude) and NaN entries raise
     :class:`NotPositiveError`; remaining entries smaller than ``ZERO_REL_TOL``
     times the largest entry of their spectrum (noise from rank-deficient
     decompositions, negative or positive) become exactly 0.
     """
     vals = np.asarray(values, dtype=float)
     top = vals.max(axis=-1, keepdims=True, initial=0.0)
-    neg_tol = eig_tol(vals.shape[-1]) * np.maximum(top, 1.0)
+    neg_tol = eig_tol(vals.shape[-1]) * np.abs(vals).max(axis=-1, keepdims=True, initial=0.0)
     bad = np.flatnonzero(~(vals >= -neg_tol).all(axis=-1))
     if bad.size:
         lo, tol = vals.min(axis=-1).reshape(-1)[bad[0]], neg_tol.reshape(-1)[bad[0]]

@@ -5,9 +5,15 @@ singular values for ``q >= 1`` (including ``q = inf`` as the spectral norm)
 and an anti-norm of the eigenvalues of a positive matrix for ``q < 1``
 (``q != 0``): superadditive instead of subadditive.  ``0 < q < 1`` needs PSD
 input with the ``0**q = 0`` convention; ``q < 0`` needs a strictly positive
-matrix, since negative powers amplify spectral noise without bound.  The
-orders ``-inf`` and NaN are rejected everywhere, and the checkers take finite
+matrix, its smallest eigenvalue above ``STRICT_POS_TOL`` times its largest,
+since negative powers amplify spectral noise without bound.  The orders
+``-inf`` and NaN are rejected everywhere, and the checkers take finite
 orders only.
+
+Every power sum is taken by one kernel, :func:`_log_power_mean_root`, whose
+parts ``(ln n, m, t)`` give ``ln (sum v**q)**(1/q) = ln(n)/q + ln m + t``: a
+norm is ``m exp(ln(n)/q + t)``, and each check combines its sides' parts
+with their ``ln m`` terms cancelled as symbols.
 
 Every checker takes a stack of matrices ``(n, m, m)``, or for the channel
 checks the :class:`~chanent.channel.ChannelProfile` of a channel stack, and
@@ -21,12 +27,12 @@ gets one eigenvalue decomposition for all of its orders, and a stack read
 at norm orders only one SVD.  The channel checks read the profile's ``K``
 spectrum and ``Tr_2 D``, and no spectrum of ``D``.
 
-Every check compares its sides one way, as ``ln(rhs/lhs)``, which the
-matrix checks take from the spectrum scaled by its extreme entry, and its
-slack is ``(rhs - lhs)/max(lhs, rhs)``, signed in the passing direction.
-The six inequalities are homogeneous, so the slack of ``c X`` is that of
-``X`` however small or large ``c``; an entry passes iff its slack is at
-least ``-tol``, one relative tolerance per check.  A zero input, whose sides
+Every check compares its sides one way, as ``ln(rhs/lhs)``, and its slack
+is ``(rhs - lhs)/max(lhs, rhs)``, signed in the passing direction.  The six
+inequalities are homogeneous and every input tolerance is relative to the
+input's scale, so the verdict and slack of ``c X`` are those of ``X``
+however small or large ``c``; an entry passes iff its slack is at least
+``-tol``, one relative tolerance per check.  A zero input, whose sides
 are both 0, has slack 0; an entry whose slack is not finite fails.
 
 An input the check cannot take raises the error a stack of that input alone
@@ -66,8 +72,8 @@ __all__ = [
     "check_norm_product_chain",
 ]
 
-# Smallest eigenvalue accepted by q < 0 anti-norms; below this the inverse
-# powers are numerically meaningless.
+# Smallest eigenvalue accepted by q < 0 anti-norms, as a fraction of the
+# largest; below this the inverse powers are numerically meaningless.
 STRICT_POS_TOL = 1e-10
 
 _NORM = "norm"
@@ -161,56 +167,30 @@ def _orders(q) -> list:
     return arr.reshape(-1).tolist()
 
 
-def _power_mean_root(values: np.ndarray, q: float) -> np.ndarray:
-    """``(sum v**q)**(1/q)`` over the positive entries of each row, 0 for none.
+def _log_power_mean_root(values: np.ndarray, q: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per row, ``(ln n, m, t)`` with ``ln (sum v**q)**(1/q) = ln(n)/q + ln m + t`` over the positive entries.
 
-    Scaling by the row's extreme positive entry ``m`` keeps every ratio power
-    in (0, 1]; the sum ``S`` then lives in [1, n], and ``m S**(1/q)``
-    overflows only where ``1/q`` is large (a small anti-norm order), where
-    :func:`_log_power_mean_root` gives its logarithm.
-    """
-    pos = values > 0
-    with np.errstate(all="ignore"):  # the entries it divides badly are masked out
-        m = _extreme(values, q)
-        total = np.where(pos, (values / m) ** q, 0.0).sum(axis=-1)
-        return m[..., 0] * total ** (1.0 / q)
-
-
-def _log_power_mean_root(values: np.ndarray, q: float) -> tuple[np.ndarray, np.ndarray]:
-    """``ln`` of :func:`_power_mean_root` as ``ln(n)/q + part``, given as ``(ln n, part)``.
-
-    With ``n`` positive entries in a row, ``S = n (1 + delta)``, ``delta``
-    the mean of ``expm1(q L)`` and ``L = ln(v/m)``, the part is ``ln m +
-    log1p(delta)/q``.  The caller divides a difference of ``ln n`` parts by
-    ``q``: it is exactly 0 for spectra of equal rank, where ``ln(n)/q`` alone
-    overflows at a subnormal ``q``.  The part stays of the order of ``ln v``
-    however small ``q`` is, and keeps its digits where ``ln m + (1/q) ln S``
-    would lose them to ``(1/q) ln n``.  It forms no product that underflows:
-    ``r``, the mean of ``L exprel(q L)``, is ``delta/q``, and
-    ``log1p(delta)/q`` is ``r log1p(q r)/(q r)``, whose last factor is 1 at
-    0; as ``q -> 0`` the part tends to the log of the geometric mean.  A row
-    with no positive entry has part 0, so that for ``q > 0`` its log is
-    ``ln(0)/q = -inf``.
+    ``m`` is the row's extreme positive entry, the largest for ``q > 0`` and
+    the smallest for ``q < 0``, so every ``(v/m)**q`` is in (0, 1]; with
+    ``n`` positive entries the sum is ``n (1 + delta)``, ``delta`` the mean
+    of ``expm1(q L)``, ``L = ln(v/m)``, and ``t = log1p(delta)/q``.  Callers
+    subtract ``ln n`` parts before dividing by ``q`` (exactly 0 at equal
+    rank, where ``ln(n)/q`` alone overflows at a subnormal ``q``) and cancel
+    ``ln m`` parts as symbols.  ``t`` stays of the order of ``L`` however
+    small ``q`` is, and forms no product that underflows: ``r``, the mean of
+    ``L exprel(q L)``, is ``delta/q``, and ``t = r log1p(q r)/(q r)``, whose
+    last factor is 1 at 0.  A row with no positive entry has ``ln n = -inf``
+    and ``t = 0``.
     """
     pos = values > 0
     n = pos.sum(axis=-1)
     with np.errstate(all="ignore"):  # masked entries, and a row with none
-        m = _extreme(values, q)
-        log_v = np.log(values / m)
+        m = values.max(axis=-1) if q > 0 else np.where(pos, values, np.inf).min(axis=-1)
+        log_v = np.log(values / m[..., None])
         r = np.where(pos, log_v * exprel(q * log_v), 0.0).sum(axis=-1) / n
         x = q * r
         log1p_ratio = np.divide(np.log1p(x), x, out=np.ones_like(x), where=x != 0.0)
-        return np.log(n), np.where(n > 0, np.log(m[..., 0]) + r * log1p_ratio, 0.0)
-
-
-def _extreme(values: np.ndarray, q: float) -> np.ndarray:
-    """Per row, the positive entry that scales every ``q``-th power into (0, 1].
-
-    The largest for ``q > 0``, the smallest for ``q < 0``; as a column.
-    """
-    if q > 0:
-        return values.max(axis=-1, keepdims=True)
-    return np.where(values > 0, values, np.inf).min(axis=-1, keepdims=True)
+        return np.log(n), m, np.where(n > 0, r * log1p_ratio, 0.0)
 
 
 class _Spectra:
@@ -237,7 +217,7 @@ class _Spectra:
 
         Singular values for norm orders, descending; for anti-norm orders
         the eigenvalues, clamped for ``0 < q < 1`` and required above
-        ``STRICT_POS_TOL`` for ``q < 0``.
+        ``STRICT_POS_TOL`` times the largest for ``q < 0``.
         """
         regime = _regime(q)
         if regime == _NORM and not self._by_eig:
@@ -246,24 +226,28 @@ class _Spectra:
         if regime == _NORM:
             return self._get(_NORM, lambda: -np.sort(-np.abs(eig), axis=-1))
         if regime == _ANTINORM_STRICT:
-            lo = eig.min(axis=-1)
-            bad = np.flatnonzero(lo <= STRICT_POS_TOL)
+            lo, hi = eig[:, -1], eig[:, 0]
+            bad = np.flatnonzero(~(lo > STRICT_POS_TOL * hi))
             if bad.size:
                 raise NotPositiveError(
-                    f"q < 0 anti-norm needs a strictly positive matrix; "
-                    f"min eigenvalue {lo[bad[0]]:.3e} <= {STRICT_POS_TOL:.1e}"
+                    f"q < 0 anti-norm needs a strictly positive matrix; min eigenvalue "
+                    f"{lo[bad[0]]:.3e} <= {STRICT_POS_TOL:.1e} times the largest, {hi[bad[0]]:.3e}"
                 )
             return eig
         return self._get(regime, lambda: matcore.clamp_spectrum(eig))
 
+    def parts(self, q: float, p: float):
+        """:func:`_log_power_mean_root` at power ``p`` of the spectrum order ``q`` reads, taken once."""
+        return self._get((_regime(q), p), lambda: _log_power_mean_root(self.for_order(q), p))
+
     def schatten(self, q: float) -> np.ndarray:
-        """Norm or anti-norm of every input at order ``q``, by regime."""
-        vals = self.for_order(q)
+        """Norm or anti-norm of every input at order ``q``, by regime: ``m exp(ln(n)/q + t)``."""
         if q == math.inf:
+            vals = self.for_order(q)
             return vals[:, 0] if vals.shape[-1] else np.zeros(len(vals))
-        if q == 1.0:
-            return vals.sum(axis=-1)
-        return _power_mean_root(vals, q)
+        log_n, m, t = self.parts(q, q)
+        with np.errstate(over="ignore"):  # a small order's root beyond a double is its true inf
+            return m * np.exp(log_n / q + t)
 
 
 def _schatten(x, q: float):
@@ -287,8 +271,8 @@ def schatten_antinorm(x, q: float):
 
     For ``0 < q < 1`` the input must be PSD (tiny negative eigenvalues are
     clamped, zeros contribute nothing); for ``q < 0`` it must be strictly
-    positive with smallest eigenvalue above ``STRICT_POS_TOL``.  A stack of
-    matrices gives one anti-norm per matrix.
+    positive, its smallest eigenvalue above ``STRICT_POS_TOL`` times its
+    largest.  A stack of matrices gives one anti-norm per matrix.
     """
     if _regime(q) == _NORM:
         raise InvalidOrderError(f"Schatten anti-norm needs q < 1 (q != 0), got {q}")
@@ -305,23 +289,20 @@ def check_prop1(x, q) -> InequalityBatch:
     regime, positive input).  Passes when the direction holds with relative
     slack above ``-1e-9``; flat spectra saturate it exactly.
 
-    Both sides have degree ``q``, so with the spectrum ``mu`` scaled by its
-    largest entry (its smallest for ``q < 0``) and ``a, b, c`` the logs of
-    the sums of ``mu**2``, ``mu`` and ``mu**q``, ``ln(rhs/lhs) = (q-2)(a-b)
-    + (a-c)``, which is exactly 0 at ``q = 1`` and ``q = 2``.
+    Both sides have degree ``q``: with the :func:`_log_power_mean_root`
+    parts ``t_1``, ``t_2`` (taken once per spectrum) and ``t_q`` of the
+    spectrum, and its largest entry ``m`` over ``m_q``, ``ln(rhs/lhs) =
+    (q-2)(2 t_2 - t_1) + (2 t_2 - q t_q) + q ln(m/m_q)``, which is exactly 0
+    at ``q = 1`` and ``q = 2``.
     """
     orders = _orders(q)
     spectra = _Spectra(_stack(x), orders)
     log_ratio = []
     for order in orders:
-        vals = spectra.for_order(order)
-        pos = np.where(vals > 0, vals, 0.0)
-        if not (pos > 0).any(axis=-1).all():
+        (log_n, top, t1), (_, _, t2), (_, m_q, t_q) = (spectra.parts(order, p) for p in (1.0, 2.0, order))
+        if (log_n == -np.inf).any():
             raise InvalidSpectrumError("matrix is zero; the interpolation is undefined")
-        mu = pos / _extreme(pos, order)
-        with np.errstate(over="ignore"):  # mu**2 beyond a double (q < 0): a NaN ratio, which fails
-            a, b, c = (np.log((mu**p).sum(axis=-1)) for p in (2.0, 1.0, order))
-        log_ratio.append((order - 2.0) * (a - b) + (a - c))
+        log_ratio.append((order - 2.0) * (2.0 * t2 - t1) + (2.0 * t2 - order * t_q) + order * np.log(top / m_q))
     directions = ["<=" if 1.0 <= order <= 2.0 else ">=" for order in orders]
     return _batch(np.stack(log_ratio, axis=1), directions, 1e-9)
 
@@ -329,14 +310,12 @@ def check_prop1(x, q) -> InequalityBatch:
 def check_two_inf_one(x) -> InequalityBatch:
     """``|X|_2 <= sqrt(|X|_inf * |X|_1)`` for an arbitrary matrix, relative slack above ``-1e-10``.
 
-    With the singular values ``mu`` scaled by the largest, ``ln(rhs/lhs) =
-    (ln sum mu - ln sum mu**2) / 2``, and 0 for the zero matrix.
+    With the :func:`_log_power_mean_root` parts ``t_1``, ``t_2`` of the
+    singular values, ``ln(rhs/lhs) = t_1/2 - t_2``, and 0 for the zero matrix.
     """
     sv = matcore.singular_values(_stack(x))
-    with np.errstate(invalid="ignore"):  # 0/0 for the zero matrix, whose log ratio is 0
-        mu = sv / sv[:, :1]
-        log_ratio = 0.5 * (np.log(mu.sum(axis=-1)) - np.log((mu**2).sum(axis=-1)))
-    return _batch(np.where(sv[:, 0] > 0.0, log_ratio, 0.0)[:, None], ("<=",), 1e-10)
+    (_, _, t1), (_, _, t2) = (_log_power_mean_root(sv, p) for p in (1.0, 2.0))
+    return _batch((0.5 * t1 - t2)[:, None], ("<=",), 1e-10)
 
 
 def check_superop_norm_bound(profile: chmod.ChannelProfile) -> InequalityBatch:
@@ -363,7 +342,8 @@ def check_antinorm_monotonicity(x, p, q) -> InequalityBatch:
 
     ``p`` and ``q`` are one order each or two equally long lists of them.
     The anti-norms' logs are compared as :func:`_log_power_mean_root` parts,
-    with relative slack above ``-1e-10``, and 0 for the zero matrix.
+    with relative slack above ``-1e-10``, and 0 for the zero matrix.  Both
+    orders read the largest eigenvalue as ``m``, so its ``ln m`` cancels.
     """
     ps, qs = _orders(p), _orders(q)
     if len(ps) != len(qs):
@@ -372,10 +352,9 @@ def check_antinorm_monotonicity(x, p, q) -> InequalityBatch:
         if not (0.0 < lo < hi):
             raise InvalidOrderError(f"monotonicity check needs 0 < p < q, got p={lo}, q={hi}")
     spectra = _Spectra(_stack(x), ps + qs)
-    logs = {order: _log_power_mean_root(spectra.for_order(order), order) for order in dict.fromkeys(qs + ps)}
     log_ratio = []
     for lo, hi in zip(ps, qs):
-        (n_hi, hi_part), (n_lo, lo_part) = logs[hi], logs[lo]
+        (n_hi, _, hi_part), (n_lo, _, lo_part) = spectra.parts(hi, hi), spectra.parts(lo, lo)
         # ln(n)/p beyond a double is its true inf; the zero matrix's NaN is replaced
         with np.errstate(invalid="ignore", over="ignore"):
             ratio = (n_lo / lo - n_hi / hi) + (lo_part - hi_part)
@@ -387,12 +366,12 @@ def check_antinorm_monotonicity(x, p, q) -> InequalityBatch:
 def check_superadditivity(x, y, q) -> InequalityBatch:
     """``|X + Y|_q >= |X|_q + |Y|_q`` in the anti-norm regimes, at every order in ``q``.
 
-    The sides are compared through their logarithms, ``ln m + (1/q) ln S``
-    per anti-norm (taken as :func:`_log_power_mean_root` parts, the ``ln n``
-    ones subtracted before the division by ``q``) and ``logaddexp`` for the
-    sum, with relative slack above ``-1e-10``, and 0 for two zero operands.
-    Down to subnormal orders the slack tends to ``1 - (G(X) + G(Y))/G(X +
-    Y)``, ``G`` the geometric mean of the eigenvalues.
+    The sides are compared through their logarithms: each anti-norm's
+    :func:`_log_power_mean_root` parts relative to those of ``X + Y`` (``ln
+    n`` parts subtracted before the division by ``q``), and ``logaddexp``
+    for the sum, with relative slack above ``-1e-10``, and 0 for two zero
+    operands.  Down to subnormal orders the slack tends to ``1 - (G(X) +
+    G(Y))/G(X + Y)``, ``G`` the geometric mean of the eigenvalues.
     """
     orders = _orders(q)
     for order in orders:
@@ -404,11 +383,11 @@ def check_superadditivity(x, y, q) -> InequalityBatch:
     spectra = _Spectra(np.stack([xs, ys, xs + ys]).reshape(-1, *xs.shape[1:]), orders)  # operands, then sums
     log_ratio = []
     for order in orders:
-        logs = _log_power_mean_root(spectra.for_order(order), order)
-        (n_a, n_b, n_t), (a, b, t) = (v.reshape(3, -1) for v in logs)
-        # a rank gap over a subnormal q is its true -inf; two zero operands' NaN is replaced
-        with np.errstate(invalid="ignore", over="ignore"):
-            ratio = np.logaddexp((n_a - n_t) / order + a, (n_b - n_t) / order + b) - t
+        (n_a, n_b, n_t), (m_a, m_b, m_t), (a, b, t) = (v.reshape(3, -1) for v in spectra.parts(order, order))
+        # a rank gap at a subnormal q, or a zero operand, is a true -inf; two zero operands' NaN is replaced
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            ratio = np.logaddexp((n_a - n_t) / order + np.log(m_a / m_t) + a,
+                                 (n_b - n_t) / order + np.log(m_b / m_t) + b) - t
         log_ratio.append(np.where((n_a == -np.inf) & (n_b == -np.inf), 0.0, ratio))
     return _batch(np.stack(log_ratio, axis=1), (">=",) * len(orders), 1e-10)
 
@@ -421,9 +400,10 @@ def check_norm_product_chain(profile: chmod.ChannelProfile) -> InequalityBatch:
     PSD, so ``|D|_1 = Tr D = Tr Tr_2 D``, and the two Frobenius norms agree
     because the representations share their entries up to reshuffling: the
     product is ``Tr D |K|_1 / |K|_2**2``, which reads no spectrum of ``D``.
+    With the :func:`_log_power_mean_root` parts ``t_1``, ``t_2`` of ``K``'s
+    singular values, largest ``m``, its log is ``ln(Tr D/m) + t_1 - 2 t_2``.
     """
-    k_sv = profile.superop_spectrum
+    (_, top, t1), (_, _, t2) = (_log_power_mean_root(profile.superop_spectrum, p) for p in (1.0, 2.0))
     trace = np.trace(profile.tr2, axis1=-2, axis2=-1).real
-    ratio = trace * k_sv.sum(axis=-1) / (k_sv**2).sum(axis=-1)
     bound = np.where(profile.unital, float(profile.dim), math.sqrt(profile.dim))
-    return _batch(np.log(bound / ratio)[:, None], (">=",), 1e-9)
+    return _batch((np.log(bound * top / trace) + (2.0 * t2 - t1))[:, None], (">=",), 1e-9)

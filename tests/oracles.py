@@ -377,18 +377,18 @@ def power_mean_root(values, q):
 
 def order_spectrum(x, q):
     """Singular values for ``q >= 1``; clamped eigenvalues for ``0 < q < 1``;
-    eigenvalues above ``STRICT_POS_TOL`` for ``q < 0``."""
+    eigenvalues above ``STRICT_POS_TOL`` times the largest for ``q < 0``."""
     if q != q or q == 0.0:
         raise InvalidOrderError(f"order q = {q} has no norm or anti-norm regime")
     if q >= 1.0:
         return matcore.singular_values(x)
     eig = matcore.hermitian_eigenvalues(x)
     if q < 0.0:
-        lo = float(eig.min())
-        if lo <= STRICT_POS_TOL:
+        lo, hi = float(eig.min()), float(eig.max())
+        if not lo > STRICT_POS_TOL * hi:
             raise NotPositiveError(
-                f"q < 0 anti-norm needs a strictly positive matrix; "
-                f"min eigenvalue {lo:.3e} <= {STRICT_POS_TOL:.1e}"
+                f"q < 0 anti-norm needs a strictly positive matrix; min eigenvalue "
+                f"{lo:.3e} <= {STRICT_POS_TOL:.1e} times the largest, {hi:.3e}"
             )
         return eig
     return matcore.clamp_spectrum(eig)

@@ -746,7 +746,8 @@ class TestInequalities:
         out = tmp_path / "nh"
         assert cli.main(["inequalities", "--matrix", str(mat_path), "--only", *only, "--out", str(out)]) == 2
         # every check names the file's own deviation (sups checks its operands before their sum)
-        assert capsys.readouterr().err == "config error: Hermiticity deviation 1.000e+00 exceeds 1.0e-08\n"
+        want = "config error: Hermiticity deviation 1.000e+00 exceeds 1.0e-08 times the largest entry, 1.000e+00\n"
+        assert capsys.readouterr().err == want
         assert out.is_dir() and not (out / "summary.json").exists() and not any(out.iterdir())
 
     def test_zero_matrix_file_is_a_config_error(self, tmp_path, capsys):

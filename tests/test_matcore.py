@@ -49,6 +49,17 @@ class TestHermitianEigenvalues:
         with pytest.raises(NotHermitianError):
             matcore.hermitian_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    @pytest.mark.parametrize("c", [1e-150, 1.0, 1e150])
+    def test_hermiticity_tolerance_is_relative(self, c):
+        # the deviation is compared with HERM_TOL times the matrix's largest
+        # entry: a relative asymmetry of 1e-12 passes at any scale, one of
+        # 1e-6 fails at any scale, and a zero matrix passes
+        x = np.array([[1.0, 1.0 + 1e-12], [1.0, 1.0]])
+        np.testing.assert_allclose(matcore.hermitian_eigenvalues(c * x), c * np.array([2.0, 0.0]), atol=1e-11 * c)
+        with pytest.raises(NotHermitianError, match="times the largest entry"):
+            matcore.hermitian_eigenvalues(c * np.array([[1.0, 1.0 + 1e-6], [1.0, 1.0]]))
+        assert not matcore.hermitian_eigenvalues(np.zeros((2, 2))).any()
+
     def test_nan_rejected(self):
         # a NaN entry leaves no spectrum, in any matrix of a stack
         x = np.stack([np.eye(2), np.array([[1.0, np.nan], [np.nan, 1.0]])])
@@ -163,6 +174,16 @@ class TestClampSpectrum:
         np.testing.assert_array_equal(matcore.clamp_spectrum(np.array([1e9, -1.0])), [1e9, 0.0])
         with pytest.raises(NotPositiveError, match=r"^eigenvalue -3.000000e\+00 below -2.0e\+00$"):
             matcore.clamp_spectrum(np.array([[1.0, 0.0], [1e9, -3.0]]))
+
+    @pytest.mark.parametrize("c", [1e-150, 1e-12, 1.0, 1e150])
+    def test_negative_threshold_is_relative_at_any_scale(self, c):
+        # the threshold is eig_tol(m) max |lam| with no floor at 1: below
+        # unit scale a negative semidefinite spectrum, or one whose negative
+        # entry is as large as its positive one, is no PSD rounding
+        np.testing.assert_array_equal(matcore.clamp_spectrum(c * np.array([1.0, -1e-10])), [c, 0.0])
+        for bad in ([-1.0, 0.0], [1.0, -1.0], [1.0, -1e-8]):
+            with pytest.raises(NotPositiveError):
+                matcore.clamp_spectrum(c * np.array(bad))
 
     def test_nan_rejected(self):
         rows = np.array([[2.0, 1.0], [1.0, np.nan]])

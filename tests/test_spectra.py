@@ -152,6 +152,16 @@ class TestSymmetryProperties:
             base = schatten(p, q)
             assert abs(scaled - c * base) <= 1e-10 * max(1.0, c * base)
 
+    @pytest.mark.parametrize("c", [1e-150, 1e-6, 1e6, 1e150])
+    def test_homogeneity_at_any_scale(self, c):
+        # m exp(ln(n)/q + t): the scale enters through m alone, and the
+        # tolerances are relative, so c X reads c times |X| at every order
+        x = _psd_stack(3, 201, 20) + np.eye(3)  # strictly positive, for q < 0
+        for schatten, orders in ((spectra.schatten_norm, (1.0, 1.5, 2.0, 3.7, math.inf)),
+                                 (spectra.schatten_antinorm, (0.3, 0.5, -0.5, -2.0))):
+            for q in orders:
+                np.testing.assert_allclose(schatten(c * x, q), c * schatten(x, q), rtol=1e-14, atol=0.0, err_msg=q)
+
     @pytest.mark.parametrize("eps", [1e-3, 1e-5])
     def test_continuity_across_q_one(self, eps):
         for n, c in ((3, 0.7), (16, 2.1)):
@@ -196,6 +206,16 @@ class TestCheckProp1:
     def test_zero_matrix_rejected(self):
         with pytest.raises(InvalidSpectrumError):
             spectra.check_prop1(np.zeros((1, 2, 2)), 1.5)
+
+    def test_strict_positivity_is_relative(self):
+        # a q < 0 order compares the smallest eigenvalue with the largest:
+        # 1e-150 (G G^dag + I) is strictly positive, diag(1, 0) is not
+        x = _psd_stack(2, 201, 20) + np.eye(2)
+        batch = spectra.check_prop1(1e-150 * x, -1.0)
+        assert batch.passed.all()
+        assert np.abs(batch.slack - spectra.check_prop1(x, -1.0).slack).max() <= 1e-12
+        with pytest.raises(NotPositiveError, match="times the largest"):
+            spectra.check_prop1(np.diag([1.0, 0.0])[None], -1.0)
 
     @pytest.mark.parametrize("q", [600.0, 1e300])
     def test_large_orders_compare_the_sides_scaled(self, q):
@@ -336,6 +356,11 @@ class TestCheckAntinormMonotonicity:
         with pytest.raises(InvalidOrderError):
             spectra.check_antinorm_monotonicity(np.eye(2)[None], 0.8, 0.2)
 
+    def test_negative_semidefinite_of_small_norm_is_rejected(self):
+        # -1e-12 is the largest |eigenvalue|, so it is no PSD rounding
+        with pytest.raises(NotPositiveError):
+            spectra.check_antinorm_monotonicity(np.diag([-1e-12, 0.0])[None], 0.5, 1.0)
+
 
 def mp_superadditivity_slack(x, y, q):
     """``(|X+Y|_q - |X|_q - |Y|_q) / |X+Y|_q``: eigenvalues in 60 digits, anti-norms in
@@ -369,6 +394,11 @@ class TestCheckSuperadditivity:
     def test_rejects_norm_orders(self):
         with pytest.raises(InvalidOrderError):
             spectra.check_superadditivity(np.eye(2)[None], np.eye(2)[None], 1.5)
+
+    def test_indefinite_operands_of_small_norm_are_rejected(self):
+        x, y = np.diag([1e-12, -1e-12])[None], np.diag([-1e-12, 1e-12])[None]
+        with pytest.raises(NotPositiveError):
+            spectra.check_superadditivity(x, y, 0.5)
 
     @pytest.mark.parametrize("q", [1e-5, 3e-16, 1e-300, -1e-5, -1e-300])
     def test_small_orders_compare_the_sides_in_logs(self, q):
@@ -549,22 +579,34 @@ class TestScaleInvariance:
         "sups": lambda x: spectra.check_superadditivity(x, x[::-1] + 0.0, (0.3, 0.5, 0.9)),
     }
 
+    # q < 0 orders, on a strictly positive stack
+    STRICT = {
+        "prop1": lambda x: spectra.check_prop1(x, (-1.0, -0.5)),
+        "sups": lambda x: spectra.check_superadditivity(x, x[::-1] + 0.0, -0.5),
+    }
+
+    @staticmethod
+    def _assert_scale_free(check, x):
+        want = check(x).slack
+        for c in (1e-150, 1e-6, 1e6, 1e150):
+            batch = check(c * x)
+            assert batch.passed.all() and np.abs(batch.slack - want).max() <= 1e-12, c
+
     @pytest.mark.parametrize("name", CHECKS)
     @pytest.mark.parametrize("d", [2, 3, None], ids=["d2", "d3", "rank-deficient"])
     def test_slack_of_a_scaled_stack(self, name, d):
+        # G G^dag as sampled, not exactly Hermitian: the Hermiticity
+        # tolerance is relative, so 1e150 times its rounding passes
         if d is None:
             x = _rank_deficient_stack(931)
-        elif name == "21in":
-            x = _ginibre_stack(d, 202)
         else:
-            # made exactly Hermitian: the Hermiticity check's HERM_TOL is
-            # absolute, and 1e150 times G G^dag's rounding exceeds it
-            x = _psd_stack(d, 201)
-            x = (x + x.conj().swapaxes(-2, -1)) / 2.0
-        want = self.CHECKS[name](x).slack
-        for c in (1e-150, 1e-6, 1e6, 1e150):
-            batch = self.CHECKS[name](c * x)
-            assert batch.passed.all() and np.abs(batch.slack - want).max() <= 1e-12, c
+            x = _ginibre_stack(d, 202) if name == "21in" else _psd_stack(d, 201)
+        self._assert_scale_free(self.CHECKS[name], x)
+
+    @pytest.mark.parametrize("name", STRICT)
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_negative_orders_of_a_scaled_stack(self, name, d):
+        self._assert_scale_free(self.STRICT[name], _psd_stack(d, 201) + np.eye(d))
 
 
 def _first_error(fn):
