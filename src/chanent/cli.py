@@ -4,8 +4,11 @@
 channel with ``--channel``), evaluates the trade-off bound on every cell of
 the (q, s) grid and writes ``report.csv`` plus ``summary.json`` into the
 output directory.  ``chanent inequalities`` drives the norm and anti-norm
-checks over random matrices (or one ``--matrix`` file) and sampled channels
-and reports per-check minimum slack.
+checks over random matrices (or one ``--matrix`` file) and the channels of
+the config's families, and reports per-check minimum slack.  Both
+subcommands admit the same families and take every one of them: a sampler
+family (``cptp``, ``unitary-mixture``, ``unistochastic``) is drawn per
+sample, and a ``named:`` family is its one channel repeated per sample.
 
 Both subcommands run in one skeleton, a :class:`Run`, and each supplies
 three things: a source of stacks, an evaluation of each stack into arrays,
@@ -15,7 +18,8 @@ directory, folds each key into a count and a minimum, keeps the first
 failure with its counterexample (under ``counterexamples/``), writes
 ``summary.json`` and decides the exit code (:meth:`Run.evaluating`):
 0 all cells/checks pass; 1 a bound or check failed, or any other error was
-raised while a stack was evaluated; 2 configuration errors, a
+raised while a stack was evaluated (in the suite, its record names the
+check under ``"during"``); 2 configuration errors, a
 :class:`DomainError` met while evaluating among them (such as a ``--matrix``
 file that is not square, or is zero, for a check that needs it to be).
 
@@ -109,7 +113,7 @@ CSV_COLUMNS = [
 ]
 
 CHECK_NAMES = ("prop1", "21in", "upkp", "npqr", "sups", "cbn0")
-# The checks that run on sampled channels rather than on matrices.
+# The checks that run on the channels of the config's families rather than on matrices.
 CHANNEL_CHECKS = ("upkp", "cbn0")
 # Most matrix entries one stack holds, in the sweep and in the inequality
 # suite, counted per input as the entries of the largest array the stack
@@ -297,7 +301,8 @@ class Run:
     ``summary`` starts with the keys that are not folded.  ``injected`` is
     the ``(path, payload)`` of an input file, if any; ``payload()`` builds
     its JSON, written as ``counterexamples/<file stem>.json`` if an error
-    ends the run.
+    ends the run.  ``during`` names the check being evaluated, if any (the
+    suite sets it; a sweep has none), and an error's record names it.
     """
 
     def __init__(self, out_dir, summary: dict, injected=None):
@@ -320,6 +325,7 @@ class Run:
         self.summary = summary
         self.injected = injected
         self.failure = None  # the failure's lines for stderr
+        self.during = None
 
     def _outputs(self) -> list:
         """The files of the kinds a run writes that are in its directory, an earlier run's included."""
@@ -376,6 +382,8 @@ class Run:
         except Exception as exc:  # noqa: BLE001 - provenance belongs in the report
             (self.out / "report.csv").unlink(missing_ok=True)
             record = {"check": "error", "kind": type(exc).__name__, "message": str(exc)}
+            if self.during is not None:
+                record["during"] = self.during
             if self.failure is not None:
                 self.summary["error"] = record
                 self.failure += f"\nERROR: {record}"
@@ -466,14 +474,11 @@ def run_inequality_suite(cfg: SweepConfig, out_dir, only=None, matrix_path=None)
     if matrix_path is not None:
         matrix = _load_input(matrix_path, "matrix", matcore.matrix_from_json)
         injected = (matrix_path, lambda: matcore.matrix_to_json(matrix))
-    families = [f for f in cfg.families if f in sampler.FAMILY_CODES]
-    # A selected channel check that cannot run is an error, unless --matrix
-    # was asked for: it runs the matrix checks only, and some of those run.
-    skipped = [n for n in selected if n in CHANNEL_CHECKS and (injected is not None or not families)]
-    if skipped and (injected is None or len(skipped) == len(selected)):
+    # --matrix runs the matrix checks only, so it needs one of them selected
+    if injected is not None and all(n in CHANNEL_CHECKS for n in selected):
         raise ConfigError(
-            f"no check ran for {', '.join(skipped)}: the channel checks (upkp, cbn0) "
-            "need a sampler family and no --matrix"
+            f"no check ran for {', '.join(selected)}: the channel checks (upkp, cbn0) "
+            "take the config's families, not a --matrix file"
         )
     run = Run(out_dir, {"mode": "inequalities", "seed": cfg.seed, "checks": {}, "failure": None}, injected)
 
@@ -505,41 +510,49 @@ def run_inequality_suite(cfg: SweepConfig, out_dir, only=None, matrix_path=None)
 
     with run.evaluating():
         if "prop1" in selected:
+            run.during = "prop1"
             for labels, x in stacks("psd", 201):
                 batch = spectra.check_prop1(x, [float(q) for q in cfg.q_grid])
                 record("prop1", labels, batch, lambda i: matcore.matrix_to_json(x[i]))
         if "21in" in selected:
+            run.during = "21in"
             for labels, x in stacks("mat", 202):
                 batch = spectra.check_two_inf_one(x)
                 record("21in", labels, batch, lambda i: matcore.matrix_to_json(x[i]))
         if "npqr" in selected:
+            run.during = "npqr"
             ps, qs = zip(*order_pairs)
             for labels, x in stacks("psd", 203):
                 batch = spectra.check_antinorm_monotonicity(x, ps, qs)
                 record("npqr", labels, batch, lambda i: matcore.matrix_to_json(x[i]))
         if "sups" in selected:
+            run.during = "sups"
             for (labels, x), (_, y) in zip(stacks("psd", 204), stacks("psd", 205)):
                 batch = spectra.check_superadditivity(x, y, anti_orders)
                 record("sups", labels, batch, lambda i: {
                     "x": matcore.matrix_to_json(x[i]), "y": matcore.matrix_to_json(y[i])
                 })
-        if injected is None and any(n in selected for n in CHANNEL_CHECKS):
+        channel_checks = [n for n in CHANNEL_CHECKS if n in selected]
+        if injected is None and channel_checks:
             suite = sampler.population(
-                cfg.seed, cfg.dims, families, cfg.samples_per_family, stream=100,
+                cfg.seed, cfg.dims, cfg.families, cfg.samples_per_family, stream=100,
                 size=lambda d: _stack_size(d**4),
             )
-            checks = (
-                ("upkp", spectra.check_superop_norm_bound),
-                ("cbn0", spectra.check_norm_product_chain),
-            )
+            checks = {"upkp": spectra.check_superop_norm_bound, "cbn0": spectra.check_norm_product_chain}
+            # each stack is drawn and profiled for the first selected channel check
+            run.during = channel_checks[0]
             for _, _, labels, ops in suite:
                 profile = profile_channel(ops, labels)
-                batches = [(name, check(profile)) for name, check in checks if name in selected]
+                batches = []
+                for name in channel_checks:
+                    run.during = name
+                    batches.append((name, checks[name](profile)))
                 # upkp then cbn0 ran channel by channel: the first failure
                 # named is the earlier channel's, upkp's on a tie
                 batches.sort(key=lambda nb: (nb[1].first_failure() or (math.inf,))[0])
                 for name, batch in batches:
                     record(name, labels, batch, lambda i: chmod.channel_to_json(ops[i]))
+                run.during = channel_checks[0]
     return run.finish(lambda s: "inequalities ok: min slack " + ", ".join(
         f"{name}={entry['min_slack']:.3e}" for name, entry in sorted(s["checks"].items())
     ) + f" -> {run.out}")
@@ -560,7 +573,10 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--samples", type=int, metavar="N", help="samples per family and dimension")
     parser.add_argument("--seed", type=int, metavar="N", help="base seed for all sampling")
     parser.add_argument("--out", metavar="DIR", default=DEFAULT_OUT, help="output directory")
-    parser.add_argument("--family", metavar="LIST", help="comma-separated sampler families")
+    parser.add_argument(
+        "--family", metavar="LIST",
+        help="comma-separated channel families: cptp, unitary-mixture, unistochastic, named:<channel>[:<param>]",
+    )
 
 
 def _resolve_config(args) -> SweepConfig:

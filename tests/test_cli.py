@@ -639,23 +639,41 @@ class TestInequalities:
         assert capsys.readouterr().err.startswith("config error: no check ran")
         assert not (out / "summary.json").exists()
 
-    def test_channel_check_without_sampler_family_is_a_config_error(self, tmp_path, capsys):
-        out = tmp_path / "none"
-        code = cli.main(
-            ["inequalities", "--only", "cbn0", "--family", "named:identity", "--out", str(out)]
-        )
-        assert code == 2
-        assert capsys.readouterr().err.startswith("config error: no check ran")
-        assert not (out / "summary.json").exists()
+    def test_named_families_reach_the_channel_checks(self, tmp_path):
+        # the identity and the completely depolarizing channel saturate the
+        # receiver-entropy bound's norm inequalities: each counts as its one
+        # channel repeated per sample, as in a sweep
+        out = tmp_path / "named"
+        code = cli.main([
+            "inequalities", "--family", "named:identity,named:completely-depolarizing",
+            "--dims", "2,3,4,8,16", "--samples", "1", "--out", str(out),
+        ])
+        assert code == 0
+        checks = json.loads((out / "summary.json").read_text())["checks"]
+        for name in cli.CHANNEL_CHECKS:
+            assert checks[name]["count"] == 10 and checks[name]["passed"], name
+            assert abs(checks[name]["min_slack"]) <= 1e-12, name
 
-    def test_silently_skipped_channel_checks_are_a_config_error(self, tmp_path, capsys):
-        out = tmp_path / "none"
-        code = cli.main(
-            ["inequalities", "--dims", "2", "--samples", "2", "--family", "named:identity", "--out", str(out)]
-        )
-        assert code == 2
-        assert capsys.readouterr().err.startswith("config error: no check ran for upkp, cbn0")
-        assert not (out / "summary.json").exists()
+    def test_channel_checks_count_every_family(self, tmp_path):
+        out = tmp_path / "both"
+        code = cli.main([
+            "inequalities", "--family", "cptp,named:identity", "--dims", "2", "--samples", "2",
+            "--only", "upkp", "--out", str(out),
+        ])
+        assert code == 0
+        assert json.loads((out / "summary.json").read_text())["checks"]["upkp"]["count"] == 4
+
+    @pytest.mark.parametrize("only, during", [(None, "prop1"), ("npqr", "npqr")])
+    def test_error_names_the_check_it_was_raised_in(self, tmp_path, only, during):
+        # negative semidefinite: prop1 is the first check to meet it
+        mat_path = tmp_path / "negative-small.json"
+        mat_path.write_text(json.dumps(matcore.matrix_to_json(np.diag([-1e-12, 0.0]))))
+        out = tmp_path / "err"
+        args = ["inequalities", "--matrix", str(mat_path), "--out", str(out)]
+        assert cli.main(args + (["--only", only] if only else [])) == 1
+        failure = json.loads((out / "summary.json").read_text())["failure"]
+        assert failure["check"] == "error" and failure["kind"] == "NotPositiveError"
+        assert failure["during"] == during
 
     def test_matrix_file_runs_the_matrix_checks_only(self, tmp_path):
         mat_path = tmp_path / "m.json"
@@ -1047,10 +1065,11 @@ class TestRunSkeleton:
 
         monkeypatch.setattr(sampler, "_cptp_ops", singular)
         record = {"check": "error", "kind": "SingularNormalizerError", "message": "planted singular normalizer"}
-        for args in (self.SWEEP, self.SUITE):
+        # the suite names the check whose stack was being drawn; a sweep has no checks
+        for args, during in ((self.SWEEP, {}), (self.SUITE, {"during": "upkp"})):
             out = tmp_path / args[0]
             assert cli.main([*args, "--family", "cptp", "--out", str(out)]) == 1
-            assert json.loads((out / "summary.json").read_text())["failure"] == record
+            assert json.loads((out / "summary.json").read_text())["failure"] == {**record, **during}
             assert "Traceback" not in capsys.readouterr().err
         assert not (tmp_path / "sweep" / "report.csv").exists()
 
@@ -1099,7 +1118,7 @@ class TestRunSkeleton:
         assert cli.main([*self.SUITE, "--out", str(out)]) == 1
         summary = json.loads((out / "summary.json").read_text())
         assert summary["failure"] == {"check": "npqr", "input": "psd-d2-0000", "kind": "inequality-failed"}
-        assert summary["error"]["kind"] == "FloatingPointError"
+        assert summary["error"]["kind"] == "FloatingPointError" and summary["error"]["during"] == "sups"
         assert sorted(p.name for p in (out / "counterexamples").iterdir()) == ["psd-d2-0000.json"]
 
     @pytest.mark.parametrize("command", ["sweep", "inequalities"])
