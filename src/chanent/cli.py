@@ -580,11 +580,12 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _resolve_config(args) -> SweepConfig:
-    cfg = _load_input(args.config, "config", _config_from_json) if args.config else SweepConfig()
+    # an empty value (--q=, --config=) is given, not absent: it is refused by the rule of its key
+    cfg = SweepConfig() if args.config is None else _load_input(args.config, "config", _config_from_json)
     updates = {}
     for flag, key, kind in (("q", "q_grid", float), ("s", "s_grid", float), ("dims", "dims", int),
                             ("family", "families", str.strip)):
-        if getattr(args, flag, None):  # sweep alone takes --s
+        if getattr(args, flag, None) is not None:  # sweep alone takes --s
             updates[key] = _parse_list(getattr(args, flag), f"--{flag}", kind)
     if args.samples is not None:
         updates["samples_per_family"] = args.samples

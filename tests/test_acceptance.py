@@ -25,6 +25,8 @@ DIMS = (2, 3, 4)
 CPTP_PER_DIM = 200
 MIXTURE_PER_DIM = 200
 UNISTOCHASTIC_PER_DIM = 100
+# criterion 3 pins each equality case on its region of the default grid at these
+SATURATION_DIMS = (2, 3, 4, 5, 8, 16)
 # criterion 6 compares D and K with their oracles on every family up to d = 16
 ROUTE_DIMS = (2, 3, 4, 8, 16)
 # fixed population seeds: the margin printed must not move with unrelated edits
@@ -121,7 +123,8 @@ def test_criterion_2_tradeoff_bound_unital_channels(capsys):
 
 def test_criterion_3_saturation(capsys):
     """Identity and completely depolarizing channels meet 2 ln d exactly at s=0,
-    on the von Neumann row q = 1 and next to it as well."""
+    on the von Neumann row q = 1 and next to it as well; each equality case
+    meets its bound on its whole region of the default grid."""
     worst = 0.0
     for d in DIMS:
         bounds = tradeoff.bound_table(d, (0.5, 1.0 - 1e-6, 1.0, 1.0 + 1e-6, 1.5, 2.0), (0.0,))
@@ -132,11 +135,37 @@ def test_criterion_3_saturation(capsys):
             grid = tradeoff.evaluate_profile(profile, bounds)
             worst = max(worst, float(np.abs(grid.gap).max()))
             assert grid.saturated.all() and grid.violation is None
-    ok = worst <= 1e-9
+    # each equality case's region of the default grid, in c = (1 - q) s and
+    # q; outside it the channel's entropic sum exceeds the bound
+    cfg = cli.SweepConfig()
+    q, s = np.array(cfg.q_grid)[:, None], np.array(cfg.s_grid)
+    c = (1.0 - q) * s
+    saturators = (
+        ("named:identity", SATURATION_DIMS, True, c <= 0.0),
+        ("named:completely-depolarizing", SATURATION_DIMS, True, c <= 0.0),
+        ("named:dephasing:1", SATURATION_DIMS, True, c >= 0.0),
+        ("named:amplitude-damping:1", (2,), False, c <= 0.0),  # the replacement channel at d = 2
+    )
+    worst_relative = 0.0
+    for family, dims, unital, region in saturators:
+        region = region & (q <= 2.0)
+        for d in dims:
+            bounds = tradeoff.bound_table(d, cfg.q_grid, cfg.s_grid)
+            profile = chmod.profile_channel(sampler.named_family_channel(family, d)[None], [family])
+            assert profile.unital[0] == unital  # so the gap is measured against the bound named
+            grid = tradeoff.evaluate_profile(profile, bounds)
+            bound = bounds.unital if unital else bounds.all_channels
+            gap = grid.map_values[0] + grid.receiver_values[0] - bound
+            relative = np.abs(gap[region]) / np.maximum(1.0, bound[region])
+            worst_relative = max(worst_relative, float(relative.max()))
+            assert (relative <= 1e-12).all() and grid.saturated[0][region].all(), (family, d)
+    ok = worst <= 1e-9 and worst_relative <= 1e-12
     _verdict(
         capsys,
         ok,
-        f"criterion 3: saturation of the unital bound 2 ln d, worst |gap| {worst:.3e} <= 1e-9",
+        f"criterion 3: saturation of the unital bound 2 ln d, worst |gap| {worst:.3e} <= 1e-9; "
+        f"equality cases on their regions of the default grid, worst |gap|/max(1, bound) "
+        f"{worst_relative:.3e} <= 1e-12",
     )
 
 

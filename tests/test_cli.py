@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+import math
 import re
 
 import numpy as np
@@ -241,6 +242,12 @@ class TestSweep:
         ("named:amplitude-damping:0.3", "3"),
         ("named:unitary:inf", "2"),
         ("named:unitary:nan", "2"),
+        # a parameter the channel does not take was dropped, and the last
+        # family ran the identity twice under two labels
+        ("named:identity:0.5", "2"),
+        ("named:completely-depolarizing:7", "2"),
+        ("named:depolarizing:0.5:3", "2"),
+        ("named:identity,named:identity:0", "2"),
     ])
     def test_rejects_bad_named_family(self, tmp_path, capsys, family, dims):
         # checked before any sampling: a passing family first writes nothing either
@@ -249,7 +256,7 @@ class TestSweep:
         assert cli.main(["sweep", *args]) == 2
         assert cli.main(["inequalities", *args]) == 2
         err = capsys.readouterr().err
-        assert err.count("config error:") == 2 and family in err
+        assert err.count("config error:") == 2 and f"family {family.split(',')[-1]!r}" in err
         assert not out.exists()
 
 
@@ -832,12 +839,19 @@ class TestInequalities:
     def test_large_rank_one_matrix_is_psd(self, tmp_path, only):
         # 1e7 v v^dag, lam_max 1.14e9, has an eigenvalue of about -8.7e-8
         # from rounding, 7.7e-17 of lam_max, which the PSD check rejected
-        # below an absolute -6.0e-09
+        # below an absolute -6.0e-09; 1e150 v v^dag with one entry one ulp
+        # off deviates from Hermitian by 3.6e134, within the tolerance
+        # relative to its largest entry
         v = np.arange(1, 7) * (1 + 0.5j)
-        mat_path = tmp_path / "rank1.json"
-        mat_path.write_text(json.dumps(matcore.matrix_to_json(1e7 * np.outer(v, v.conj()))))
+        huge = 1e150 * np.outer(v, v.conj())
+        huge[0, 1] = np.nextafter(huge[0, 1].real, np.inf) + 1j * huge[0, 1].imag
         out = tmp_path / "rank1"
-        assert cli.main(["inequalities", "--matrix", str(mat_path), "--only", only, "--q", "0.5", "--out", str(out)]) == 0
+        for x in (1e7 * np.outer(v, v.conj()), huge):
+            mat_path = tmp_path / "rank1.json"
+            mat_path.write_text(json.dumps(matcore.matrix_to_json(x)))
+            for orders in (["--q", "0.5"], []):  # an anti-norm order, and the default grid
+                argv = ["inequalities", "--matrix", str(mat_path), "--only", only, *orders, "--out", str(out)]
+                assert cli.main(argv) == 0
 
     @pytest.mark.parametrize("q", ["600", "1e300"])
     def test_large_q_inequalities_pass(self, tmp_path, q):
@@ -1128,3 +1142,99 @@ class TestRunSkeleton:
         assert cli.main([command, "--dims", "2", "--samples", "1", "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("config error: could not make output directory")
         assert out.read_text() == "not a directory"
+
+
+def assert_fragment(actual, fragment, path="summary"):
+    """Each key of ``fragment`` is in ``actual`` with the same value, nested dicts key by key."""
+    for key, want in fragment.items():
+        assert key in actual, f"{path}[{key!r}] missing"
+        if isinstance(want, dict):
+            assert_fragment(actual[key], want, f"{path}[{key!r}]")
+        else:
+            assert actual[key] == want, f"{path}[{key!r}] = {actual[key]!r}, want {want!r}"
+
+
+def tiny_weight_keeps_its_digits(out):
+    # map eigenvalues 1 - e and e: the q = 0.3 map entropy is ln((1-e)^0.3 + e^0.3)/0.7,
+    # 1.8e-4, which reads as saturated if e's digits are lost
+    e = 1e-13
+    _, rows = read_csv_rows(out / "report.csv")
+    row = next(r for r in rows if r["q"] == "0.3")
+    assert abs(float(row["map_entropy"]) - math.log((1 - e) ** 0.3 + e**0.3) / 0.7) <= 1e-12, row
+    assert row["saturated"] == "false", row
+
+
+def slacks_match_the_unit_scale(out):
+    # every slack is relative: 1e-6 diag(1, 0.1) reads the slacks of diag(1, 0.1)
+    unit = out.parent / "unit.json"
+    unit.write_text(json.dumps(matcore.matrix_to_json(np.diag([1.0, 0.1]))))
+    assert cli.main(["inequalities", "--matrix", str(unit), "--out", str(out.parent / "unit")]) == 0
+    scaled, plain = (json.loads((p / "summary.json").read_text())["checks"] for p in (out, out.parent / "unit"))
+    assert scaled.keys() == plain.keys() == {"prop1", "21in", "npqr", "sups"}
+    for name in plain:
+        assert abs(scaled[name]["min_slack"] - plain[name]["min_slack"]) <= 1e-12, name
+
+
+def case(case_id, *argv, files=None, code=0, err="", summary=None, check=None):
+    """One row of :data:`CLI_CASES`.
+
+    ``argv`` runs with ``--out`` added, each ``{name}`` in it standing for
+    the path of ``files[name]``, a payload written as JSON.  An exit of 2
+    must name ``err`` and leave no output directory; any other exit must
+    write a ``summary.json`` holding ``summary`` and pass ``check(out)``.
+    """
+    return pytest.param(argv, files or {}, code, err, summary or {}, check, id=case_id)
+
+
+# CLI cases with no other home: each row is one run of the console script's
+# main, its inputs and what it must leave
+CLI_CASES = [
+    # the d = 16 routes: the map spectrum of k = 16 and k = 256 Kraus
+    # operators, and cbn0's Tr D route, which decomposes no D
+    case("sweep-d8-d16", "sweep", "--dims", "8,16", "--samples", "1",
+         summary={"rows": 378, "violations": 0}),
+    case("cbn0-d16", "inequalities", "--dims", "16", "--samples", "1", "--only", "cbn0",
+         summary={"checks": {"cbn0": {"count": 3, "passed": True}}}),
+    case("tiny-weight-channel", "sweep", "--channel", "{tiny-weight}", "--q=0.3,0.5", "--s=0",
+         files={"tiny-weight": {"dim": 2, "kraus": [
+             matcore.matrix_to_json(math.sqrt(1 - 1e-13) * np.eye(2)),
+             matcore.matrix_to_json(math.sqrt(1e-13) * np.diag([1.0, -1.0])),
+         ]}},
+         summary={"rows": 2, "violations": 0}, check=tiny_weight_keeps_its_digits),
+    case("named-families", "sweep", "--family", "named:depolarizing:0.3,named:identity", "--dims", "2,3",
+         "--samples", "2", summary={"rows": 504, "violations": 0, "per_family": {
+             "named:depolarizing:0.3": {"rows": 252, "saturation_count": 0},
+             "named:identity": {"rows": 252, "saturation_count": 124},
+         }}),
+    case("scale-free-slacks", "inequalities", "--matrix", "{micro}",
+         files={"micro": matcore.matrix_to_json(1e-6 * np.diag([1.0, 0.1]))}, check=slacks_match_the_unit_scale),
+    # an empty list value is given, not absent: it is refused by its key's rule
+    *(case(f"{command}-empty-{flag.strip('-=')}", command, "--dims", "2", "--samples", "1", flag, code=2,
+           err=f"config error: {key} must be nonempty\n")
+      for command in ("sweep", "inequalities")
+      for flag, key in (("--q=", "q_grid"), ("--s=", "s_grid"), ("--family=", "families"), ("--dims=", "dims"))
+      if command == "sweep" or flag != "--s="),
+    case("sweep-only-commas-q", "sweep", "--dims", "2", "--samples", "1", "--q=,", code=2,
+         err="config error: q_grid must be nonempty\n"),
+    *(case(f"{command}-empty-config", command, "--dims", "2", "--samples", "1", "--config=", code=2,
+           err="config error: could not load config file '': ")
+      for command in ("sweep", "inequalities")),
+]
+
+
+@pytest.mark.parametrize("argv, files, code, err, summary, check", CLI_CASES)
+def test_cli_case(tmp_path, capsys, argv, files, code, err, summary, check):
+    paths = {}
+    for name, payload in files.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(payload))
+    out = tmp_path / "out"
+    assert cli.main([*(arg.format(**paths) for arg in argv), "--out", str(out)]) == code
+    stderr = capsys.readouterr().err
+    assert err in stderr if code else stderr == ""
+    if code == 2:
+        assert not out.exists()
+        return
+    assert_fragment(json.loads((out / "summary.json").read_text(), parse_constant=pytest.fail), summary)
+    if check is not None:
+        check(out)

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 
 import chanent
-from chanent import channel, matcore
+from chanent import channel, cli, matcore
 
 MODULES = ("channel", "cli", "entropy", "errors", "matcore", "sampler", "spectra", "tradeoff")
 
@@ -77,11 +77,16 @@ def test_spectra_d_and_k_are_plain_float_arrays():
         assert type(ops) is np.ndarray and ops.dtype == np.complex128 and ops.shape == (2, 2, 2), name
 
 
-def test_readme_library_tour_runs(capsys):
+def test_readme_library_tour_runs(capsys, tmp_path):
     # the README's Python block, run as written: a name it imports that left
-    # the library fails here
+    # the library fails here; and its JSON config block, run as a sweep's
+    # config file
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     tour = readme[readme.index("## Library tour"):]
     block = re.search(r"```python\n(.*?)```", tour, re.DOTALL).group(1)
     exec(compile(block, "README.md", "exec"), {})
     assert "cptp 2" in capsys.readouterr().out
+    config = tmp_path / "config.json"
+    config.write_text(re.search(r"```json\n(.*?)```", readme, re.DOTALL).group(1))
+    assert cli.main(["sweep", "--config", str(config), "--out", str(tmp_path / "config")]) == 0
+    assert capsys.readouterr().out.startswith("sweep ok: 18900 rows,")
