@@ -12,25 +12,22 @@ samples, the inequality suite's Ginibre matrices included.
 
 Samples are drawn in stacks of consecutive indices of one dimension and
 family, and a single sample is a stack of one; the contract holds bit for
-bit per sample, while each fixed cost is paid once per population or once
-per stack:
+bit per sample, while each fixed cost is paid once per stack, so memory
+does not grow with the population:
 
-* seeding: the derived seeds of a whole population, every ``(dim, family)``
-  of it, come from one vectorized ``uint32`` pass of numpy's published
-  ``SeedSequence`` algorithm (entropy pool mixing, then ``generate_state``)
-  over one table of one width (one prefix word count, every index below
-  ``2**32``), and each stack's stream words from one more (uint64 seeds
-  zero-padded to the pool's 4 words, then the key); the hash constants are
-  tabulated once per length;
-* streams: each stream is a ``Generator`` on a ``PCG64`` that numpy seeds
-  from the stream's four uint64 words, and one draw into the stack:
-  ``standard_normal((2, d, d))`` for a Ginibre matrix, the numbers numpy's
-  two ``normal((d, d))`` calls of a ``default_rng`` on that stream give,
-  written into one complex stack as its real and imaginary parts, and
-  ``standard_exponential(k)`` for mixture weights; one multiplication of
-  the weight stack by the reciprocals of its sequential row sums, as
-  numpy's ``dirichlet`` normalizes, then gives the numbers
-  ``dirichlet(np.ones(k))`` gives;
+* seeding: a stack's seeds come from one vectorized ``uint32`` pass of
+  numpy's published ``SeedSequence`` algorithm (entropy pool mixing, then
+  ``generate_state``) over its one prefix and its own indices, each below
+  ``2**32``, and its stream words from one more (uint64 seeds zero-padded
+  to the pool's 4 words, then the key); the hash constants are tabulated
+  once per length;
+* streams: one seed source hands a stack's rows of stream words, in order,
+  to a ``PCG64`` each, as a ``SeedSequence`` would hand them, and one loop
+  makes one draw per stream: ``standard_normal((2, d, d))`` for a Ginibre
+  matrix (the numbers of two ``normal((d, d))`` calls of ``default_rng``,
+  its real and imaginary parts), ``standard_exponential(k)`` for mixture
+  weights, whose rows times the reciprocals of their sequential sums are
+  ``dirichlet(np.ones(k))``, as numpy normalizes;
 * algebra: the QR with its phase fix, the normalizer sum and ``eigh``, the
   inverse square root and the Kraus products run once per stack, and
   :func:`~chanent.channel.check_kraus_stack` checks trace preservation for
@@ -45,10 +42,11 @@ channel is its ``(k, d, d)`` Kraus array.
 numpy's own ``SeedSequence`` and ``default_rng`` are the test oracle for the
 seeding, and the per-sample samplers in ``tests/oracles.py`` for the
 channels and matrices.  The seeding is reimplemented because numpy's own is
-five times slower: on the 4,800 streams of ``chanent inequalities --dims 2,3
---samples 150``, a ``SeedSequence``, ``PCG64`` and ``Generator`` per stream
-took 101 ms, against 20 ms for the batched words above (numpy 2.4, a 2-vCPU
-Xeon host).
+seven times slower: seeding the 4,800 streams of ``chanent inequalities
+--dims 2,3 --samples 150`` through a ``SeedSequence`` per sample seed and a
+``SeedSequence``, ``PCG64`` and ``Generator`` per stream took 139 ms,
+against 18 ms for the per-stack words above (best of 7; numpy 2.4, a
+2-vCPU Xeon host).
 """
 
 from __future__ import annotations
@@ -157,11 +155,18 @@ def _seed_states(entropy: np.ndarray, n_words: int) -> np.ndarray:
     return out.T
 
 
-def _seed_table(table: np.ndarray, n64: int) -> np.ndarray:
-    """``generate_state(n64, np.uint64)`` of each row of the uint32 ``table``'s last axis, in one pass.
+def _seed_table(heads, tails, n64: int) -> np.ndarray:
+    """``generate_state(n64, np.uint64)`` of each head row of ``uint32`` words joined to each tail row, head-major.
 
-    numpy joins the words in little-endian pairs.  Returns C-contiguous ``(rows, n64)`` uint64.
+    One :func:`_seed_states` pass over the ``uint32`` table of every such
+    row; numpy joins the output words in little-endian pairs.  Returns a
+    C-contiguous ``(len(heads) * len(tails), n64)`` uint64 table.
     """
+    heads, tails = np.asarray(heads, dtype=np.uint32), np.asarray(tails, dtype=np.uint32)
+    width = heads.shape[1]
+    table = np.empty((len(heads), len(tails), width + tails.shape[1]), dtype=np.uint32)
+    table[..., :width] = heads[:, None]
+    table[..., width:] = tails
     words = _seed_states(table.reshape(-1, table.shape[-1]), 2 * n64)
     return np.ascontiguousarray(words, dtype="<u4").view("<u8").astype(np.uint64, copy=False)
 
@@ -176,68 +181,63 @@ def _below(values, bits: int, what: str) -> list[int]:
     return values
 
 
-def _derive_seeds(prefixes, indices) -> np.ndarray:
-    """The seed ``SeedSequence([*prefix, index])`` for each of ``prefixes`` and each of ``indices``.
+def _derive_seeds(prefix, indices) -> np.ndarray:
+    """The seed ``SeedSequence([*prefix, index])`` for each of ``indices``, as uint64.
 
-    Returns ``(len(prefixes), len(indices))`` uint64 from one :func:`_seed_states`
-    pass over a ``uint32`` table of one width, a row the prefix's words and
-    then the index as one word: the prefixes of one call must have one word
-    count, and every index must be below ``2**32``.
+    A table row is the prefix's words and then the index as one word, so
+    every index must be below ``2**32``.
     """
-    heads = [[w for v in prefix for w in _words(v)] for prefix in prefixes]
-    if len({len(head) for head in heads}) > 1:
-        raise ValueError("the prefixes of one seed derivation must have one word count")
-    index = _below(indices, 32, "a sample index")
-    width = len(heads[0]) if heads else 0
-    table = np.empty((len(heads), len(index), width + 1), dtype=np.uint32)
-    table[..., :width] = np.array(heads, dtype=np.uint32).reshape(len(heads), 1, width)
-    table[..., width] = index
-    return _seed_table(table, 1).reshape(len(heads), len(index))
+    index = np.array(_below(indices, 32, "a sample index"), dtype=np.uint32).reshape(-1, 1)
+    return _seed_table([[w for v in prefix for w in _words(v)]], index, 1)[:, 0]
 
 
 def _stream_states(seeds, keys) -> np.ndarray:
     """The words ``SeedSequence(seed, spawn_key=key).generate_state(4, np.uint64)``, each seed, then each key.
 
-    One :func:`_seed_states` pass over a ``uint32`` table of one width, a row
-    the seed as two words, zero-padded to the pool size, then the key's
-    words: ``SeedSequence`` pads a spawned seed so, and hashes an unspawned
-    one of at most the pool size as if so padded.  Every seed must be below
-    ``2**64``, as a derived seed is, and the keys of one call must have one
-    word count.  Returns a C-contiguous ``(len(seeds) * len(keys), 4)`` uint64 table.
+    A table row is the seed as two words, zero-padded to the pool size, then
+    the key's words: ``SeedSequence`` pads a spawned seed so, and hashes an
+    unspawned one of at most the pool size as if so padded.  Every seed must
+    be below ``2**64``, as a derived seed is, and the keys of one call must
+    have one word count.  Returns a C-contiguous ``(len(seeds) * len(keys), 4)`` uint64 table.
     """
-    seed64 = np.array(_below(seeds, 64, "a stream seed"), dtype=np.uint64)[:, None]
-    key_words = np.array([[w for v in key for w in _words(v)] for key in keys], dtype=np.uint32)
-    table = np.zeros((len(seed64), len(keys), _POOL_SIZE + key_words.shape[1]), dtype=np.uint32)
-    table[..., 0], table[..., 1] = seed64 & np.uint64(_MASK32), seed64 >> np.uint64(32)
-    table[..., _POOL_SIZE:] = key_words
-    return _seed_table(table, 4)
+    seed64 = np.array(_below(seeds, 64, "a stream seed"), dtype=np.uint64)
+    heads = np.zeros((len(seed64), _POOL_SIZE), dtype=np.uint32)
+    heads[:, 0], heads[:, 1] = seed64 & np.uint64(_MASK32), seed64 >> np.uint64(32)
+    return _seed_table(heads, [[w for v in key for w in _words(v)] for key in keys], 4)
 
 
-class _Words(np.random.bit_generator.ISeedSequence):
-    """A stream's four uint64 words, handed to ``PCG64`` in place of the ``SeedSequence`` they come from."""
+class _Streams(np.random.bit_generator.ISeedSequence):
+    """A table of stream words, one ``(4,)`` uint64 row per stream, handed in order to the ``PCG64``s seeded from it.
 
-    def __init__(self, row: np.ndarray):
-        self.row = row
+    ``PCG64`` asks its seed source for ``generate_state(4, np.uint64)`` once
+    and reads the four words from the array's buffer, as it would read them
+    from the ``SeedSequence`` they come from.
+    """
+
+    def __init__(self, words: np.ndarray):
+        self.rows = iter(np.ascontiguousarray(words, dtype=np.uint64).reshape(-1, 4))
 
     def generate_state(self, n_words, dtype=np.uint32):
-        # PCG64 reads the four words straight from the array's buffer
-        if n_words != 4 or np.dtype(dtype) != np.uint64 or not self.row.flags.c_contiguous:
-            raise ValueError(f"a stream is 4 contiguous uint64 words, asked for {n_words} of {np.dtype(dtype)}")
-        return self.row
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError(f"a stream is 4 uint64 words, asked for {n_words} of {np.dtype(dtype)}")
+        row = next(self.rows, None)
+        if row is None:
+            raise ValueError("the stream table has fewer rows than draws")
+        return row
 
 
-def _generators(words):
-    """A generator per row of the ``(..., 4)`` uint64 stream ``words``: numpy seeds its ``PCG64`` from the row."""
-    for row in words.reshape(-1, 4):
-        yield np.random.Generator(np.random.PCG64(_Words(row)))
+def _draw(streams: _Streams, fill, out: np.ndarray) -> np.ndarray:
+    """``fill(generator, out=row)`` for each row of ``out``, each on a ``PCG64`` seeded from the next stream."""
+    for row in out:
+        fill(np.random.Generator(np.random.PCG64(streams)), out=row)
+    return out
 
 
-def _ginibre(gens, shape) -> np.ndarray:
-    """One ``shape + (d, d)`` stack of complex Ginibre matrices, a matrix per generator."""
+def _ginibre(streams: _Streams, shape) -> np.ndarray:
+    """One ``shape + (d, d)`` stack of complex Ginibre matrices, a matrix per stream."""
     *lead, d = shape
     z = np.empty((*lead, 2, d, d))
-    for row, gen in zip(z.reshape(-1, 2, d, d), gens):
-        gen.standard_normal(out=row)
+    _draw(streams, np.random.Generator.standard_normal, z.reshape(-1, 2, d, d))
     g = np.empty((*lead, d, d), dtype=complex)
     g.real, g.imag = z[..., 0, :, :], z[..., 1, :, :]
     return g
@@ -270,7 +270,7 @@ def _cptp_ops(seeds, d: int, k: int) -> np.ndarray:
     todo = np.arange(len(seeds))
     for attempt in range(RESAMPLE_ATTEMPTS):
         words = _stream_states([seeds[i] for i in todo], [(attempt, i) for i in range(k)])
-        g = _ginibre(_generators(words), (len(todo), k, d))
+        g = _ginibre(_Streams(words), (len(todo), k, d))
         normalizer = sum((g.conj().swapaxes(-2, -1) @ g).swapaxes(0, 1))
         vals, vecs = np.linalg.eigh(normalizer)
         ratio = np.divide(vals[:, -1], vals[:, 0], out=np.zeros(len(todo)), where=vals[:, 0] > 0.0)
@@ -289,12 +289,11 @@ def _cptp_ops(seeds, d: int, k: int) -> np.ndarray:
 
 def _unitary_mixture_ops(seeds, d: int, k: int) -> np.ndarray:
     """Kraus stacks ``sqrt(p_i) U_i``: Haar unitaries, flat-Dirichlet weights from stream ``k``."""
-    # per seed: k matrices, then the weights
+    # streams 0..k-1 of a seed draw its matrices, stream k its weights; every matrix is drawn first
     words = _stream_states(seeds, [(i,) for i in range(k + 1)]).reshape(len(seeds), k + 1, 4)
-    unitaries = _haar(_ginibre(_generators(words[:, :k]), (len(seeds), k, d)))
-    weights = np.empty((len(seeds), k))
-    for w, gen in zip(weights, _generators(words[:, k])):
-        gen.standard_exponential(out=w)
+    streams = _Streams(np.concatenate([words[:, :k].reshape(-1, 4), words[:, k]]))
+    unitaries = _haar(_ginibre(streams, (len(seeds), k, d)))
+    weights = _draw(streams, np.random.Generator.standard_exponential, np.empty((len(seeds), k)))
     # numpy's dirichlet at alpha = 1: standard_gamma(1) is standard_exponential,
     # and each row is multiplied by the reciprocal of its sequential sum
     weights *= 1.0 / np.cumsum(weights, axis=1)[:, -1:]
@@ -319,15 +318,15 @@ def _sample_stack(family: str, d: int, seeds) -> np.ndarray:
     its stack sampler (``_cptp_ops`` and the like).
     """
     if family in _MATRIX_FAMILIES:
-        g = _ginibre(_generators(_stream_states(seeds, [()])), (len(seeds), d))
+        g = _ginibre(_Streams(_stream_states(seeds, [()])), (len(seeds), d))
         return g @ g.conj().swapaxes(-2, -1) if family == "psd" else g
     if family == "cptp":
         ops = _cptp_ops(seeds, d, default_kraus_count(family, d))
     elif family == "unitary-mixture":
         ops = _unitary_mixture_ops(seeds, d, default_kraus_count(family, d))
     elif family == "unistochastic":
-        gens = _generators(_stream_states(seeds, [(0,)]))
-        ops = _unistochastic_ops(_haar(_ginibre(gens, (len(seeds), d * d))), d)
+        streams = _Streams(_stream_states(seeds, [(0,)]))
+        ops = _unistochastic_ops(_haar(_ginibre(streams, (len(seeds), d * d))), d)
     elif family.startswith("named:"):
         ops = named_family_channel(family, d)
         return np.broadcast_to(ops, (len(seeds), *ops.shape))
@@ -411,10 +410,11 @@ def named_family_channel(family: str, d: int) -> np.ndarray:
     return named_channel(name, d, param)
 
 
-def _cuts(count: int, size) -> list[range]:
-    """``range(count)`` cut into consecutive ranges of at most ``size`` (at least one)."""
+def _cuts(count: int, size):
+    """``range(count)`` cut into consecutive ranges of at most ``size`` (at least one), one at a time."""
     size = max(1, size)
-    return [range(start, min(start + size, count)) for start in range(0, count, size)]
+    for start in range(0, count, size):
+        yield range(start, min(start + size, count))
 
 
 def population(seed: int, dims, families, count: int, stream: int = 0, size=None):
@@ -430,15 +430,13 @@ def population(seed: int, dims, families, count: int, stream: int = 0, size=None
     array.  The matrix families ``mat`` and ``psd``, at family code 0 and
     stream key ``()``, give the ``(n, d, d)`` stack of the Ginibre matrices
     ``G`` of ``default_rng`` on each seed, real parts first, or of
-    ``G G^dag``, unchecked.  The seeds of every ``(dim, family)`` are
-    derived together, before the first stack is drawn, and sliced per stack.
+    ``G G^dag``, unchecked.  Each stack's seeds are derived when it is drawn,
+    for its own indices alone, so memory does not grow with ``count``.
     """
-    pairs = [(int(dim), family) for dim in dims for family in families]
-    drawn = [(d, family) for d, family in pairs if family in FAMILY_CODES or family in _MATRIX_FAMILIES]
-    table = _derive_seeds([(seed, stream + FAMILY_CODES.get(f, 0), d) for d, f in drawn], range(count))
-    seeds = dict(zip(drawn, table))
-    for d, family in pairs:
-        for indices in _cuts(count, count if size is None else size(d)):
-            ids = [f"{family}-d{d}-{index:04d}" for index in indices]
-            stack = seeds.get((d, family), range(count))[indices.start : indices.stop]
-            yield family, d, ids, _sample_stack(family, d, stack)
+    for d in map(int, dims):
+        for family in families:
+            drawn = family in FAMILY_CODES or family in _MATRIX_FAMILIES
+            for indices in _cuts(count, count if size is None else size(d)):
+                ids = [f"{family}-d{d}-{index:04d}" for index in indices]
+                seeds = _derive_seeds((seed, stream + FAMILY_CODES.get(family, 0), d), indices) if drawn else indices
+                yield family, d, ids, _sample_stack(family, d, seeds)

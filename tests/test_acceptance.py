@@ -176,7 +176,7 @@ def test_criterion_4_norm_interpolation_suite(capsys):
     count = 0
     for n in range(2, 17):
         # matrix i from default_rng(derive_seed(1004, n, i)), all 500 checked in one call
-        seeds = sampler._derive_seeds([(1004, n)], range(500))[0].tolist()
+        seeds = sampler._derive_seeds((1004, n), range(500)).tolist()
         g = np.stack([complex_gaussian(np.random.default_rng(seed), (n, n)) for seed in seeds])
         batch = spectra.check_prop1(g @ g.conj().swapaxes(-2, -1), orders)
         first = batch.first_failure()

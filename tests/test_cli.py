@@ -940,21 +940,27 @@ class TestOneProfilePerStack:
 
 
 class TestKrausArrays:
-    """Channel stacks stay the Kraus arrays the sampler draws, and seeds are derived once per population."""
+    """Channel stacks stay the Kraus arrays the sampler draws, and seeds are derived once per stack."""
 
-    def test_suite_derives_seeds_once(self, tmp_path, monkeypatch):
-        prefixes, passes = [], []
+    def test_suite_derives_seeds_once_per_stack(self, tmp_path, monkeypatch):
+        derived, passes = [], []
         derive, states = sampler._derive_seeds, sampler._seed_states
-        monkeypatch.setattr(sampler, "_derive_seeds", lambda p, i: prefixes.append(list(p)) or derive(p, i))
+        monkeypatch.setattr(sampler, "_derive_seeds", lambda p, i: derived.append((p, list(i))) or derive(p, i))
         monkeypatch.setattr(sampler, "_seed_states", lambda e, n: passes.append(n) or states(e, n))
-        args = ["inequalities", "--dims", "2,3", "--samples", "150", "--out", str(tmp_path / "x")]
+        # 18 entries: a stack of 4 matrices at d = 2 and of 2 at d = 3, and of one channel
+        monkeypatch.setattr(cli, "STACK_ENTRIES", 18)
+        args = ["inequalities", "--dims", "2,3", "--samples", "5", "--out", str(tmp_path / "x")]
         assert cli.main(args) == 0
-        # one derivation per population call, of all its (dim, family) seeds in one pass
+
+        def stacks(prefix, size):
+            return [(prefix, list(range(i, min(i + size, 5)))) for i in range(0, 5, size)]
+
+        # one derivation per stack, of its one prefix and its own indices
         seed = cli.DEFAULT_SEED
-        channels = [(seed, 100 + code, d) for d in (2, 3) for code in sampler.FAMILY_CODES.values()]
-        matrices = [[(seed, stream, d) for d in (2, 3)] for stream in range(201, 206)]
-        assert sorted(prefixes) == sorted([channels, *matrices])
-        assert passes.count(2) == 6  # a derivation pass makes two words per seed, a stream state eight
+        want = [s for stream in range(201, 206) for d in (2, 3) for s in stacks((seed, stream, d), 18 // d**2)]
+        want += [s for d in (2, 3) for code in sampler.FAMILY_CODES.values() for s in stacks((seed, 100 + code, d), 1)]
+        assert sorted(derived) == sorted(want)
+        assert passes.count(2) == len(want)  # a derivation pass makes two words per seed, a stream state eight
 
 
 class TestInequalityFailures:

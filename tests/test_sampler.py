@@ -21,7 +21,7 @@ from chanent.errors import (
 def derive_seed(*address):
     """The library's seed for the sample at ``address``, that of ``SeedSequence(address)``."""
     *prefix, last = address
-    return int(sampler._derive_seeds([prefix], [last])[0, 0])
+    return int(sampler._derive_seeds(prefix, [last])[0])
 
 
 class TestSampleCptp:
@@ -209,6 +209,19 @@ class TestPopulation:
         np.testing.assert_array_equal(pop[2][3][1], g)
         np.testing.assert_array_equal(pop[3][3][1], g @ g.conj().T)
 
+    def test_seeding_is_bounded_by_the_stack(self, monkeypatch):
+        # each stack's seeds are derived for its own indices: no pass grows with the population
+        derived, hashed = [], []
+        derive, seed_states = sampler._derive_seeds, sampler._seed_states
+        monkeypatch.setattr(sampler, "_derive_seeds", lambda *a: derived.append(len(a[-1])) or derive(*a))
+        monkeypatch.setattr(sampler, "_seed_states", lambda e, n: hashed.append(len(e)) or seed_states(e, n))
+        families = (*sampler.FAMILY_CODES, "psd")
+        stacks = sampler.population(6, (2, 3), families, 5_000, size=lambda d: 64)
+        assert sum(len(ops) for *_, ops in stacks) == 2 * len(families) * 5_000
+        assert derived and max(derived) <= 64
+        # a cptp stack at d = 3 has the most stream keys: one per Kraus operator
+        assert max(hashed) <= 64 * sampler.default_kraus_count("cptp", 3)
+
 
 # Seeds at the word boundaries of SeedSequence's integer coercion: one word,
 # the largest one-word value, two words, three words, and five words (more
@@ -269,40 +282,59 @@ class TestStreamContract:
                     derive_seed(*address)
             else:
                 assert derive_seed(*address) == oracles.derive_seed(*address)
-        # several prefixes of one word count in one call, as population() makes them
-        prefixes = [(seed, 1, 3), (seed, 2, 3), (seed, 205, 16)]
+        # many indices under one prefix in one call, as population() derives a stack's seeds
         indices = [0, 1, 2**32 - 1, 9]
-        np.testing.assert_array_equal(
-            sampler._derive_seeds(prefixes, indices),
-            [[oracles.derive_seed(*prefix, i) for i in indices] for prefix in prefixes],
-        )
-        with pytest.raises(ValueError, match="one word count"):
-            sampler._derive_seeds([(seed, 1, 3), (seed, 2**40, 2)], indices)
-        # stream generators and draws, root and spawned, of uint64 seeds as derivation gives them:
-        # every row of the words table seeds its own stream (a table in the wrong layout does not)
+        for prefix in ((seed, 1, 3), (seed, 205, 16), (seed,)):
+            np.testing.assert_array_equal(
+                sampler._derive_seeds(prefix, indices), [oracles.derive_seed(*prefix, i) for i in indices]
+            )
+        # stream seeding and draws, root and spawned, of uint64 seeds as derivation gives them:
+        # one seed source hands each row of the words table, in order, to its own PCG64
         low = seed & (2**64 - 1)
         for keys in ([()], [(0,), (1,), (2,)], [(0, 0), (0, 5), (3, 1)]):
-            gens = sampler._generators(sampler._stream_states([low, 11], keys))
+            streams = sampler._Streams(sampler._stream_states([low, 11], keys))
             for s in (low, 11):
                 for key in keys:
                     rng = np.random.default_rng(np.random.SeedSequence(s, spawn_key=key))
-                    gen = next(gens)
+                    gen = np.random.Generator(np.random.PCG64(streams))
                     assert gen.bit_generator.state == rng.bit_generator.state
                     np.testing.assert_array_equal(gen.standard_normal((2, 3, 3)), rng.normal(size=(2, 3, 3)))
-            assert next(gens, None) is None
+            with pytest.raises(ValueError, match="fewer rows than draws"):
+                np.random.PCG64(streams)
         if seed >> 64:
             with pytest.raises(ValueError, match="below 2\\*\\*64"):
                 sampler._stream_states([seed], [()])
 
     @pytest.mark.parametrize("n_words, dtype", [(4, np.uint32), (8, np.uint32), (2, np.uint64), (8, np.uint64)])
     def test_stream_words_are_four_contiguous_uint64(self, n_words, dtype):
-        words = sampler._Words(sampler._stream_states([5], [()])[0])
-        with pytest.raises(ValueError, match="4 contiguous uint64 words"):
-            words.generate_state(n_words, dtype)
-        assert words.generate_state(4, np.uint64) is words.row
-        # a row of a Fortran-order table: its words are not adjacent in the buffer
-        with pytest.raises(ValueError, match="4 contiguous uint64 words"):
-            sampler._Words(np.asfortranarray(np.zeros((3, 4), np.uint64))[0]).generate_state(4, np.uint64)
+        # PCG64 reads its four words from the buffer: the seed source hands each row of a
+        # table of any layout, a Fortran-order one too, as adjacent words
+        table = sampler._stream_states([5, 6], [(0,), (1,)])
+        streams = sampler._Streams(np.asfortranarray(table))
+        with pytest.raises(ValueError, match="a stream is 4 uint64 words"):
+            streams.generate_state(n_words, dtype)
+        # a refused request takes no row: the rows come in order, then the table runs out
+        for row in table:
+            words = streams.generate_state(4, np.uint64)
+            assert words.flags.c_contiguous
+            np.testing.assert_array_equal(words, row)
+        with pytest.raises(ValueError, match="fewer rows than draws"):
+            streams.generate_state(4, np.uint64)
+
+    @pytest.mark.parametrize("method", ["standard_normal", "standard_exponential"])
+    @pytest.mark.parametrize("keys", [[()], [(i,) for i in range(5)], [(3, i) for i in range(5)]],
+                             ids=["root", "spawned", "resampled"])
+    def test_draw_loop_matches_default_rng(self, keys, method):
+        # every draw of a stack, the mixture weights' exponentials included, against numpy's own streams
+        seeds = [0, 2**32 - 1, 2**32, 2**64 - 1, 12345]
+        streams, fill = sampler._Streams(sampler._stream_states(seeds, keys)), getattr(np.random.Generator, method)
+        got = sampler._draw(streams, fill, np.empty((len(seeds) * len(keys), 2, 3)))
+        want = [getattr(np.random.default_rng(np.random.SeedSequence(s, spawn_key=key)), method)((2, 3))
+                for s in seeds for key in keys]
+        np.testing.assert_array_equal(got, want)
+        # a table with fewer rows than draws says so, not as a StopIteration
+        with pytest.raises(ValueError, match="fewer rows than draws"):
+            sampler._draw(streams, fill, np.empty((1, 2, 3)))
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -323,8 +355,8 @@ class TestStreamContract:
         passes = []
         seed_states = sampler._seed_states
         monkeypatch.setattr(sampler, "_seed_states", lambda e, n: passes.append(e.shape) or seed_states(e, n))
-        sampler._derive_seeds([(2**100 + 5, code, d) for code in range(3) for d in (2, 16)], range(150))
-        assert passes == [(6 * 150, 4 + 2 + 1)]  # a four-word seed, code and dimension, then the index
+        sampler._derive_seeds((2**100 + 5, 2, 16), range(150))
+        assert passes == [(150, 4 + 2 + 1)]  # a four-word seed, code and dimension, then the index
         passes.clear()
         seeds = [0, 2**32 - 1, 2**32, 2**64 - 1, *range(146)]
         for keys in ([()], [(i,) for i in range(9)], [(7, i) for i in range(9)]):
