@@ -11,7 +11,6 @@ __all__ = [
     "DomainError",
     "UnknownChannelError",
     "ParamOutOfRangeError",
-    "SingularNormalizerError",
 ]
 
 
@@ -53,7 +52,3 @@ class UnknownChannelError(ValueError):
 
 class ParamOutOfRangeError(ValueError):
     """Channel parameter outside its valid range."""
-
-
-class SingularNormalizerError(RuntimeError):
-    """Kraus normalizer stayed numerically singular after resampling."""

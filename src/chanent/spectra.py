@@ -100,13 +100,12 @@ class InequalityBatch:
     """Outcome of one check on a stack of inputs, at one or more orders.
 
     ``slack`` and ``passed`` have shape ``(n_inputs, n_orders)``, with one
-    order column for the checks that take no order; ``directions`` holds the
-    direction of each order.
+    order column for the checks that take no order; a positive slack is the
+    margin in the direction of its order's inequality.
     """
 
     slack: np.ndarray
     passed: np.ndarray
-    directions: tuple
 
     def first_failure(self):
         """``(input, order)`` of the first failing entry, inputs outermost; None if all pass."""
@@ -122,7 +121,7 @@ def _batch(log_ratio, directions, tol: float) -> InequalityBatch:
     """
     signed = np.where([d == "<=" for d in directions], log_ratio, -log_ratio)
     slack = np.sign(signed) * -np.expm1(-np.abs(signed))
-    return InequalityBatch(slack, slack >= -tol, tuple(directions))
+    return InequalityBatch(slack, slack >= -tol)
 
 
 def _stack(x) -> np.ndarray:

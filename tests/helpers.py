@@ -35,6 +35,18 @@ def population(*args, **kwargs):
             yield family, d, channel_id, row
 
 
+def plant_zero_ginibre_set(monkeypatch):
+    """Make the first matrix set of every ``sampler._ginibre`` draw zero: a cptp stack's first normalizer is 0."""
+    ginibre = sampler._ginibre
+
+    def first_set_zero(streams, shape):
+        g = ginibre(streams, shape)
+        g[0] = 0.0
+        return g
+
+    monkeypatch.setattr(sampler, "_ginibre", first_set_zero)
+
+
 def noisy_depolarizing():
     """depolarizing(0.3) at d = 3 with its Kraus set scaled by ``1 + 4.5e-9``.
 

@@ -39,7 +39,6 @@ from chanent.errors import (
     NonSquareError,
     NotPositiveError,
     NotTracePreservingError,
-    SingularNormalizerError,
     UnknownChannelError,
 )
 from chanent.spectra import STRICT_POS_TOL
@@ -487,19 +486,12 @@ def haar_unitary(dim, rng):
 
 
 def sample_cptp(d, k, seed):
-    """Normalized Ginibre Kraus set, resampled from sibling streams while singular."""
-    for attempt in range(sampler.RESAMPLE_ATTEMPTS):
-        root = np.random.SeedSequence(entropy=seed, spawn_key=(attempt,))
-        gs = [ginibre(d, np.random.default_rng(s)) for s in root.spawn(k)]
-        normalizer = sum(g.conj().T @ g for g in gs)
-        vals, vecs = np.linalg.eigh(normalizer)
-        if vals[0] <= 0.0 or vals[-1] / vals[0] > sampler.COND_LIMIT:
-            continue
-        inv_sqrt = (vecs / np.sqrt(vals)) @ vecs.conj().T
-        return np.array([g @ inv_sqrt for g in gs])
-    raise SingularNormalizerError(
-        f"normalizer stayed ill-conditioned after {sampler.RESAMPLE_ATTEMPTS} attempts (seed {seed})"
-    )
+    """Normalized Ginibre Kraus set, operator ``i`` from the stream spawned at key ``(0, i)``."""
+    root = np.random.SeedSequence(entropy=seed, spawn_key=(0,))
+    gs = [ginibre(d, np.random.default_rng(s)) for s in root.spawn(k)]
+    vals, vecs = np.linalg.eigh(sum(g.conj().T @ g for g in gs))
+    inv_sqrt = (vecs / np.sqrt(vals)) @ vecs.conj().T
+    return np.array([g @ inv_sqrt for g in gs])
 
 
 def sample_unitary_mixture(d, k, seed):

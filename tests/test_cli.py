@@ -6,13 +6,13 @@ import re
 
 import numpy as np
 import pytest
-from helpers import save_channel
+from helpers import plant_zero_ginibre_set, save_channel
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chanent import channel as chmod
 from chanent import cli, matcore, sampler, spectra, tradeoff
-from chanent.errors import DomainError, SingularNormalizerError
+from chanent.errors import DomainError
 
 
 def json_text(obj) -> str:
@@ -792,7 +792,7 @@ class TestInequalities:
 
         def overflowing(x, y, q):
             batch = check(x, y, q)
-            return spectra._batch(np.full(batch.slack.shape, np.nan), batch.directions, 1e-10)
+            return spectra._batch(np.full(batch.slack.shape, np.nan), ("<=",) * batch.slack.shape[1], 1e-10)
 
         monkeypatch.setattr(spectra, "check_superadditivity", overflowing)
         out = tmp_path / "nan-slack"
@@ -1080,11 +1080,11 @@ class TestRunSkeleton:
             assert extra == plain
 
     def test_any_other_error_is_exit_1_with_one_record(self, tmp_path, capsys, monkeypatch):
-        def singular(seeds, d, k):
-            raise SingularNormalizerError("planted singular normalizer")
+        def failing(seeds, d, k):
+            raise RuntimeError("planted error")
 
-        monkeypatch.setattr(sampler, "_cptp_ops", singular)
-        record = {"check": "error", "kind": "SingularNormalizerError", "message": "planted singular normalizer"}
+        monkeypatch.setattr(sampler, "_cptp_ops", failing)
+        record = {"check": "error", "kind": "RuntimeError", "message": "planted error"}
         # the suite names the check whose stack was being drawn; a sweep has no checks
         for args, during in ((self.SWEEP, {}), (self.SUITE, {"during": "upkp"})):
             out = tmp_path / args[0]
@@ -1092,6 +1092,18 @@ class TestRunSkeleton:
             assert json.loads((out / "summary.json").read_text())["failure"] == {**record, **during}
             assert "Traceback" not in capsys.readouterr().err
         assert not (tmp_path / "sweep" / "report.csv").exists()
+
+    def test_singular_normalizer_is_exit_1(self, tmp_path, capsys, monkeypatch):
+        # a zero Ginibre set: its NaN operators fail the trace-preservation check
+        plant_zero_ginibre_set(monkeypatch)
+        out = tmp_path / "sweep"
+        assert cli.main([*self.SWEEP, "--family", "cptp", "--out", str(out)]) == 1
+        assert json.loads((out / "summary.json").read_text())["failure"] == {
+            "check": "error", "kind": "NotTracePreservingError",
+            "message": f"trace-preservation defect nan exceeds {chmod.TP_TOL:.1e}",
+        }
+        assert "Traceback" not in capsys.readouterr().err
+        assert not (out / "report.csv").exists()
 
     def test_input_among_the_run_files_is_refused(self, tmp_path, capsys):
         # a suite counterexample is a --matrix file: retesting it into the same

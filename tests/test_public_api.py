@@ -1,5 +1,6 @@
 """The package's public surface: every exported name resolves, and no removed one is back."""
 
+import ast
 import importlib
 import re
 from pathlib import Path
@@ -7,7 +8,7 @@ from pathlib import Path
 import numpy as np
 
 import chanent
-from chanent import channel, cli, matcore
+from chanent import channel, cli, errors, matcore
 
 MODULES = ("channel", "cli", "entropy", "errors", "matcore", "sampler", "spectra", "tradeoff")
 
@@ -26,11 +27,13 @@ MODULES = ("channel", "cli", "entropy", "errors", "matcore", "sampler", "spectra
 # a cell is the dict GridReport.cell gives, so its report class went.  Every
 # cell is asserted, the q = 1 ones too, so the band that exempted them went.
 # The suite's Ginibre matrices are population's mat and psd families, so
-# the second population generator went.
+# the second population generator went.  A cptp sample is drawn once, its
+# normalizer never near singular, so the resampling limits and their error went.
 REMOVED = {
     "sampler": (
         "sample_cptp", "sample_unitary_mixture", "sample_unistochastic", "unistochastic_from_unitary",
-        "derive_seed", "SamplerConfig", "sample_channel", "ginibre_population",
+        "derive_seed", "SamplerConfig", "sample_channel", "ginibre_population", "COND_LIMIT",
+        "RESAMPLE_ATTEMPTS",
     ),
     "channel": (
         "superoperator_from_kraus", "apply_channel", "unital_defect", "is_unital",
@@ -41,7 +44,7 @@ REMOVED = {
     "matcore": ("Spectrum", "vec"),
     "spectra": ("schatten", "InequalityReport"),
     "tradeoff": ("evaluate_tradeoff", "lower_bound", "TradeoffReport", "LIMIT_EPS", "is_limit_row"),
-    "errors": ("BoundViolation",),
+    "errors": ("BoundViolation", "SingularNormalizerError"),
 }
 
 
@@ -56,6 +59,17 @@ def test_exported_names_resolve_and_removed_ones_stay_removed():
         for name in names:
             assert not hasattr(modules[module_name], name), f"chanent.{module_name}.{name}"
             assert not hasattr(chanent, name), f"chanent.{name}"
+
+
+def test_every_exported_error_is_raised():
+    # an exception the package exports but never raises is API for nothing
+    raised = set()
+    for path in Path(errors.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.add(exc.attr if isinstance(exc, ast.Attribute) else getattr(exc, "id", None))
+    assert set(errors.__all__) - raised == set()
 
 
 def test_spectra_d_and_k_are_plain_float_arrays():

@@ -192,9 +192,14 @@ class TestCheckProp1:
             assert batch.passed.all() and (batch.slack == 0.0).all()
 
     def test_direction_flips_at_two(self):
-        rng = np.random.default_rng(73)
-        batch = spectra.check_prop1(random_psd(rng, 8)[None], (1.5, 3.0, 0.5))
-        assert batch.directions == ("<=", ">=", ">=") and batch.passed.all()
+        # a slack is the margin in its order's direction: a flip the oracle
+        # makes and the library does not would flip the slack's sign
+        x = random_psd(np.random.default_rng(73), 8)
+        orders = (1.5, 3.0, 0.5)
+        want = [oracles.check_prop1(x, q) for q in orders]
+        assert [rep.direction for rep in want] == ["<=", ">=", ">="]
+        slack = spectra.check_prop1(x[None], orders).slack[0]
+        assert (slack > 0).all() and slack == pytest.approx([rep.slack for rep in want], rel=1e-9)
 
     @pytest.mark.parametrize("q", [0.3, 0.7, 1.2, 1.8, 2.0, 2.5, 4.0])
     def test_random_psd_passes(self, q):
@@ -493,13 +498,13 @@ def _psd_cases():
 
 
 def _assert_matches(batch, oracle):
-    """Slack within 1e-12 relative (floored at 1) and equal verdicts, entry by entry."""
+    """Slack within 1e-12 relative (floored at 1), so of the oracle's direction, and equal verdicts, entry by entry."""
     assert batch.slack.shape == (len(oracle), len(oracle[0]))
     for i, row in enumerate(oracle):
         for j, rep in enumerate(row):
             slack = batch.slack[i, j]
             assert abs(slack - rep.slack) <= 1e-12 * max(abs(slack), abs(rep.slack), 1.0), (i, j)
-            assert batch.passed[i, j] == rep.passed and batch.directions[j] == rep.direction, (i, j)
+            assert batch.passed[i, j] == rep.passed, (i, j)
 
 
 class TestBatchedChecksMatchOracles:
@@ -729,7 +734,7 @@ class TestFirstFailure:
     def test_first_failing_input_is_named(self):
         passed = np.ones((10, 3), dtype=bool)
         passed[7, 0] = passed[3, 2] = False
-        batch = spectra.InequalityBatch(np.zeros((10, 3)), passed, ("<=",) * 3)
+        batch = spectra.InequalityBatch(np.zeros((10, 3)), passed)
         assert batch.first_failure() == (3, 2)
         passed[:] = True
         assert batch.first_failure() is None
