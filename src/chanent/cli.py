@@ -46,10 +46,11 @@ violated cell as the grid gives it (:meth:`~chanent.tradeoff.GridReport.cell`),
 and its ``BOUND VIOLATION`` line is built from that record.
 
 A sweep stacks the channels of one (dimension, family) and evaluates each
-profile in one grid pass, against bounds tabulated once per dimension.  Its
-violation, read off the grid, or its error is the one a loop over the
-channels would meet first; a violation on a channel inside a stack writes
-every row of the channels before it, and an error leaves no
+profile in one grid pass, against bounds tabulated once per dimension, and
+reads it in stack order (:func:`~chanent.tradeoff.evaluate_profile`): a
+non-finite cell anywhere in the stack is an error, and otherwise its first
+violated cell is the violation.  A violation writes every row before it,
+the channels before it in its stack included, and an error leaves no
 ``report.csv``.  Every cell is asserted, the von Neumann ones at ``q = 1``
 included; ``summary.json`` counts those under ``limit_rows``.
 ``report.csv`` is written as each stack is evaluated, channel by channel,
@@ -62,11 +63,13 @@ round-trip digits, and the cells whose notation it writes differently
 (0 < |x| < 1e-4, |x| >= 1e16, inf and NaN) are taken from ``repr``
 (:func:`_float_texts`).
 
-The inequality suite runs each check once per stack at all of its orders,
-with one decomposition of the stack for all of them (see
-:mod:`chanent.spectra`); the two channel checks share one profile per
-stack.  The first failure is named in the order of a loop over inputs with
-the orders inside, and only that input is serialized.
+The inequality suite's checks are one table, ``_CHECKS``, a row per check
+with its operands and its call, in the order the suite runs them.  Each
+check runs once per stack at all of its orders, with one decomposition of
+the stack for all of them (see :mod:`chanent.spectra`); the two channel
+checks share one profile per stack, upkp's batch recorded before cbn0's.
+A stack is read in stack order: a check's failure is its first failing
+input, and only that input is serialized.
 """
 
 from __future__ import annotations
@@ -112,9 +115,22 @@ CSV_COLUMNS = [
     "saturated",
 ]
 
-CHECK_NAMES = ("prop1", "21in", "upkp", "npqr", "sups", "cbn0")
-# The checks that run on the channels of the config's families rather than on matrices.
-CHANNEL_CHECKS = ("upkp", "cbn0")
+# The inequality suite's checks in the order it runs them, one row each: the
+# check's operands, and its call on the config and one stack of each operand.
+# A matrix check's operands are the population (family, stream) of each of
+# its matrices, and a --matrix file is every operand; a channel check's
+# (None) are the config's channels, one profile per stack shared by both
+# channel checks.  Each check is looked up in ``spectra`` as it is called.
+_CHECKS = {
+    "prop1": ((("psd", 201),), lambda cfg, x: spectra.check_prop1(x, [float(q) for q in cfg.q_grid])),
+    "21in": ((("mat", 202),), lambda cfg, x: spectra.check_two_inf_one(x)),
+    "npqr": ((("psd", 203),), lambda cfg, x: spectra.check_antinorm_monotonicity(
+        x, (0.2, 1.0 / 3.0, 0.5), (0.8, 0.5, 1.0))),
+    "sups": ((("psd", 204), ("psd", 205)), lambda cfg, x, y: spectra.check_superadditivity(
+        x, y, [float(q) for q in cfg.q_grid if 0.0 < float(q) < 1.0] or [0.5])),
+    "upkp": (None, lambda cfg, profile: spectra.check_superop_norm_bound(profile)),
+    "cbn0": (None, lambda cfg, profile: spectra.check_norm_product_chain(profile)),
+}
 # Most matrix entries one stack holds, in the sweep and in the inequality
 # suite, counted per input as the entries of the largest array the stack
 # builds for it: an input matrix (d**2) in the suite, a channel's D or K
@@ -131,7 +147,10 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Sweep parameters; every field has a default so a bare run works.
+    """Run parameters of both subcommands; every field has a default so a bare run works.
+
+    Every field is validated for both, but ``s_grid`` is read by ``sweep``
+    alone: ``inequalities`` refuses an empty one and ignores a valid one.
 
     The verdict tolerances are not among them: a violation is a gap below
     ``tradeoff.GAP_TOL`` and saturation a gap up to ``tradeoff.SAT_TOL``,
@@ -466,34 +485,54 @@ def run_sweep(cfg: SweepConfig, out_dir, channel_path=None) -> int:
 
 def run_inequality_suite(cfg: SweepConfig, out_dir, only=None, matrix_path=None) -> int:
     """Run the norm/anti-norm checks; write summary.json with min slack."""
-    if only is not None and only not in CHECK_NAMES:
-        raise ConfigError(f"unknown check {only!r}; choose from {', '.join(CHECK_NAMES)}")
-    selected = CHECK_NAMES if only is None else (only,)
+    if only is not None and only not in _CHECKS:
+        raise ConfigError(f"unknown check {only!r}; choose from {', '.join(_CHECKS)}")
+    groups = {}  # the selected (name, call) pairs by operands, in table order: each stack drawn once per group
+    for name in _CHECKS if only is None else (only,):
+        operands, call = _CHECKS[name]
+        groups.setdefault(operands, []).append((name, call))
 
     injected = None
     if matrix_path is not None:
         matrix = _load_input(matrix_path, "matrix", matcore.matrix_from_json)
         injected = (matrix_path, lambda: matcore.matrix_to_json(matrix))
-    # --matrix runs the matrix checks only, so it needs one of them selected
-    if injected is not None and all(n in CHANNEL_CHECKS for n in selected):
-        raise ConfigError(
-            f"no check ran for {', '.join(selected)}: the channel checks (upkp, cbn0) "
-            "take the config's families, not a --matrix file"
-        )
+        groups.pop(None, None)  # --matrix runs the matrix checks only, so it needs one of them selected
+        if not groups:
+            channel_checks = ", ".join(name for name, (operands, _) in _CHECKS.items() if operands is None)
+            raise ConfigError(
+                f"no check ran for {only}: the channel checks ({channel_checks}) "
+                "take the config's families, not a --matrix file"
+            )
     run = Run(out_dir, {"mode": "inequalities", "seed": cfg.seed, "checks": {}, "failure": None}, injected)
 
-    def stacks(kind: str, stream: int):
-        """``(labels, stack)`` of the injected matrix, or of the population's
-        Ginibre matrices ``G`` (``kind`` "mat") or ``G G^dag`` ("psd") on ``stream``."""
-        if injected is not None:
-            return [([Path(matrix_path).stem], matrix[None])]
-        pop = sampler.population(
-            cfg.seed, cfg.dims, (kind,), cfg.samples_per_family, stream, size=lambda d: _stack_size(d * d)
-        )
-        return ((labels, x) for _, _, labels, x in pop)
+    def stacks(operands):
+        """``(labels, operand stacks, payload)`` per stack of ``operands``: the
+        config's channels, profiled, if None; ``payload(i)`` serializes input ``i``."""
+        if operands is None:
+            pop = sampler.population(
+                cfg.seed, cfg.dims, cfg.families, cfg.samples_per_family, stream=100,
+                size=lambda d: _stack_size(d**4),
+            )
+            for _, _, labels, ops in pop:
+                yield labels, (profile_channel(ops, labels),), lambda i: chmod.channel_to_json(ops[i])
+            return
+        if injected is not None:  # the file is every operand, as a population of one stack of one
+            pops = [[(None, None, [Path(matrix_path).stem], matrix[None])]] * len(operands)
+        else:
+            pops = [
+                sampler.population(
+                    cfg.seed, cfg.dims, (family,), cfg.samples_per_family, stream, size=lambda d: _stack_size(d * d)
+                )
+                for family, stream in operands
+            ]
+        for drawn in zip(*pops):
+            xs = [x for *_, x in drawn]
 
-    anti_orders = [float(q) for q in cfg.q_grid if 0.0 < float(q) < 1.0] or [0.5]
-    order_pairs = [(0.2, 0.8), (1.0 / 3.0, 0.5), (0.5, 1.0)]
+            def payload(i):
+                texts = [matcore.matrix_to_json(x[i]) for x in xs]
+                return texts[0] if len(texts) == 1 else dict(zip("xy", texts))
+
+            yield drawn[0][2], xs, payload
 
     def record(name: str, labels, batch: spectra.InequalityBatch, payload):
         """Fold one batch into its check; ``payload(i)`` serializes input ``i``
@@ -509,50 +548,14 @@ def run_inequality_suite(cfg: SweepConfig, out_dir, only=None, matrix_path=None)
             run.fail("failure", failure, f"INEQUALITY SUITE FAILED: {failure}", label, payload(first[0]))
 
     with run.evaluating():
-        if "prop1" in selected:
-            run.during = "prop1"
-            for labels, x in stacks("psd", 201):
-                batch = spectra.check_prop1(x, [float(q) for q in cfg.q_grid])
-                record("prop1", labels, batch, lambda i: matcore.matrix_to_json(x[i]))
-        if "21in" in selected:
-            run.during = "21in"
-            for labels, x in stacks("mat", 202):
-                batch = spectra.check_two_inf_one(x)
-                record("21in", labels, batch, lambda i: matcore.matrix_to_json(x[i]))
-        if "npqr" in selected:
-            run.during = "npqr"
-            ps, qs = zip(*order_pairs)
-            for labels, x in stacks("psd", 203):
-                batch = spectra.check_antinorm_monotonicity(x, ps, qs)
-                record("npqr", labels, batch, lambda i: matcore.matrix_to_json(x[i]))
-        if "sups" in selected:
-            run.during = "sups"
-            for (labels, x), (_, y) in zip(stacks("psd", 204), stacks("psd", 205)):
-                batch = spectra.check_superadditivity(x, y, anti_orders)
-                record("sups", labels, batch, lambda i: {
-                    "x": matcore.matrix_to_json(x[i]), "y": matcore.matrix_to_json(y[i])
-                })
-        channel_checks = [n for n in CHANNEL_CHECKS if n in selected]
-        if injected is None and channel_checks:
-            suite = sampler.population(
-                cfg.seed, cfg.dims, cfg.families, cfg.samples_per_family, stream=100,
-                size=lambda d: _stack_size(d**4),
-            )
-            checks = {"upkp": spectra.check_superop_norm_bound, "cbn0": spectra.check_norm_product_chain}
-            # each stack is drawn and profiled for the first selected channel check
-            run.during = channel_checks[0]
-            for _, _, labels, ops in suite:
-                profile = profile_channel(ops, labels)
-                batches = []
-                for name in channel_checks:
+        for operands, checks in groups.items():
+            # each stack is drawn, and a channel stack profiled, for the group's first check
+            first = run.during = checks[0][0]
+            for labels, inputs, payload in stacks(operands):
+                for name, call in checks:
                     run.during = name
-                    batches.append((name, checks[name](profile)))
-                # upkp then cbn0 ran channel by channel: the first failure
-                # named is the earlier channel's, upkp's on a tie
-                batches.sort(key=lambda nb: (nb[1].first_failure() or (math.inf,))[0])
-                for name, batch in batches:
-                    record(name, labels, batch, lambda i: chmod.channel_to_json(ops[i]))
-                run.during = channel_checks[0]
+                    record(name, labels, call(cfg, *inputs), payload)
+                run.during = first
     return run.finish(lambda s: "inequalities ok: min slack " + ", ".join(
         f"{name}={entry['min_slack']:.3e}" for name, entry in sorted(s["checks"].items())
     ) + f" -> {run.out}")
@@ -608,7 +611,7 @@ def main(argv=None) -> int:
 
     ineq = sub.add_parser("inequalities", help="run the norm/anti-norm inequality checks")
     _add_common_flags(ineq)
-    ineq.add_argument("--only", metavar="CHECK", help=f"one of: {', '.join(CHECK_NAMES)}")
+    ineq.add_argument("--only", metavar="CHECK", help=f"one of: {', '.join(_CHECKS)}")
     ineq.add_argument("--matrix", metavar="PATH", help="run the matrix checks on this file only")
 
     args = parser.parse_args(argv)

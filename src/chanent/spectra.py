@@ -35,14 +35,14 @@ however small or large ``c``; an entry passes iff its slack is at least
 ``-tol``, one relative tolerance per check.  A zero input, whose sides
 are both 0, has slack 0; an entry whose slack is not finite fails.
 
-An input the check cannot take raises the error a stack of that input alone
-raises, and of several such inputs the first is named, as a loop over the
-inputs would name it.
+A check takes each of its steps over the whole stack, in stack order: the
+first step an input fails raises, naming that step's first failing input,
+so a stack with one input the check cannot take raises what that input
+alone raises.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -51,13 +51,7 @@ import numpy as np
 from . import channel as chmod
 from . import matcore
 from .entropy import exprel
-from .errors import (
-    DimensionMismatchError,
-    DomainError,
-    InvalidOrderError,
-    InvalidSpectrumError,
-    NotPositiveError,
-)
+from .errors import DimensionMismatchError, InvalidOrderError, InvalidSpectrumError, NotPositiveError
 
 __all__ = [
     "STRICT_POS_TOL",
@@ -130,26 +124,6 @@ def _stack(x) -> np.ndarray:
     if m.ndim != 3:
         raise DimensionMismatchError(f"the checks take a stack (n, m, m) of matrices, got shape {m.shape}")
     return m
-
-
-def _inputs_in_turn(n_stacks: int):
-    """Decorate a check on ``n_stacks`` stacks: an input error names the first input that fails.
-
-    The check takes each step over the whole stack, so a later input could
-    fail an earlier step first; on an input error each input is run alone,
-    in turn, and the first one's error is raised.
-    """
-    def wrap(check):
-        @functools.wraps(check)
-        def run(*args):
-            try:
-                return check(*args)
-            except (DomainError, NotPositiveError):
-                for inputs in zip(*map(_stack, args[:n_stacks])):
-                    check(*(m[None] for m in inputs), *args[n_stacks:])
-                raise
-        return run
-    return wrap
 
 
 def _orders(q) -> list:
@@ -278,7 +252,6 @@ def schatten_antinorm(x, q: float):
     return _schatten(x, q)
 
 
-@_inputs_in_turn(1)
 def check_prop1(x, q) -> InequalityBatch:
     """Interpolation between the q-, 2- and trace norms, at every order in ``q``.
 
@@ -335,7 +308,6 @@ def check_superop_norm_bound(profile: chmod.ChannelProfile) -> InequalityBatch:
     return _batch(np.log(rhs / profile.superop_spectrum[:, 0])[:, None], ("<=",), chmod.TP_TOL)
 
 
-@_inputs_in_turn(1)
 def check_antinorm_monotonicity(x, p, q) -> InequalityBatch:
     """``|X|_q <= |X|_p`` for ``0 < p < q`` on a positive matrix, pair by pair.
 
@@ -361,7 +333,6 @@ def check_antinorm_monotonicity(x, p, q) -> InequalityBatch:
     return _batch(np.stack(log_ratio, axis=1), ("<=",) * len(ps), 1e-10)
 
 
-@_inputs_in_turn(2)
 def check_superadditivity(x, y, q) -> InequalityBatch:
     """``|X + Y|_q >= |X|_q + |Y|_q`` in the anti-norm regimes, at every order in ``q``.
 

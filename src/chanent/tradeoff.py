@@ -119,9 +119,8 @@ class GridReport:
     The arrays are ``(n, n_q, n_s)``, channel ``k``'s laid out like the table
     at index ``k``; ``gap`` is measured against the unital bound for unital
     channels and against the all-channels bound otherwise.  ``violation`` is
-    the index ``(k, i, j)`` of the first cell, as :func:`evaluate_profile`
-    orders them, whose gap drops below ``-GAP_TOL``, or None if no cell
-    does.
+    the index ``(k, i, j)`` of the first cell in row-major order whose gap
+    drops below ``-GAP_TOL``, or None if no cell does.
     """
 
     profile: chmod.ChannelProfile
@@ -155,13 +154,12 @@ class GridReport:
 def evaluate_profile(profile: chmod.ChannelProfile, bounds: BoundTable) -> GridReport:
     """Entropic sums, applicable bounds and gaps on every cell of ``bounds``.
 
-    The stack is evaluated in one array pass, and its outcome is that of
-    evaluating its channels one after the other: the first channel with a
-    non-finite cell or a violation decides, and within it a non-finite cell
-    comes first, then the first violated cell in ``(q, s)`` row-major order.
-    A non-finite cell raises :class:`DomainError` naming it; a violated one
-    is the returned grid's ``violation``.  A violation is either a tolerance
-    problem or a genuine bug, and its caller must never ignore it.
+    The stack is evaluated in one array pass and read in stack order, its
+    cells ``(k, i, j)`` row-major: a non-finite cell anywhere in the stack
+    raises :class:`DomainError` naming the first, and otherwise the first
+    violated cell is the returned grid's ``violation``.  A violation is
+    either a tolerance problem or a genuine bug, and its caller must never
+    ignore it.
     """
     if bounds.dim != profile.dim:
         raise DimensionMismatchError(f"bound table for d={bounds.dim}, channel has d={profile.dim}")
@@ -171,19 +169,14 @@ def evaluate_profile(profile: chmod.ChannelProfile, bounds: BoundTable) -> GridR
     with np.errstate(invalid="ignore"):  # inf - inf; reported below
         gap = (m + r) - applicable
     grid = GridReport(profile, bounds, m, r, gap, gap <= SAT_TOL)
-    cells = bounds.q.size * bounds.s.size
-    non_finite = ~np.isfinite(gap).reshape(-1, cells)
-    violated = (gap < -GAP_TOL).reshape(-1, cells)
-    failing = np.flatnonzero(non_finite.any(axis=1) | violated.any(axis=1))
-    if not failing.size:
-        return grid
-    k = int(failing[0])
-    if non_finite[k].any():
-        cell = grid.cell(k, *divmod(int(np.argmax(non_finite[k])), bounds.s.size))
+    non_finite = np.argwhere(~np.isfinite(gap))  # indices in row-major order
+    if len(non_finite):
+        cell = grid.cell(*non_finite[0].tolist())
         raise DomainError(
             "entropy or gap is not finite at q={q}, s={s} on channel {channel_id!r}: "
             "map {map_entropy}, receiver {receiver_entropy}, bound {bound}".format(
                 **cell, bound=cell["bound_all"] if cell["bound_unital"] is None else cell["bound_unital"]
             )
         )
-    return replace(grid, violation=(k, *divmod(int(np.argmax(violated[k])), bounds.s.size)))
+    violated = np.argwhere(gap < -GAP_TOL)
+    return replace(grid, violation=tuple(violated[0].tolist())) if len(violated) else grid

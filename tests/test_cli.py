@@ -577,9 +577,9 @@ def failing_on(check, entries):
     return wrapped
 
 
-def ginibre_matrix(stream, d, index):
-    """Matrix ``G G^dag`` number ``index`` of the default suite's population on ``stream``."""
-    (*_, x), = sampler.population(cli.DEFAULT_SEED, (d,), ("psd",), index + 1, stream)
+def ginibre_matrix(family, stream, d, index):
+    """Matrix number ``index`` of the default suite's ``family`` ("mat" ``G``, "psd" ``G G^dag``) on ``stream``."""
+    (*_, x), = sampler.population(cli.DEFAULT_SEED, (d,), (family,), index + 1, stream)
     return x[index]
 
 
@@ -591,7 +591,7 @@ class TestInequalities:
         )
         assert code == 0
         summary = json.loads((out / "summary.json").read_text())
-        assert set(summary["checks"]) == set(cli.CHECK_NAMES)
+        assert set(summary["checks"]) == {"prop1", "21in", "npqr", "sups", "upkp", "cbn0"}
         for name, entry in summary["checks"].items():
             assert entry["passed"], name
             assert entry["min_slack"] >= -1e-9
@@ -657,7 +657,7 @@ class TestInequalities:
         ])
         assert code == 0
         checks = json.loads((out / "summary.json").read_text())["checks"]
-        for name in cli.CHANNEL_CHECKS:
+        for name in ("upkp", "cbn0"):
             assert checks[name]["count"] == 10 and checks[name]["passed"], name
             assert abs(checks[name]["min_slack"]) <= 1e-12, name
 
@@ -976,44 +976,53 @@ class TestInequalityFailures:
 
     # stacks of all ten matrices, and of four: 16 entries, d**2 = 4 per matrix
     @pytest.mark.parametrize("stack_entries", [cli.STACK_ENTRIES, 16])
-    @pytest.mark.parametrize("entries, first", [([(7, 0), (3, 2)], 3), ([(9, 1)], 9)])
+    # an entry is (input, order column); -1 is the last order, the only one of 21in
+    @pytest.mark.parametrize("entries, first", [([(7, 0), (3, -1)], 3), ([(9, -1)], 9)])
+    # each one-operand check, with its population and its order count
+    @pytest.mark.parametrize("name, function, family, stream, orders", [
+        pytest.param("prop1", "check_prop1", "psd", 201, 9, id="prop1"),
+        pytest.param("21in", "check_two_inf_one", "mat", 202, 1, id="21in"),
+        pytest.param("npqr", "check_antinorm_monotonicity", "psd", 203, 3, id="npqr"),
+    ])
     def test_npqr_failure_names_the_first_input_and_writes_its_matrix(
-        self, tmp_path, monkeypatch, stack_entries, entries, first
+        self, tmp_path, monkeypatch, name, function, family, stream, orders, stack_entries, entries, first
     ):
-        marks = [(ginibre_matrix(203, 2, i), j) for i, j in entries]
-        check = failing_on(spectra.check_antinorm_monotonicity, marks)
-        monkeypatch.setattr(spectra, "check_antinorm_monotonicity", check)
+        marks = [(ginibre_matrix(family, stream, 2, i), j) for i, j in entries]
+        monkeypatch.setattr(spectra, function, failing_on(getattr(spectra, function), marks))
         monkeypatch.setattr(cli, "STACK_ENTRIES", stack_entries)
-        code, summary, files, ce = self.run(tmp_path, "--only", "npqr")
+        code, summary, files, ce = self.run(tmp_path, "--only", name)
         assert code == 1
-        label = f"psd-d2-{first:04d}"
-        assert summary["failure"] == {"check": "npqr", "input": label, "kind": "inequality-failed"}
-        assert summary["checks"]["npqr"]["count"] == 30 and not summary["checks"]["npqr"]["passed"]
+        label = f"{family}-d2-{first:04d}"
+        assert summary["failure"] == {"check": name, "input": label, "kind": "inequality-failed"}
+        assert summary["checks"][name]["count"] == 10 * orders and not summary["checks"][name]["passed"]
         assert files == [f"{label}.json"]
         written = matcore.matrix_from_json(json.loads((ce / files[0]).read_text()))
-        np.testing.assert_array_equal(written, ginibre_matrix(203, 2, first))
+        np.testing.assert_array_equal(written, ginibre_matrix(family, stream, 2, first))
 
     def test_sups_failure_writes_both_operands(self, tmp_path, monkeypatch):
-        marks = [(ginibre_matrix(204, 2, 4), 1)]
+        marks = [(ginibre_matrix("psd", 204, 2, 4), 1)]
         monkeypatch.setattr(spectra, "check_superadditivity", failing_on(spectra.check_superadditivity, marks))
         code, summary, files, ce = self.run(tmp_path, "--only", "sups")
         assert code == 1 and summary["failure"]["input"] == "psd-d2-0004"
         payload = json.loads((ce / "psd-d2-0004.json").read_text())
         assert set(payload) == {"x", "y"}
-        np.testing.assert_array_equal(matcore.matrix_from_json(payload["x"]), ginibre_matrix(204, 2, 4))
-        np.testing.assert_array_equal(matcore.matrix_from_json(payload["y"]), ginibre_matrix(205, 2, 4))
+        np.testing.assert_array_equal(matcore.matrix_from_json(payload["x"]), ginibre_matrix("psd", 204, 2, 4))
+        np.testing.assert_array_equal(matcore.matrix_from_json(payload["y"]), ginibre_matrix("psd", 205, 2, 4))
 
-    @pytest.mark.parametrize("upkp, cbn0, named", [(5, 2, "cbn0"), (4, 4, "upkp"), (1, 6, "upkp")])
+    @pytest.mark.parametrize(
+        "upkp, cbn0, named", [(5, 2, "upkp"), (4, 4, "upkp"), (1, 6, "upkp"), (None, 3, "cbn0")]
+    )
     def test_channel_failure_is_the_first_in_channel_order(self, tmp_path, monkeypatch, upkp, cbn0, named):
-        # the channel checks ran upkp, then cbn0, on one channel after another
-        monkeypatch.setattr(
-            spectra, "check_superop_norm_bound", failing_at(spectra.check_superop_norm_bound, [(upkp, 0)])
-        )
+        # each stack's upkp batch is recorded before its cbn0 batch: upkp's
+        # first failing channel is named whenever upkp fails in the stack
+        monkeypatch.setattr(spectra, "check_superop_norm_bound", failing_at(
+            spectra.check_superop_norm_bound, [] if upkp is None else [(upkp, 0)]
+        ))
         monkeypatch.setattr(
             spectra, "check_norm_product_chain", failing_at(spectra.check_norm_product_chain, [(cbn0, 0)])
         )
         code, summary, files, ce = self.run(tmp_path, "--family", "cptp")
-        index = min(upkp, cbn0)
+        index = cbn0 if upkp is None else upkp
         assert code == 1
         assert summary["failure"] == {"check": named, "input": f"cptp-d2-{index:04d}", "kind": "inequality-failed"}
         assert files == [f"cptp-d2-{index:04d}.json"]
@@ -1143,7 +1152,7 @@ class TestRunSkeleton:
         def raising(x, y, q):
             raise FloatingPointError("planted sups error")
 
-        marks = [(ginibre_matrix(203, 2, 0), 0)]
+        marks = [(ginibre_matrix("psd", 203, 2, 0), 0)]
         monkeypatch.setattr(spectra, "check_antinorm_monotonicity", failing_on(spectra.check_antinorm_monotonicity, marks))
         monkeypatch.setattr(spectra, "check_superadditivity", raising)
         out = tmp_path / "x"

@@ -29,7 +29,9 @@ MODULES = ("channel", "cli", "entropy", "errors", "matcore", "sampler", "spectra
 # The suite's Ginibre matrices are population's mat and psd families, so
 # the second population generator went.  A cptp sample is drawn once, its
 # normalizer never near singular, so the resampling limits and their error went.
+# The suite's check names and channel checks are read off its one check table.
 REMOVED = {
+    "cli": ("CHECK_NAMES", "CHANNEL_CHECKS"),
     "sampler": (
         "sample_cptp", "sample_unitary_mixture", "sample_unistochastic", "unistochastic_from_unitary",
         "derive_seed", "SamplerConfig", "sample_channel", "ginibre_population", "COND_LIMIT",

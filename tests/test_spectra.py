@@ -621,8 +621,14 @@ def _first_error(fn):
     return type(info.value), str(info.value)
 
 
-class TestBatchErrorsMatchTheLoop:
-    """A stack with one input a check cannot take raises what the per-input loop raised first."""
+class TestBatchErrorsInStackOrder:
+    """A check takes each step over the whole stack: the first step an input fails names its first failing input.
+
+    A stack with one input the check cannot take raises what the per-input
+    loop raises, wherever that input is in the stack.
+    """
+
+    POSITIONS = pytest.mark.parametrize("position", [0, 3, 5], ids=["first", "middle", "last"])
 
     @staticmethod
     def _loop(check, inputs, orders):
@@ -632,56 +638,59 @@ class TestBatchErrorsMatchTheLoop:
                     check(*args, *order)
         return run
 
+    @POSITIONS
     @pytest.mark.parametrize(
         "bad, error",
         [(np.array([[1.0, 1.0], [0.0, 1.0]]), NotHermitianError), (-np.eye(2), NotPositiveError)],
         ids=["non-hermitian", "negative-definite"],
     )
-    def test_matrix_checks(self, bad, error):
-        x = _psd_stack(2, 201, 6)
-        x[2] = bad
+    def test_matrix_checks(self, bad, error, position):
+        x, y = _psd_stack(2, 201, 6), _psd_stack(2, 205, 6)
+        x[position] = bad
         cases = [
             (spectra.check_prop1, oracles.check_prop1, (x,), (SUITE.q_grid,), [(q,) for q in SUITE.q_grid]),
             (spectra.check_antinorm_monotonicity, oracles.check_antinorm_monotonicity, (x,),
              tuple(zip(*MONOTONICITY_PAIRS)), MONOTONICITY_PAIRS),
-            (spectra.check_superadditivity, oracles.check_superadditivity, (x, x[::-1] + 0.0),
-             ((0.3, 0.5),), [(0.3,), (0.5,)]),
+            (spectra.check_superadditivity, oracles.check_superadditivity, (x, y), ((0.3, 0.5),), [(0.3,), (0.5,)]),
         ]
         for batched, oracle, stacks, batch_orders, loop_orders in cases:
             want = _first_error(self._loop(oracle, list(zip(*stacks)), loop_orders))
+            alone = _first_error(lambda: batched(*(s[position:position + 1] for s in stacks), *batch_orders))
             got = _first_error(lambda: batched(*stacks, *batch_orders))
-            assert want[0] is error and got == want, batched.__name__
+            assert want[0] is error and got == alone == want, batched.__name__
 
-    def test_strictly_positive_order(self):
+    @POSITIONS
+    def test_strictly_positive_order(self, position):
         x = _psd_stack(2, 201, 6)
-        x[3] = np.diag([1.0, 0.0])
+        x[position] = np.diag([1.0, 0.0])
         want = _first_error(self._loop(oracles.check_prop1, [(m,) for m in x], [(-0.5,)]))
         assert want[0] is NotPositiveError
         assert _first_error(lambda: spectra.check_prop1(x, [-0.5])) == want
 
-    def test_superadditivity_names_the_first_pair(self):
-        # the loop checks x_1 and y_1 before x_3: y_1 is named, not x_3
+    def test_superadditivity_names_an_x_operand_before_a_y(self):
+        # the stack holds the x operands, then the y, then the sums: x_3 is
+        # named before y_1, though pair 1 comes before pair 3
         x, y = _psd_stack(2, 204, 5), _psd_stack(2, 205, 5)
         x[3], y[1] = -2.0 * np.eye(2), -np.eye(2)
-        want = _first_error(self._loop(oracles.check_superadditivity, list(zip(x, y)), [(0.5,)]))
-        assert want[0] is NotPositiveError and want[1].startswith("eigenvalue -1.000000e+00 ")
+        want = _first_error(lambda: spectra.check_superadditivity(x[3:4], y[3:4], 0.5))
+        assert want[0] is NotPositiveError and want[1].startswith("eigenvalue -2.000000e+00 ")
         assert _first_error(lambda: spectra.check_superadditivity(x, y, 0.5)) == want
 
     @pytest.mark.parametrize("check", ["prop1", "antinorm_monotonicity", "superadditivity"])
     def test_earlier_input_failing_a_later_step(self, check):
-        # input 1 is Hermitian but not PSD, input 3 is not Hermitian: the loop
-        # names input 1, though the stack is decomposed before it is clamped
+        # input 1 is Hermitian but not PSD, input 3 is not Hermitian: the
+        # stack is checked for Hermiticity before it is clamped, so input 3 is named
         eye, skew = np.eye(2), np.array([[1.0, 1.0], [0.0, 1.0]])
         x = np.array([eye, np.diag([1.0, -1.0]), eye, skew])
-        inputs, batch_orders, loop_orders = [(m,) for m in x], ([0.3, 0.5],), [(0.3,), (0.5,)]
+        stacks, orders = (x,), ([0.3, 0.5],)
         if check == "antinorm_monotonicity":
-            batch_orders, loop_orders = ([0.3], [0.5]), [(0.3, 0.5)]
+            orders = ([0.3], [0.5])
         elif check == "superadditivity":
-            inputs = [(m, eye) for m in x]
-        stacks = [np.array(s) for s in zip(*inputs)]
-        want = _first_error(self._loop(getattr(oracles, f"check_{check}"), inputs, loop_orders))
-        assert want == (NotPositiveError, "eigenvalue -1.000000e+00 below -2.0e-09")
-        assert _first_error(lambda: getattr(spectra, f"check_{check}")(*stacks, *batch_orders)) == want
+            stacks = (x, np.array([eye] * 4))
+        batched = getattr(spectra, f"check_{check}")
+        want = _first_error(lambda: batched(*(s[3:4] for s in stacks), *orders))
+        assert want[0] is NotHermitianError
+        assert _first_error(lambda: batched(*stacks, *orders)) == want
 
     def test_non_square_anti_norm_order(self):
         x = _ginibre_stack(3, 202, 4)[:, :2, :]

@@ -241,13 +241,11 @@ class TestStackedEvaluate:
             )
 
     def test_violating_channel_before_a_non_finite_one(self):
-        # a loop over the channels stops at the violation and never meets
-        # the later non-finite cells: the grid comes back, naming the violation
-        grid = tradeoff.evaluate_profile(
-            _stacked_profile(_fake_profile(), _good(), _broken()), tradeoff.bound_table(2, (1.0, 2.0), (0.0, 1.0))
-        )
-        assert grid.violation == (0, 0, 0) and grid.cell(0, 0, 0)["channel_id"] == "a"
-        assert not np.isfinite(grid.gap[2]).any()
+        # a non-finite cell anywhere in the stack raises, before any violation
+        with pytest.raises(DomainError, match=r"q=1\.0, s=0\.0 on channel 'c'"):
+            tradeoff.evaluate_profile(
+                _stacked_profile(_fake_profile(), _good(), _broken()), tradeoff.bound_table(2, (1.0, 2.0), (0.0, 1.0))
+            )
 
     def test_non_finite_cell_outranks_an_earlier_violation_of_its_channel(self):
         # cell (0, 0) violates; cell (1, 1) has an infinite bound
