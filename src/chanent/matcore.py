@@ -22,7 +22,8 @@ same-shape matrices ``(n, m, m)`` and return one result per matrix, with one
 LAPACK call for the whole stack.  Every check on a stack (Hermiticity, the
 PSD clamp) is made per matrix, and the first matrix that fails it raises the
 error a single-matrix call on it would raise.  A matrix with a non-finite
-entry has no spectrum: the spectral functions reject it with
+entry has no spectrum, nor has one whose spectrum is beyond the double
+range: the spectral functions reject both with
 :class:`~chanent.errors.InvalidSpectrumError`.
 """
 
@@ -65,10 +66,12 @@ HERM_TOL = 1e-8
 # Spectral tolerance per matrix dimension; the PSD clamp's is times max |lam|.
 EIG_TOL_PER_DIM = 1e-9
 # Spectrum entries below this fraction of the largest entry collapse to 0,
-# so rank-deficient spectra stay exactly rank-deficient under q < 1 power
-# sums (x**q has infinite slope at 0; eigensolver noise must not leak in).
-# It serves eigvalsh of PSD stacks and the real SVD of K, which know each
-# entry only to some m*u of the largest (m <= 256 entries, u machine epsilon).
+# so rank-deficient spectra stay exactly rank-deficient under every power sum
+# (x**q has infinite slope at 0 for q < 1; eigensolver noise must not leak
+# in, nor break an equality case such as a rank-one input's). It serves the
+# one spectrum per stack that the inequality checks read, eigvalsh or SVD, and
+# the real SVD of K, which know each entry only to some m*u of the largest
+# (m <= 256 entries, u machine epsilon).
 # The map spectrum sigma(V)**2 (channel.dynamical_spectrum) knows each lam to
 # 2*m*u*sqrt(lam*lam_max), m = max(k, d**2): its floor is (m*u)**2 lam_max.
 ZERO_REL_TOL = 1e-12
@@ -132,15 +135,16 @@ def require_hermitian(deviation: np.ndarray, x: np.ndarray) -> None:
 def hermitian_eigenvalues(x) -> np.ndarray:
     """Eigenvalues of a Hermitian matrix, or of each matrix of a stack, descending.
 
-    The input is symmetrized as ``(X + X^dag)/2`` before decomposition;
+    The input is symmetrized as ``X/2 + X^dag/2`` before decomposition;
     deviations above ``HERM_TOL`` times the largest entry are rejected
     instead of silently averaged away.
     """
     m = _require_square(_finite_matrices(x))
     adj = m.conj().swapaxes(-2, -1)
-    require_hermitian(np.abs(m - adj), m)
-    h = np.add(m, adj)
-    return np.linalg.eigvalsh(np.divide(h, 2.0, out=h))[..., ::-1]
+    with np.errstate(over="ignore"):  # a deviation beyond a double is over the tolerance
+        require_hermitian(np.abs(m - adj), m)
+    # halving a normal double is exact, and no sum of halves overflows
+    return _finite_spectrum(np.linalg.eigvalsh(m / 2 + adj / 2)[..., ::-1])
 
 
 def singular_values(x) -> np.ndarray:
@@ -148,7 +152,14 @@ def singular_values(x) -> np.ndarray:
 
     A real input is decomposed in real arithmetic.
     """
-    return np.linalg.svd(_finite_matrices(x), compute_uv=False)
+    return _finite_spectrum(np.linalg.svd(_finite_matrices(x), compute_uv=False))
+
+
+def _finite_spectrum(vals: np.ndarray) -> np.ndarray:
+    """``vals``, unless an entry is beyond the double range: an :class:`InvalidSpectrumError`."""
+    if not np.isfinite(vals).all():
+        raise InvalidSpectrumError("the spectrum is beyond the double range")
+    return vals
 
 
 def partial_trace(x, d: int) -> np.ndarray:

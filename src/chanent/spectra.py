@@ -19,13 +19,16 @@ Every checker takes a stack of matrices ``(n, m, m)``, or for the channel
 checks the :class:`~chanent.channel.ChannelProfile` of a channel stack, and
 one order or a list of them, and gives an :class:`InequalityBatch` of
 ``(n_inputs, n_orders)`` arrays; one matrix is passed as a stack of one, and
-a 2-D input is rejected.  A check takes only the spectra its orders read,
-each with one LAPACK call for the whole stack, shared by all of its orders:
-a stack read at any anti-norm order must be PSD, and a PSD matrix's
-singular values are the absolute values of its eigenvalues, so such a stack
-gets one eigenvalue decomposition for all of its orders, and a stack read
-at norm orders only one SVD.  The channel checks read the profile's ``K``
-spectrum and ``Tr_2 D``, and no spectrum of ``D``.
+a 2-D input is rejected.  A check reads all of its orders from one
+spectrum per input stack, one LAPACK call for the whole stack
+(:func:`_spectrum`): the singular values if every order is a norm order,
+else the eigenvalues of the stack, which must then be PSD, whose singular
+values they are.  Both pass through :func:`~chanent.matcore.clamp_spectrum`,
+so an entry below ``ZERO_REL_TOL`` of the largest reads 0 at every order and
+a rank-one input reads slack exactly 0 in ``prop1``, ``npqr`` and ``21in``.
+Mixed negative and ``(0, 1)`` orders on an indefinite stack raise the
+strict-positivity error, whatever their order.  The channel checks read the
+profile's ``K`` spectrum and ``Tr_2 D``, and no spectrum of ``D``.
 
 Every check compares its sides one way, as ``ln(rhs/lhs)``, and its slack
 is ``(rhs - lhs)/max(lhs, rhs)``, signed in the passing direction.  The six
@@ -70,23 +73,16 @@ __all__ = [
 # largest; below this the inverse powers are numerically meaningless.
 STRICT_POS_TOL = 1e-10
 
-_NORM = "norm"
-_ANTINORM_PSD = "antinorm-psd"
-_ANTINORM_STRICT = "antinorm-strict"
 
-
-def _regime(q: float) -> str:
+def _is_norm_order(q: float) -> bool:
+    """Whether ``q`` is a norm order, ``q >= 1``, or an anti-norm one; NaN, ``-inf`` and 0 are neither."""
     if q != q:  # NaN
         raise InvalidOrderError("order q must not be NaN")
     if q == -math.inf:
         raise InvalidOrderError("order q = -inf has no anti-norm")
-    if q >= 1.0 or q == math.inf:
-        return _NORM
-    if 0.0 < q < 1.0:
-        return _ANTINORM_PSD
-    if q < 0.0:
-        return _ANTINORM_STRICT
-    raise InvalidOrderError("order q = 0 has no norm or anti-norm regime")
+    if q == 0.0:
+        raise InvalidOrderError("order q = 0 has no norm or anti-norm regime")
+    return q >= 1.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,7 +126,7 @@ def _orders(q) -> list:
     """The orders in ``q``, one or a nonempty sequence of them, as a list.
 
     The checks compare finite powers of norms, so an infinite order is
-    rejected; NaN is left to :func:`_regime`.
+    rejected; NaN is left to :func:`_is_norm_order`.
     """
     arr = np.asarray(q, dtype=float)
     if not arr.size:
@@ -166,75 +162,47 @@ def _log_power_mean_root(values: np.ndarray, q: float) -> tuple[np.ndarray, np.n
         return np.log(n), m, np.where(n > 0, r * log1p_ratio, 0.0)
 
 
-class _Spectra:
-    """The spectra of a stack of matrices that the orders ``orders`` read, each taken once.
+def _spectrum(x: np.ndarray, orders) -> np.ndarray:
+    """Per matrix of the stack ``x``, the one spectrum that every order in ``orders`` reads, clamped.
 
-    A stack read at an anti-norm order must be PSD, and the singular values
-    of a PSD matrix are the absolute values of its eigenvalues: if any of
-    ``orders`` is an anti-norm order, one eigenvalue decomposition gives the
-    spectra of all of them; otherwise one SVD gives the singular values.
+    The singular values if every order is a norm order, else the
+    eigenvalues, each matrix's smallest required above ``STRICT_POS_TOL``
+    times its largest if an order is negative; both through the one clamp.
     """
-
-    def __init__(self, stack: np.ndarray, orders):
-        self.stack = stack
-        self._by_eig = any(_regime(q) != _NORM for q in orders)
-        self._cache: dict = {}
-
-    def _get(self, key, compute):
-        if key not in self._cache:
-            self._cache[key] = compute()
-        return self._cache[key]
-
-    def for_order(self, q: float) -> np.ndarray:
-        """Per input, the spectrum order ``q`` acts on, ready for power sums.
-
-        Singular values for norm orders, descending; for anti-norm orders
-        the eigenvalues, clamped for ``0 < q < 1`` and required above
-        ``STRICT_POS_TOL`` times the largest for ``q < 0``.
-        """
-        regime = _regime(q)
-        if regime == _NORM and not self._by_eig:
-            return self._get(_NORM, lambda: matcore.singular_values(self.stack))
-        eig = self._get("eig", lambda: matcore.hermitian_eigenvalues(self.stack))
-        if regime == _NORM:
-            return self._get(_NORM, lambda: -np.sort(-np.abs(eig), axis=-1))
-        if regime == _ANTINORM_STRICT:
-            lo, hi = eig[:, -1], eig[:, 0]
-            bad = np.flatnonzero(~(lo > STRICT_POS_TOL * hi))
-            if bad.size:
-                raise NotPositiveError(
-                    f"q < 0 anti-norm needs a strictly positive matrix; min eigenvalue "
-                    f"{lo[bad[0]]:.3e} <= {STRICT_POS_TOL:.1e} times the largest, {hi[bad[0]]:.3e}"
-                )
-            return eig
-        return self._get(regime, lambda: matcore.clamp_spectrum(eig))
-
-    def parts(self, q: float, p: float):
-        """:func:`_log_power_mean_root` at power ``p`` of the spectrum order ``q`` reads, taken once."""
-        return self._get((_regime(q), p), lambda: _log_power_mean_root(self.for_order(q), p))
-
-    def schatten(self, q: float) -> np.ndarray:
-        """Norm or anti-norm of every input at order ``q``, by regime: ``m exp(ln(n)/q + t)``."""
-        if q == math.inf:
-            vals = self.for_order(q)
-            return vals[:, 0] if vals.shape[-1] else np.zeros(len(vals))
-        log_n, m, t = self.parts(q, q)
-        with np.errstate(over="ignore"):  # a small order's root beyond a double is its true inf
-            return m * np.exp(log_n / q + t)
+    if all([_is_norm_order(q) for q in orders]):  # a list: every order is checked, past an anti-norm one too
+        return matcore.clamp_spectrum(matcore.singular_values(x))
+    eig = matcore.hermitian_eigenvalues(x)
+    if min(orders) < 0.0:
+        lo, hi = eig[:, -1], eig[:, 0]
+        bad = np.flatnonzero(~(lo > STRICT_POS_TOL * hi))
+        if bad.size:
+            raise NotPositiveError(
+                f"q < 0 anti-norm needs a strictly positive matrix; min eigenvalue "
+                f"{lo[bad[0]]:.3e} <= {STRICT_POS_TOL:.1e} times the largest, {hi[bad[0]]:.3e}"
+            )
+    return matcore.clamp_spectrum(eig)
 
 
 def _schatten(x, q: float):
+    """Norm or anti-norm of a matrix or of each matrix of a stack at order ``q``: ``m exp(ln(n)/q + t)``."""
     m = matcore.as_matrices(x)
-    norms = _Spectra(m if m.ndim == 3 else m[None], [q]).schatten(q)
+    vals = _spectrum(m if m.ndim == 3 else m[None], [q])
+    if q == math.inf:
+        norms = vals[:, 0] if vals.shape[-1] else np.zeros(len(vals))
+    else:
+        log_n, top, t = _log_power_mean_root(vals, q)
+        with np.errstate(over="ignore"):  # a small order's root beyond a double is its true inf
+            norms = top * np.exp(log_n / q + t)
     return norms if m.ndim == 3 else float(norms[0])
 
 
 def schatten_norm(x, q: float):
     """Schatten q-norm of an arbitrary matrix, ``q >= 1`` or ``q = inf``.
 
-    A stack of matrices gives one norm per matrix.
+    A singular value below ``ZERO_REL_TOL`` times the largest reads 0.  A
+    stack of matrices gives one norm per matrix.
     """
-    if _regime(q) != _NORM:
+    if not _is_norm_order(q):
         raise InvalidOrderError(f"Schatten norm needs q >= 1 or q = inf, got {q}")
     return _schatten(x, q)
 
@@ -247,7 +215,7 @@ def schatten_antinorm(x, q: float):
     positive, its smallest eigenvalue above ``STRICT_POS_TOL`` times its
     largest.  A stack of matrices gives one anti-norm per matrix.
     """
-    if _regime(q) == _NORM:
+    if _is_norm_order(q):
         raise InvalidOrderError(f"Schatten anti-norm needs q < 1 (q != 0), got {q}")
     return _schatten(x, q)
 
@@ -262,18 +230,19 @@ def check_prop1(x, q) -> InequalityBatch:
     slack above ``-1e-9``; flat spectra saturate it exactly.
 
     Both sides have degree ``q``: with the :func:`_log_power_mean_root`
-    parts ``t_1``, ``t_2`` (taken once per spectrum) and ``t_q`` of the
+    parts ``t_1``, ``t_2`` (taken once per stack) and ``t_q`` of the
     spectrum, and its largest entry ``m`` over ``m_q``, ``ln(rhs/lhs) =
     (q-2)(2 t_2 - t_1) + (2 t_2 - q t_q) + q ln(m/m_q)``, which is exactly 0
     at ``q = 1`` and ``q = 2``.
     """
     orders = _orders(q)
-    spectra = _Spectra(_stack(x), orders)
+    vals = _spectrum(_stack(x), orders)
+    (log_n, top, t1), (_, _, t2) = (_log_power_mean_root(vals, p) for p in (1.0, 2.0))
+    if (log_n == -np.inf).any():
+        raise InvalidSpectrumError("matrix is zero; the interpolation is undefined")
     log_ratio = []
     for order in orders:
-        (log_n, top, t1), (_, _, t2), (_, m_q, t_q) = (spectra.parts(order, p) for p in (1.0, 2.0, order))
-        if (log_n == -np.inf).any():
-            raise InvalidSpectrumError("matrix is zero; the interpolation is undefined")
+        _, m_q, t_q = _log_power_mean_root(vals, order)
         log_ratio.append((order - 2.0) * (2.0 * t2 - t1) + (2.0 * t2 - order * t_q) + order * np.log(top / m_q))
     directions = ["<=" if 1.0 <= order <= 2.0 else ">=" for order in orders]
     return _batch(np.stack(log_ratio, axis=1), directions, 1e-9)
@@ -285,7 +254,7 @@ def check_two_inf_one(x) -> InequalityBatch:
     With the :func:`_log_power_mean_root` parts ``t_1``, ``t_2`` of the
     singular values, ``ln(rhs/lhs) = t_1/2 - t_2``, and 0 for the zero matrix.
     """
-    sv = matcore.singular_values(_stack(x))
+    sv = _spectrum(_stack(x), (1.0, 2.0))
     (_, _, t1), (_, _, t2) = (_log_power_mean_root(sv, p) for p in (1.0, 2.0))
     return _batch((0.5 * t1 - t2)[:, None], ("<=",), 1e-10)
 
@@ -322,10 +291,10 @@ def check_antinorm_monotonicity(x, p, q) -> InequalityBatch:
     for lo, hi in zip(ps, qs):
         if not (0.0 < lo < hi):
             raise InvalidOrderError(f"monotonicity check needs 0 < p < q, got p={lo}, q={hi}")
-    spectra = _Spectra(_stack(x), ps + qs)
+    vals = _spectrum(_stack(x), ps + qs)
     log_ratio = []
     for lo, hi in zip(ps, qs):
-        (n_hi, _, hi_part), (n_lo, _, lo_part) = spectra.parts(hi, hi), spectra.parts(lo, lo)
+        (n_hi, _, hi_part), (n_lo, _, lo_part) = _log_power_mean_root(vals, hi), _log_power_mean_root(vals, lo)
         # ln(n)/p beyond a double is its true inf; the zero matrix's NaN is replaced
         with np.errstate(invalid="ignore", over="ignore"):
             ratio = (n_lo / lo - n_hi / hi) + (lo_part - hi_part)
@@ -345,15 +314,17 @@ def check_superadditivity(x, y, q) -> InequalityBatch:
     """
     orders = _orders(q)
     for order in orders:
-        if _regime(order) == _NORM:
+        if _is_norm_order(order):
             raise InvalidOrderError(f"superadditivity is an anti-norm property, got q={order}")
     xs, ys = _stack(x), _stack(y)
     if xs.shape != ys.shape:
         raise DimensionMismatchError(f"superadditivity pairs equal stacks, got {xs.shape} and {ys.shape}")
-    spectra = _Spectra(np.stack([xs, ys, xs + ys]).reshape(-1, *xs.shape[1:]), orders)  # operands, then sums
+    with np.errstate(over="ignore"):  # a sum beyond a double has no spectrum, which the decomposition says
+        sums = xs + ys
+    vals = _spectrum(np.stack([xs, ys, sums]).reshape(-1, *xs.shape[1:]), orders)  # operands, then sums
     log_ratio = []
     for order in orders:
-        (n_a, n_b, n_t), (m_a, m_b, m_t), (a, b, t) = (v.reshape(3, -1) for v in spectra.parts(order, order))
+        (n_a, n_b, n_t), (m_a, m_b, m_t), (a, b, t) = (v.reshape(3, -1) for v in _log_power_mean_root(vals, order))
         # a rank gap at a subnormal q, or a zero operand, is a true -inf; two zero operands' NaN is replaced
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             ratio = np.logaddexp((n_a - n_t) / order + np.log(m_a / m_t) + a,

@@ -823,6 +823,35 @@ class TestInequalities:
         check = json.loads((out / "summary.json").read_text(), parse_constant=pytest.fail)["checks"]["21in"]
         assert check["passed"] and check["min_slack"] == pytest.approx(1.0 - (10.0 / 12.0) ** 0.5, abs=1e-15)
 
+    @pytest.mark.parametrize("x, codes", [
+        (np.diag([1e308, 5e307]), {"prop1": 0, "21in": 0, "npqr": 0, "sups": 2}),
+        (np.array([[1.7e308, 1e308], [1e308, 1.7e308]]), dict.fromkeys(("prop1", "21in", "npqr", "sups"), 2)),
+    ], ids=["psd", "spectrum-beyond-a-double"])
+    def test_matrix_at_the_edge_of_the_double_range(self, tmp_path, capsys, x, codes):
+        # diag(1e308, 5e307) is PSD, but its sum with itself in sups is beyond a
+        # double; the second matrix's largest eigenvalue and singular value,
+        # 2.7e308, are beyond a double too: neither has a spectrum
+        mat_path = tmp_path / "edge.json"
+        mat_path.write_text(json.dumps(matcore.matrix_to_json(x)))
+        for only, code in codes.items():
+            args = ["inequalities", "--matrix", str(mat_path), "--only", only, "--out", str(tmp_path / only)]
+            assert cli.main(args) == code, only
+            if code == 2:
+                assert capsys.readouterr().err.startswith("config error: "), only
+
+    def test_largest_doubles_read_the_slacks_of_the_unit_scale(self, tmp_path):
+        # 1e308 diag(1, 0.5) is decomposed with no entry beyond a double
+        slacks = {}
+        for scale in (1.0, 1e308):
+            mat_path = tmp_path / "scaled.json"
+            mat_path.write_text(json.dumps(matcore.matrix_to_json(scale * np.diag([1.0, 0.5]))))
+            for only in ("prop1", "21in", "npqr"):
+                out = tmp_path / only
+                assert cli.main(["inequalities", "--matrix", str(mat_path), "--only", only, "--out", str(out)]) == 0
+                slacks[scale, only] = json.loads((out / "summary.json").read_text())["checks"][only]["min_slack"]
+        for only in ("prop1", "21in", "npqr"):
+            assert abs(slacks[1e308, only] - slacks[1.0, only]) <= 1e-15, only
+
     def test_tiny_matrix_entries_pass_prop1(self, tmp_path):
         # the powers of diag(1e-200, 1e-201) underflow to 0; prop1 compares
         # its sides scaled and reports the slack of diag(1, 0.1)

@@ -7,7 +7,9 @@ one of them asserted, a finite minimum gap, and a finite minimum slack for
 every check.  A run on sampled or named channels and matrices must never
 exit 1: the bound and the inequalities are theorems, so every such exit is a
 false verdict.  Only an input file, which may hold no channel or a matrix a
-check cannot take, can fail, and one with an entry that is no JSON number,
+check cannot take, can fail; a ``--matrix`` file fails by an error alone,
+``"check": "error"``, never by a failed inequality, since the four matrix
+checks are theorems too.  An input file with an entry that is no JSON number,
 or of a wrong JSON shape, is a configuration error, as is a config file with
 a key of a wrong JSON type.
 """
@@ -78,6 +80,8 @@ def run(argv, codes=(0, 2)):
         out = Path(tmp) / "out"
         code = cli.main([*argv, "--out", str(out)])
         assert code in codes
+        if code == 1 and any(arg.startswith("--matrix") for arg in argv):
+            assert json.loads((out / "summary.json").read_text())["failure"]["check"] == "error"
         if code == 0:
             summary = json.loads((out / "summary.json").read_text())
             if summary["mode"] == "sweep":

@@ -202,6 +202,21 @@ def test_non_finite_entries_have_no_spectrum(fn, x):
         fn(x)
 
 
+@pytest.mark.parametrize("fn", [matcore.hermitian_eigenvalues, matcore.singular_values])
+def test_spectrum_beyond_the_double_range_is_no_spectrum(fn):
+    # finite entries, but the largest eigenvalue and singular value are 2.7e308
+    with pytest.raises(InvalidSpectrumError, match="beyond the double range"):
+        fn(np.array([[1.7e308, 1e308], [1e308, 1.7e308]]))
+
+
+def test_largest_doubles_are_symmetrized_without_overflow():
+    # X + X^dag overflows for both, X/2 + X^dag/2 does not; a deviation
+    # beyond a double is over any tolerance, not a warning
+    np.testing.assert_array_equal(matcore.hermitian_eigenvalues(np.diag([1e308, 5e307])), [1e308, 5e307])
+    with pytest.raises(NotHermitianError):
+        matcore.hermitian_eigenvalues(np.array([[1.0, 1.7e308], [-1.7e308, 1.0]]))
+
+
 class TestMatrixJson:
     def test_roundtrip(self):
         rng = np.random.default_rng(17)

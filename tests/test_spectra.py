@@ -222,6 +222,13 @@ class TestCheckProp1:
         with pytest.raises(NotPositiveError, match="times the largest"):
             spectra.check_prop1(np.diag([1.0, 0.0])[None], -1.0)
 
+    @pytest.mark.parametrize("orders", [(0.5, -1.0), (-1.0, 0.5)])
+    def test_mixed_signs_on_an_indefinite_stack(self, orders):
+        # the strict positivity a negative order needs is checked before the
+        # clamp, whatever the order of the orders
+        with pytest.raises(NotPositiveError, match="strictly positive"):
+            spectra.check_prop1(np.diag([1.0, -1.0])[None], orders)
+
     @pytest.mark.parametrize("q", [600.0, 1e300])
     def test_large_orders_compare_the_sides_scaled(self, q):
         # the power sums are beyond a double for the suite's first d = 2
@@ -574,6 +581,31 @@ class TestBatchedChecksMatchOracles:
             profile(*[sampler.named_channel("identity", d) for d in (2, 3)])
 
 
+class TestRankOne:
+    """A rank-one input reads slack exactly 0 where its check is an equality.
+
+    Its clamped spectrum has one positive entry, at every order: the
+    decomposition's noise below ``ZERO_REL_TOL`` of the largest reads 0.
+    """
+
+    @staticmethod
+    def _stacks(d):
+        rng = np.random.default_rng(0)
+        v, g, h = complex_gaussian(rng, (3, 50, d, 1))
+        return v @ v.conj().swapaxes(-2, -1), g @ h.swapaxes(-2, -1)
+
+    @pytest.mark.parametrize("check", [
+        lambda psd, mat: spectra.check_prop1(psd, SUITE.q_grid),
+        lambda psd, mat: spectra.check_prop1(psd, [1.5, 3.0]),
+        lambda psd, mat: spectra.check_antinorm_monotonicity(psd, *zip(*MONOTONICITY_PAIRS)),
+        lambda psd, mat: spectra.check_two_inf_one(mat),
+    ], ids=["prop1-default-grid", "prop1-norm-orders", "npqr", "21in"])
+    def test_slack_is_exactly_zero(self, check):
+        for d in (2, 3, 4, 8):
+            batch = check(*self._stacks(d))
+            assert batch.passed.all() and (batch.slack == 0.0).all(), (d, np.abs(batch.slack).max())
+
+
 class TestScaleInvariance:
     """The six inequalities are homogeneous: the slack of ``c X`` is that of ``X``, however small or large ``c``."""
 
@@ -728,6 +760,19 @@ class TestSpectrumRoutes:
         assert svd == [] and eig == [len(x)]
         monkeypatch.undo()
         _assert_matches(batch, [[oracles.check_antinorm_monotonicity(m, p, q) for p, q in pairs] for m in x])
+
+    @pytest.mark.parametrize("check", [
+        lambda x: spectra.check_prop1(x, (2.0, 0.5, 3.0, 1.0)),
+        lambda x: spectra.check_antinorm_monotonicity(x, (0.5, 0.2), (1.0, 2.0)),
+    ], ids=["prop1", "npqr"])
+    def test_norm_and_antinorm_orders_read_one_spectrum(self, monkeypatch, check):
+        # every power sum of a check reads the one clamped spectrum of its
+        # stack, never a second |eigenvalue| spectrum beside it
+        read = []
+        original = spectra._log_power_mean_root
+        monkeypatch.setattr(spectra, "_log_power_mean_root", lambda v, q: read.append(v) or original(v, q))
+        check(_psd_stack(3, 201, 40))
+        assert len(read) > 1 and all(v is read[0] for v in read)
 
     def test_norm_orders_alone_take_the_svd(self, monkeypatch):
         # singular values need neither a square nor a Hermitian matrix
