@@ -49,8 +49,9 @@ A sweep stacks the channels of one (dimension, family) and evaluates each
 profile in one grid pass, against bounds tabulated once per dimension, and
 reads it in stack order (:func:`~chanent.tradeoff.evaluate_profile`): a
 non-finite cell anywhere in the stack is an error, and otherwise its first
-violated cell is the violation.  A violation writes every row before it,
-the channels before it in its stack included, and an error leaves no
+violated cell is the violation.  A sweep runs to the end, as the suite
+does: every stack is evaluated, folded and written, and the run's first
+violated cell in row order is its counterexample.  An error leaves no
 ``report.csv``.  Every cell is asserted, the von Neumann ones at ``q = 1``
 included; ``summary.json`` counts those under ``limit_rows``.
 ``report.csv`` is written as each stack is evaluated, channel by channel,
@@ -230,12 +231,12 @@ def _load_input(path, what: str, from_json):
 
 
 def _dim_table(dim: int, cfg: SweepConfig) -> tuple:
-    """A sweep's bounds at ``dim``: ``(bounds, cell texts, q = 1 flag per cell)``.
+    """A sweep's bounds at ``dim``: ``(bounds, cell texts, q = 1 cells per channel)``.
 
     A cell's text is the part of its row the table fixes, ``("q,s,",
     ",bound_all,bound_unital,")``, in one list for non-unital channels
-    (empty unital bound) and one for unital ones.  The flags mark the von
-    Neumann cells, at ``q = 1`` exactly, which ``limit_rows`` counts.
+    (empty unital bound) and one for unital ones.  The von Neumann cells, at
+    ``q = 1`` exactly, are the ones ``limit_rows`` counts.
     """
     bounds = bound_table(dim, cfg.q_grid, cfg.s_grid)
     q, s, bound_all, bound_unital = (
@@ -244,7 +245,7 @@ def _dim_table(dim: int, cfg: SweepConfig) -> tuple:
     orders = [f"{qt},{st}," for qt in q for st in s]
     plain = [(qs, f",{b},,") for qs, b in zip(orders, bound_all)]
     unital = [(qs, f",{b},{u},") for qs, b, u in zip(orders, bound_all, bound_unital)]
-    return bounds, (plain, unital), np.repeat(bounds.q == 1.0, bounds.s.size)
+    return bounds, (plain, unital), int(np.count_nonzero(bounds.q == 1.0)) * bounds.s.size
 
 
 def _float_texts(a) -> list:
@@ -275,28 +276,27 @@ def _csv_prefix(fields) -> str:
     return buf.getvalue().removesuffix("\r\n") + ","
 
 
-def _write_csv(fh, family: str, dim: int, ids, unital, texts, grid, count: int) -> None:
-    """Write the first ``count`` report.csv rows of one stack's ``grid`` to ``fh``.
+def _write_csv(fh, family: str, grid, texts) -> None:
+    """Write the report.csv rows of one stack's ``grid`` to ``fh``.
 
-    ``ids`` and ``unital`` are the stack's channel ids and unital flags,
-    ``texts`` the per-cell text of :func:`_dim_table`, and the rows are the
-    cells of ``grid`` in row-major order, channel by channel.  Each row is
-    one line of text with the line ending ``csv`` writes; the entropies,
-    their sum and the gap are formatted one column per stack with
-    :func:`_float_texts`, and each channel's lines go to the file in one
-    write.
+    The rows are the cells of ``grid`` in row-major order, channel by
+    channel, with the ids, unital flags and dimension of its profile, and
+    ``texts`` the per-cell text of :func:`_dim_table`.  Each row is one line
+    of text with the line ending ``csv`` writes; the entropies, their sum and
+    the gap are formatted one column per stack with :func:`_float_texts`,
+    and each channel's lines go to the file in one write.
     """
-    cells = len(texts[0])
-    m, r, g = (a.ravel()[:count] for a in (grid.map_values, grid.receiver_values, grid.gap))
-    m, r, total, g = (_float_texts(a) for a in (m, r, m + r, g))
-    sat = grid.saturated.ravel()[:count].tolist()
-    for k, channel_id in enumerate(ids[: -(-count // cells)]):
-        lead = _csv_prefix((channel_id, family, str(dim), _BOOL[bool(unital[k])]))
+    profile, cells = grid.profile, len(texts[0])
+    m, r = grid.map_values, grid.receiver_values
+    m, r, total, g = (_float_texts(a) for a in (m, r, m + r, grid.gap))
+    sat = grid.saturated.ravel().tolist()
+    for k, (channel_id, unital) in enumerate(zip(profile.channel_id, profile.unital.tolist())):
+        lead = _csv_prefix((channel_id, family, str(profile.dim), _BOOL[unital]))
         rows = slice(k * cells, (k + 1) * cells)
         fh.write("".join([
             f"{lead}{qs}{mv},{rv},{tv}{b}{gv},{_BOOL[sv]}\r\n"
             for (qs, b), mv, rv, tv, gv, sv in zip(
-                texts[bool(unital[k])], m[rows], r[rows], total[rows], g[rows], sat[rows]
+                texts[unital], m[rows], r[rows], total[rows], g[rows], sat[rows]
             )
         ]))
 
@@ -447,15 +447,9 @@ def run_sweep(cfg: SweepConfig, out_dir, channel_path=None) -> int:
         csv.writer(fh).writerow(CSV_COLUMNS)
         for family, dim, ids, ops in stacks:
             profile = profile_channel(ops, ids)
-            bounds, texts, limit = tables(dim)
+            bounds, texts, limit_cells = tables(dim)
             grid = evaluate_profile(profile, bounds)
-            # rows are counted over the stack's cells in row order: every cell
-            # of the channels that pass, and on a violation the ``kept`` cells
-            # before it, and it
-            count = kept = grid.gap.size
-            if grid.violation is not None:
-                kept = int(np.ravel_multi_index(grid.violation, grid.gap.shape))
-                count = kept + 1
+            if grid.violation is not None and run.failure is None:
                 cell = grid.cell(*grid.violation)
                 name = cell["channel_id"] or "channel"
                 message = (
@@ -467,19 +461,13 @@ def run_sweep(cfg: SweepConfig, out_dir, channel_path=None) -> int:
                     f"BOUND VIOLATION: {message}", name,
                     dict(channel=chmod.channel_to_json(ops[grid.violation[0]]), family=family, report=cell),
                 )
-            gaps = grid.gap.ravel()[:count]
-            saturated = grid.saturated.ravel()[:count]
-            # the violating row is written and counted in the totals, not per family
-            run.fold("rows", count, min_gap=gaps)
-            run.fold("saturation_count", int(saturated.sum()))
-            run.fold("limit_rows", int(np.tile(limit, len(ids))[:count].sum()))
-            run.fold(("per_family", family, "rows"), kept, min_gap=gaps[:kept])
-            run.fold(("per_family", family, "saturation_count"), int(saturated[:kept].sum()))
-            _write_csv(fh, family, dim, ids, profile.unital, texts, grid, count)
-            if run.failure is not None:
-                break
+            for prefix in ((), ("per_family", family)):
+                run.fold((*prefix, "rows"), grid.gap.size, min_gap=grid.gap)
+                run.fold((*prefix, "saturation_count"), int(grid.saturated.sum()))
+            run.fold("limit_rows", limit_cells * len(ids))
+            _write_csv(fh, family, grid, texts)
             # the next stack is drawn while the loop variables still hold this one
-            del ops, profile, grid, gaps, saturated
+            del ops, profile, grid
     return run.finish(lambda s: f"sweep ok: {s['rows']} rows, min gap {s['min_gap']!r} -> {run.out}")
 
 

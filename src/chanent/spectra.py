@@ -310,7 +310,10 @@ def check_superadditivity(x, y, q) -> InequalityBatch:
     n`` parts subtracted before the division by ``q``), and ``logaddexp``
     for the sum, with relative slack above ``-1e-10``, and 0 for two zero
     operands.  Down to subnormal orders the slack tends to ``1 - (G(X) +
-    G(Y))/G(X + Y)``, ``G`` the geometric mean of the eigenvalues.
+    G(Y))/G(X + Y)``, ``G`` the geometric mean of the eigenvalues.  Finite
+    operands whose sum has an entry beyond the double range raise
+    :class:`InvalidSpectrumError` naming the first such input, before any
+    decomposition.
     """
     orders = _orders(q)
     for order in orders:
@@ -319,8 +322,12 @@ def check_superadditivity(x, y, q) -> InequalityBatch:
     xs, ys = _stack(x), _stack(y)
     if xs.shape != ys.shape:
         raise DimensionMismatchError(f"superadditivity pairs equal stacks, got {xs.shape} and {ys.shape}")
-    with np.errstate(over="ignore"):  # a sum beyond a double has no spectrum, which the decomposition says
+    with np.errstate(over="ignore"):  # a sum beyond a double has no spectrum: named here, before decomposing
         sums = xs + ys
+    finite_x, finite_y, finite_sum = (np.isfinite(m).all(axis=(1, 2)) for m in (xs, ys, sums))
+    over = np.flatnonzero(finite_x & finite_y & ~finite_sum)
+    if over.size:
+        raise InvalidSpectrumError(f"the sum X + Y of input {over[0]} has an entry beyond the double range")
     vals = _spectrum(np.stack([xs, ys, sums]).reshape(-1, *xs.shape[1:]), orders)  # operands, then sums
     log_ratio = []
     for order in orders:

@@ -96,6 +96,8 @@ class TestKrausStack:
             chmod.check_kraus_stack(np.ones((2, 1, 1, 1)))
         with pytest.raises(ValueError):
             chmod.check_kraus_stack(np.ones((2, 0, 2, 2)))
+        with pytest.raises(ValueError, match="2 channels but 1 channel ids"):
+            chmod.profile_channel(np.stack([np.eye(2, dtype=complex)[None]] * 2), ["only-one"])
 
 
 class TestMaximallyEntangledState:

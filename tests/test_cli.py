@@ -2,7 +2,11 @@ import csv
 import dataclasses
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -260,9 +264,10 @@ class TestSweep:
         assert not out.exists()
 
 
-    def test_violation_writes_rows_up_to_the_violating_cell(self, tmp_path, capsys, monkeypatch):
+    def test_violation_writes_every_row(self, tmp_path, capsys, monkeypatch):
         # a gap tolerance of -10 turns every cell into a violation, the von
-        # Neumann ones included, so the first violation is the first cell, at q = 1
+        # Neumann ones included, so the first violation is the first cell, at
+        # q = 1, and the sweep still evaluates and writes every cell after it
         monkeypatch.setattr(tradeoff, "GAP_TOL", -10.0)
         out = tmp_path / "viol"
         code = cli.main(
@@ -271,22 +276,58 @@ class TestSweep:
         )
         assert code == 1
         err = capsys.readouterr().err
-        assert "BOUND VIOLATION" in err and "at q=1.0, s=0.0" in err
+        assert err.count("BOUND VIOLATION") == 1 and "at q=1.0, s=0.0" in err
         _, rows = read_csv_rows(out / "report.csv")
-        assert [(row["q"], row["s"]) for row in rows] == [("1.0", "0.0")]
+        cells = [("1.0", "0.0"), ("1.0", "1.0"), ("2.0", "0.0"), ("2.0", "1.0")]
+        assert [(row["q"], row["s"]) for row in rows] == cells * 2
+        assert len({row["channel_id"] for row in rows}) == 2
         summary = json.loads((out / "summary.json").read_text())
-        assert summary["violations"] == 1 and summary["rows"] == 1 and summary["limit_rows"] == 1
-        assert summary["per_family"]["cptp"]["rows"] == 0  # the violating row is not counted
+        assert summary["violations"] == 1 and summary["rows"] == 8 and summary["limit_rows"] == 4
+        assert summary["per_family"]["cptp"]["rows"] == 8
+        assert summary["min_gap"] == summary["per_family"]["cptp"]["min_gap"] == min(float(row["gap"]) for row in rows)
         name = summary["violation"]["counterexample"]
         assert name == rows[0]["channel_id"] + ".json"
+        assert sorted(p.name for p in (out / "counterexamples").iterdir()) == [name]
         # the counterexample's record is the violating row's cell
         report = json.loads((out / "counterexamples" / name).read_text())["report"]
-        row = rows[-1]
+        row = rows[0]
         assert report == {
             "channel_id": row["channel_id"], "q": 1.0, "s": 0.0,
             **{key: float(row[key]) for key in ("map_entropy", "receiver_entropy", "bound_all", "gap")},
             "bound_unital": None,
         }
+
+    @pytest.mark.parametrize("offset, code", [
+        (1.5e-9, 1),  # gap -1.5e-9, past GAP_TOL: a violation, and saturated
+        (0.5e-9, 0),  # gap -5e-10, within GAP_TOL: rounding, and saturated
+        (-5e-8, 0),  # gap +5e-8, within SAT_TOL: saturated
+    ])
+    def test_planted_bound_offset_meets_the_tolerances(self, tmp_path, capsys, monkeypatch, offset, code):
+        # named:identity at d = 2 meets its unital bound, 2 ln 2, at (q, s) =
+        # (2, 0) to rounding, so raising both bounds by the offset makes the gap -offset
+        def raised(*args):
+            table = tradeoff.bound_table(*args)
+            return dataclasses.replace(table, all_channels=table.all_channels + offset, unital=table.unital + offset)
+
+        monkeypatch.setattr(cli, "bound_table", raised)
+        out = tmp_path / "x"
+        args = ["--family", "named:identity", "--dims", "2", "--samples", "2", "--q", "2", "--s", "0"]
+        assert cli.main(["sweep", *args, "--out", str(out)]) == code
+        assert ("BOUND VIOLATION" in capsys.readouterr().err) == (code == 1)
+        _, rows = read_csv_rows(out / "report.csv")
+        assert len(rows) == 2  # every row, the one after a violation included
+        for row in rows:
+            assert abs(float(row["gap"]) + offset) <= 1e-15 and row["saturated"] == "true", row
+
+    def test_report_has_no_negative_zero(self, tmp_path):
+        # these channels' entropies are 0 on whole rows of the grid, which the
+        # kernel's arithmetic can give as -0.0
+        out = tmp_path / "x"
+        args = ["--family", "named:identity,named:completely-depolarizing,named:dephasing:1",
+                "--dims", "2,3,4,8,16", "--samples", "1"]
+        assert cli.main(["sweep", *args, "--out", str(out)]) == 0
+        fields = re.split(rb"[,\r\n]", (out / "report.csv").read_bytes())
+        assert len(fields) > 15 * 63 * 13 and b"-0.0" not in fields
 
     @pytest.mark.parametrize("q", ["1", "1,1.000000001"])
     def test_sweep_at_q_1_alone_runs(self, tmp_path, capsys, q):
@@ -436,6 +477,7 @@ class TestStackedSweep:
         # the gap tolerance that makes the first violation fall on a channel
         # that is not the first of its (dim, family) stack
         assert cli.main([*self.ARGS, "--out", str(tmp_path / "ok")]) == 0
+        passing = (tmp_path / "ok" / "report.csv").read_bytes()
         _, rows = read_csv_rows(tmp_path / "ok" / "report.csv")
         ids, gaps = [], {}
         for row in rows:
@@ -444,12 +486,23 @@ class TestStackedSweep:
         running = [min(gaps[c] for c in ids[: k + 1]) for k in range(len(ids))]
         k = next(k for k in range(1, len(ids)) if running[k] < running[k - 1] and k % 5)
         # a negative tolerance
-        monkeypatch.setattr(tradeoff, "GAP_TOL", -(running[k] + running[k - 1]) / 2)
+        tol = -(running[k] + running[k - 1]) / 2
+        monkeypatch.setattr(tradeoff, "GAP_TOL", tol)
         code, err, files = self.run_both(tmp_path, monkeypatch, capsys, self.ARGS)
-        assert code == 1 and "BOUND VIOLATION" in err and ids[k] in err
-        assert f"counterexamples/{ids[k]}.json" in files
-        written = [line.split(",")[0] for line in files["report.csv"].decode().splitlines()[1:]]
-        assert written[-1] == ids[k] and written[0] == ids[0] and ids[k - 1] in written
+        assert code == 1 and err.count("BOUND VIOLATION") == 1 and ids[k] in err
+        # the sweep runs to the end: every row is written, as on the passing run
+        assert files["report.csv"] == passing
+        summary = json.loads(files["summary.json"])
+        families = summary["per_family"].values()
+        assert len(families) == 3 and summary["violations"] == 1
+        assert summary["rows"] == sum(f["rows"] for f in families) == len(rows)
+        assert summary["min_gap"] == min(f["min_gap"] for f in families) == min(gaps.values())
+        # the counterexample is the first violated cell in row order
+        first = next(row for row in rows if float(row["gap"]) < -tol)
+        assert first["channel_id"] == ids[k]
+        assert [p for p in files if p.startswith("counterexamples/")] == [f"counterexamples/{ids[k]}.json"]
+        report = json.loads(files[f"counterexamples/{ids[k]}.json"])["report"]
+        assert (report["q"], report["s"], report["gap"]) == (float(first["q"]), float(first["s"]), float(first["gap"]))
 
     @pytest.mark.parametrize("flag, value", [("--s", "1e6"), ("--q", "1000")])
     def test_config_errors(self, tmp_path, monkeypatch, capsys, flag, value):
@@ -823,21 +876,25 @@ class TestInequalities:
         check = json.loads((out / "summary.json").read_text(), parse_constant=pytest.fail)["checks"]["21in"]
         assert check["passed"] and check["min_slack"] == pytest.approx(1.0 - (10.0 / 12.0) ** 0.5, abs=1e-15)
 
-    @pytest.mark.parametrize("x, codes", [
-        (np.diag([1e308, 5e307]), {"prop1": 0, "21in": 0, "npqr": 0, "sups": 2}),
-        (np.array([[1.7e308, 1e308], [1e308, 1.7e308]]), dict.fromkeys(("prop1", "21in", "npqr", "sups"), 2)),
+    @pytest.mark.parametrize("x, errors", [
+        (np.diag([1e308, 5e307]), {"prop1": None, "21in": None, "npqr": None,
+                                   "sups": "the sum X + Y of input 0 has an entry beyond the double range"}),
+        (np.array([[1.7e308, 1e308], [1e308, 1.7e308]]),
+         {**dict.fromkeys(("prop1", "21in", "npqr"), "the spectrum is beyond the double range"),
+          "sups": "the sum X + Y of input 0 has an entry beyond the double range"}),
     ], ids=["psd", "spectrum-beyond-a-double"])
-    def test_matrix_at_the_edge_of_the_double_range(self, tmp_path, capsys, x, codes):
+    def test_matrix_at_the_edge_of_the_double_range(self, tmp_path, capsys, x, errors):
         # diag(1e308, 5e307) is PSD, but its sum with itself in sups is beyond a
-        # double; the second matrix's largest eigenvalue and singular value,
-        # 2.7e308, are beyond a double too: neither has a spectrum
+        # double, and the message names that sum, not the file's entries; the
+        # second matrix's largest eigenvalue and singular value, 2.7e308, are
+        # beyond a double too, and so is its sum with itself
         mat_path = tmp_path / "edge.json"
         mat_path.write_text(json.dumps(matcore.matrix_to_json(x)))
-        for only, code in codes.items():
+        for only, error in errors.items():
             args = ["inequalities", "--matrix", str(mat_path), "--only", only, "--out", str(tmp_path / only)]
-            assert cli.main(args) == code, only
-            if code == 2:
-                assert capsys.readouterr().err.startswith("config error: "), only
+            assert cli.main(args) == (0 if error is None else 2), only
+            if error is not None:
+                assert capsys.readouterr().err == f"config error: {error}\n", only
 
     def test_largest_doubles_read_the_slacks_of_the_unit_scale(self, tmp_path):
         # 1e308 diag(1, 0.5) is decomposed with no entry beyond a double
@@ -1080,6 +1137,27 @@ class TestRunSkeleton:
         assert "not finite" in capsys.readouterr().err
         assert list((tmp_path / "x").iterdir()) == []
 
+    def test_interrupt_mid_sweep_leaves_no_run_files(self, tmp_path, monkeypatch):
+        # the first stack's violation wrote a counterexample, and its rows,
+        # before the second stack is interrupted
+        calls = []
+        original = cli.evaluate_profile
+
+        def interrupted(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise KeyboardInterrupt
+            return original(*args)
+
+        out = tmp_path / "x"
+        assert cli.main([*self.SWEEP, "--out", str(out)]) == 0
+        monkeypatch.setattr(tradeoff, "GAP_TOL", -10.0)  # every cell violates
+        monkeypatch.setattr(cli, "STACK_ENTRIES", 1)
+        monkeypatch.setattr(cli, "evaluate_profile", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            cli.main([*self.SWEEP, "--out", str(out)])
+        assert len(calls) == 2 and list(out.iterdir()) == []
+
     @pytest.mark.parametrize("command", ["sweep", "inequalities"])
     def test_passing_run_leaves_no_earlier_counterexample(self, tmp_path, monkeypatch, command):
         out = tmp_path / "x"
@@ -1272,6 +1350,10 @@ CLI_CASES = [
       if command == "sweep" or flag != "--s="),
     case("sweep-only-commas-q", "sweep", "--dims", "2", "--samples", "1", "--q=,", code=2,
          err="config error: q_grid must be nonempty\n"),
+    case("sweep-unparsable-q", "sweep", "--dims", "2", "--samples", "1", "--q=abc", code=2,
+         err="config error: could not parse --q value 'abc': "),
+    case("sweep-no-samples", "sweep", "--dims", "2", "--samples", "0", code=2,
+         err="config error: samples_per_family must be >= 1, got 0\n"),
     *(case(f"{command}-empty-config", command, "--dims", "2", "--samples", "1", "--config=", code=2,
            err="config error: could not load config file '': ")
       for command in ("sweep", "inequalities")),
@@ -1294,3 +1376,15 @@ def test_cli_case(tmp_path, capsys, argv, files, code, err, summary, check):
     assert_fragment(json.loads((out / "summary.json").read_text(), parse_constant=pytest.fail), summary)
     if check is not None:
         check(out)
+
+
+def test_module_entry_point_exit_status(tmp_path):
+    # python -m chanent exits with cli.main's code, as the console script does
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    for code, samples in ((0, "1"), (2, "0")):
+        argv = ["sweep", "--dims", "2", "--samples", samples, "--q", "2", "--s", "0", "--out", str(tmp_path / "out")]
+        done = subprocess.run([sys.executable, "-m", "chanent", *argv], env=env, capture_output=True, text=True,
+                              timeout=300)
+        assert done.returncode == code, done.stderr
+    assert done.stderr == "config error: samples_per_family must be >= 1, got 0\n"

@@ -336,3 +336,5 @@ class TestStacks:
     def test_rejects_other_ranks(self):
         with pytest.raises(DimensionMismatchError):
             matcore.singular_values(np.ones((2, 2, 2, 2)))
+        with pytest.raises(DimensionMismatchError, match="expected a 2-D matrix, got ndim=3"):
+            matcore.as_matrix(np.ones((2, 2, 2)))

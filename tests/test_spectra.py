@@ -55,7 +55,7 @@ class TestInfiniteOrders:
         lambda x, q: spectra.check_antinorm_monotonicity(x, q, 0.5),
         lambda x, q: spectra.check_superadditivity(x, x, q),
     ])
-    @pytest.mark.parametrize("q", [math.inf, -math.inf])
+    @pytest.mark.parametrize("q", [math.inf, -math.inf, math.nan])
     def test_checks_reject_infinite_orders(self, check, q):
         with pytest.raises(InvalidOrderError):
             check(self.X[None], q)
@@ -367,6 +367,8 @@ class TestCheckAntinormMonotonicity:
     def test_order_validation(self):
         with pytest.raises(InvalidOrderError):
             spectra.check_antinorm_monotonicity(np.eye(2)[None], 0.8, 0.2)
+        with pytest.raises(InvalidOrderError, match="as many p as q, got 2 and 1"):
+            spectra.check_antinorm_monotonicity(np.eye(2)[None], [0.2, 0.3], [0.8])
 
     def test_negative_semidefinite_of_small_norm_is_rejected(self):
         # -1e-12 is the largest |eigenvalue|, so it is no PSD rounding
@@ -706,6 +708,13 @@ class TestBatchErrorsInStackOrder:
         x[3], y[1] = -2.0 * np.eye(2), -np.eye(2)
         want = _first_error(lambda: spectra.check_superadditivity(x[3:4], y[3:4], 0.5))
         assert want[0] is NotPositiveError and want[1].startswith("eigenvalue -2.000000e+00 ")
+        assert _first_error(lambda: spectra.check_superadditivity(x, y, 0.5)) == want
+
+    def test_superadditivity_names_the_first_sum_beyond_a_double(self):
+        # every operand is finite, but the sums of pairs 2 and 4 are not
+        x, y = _psd_stack(2, 204, 5), _psd_stack(2, 205, 5)
+        x[[2, 4]] = y[[2, 4]] = np.diag([1e308, 5e307])
+        want = (InvalidSpectrumError, "the sum X + Y of input 2 has an entry beyond the double range")
         assert _first_error(lambda: spectra.check_superadditivity(x, y, 0.5)) == want
 
     @pytest.mark.parametrize("check", ["prop1", "antinorm_monotonicity", "superadditivity"])
