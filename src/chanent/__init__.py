@@ -12,7 +12,7 @@ from .channel import (
     profile_channel,
     reshuffle,
 )
-from .matcore import hermitian_eigenvalues, partial_trace, singular_values
+from .matcore import hermitian_eigenvalues, singular_values
 from .sampler import named_channel
 from .spectra import schatten_antinorm, schatten_norm
 from .tradeoff import gamma_kappa
@@ -24,7 +24,6 @@ __all__ = [
     "gamma_kappa",
     "hermitian_eigenvalues",
     "named_channel",
-    "partial_trace",
     "profile_channel",
     "reshuffle",
     "schatten_antinorm",

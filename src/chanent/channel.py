@@ -32,10 +32,11 @@ Each spectrum is one SVD, and neither decomposes ``D`` itself:
   ``conj(K) = F K F`` with ``F`` the swap ``a*d+b -> b*d+a``.  The unitary
   ``T = (I + iF)/sqrt(2)`` then makes ``T K T^dag = Re K - Im(F K)`` real,
   with the singular values of ``K``, and one real SVD of that matrix
-  replaces the complex SVD of ``K``.  A ``K`` whose ``conj(K) - F K F``
-  exceeds ``HERM_TOL`` times its largest entry in some entry is not
-  Hermiticity preserving and is rejected with
-  :class:`~chanent.errors.NotHermitianError`.
+  replaces the complex SVD of ``K``.  Its entry ``((a, b), (m, n))`` is
+  ``Re D[a*d+m, b*d+n] - Im D[b*d+m, a*d+n]``, read straight off ``D``, which
+  is built once for it from the Kraus array: no ``K`` is formed, and no
+  Hermiticity check is made, since ``D = V^T conj(V)`` is Hermitian by
+  construction.
 
 One tolerance decides both numerical predicates: a channel is admitted as
 trace preserving iff its TP defect (max entry of ``sum_i A_i^dag A_i - I``)
@@ -44,17 +45,17 @@ is at most ``TP_TOL``, and it is unital iff its unital defect (max entry of
 Kraus set carries a rounding-level scale error is then both TP and unital,
 and is held to the sharper unital bound.  With row-major ``vec``,
 ``sum_i A_i A_i^dag = Tr_2 D``, so the unital defect of a whole stack is one
-reduction on its ``D`` stack, taken in one place: :func:`profile_channel`
+product of its Kraus array, taken in one place: :func:`profile_channel`
 reads the unital flags off it (``ChannelProfile.tr2`` and ``.unital``).
 
 :func:`profile_channel` is the one place that turns channels into what both
 harnesses read: for the Kraus array of a stack of same-dimension channels
-(one channel is a stack of one) it builds ``D`` in one batched product,
-takes ``K`` and its spectrum with one decomposition, and ``Tr_2 D`` with
-one reduction, from which the unital flags are read.  The map spectrum is
-taken from the Kraus array with one decomposition on its first read, which
-the sweep makes and the inequality suite does not: its checks read ``D`` only
-through ``Tr D = Tr Tr_2 D`` and ``|D|_2 = |K|_2``.
+(one channel is a stack of one) it takes ``Tr_2 D`` as one product of the
+Kraus array, from which the unital flags are read, and the receiver
+spectrum with one decomposition, from ``D`` built once per stack inside it.
+The map spectrum is taken from the Kraus array with one decomposition on its
+first read, which the sweep makes and the inequality suite does not: its
+checks read ``D`` only through ``Tr D = Tr Tr_2 D`` and ``|D|_2 = |K|_2``.
 """
 
 from __future__ import annotations
@@ -144,16 +145,10 @@ def reshuffle(m, d: int) -> np.ndarray:
     An involution on ``d**2 x d**2`` matrices, applied to each matrix of a
     stack; maps the dynamical matrix to the superoperator matrix and back.
     """
-    t = _blocks(m, d)
-    return t.swapaxes(-3, -2).reshape(*t.shape[:-4], d * d, d * d)
-
-
-def _blocks(m, d: int) -> np.ndarray:
-    """A ``d**2 x d**2`` matrix, or each of a stack, as the 4-index view ``[a, b, m, n]``."""
     x = matcore.as_matrices(m)
     if x.shape[-2:] != (d * d, d * d):
         raise DimensionMismatchError(f"expected shape {(d * d, d * d)}, got {x.shape[-2:]}")
-    return x.reshape(*x.shape[:-2], d, d, d, d)
+    return x.reshape(*x.shape[:-2], d, d, d, d).swapaxes(-3, -2).reshape(x.shape)
 
 
 def dynamical_spectrum(kraus) -> np.ndarray:
@@ -170,20 +165,17 @@ def dynamical_spectrum(kraus) -> np.ndarray:
     return np.concatenate([vals, np.zeros((*vals.shape[:-1], n - vals.shape[-1]))], axis=-1)
 
 
-def superoperator_spectrum(sup, d: int) -> np.ndarray:
-    """Cleaned singular-value spectrum of the superoperator matrix; one row per matrix of a stack.
+def superoperator_spectrum(kraus) -> np.ndarray:
+    """Cleaned singular values of ``K``, from its Kraus array; one row per channel of a stack ``(n, k, d, d)``.
 
-    Taken by one real SVD of ``Re K - Im(F K)``; raises
-    :class:`~chanent.errors.NotHermitianError` when ``conj(K) - F K F``
-    exceeds ``HERM_TOL`` times ``K``'s largest entry in some entry, that is
-    when ``K`` does not come from a Hermitian ``D``.
+    One real SVD of ``Re K - Im(F K)``, whose entries are read off the
+    4-index view ``t[a, m, b, n] = D[a*d+m, b*d+n]`` of ``D``, built once.
     """
-    t = _blocks(sup, d)  # t[a, b, m, n] = K[a*d+b, m*d+n]
-    ftf = t.swapaxes(-4, -3).swapaxes(-2, -1)
-    k = t.reshape(*t.shape[:-4], d * d, d * d)
-    matcore.require_hermitian(np.abs(t.conj() - ftf).reshape(k.shape), k)
-    real = (t.real - t.swapaxes(-4, -3).imag).reshape(k.shape)
-    return matcore.clamp_spectrum(matcore.singular_values(real))
+    dyn = dynamical_from_kraus(kraus)
+    d = np.shape(kraus)[-1]
+    t = dyn.reshape(*dyn.shape[:-2], d, d, d, d)
+    real = t.real.swapaxes(-3, -2) - np.moveaxis(t.imag, -2, -4)
+    return matcore.clamp_spectrum(matcore.singular_values(real.reshape(dyn.shape)))
 
 
 class ChannelProfile:
@@ -215,26 +207,28 @@ class ChannelProfile:
 def profile_channel(ops, channel_id=()) -> ChannelProfile:
     """Profile the ``(n, k, d, d)`` Kraus array of ``n`` same-dimension channels.
 
-    ``channel_id`` holds one id per channel (all empty by default).  The
-    dynamical matrices come from one batched product, ``Tr_2 D`` from one
-    reduction of them, the unital flags from ``Tr_2 D`` and the receiver
-    spectrum from one decomposition of the whole stack; the map spectrum is
-    taken from ``ops`` the same way on its first read, so a reader of ``K``
-    and ``Tr_2 D`` alone pays no decomposition for it, and the profile keeps
-    no ``D``.  One channel is a stack of one, ``ops[None]``.
+    ``channel_id`` holds one id per channel (all empty by default).
+    ``Tr_2 D = sum_i A_i A_i^dag`` is one product per channel of the Kraus
+    array, as ``check_kraus_stack``'s ``sum_i A_i^dag A_i`` is, and the
+    unital flags are read off it; the receiver spectrum is one decomposition
+    of the whole stack.  The map spectrum is taken from ``ops`` the same way
+    on its first read, so a reader of ``K`` and ``Tr_2 D`` alone pays no
+    decomposition for it, and the profile keeps no ``D``.  One channel is a
+    stack of one, ``ops[None]``.
     """
+    ops = np.asarray(ops)
     ids = tuple(channel_id) or ("",) * len(ops)
     if len(ids) != len(ops):
         raise ValueError(f"{len(ops)} channels but {len(ids)} channel ids")
-    d = np.shape(ops)[-1]
-    dyn = dynamical_from_kraus(ops)
-    tr2 = matcore.partial_trace(dyn, d)
+    n, k, d, _ = ops.shape
+    w = ops.swapaxes(-3, -2).reshape(n, d, k * d)  # row i of channel c: the rows i of its A_j, side by side
+    tr2 = w @ w.conj().swapaxes(-2, -1)
     return ChannelProfile(
         channel_id=ids,
         dim=d,
         unital=_identity_defects(tr2) <= TP_TOL,
         choi_spectrum=lambda: dynamical_spectrum(ops),
-        superop_spectrum=superoperator_spectrum(reshuffle(dyn, d), d),
+        superop_spectrum=superoperator_spectrum(ops),
         tr2=tr2,
     )
 

@@ -4,11 +4,12 @@
 channel with ``--channel``), evaluates the trade-off bound on every cell of
 the (q, s) grid and writes ``report.csv`` plus ``summary.json`` into the
 output directory.  ``chanent inequalities`` drives the norm and anti-norm
-checks over random matrices (or one ``--matrix`` file) and the channels of
-the config's families, and reports per-check minimum slack.  Both
-subcommands admit the same families and take every one of them: a sampler
-family (``cptp``, ``unitary-mixture``, ``unistochastic``) is drawn per
-sample, and a ``named:`` family is its one channel repeated per sample.
+checks over random matrices (or one ``--matrix`` file, for the checks of one
+matrix) and the channels of the config's families, and reports per-check
+minimum slack.  Both subcommands admit the same families and take every
+one of them: a sampler family (``cptp``, ``unitary-mixture``,
+``unistochastic``) is drawn per sample, and a ``named:`` family is its one
+channel repeated per sample.
 
 Both subcommands run in one skeleton, a :class:`Run`, and each supplies
 three things: a source of stacks, an evaluation of each stack into arrays,
@@ -37,13 +38,15 @@ all, so a population of small inputs is one stack, and the stacks of a large
 one keep memory flat in its size.
 
 Both harnesses profile each channel stack, the Kraus array it was drawn
-as, with :func:`~chanent.channel.profile_channel`: one batched build of
-``D``, one ``Tr_2 D`` and one decomposition of ``K`` per stack, and one of
-the Kraus array where ``D``'s spectrum is read: the sweep reads it, the
-inequality suite's channel checks do not.  A ``--channel`` file is a stack of one, and
-a counterexample is written from its channel's row of the stack.  A sweep's counterexample records the
-violated cell as the grid gives it (:meth:`~chanent.tradeoff.GridReport.cell`),
-and its ``BOUND VIOLATION`` line is built from that record.
+as, with :func:`~chanent.channel.profile_channel`: per stack, ``Tr_2 D`` as
+one product of the Kraus array, and one decomposition of ``K`` read off
+``D``, which is built once per stack, inside the receiver spectrum; and one
+decomposition of the Kraus array where ``D``'s spectrum is read: the sweep
+reads it, the inequality suite's channel checks do not.  A ``--channel``
+file is a stack of one, and a counterexample is written from its channel's
+row of the stack.  A sweep's counterexample records the violated cell as
+the grid gives it (:meth:`~chanent.tradeoff.GridReport.cell`), and its
+``BOUND VIOLATION`` line is built from that record.
 
 A sweep stacks the channels of one (dimension, family) and evaluates each
 profile in one grid pass, against bounds tabulated once per dimension, and
@@ -119,9 +122,10 @@ CSV_COLUMNS = [
 # The inequality suite's checks in the order it runs them, one row each: the
 # check's operands, and its call on the config and one stack of each operand.
 # A matrix check's operands are the population (family, stream) of each of
-# its matrices, and a --matrix file is every operand; a channel check's
-# (None) are the config's channels, one profile per stack shared by both
-# channel checks.  Each check is looked up in ``spectra`` as it is called.
+# its matrices, and a --matrix file is the one operand of prop1, 21in or
+# npqr; a channel check's (None) are the config's channels, one profile per
+# stack shared by both channel checks.  Each check is looked up in
+# ``spectra`` as it is called.
 _CHECKS = {
     "prop1": ((("psd", 201),), lambda cfg, x: spectra.check_prop1(x, [float(q) for q in cfg.q_grid])),
     "21in": ((("mat", 202),), lambda cfg, x: spectra.check_two_inf_one(x)),
@@ -484,13 +488,11 @@ def run_inequality_suite(cfg: SweepConfig, out_dir, only=None, matrix_path=None)
     if matrix_path is not None:
         matrix = _load_input(matrix_path, "matrix", matcore.matrix_from_json)
         injected = (matrix_path, lambda: matcore.matrix_to_json(matrix))
-        groups.pop(None, None)  # --matrix runs the matrix checks only, so it needs one of them selected
+        # the file is the one operand of a check: sups takes two matrices, the channel checks the config's channels
+        groups = {operands: checks for operands, checks in groups.items() if operands and len(operands) == 1}
         if not groups:
-            channel_checks = ", ".join(name for name, (operands, _) in _CHECKS.items() if operands is None)
-            raise ConfigError(
-                f"no check ran for {only}: the channel checks ({channel_checks}) "
-                "take the config's families, not a --matrix file"
-            )
+            takes = "two matrices" if _CHECKS[only][0] else "the config's channels"
+            raise ConfigError(f"no check ran for {only}: it takes {takes}, not one --matrix file")
     run = Run(out_dir, {"mode": "inequalities", "seed": cfg.seed, "checks": {}, "failure": None}, injected)
 
     def stacks(operands):
@@ -504,8 +506,8 @@ def run_inequality_suite(cfg: SweepConfig, out_dir, only=None, matrix_path=None)
             for _, _, labels, ops in pop:
                 yield labels, (profile_channel(ops, labels),), lambda i: chmod.channel_to_json(ops[i])
             return
-        if injected is not None:  # the file is every operand, as a population of one stack of one
-            pops = [[(None, None, [Path(matrix_path).stem], matrix[None])]] * len(operands)
+        if injected is not None:  # the file is the operand, as a population of one stack of one
+            pops = [[(None, None, [Path(matrix_path).stem], matrix[None])]]
         else:
             pops = [
                 sampler.population(
@@ -600,7 +602,7 @@ def main(argv=None) -> int:
     ineq = sub.add_parser("inequalities", help="run the norm/anti-norm inequality checks")
     _add_common_flags(ineq)
     ineq.add_argument("--only", metavar="CHECK", help=f"one of: {', '.join(_CHECKS)}")
-    ineq.add_argument("--matrix", metavar="PATH", help="run the matrix checks on this file only")
+    ineq.add_argument("--matrix", metavar="PATH", help="run the one-matrix checks on this file only")
 
     args = parser.parse_args(argv)
     try:

@@ -17,11 +17,11 @@ descending; ties keep the backend order (entropies are symmetric functions
 of the spectrum, so the order is cosmetic).
 
 The spectral functions (:func:`hermitian_eigenvalues`, :func:`singular_values`,
-:func:`clamp_spectrum`) and :func:`partial_trace` also take a stack of
-same-shape matrices ``(n, m, m)`` and return one result per matrix, with one
-LAPACK call for the whole stack.  Every check on a stack (Hermiticity, the
-PSD clamp) is made per matrix, and the first matrix that fails it raises the
-error a single-matrix call on it would raise.  A matrix with a non-finite
+:func:`clamp_spectrum`) also take a stack of same-shape matrices ``(n, m, m)``
+and return one result per matrix, with one LAPACK call for the whole stack.
+Every check on a stack (Hermiticity, the PSD clamp) is made per matrix, and
+the first matrix that fails it raises the error a single-matrix call on it
+would raise.  A matrix with a non-finite
 entry has no spectrum, nor has one whose spectrum is beyond the double
 range: the spectral functions reject both with
 :class:`~chanent.errors.InvalidSpectrumError`.
@@ -49,10 +49,8 @@ __all__ = [
     "eig_tol",
     "as_matrix",
     "as_matrices",
-    "require_hermitian",
     "hermitian_eigenvalues",
     "singular_values",
-    "partial_trace",
     "clamp_spectrum",
     "matrix_to_json",
     "matrix_from_json",
@@ -115,34 +113,25 @@ def _require_square(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def require_hermitian(deviation: np.ndarray, x: np.ndarray) -> None:
-    """Raise :class:`NotHermitianError` if ``deviation`` exceeds ``HERM_TOL`` times ``x``'s largest entry, or is NaN.
-
-    ``deviation`` is the entrywise deviation from Hermiticity of the matrix
-    ``x``, or of each matrix of a stack ``x``.  Each matrix's largest entry
-    is its scale, so ``c X`` passes iff ``X`` does, and a zero matrix
-    passes; the error names the first matrix over its tolerance, with its
-    max deviation and its scale.
-    """
-    rows = deviation.max(axis=(-2, -1), initial=0.0).reshape(-1)
-    scale = np.abs(x).max(axis=(-2, -1), initial=0.0).reshape(-1)
-    bad = np.flatnonzero(~(rows <= HERM_TOL * scale))  # over it, or NaN
-    if bad.size:
-        raise NotHermitianError(f"Hermiticity deviation {rows[bad[0]]:.3e} exceeds {HERM_TOL:.1e} "
-                                f"times the largest entry, {scale[bad[0]]:.3e}")
-
-
 def hermitian_eigenvalues(x) -> np.ndarray:
     """Eigenvalues of a Hermitian matrix, or of each matrix of a stack, descending.
 
     The input is symmetrized as ``X/2 + X^dag/2`` before decomposition;
-    deviations above ``HERM_TOL`` times the largest entry are rejected
-    instead of silently averaged away.
+    deviations above ``HERM_TOL`` times the largest entry (NaN among them)
+    are rejected instead of silently averaged away.  Each matrix's largest
+    entry is its scale, so ``c X`` passes iff ``X`` does, and a zero matrix
+    passes; the error names the first matrix over its tolerance, with its
+    max deviation and its scale.
     """
     m = _require_square(_finite_matrices(x))
     adj = m.conj().swapaxes(-2, -1)
     with np.errstate(over="ignore"):  # a deviation beyond a double is over the tolerance
-        require_hermitian(np.abs(m - adj), m)
+        rows = np.abs(m - adj).max(axis=(-2, -1), initial=0.0).reshape(-1)
+    scale = np.abs(m).max(axis=(-2, -1), initial=0.0).reshape(-1)
+    bad = np.flatnonzero(~(rows <= HERM_TOL * scale))
+    if bad.size:
+        raise NotHermitianError(f"Hermiticity deviation {rows[bad[0]]:.3e} exceeds {HERM_TOL:.1e} "
+                                f"times the largest entry, {scale[bad[0]]:.3e}")
     # halving a normal double is exact, and no sum of halves overflows
     return _finite_spectrum(np.linalg.eigvalsh(m / 2 + adj / 2)[..., ::-1])
 
@@ -160,17 +149,6 @@ def _finite_spectrum(vals: np.ndarray) -> np.ndarray:
     if not np.isfinite(vals).all():
         raise InvalidSpectrumError("the spectrum is beyond the double range")
     return vals
-
-
-def partial_trace(x, d: int) -> np.ndarray:
-    """Trace out the second tensor factor of a ``d**2 x d**2`` matrix, or of each matrix of a stack.
-
-    That is the trailing index ``nu`` of the composite ``mu*d + nu``.
-    """
-    m = as_matrices(x)
-    if m.shape[-2:] != (d * d, d * d):
-        raise DimensionMismatchError(f"expected shape {(d * d, d * d)}, got {m.shape[-2:]}")
-    return np.einsum("...ijkj->...ik", m.reshape(*m.shape[:-2], d, d, d, d))
 
 
 def clamp_spectrum(values) -> np.ndarray:

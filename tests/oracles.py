@@ -111,7 +111,7 @@ def apply_channel_via_dynamical(dyn, x):
     """Channel action recovered from the dynamical matrix: ``Tr_2(D (I (x) X^T))``."""
     d = math.isqrt(dyn.shape[-1])
     prod = dyn @ np.kron(np.eye(d, dtype=complex), np.asarray(x, dtype=complex).T)
-    return matcore.partial_trace(prod, d)
+    return np.einsum("...ijkj->...ik", prod.reshape(*prod.shape[:-2], d, d, d, d))
 
 
 def vec(x):

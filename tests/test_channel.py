@@ -1,11 +1,11 @@
 import json
+import math
 
 import mpmath
 import numpy as np
 import oracles
 import pytest
 from helpers import (
-    complex_gaussian,
     noisy_depolarizing,
     population,
     profile,
@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from chanent import channel as chmod
 from chanent import matcore, sampler, tradeoff
-from chanent.errors import DimensionMismatchError, NotHermitianError, NotTracePreservingError
+from chanent.errors import DimensionMismatchError, NotTracePreservingError
 
 ROUTE_DIMS = (2, 3, 4, 8, 16)
 FAMILIES = tuple(sampler.FAMILY_CODES)
@@ -154,7 +154,7 @@ class TestSuperoperatorMatrix:
         sup = chmod.reshuffle(chmod.dynamical_from_kraus(depolarizing_channel()), 2)
         v = np.eye(2, dtype=complex).reshape(-1)
         np.testing.assert_allclose(sup, np.outer(v, v.conj()) / 2, atol=1e-15)
-        spec = chmod.superoperator_spectrum(sup, 2)
+        spec = chmod.superoperator_spectrum(depolarizing_channel())
         np.testing.assert_allclose(spec, [1.0, 0.0, 0.0, 0.0], atol=1e-12)
 
     def test_unitary_channel(self):
@@ -162,7 +162,7 @@ class TestSuperoperatorMatrix:
         u = random_unitary(rng, 3)
         sup = chmod.reshuffle(chmod.dynamical_from_kraus(u[None]), 3)
         np.testing.assert_allclose(sup, np.kron(u, u.conj()), atol=1e-15)
-        np.testing.assert_allclose(chmod.superoperator_spectrum(sup, 3), np.ones(9), atol=1e-12)
+        np.testing.assert_allclose(chmod.superoperator_spectrum(u[None]), np.ones(9), atol=1e-12)
 
     def test_action_on_vectorized_operators(self):
         rng = np.random.default_rng(31)
@@ -273,7 +273,7 @@ class TestIsUnital:
 
     @pytest.mark.parametrize("d", ROUTE_DIMS)
     def test_stacked_defects_match_single_and_kraus_side(self, d):
-        # Tr_2 D = sum_i A_i A_i^dag: one reduction on the D stack
+        # Tr_2 D = sum_i A_i A_i^dag: one product of the Kraus array per stack
         for family in FAMILIES:
             chs = [ch for *_, ch in population(961, (d,), (family,), 3)]
             stacked = profile(*chs)
@@ -284,6 +284,20 @@ class TestIsUnital:
                 assert abs(defect - oracles.unital_defect_via_kraus(ch)) <= 1e-15
             flags = stacked.unital.tolist()
             assert flags == [bool(one.unital[0]) for one in singles] == [family != "cptp"] * 3
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("d", ROUTE_DIMS)
+    def test_tr2_is_the_image_of_the_identity(self, d, family):
+        # the profile's Tr_2 D, read off the Kraus array, against the channel
+        # action on I, sum_j A_j A_j^dag, each entry's k d products summed
+        # with math.fsum: the oracle's loop over A_j rounds each partial sum
+        # and is off by up to 1.4e-15 of the largest entry at k = 256
+        chs = [ch for *_, ch in population(967, (d,), (family,), 3)]
+        for got, ch in zip(profile(*chs).tr2, chs):
+            terms = (ch[:, :, None, :] * ch.conj()[:, None, :, :]).transpose(1, 2, 0, 3).reshape(d, d, -1)
+            want = np.array([[complex(math.fsum(t.real), math.fsum(t.imag)) for t in row] for row in terms])
+            assert np.abs(want - oracles.apply_channel(ch, np.eye(d))).max() <= 2e-15 * np.abs(want).max()
+            assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
 
 
 class TestKrausGram:
@@ -358,16 +372,15 @@ def _assert_spectra_close(got, want):
     assert (np.abs(got - want) <= 1e-13 * scale).all(), float((np.abs(got - want) / scale).max())
 
 
-def _spectra(ops, d):
-    """Both library spectra of a Kraus array: ``eig(D)``, given the Kraus operators, and ``svd(K)``."""
-    dyn = chmod.dynamical_from_kraus(ops)
-    return chmod.dynamical_spectrum(ops), chmod.superoperator_spectrum(chmod.reshuffle(dyn, d), d)
+def _spectra(ops):
+    """Both library spectra of a Kraus array: ``eig(D)`` and ``svd(K)``."""
+    return chmod.dynamical_spectrum(ops), chmod.superoperator_spectrum(ops)
 
 
 def _assert_routes_match_oracles(ops, d):
     """The map spectrum against a dense eigvalsh of D, the receiver spectrum against a complex svd of K."""
     dyn = chmod.dynamical_from_kraus(ops)
-    choi, sup = _spectra(ops, d)
+    choi, sup = _spectra(ops)
     _assert_spectra_close(choi, oracles.dynamical_eigenvalues(dyn))
     _assert_spectra_close(sup, oracles.superoperator_singular_values(chmod.reshuffle(dyn, d)))
 
@@ -384,9 +397,9 @@ class TestSpectrumRoutes:
         assert (ops.shape[1] < d * d) == (family == "unitary-mixture")
         _assert_routes_match_oracles(ops, d)
         # the stack's rows are the single channels' spectra
-        stacked = _spectra(ops, d)
+        stacked = _spectra(ops)
         for k, ch in enumerate(chs):
-            one = _spectra(ch, d)
+            one = _spectra(ch)
             _assert_spectra_close(stacked[0][k], one[0])
             _assert_spectra_close(stacked[1][k], one[1])
 
@@ -415,33 +428,15 @@ class TestSpectrumRoutes:
         ops = stack_channels(chs)
         assert ops.shape == (3, 4, 3, 3)
         _assert_routes_match_oracles(ops, 3)
-        stacked = _spectra(ops, 3)[0]
+        stacked = _spectra(ops)[0]
         for row, ch in zip(stacked, chs):
-            _assert_spectra_close(row, _spectra(ch, 3)[0])
+            _assert_spectra_close(row, _spectra(ch)[0])
 
     def test_gram_spectrum_is_padded_with_exact_zeros(self):
-        spec, _ = _spectra(sampler.named_channel("unitary", 3, 0.7), 3)
+        spec, _ = _spectra(sampler.named_channel("unitary", 3, 0.7))
         assert spec.shape == (9,)
         assert spec[0] == pytest.approx(3.0, abs=1e-13)
         assert not spec[1:].any()
-
-    def test_non_hermiticity_preserving_superoperator_is_rejected(self):
-        rng = np.random.default_rng(977)
-        not_hermitian = complex_gaussian(rng, (9, 9))
-        with pytest.raises(NotHermitianError):
-            chmod.superoperator_spectrum(chmod.reshuffle(not_hermitian, 3), 3)
-        # checked matrix by matrix in a stack, with the error a single call raises
-        good = chmod.dynamical_from_kraus(sampler.named_channel("dephasing", 3, 0.4))
-        bad = good + 1e-6j * np.eye(9)  # Hermiticity deviation 2e-6 on the diagonal
-        stack = chmod.reshuffle(np.stack([good, good, bad]), 3)
-        with pytest.raises(NotHermitianError) as stacked:
-            chmod.superoperator_spectrum(stack, 3)
-        with pytest.raises(NotHermitianError) as single:
-            chmod.superoperator_spectrum(stack[2], 3)
-        assert str(stacked.value) == str(single.value)
-        # a rounding-level deviation is accepted
-        noisy = good + 1e-12j * np.eye(9)
-        chmod.superoperator_spectrum(chmod.reshuffle(noisy, 3), 3)
 
 
 class TestOracleRoutes:

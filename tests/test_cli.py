@@ -741,7 +741,7 @@ class TestInequalities:
         out = tmp_path / "mat"
         assert cli.main(["inequalities", "--matrix", str(mat_path), "--out", str(out)]) == 0
         summary = json.loads((out / "summary.json").read_text())
-        assert set(summary["checks"]) == {"prop1", "21in", "npqr", "sups"}
+        assert set(summary["checks"]) == {"prop1", "21in", "npqr"}
 
     def test_missing_matrix_file_is_a_config_error(self, tmp_path, capsys):
         code = cli.main(["inequalities", "--matrix", str(tmp_path / "nope.json"), "--out", str(tmp_path / "x")])
@@ -815,7 +815,7 @@ class TestInequalities:
         for only in (["--only", "21in"], ["--only", "prop1", "--q", "2"]):
             assert cli.main(["inequalities", "--matrix", str(mat_path), *only, "--out", str(out)]) == 0
 
-    @pytest.mark.parametrize("only", [["prop1"], ["prop1", "--q", "0.5"], ["npqr"], ["sups"]])
+    @pytest.mark.parametrize("only", [["prop1"], ["prop1", "--q", "0.5"], ["npqr"]])
     def test_non_hermitian_matrix_file_is_a_config_error(self, tmp_path, capsys, only):
         # the anti-norm checks take its eigenvalues: a matrix they cannot
         # decompose is an input they cannot take, not a counterexample
@@ -823,7 +823,7 @@ class TestInequalities:
         mat_path.write_text(json.dumps(matcore.matrix_to_json(np.array([[1.0, 1.0], [0.0, 1.0]]))))
         out = tmp_path / "nh"
         assert cli.main(["inequalities", "--matrix", str(mat_path), "--only", *only, "--out", str(out)]) == 2
-        # every check names the file's own deviation (sups checks its operands before their sum)
+        # every check names the file's own deviation
         want = "config error: Hermiticity deviation 1.000e+00 exceeds 1.0e-08 times the largest entry, 1.000e+00\n"
         assert capsys.readouterr().err == want
         assert out.is_dir() and not (out / "summary.json").exists() and not any(out.iterdir())
@@ -877,17 +877,16 @@ class TestInequalities:
         assert check["passed"] and check["min_slack"] == pytest.approx(1.0 - (10.0 / 12.0) ** 0.5, abs=1e-15)
 
     @pytest.mark.parametrize("x, errors", [
-        (np.diag([1e308, 5e307]), {"prop1": None, "21in": None, "npqr": None,
-                                   "sups": "the sum X + Y of input 0 has an entry beyond the double range"}),
+        (np.diag([1e308, 5e307]), {"prop1": None, "21in": None, "npqr": None}),
         (np.array([[1.7e308, 1e308], [1e308, 1.7e308]]),
-         {**dict.fromkeys(("prop1", "21in", "npqr"), "the spectrum is beyond the double range"),
-          "sups": "the sum X + Y of input 0 has an entry beyond the double range"}),
+         dict.fromkeys(("prop1", "21in", "npqr"), "the spectrum is beyond the double range")),
     ], ids=["psd", "spectrum-beyond-a-double"])
     def test_matrix_at_the_edge_of_the_double_range(self, tmp_path, capsys, x, errors):
-        # diag(1e308, 5e307) is PSD, but its sum with itself in sups is beyond a
-        # double, and the message names that sum, not the file's entries; the
+        # diag(1e308, 5e307) is PSD and every one-matrix check takes it; the
         # second matrix's largest eigenvalue and singular value, 2.7e308, are
-        # beyond a double too, and so is its sum with itself
+        # beyond a double.  sups takes no --matrix file, whatever its entries
+        # (an overflowing sum of two operands: TestBatchErrorsInStackOrder)
+        errors = {**errors, "sups": "no check ran for sups: it takes two matrices, not one --matrix file"}
         mat_path = tmp_path / "edge.json"
         mat_path.write_text(json.dumps(matcore.matrix_to_json(x)))
         for only, error in errors.items():
@@ -921,7 +920,7 @@ class TestInequalities:
         want = spectra.check_prop1(np.diag([1.0, 0.1])[None], 3.0).slack[0, 0]
         assert check["passed"] and check["min_slack"] == pytest.approx(want, rel=1e-12)
 
-    @pytest.mark.parametrize("only", ["sups", "npqr", "prop1"])
+    @pytest.mark.parametrize("only", ["npqr", "prop1"])
     def test_large_rank_one_matrix_is_psd(self, tmp_path, only):
         # 1e7 v v^dag, lam_max 1.14e9, has an eigenvalue of about -8.7e-8
         # from rounding, 7.7e-17 of lam_max, which the PSD check rejected
@@ -995,17 +994,17 @@ class TestInequalityStacks:
 
 
 class TestOneProfilePerStack:
-    """Both harnesses take ``Tr_2 D`` once per channel stack, in ``profile_channel``."""
+    """Both harnesses build ``D`` once per channel stack, inside ``profile_channel``'s receiver spectrum."""
 
     @pytest.mark.parametrize("command, sizes", [
         # d = 3: D's 81 entries bound both; d = 2: the sweep's 9x7 grid, the suite's 16 entries of D
         ("sweep", [2, 1] * 4),
         ("inequalities", [3, 3, 2, 1, 2, 1]),
     ], ids=["sweep", "inequalities"])
-    def test_one_partial_trace_per_stack(self, tmp_path, monkeypatch, command, sizes):
+    def test_one_dynamical_build_per_stack(self, tmp_path, monkeypatch, command, sizes):
         seen = []
-        original = matcore.partial_trace
-        monkeypatch.setattr(matcore, "partial_trace", lambda x, *a: seen.append(len(x)) or original(x, *a))
+        original = chmod.dynamical_from_kraus
+        monkeypatch.setattr(chmod, "dynamical_from_kraus", lambda ops: seen.append(len(ops)) or original(ops))
         monkeypatch.setattr(cli, "STACK_ENTRIES", 2 * 81)
         args = [command, "--dims", "2,3", "--samples", "3", "--family", "cptp,unitary-mixture"]
         assert cli.main([*args, "--out", str(tmp_path / "x")]) == 0
@@ -1304,7 +1303,7 @@ def slacks_match_the_unit_scale(out):
     unit.write_text(json.dumps(matcore.matrix_to_json(np.diag([1.0, 0.1]))))
     assert cli.main(["inequalities", "--matrix", str(unit), "--out", str(out.parent / "unit")]) == 0
     scaled, plain = (json.loads((p / "summary.json").read_text())["checks"] for p in (out, out.parent / "unit"))
-    assert scaled.keys() == plain.keys() == {"prop1", "21in", "npqr", "sups"}
+    assert scaled.keys() == plain.keys() == {"prop1", "21in", "npqr"}
     for name in plain:
         assert abs(scaled[name]["min_slack"] - plain[name]["min_slack"]) <= 1e-12, name
 
@@ -1342,6 +1341,11 @@ CLI_CASES = [
          }}),
     case("scale-free-slacks", "inequalities", "--matrix", "{micro}",
          files={"micro": matcore.matrix_to_json(1e-6 * np.diag([1.0, 0.1]))}, check=slacks_match_the_unit_scale),
+    # a --matrix file is one operand: sups, which takes two, refuses it, as the channel checks do
+    *(case(f"matrix-only-{only}", "inequalities", "--matrix", "{psd}", "--only", only,
+           files={"psd": matcore.matrix_to_json(np.diag([2.0, 1.0]))}, code=2,
+           err=f"config error: no check ran for {only}: it takes {takes}, not one --matrix file\n")
+      for only, takes in (("sups", "two matrices"), ("upkp", "the config's channels"))),
     # an empty list value is given, not absent: it is refused by its key's rule
     *(case(f"{command}-empty-{flag.strip('-=')}", command, "--dims", "2", "--samples", "1", flag, code=2,
            err=f"config error: {key} must be nonempty\n")

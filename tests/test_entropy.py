@@ -35,10 +35,7 @@ def receiver_entropy(ch, params):
 
 def _channel_spectra(ch):
     """``eig(D)``, as the squared singular values of the Kraus matrix, and ``svd(K)`` of a channel."""
-    dyn = chmod.dynamical_from_kraus(ch)
-    d = ch.shape[-1]
-    sup = chmod.reshuffle(dyn, d)
-    return chmod.dynamical_spectrum(ch), chmod.superoperator_spectrum(sup, d)
+    return chmod.dynamical_spectrum(ch), chmod.superoperator_spectrum(ch)
 
 
 class TestEntropyParams:

@@ -17,6 +17,12 @@ from chanent.errors import (
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 
 
+def trace_second(x, d):
+    """``Tr_2`` of a ``d**2 x d**2`` matrix, or of each of a stack: the oracle action on ``I`` of ``x`` as a ``D``."""
+    assert x.shape[-1] == d * d
+    return oracles.apply_channel_via_dynamical(x, np.eye(d))
+
+
 class TestHermitianEigenvalues:
     def test_identity(self):
         spec = matcore.hermitian_eigenvalues(np.eye(2))
@@ -93,15 +99,17 @@ class TestSingularValues:
 
 
 class TestPartialTrace:
+    """The oracles' partial traces over either factor."""
+
     def test_identity_second(self):
-        np.testing.assert_allclose(matcore.partial_trace(np.eye(4), 2), 2 * np.eye(2))
+        np.testing.assert_allclose(trace_second(np.eye(4), 2), 2 * np.eye(2))
 
     def test_product_factorization(self):
         rng = np.random.default_rng(3)
         a = complex_gaussian(rng, (3, 3))
         b = complex_gaussian(rng, (3, 3))
         big = np.kron(a, b)
-        np.testing.assert_allclose(matcore.partial_trace(big, 3), a * np.trace(b), atol=1e-12)
+        np.testing.assert_allclose(trace_second(big, 3), a * np.trace(b), atol=1e-12)
         np.testing.assert_allclose(oracles.partial_trace_first(big, 3), np.trace(a) * b, atol=1e-12)
 
     def test_identity_channel_dynamical(self):
@@ -113,13 +121,13 @@ class TestPartialTrace:
     def test_trace_preserved(self):
         rng = np.random.default_rng(5)
         x = complex_gaussian(rng, (9, 9))
-        for trace in (oracles.partial_trace_first, matcore.partial_trace):
+        for trace in (oracles.partial_trace_first, trace_second):
             out = trace(x, 3)
             assert abs(np.trace(out) - np.trace(x)) <= 1e-9 * 9
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
-            matcore.partial_trace(np.eye(4), 3)
+            oracles.partial_trace_first(np.eye(4), 3)
 
 
 class TestVec:
@@ -163,6 +171,12 @@ class TestClampSpectrum:
     def test_genuine_values_survive(self):
         vals = np.array([1.0, 1e-3, 1e-9])
         np.testing.assert_array_equal(matcore.clamp_spectrum(vals), vals)
+
+    def test_zero_threshold_sits_between_1e_13_and_1e_11_of_the_largest(self):
+        # literal thresholds, not ZERO_REL_TOL: an entry at 1e-13 of the
+        # largest is decomposition noise, one at 1e-11 is kept
+        out = matcore.clamp_spectrum(np.array([[3.0, 3e-11, 3e-13], [1e-300, 1e-311, 1e-313]]))
+        np.testing.assert_array_equal(out, [[3.0, 3e-11, 0.0], [1e-300, 1e-311, 0.0]])
 
     def test_large_negative_rejected(self):
         with pytest.raises(NotPositiveError):
@@ -315,7 +329,7 @@ class TestStacks:
 
     def test_partial_trace_per_matrix(self):
         x = complex_gaussian(np.random.default_rng(179), (3, 9, 9))
-        for trace in (oracles.partial_trace_first, matcore.partial_trace):
+        for trace in (oracles.partial_trace_first, trace_second):
             got = trace(x, 3)
             for i, m in enumerate(x):
                 np.testing.assert_array_equal(got[i], trace(m, 3))

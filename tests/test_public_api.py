@@ -2,7 +2,10 @@
 
 import ast
 import importlib
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +33,9 @@ MODULES = ("channel", "cli", "entropy", "errors", "matcore", "sampler", "spectra
 # the second population generator went.  A cptp sample is drawn once, its
 # normalizer never near singular, so the resampling limits and their error went.
 # The suite's check names and channel checks are read off its one check table.
+# Tr_2 D is one product of the Kraus array and the receiver spectrum is read
+# off D, Hermitian by construction, so the partial trace and the separate
+# Hermiticity check went.
 REMOVED = {
     "cli": ("CHECK_NAMES", "CHANNEL_CHECKS"),
     "sampler": (
@@ -43,7 +49,7 @@ REMOVED = {
         "load_channel",
     ),
     "entropy": ("q_log", "uniform_entropy", "map_entropy", "receiver_entropy", "EntropyParams"),
-    "matcore": ("Spectrum", "vec"),
+    "matcore": ("Spectrum", "vec", "partial_trace", "require_hermitian"),
     "spectra": ("schatten", "InequalityReport"),
     "tradeoff": ("evaluate_tradeoff", "lower_bound", "TradeoffReport", "LIMIT_EPS", "is_limit_row"),
     "errors": ("BoundViolation", "SingularNormalizerError"),
@@ -106,3 +112,21 @@ def test_readme_library_tour_runs(capsys, tmp_path):
     config.write_text(re.search(r"```json\n(.*?)```", readme, re.DOTALL).group(1))
     assert cli.main(["sweep", "--config", str(config), "--out", str(tmp_path / "config")]) == 0
     assert capsys.readouterr().out.startswith("sweep ok: 18900 rows,")
+
+
+def test_library_loads_neither_scipy_nor_mpmath(tmp_path):
+    # scipy is no dependency and mpmath a test extra: a run of both
+    # subcommands, in a fresh interpreter, imports neither
+    src = str(Path(chanent.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    script = (
+        "import sys\n"
+        "from chanent import cli\n"
+        "common = ['--dims', '2', '--samples', '1', '--q', '0.5,2']\n"
+        f"assert cli.main(['sweep', *common, '--s', '0', '--out', {str(tmp_path / 'sweep')!r}]) == 0\n"
+        f"assert cli.main(['inequalities', *common, '--out', {str(tmp_path / 'ineq')!r}]) == 0\n"
+        "print(sorted(name for name in ('scipy', 'mpmath') if name in sys.modules))\n"
+    )
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"

@@ -131,7 +131,7 @@ class TestNamedChannels:
         ch = sampler.named_channel("completely-depolarizing", 2)
         dyn = chmod.dynamical_from_kraus(ch)
         np.testing.assert_allclose(dyn, np.eye(4) / 2, atol=1e-15)
-        sup_spec = chmod.superoperator_spectrum(chmod.reshuffle(dyn, 2), 2)
+        sup_spec = chmod.superoperator_spectrum(ch)
         assert np.count_nonzero(sup_spec) == 1
 
     def test_depolarizing_action(self):
@@ -164,7 +164,7 @@ class TestNamedChannels:
         ch = sampler.named_channel("unitary", 3, 0.7)
         u = ch[0]
         assert np.abs(u.conj().T @ u - np.eye(3)).max() <= 1e-14
-        spec = chmod.superoperator_spectrum(chmod.reshuffle(chmod.dynamical_from_kraus(ch), 3), 3)
+        spec = chmod.superoperator_spectrum(ch)
         np.testing.assert_allclose(spec, np.ones(9), atol=1e-12)
 
     def test_errors(self):

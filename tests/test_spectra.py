@@ -124,6 +124,14 @@ class TestSchattenAntinorm:
         with pytest.raises(NotPositiveError):
             spectra.schatten_antinorm(np.diag([1.0, 0.0]), -1.0)
 
+    def test_strict_positivity_threshold_sits_between_1e_11_and_1e_9_of_the_largest(self):
+        # literal thresholds, not STRICT_POS_TOL: a smallest eigenvalue at
+        # 1e-11 of the largest is refused by a negative order, one at 1e-9 is taken
+        with pytest.raises(NotPositiveError, match="min eigenvalue 1.000e-11"):
+            spectra.schatten_antinorm(np.diag([1.0, 1e-11]), -0.5)
+        got = spectra.schatten_antinorm(np.diag([1.0, 1e-9]), -0.5)
+        assert got == pytest.approx((1.0 + 1e-9**-0.5) ** -2.0, rel=1e-13)
+
     def test_zero_eigenvalues_contribute_nothing(self):
         assert abs(spectra.schatten_antinorm(np.diag([1.0, 0.0]), 0.5) - 1.0) <= 1e-13
 
@@ -404,6 +412,18 @@ class TestCheckSuperadditivity:
             x = random_psd(rng, 6) + 0.05 * np.eye(6)
             y = random_psd(rng, 6) + 0.05 * np.eye(6)
             assert spectra.check_superadditivity(x[None], y[None], q).passed.all()
+
+    def test_large_rank_one_operands_are_psd(self):
+        # 1e7 v v^dag has an eigenvalue of about -8.7e-8 from rounding, and
+        # 1e150 v v^dag with one entry one ulp off deviates from Hermitian by
+        # 3.6e134: both within their tolerances relative to the largest entry
+        v = np.arange(1, 7) * (1 + 0.5j)
+        huge = 1e150 * np.outer(v, v.conj())
+        huge[0, 1] = np.nextafter(huge[0, 1].real, np.inf) + 1j * huge[0, 1].imag
+        psd = random_psd(np.random.default_rng(101), 6)
+        for x in (1e7 * np.outer(v, v.conj()), huge):
+            for y in (x, np.abs(x).max() * psd):
+                assert spectra.check_superadditivity(x[None], y[None], [0.3, 0.5, 0.9]).passed.all()
 
     def test_rejects_norm_orders(self):
         with pytest.raises(InvalidOrderError):
