@@ -9,7 +9,8 @@ matrix) and the channels of the config's families, and reports per-check
 minimum slack.  Both subcommands admit the same families and take every
 one of them: a sampler family (``cptp``, ``unitary-mixture``,
 ``unistochastic``) is drawn per sample, and a ``named:`` family is its one
-channel repeated per sample.
+channel once per dimension, as a ``--channel`` file is one channel:
+``--samples`` counts drawn channels alone.
 
 Both subcommands run in one skeleton, a :class:`Run`, and each supplies
 three things: a source of stacks, an evaluation of each stack into arrays,
@@ -563,7 +564,10 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", metavar="PATH", help="JSON config file (flags override it)")
     parser.add_argument("--q", metavar="LIST", help="comma-separated entropy orders q (> 0)")
     parser.add_argument("--dims", metavar="LIST", help="comma-separated system dimensions")
-    parser.add_argument("--samples", type=int, metavar="N", help="samples per family and dimension")
+    parser.add_argument(
+        "--samples", type=int, metavar="N",
+        help="samples per drawn family and dimension (a named family is one channel per dimension)",
+    )
     parser.add_argument("--seed", type=int, metavar="N", help="base seed for all sampling")
     parser.add_argument("--out", metavar="DIR", default=DEFAULT_OUT, help="output directory")
     parser.add_argument(

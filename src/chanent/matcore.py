@@ -47,7 +47,6 @@ __all__ = [
     "EIG_TOL_PER_DIM",
     "ZERO_REL_TOL",
     "eig_tol",
-    "as_matrix",
     "as_matrices",
     "hermitian_eigenvalues",
     "singular_values",
@@ -78,14 +77,6 @@ ZERO_REL_TOL = 1e-12
 def eig_tol(dim: int) -> float:
     """Spectral tolerance for a ``dim``-dimensional matrix, relative to its largest ``|eigenvalue|``."""
     return EIG_TOL_PER_DIM * dim
-
-
-def as_matrix(x) -> np.ndarray:
-    """Coerce input to a 2-D complex array."""
-    m = np.asarray(x, dtype=complex)
-    if m.ndim != 2:
-        raise DimensionMismatchError(f"expected a 2-D matrix, got ndim={m.ndim}")
-    return m
 
 
 def as_matrices(x) -> np.ndarray:
@@ -174,9 +165,12 @@ def matrix_to_json(x) -> dict:
     """Serialize a matrix to the shared JSON object format.
 
     ``{"rows": n, "cols": m, "re": [...], "im": [...]}`` with row-major
-    arrays of length ``n*m``.
+    arrays of length ``n*m``; input that is not 2-D is a
+    :class:`DimensionMismatchError`.
     """
-    m = as_matrix(x)
+    m = np.asarray(x, dtype=complex)
+    if m.ndim != 2:
+        raise DimensionMismatchError(f"expected a 2-D matrix, got ndim={m.ndim}")
     return {
         "rows": int(m.shape[0]),
         "cols": int(m.shape[1]),

@@ -42,7 +42,9 @@ samples of seed 1 at ``d = 2`` was 40.9.  A singular one would give
 non-finite operators, which ``check_kraus_stack`` refuses.
 
 A stack stays the ``(n, k, d, d)`` Kraus array it is drawn as, and a named
-channel is its ``(k, d, d)`` Kraus array.
+channel is its ``(k, d, d)`` Kraus array.  A ``named:`` family is one channel
+per dimension, not a sample: :func:`population` yields it as one stack of
+one, whatever the sample count, and derives no seed for it.
 
 numpy's own ``SeedSequence`` and ``default_rng`` are the test oracle for the
 seeding, and the per-sample samplers in ``tests/oracles.py`` for the
@@ -297,9 +299,8 @@ def _unistochastic_ops(u: np.ndarray, d: int) -> np.ndarray:
 def _sample_stack(family: str, d: int, seeds) -> np.ndarray:
     """The ``(n, k, d, d)`` Kraus array of one channel per seed, all of ``family`` at dimension ``d``.
 
-    A drawn family has :func:`default_kraus_count` operators; a named family
-    is its one channel's Kraus array, broadcast to ``n`` rows, and a matrix
-    family its ``(n, d, d)`` matrices.  Each family's draw is described at
+    A drawn family has :func:`default_kraus_count` operators, and a matrix
+    family is its ``(n, d, d)`` matrices.  Each family's draw is described at
     its stack sampler (``_cptp_ops`` and the like).
     """
     if family in _MATRIX_FAMILIES:
@@ -312,9 +313,6 @@ def _sample_stack(family: str, d: int, seeds) -> np.ndarray:
     elif family == "unistochastic":
         streams = _Streams(_stream_states(seeds, [(0,)]))
         ops = _unistochastic_ops(_haar(_ginibre(streams, (len(seeds), d * d))), d)
-    elif family.startswith("named:"):
-        ops = named_family_channel(family, d)
-        return np.broadcast_to(ops, (len(seeds), *ops.shape))
     else:
         raise UnknownChannelError(f"unknown sampler family {family!r}")
     return check_kraus_stack(ops)
@@ -405,23 +403,27 @@ def _cuts(count: int, size):
 def population(seed: int, dims, families, count: int, stream: int = 0, size=None):
     """Yield ``(family, dim, channel_ids, ops)`` stacks in ``(dim, family, index)`` order.
 
-    Sample ``index`` of ``family`` at ``dim`` is drawn with the default Kraus
-    count from the seed ``SeedSequence([seed, stream + code, dim, index])``,
-    where ``code`` is the family's entry in :data:`FAMILY_CODES`; harnesses keep
-    their populations apart by ``stream``.  ``ops`` is the ``(n, k, d, d)``
-    Kraus array of a stack of consecutive indices of one ``(dim, family)``,
-    at most ``size(dim)`` of them (all ``count`` by default), checked for
-    trace preservation; a named family repeats its one channel's Kraus
-    array.  The matrix families ``mat`` and ``psd``, at family code 0 and
-    stream key ``()``, give the ``(n, d, d)`` stack of the Ginibre matrices
-    ``G`` of ``default_rng`` on each seed, real parts first, or of
-    ``G G^dag``, unchecked.  Each stack's seeds are derived when it is drawn,
-    for its own indices alone, so memory does not grow with ``count``.
+    Sample ``index`` of a drawn ``family`` at ``dim`` is drawn with the
+    default Kraus count from the seed ``SeedSequence([seed, stream + code,
+    dim, index])``, where ``code`` is the family's entry in
+    :data:`FAMILY_CODES`; harnesses keep their populations apart by
+    ``stream``.  ``ops`` is the ``(n, k, d, d)`` Kraus array of a stack of
+    consecutive indices of one ``(dim, family)``, at most ``size(dim)`` of
+    them (all ``count`` by default), checked for trace preservation.  A
+    named family draws nothing: it is one stack of its one channel, with id
+    ``<family>-d<dim>-0000``, whatever ``count`` is.  The matrix families
+    ``mat`` and ``psd``, at family code 0 and stream key ``()``, give the
+    ``(n, d, d)`` stack of the Ginibre matrices ``G`` of ``default_rng`` on
+    each seed, real parts first, or of ``G G^dag``, unchecked.  Each stack's
+    seeds are derived when it is drawn, for its own indices alone, so memory
+    does not grow with ``count``.
     """
     for d in map(int, dims):
         for family in families:
-            drawn = family in FAMILY_CODES or family in _MATRIX_FAMILIES
+            if family.startswith("named:"):
+                yield family, d, [f"{family}-d{d}-0000"], named_family_channel(family, d)[None]
+                continue
             for indices in _cuts(count, count if size is None else size(d)):
                 ids = [f"{family}-d{d}-{index:04d}" for index in indices]
-                seeds = _derive_seeds((seed, stream + FAMILY_CODES.get(family, 0), d), indices) if drawn else indices
+                seeds = _derive_seeds((seed, stream + FAMILY_CODES.get(family, 0), d), indices)
                 yield family, d, ids, _sample_stack(family, d, seeds)

@@ -98,7 +98,7 @@ def superoperator_via_kron(ch):
 
 def apply_channel(ch, x):
     """Apply the channel: ``sum_i A_i X A_i^dag``."""
-    m = matcore.as_matrix(x)
+    m = np.asarray(x, dtype=complex)
     if m.shape != ch.shape[1:]:
         raise DimensionMismatchError(f"input has shape {m.shape}, expected {ch.shape[1:]}")
     out = np.zeros_like(m)
@@ -524,18 +524,14 @@ def sample_channel(family, d, seed):
         return sample_unitary_mixture(d, k, seed)
     if family == "unistochastic":
         return sample_unistochastic(d, seed)
-    if family.startswith("named:"):
-        parts = family.split(":")
-        param = float(parts[2]) if len(parts) > 2 else None
-        return sampler.named_channel(parts[1], d, param)
     raise UnknownChannelError(f"unknown sampler family {family!r}")
 
 
 def population(seed, dims, families, count, stream=0):
-    """``(family, dim, channel_id, ops)`` one sample at a time, in population order."""
+    """``(family, dim, channel_id, ops)`` one sample of a drawn family at a time, in population order."""
     for d in dims:
         for family in families:
-            code = stream + sampler.FAMILY_CODES.get(family, 99)
+            code = stream + sampler.FAMILY_CODES[family]
             for index in range(count):
                 ops = sample_channel(family, d, derive_seed(seed, code, d, index))
                 yield family, d, f"{family}-d{d}-{index:04d}", ops

@@ -303,19 +303,19 @@ class TestSweep:
         (-5e-8, 0),  # gap +5e-8, within SAT_TOL: saturated
     ])
     def test_planted_bound_offset_meets_the_tolerances(self, tmp_path, capsys, monkeypatch, offset, code):
-        # named:identity at d = 2 meets its unital bound, 2 ln 2, at (q, s) =
-        # (2, 0) to rounding, so raising both bounds by the offset makes the gap -offset
+        # named:identity meets its unital bound, 2 ln d, at (q, s) = (2, 0) to
+        # rounding at d = 2 and 3, so raising both bounds by the offset makes the gap -offset
         def raised(*args):
             table = tradeoff.bound_table(*args)
             return dataclasses.replace(table, all_channels=table.all_channels + offset, unital=table.unital + offset)
 
         monkeypatch.setattr(cli, "bound_table", raised)
         out = tmp_path / "x"
-        args = ["--family", "named:identity", "--dims", "2", "--samples", "2", "--q", "2", "--s", "0"]
+        args = ["--family", "named:identity", "--dims", "2,3", "--q", "2", "--s", "0"]
         assert cli.main(["sweep", *args, "--out", str(out)]) == code
         assert ("BOUND VIOLATION" in capsys.readouterr().err) == (code == 1)
         _, rows = read_csv_rows(out / "report.csv")
-        assert len(rows) == 2  # every row, the one after a violation included
+        assert [row["dim"] for row in rows] == ["2", "3"]  # every row, the one after a violation included
         for row in rows:
             assert abs(float(row["gap"]) + offset) <= 1e-15 and row["saturated"] == "true", row
 
@@ -701,12 +701,12 @@ class TestInequalities:
 
     def test_named_families_reach_the_channel_checks(self, tmp_path):
         # the identity and the completely depolarizing channel saturate the
-        # receiver-entropy bound's norm inequalities: each counts as its one
-        # channel repeated per sample, as in a sweep
+        # receiver-entropy bound's norm inequalities: each counts once per
+        # dimension at the default sample count, as in a sweep
         out = tmp_path / "named"
         code = cli.main([
             "inequalities", "--family", "named:identity,named:completely-depolarizing",
-            "--dims", "2,3,4,8,16", "--samples", "1", "--out", str(out),
+            "--dims", "2,3,4,8,16", "--out", str(out),
         ])
         assert code == 0
         checks = json.loads((out / "summary.json").read_text())["checks"]
@@ -715,13 +715,14 @@ class TestInequalities:
             assert abs(checks[name]["min_slack"]) <= 1e-12, name
 
     def test_channel_checks_count_every_family(self, tmp_path):
+        # two drawn channels and the one named channel
         out = tmp_path / "both"
         code = cli.main([
             "inequalities", "--family", "cptp,named:identity", "--dims", "2", "--samples", "2",
             "--only", "upkp", "--out", str(out),
         ])
         assert code == 0
-        assert json.loads((out / "summary.json").read_text())["checks"]["upkp"]["count"] == 4
+        assert json.loads((out / "summary.json").read_text())["checks"]["upkp"]["count"] == 3
 
     @pytest.mark.parametrize("only, during", [(None, "prop1"), ("npqr", "npqr")])
     def test_error_names_the_check_it_was_raised_in(self, tmp_path, only, during):
@@ -1009,6 +1010,17 @@ class TestOneProfilePerStack:
         args = [command, "--dims", "2,3", "--samples", "3", "--family", "cptp,unitary-mixture"]
         assert cli.main([*args, "--out", str(tmp_path / "x")]) == 0
         assert seen == sizes
+
+    @pytest.mark.parametrize("command", ["sweep", "inequalities"])
+    def test_a_named_family_is_one_channel_per_dimension(self, tmp_path, monkeypatch, command):
+        # one stack of one per named family and dimension, whatever --samples says, as a --channel file is
+        seen = []
+        original = cli.profile_channel
+        monkeypatch.setattr(cli, "profile_channel", lambda ops, ids: seen.append((ids, len(ops))) or original(ops, ids))
+        families = ("named:identity", "named:dephasing:1")
+        args = [command, "--dims", "2,3", "--samples", "50", "--family", ",".join(families)]
+        assert cli.main([*args, "--out", str(tmp_path / "x")]) == 0
+        assert seen == [([f"{family}-d{d}-0000"], 1) for d in (2, 3) for family in families]
 
     def test_suite_decomposes_no_dynamical_matrix(self, tmp_path, monkeypatch):
         # cbn0 reads D through Tr D and |D|_2 = |K|_2, and no other check reads D's spectrum
@@ -1335,9 +1347,9 @@ CLI_CASES = [
          ]}},
          summary={"rows": 2, "violations": 0}, check=tiny_weight_keeps_its_digits),
     case("named-families", "sweep", "--family", "named:depolarizing:0.3,named:identity", "--dims", "2,3",
-         "--samples", "2", summary={"rows": 504, "violations": 0, "per_family": {
-             "named:depolarizing:0.3": {"rows": 252, "saturation_count": 0},
-             "named:identity": {"rows": 252, "saturation_count": 124},
+         "--samples", "2", summary={"rows": 252, "violations": 0, "per_family": {
+             "named:depolarizing:0.3": {"rows": 126, "saturation_count": 0},
+             "named:identity": {"rows": 126, "saturation_count": 62},
          }}),
     case("scale-free-slacks", "inequalities", "--matrix", "{micro}",
          files={"micro": matcore.matrix_to_json(1e-6 * np.diag([1.0, 0.1]))}, check=slacks_match_the_unit_scale),

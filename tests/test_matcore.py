@@ -351,4 +351,4 @@ class TestStacks:
         with pytest.raises(DimensionMismatchError):
             matcore.singular_values(np.ones((2, 2, 2, 2)))
         with pytest.raises(DimensionMismatchError, match="expected a 2-D matrix, got ndim=3"):
-            matcore.as_matrix(np.ones((2, 2, 2)))
+            matcore.matrix_to_json(np.ones((2, 2, 2)))

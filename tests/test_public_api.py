@@ -35,7 +35,8 @@ MODULES = ("channel", "cli", "entropy", "errors", "matcore", "sampler", "spectra
 # The suite's check names and channel checks are read off its one check table.
 # Tr_2 D is one product of the Kraus array and the receiver spectrum is read
 # off D, Hermitian by construction, so the partial trace and the separate
-# Hermiticity check went.
+# Hermiticity check went.  A matrix is coerced where it is serialized, so
+# the 2-D coercion went into matrix_to_json.
 REMOVED = {
     "cli": ("CHECK_NAMES", "CHANNEL_CHECKS"),
     "sampler": (
@@ -49,7 +50,7 @@ REMOVED = {
         "load_channel",
     ),
     "entropy": ("q_log", "uniform_entropy", "map_entropy", "receiver_entropy", "EntropyParams"),
-    "matcore": ("Spectrum", "vec", "partial_trace", "require_hermitian"),
+    "matcore": ("Spectrum", "vec", "partial_trace", "require_hermitian", "as_matrix"),
     "spectra": ("schatten", "InequalityReport"),
     "tradeoff": ("evaluate_tradeoff", "lower_bound", "TradeoffReport", "LIMIT_EPS", "is_limit_row"),
     "errors": ("BoundViolation", "SingularNormalizerError"),

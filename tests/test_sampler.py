@@ -188,8 +188,8 @@ class TestNamedChannels:
 
 class TestDispatchAndSeeds:
     def test_named_family_dispatch(self):
-        ops = sampler._sample_stack("named:amplitude-damping:0.5", 2, [0])
-        assert ops.shape == (1, 2, 2, 2)
+        (*_, ops), = sampler.population(1, (2,), ("named:amplitude-damping:0.5",), 1)
+        np.testing.assert_array_equal(ops, [sampler.named_channel("amplitude-damping", 2, 0.5)])
 
     def test_unknown_family(self):
         with pytest.raises(UnknownChannelError):
@@ -219,10 +219,15 @@ class TestPopulation:
         pop = sampler.population(5, (2, 3), ("cptp",), 5, size=lambda d: 4 if d == 2 else 5)
         assert [(d, len(ids), len(ops)) for _, d, ids, ops in pop] == [(2, 4, 4), (2, 1, 1), (3, 5, 5)]
 
-    def test_named_family(self):
-        (family, d, ids, ops), = sampler.population(1, (2,), ("named:identity",), 2)
-        assert (family, d, ids) == ("named:identity", 2, ["named:identity-d2-0000", "named:identity-d2-0001"])
-        np.testing.assert_array_equal(ops, [[np.eye(2)]] * 2)
+    def test_named_family(self, monkeypatch):
+        # one stack of one channel per dimension, whatever the count and the stack size; no seed is derived
+        monkeypatch.setattr(sampler, "_derive_seeds", None)
+        pop = sampler.population(1, (2, 3), ("named:identity",), 50, size=lambda d: 7)
+        assert [(family, d, ids) for family, d, ids, _ in pop] == [
+            ("named:identity", d, [f"named:identity-d{d}-0000"]) for d in (2, 3)
+        ]
+        (*_, ops), = sampler.population(1, (2,), ("named:identity",), 2)
+        np.testing.assert_array_equal(ops, [[np.eye(2)]])
 
     def test_ginibre_population(self):
         # the matrix families share family code 0 and one stream: psd is G G^dag of mat's G
