@@ -20,15 +20,19 @@ directory, folds each key into a count and a minimum, keeps the first
 failure with its counterexample (under ``counterexamples/``), writes
 ``summary.json`` and decides the exit code (:meth:`Run.evaluating`):
 0 all cells/checks pass; 1 a bound or check failed, or any other error was
-raised while a stack was evaluated (in the suite, its record names the
-check under ``"during"``); 2 configuration errors, a
+raised while a stack was evaluated (its record names the stack's first
+and last id under ``"inputs"``, and in the suite the check under
+``"during"``); 2 configuration errors, a
 :class:`DomainError` met while evaluating among them (such as a ``--matrix``
 file that is not square, or is zero, for a check that needs it to be).
 
 Runs are deterministic end to end: per-sample seeds derive from the base
 seed and the sample address, and output rows are ordered by
 (dimension, family, sample, q, s) regardless of evaluation order, so a
-repeated run reproduces ``report.csv`` byte for byte.
+repeated run reproduces ``report.csv`` byte for byte.  This holds across
+BLAS thread counts wherever OpenBLAS is found: a run draws and decomposes
+on one OpenBLAS thread, whatever the host's count, and restores that
+count when it ends.
 
 Both harnesses draw their population with :func:`chanent.sampler.population`
 (the suite's matrices from its ``mat`` and ``psd`` families) in stacks of
@@ -326,7 +330,9 @@ class Run:
     the ``(path, payload)`` of an input file, if any; ``payload()`` builds
     its JSON, written as ``counterexamples/<file stem>.json`` if an error
     ends the run.  ``during`` names the check being evaluated, if any (the
-    suite sets it; a sweep has none), and an error's record names it.
+    suite sets it; a sweep has none), and ``inputs`` holds the ids of the
+    stack being evaluated, if any (:meth:`drawing` sets it): an error's
+    record names the check and the stack's first and last id.
     """
 
     def __init__(self, out_dir, summary: dict, injected=None):
@@ -350,6 +356,7 @@ class Run:
         self.injected = injected
         self.failure = None  # the failure's lines for stderr
         self.during = None
+        self.inputs = None
 
     def _outputs(self) -> list:
         """The files of the kinds a run writes that are in its directory, an earlier run's included."""
@@ -364,6 +371,13 @@ class Run:
         ce = self.out / "counterexamples"
         if ce.is_dir() and not any(ce.iterdir()):
             ce.rmdir()
+
+    def drawing(self, stacks):
+        """Each ``(family, dim, ids, ops)`` stack of ``stacks``, with ``inputs`` its ids until the next is drawn."""
+        for stack in stacks:
+            self.inputs = stack[2]
+            yield stack
+            self.inputs = None
 
     def fold(self, key, count: int, **minima) -> dict:
         """Add ``count`` to the count at ``key`` (a key or a path of keys); return its entry.
@@ -394,20 +408,25 @@ class Run:
     def evaluating(self):
         """The exit-code rule, applied to what evaluating the stacks raises.
 
-        An error leaves no report.csv.  Before a failure, a
-        :class:`DomainError` (orders or an input the entropies, bounds or
-        checks cannot take) is a configuration error: exit 2, none of the
-        run's files left.  Any other exception is the run's failure, exit 1,
-        with the injected input serialized.  The first failure stands: an
+        The stacks are drawn and decomposed on one BLAS thread
+        (:func:`chanent.matcore._one_blas_thread`), and the caller's count
+        is back when the block ends.  An error leaves no report.csv.  Before
+        a failure, a :class:`DomainError` (orders or an input the entropies,
+        bounds or checks cannot take) is a configuration error: exit 2, none
+        of the run's files left.  Any other exception is the run's failure,
+        exit 1, with the injected input serialized.  The first failure stands: an
         error raised after it is listed beside it, as ``"error"``, exit 1.
         """
         try:
-            yield
+            with matcore._one_blas_thread():
+                yield
         except Exception as exc:  # noqa: BLE001 - provenance belongs in the report
             (self.out / "report.csv").unlink(missing_ok=True)
             record = {"check": "error", "kind": type(exc).__name__, "message": str(exc)}
             if self.during is not None:
                 record["during"] = self.during
+            if self.inputs is not None:
+                record["inputs"] = [self.inputs[0], self.inputs[-1]]
             if self.failure is not None:
                 self.summary["error"] = record
                 self.failure += f"\nERROR: {record}"
@@ -450,7 +469,7 @@ def run_sweep(cfg: SweepConfig, out_dir, channel_path=None) -> int:
     tables = functools.cache(lambda dim: _dim_table(dim, cfg))  # once per dimension and run
     with run.evaluating(), open(run.out / "report.csv", "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(CSV_COLUMNS)
-        for family, dim, ids, ops in stacks:
+        for family, dim, ids, ops in run.drawing(stacks):
             profile = profile_channel(ops, ids)
             bounds, texts, limit_cells = tables(dim)
             grid = evaluate_profile(profile, bounds)
@@ -504,7 +523,7 @@ def run_inequality_suite(cfg: SweepConfig, out_dir, only=None, matrix_path=None)
                 cfg.seed, cfg.dims, cfg.families, cfg.samples_per_family, stream=100,
                 size=lambda d: _stack_size(d**4),
             )
-            for _, _, labels, ops in pop:
+            for _, _, labels, ops in run.drawing(pop):
                 yield labels, (profile_channel(ops, labels),), lambda i: chmod.channel_to_json(ops[i])
             return
         if injected is not None:  # the file is the operand, as a population of one stack of one
@@ -516,7 +535,7 @@ def run_inequality_suite(cfg: SweepConfig, out_dir, only=None, matrix_path=None)
                 )
                 for family, stream in operands
             ]
-        for drawn in zip(*pops):
+        for drawn in zip(*map(run.drawing, pops)):
             xs = [x for *_, x in drawn]
 
             def payload(i):

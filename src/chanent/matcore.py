@@ -25,11 +25,19 @@ would raise.  A matrix with a non-finite
 entry has no spectrum, nor has one whose spectrum is beyond the double
 range: the spectral functions reject both with
 :class:`~chanent.errors.InvalidSpectrumError`.
+
+:func:`_one_blas_thread` pins each OpenBLAS loaded in the process to one
+thread for the length of a ``with`` block and restores the caller's count
+after it; a CLI run decomposes inside it (``cli.Run.evaluating``).  Where no
+OpenBLAS is found it does nothing.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import decimal
+import functools
 import sys
 
 import numpy as np
@@ -140,6 +148,62 @@ def _finite_spectrum(vals: np.ndarray) -> np.ndarray:
     if not np.isfinite(vals).all():
         raise InvalidSpectrumError("the spectrum is beyond the double range")
     return vals
+
+
+# OpenBLAS's (set, get) thread-count calls, in the order they are tried: numpy
+# >= 2's wheels, numpy 1.2x's wheels, a system OpenBLAS.
+_OPENBLAS_THREAD_CALLS = (
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("openblas_set_num_threads64_", "openblas_get_num_threads64_"),
+    ("openblas_set_num_threads", "openblas_get_num_threads"),
+)
+
+
+@functools.cache
+def _openblas_thread_calls() -> tuple:
+    """The ``(set, get)`` thread-count calls of each OpenBLAS mapped into this process.
+
+    The libraries are found in ``/proc/self/maps``; none is found without it.
+    Each is already loaded, so ``ctypes.CDLL`` loads nothing new.
+    """
+    try:
+        with open("/proc/self/maps", encoding="utf-8", errors="replace") as fh:
+            # a mapped file's path is the sixth field of its line
+            paths = sorted({line.split(None, 5)[-1].strip() for line in fh if "openblas" in line})
+    except OSError:
+        return ()
+    calls = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:  # e.g. a library deleted since it was mapped
+            continue
+        for names in _OPENBLAS_THREAD_CALLS:
+            if all(hasattr(lib, name) for name in names):
+                set_threads, get_threads = (getattr(lib, name) for name in names)
+                set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+                get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+                calls.append((set_threads, get_threads))
+                break
+    return tuple(calls)
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block with each OpenBLAS at one thread, and restore each one's count after it.
+
+    For the matrix sizes here (up to 256 x 256), OpenBLAS is never faster
+    on more threads, and a decomposition's last digits depend on its count.
+    """
+    calls = _openblas_thread_calls()
+    counts = [get() for _, get in calls]
+    try:
+        for set_threads, _ in calls:
+            set_threads(1)
+        yield
+    finally:
+        for (set_threads, _), count in zip(calls, counts):
+            set_threads(count)
 
 
 def clamp_spectrum(values) -> np.ndarray:

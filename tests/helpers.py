@@ -1,6 +1,9 @@
 """Shared generators for the test suite (all seeded, all deterministic)."""
 
+import ctypes
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import oracles
@@ -97,3 +100,22 @@ def save_channel(ch, path):
     """Write ``ch`` in the channel JSON format that ``chanent sweep --channel`` reads."""
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(chmod.channel_to_json(ch), fh)
+
+
+def openblas_threads():
+    """``(get, set)`` of the thread count of the OpenBLAS that numpy loaded, or None if none is found.
+
+    An independent reader of what ``matcore._one_blas_thread`` sets: the
+    library's path is read off ``/proc/self/maps``, and each symbol name of
+    the numpy >= 2 wheels, the numpy 1.2x wheels and a system OpenBLAS is tried.
+    """
+    maps = Path("/proc/self/maps")
+    if not maps.exists():
+        return None
+    for path in sorted(set(re.findall(r"(/\S*openblas[^/\s]*)$", maps.read_text(), re.M))):
+        lib = ctypes.CDLL(path)
+        for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", "")):
+            get, put = (getattr(lib, f"{prefix}_{verb}_num_threads{suffix}", None) for verb in ("get", "set"))
+            if get is not None and put is not None:
+                return get, put
+    return None

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import plant_zero_ginibre_set, save_channel
+from helpers import openblas_threads, plant_zero_ginibre_set, save_channel
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -735,6 +735,7 @@ class TestInequalities:
         failure = json.loads((out / "summary.json").read_text())["failure"]
         assert failure["check"] == "error" and failure["kind"] == "NotPositiveError"
         assert failure["during"] == during
+        assert failure["inputs"] == ["negative-small", "negative-small"]
 
     def test_matrix_file_runs_the_matrix_checks_only(self, tmp_path):
         mat_path = tmp_path / "m.json"
@@ -1262,7 +1263,8 @@ class TestRunSkeleton:
         assert "BOUND VIOLATION" in err and "planted write error" in err and "Traceback" not in err
         summary = json.loads((out / "summary.json").read_text())
         assert summary["violations"] == 1 and "failure" not in summary
-        assert summary["error"] == {"check": "error", "kind": "OSError", "message": "planted write error"}
+        assert summary["error"] == {"check": "error", "kind": "OSError", "message": "planted write error",
+                                    "inputs": ["cptp-d2-0000", "cptp-d2-0001"]}
         assert (out / "counterexamples" / summary["violation"]["counterexample"]).exists()
         assert not (out / "report.csv").exists()
 
@@ -1287,6 +1289,130 @@ class TestRunSkeleton:
         assert cli.main([command, "--dims", "2", "--samples", "1", "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("config error: could not make output directory")
         assert out.read_text() == "not a directory"
+
+    @pytest.mark.parametrize("command, during", [("sweep", {}), ("inequalities", {"during": "upkp"})])
+    def test_error_names_the_stack_it_was_raised_in(self, tmp_path, capsys, monkeypatch, command, during):
+        calls = []
+        original = cli.profile_channel
+
+        def failing_second(ops, ids):
+            calls.append(ids)
+            if len(calls) == 2:
+                raise RuntimeError("planted error")
+            return original(ops, ids)
+
+        monkeypatch.setattr(cli, "profile_channel", failing_second)
+        out = tmp_path / command
+        args = [command, "--dims", "2", "--samples", "3", "--family", "cptp,unistochastic", "--out", str(out)]
+        assert cli.main(args) == 1
+        assert calls[1] == [f"unistochastic-d2-000{i}" for i in range(3)]
+        assert json.loads((out / "summary.json").read_text())["failure"] == {
+            "check": "error", "kind": "RuntimeError", "message": "planted error",
+            "inputs": ["unistochastic-d2-0000", "unistochastic-d2-0002"], **during,
+        }
+        assert "'inputs': ['unistochastic-d2-0000', 'unistochastic-d2-0002']" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["sweep", "inequalities"])
+    def test_error_while_drawing_names_no_stack(self, tmp_path, monkeypatch, command):
+        # the stack drawn before it was evaluated in full; the one being drawn has no ids yet
+        def failing(u, d):
+            raise RuntimeError("planted error")
+
+        monkeypatch.setattr(sampler, "_unistochastic_ops", failing)
+        out = tmp_path / command
+        args = [command, "--dims", "2", "--samples", "3", "--family", "cptp,unistochastic", "--out", str(out)]
+        assert cli.main(args) == 1
+        assert "inputs" not in json.loads((out / "summary.json").read_text())["failure"]
+
+
+@pytest.fixture
+def blas_threads():
+    """OpenBLAS's thread-count getter, with the caller's count set to 2 for the test and restored after it."""
+    found = openblas_threads()
+    if found is None:
+        pytest.skip("no OpenBLAS is loaded: the pin to one thread does nothing")
+    get, put = found
+    before = get()
+    put(2)
+    if get() != 2:
+        put(before)
+        pytest.skip("this OpenBLAS runs one thread at most")
+    yield get
+    put(before)
+
+
+class TestOneBlasThread:
+    """A run draws and decomposes on one OpenBLAS thread, and the caller's count is back when it ends."""
+
+    ARGS = ["--dims", "2,3", "--samples", "2"]
+
+    @staticmethod
+    def spy(monkeypatch, get, raising=None):
+        """The OpenBLAS thread counts ``cli.profile_channel`` runs at, one per call."""
+        seen = []
+        original = cli.profile_channel
+
+        def spied(ops, ids):
+            seen.append(get())
+            if raising is not None:
+                raise raising
+            return original(ops, ids)
+
+        monkeypatch.setattr(cli, "profile_channel", spied)
+        return seen
+
+    @pytest.mark.parametrize("command", ["sweep", "inequalities"])
+    def test_exit_0(self, tmp_path, monkeypatch, blas_threads, command):
+        seen = self.spy(monkeypatch, blas_threads)
+        assert cli.main([command, *self.ARGS, "--out", str(tmp_path / "x")]) == 0
+        assert len(seen) > 1 and set(seen) == {1}
+        assert blas_threads() == 2
+
+    def test_exit_1_on_a_violation(self, tmp_path, monkeypatch, blas_threads):
+        monkeypatch.setattr(tradeoff, "GAP_TOL", -10.0)  # every cell violates
+        seen = self.spy(monkeypatch, blas_threads)
+        assert cli.main(["sweep", *self.ARGS, "--out", str(tmp_path / "x")]) == 1
+        assert len(seen) > 1 and set(seen) == {1}
+        assert blas_threads() == 2
+
+    def test_exit_2_on_a_domain_error(self, tmp_path, capsys, monkeypatch, blas_threads):
+        seen = self.spy(monkeypatch, blas_threads)
+        assert cli.main(["sweep", *self.ARGS, "--s", "1e6", "--out", str(tmp_path / "x")]) == 2
+        assert "not finite" in capsys.readouterr().err
+        assert seen == [1]
+        assert blas_threads() == 2
+
+    @pytest.mark.parametrize("command", ["sweep", "inequalities"])
+    def test_exception_mid_run(self, tmp_path, monkeypatch, blas_threads, command):
+        seen = self.spy(monkeypatch, blas_threads, KeyboardInterrupt)
+        with pytest.raises(KeyboardInterrupt):
+            cli.main([command, *self.ARGS, "--out", str(tmp_path / "x")])
+        assert seen == [1]
+        assert blas_threads() == 2
+
+    def test_library_calls_outside_a_run_keep_the_callers_count(self, monkeypatch, blas_threads):
+        seen = self.spy(monkeypatch, blas_threads)
+        (*_, ops), = sampler.population(cli.DEFAULT_SEED, (2,), ("cptp",), 2)
+        cli.profile_channel(ops, ["a", "b"])
+        assert seen == [2]
+
+    def test_report_does_not_depend_on_the_thread_count(self, tmp_path):
+        # at d = 16 the SVDs of D and K are 256 x 256, where OpenBLAS's
+        # threaded kernels round differently from its one-thread kernels
+        if openblas_threads() is None:
+            pytest.skip("no OpenBLAS is loaded: the thread count is not OpenBLAS's")
+        src = str(Path(cli.__file__).parents[1])
+        reports = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+            out = tmp_path / threads
+            argv = ["sweep", "--dims", "16", "--samples", "1", "--family", "cptp,unistochastic", "--out", str(out)]
+            done = subprocess.run([sys.executable, "-m", "chanent", *argv], env=env, capture_output=True,
+                                  text=True, timeout=300)
+            assert done.returncode == 0, done.stderr
+            reports.append((out / "report.csv").read_bytes())
+        assert reports[0] == reports[1]
 
 
 def assert_fragment(actual, fragment, path="summary"):

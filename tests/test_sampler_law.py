@@ -4,7 +4,8 @@ Every other sampler test compares bits with ``tests/oracles.py``, which runs
 the same algorithm, so a fault that both share is invisible to them.  These
 tests state the law instead: two moments of each drawn family at
 ``d = 2, 3, 4``, read off ``sampler.population`` and
-``channel.profile_channel`` alone, so they hold for any sampler that draws
+``channel.profile_channel`` alone, and two moments of the unitary mixture's
+weights, read off its Kraus array, so they hold for any sampler that draws
 these laws, whatever its bits.  Each mean is taken over ``COUNT`` samples at
 one fixed seed and must lie within ``Z_MAX`` standard errors of its closed
 form: a false alarm about once in 1.7 million checks.
@@ -12,7 +13,8 @@ form: a false alarm about once in 1.7 million checks.
 Planted on a copy of the sampler, each of these faults fails at least one
 test: ``_haar`` without its R-phase fix (``Tr K``), real Ginibre entries
 (the ``cptp`` and unistochastic purities) and mixture weights of a Dirichlet
-law that is not flat (the unitary mixture's purity).
+law that is not flat (the unitary mixture's purity, and its weights' second
+moment: Dirichlet(2) weights read z from -38 to -68).
 """
 
 import functools
@@ -37,6 +39,13 @@ def moments(family: str, d: int) -> tuple:
     tr_k = (np.abs(np.trace(ops, axis1=-2, axis2=-1)) ** 2).sum(axis=-1)
     purity = (profile_channel(ops).choi_spectrum ** 2).sum(axis=-1) / d**2
     return tr_k, purity
+
+
+@functools.cache
+def mixture_weights(d: int) -> np.ndarray:
+    """Per sample, the weights ``w_i = Tr(A_i^dag A_i)/d`` of the ``unitary-mixture`` Kraus array."""
+    (*_, ops), = sampler.population(SEED, (d,), ("unitary-mixture",), COUNT)
+    return (np.abs(ops) ** 2).sum(axis=(-2, -1)) / d
 
 
 def z_score(values: np.ndarray, mean: float) -> float:
@@ -77,3 +86,14 @@ def test_mean_trace_of_k_is_one(family, d):
 def test_mean_map_purity_is_the_closed_form(family, d):
     _, purity = moments(family, d)
     assert abs(z_score(purity, map_purity(family, d))) < Z_MAX
+
+
+@pytest.mark.parametrize("d", DIMS)
+def test_mixture_weights_have_the_flat_dirichlet_moments(d):
+    # flat Dirichlet on k weights: E w_0 = 1/k and E sum w**2 = 2/(k + 1); a
+    # Dirichlet(alpha) law has E sum w**2 = (alpha + 1)/(k alpha + 1), 3/(2k + 1) at alpha = 2
+    w = mixture_weights(d)
+    k = sampler.default_kraus_count("unitary-mixture", d)
+    assert w.shape == (COUNT, k)
+    assert abs(z_score(w[:, 0], 1.0 / k)) < Z_MAX
+    assert abs(z_score((w**2).sum(axis=-1), 2.0 / (k + 1))) < Z_MAX
