@@ -32,15 +32,27 @@ seed and the sample address, and output rows are ordered by
 repeated run reproduces ``report.csv`` byte for byte.  This holds across
 BLAS thread counts wherever OpenBLAS is found: a run draws and decomposes
 on one OpenBLAS thread, whatever the host's count, and restores that
-count when it ends.
+count when it ends.  It holds across worker counts too, since each worker
+draws and decomposes on that one thread as well.
 
-Both harnesses draw their population with :func:`chanent.sampler.population`
-(the suite's matrices from its ``mat`` and ``psd`` families) in stacks of
-consecutive indices of one dimension and family, and evaluate each stack as
-drawn.  A stack is bounded by memory alone: it holds as many inputs as keep
+Both harnesses take their population from :mod:`chanent.sampler` (the
+suite's matrices from its ``mat`` and ``psd`` families) in stacks of
+consecutive indices of one dimension and family.  Each stack's ids and
+seeds come before it is drawn, so an error raised while it is drawn names
+it.  The suite draws and evaluates one stack after another.  So does a
+sweep, until its first full stack: one of a drawn family whose size the
+bound below set.  From that stack on, if the run is pinned to one OpenBLAS
+thread, runs on Python 3.11 or later and may use more than one CPU, and
+more than one stack is left, a fork pool of one worker per CPU, at most one
+per stack left, draws and profiles each stack from its ids and seeds, a few
+stacks ahead of the one being read; each task and result is an address or a profile's
+arrays, never a Kraus array.  The sweep evaluates, folds and writes the
+profiles in stack order, as it would its own (:meth:`Run.profiling`).  A
+stack is bounded by memory alone: it holds as many inputs as keep
 the largest array it builds per input within ``STACK_ENTRIES`` entries in
 all, so a population of small inputs is one stack, and the stacks of a large
-one keep memory flat in its size.
+one keep memory flat in its size.  On the default grid the full stacks are
+those at ``d = 16`` and those of 16 channels at ``d = 8``.
 
 Both harnesses profile each channel stack, the Kraus array it was drawn
 as, with :func:`~chanent.channel.profile_channel`: per stack, ``Tr_2 D`` as
@@ -48,10 +60,11 @@ one product of the Kraus array, and one decomposition of ``K`` read off
 ``D``, which is built once per stack, inside the receiver spectrum; and one
 decomposition of the Kraus array where ``D``'s spectrum is read: the sweep
 reads it, the inequality suite's channel checks do not.  A ``--channel``
-file is a stack of one, and a counterexample is written from its channel's
-row of the stack.  A sweep's counterexample records the violated cell as
-the grid gives it (:meth:`~chanent.tradeoff.GridReport.cell`), and its
-``BOUND VIOLATION`` line is built from that record.
+file is a stack of one.  A counterexample is written from its channel's
+row of the stack; a sweep draws the stack again for it, in the run's own
+process, and records the violated cell as the grid gives it
+(:meth:`~chanent.tradeoff.GridReport.cell`).  Its ``BOUND VIOLATION`` line
+is built from that record.
 
 A sweep stacks the channels of one (dimension, family) and evaluates each
 profile in one grid pass, against bounds tabulated once per dimension, and
@@ -84,13 +97,17 @@ input, and only that input is serialized.
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
 import csv
 import functools
 import io
+import itertools
 import json
 import math
+import os
 import sys
+import threading
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
@@ -331,8 +348,10 @@ class Run:
     its JSON, written as ``counterexamples/<file stem>.json`` if an error
     ends the run.  ``during`` names the check being evaluated, if any (the
     suite sets it; a sweep has none), and ``inputs`` holds the ids of the
-    stack being evaluated, if any (:meth:`drawing` sets it): an error's
-    record names the check and the stack's first and last id.
+    stack being drawn or evaluated, if any (:meth:`drawing` and
+    :meth:`profiling` set it): an error's record names the check and the
+    stack's first and last id.  ``forked`` is whether the run started worker
+    processes.
     """
 
     def __init__(self, out_dir, summary: dict, injected=None):
@@ -357,6 +376,7 @@ class Run:
         self.failure = None  # the failure's lines for stderr
         self.during = None
         self.inputs = None
+        self.forked = False
 
     def _outputs(self) -> list:
         """The files of the kinds a run writes that are in its directory, an earlier run's included."""
@@ -372,12 +392,75 @@ class Run:
         if ce.is_dir() and not any(ce.iterdir()):
             ce.rmdir()
 
-    def drawing(self, stacks):
-        """Each ``(family, dim, ids, ops)`` stack of ``stacks``, with ``inputs`` its ids until the next is drawn."""
-        for stack in stacks:
-            self.inputs = stack[2]
-            yield stack
-            self.inputs = None
+    def drawing(self, stacks, draw=sampler.sample_stack):
+        """Each ``(family, dim, ids, seeds)`` stack of ``stacks`` as ``(family, dim, ids, seeds, ops)``, drawn by ``draw``.
+
+        ``ops`` is ``draw(family, dim, seeds)``, and ``inputs`` holds the
+        stack's ids from its draw until the next stack's.
+        """
+        for family, dim, ids, seeds in stacks:
+            self.inputs = ids
+            yield family, dim, ids, seeds, draw(family, dim, seeds)
+        self.inputs = None
+
+    def profiling(self, stacks, draw, full):
+        """Each ``(family, dim, ids, seeds)`` stack of ``stacks`` with its profile, its map spectrum read, in order.
+
+        A stack is drawn (:meth:`drawing`) and profiled here until
+        ``full(*stack)``.  From that stack on, if the run is pinned to one
+        OpenBLAS thread, each stack is drawn and profiled in a fork pool of
+        one worker per CPU (:func:`_worker_count`), at most one per stack
+        left, a few stacks ahead of the one read; ``inputs`` holds the ids of
+        the stack whose profile is read.  Where that is one worker, the rest
+        is profiled here too.
+        """
+        stacks, ahead = iter(stacks), []
+
+        def until_full():
+            for stack in stacks:
+                if full(*stack):
+                    ahead.append(stack)
+                    return
+                yield stack
+
+        def here(stacks):
+            for family, dim, ids, seeds, ops in self.drawing(stacks, draw):
+                yield family, dim, ids, seeds, profile_channel(ops, ids)
+
+        yield from here(until_full())
+        if ahead:
+            ahead += itertools.islice(stacks, _worker_count() - 1 if self.pinned else 0)
+            rest = itertools.chain(ahead, stacks)
+            yield from self._pooled(rest, len(ahead)) if len(ahead) > 1 else here(rest)
+
+    def _pooled(self, stacks, workers: int):
+        """:meth:`profiling`'s stacks as ``workers`` forked processes profile them, each on one stack.
+
+        The pool is forked inside the pin, so each worker runs OpenBLAS on
+        one thread, and it is shut down before the pin is lifted.  A task and
+        its result are a stack's address and its profile's arrays: no Kraus
+        array crosses the pipe.  A worker that dies, killed say, fails the
+        run with a ``BrokenProcessPool`` error, where a ``multiprocessing``
+        ``Pool`` would wait for its result for ever.
+        """
+        import concurrent.futures  # a run that forks nothing loads none of these three
+        import multiprocessing
+        import signal
+
+        pool = concurrent.futures.ProcessPoolExecutor(
+            workers, multiprocessing.get_context("fork"), signal.signal, (signal.SIGINT, signal.SIG_IGN)
+        )
+        self.pool.callback(pool.shutdown, cancel_futures=True)
+        self.forked = True
+        pending = collections.deque()
+        while True:
+            while len(pending) < 2 * workers and (stack := next(stacks, None)) is not None:
+                pending.append((stack, pool.submit(_profiled, *stack)))
+            if not pending:
+                return
+            (family, dim, ids, seeds), result = pending.popleft()
+            self.inputs = ids
+            yield family, dim, ids, seeds, chmod.ChannelProfile(tuple(ids), dim, *result.result())
 
     def fold(self, key, count: int, **minima) -> dict:
         """Add ``count`` to the count at ``key`` (a key or a path of keys); return its entry.
@@ -409,8 +492,14 @@ class Run:
         """The exit-code rule, applied to what evaluating the stacks raises.
 
         The stacks are drawn and decomposed on one BLAS thread
-        (:func:`chanent.matcore._one_blas_thread`), and the caller's count
-        is back when the block ends.  An error leaves no report.csv.  Before
+        (:func:`chanent.matcore._one_blas_thread`; ``pinned`` is whether
+        an OpenBLAS was found to pin), and the caller's count is back when
+        the block ends.  A worker pool started in the block
+        (:meth:`profiling`) is ended, its workers with it, before the count
+        is restored.  After a run that forked, the OpenBLAS thread pool that
+        the restore starts is retired
+        (:func:`chanent.matcore._retire_blas_threads`), so that no idle
+        thread spins on after the run.  An error leaves no report.csv.  Before
         a failure, a :class:`DomainError` (orders or an input the entropies,
         bounds or checks cannot take) is a configuration error: exit 2, none
         of the run's files left.  Any other exception is the run's failure,
@@ -418,8 +507,12 @@ class Run:
         error raised after it is listed beside it, as ``"error"``, exit 1.
         """
         try:
-            with matcore._one_blas_thread():
-                yield
+            try:
+                with matcore._one_blas_thread() as self.pinned, contextlib.ExitStack() as self.pool:
+                    yield
+            finally:
+                if self.forked:
+                    matcore._retire_blas_threads()
         except Exception as exc:  # noqa: BLE001 - provenance belongs in the report
             (self.out / "report.csv").unlink(missing_ok=True)
             record = {"check": "error", "kind": type(exc).__name__, "message": str(exc)}
@@ -451,26 +544,53 @@ class Run:
         return 0
 
 
+def _worker_count() -> int:
+    """How many workers a sweep may fork: one per CPU this process may run on.
+
+    1, for none, where the platform does not say, before Python 3.11, or
+    while another Python thread runs: a fork copies the calling thread
+    alone, and a lock another thread holds stays held in the child.  Before
+    3.11 a ``ProcessPoolExecutor`` forks its workers one at a time as tasks
+    come, after its own threads have started.
+    """
+    if sys.version_info < (3, 11) or not hasattr(os, "sched_getaffinity") or threading.active_count() > 1:
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _profiled(family: str, dim: int, ids, seeds) -> tuple:
+    """A sweep worker's task: a stack drawn from its address, profiled, as the profile's arrays.
+
+    ``(unital, map spectrum, receiver spectrum, Tr_2 D)``, the arguments of
+    :class:`~chanent.channel.ChannelProfile` after its ids and dimension.
+    """
+    profile = profile_channel(sampler.sample_stack(family, dim, seeds), ids)
+    return profile.unital, profile.choi_spectrum, profile.superop_spectrum, profile.tr2
+
+
 def run_sweep(cfg: SweepConfig, out_dir, channel_path=None) -> int:
     """Evaluate the trade-off grid and write report.csv / summary.json."""
     injected = None
     if channel_path is not None:
         ch = _load_input(channel_path, "channel", chmod.channel_from_json)
         injected = (channel_path, lambda: chmod.channel_to_json(ch))
-        stacks = [("file", ch.shape[-1], [Path(channel_path).stem], ch[None])]
+        stacks, draw, size = [("file", ch.shape[-1], [Path(channel_path).stem], None)], lambda *_: ch[None], None
     else:
         # per channel: D and K (d**4), and the grid kernel's (n_q, d**2) and (n_q, n_s) arrays
         n_q, n_s = len(cfg.q_grid), len(cfg.s_grid)
-        stacks = sampler.population(
-            cfg.seed, cfg.dims, cfg.families, cfg.samples_per_family,
-            size=lambda d: _stack_size(max(d**4, n_q * max(n_s, d * d))),
-        )
+        size = lambda d: _stack_size(max(d**4, n_q * max(n_s, d * d)))
+        stacks = sampler.population(cfg.seed, cfg.dims, cfg.families, cfg.samples_per_family, size=size)
+        draw = sampler.sample_stack
+
+    def full(family, dim, ids, seeds) -> bool:
+        """Whether the stack is as large as the bound on a stack lets it be: a drawn one, not a named channel."""
+        return seeds is not None and len(ids) == size(dim)
+
     run = Run(out_dir, {"mode": "sweep", "seed": cfg.seed, "violations": 0, "per_family": {}}, injected)
     tables = functools.cache(lambda dim: _dim_table(dim, cfg))  # once per dimension and run
     with run.evaluating(), open(run.out / "report.csv", "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(CSV_COLUMNS)
-        for family, dim, ids, ops in run.drawing(stacks):
-            profile = profile_channel(ops, ids)
+        for family, dim, ids, seeds, profile in run.profiling(stacks, draw, full):
             bounds, texts, limit_cells = tables(dim)
             grid = evaluate_profile(profile, bounds)
             if grid.violation is not None and run.failure is None:
@@ -480,10 +600,12 @@ def run_sweep(cfg: SweepConfig, out_dir, channel_path=None) -> int:
                     "entropic sum fell {:.3e} below the bound on channel {channel_id!r} at q={q}, s={s}"
                 ).format(-cell["gap"], **cell)
                 run.summary["violations"] = 1
+                # the stack is drawn again, on the one thread it was first drawn on, for its channel's bits
+                ops = draw(family, dim, seeds)[grid.violation[0]]
                 run.fail(
                     "violation", {"message": message, "counterexample": f"{name}.json"},
                     f"BOUND VIOLATION: {message}", name,
-                    dict(channel=chmod.channel_to_json(ops[grid.violation[0]]), family=family, report=cell),
+                    dict(channel=chmod.channel_to_json(ops), family=family, report=cell),
                 )
             for prefix in ((), ("per_family", family)):
                 run.fold((*prefix, "rows"), grid.gap.size, min_gap=grid.gap)
@@ -491,7 +613,7 @@ def run_sweep(cfg: SweepConfig, out_dir, channel_path=None) -> int:
             run.fold("limit_rows", limit_cells * len(ids))
             _write_csv(fh, family, grid, texts)
             # the next stack is drawn while the loop variables still hold this one
-            del ops, profile, grid
+            del profile, grid
     return run.finish(lambda s: f"sweep ok: {s['rows']} rows, min gap {s['min_gap']!r} -> {run.out}")
 
 
@@ -523,19 +645,19 @@ def run_inequality_suite(cfg: SweepConfig, out_dir, only=None, matrix_path=None)
                 cfg.seed, cfg.dims, cfg.families, cfg.samples_per_family, stream=100,
                 size=lambda d: _stack_size(d**4),
             )
-            for _, _, labels, ops in run.drawing(pop):
+            for _, _, labels, _, ops in run.drawing(pop):
                 yield labels, (profile_channel(ops, labels),), lambda i: chmod.channel_to_json(ops[i])
             return
         if injected is not None:  # the file is the operand, as a population of one stack of one
-            pops = [[(None, None, [Path(matrix_path).stem], matrix[None])]]
+            pops = [run.drawing([(None, None, [Path(matrix_path).stem], None)], lambda *_: matrix[None])]
         else:
             pops = [
-                sampler.population(
+                run.drawing(sampler.population(
                     cfg.seed, cfg.dims, (family,), cfg.samples_per_family, stream, size=lambda d: _stack_size(d * d)
-                )
+                ))
                 for family, stream in operands
             ]
-        for drawn in zip(*map(run.drawing, pops)):
+        for drawn in zip(*pops):
             xs = [x for *_, x in drawn]
 
             def payload(i):

@@ -28,8 +28,10 @@ range: the spectral functions reject both with
 
 :func:`_one_blas_thread` pins each OpenBLAS loaded in the process to one
 thread for the length of a ``with`` block and restores the caller's count
-after it; a CLI run decomposes inside it (``cli.Run.evaluating``).  Where no
-OpenBLAS is found it does nothing.
+after it; a CLI run decomposes inside it (``cli.Run.evaluating``), and a
+sweep's worker processes, forked inside it, inherit the pin.
+:func:`_retire_blas_threads` retires the thread pool that a restore after
+a fork starts.  Where no OpenBLAS is found both do nothing.
 """
 
 from __future__ import annotations
@@ -161,10 +163,12 @@ _OPENBLAS_THREAD_CALLS = (
 
 @functools.cache
 def _openblas_thread_calls() -> tuple:
-    """The ``(set, get)`` thread-count calls of each OpenBLAS mapped into this process.
+    """The ``(set, get, shutdown)`` thread calls of each OpenBLAS mapped into this process.
 
-    The libraries are found in ``/proc/self/maps``; none is found without it.
-    Each is already loaded, so ``ctypes.CDLL`` loads nothing new.
+    ``shutdown`` retires the library's thread pool, or is None where the
+    library does not export it.  The libraries are found in
+    ``/proc/self/maps``; none is found without it.  Each is already loaded,
+    so ``ctypes.CDLL`` loads nothing new.
     """
     try:
         with open("/proc/self/maps", encoding="utf-8", errors="replace") as fh:
@@ -183,7 +187,11 @@ def _openblas_thread_calls() -> tuple:
                 set_threads, get_threads = (getattr(lib, name) for name in names)
                 set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
                 get_threads.argtypes, get_threads.restype = [], ctypes.c_int
-                calls.append((set_threads, get_threads))
+                # one name in every build: the routine OpenBLAS's own pre-fork handler calls
+                shutdown = getattr(lib, "blas_thread_shutdown_", None)
+                if shutdown is not None:
+                    shutdown.argtypes, shutdown.restype = [], ctypes.c_int
+                calls.append((set_threads, get_threads, shutdown))
                 break
     return tuple(calls)
 
@@ -194,16 +202,29 @@ def _one_blas_thread():
 
     For the matrix sizes here (up to 256 x 256), OpenBLAS is never faster
     on more threads, and a decomposition's last digits depend on its count.
+    Yields whether an OpenBLAS was found and pinned.  A process forked in
+    the block inherits the pin, at one thread.
     """
     calls = _openblas_thread_calls()
-    counts = [get() for _, get in calls]
+    counts = [get() for _, get, _ in calls]
     try:
-        for set_threads, _ in calls:
+        for set_threads, _, _ in calls:
             set_threads(1)
-        yield
+        yield bool(calls)
     finally:
-        for (set_threads, _), count in zip(calls, counts):
+        for (set_threads, _, _), count in zip(calls, counts):
             set_threads(count)
+
+
+def _retire_blas_threads() -> None:
+    """Retire the thread pool of each OpenBLAS that exports the routine; its next threaded call starts a new one.
+
+    OpenBLAS retires its pool before each fork, and restoring a count above
+    one after that starts a new pool, whose idle threads spin for a while.
+    """
+    for _, _, shutdown in _openblas_thread_calls():
+        if shutdown is not None:
+            shutdown()
 
 
 def clamp_spectrum(values) -> np.ndarray:

@@ -44,7 +44,10 @@ non-finite operators, which ``check_kraus_stack`` refuses.
 A stack stays the ``(n, k, d, d)`` Kraus array it is drawn as, and a named
 channel is its ``(k, d, d)`` Kraus array.  A ``named:`` family is one channel
 per dimension, not a sample: :func:`population` yields it as one stack of
-one, whatever the sample count, and derives no seed for it.
+one, whatever the sample count, and derives no seed for it.  A stack is
+addressed before it is drawn: :func:`population` yields its ids and seeds,
+and :func:`sample_stack` draws it from them alone, so a caller can name a
+stack while it is drawn, or have another process draw it.
 
 numpy's own ``SeedSequence`` and ``default_rng`` are the test oracle for the
 seeding, and the per-sample samplers in ``tests/oracles.py`` for the
@@ -77,6 +80,7 @@ __all__ = [
     "named_channel",
     "named_family_channel",
     "population",
+    "sample_stack",
 ]
 
 # Stable family codes for seed derivation; independent of config order.
@@ -296,13 +300,18 @@ def _unistochastic_ops(u: np.ndarray, d: int) -> np.ndarray:
     return t.reshape(-1, d * d, d, d) / math.sqrt(d)
 
 
-def _sample_stack(family: str, d: int, seeds) -> np.ndarray:
+def sample_stack(family: str, d: int, seeds) -> np.ndarray:
     """The ``(n, k, d, d)`` Kraus array of one channel per seed, all of ``family`` at dimension ``d``.
 
-    A drawn family has :func:`default_kraus_count` operators, and a matrix
-    family is its ``(n, d, d)`` matrices.  Each family's draw is described at
-    its stack sampler (``_cptp_ops`` and the like).
+    The stack :func:`population` addresses as ``(family, d, ids, seeds)``,
+    checked for trace preservation.  A drawn family has
+    :func:`default_kraus_count` operators, and a matrix family is its
+    ``(n, d, d)`` matrices, unchecked.  Each family's draw is described at
+    its stack sampler (``_cptp_ops`` and the like).  A named family draws
+    nothing: its stack is its one channel, and ``seeds`` is not read.
     """
+    if family.startswith("named:"):
+        return named_family_channel(family, d)[None]
     if family in _MATRIX_FAMILIES:
         g = _ginibre(_Streams(_stream_states(seeds, [()])), (len(seeds), d))
         return g @ g.conj().swapaxes(-2, -1) if family == "psd" else g
@@ -401,29 +410,29 @@ def _cuts(count: int, size):
 
 
 def population(seed: int, dims, families, count: int, stream: int = 0, size=None):
-    """Yield ``(family, dim, channel_ids, ops)`` stacks in ``(dim, family, index)`` order.
+    """Yield ``(family, dim, channel_ids, seeds)`` per stack, in ``(dim, family, index)`` order, before it is drawn.
 
     Sample ``index`` of a drawn ``family`` at ``dim`` is drawn with the
     default Kraus count from the seed ``SeedSequence([seed, stream + code,
     dim, index])``, where ``code`` is the family's entry in
     :data:`FAMILY_CODES`; harnesses keep their populations apart by
-    ``stream``.  ``ops`` is the ``(n, k, d, d)`` Kraus array of a stack of
-    consecutive indices of one ``(dim, family)``, at most ``size(dim)`` of
-    them (all ``count`` by default), checked for trace preservation.  A
-    named family draws nothing: it is one stack of its one channel, with id
-    ``<family>-d<dim>-0000``, whatever ``count`` is.  The matrix families
-    ``mat`` and ``psd``, at family code 0 and stream key ``()``, give the
-    ``(n, d, d)`` stack of the Ginibre matrices ``G`` of ``default_rng`` on
-    each seed, real parts first, or of ``G G^dag``, unchecked.  Each stack's
-    seeds are derived when it is drawn, for its own indices alone, so memory
-    does not grow with ``count``.
+    ``stream``.  A stack is consecutive indices of one ``(dim, family)``, at
+    most ``size(dim)`` of them (all ``count`` by default), and ``seeds`` is
+    the uint64 array of their sample seeds, derived for the stack's own
+    indices alone, so memory does not grow with ``count``.
+    :func:`sample_stack` draws a stack from its address: the ``(n, k, d,
+    d)`` Kraus array of a channel family, or for the matrix families ``mat``
+    and ``psd``, at family code 0 and stream key ``()``, the ``(n, d, d)``
+    stack of the Ginibre matrices ``G`` of ``default_rng`` on each seed,
+    real parts first, or of ``G G^dag``.  A named family draws nothing: it
+    is one stack of its one channel, with id ``<family>-d<dim>-0000`` and
+    seeds None, whatever ``count`` is.
     """
     for d in map(int, dims):
         for family in families:
             if family.startswith("named:"):
-                yield family, d, [f"{family}-d{d}-0000"], named_family_channel(family, d)[None]
+                yield family, d, [f"{family}-d{d}-0000"], None
                 continue
             for indices in _cuts(count, count if size is None else size(d)):
                 ids = [f"{family}-d{d}-{index:04d}" for index in indices]
-                seeds = _derive_seeds((seed, stream + FAMILY_CODES.get(family, 0), d), indices)
-                yield family, d, ids, _sample_stack(family, d, seeds)
+                yield family, d, ids, _derive_seeds((seed, stream + FAMILY_CODES.get(family, 0), d), indices)

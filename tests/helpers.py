@@ -31,9 +31,15 @@ def random_unitary(rng, d):
     return oracles.haar_unitary(d, rng)
 
 
+def drawn_stacks(*args, **kwargs):
+    """``sampler.population``'s stacks, each drawn by ``sampler.sample_stack``: ``(family, dim, channel_ids, ops)``."""
+    for family, d, ids, seeds in sampler.population(*args, **kwargs):
+        yield family, d, ids, sampler.sample_stack(family, d, seeds)
+
+
 def population(*args, **kwargs):
-    """``sampler.population`` one channel at a time: ``(family, dim, channel_id, ops)``."""
-    for family, d, ids, ops in sampler.population(*args, **kwargs):
+    """``sampler.population`` drawn, one channel at a time: ``(family, dim, channel_id, ops)``."""
+    for family, d, ids, ops in drawn_stacks(*args, **kwargs):
         for channel_id, row in zip(ids, ops):
             yield family, d, channel_id, row
 

@@ -1,16 +1,19 @@
+import collections
 import csv
 import dataclasses
+import itertools
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import openblas_threads, plant_zero_ginibre_set, save_channel
+from helpers import drawn_stacks, openblas_threads, plant_zero_ginibre_set, save_channel
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -538,9 +541,10 @@ class TestStackedSweep:
         assert next(csv.reader(lines[1:2]))[0] == 'ad,"0.3"'
 
     def test_stacks_are_cut_by_dimension_family_and_size(self, tmp_path, monkeypatch):
+        # the profiles are read in this process, whether a worker drew them or not
         sizes = []
-        original = cli.profile_channel
-        monkeypatch.setattr(cli, "profile_channel", lambda chs, ids: sizes.append(len(chs)) or original(chs, ids))
+        original = cli.evaluate_profile
+        monkeypatch.setattr(cli, "evaluate_profile", lambda p, b: sizes.append(len(p.channel_id)) or original(p, b))
         # a 1x1 grid at d = 2: D's 16 entries bound the stack
         monkeypatch.setattr(cli, "STACK_ENTRIES", 4 * 16)
         args = ["sweep", "--dims", "2", "--samples", "5", "--family", "cptp,unitary-mixture"]
@@ -632,7 +636,7 @@ def failing_on(check, entries):
 
 def ginibre_matrix(family, stream, d, index):
     """Matrix number ``index`` of the default suite's ``family`` ("mat" ``G``, "psd" ``G G^dag``) on ``stream``."""
-    (*_, x), = sampler.population(cli.DEFAULT_SEED, (d,), (family,), index + 1, stream)
+    (*_, x), = drawn_stacks(cli.DEFAULT_SEED, (d,), (family,), index + 1, stream)
     return x[index]
 
 
@@ -1008,6 +1012,8 @@ class TestOneProfilePerStack:
         original = chmod.dynamical_from_kraus
         monkeypatch.setattr(chmod, "dynamical_from_kraus", lambda ops: seen.append(len(ops)) or original(ops))
         monkeypatch.setattr(cli, "STACK_ENTRIES", 2 * 81)
+        # one CPU: a sweep's full stacks are then profiled in this process, where the spy sees them
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         args = [command, "--dims", "2,3", "--samples", "3", "--family", "cptp,unitary-mixture"]
         assert cli.main([*args, "--out", str(tmp_path / "x")]) == 0
         assert seen == sizes
@@ -1212,7 +1218,8 @@ class TestRunSkeleton:
             raise RuntimeError("planted error")
 
         monkeypatch.setattr(sampler, "_cptp_ops", failing)
-        record = {"check": "error", "kind": "RuntimeError", "message": "planted error"}
+        record = {"check": "error", "kind": "RuntimeError", "message": "planted error",
+                  "inputs": ["cptp-d2-0000", "cptp-d2-0001"]}
         # the suite names the check whose stack was being drawn; a sweep has no checks
         for args, during in ((self.SWEEP, {}), (self.SUITE, {"during": "upkp"})):
             out = tmp_path / args[0]
@@ -1229,6 +1236,7 @@ class TestRunSkeleton:
         assert json.loads((out / "summary.json").read_text())["failure"] == {
             "check": "error", "kind": "NotTracePreservingError",
             "message": f"trace-preservation defect nan exceeds {chmod.TP_TOL:.1e}",
+            "inputs": ["cptp-d2-0000", "cptp-d2-0001"],
         }
         assert "Traceback" not in capsys.readouterr().err
         assert not (out / "report.csv").exists()
@@ -1313,8 +1321,8 @@ class TestRunSkeleton:
         assert "'inputs': ['unistochastic-d2-0000', 'unistochastic-d2-0002']" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["sweep", "inequalities"])
-    def test_error_while_drawing_names_no_stack(self, tmp_path, monkeypatch, command):
-        # the stack drawn before it was evaluated in full; the one being drawn has no ids yet
+    def test_error_while_drawing_names_the_stack(self, tmp_path, monkeypatch, command):
+        # a stack's ids come before its draw: the record names the stack being drawn
         def failing(u, d):
             raise RuntimeError("planted error")
 
@@ -1322,7 +1330,9 @@ class TestRunSkeleton:
         out = tmp_path / command
         args = [command, "--dims", "2", "--samples", "3", "--family", "cptp,unistochastic", "--out", str(out)]
         assert cli.main(args) == 1
-        assert "inputs" not in json.loads((out / "summary.json").read_text())["failure"]
+        failure = json.loads((out / "summary.json").read_text())["failure"]
+        assert failure["message"] == "planted error"
+        assert failure["inputs"] == ["unistochastic-d2-0000", "unistochastic-d2-0002"]
 
 
 @pytest.fixture
@@ -1392,7 +1402,7 @@ class TestOneBlasThread:
 
     def test_library_calls_outside_a_run_keep_the_callers_count(self, monkeypatch, blas_threads):
         seen = self.spy(monkeypatch, blas_threads)
-        (*_, ops), = sampler.population(cli.DEFAULT_SEED, (2,), ("cptp",), 2)
+        (*_, ops), = drawn_stacks(cli.DEFAULT_SEED, (2,), ("cptp",), 2)
         cli.profile_channel(ops, ["a", "b"])
         assert seen == [2]
 
@@ -1413,6 +1423,228 @@ class TestOneBlasThread:
             assert done.returncode == 0, done.stderr
             reports.append((out / "report.csv").read_bytes())
         assert reports[0] == reports[1]
+
+
+class TestWorkers:
+    """From its first full stack on, a sweep draws and profiles each stack in a forked worker, one per CPU, at most one per stack left."""
+
+    # the d = 8 stacks of two are not full, and each d = 16 stack of one is
+    LADDER = ["sweep", "--dims", "8,16", "--samples", "2"]
+
+    @pytest.fixture
+    def cpus(self, tmp_path, monkeypatch, blas_threads):
+        """``cpus(n)`` lets a run see ``n`` CPUs; it returns ``seen()``, a ``(pid, OpenBLAS threads)`` per profile.
+
+        Each process that profiles a stack appends its line to a file, so
+        that the profiles made in workers are seen as well as this process's.
+        The caller's OpenBLAS count is 2 (``blas_threads``).
+        """
+        if not hasattr(os, "sched_getaffinity"):
+            pytest.skip("no CPU affinity on this platform: a sweep forks no workers")
+        original = cli.profile_channel
+        runs = itertools.count()
+
+        def cpus(n):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+            log = tmp_path / f"profiles-{next(runs)}.txt"
+
+            def spied(ops, ids):
+                with open(log, "a", encoding="utf-8") as fh:
+                    fh.write(f"{os.getpid()} {blas_threads()}\n")
+                return original(ops, ids)
+
+            monkeypatch.setattr(cli, "profile_channel", spied)
+            return lambda: [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
+
+        return cpus
+
+    @staticmethod
+    def worker_pids(seen) -> set:
+        return {pid for pid, _ in seen()} - {os.getpid()}
+
+    @pytest.mark.parametrize("violation", [False, True], ids=["passing", "violation"])
+    def test_outputs_match_the_inline_path(self, tmp_path, monkeypatch, capsys, cpus, violation):
+        if violation:  # on the first unistochastic stack at d = 16, profiled in a worker
+            original = cli.evaluate_profile
+
+            def planted(profile, bounds):
+                with monkeypatch.context() as m:
+                    if profile.channel_id[0] == "unistochastic-d16-0000":
+                        m.setattr(tradeoff, "GAP_TOL", -10.0)  # every cell violates
+                    return original(profile, bounds)
+
+            monkeypatch.setattr(cli, "evaluate_profile", planted)
+        results = []
+        for n in (2, 1):
+            seen = cpus(n)
+            out = tmp_path / f"cpus{n}"
+            code = cli.main([*self.LADDER, "--out", str(out)])
+            files = {p.relative_to(out).as_posix(): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+            results.append((code, capsys.readouterr().err, files))
+            # two CPUs: the d = 16 stacks in workers; one: every stack here
+            assert bool(self.worker_pids(seen)) == (n == 2)
+        assert results[0] == results[1]
+        code, err, files = results[0]
+        assert code == int(violation) and files["report.csv"].count(b"\n") == 1 + 6 * 63 * 2
+        if violation:
+            assert "'unistochastic-d16-0000'" in err
+            assert sorted(files) == ["counterexamples/unistochastic-d16-0000.json", "report.csv", "summary.json"]
+
+    def plant_worker_error(self, monkeypatch):
+        def failing(u, d):
+            raise RuntimeError(f"planted error in process {os.getpid()}")
+
+        monkeypatch.setattr(sampler, "_unistochastic_ops", failing)
+
+    def test_error_in_a_worker_names_the_stack(self, tmp_path, monkeypatch, cpus):
+        self.plant_worker_error(monkeypatch)
+        seen = cpus(2)
+        out = tmp_path / "x"
+        args = ["sweep", "--dims", "16", "--samples", "2", "--family", "cptp,unistochastic", "--out", str(out)]
+        assert cli.main(args) == 1
+        failure = json.loads((out / "summary.json").read_text())["failure"]
+        assert failure["kind"] == "RuntimeError" and failure["inputs"] == ["unistochastic-d16-0000"] * 2
+        # raised in a worker, and given back as it was raised
+        assert failure["message"].startswith("planted error in process ")
+        assert failure["message"] != f"planted error in process {os.getpid()}"
+        assert self.worker_pids(seen)
+
+    @pytest.mark.parametrize("case", ["exit-0", "violation", "worker-error", "exit-2", "interrupt"])
+    def test_no_worker_outlives_the_run(self, tmp_path, monkeypatch, capsys, cpus, case):
+        import multiprocessing
+
+        args, code = [*self.LADDER, "--out", str(tmp_path / "x")], {"exit-0": 0, "exit-2": 2}.get(case, 1)
+        if case == "violation":
+            monkeypatch.setattr(tradeoff, "GAP_TOL", -10.0)  # every cell violates
+        elif case == "worker-error":  # at d = 16 alone, where the unistochastic stacks are drawn in workers
+            self.plant_worker_error(monkeypatch)
+            args[2] = "16"
+        elif case == "exit-2":  # a DomainError on the first stack, read while the pool works on the next
+            args += ["--dims", "16", "--s", "1e6"]
+        elif case == "interrupt":  # on the second stack at d = 16
+            calls, original = [], cli.evaluate_profile
+
+            def interrupted(profile, bounds):
+                calls.append(profile.dim)
+                if calls.count(16) == 2:
+                    raise KeyboardInterrupt
+                return original(profile, bounds)
+
+            monkeypatch.setattr(cli, "evaluate_profile", interrupted)
+        seen = cpus(2)
+        if case == "interrupt":
+            with pytest.raises(KeyboardInterrupt):
+                cli.main(args)
+        else:
+            assert cli.main(args) == code
+        assert self.worker_pids(seen)
+        assert multiprocessing.active_children() == []
+
+    def test_workers_run_on_one_blas_thread_and_the_callers_count_is_back(self, tmp_path, cpus, blas_threads):
+        seen = cpus(2)
+        assert cli.main([*self.LADDER, "--out", str(tmp_path / "x")]) == 0
+        assert self.worker_pids(seen) and {count for _, count in seen()} == {1}
+        assert blas_threads() == 2
+
+    def test_no_blas_thread_spins_after_the_run(self, tmp_path, cpus):
+        # the restore after the fork starts a new OpenBLAS thread pool, which the run retires
+        seen = cpus(2)
+        assert cli.main([*self.LADDER, "--out", str(tmp_path / "x")]) == 0
+        assert self.worker_pids(seen)
+        start = time.process_time()
+        time.sleep(0.3)
+        assert time.process_time() - start < 0.02
+
+    @pytest.mark.parametrize("args", [
+        ["sweep", "--dims", "2,3", "--samples", "50"],
+        ["inequalities", "--dims", "2,3", "--samples", "150"],
+    ], ids=["sweep", "inequalities"])
+    def test_runs_without_a_full_stack_fork_nothing(self, tmp_path, monkeypatch, cpus, args):
+        import multiprocessing
+
+        def no_fork(*args, **kwargs):
+            raise AssertionError("the run forked")
+
+        monkeypatch.setattr(multiprocessing, "get_context", no_fork)
+        monkeypatch.setattr(os, "fork", no_fork)
+        cpus(2)
+        assert cli.main([*args, "--out", str(tmp_path / "x")]) == 0
+
+    def test_a_run_beside_another_thread_forks_nothing(self, tmp_path, monkeypatch, cpus):
+        import multiprocessing
+        import threading
+
+        def no_fork(*args, **kwargs):
+            raise AssertionError("the run forked")
+
+        monkeypatch.setattr(multiprocessing, "get_context", no_fork)
+        seen = cpus(2)
+        done = threading.Event()
+        other = threading.Thread(target=done.wait, args=(60,))
+        other.start()
+        try:
+            assert cli.main([*self.LADDER, "--out", str(tmp_path / "x")]) == 0
+        finally:
+            done.set()
+            other.join(60)
+        assert not other.is_alive() and not self.worker_pids(seen)
+
+    def test_python_before_3_11_forks_nothing(self, tmp_path, monkeypatch, cpus):
+        # a 3.10 ProcessPoolExecutor forks its second worker after its manager thread has started
+        import multiprocessing
+
+        def no_fork(*args, **kwargs):
+            raise AssertionError("the run forked")
+
+        monkeypatch.setattr(multiprocessing, "get_context", no_fork)
+        monkeypatch.setattr(os, "fork", no_fork)
+        version = collections.namedtuple("version_info", "major minor micro releaselevel serial")
+        monkeypatch.setattr(sys, "version_info", version(3, 10, 14, "final", 0))
+        seen = cpus(2)
+        assert cli.main([*self.LADDER, "--out", str(tmp_path / "x")]) == 0
+        assert not self.worker_pids(seen)
+
+    @pytest.mark.parametrize("n, args, workers", [
+        (8, LADDER, [6]),  # the six d = 16 stacks
+        (2, ["sweep", "--dims", "16", "--samples", "1", "--family", "cptp"], []),  # one full stack: no pool
+    ], ids=["six-stacks-on-eight-cpus", "one-stack-on-two-cpus"])
+    def test_no_more_workers_than_stacks_left(self, tmp_path, monkeypatch, cpus, n, args, workers):
+        pools, pooled = [], cli.Run._pooled
+
+        def counted(run, stacks, count):
+            pools.append(count)
+            return pooled(run, stacks, count)
+
+        monkeypatch.setattr(cli.Run, "_pooled", counted)
+        seen = cpus(n)
+        assert cli.main([*args, "--out", str(tmp_path / "x")]) == 0
+        assert pools == workers and len(self.worker_pids(seen)) <= sum(workers)
+
+    def test_a_killed_worker_fails_the_run(self, tmp_path, blas_threads):
+        # in a child process, so that a run that waited for the lost result for ever is stopped by the timeout
+        if not hasattr(os, "sched_getaffinity"):
+            pytest.skip("no CPU affinity on this platform: a sweep forks no workers")
+        script = (
+            "import os, signal, sys\n"
+            "from chanent import cli\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "profile, parent = cli.profile_channel, os.getpid()\n"
+            "def killed(ops, ids):\n"
+            "    if os.getpid() != parent:\n"
+            "        os.kill(os.getpid(), signal.SIGKILL)\n"
+            "    return profile(ops, ids)\n"
+            "cli.profile_channel = killed\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n"
+        )
+        src = str(Path(cli.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        out = tmp_path / "x"
+        done = subprocess.run([sys.executable, "-c", script, *self.LADDER, "--out", str(out)], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 1, done.stderr
+        failure = json.loads((out / "summary.json").read_text())["failure"]
+        assert failure["kind"] == "BrokenProcessPool" and failure["inputs"] == ["cptp-d16-0000"] * 2
+        assert "Traceback" not in done.stderr and not (out / "report.csv").exists()
 
 
 def assert_fragment(actual, fragment, path="summary"):

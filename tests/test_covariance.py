@@ -24,6 +24,7 @@ is itself unitarily invariant passes even when it is wrong, such as taking
 
 import numpy as np
 import oracles
+from helpers import drawn_stacks
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -76,7 +77,7 @@ def _image(ops, moves, rng):
     moves=st.sets(st.sampled_from(MOVES), min_size=1),
 )
 def test_unitarily_equivalent_channels_agree(family, d, seed, moves):
-    ((_, _, _, ops),) = sampler.population(seed, (d,), (family,), 1)
+    ((_, _, _, ops),) = drawn_stacks(seed, (d,), (family,), 1)
     # the image must still be trace preserving
     image = chmod.check_kraus_stack(_image(ops[0], moves, np.random.default_rng(seed))[None])
     original, moved = chmod.profile_channel(ops), chmod.profile_channel(image)

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import oracles
 import pytest
-from helpers import plant_zero_ginibre_set, profile, random_density, unital_defects
+from helpers import drawn_stacks, plant_zero_ginibre_set, profile, random_density, unital_defects
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -28,7 +28,7 @@ def derive_seed(*address):
 class TestSampleCptp:
     def test_trace_preservation_at_rounding_level(self):
         for d in (2, 3, 4):
-            ch = sampler._sample_stack("cptp", d, [derive_seed(1, 0, d, 0)])[0]
+            ch = sampler.sample_stack("cptp", d, [derive_seed(1, 0, d, 0)])[0]
             assert oracles.tp_defect(ch) <= 1e-12
 
     def test_single_kraus_is_unitary(self):
@@ -42,12 +42,12 @@ class TestSampleCptp:
         np.testing.assert_array_equal(sampler._cptp_ops([12345], 3, 4), sampler._cptp_ops([12345], 3, 4))
 
     def test_distinct_seeds_differ(self):
-        a = sampler._sample_stack("cptp", 2, [derive_seed(9, 0, 2, 0)])[0]
-        b = sampler._sample_stack("cptp", 2, [derive_seed(9, 0, 2, 1)])[0]
+        a = sampler.sample_stack("cptp", 2, [derive_seed(9, 0, 2, 0)])[0]
+        b = sampler.sample_stack("cptp", 2, [derive_seed(9, 0, 2, 1)])[0]
         assert np.abs(a[0] - b[0]).max() > 1e-3
 
     def test_generic_samples_are_not_unital(self):
-        ops = sampler._sample_stack("cptp", 2, [derive_seed(2, 0, 2, i) for i in range(100)])
+        ops = sampler.sample_stack("cptp", 2, [derive_seed(2, 0, 2, i) for i in range(100)])
         assert np.count_nonzero(~chmod.profile_channel(ops).unital) >= 95
 
     def test_singular_normalizer_is_not_trace_preserving(self, monkeypatch):
@@ -57,7 +57,7 @@ class TestSampleCptp:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NotTracePreservingError, match="defect nan"):
-                next(sampler.population(1, (2,), ("cptp",), 3))
+                next(drawn_stacks(1, (2,), ("cptp",), 3))
 
     def test_normalizers_are_far_from_singular(self, monkeypatch):
         # the margin that lets each sample be drawn once: over these samples of
@@ -68,7 +68,7 @@ class TestSampleCptp:
         monkeypatch.setattr(sampler, "_ginibre", lambda streams, shape: drawn.append(ginibre(streams, shape)) or drawn[-1])
         for d, count in ((2, 20_000), (3, 5_000)):
             drawn.clear()
-            for _ in sampler.population(1, (d,), ("cptp",), count):
+            for _ in drawn_stacks(1, (d,), ("cptp",), count):
                 pass
             (g,) = drawn
             vals = np.linalg.eigvalsh((g.conj().swapaxes(-2, -1) @ g).sum(axis=1))
@@ -95,7 +95,7 @@ class TestSampleUnitaryMixture:
 class TestSampleUnistochastic:
     def test_tp_and_unital(self):
         for d in (2, 3):
-            ch = sampler._sample_stack("unistochastic", d, [derive_seed(4, 2, d, 0)])[0]
+            ch = sampler.sample_stack("unistochastic", d, [derive_seed(4, 2, d, 0)])[0]
             assert len(ch) == d * d
             assert oracles.tp_defect(ch) <= 1e-10
             assert unital_defects(profile(ch))[0] <= 1e-10
@@ -188,12 +188,12 @@ class TestNamedChannels:
 
 class TestDispatchAndSeeds:
     def test_named_family_dispatch(self):
-        (*_, ops), = sampler.population(1, (2,), ("named:amplitude-damping:0.5",), 1)
+        (*_, ops), = drawn_stacks(1, (2,), ("named:amplitude-damping:0.5",), 1)
         np.testing.assert_array_equal(ops, [sampler.named_channel("amplitude-damping", 2, 0.5)])
 
     def test_unknown_family(self):
         with pytest.raises(UnknownChannelError):
-            sampler._sample_stack("bogus", 2, [0])
+            sampler.sample_stack("bogus", 2, [0])
 
     def test_derive_seed_is_stable_and_injective_enough(self):
         a = derive_seed(42, 0, 2, 7)
@@ -204,7 +204,7 @@ class TestDispatchAndSeeds:
 
 class TestPopulation:
     def test_order_ids_and_seeds(self):
-        pop = list(sampler.population(5, (3, 2), ("unistochastic", "cptp"), 2, stream=100))
+        pop = list(drawn_stacks(5, (3, 2), ("unistochastic", "cptp"), 2, stream=100))
         assert [(fam, d, ids) for fam, d, ids, _ in pop] == [
             ("unistochastic", 3, ["unistochastic-d3-0000", "unistochastic-d3-0001"]),
             ("cptp", 3, ["cptp-d3-0000", "cptp-d3-0001"]),
@@ -213,11 +213,11 @@ class TestPopulation:
         ]
         ops = pop[1][3]
         assert ops.shape == (2, 9, 3, 3)
-        np.testing.assert_array_equal(ops[1], sampler._sample_stack("cptp", 3, [derive_seed(5, 100 + 0, 3, 1)])[0])
+        np.testing.assert_array_equal(ops[1], sampler.sample_stack("cptp", 3, [derive_seed(5, 100 + 0, 3, 1)])[0])
 
     def test_stacks_are_cut_by_size(self):
         pop = sampler.population(5, (2, 3), ("cptp",), 5, size=lambda d: 4 if d == 2 else 5)
-        assert [(d, len(ids), len(ops)) for _, d, ids, ops in pop] == [(2, 4, 4), (2, 1, 1), (3, 5, 5)]
+        assert [(d, len(ids), len(seeds)) for _, d, ids, seeds in pop] == [(2, 4, 4), (2, 1, 1), (3, 5, 5)]
 
     def test_named_family(self, monkeypatch):
         # one stack of one channel per dimension, whatever the count and the stack size; no seed is derived
@@ -226,12 +226,12 @@ class TestPopulation:
         assert [(family, d, ids) for family, d, ids, _ in pop] == [
             ("named:identity", d, [f"named:identity-d{d}-0000"]) for d in (2, 3)
         ]
-        (*_, ops), = sampler.population(1, (2,), ("named:identity",), 2)
+        (*_, ops), = drawn_stacks(1, (2,), ("named:identity",), 2)
         np.testing.assert_array_equal(ops, [[np.eye(2)]])
 
     def test_ginibre_population(self):
         # the matrix families share family code 0 and one stream: psd is G G^dag of mat's G
-        pop = list(sampler.population(5, (2, 3), ("mat", "psd"), 2, stream=201))
+        pop = list(drawn_stacks(5, (2, 3), ("mat", "psd"), 2, stream=201))
         assert [(fam, d, ids, x.shape) for fam, d, ids, x in pop] == [
             (fam, d, [f"{fam}-d{d}-0000", f"{fam}-d{d}-0001"], (2, d, d)) for d in (2, 3) for fam in ("mat", "psd")
         ]
@@ -246,7 +246,7 @@ class TestPopulation:
         monkeypatch.setattr(sampler, "_derive_seeds", lambda *a: derived.append(len(a[-1])) or derive(*a))
         monkeypatch.setattr(sampler, "_seed_states", lambda e, n: hashed.append(len(e)) or seed_states(e, n))
         families = (*sampler.FAMILY_CODES, "psd")
-        stacks = sampler.population(6, (2, 3), families, 5_000, size=lambda d: 64)
+        stacks = drawn_stacks(6, (2, 3), families, 5_000, size=lambda d: 64)
         assert sum(len(ops) for *_, ops in stacks) == 2 * len(families) * 5_000
         assert derived and max(derived) <= 64
         # a cptp stack at d = 3 has the most stream keys: one per Kraus operator
@@ -271,7 +271,7 @@ def assert_same_channels(got, want):
 
 def stacked(seed, d, family, count, cut, stream=0):
     """The stacked population one Kraus array row at a time, and its stack sizes."""
-    stacks = list(sampler.population(seed, (d,), (family,), count, stream=stream, size=lambda _: cut))
+    stacks = list(drawn_stacks(seed, (d,), (family,), count, stream=stream, size=lambda _: cut))
     flat = [(fam, dim, cid, row) for fam, dim, ids, ops in stacks for cid, row in zip(ids, ops)]
     return flat, [len(ops) for *_, ops in stacks]
 
@@ -398,7 +398,7 @@ class TestStreamContract:
     def test_one_sample_matches_oracle(self, family, seed):
         seed = min(seed, 2**64 - 1)  # a stream seed is a derived uint64: the wider edges stand for the widest
         for d in (2, 3):
-            got = sampler._sample_stack(family, d, [seed])[0]
+            got = sampler.sample_stack(family, d, [seed])[0]
             assert_same_channels([(got,)], [(oracles.sample_channel(family, d, seed),)])
 
     @pytest.mark.parametrize("d, count", [(2, 9), (3, 9), (4, 9), (8, 8), (16, 2)])
@@ -437,7 +437,7 @@ class TestStreamContract:
                 wants = {"mat": g, "psd": g @ g.conj().swapaxes(-2, -1)}
                 for cut in CUTS:
                     for family, want in wants.items():
-                        stacks = list(sampler.population(seed, (d,), (family,), 9, stream, size=lambda _: cut))
+                        stacks = list(drawn_stacks(seed, (d,), (family,), 9, stream, size=lambda _: cut))
                         ids = [f"{family}-d{d}-{i:04d}" for i in range(9)]
                         assert [len(x) for *_, x in stacks] == [min(cut, 9 - j) for j in range(0, 9, cut)]
                         assert [i for _, _, labels, _ in stacks for i in labels] == ids
@@ -446,7 +446,7 @@ class TestStreamContract:
     @pytest.mark.parametrize("call", [
         lambda: derive_seed(-1),
         lambda: derive_seed(3, 0, -2),
-        lambda: sampler._sample_stack("cptp", 2, [-5]),
+        lambda: sampler.sample_stack("cptp", 2, [-5]),
         lambda: next(sampler.population(-1, (2,), ("cptp",), 1)),
     ])
     def test_negative_entropy_raises_as_seed_sequence(self, call):

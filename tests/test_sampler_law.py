@@ -3,8 +3,8 @@
 Every other sampler test compares bits with ``tests/oracles.py``, which runs
 the same algorithm, so a fault that both share is invisible to them.  These
 tests state the law instead: two moments of each drawn family at
-``d = 2, 3, 4``, read off ``sampler.population`` and
-``channel.profile_channel`` alone, and two moments of the unitary mixture's
+``d = 2, 3, 4``, read off ``sampler.population``'s stacks, as
+``sampler.sample_stack`` draws them, and ``channel.profile_channel`` alone, and two moments of the unitary mixture's
 weights, read off its Kraus array, so they hold for any sampler that draws
 these laws, whatever its bits.  Each mean is taken over ``COUNT`` samples at
 one fixed seed and must lie within ``Z_MAX`` standard errors of its closed
@@ -22,6 +22,7 @@ import math
 
 import numpy as np
 import pytest
+from helpers import drawn_stacks
 
 from chanent import sampler
 from chanent.channel import profile_channel
@@ -35,7 +36,7 @@ DIMS = (2, 3, 4)
 @functools.cache
 def moments(family: str, d: int) -> tuple:
     """Per sample: ``Tr K = sum_i |Tr A_i|**2`` and the map purity ``Tr (D/d)**2``."""
-    (*_, ops), = sampler.population(SEED, (d,), (family,), COUNT)
+    (*_, ops), = drawn_stacks(SEED, (d,), (family,), COUNT)
     tr_k = (np.abs(np.trace(ops, axis1=-2, axis2=-1)) ** 2).sum(axis=-1)
     purity = (profile_channel(ops).choi_spectrum ** 2).sum(axis=-1) / d**2
     return tr_k, purity
@@ -44,7 +45,7 @@ def moments(family: str, d: int) -> tuple:
 @functools.cache
 def mixture_weights(d: int) -> np.ndarray:
     """Per sample, the weights ``w_i = Tr(A_i^dag A_i)/d`` of the ``unitary-mixture`` Kraus array."""
-    (*_, ops), = sampler.population(SEED, (d,), ("unitary-mixture",), COUNT)
+    (*_, ops), = drawn_stacks(SEED, (d,), ("unitary-mixture",), COUNT)
     return (np.abs(ops) ** 2).sum(axis=(-2, -1)) / d
 
 

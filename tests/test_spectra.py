@@ -7,6 +7,7 @@ import oracles
 import pytest
 from helpers import (
     complex_gaussian,
+    drawn_stacks,
     noisy_depolarizing,
     population,
     profile,
@@ -343,7 +344,7 @@ class TestCheckSuperopNormBound:
         assert unital.passed.tolist() == plain.passed.tolist() == [[passed]]
 
     def test_random_nonunital_holds_with_slack(self):
-        prof = profile(sampler._sample_stack("cptp", 3, [oracles.derive_seed(909, 0, 3, 0)])[0])
+        prof = profile(sampler.sample_stack("cptp", 3, [oracles.derive_seed(909, 0, 3, 0)])[0])
         assert not prof.unital[0]
         batch = spectra.check_superop_norm_bound(prof)
         assert batch.passed[0, 0] and batch.slack[0, 0] > 0
@@ -472,7 +473,7 @@ class TestCheckSuperadditivity:
 
 class TestCheckNormProductChain:
     def test_bound_per_family(self):
-        pop = sampler.population(910, (2, 3), ("cptp", "unitary-mixture", "unistochastic"), 4)
+        pop = drawn_stacks(910, (2, 3), ("cptp", "unitary-mixture", "unistochastic"), 4)
         for family, d, ids, ops in pop:
             batch = spectra.check_norm_product_chain(chmod.profile_channel(ops, ids))
             assert batch.first_failure() is None, (family, d, batch.first_failure())
@@ -504,12 +505,12 @@ MONOTONICITY_PAIRS = ((0.2, 0.8), (1.0 / 3.0, 0.5), (0.5, 1.0))
 
 
 def _ginibre_stack(d, stream, count=SUITE.samples_per_family):
-    (*_, g), = sampler.population(SUITE.seed, (d,), ("mat",), count, stream)
+    (*_, g), = drawn_stacks(SUITE.seed, (d,), ("mat",), count, stream)
     return g
 
 
 def _psd_stack(d, stream, count=SUITE.samples_per_family):
-    (*_, x), = sampler.population(SUITE.seed, (d,), ("psd",), count, stream)
+    (*_, x), = drawn_stacks(SUITE.seed, (d,), ("psd",), count, stream)
     return x
 
 

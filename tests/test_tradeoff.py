@@ -130,7 +130,7 @@ class TestEvaluate:
         assert abs(rep["gap"]) <= 1e-12 and rep["saturated"]
 
     def test_random_nonunital_has_positive_gap(self):
-        ch = sampler._sample_stack("cptp", 3, [oracles.derive_seed(916, 0, 3, 0)])[0]
+        ch = sampler.sample_stack("cptp", 3, [oracles.derive_seed(916, 0, 3, 0)])[0]
         rep = evaluate_cell(ch, EntropyParams(0.5, -1.0))
         assert rep["bound_unital"] is None
         assert rep["gap"] > 0 and not rep["saturated"]
