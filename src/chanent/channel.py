@@ -144,6 +144,8 @@ def reshuffle(m, d: int) -> np.ndarray:
 
     An involution on ``d**2 x d**2`` matrices, applied to each matrix of a
     stack; maps the dynamical matrix to the superoperator matrix and back.
+    No library path calls it; it stays public as the paper's ``D -> K`` map
+    and as the route to ``K`` that the test oracles check the spectra against.
     """
     x = matcore.as_matrices(m)
     if x.shape[-2:] != (d * d, d * d):
@@ -186,7 +188,8 @@ class ChannelProfile:
     ``(n, d, d)`` stack of ``Tr_2 D = sum_i A_i A_i^dag``, the image of the
     identity.  Row ``k`` of each belongs to channel ``k``.  ``choi_spectrum``
     is given as the array, or as a function of no arguments that gives it:
-    that is called on the first read of the spectrum, and its array kept.
+    that is called on the first read of the spectrum, a pickle's among
+    them (a function is not pickled), and its array kept.
     """
 
     def __init__(self, channel_id, dim, unital, choi_spectrum, superop_spectrum, tr2):
@@ -202,6 +205,9 @@ class ChannelProfile:
         if callable(self._choi):
             self._choi = self._choi()
         return self._choi
+
+    def __getstate__(self) -> dict:
+        return {**vars(self), "_choi": self.choi_spectrum}
 
 
 def profile_channel(ops, channel_id=()) -> ChannelProfile:

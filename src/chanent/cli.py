@@ -39,32 +39,33 @@ Both harnesses take their population from :mod:`chanent.sampler` (the
 suite's matrices from its ``mat`` and ``psd`` families) in stacks of
 consecutive indices of one dimension and family.  Each stack's ids and
 seeds come before it is drawn, so an error raised while it is drawn names
-it.  The suite draws and evaluates one stack after another.  So does a
-sweep, until its first full stack: one of a drawn family whose size the
-bound below set.  From that stack on, if the run is pinned to one OpenBLAS
-thread, runs on Python 3.11 or later and may use more than one CPU, and
-more than one stack is left, a fork pool of one worker per CPU, at most one
-per stack left, draws and profiles each stack from its ids and seeds, a few
-stacks ahead of the one being read; each task and result is an address or a profile's
-arrays, never a Kraus array.  The sweep evaluates, folds and writes the
-profiles in stack order, as it would its own (:meth:`Run.profiling`).  A
-stack is bounded by memory alone: it holds as many inputs as keep
-the largest array it builds per input within ``STACK_ENTRIES`` entries in
-all, so a population of small inputs is one stack, and the stacks of a large
-one keep memory flat in its size.  On the default grid the full stacks are
-those at ``d = 16`` and those of 16 channels at ``d = 8``.
+it.  A channel stack has one route from that address to its profile in
+both harnesses, :func:`_profile` (:meth:`Run.profiling`).  The run takes it
+itself, one stack after another: the suite always, a sweep until its first
+full stack, one of a drawn family whose size the bound below set.  From
+that stack on, if the run is pinned to one OpenBLAS thread, may use more
+than one CPU and has more than one stack left, a fork pool of one worker
+per CPU, at most one per stack left, takes it a few stacks ahead of the one
+read: each task is an address and each result a profile, never a Kraus
+array.  The sweep evaluates, folds and writes the profiles in stack order,
+as it would its own.  A stack is bounded by memory alone: it holds as many
+inputs as keep the largest array it builds per input within
+``STACK_ENTRIES`` entries in all, so a population of small inputs is one
+stack, and the stacks of a large one keep memory flat in its size.  On the
+default grid the full stacks are those at ``d = 16`` and those of 16
+channels at ``d = 8``.
 
 Both harnesses profile each channel stack, the Kraus array it was drawn
 as, with :func:`~chanent.channel.profile_channel`: per stack, ``Tr_2 D`` as
 one product of the Kraus array, and one decomposition of ``K`` read off
 ``D``, which is built once per stack, inside the receiver spectrum; and one
 decomposition of the Kraus array where ``D``'s spectrum is read: the sweep
-reads it, the inequality suite's channel checks do not.  A ``--channel``
-file is a stack of one.  A counterexample is written from its channel's
-row of the stack; a sweep draws the stack again for it, in the run's own
-process, and records the violated cell as the grid gives it
-(:meth:`~chanent.tradeoff.GridReport.cell`).  Its ``BOUND VIOLATION`` line
-is built from that record.
+reads it (a worker, to pickle the profile), the inequality suite's channel
+checks do not.  A ``--channel`` file is a stack of one.  A counterexample
+is written from its channel's row of the stack, which either harness draws
+again for it, in the run's own process; a sweep records the violated cell
+as the grid gives it (:meth:`~chanent.tradeoff.GridReport.cell`), and its
+``BOUND VIOLATION`` line is built from that record.
 
 A sweep stacks the channels of one (dimension, family) and evaluates each
 profile in one grid pass, against bounds tabulated once per dimension, and
@@ -396,52 +397,50 @@ class Run:
         """Each ``(family, dim, ids, seeds)`` stack of ``stacks`` as ``(family, dim, ids, seeds, ops)``, drawn by ``draw``.
 
         ``ops`` is ``draw(family, dim, seeds)``, and ``inputs`` holds the
-        stack's ids from its draw until the next stack's.
+        stack's ids from its draw until the next stack's: the suite's matrix
+        stacks, where a channel stack is read with its profile (:meth:`profiling`).
         """
         for family, dim, ids, seeds in stacks:
             self.inputs = ids
             yield family, dim, ids, seeds, draw(family, dim, seeds)
         self.inputs = None
 
-    def profiling(self, stacks, draw, full):
-        """Each ``(family, dim, ids, seeds)`` stack of ``stacks`` with its profile, its map spectrum read, in order.
+    def profiling(self, stacks, draw=sampler.sample_stack, full=None):
+        """Each ``(family, dim, ids, seeds)`` stack of ``stacks`` with its profile, :func:`_profile` of it, in order.
 
-        A stack is drawn (:meth:`drawing`) and profiled here until
-        ``full(*stack)``.  From that stack on, if the run is pinned to one
-        OpenBLAS thread, each stack is drawn and profiled in a fork pool of
-        one worker per CPU (:func:`_worker_count`), at most one per stack
-        left, a few stacks ahead of the one read; ``inputs`` holds the ids of
-        the stack whose profile is read.  Where that is one worker, the rest
-        is profiled here too.
+        ``inputs`` holds the ids of the stack whose profile is read.  A stack
+        is profiled here as it is read until ``full(*stack)``, never if
+        ``full`` is None.  From that stack on, if the run is pinned to one
+        OpenBLAS thread, the same call is submitted to a fork pool of one
+        worker per CPU (:func:`_worker_count`), at most one per stack left,
+        up to two stacks per worker ahead of the one read.  Where that is one
+        worker, the stacks are profiled here.
         """
-        stacks, ahead = iter(stacks), []
+        stacks, pending, submit, depth = iter(stacks), collections.deque(), functools.partial, 1
+        while True:
+            while len(pending) < depth and (stack := next(stacks, None)) is not None:
+                if full is not None and full(*stack):
+                    full, ahead = None, [stack, *itertools.islice(stacks, _worker_count() - 1 if self.pinned else 0)]
+                    stacks = itertools.chain(ahead[1:], stacks)
+                    if len(ahead) > 1:
+                        submit, depth = self._fork(len(ahead)), 2 * len(ahead)
+                pending.append((stack, submit(_profile, draw, *stack)))
+            if not pending:
+                break
+            (family, dim, ids, seeds), result = pending.popleft()
+            self.inputs = ids
+            yield family, dim, ids, seeds, result()
+        self.inputs = None
 
-        def until_full():
-            for stack in stacks:
-                if full(*stack):
-                    ahead.append(stack)
-                    return
-                yield stack
-
-        def here(stacks):
-            for family, dim, ids, seeds, ops in self.drawing(stacks, draw):
-                yield family, dim, ids, seeds, profile_channel(ops, ids)
-
-        yield from here(until_full())
-        if ahead:
-            ahead += itertools.islice(stacks, _worker_count() - 1 if self.pinned else 0)
-            rest = itertools.chain(ahead, stacks)
-            yield from self._pooled(rest, len(ahead)) if len(ahead) > 1 else here(rest)
-
-    def _pooled(self, stacks, workers: int):
-        """:meth:`profiling`'s stacks as ``workers`` forked processes profile them, each on one stack.
+    def _fork(self, workers: int):
+        """A pool of ``workers`` forked processes, as a call that submits a task and gives its result's reader.
 
         The pool is forked inside the pin, so each worker runs OpenBLAS on
         one thread, and it is shut down before the pin is lifted.  A task and
-        its result are a stack's address and its profile's arrays: no Kraus
-        array crosses the pipe.  A worker that dies, killed say, fails the
-        run with a ``BrokenProcessPool`` error, where a ``multiprocessing``
-        ``Pool`` would wait for its result for ever.
+        its result are a stack's address and its profile: no Kraus array
+        crosses the pipe.  A worker that dies, killed say, fails the run with
+        a ``BrokenProcessPool`` error, where a ``multiprocessing`` ``Pool``
+        would wait for its result for ever.
         """
         import concurrent.futures  # a run that forks nothing loads none of these three
         import multiprocessing
@@ -452,15 +451,7 @@ class Run:
         )
         self.pool.callback(pool.shutdown, cancel_futures=True)
         self.forked = True
-        pending = collections.deque()
-        while True:
-            while len(pending) < 2 * workers and (stack := next(stacks, None)) is not None:
-                pending.append((stack, pool.submit(_profiled, *stack)))
-            if not pending:
-                return
-            (family, dim, ids, seeds), result = pending.popleft()
-            self.inputs = ids
-            yield family, dim, ids, seeds, chmod.ChannelProfile(tuple(ids), dim, *result.result())
+        return lambda *task: pool.submit(*task).result
 
     def fold(self, key, count: int, **minima) -> dict:
         """Add ``count`` to the count at ``key`` (a key or a path of keys); return its entry.
@@ -547,25 +538,22 @@ class Run:
 def _worker_count() -> int:
     """How many workers a sweep may fork: one per CPU this process may run on.
 
-    1, for none, where the platform does not say, before Python 3.11, or
-    while another Python thread runs: a fork copies the calling thread
-    alone, and a lock another thread holds stays held in the child.  Before
-    3.11 a ``ProcessPoolExecutor`` forks its workers one at a time as tasks
-    come, after its own threads have started.
+    1, for none, where the platform does not say, or while another Python
+    thread runs: a fork copies the calling thread alone, and a lock another
+    thread holds stays held in the child.
     """
-    if sys.version_info < (3, 11) or not hasattr(os, "sched_getaffinity") or threading.active_count() > 1:
+    if not hasattr(os, "sched_getaffinity") or threading.active_count() > 1:
         return 1
     return len(os.sched_getaffinity(0))
 
 
-def _profiled(family: str, dim: int, ids, seeds) -> tuple:
-    """A sweep worker's task: a stack drawn from its address, profiled, as the profile's arrays.
+def _profile(draw, family: str, dim: int, ids, seeds) -> chmod.ChannelProfile:
+    """The profile of the stack at an address, drawn by ``draw``: the one route from an address to a profile.
 
-    ``(unital, map spectrum, receiver spectrum, Tr_2 D)``, the arguments of
-    :class:`~chanent.channel.ChannelProfile` after its ids and dimension.
+    :meth:`Run.profiling` calls it in the run's own process and submits it
+    to a worker alike; a worker's profile comes back pickled.
     """
-    profile = profile_channel(sampler.sample_stack(family, dim, seeds), ids)
-    return profile.unital, profile.choi_spectrum, profile.superop_spectrum, profile.tr2
+    return profile_channel(draw(family, dim, seeds), ids)
 
 
 def run_sweep(cfg: SweepConfig, out_dir, channel_path=None) -> int:
@@ -645,8 +633,9 @@ def run_inequality_suite(cfg: SweepConfig, out_dir, only=None, matrix_path=None)
                 cfg.seed, cfg.dims, cfg.families, cfg.samples_per_family, stream=100,
                 size=lambda d: _stack_size(d**4),
             )
-            for _, _, labels, _, ops in run.drawing(pop):
-                yield labels, (profile_channel(ops, labels),), lambda i: chmod.channel_to_json(ops[i])
+            for family, dim, labels, seeds, profile in run.profiling(pop):
+                # a failing channel's stack is drawn again for its bits
+                yield labels, (profile,), lambda i: chmod.channel_to_json(sampler.sample_stack(family, dim, seeds)[i])
             return
         if injected is not None:  # the file is the operand, as a population of one stack of one
             pops = [run.drawing([(None, None, [Path(matrix_path).stem], None)], lambda *_: matrix[None])]

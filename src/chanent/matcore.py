@@ -152,11 +152,10 @@ def _finite_spectrum(vals: np.ndarray) -> np.ndarray:
     return vals
 
 
-# OpenBLAS's (set, get) thread-count calls, in the order they are tried: numpy
-# >= 2's wheels, numpy 1.2x's wheels, a system OpenBLAS.
+# OpenBLAS's (set, get) thread-count calls, in the order they are tried:
+# numpy's wheels, a system OpenBLAS.
 _OPENBLAS_THREAD_CALLS = (
     ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
-    ("openblas_set_num_threads64_", "openblas_get_num_threads64_"),
     ("openblas_set_num_threads", "openblas_get_num_threads"),
 )
 

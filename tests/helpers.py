@@ -113,14 +113,14 @@ def openblas_threads():
 
     An independent reader of what ``matcore._one_blas_thread`` sets: the
     library's path is read off ``/proc/self/maps``, and each symbol name of
-    the numpy >= 2 wheels, the numpy 1.2x wheels and a system OpenBLAS is tried.
+    numpy's wheels and of a system OpenBLAS is tried.
     """
     maps = Path("/proc/self/maps")
     if not maps.exists():
         return None
     for path in sorted(set(re.findall(r"(/\S*openblas[^/\s]*)$", maps.read_text(), re.M))):
         lib = ctypes.CDLL(path)
-        for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", "")):
+        for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "")):
             get, put = (getattr(lib, f"{prefix}_{verb}_num_threads{suffix}", None) for verb in ("get", "set"))
             if get is not None and put is not None:
                 return get, put

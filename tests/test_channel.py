@@ -1,5 +1,6 @@
 import json
 import math
+import pickle
 
 import mpmath
 import numpy as np
@@ -437,6 +438,21 @@ class TestSpectrumRoutes:
         assert spec.shape == (9,)
         assert spec[0] == pytest.approx(3.0, abs=1e-13)
         assert not spec[1:].any()
+
+
+class TestPickledProfile:
+    """A profile crosses a pipe as itself: its map spectrum is read for the pickle, and the copy is equal."""
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_the_copy_carries_every_array(self, family):
+        drawn = list(population(977, (3,), (family,), 3))
+        ops = stack_channels([ch for *_, ch in drawn])
+        prof = chmod.profile_channel(ops, [channel_id for _, _, channel_id, _ in drawn])
+        copy = pickle.loads(pickle.dumps(prof))
+        assert copy.choi_spectrum.tobytes() == chmod.dynamical_spectrum(ops).tobytes()
+        assert (copy.channel_id, copy.dim) == (prof.channel_id, prof.dim)
+        for name in ("unital", "choi_spectrum", "superop_spectrum", "tr2"):
+            np.testing.assert_array_equal(getattr(copy, name), getattr(prof, name))
 
 
 class TestOracleRoutes:

@@ -1,4 +1,3 @@
-import collections
 import csv
 import dataclasses
 import itertools
@@ -608,19 +607,6 @@ class TestFloatTexts:
         assert any("e+" in cell for cell in cells) and any("e-" in cell for cell in cells)
 
 
-def failing_at(check, entries):
-    """``check`` with the given ``(input, order)`` entries of each batch marked failed."""
-
-    def wrapped(*args):
-        batch = check(*args)
-        passed = batch.passed.copy()
-        for i, j in entries:
-            passed[i, j] = False
-        return dataclasses.replace(batch, passed=passed)
-
-    return wrapped
-
-
 def failing_on(check, entries):
     """``check`` with the entries ``(matrix, order)`` marked failed wherever that matrix is an input."""
 
@@ -1113,24 +1099,50 @@ class TestInequalityFailures:
         np.testing.assert_array_equal(matcore.matrix_from_json(payload["x"]), ginibre_matrix("psd", 204, 2, 4))
         np.testing.assert_array_equal(matcore.matrix_from_json(payload["y"]), ginibre_matrix("psd", 205, 2, 4))
 
-    @pytest.mark.parametrize(
-        "upkp, cbn0, named", [(5, 2, "upkp"), (4, 4, "upkp"), (1, 6, "upkp"), (None, 3, "cbn0")]
-    )
-    def test_channel_failure_is_the_first_in_channel_order(self, tmp_path, monkeypatch, upkp, cbn0, named):
+    # one stack of all ten channels at the default STACK_ENTRIES, and stacks
+    # of three at 48 entries, d**4 = 16 per channel
+    @pytest.mark.parametrize("upkp, cbn0, named, stack_entries", [
+        pytest.param(5, 2, "upkp", cli.STACK_ENTRIES, id="5-2-upkp"),
+        pytest.param(4, 4, "upkp", cli.STACK_ENTRIES, id="4-4-upkp"),
+        pytest.param(1, 6, "upkp", cli.STACK_ENTRIES, id="1-6-upkp"),
+        pytest.param(None, 3, "cbn0", cli.STACK_ENTRIES, id="None-3-cbn0"),
+        pytest.param(5, 2, "cbn0", 48, id="5-2-cbn0-stacks-of-three"),  # cbn0's channel is in the first stack
+        pytest.param(4, 4, "upkp", 48, id="4-4-upkp-stacks-of-three"),
+        pytest.param(1, 6, "upkp", 48, id="1-6-upkp-stacks-of-three"),
+        pytest.param(None, 3, "cbn0", 48, id="None-3-cbn0-stacks-of-three"),
+    ])
+    def test_channel_failure_is_the_first_in_channel_order(
+        self, tmp_path, monkeypatch, upkp, cbn0, named, stack_entries
+    ):
         # each stack's upkp batch is recorded before its cbn0 batch: upkp's
         # first failing channel is named whenever upkp fails in the stack
-        monkeypatch.setattr(spectra, "check_superop_norm_bound", failing_at(
-            spectra.check_superop_norm_bound, [] if upkp is None else [(upkp, 0)]
-        ))
-        monkeypatch.setattr(
-            spectra, "check_norm_product_chain", failing_at(spectra.check_norm_product_chain, [(cbn0, 0)])
-        )
+        def failing(check, index):
+            label = None if index is None else f"cptp-d2-{index:04d}"
+
+            def wrapped(profile):
+                batch = check(profile)
+                passed = batch.passed.copy()
+                passed[[channel_id == label for channel_id in profile.channel_id], 0] = False
+                return dataclasses.replace(batch, passed=passed)
+
+            return wrapped
+
+        monkeypatch.setattr(spectra, "check_superop_norm_bound", failing(spectra.check_superop_norm_bound, upkp))
+        monkeypatch.setattr(spectra, "check_norm_product_chain", failing(spectra.check_norm_product_chain, cbn0))
+        monkeypatch.setattr(cli, "STACK_ENTRIES", stack_entries)
         code, summary, files, ce = self.run(tmp_path, "--family", "cptp")
-        index = cbn0 if upkp is None else upkp
+        label = f"cptp-d2-{upkp if named == 'upkp' else cbn0:04d}"
         assert code == 1
-        assert summary["failure"] == {"check": named, "input": f"cptp-d2-{index:04d}", "kind": "inequality-failed"}
-        assert files == [f"cptp-d2-{index:04d}.json"]
-        assert chmod.channel_from_json(json.loads((ce / files[0]).read_text())).shape[-1] == 2
+        assert summary["failure"] == {"check": named, "input": label, "kind": "inequality-failed"}
+        assert files == [f"{label}.json"]
+        # the counterexample is the drawn channel, bit for bit
+        drawn = {
+            channel_id: ops
+            for _, _, ids, stack in drawn_stacks(cli.DEFAULT_SEED, (2,), ("cptp",), 10, stream=100)
+            for channel_id, ops in zip(ids, stack)
+        }
+        written = chmod.channel_from_json(json.loads((ce / files[0]).read_text()))
+        assert (written.shape, written.tobytes()) == (drawn[label].shape, drawn[label].tobytes())
 
     def test_passing_run_builds_no_payloads(self, tmp_path, monkeypatch):
         calls = []
@@ -1433,7 +1445,7 @@ class TestWorkers:
 
     @pytest.fixture
     def cpus(self, tmp_path, monkeypatch, blas_threads):
-        """``cpus(n)`` lets a run see ``n`` CPUs; it returns ``seen()``, a ``(pid, OpenBLAS threads)`` per profile.
+        """``cpus(n)`` lets a run see ``n`` CPUs; it returns ``seen()``, a ``(pid, OpenBLAS threads, first id)`` per profile.
 
         Each process that profiles a stack appends its line to a file, so
         that the profiles made in workers are seen as well as this process's.
@@ -1450,17 +1462,17 @@ class TestWorkers:
 
             def spied(ops, ids):
                 with open(log, "a", encoding="utf-8") as fh:
-                    fh.write(f"{os.getpid()} {blas_threads()}\n")
+                    fh.write(f"{os.getpid()} {blas_threads()} {ids[0]}\n")
                 return original(ops, ids)
 
             monkeypatch.setattr(cli, "profile_channel", spied)
-            return lambda: [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
+            return lambda: [(int(pid), int(count), first) for pid, count, first in map(str.split, log.read_text().splitlines())]
 
         return cpus
 
     @staticmethod
     def worker_pids(seen) -> set:
-        return {pid for pid, _ in seen()} - {os.getpid()}
+        return {pid for pid, *_ in seen()} - {os.getpid()}
 
     @pytest.mark.parametrize("violation", [False, True], ids=["passing", "violation"])
     def test_outputs_match_the_inline_path(self, tmp_path, monkeypatch, capsys, cpus, violation):
@@ -1489,6 +1501,25 @@ class TestWorkers:
         if violation:
             assert "'unistochastic-d16-0000'" in err
             assert sorted(files) == ["counterexamples/unistochastic-d16-0000.json", "report.csv", "summary.json"]
+
+    @pytest.mark.parametrize("n", [2, 1])
+    def test_each_stack_is_drawn_and_profiled_once(self, tmp_path, monkeypatch, cpus, n):
+        # a stack's draw ends in its trace-preservation check, in whichever process draws it
+        draws, check = tmp_path / "draws.txt", sampler.check_kraus_stack
+
+        def logged(ops):
+            with open(draws, "a", encoding="utf-8") as fh:
+                fh.write(f"{len(ops)} {ops.shape[-1]}\n")
+            return check(ops)
+
+        monkeypatch.setattr(sampler, "check_kraus_stack", logged)
+        seen = cpus(n)
+        assert cli.main([*self.LADDER, "--out", str(tmp_path / "x")]) == 0
+        families = ("cptp", "unitary-mixture", "unistochastic")
+        stacks = [f"{f}-d8-0000" for f in families] + [f"{f}-d16-{i:04d}" for f in families for i in range(2)]
+        assert sorted(first for *_, first in seen()) == sorted(stacks)
+        assert sorted(draws.read_text().splitlines()) == sorted(["2 8"] * 3 + ["1 16"] * 6)
+        assert bool(self.worker_pids(seen)) == (n == 2)
 
     def plant_worker_error(self, monkeypatch):
         def failing(u, d):
@@ -1543,7 +1574,7 @@ class TestWorkers:
     def test_workers_run_on_one_blas_thread_and_the_callers_count_is_back(self, tmp_path, cpus, blas_threads):
         seen = cpus(2)
         assert cli.main([*self.LADDER, "--out", str(tmp_path / "x")]) == 0
-        assert self.worker_pids(seen) and {count for _, count in seen()} == {1}
+        assert self.worker_pids(seen) and {count for _, count, _ in seen()} == {1}
         assert blas_threads() == 2
 
     def test_no_blas_thread_spins_after_the_run(self, tmp_path, cpus):
@@ -1589,33 +1620,18 @@ class TestWorkers:
             other.join(60)
         assert not other.is_alive() and not self.worker_pids(seen)
 
-    def test_python_before_3_11_forks_nothing(self, tmp_path, monkeypatch, cpus):
-        # a 3.10 ProcessPoolExecutor forks its second worker after its manager thread has started
-        import multiprocessing
-
-        def no_fork(*args, **kwargs):
-            raise AssertionError("the run forked")
-
-        monkeypatch.setattr(multiprocessing, "get_context", no_fork)
-        monkeypatch.setattr(os, "fork", no_fork)
-        version = collections.namedtuple("version_info", "major minor micro releaselevel serial")
-        monkeypatch.setattr(sys, "version_info", version(3, 10, 14, "final", 0))
-        seen = cpus(2)
-        assert cli.main([*self.LADDER, "--out", str(tmp_path / "x")]) == 0
-        assert not self.worker_pids(seen)
-
     @pytest.mark.parametrize("n, args, workers", [
         (8, LADDER, [6]),  # the six d = 16 stacks
         (2, ["sweep", "--dims", "16", "--samples", "1", "--family", "cptp"], []),  # one full stack: no pool
     ], ids=["six-stacks-on-eight-cpus", "one-stack-on-two-cpus"])
     def test_no_more_workers_than_stacks_left(self, tmp_path, monkeypatch, cpus, n, args, workers):
-        pools, pooled = [], cli.Run._pooled
+        pools, fork = [], cli.Run._fork
 
-        def counted(run, stacks, count):
+        def counted(run, count):
             pools.append(count)
-            return pooled(run, stacks, count)
+            return fork(run, count)
 
-        monkeypatch.setattr(cli.Run, "_pooled", counted)
+        monkeypatch.setattr(cli.Run, "_fork", counted)
         seen = cpus(n)
         assert cli.main([*args, "--out", str(tmp_path / "x")]) == 0
         assert pools == workers and len(self.worker_pids(seen)) <= sum(workers)
